@@ -44,7 +44,8 @@ from .pipeline import (Tolerances, analyze, cartan_structure_check,
                        mixed_circle_coefficient, one_adapt,
                        predicted_circle_coefficient, taut_circle_field,
                        taut_hyperbola_transform)
-from .report import Report, check, record_to_dict, summarize_residuals
+from .report import (Report, check, nan_max, record_to_dict,
+                     summarize_residuals)
 
 DEFAULT_HALF_WIDTH = 0.75
 
@@ -188,7 +189,7 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                                  for k in sorted(rec.residuals)}}
             rep.records.append(row)
         rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-        worst = max(s["max"] for s in rep.summary.values())
+        worst = nan_max(*(s["max"] for s in rep.summary.values()))
         rep.checks.append(check("four_covector_pattern", worst, tol.shallow))
         return
     adapted = one_adapt(fld, pts, cfg.order, tol)
@@ -198,7 +199,8 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
         n1 = top_ratio(wedge(cf.omega(1), ext_d(cf.omega(1))) - Omega, Omega)
         n2 = top_ratio(wedge(cf.omega(2), ext_d(cf.omega(2)))
                        + Omega.scaled(float(cf.eps)), Omega)
-        dd = max(ext_d(ext_d(cf.omega(i))).max_abs_value() for i in (1, 2, 3))
+        dd = nan_max(*(ext_d(ext_d(cf.omega(i))).max_abs_value()
+                       for i in (1, 2, 3)))
         row = {"point": list(p), "eps": cf.eps,
                "residuals": {"self_volume_1": abs(n1.value),
                              "self_volume_2": abs(n2.value),
@@ -207,7 +209,8 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
     rep.checks.append(check(
         "self_volume_normalizations",
-        max(rep.summary[k]["max"] for k in ("self_volume_1", "self_volume_2")),
+        nan_max(*(rep.summary[k]["max"]
+                  for k in ("self_volume_1", "self_volume_2"))),
         tol.shallow))
     rep.checks.append(check("d_after_d", rep.summary["d_after_d"]["max"],
                             1e-12))
@@ -223,7 +226,7 @@ def _cmd_invariants(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             rep.histogram[f"class:{rec.klass}"] = \
                 rep.histogram.get(f"class:{rec.klass}", 0) + 1
     rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-    worst = max((s["max"] for s in rep.summary.values()), default=0.0)
+    worst = nan_max(0.0, *(s["max"] for s in rep.summary.values()))
     rep.checks.append(check("adaptation_residuals", worst, cfg.tol_deep))
 
 
@@ -258,7 +261,7 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             for a1, a2 in a_samples:
                 got = circle_volume_coefficient(cf, taut, a1, a2).value
                 want = predicted_circle_coefficient(C.value, C3.value, a1, a2)
-                worst = max(worst, abs(got - want))
+                worst = nan_max(worst, abs(got - want))
             mixed = mixed_circle_coefficient(cf, taut).value
             sp = 1.0 if 1.0 + C.value > 0 else -1.0
             sm = 1.0 if 1.0 - C.value > 0 else -1.0
@@ -278,7 +281,7 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                 "mixed_defect": defect.value,
                 "residuals": {"self_volume_1": r1, "self_volume_2": r2}})
     rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-    worst = max(s["max"] for s in rep.summary.values())
+    worst = nan_max(*(s["max"] for s in rep.summary.values()))
     rep.checks.append(check("taut_rotation_identities", worst, tol.deep))
 
 
@@ -301,7 +304,8 @@ def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                               for k in sorted(out.residuals)}})
         rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
         rep.checks.append(check(
-            "curvature_displays", max(s["max"] for s in rep.summary.values()),
+            "curvature_displays",
+            nan_max(*(s["max"] for s in rep.summary.values())),
             tol.deep))
         return
     result, frame_field = _adapted_for_curvature(cfg, fld, pts)
@@ -359,11 +363,12 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             "residuals": resid})
     rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
     rep.checks.append(check(
-        "pattern_and_pairings", max(s["max"] for s in rep.summary.values()),
+        "pattern_and_pairings",
+        nan_max(*(s["max"] for s in rep.summary.values())),
         tol.shallow))
     rep.checks.append(check(
         "curvature_displays",
-        max(r["curvature_residual"] for r in rep.records), tol.deep))
+        nan_max(*(r["curvature_residual"] for r in rep.records)), tol.deep))
 
 
 def _cmd_normal_form(cfg: RunConfig, rep: Report, pts_unused):
@@ -391,9 +396,9 @@ def _cmd_normal_form(cfg: RunConfig, rep: Report, pts_unused):
         rep.records.append({"point": list(p),
                             "residuals": {k: worst[k] for k in sorted(worst)}})
     rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-    structural = max(rep.summary[k]["max"]
-                     for k in ("domega1", "domega2", "domega3", "domega4",
-                               "C", "eps"))
+    structural = nan_max(*(rep.summary[k]["max"]
+                            for k in ("domega1", "domega2", "domega3",
+                                      "domega4", "C", "eps")))
     rep.checks.append(check("structure_equations", structural, tol.deep))
     rep.checks.append(check("round_trip_E_equals_w",
                             rep.summary["E_vs_w"]["max"], tol.deep))
@@ -415,14 +420,14 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec: ExampleSpec, pts):
         worst = {"C": 0.0, "E": 0.0, "pattern": 0.0}
         for p in pts:
             rec = fourdim.symp_structure(fld.at(p, cfg.order))
-            worst["pattern"] = max(worst["pattern"], rec.max_residual)
+            worst["pattern"] = nan_max(worst["pattern"], rec.max_residual)
             row = {"point": list(p), "eps": rec.eps, "C": rec.C.value,
                    "E": rec.E.value}
             for key in ("C", "E"):
                 if key in expected:
                     want = _expected_value(expected[key], spec.chart, p,
                                            spec.params)
-                    worst[key] = max(worst[key], abs(row[key] - want))
+                    worst[key] = nan_max(worst[key], abs(row[key] - want))
             rep.records.append(row)
         rep.checks.append(check("four_covector_pattern", worst["pattern"],
                                 tol.shallow))
@@ -445,34 +450,34 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec: ExampleSpec, pts):
         rep.checks.append(check("expected_case", 0,
                                 passed=result["case"] == expected["case"]))
     if "C" in expected:
-        dev = max(abs(rec.C - _expected_value(expected["C"], spec.chart,
-                                              rec.point, spec.params))
-                  for rec in records)
+        dev = nan_max(*(abs(rec.C - _expected_value(expected["C"], spec.chart,
+                                                    rec.point, spec.params))
+                        for rec in records))
         rep.checks.append(check("expected_C", dev, tol.deep))
     if "C3" in expected:
-        dev = max(abs(rec.C3 - _expected_value(expected["C3"], spec.chart,
-                                               rec.point, spec.params))
-                  for rec in records if rec.C3 is not None)
+        dev = nan_max(*(abs(rec.C3 - _expected_value(expected["C3"], spec.chart,
+                                                     rec.point, spec.params))
+                        for rec in records if rec.C3 is not None))
         rep.checks.append(check("expected_C3", dev, tol.deep))
     for key in ("A1", "A2"):
         if key in expected:
-            dev = max(abs(getattr(rec, key) - expected[key])
-                      for rec in records if getattr(rec, key) is not None)
+            dev = nan_max(*(abs(getattr(rec, key) - expected[key])
+                            for rec in records if getattr(rec, key) is not None))
             rep.checks.append(check(f"expected_{key}", dev, tol.deep))
     if "curvature_12" in expected:
         frame_field = result.get("adapted_field", result["field"])
         dev = 0.0
         for p in pts:
             curv = curvature_of(levi_civita(frame_field.at(p, cfg.order)))
-            dev = max(dev, abs(curv.coefficient(0, 1, 0, 1).value
-                               - expected["curvature_12"]))
+            dev = nan_max(dev, abs(curv.coefficient(0, 1, 0, 1).value
+                                   - expected["curvature_12"]))
         rep.checks.append(check("expected_curvature_12", dev, tol.deep))
     if "K" in expected:
         cart = cartan_structure_check(result["field"], pts, cfg.order, tol)
         if cart is None:
             rep.checks.append(check("expected_K", 0, passed=False))
         else:
-            dev = max(abs(k - expected["K"]) for k in cart["K"])
+            dev = nan_max(*(abs(k - expected["K"]) for k in cart["K"]))
             rep.checks.append(check("expected_K", dev, tol.deep))
     rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
 

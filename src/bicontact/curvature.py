@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from . import jets
 from .jets import Jet
 from .errors import NotIntegrable
+from .report import nan_max
 from .forms import (Coframe, PForm, wedge, ext_d, top_ratio, two_form_coeffs,
                     frobenius_defect)
 
@@ -61,7 +62,7 @@ class ConnectionMatrix:
             r = ext_d(self.frame.omega(i + 1), stage="connection residual")
             for j in range(dim):
                 r = r + wedge(self.form(i, j), self.frame.omega(j + 1))
-            worst = max(worst, r.max_abs_value())
+            worst = nan_max(worst, r.max_abs_value())
         return worst
 
 

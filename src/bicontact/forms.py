@@ -25,7 +25,7 @@ from .jets import Jet
 __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
     "wedge", "wedge_all", "ext_d", "top_ratio",
-    "coeffs_in_coframe", "two_form_coeffs", "one_form_coeffs",
+    "two_form_coeffs", "one_form_coeffs",
     "frame_derivative", "frobenius_defect", "scalar_d",
     "coframe_field_from_expressions",
 ]
@@ -108,7 +108,8 @@ class PForm:
         return self.map_coeffs(lambda j: j * s)
 
     def max_abs_value(self) -> float:
-        return max(abs(j.value) for j in self.coeffs.values())
+        # np.max, unlike the built-in max, lets a NaN coefficient through
+        return float(np.max(np.abs([j.value for j in self.coeffs.values()])))
 
     def __repr__(self):
         vals = {k: round(v.value, 6) for k, v in self.coeffs.items()}
@@ -208,7 +209,12 @@ class Coframe:
         return self.chart.dim
 
     def volume(self) -> PForm:
-        return wedge_all(*self.forms)
+        """Cached omega^1 ^ ... ^ omega^dim; callers must not mutate it."""
+        cached = getattr(self, "_vol", None)
+        if cached is None:
+            cached = wedge_all(*self.forms)
+            self._vol = cached
+        return cached
 
     def replace(self, **kw):
         d = dict(chart=self.chart, point=self.point, forms=self.forms,
@@ -227,6 +233,21 @@ class Coframe:
         if cached is None:
             cached = jets.jet_matrix_inverse(self.coefficient_matrix())
             self._winv = cached
+        return cached
+
+    def _complements(self):
+        """Cached {(a, b): (sign, rest)} with omega^a ^ omega^b ^ rest =
+        sign * volume(), rest the wedge of the other covectors in order."""
+        cached = getattr(self, "_comp", None)
+        if cached is None:
+            cached = {}
+            for pair in combinations(range(self.dim), 2):
+                comp = tuple(i for i in range(self.dim) if i not in pair)
+                rest = self.forms[comp[0]]
+                for c in comp[1:]:
+                    rest = wedge(rest, self.forms[c])
+                cached[pair] = (_perm_sign(pair + comp), rest)
+            self._comp = cached
         return cached
 
 
@@ -292,34 +313,17 @@ def two_form_coeffs(beta: PForm, frame: Coframe, tol: float = 0.0) -> dict:
     """Coefficients b[(a,b)] with beta = sum_{a<b} b[(a,b)] omega^a ^ omega^b.
 
     Works in any chart dimension via complements and permutation parity.
+    In 3D, ``c[(1, 2)], c[(0, 2)], c[(0, 1)]`` are (b23, b13, b12).
     """
-    dim = frame.dim
     vol = frame.volume()
-    out = {}
-    for pair in combinations(range(dim), 2):
-        comp = tuple(i for i in range(dim) if i not in pair)
-        perm = pair + comp
-        sign = _perm_sign(perm)
-        rest = frame.forms[comp[0]]
-        for c in comp[1:]:
-            rest = wedge(rest, frame.forms[c])
-        out[pair] = top_ratio(wedge(beta, rest), vol, tol=tol) * sign
-    return out
+    return {pair: top_ratio(wedge(beta, rest), vol, tol=tol) * sign
+            for pair, (sign, rest) in frame._complements().items()}
 
 
 def _perm_sign(perm):
     inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
               if perm[i] > perm[j])
     return -1.0 if inv % 2 else 1.0
-
-
-def coeffs_in_coframe(beta: PForm, frame: Coframe, tol: float = 0.0):
-    """3D two-form coefficients in the order (b23, b13, b12)."""
-    if frame.dim != 3:
-        raise ValueError("coeffs_in_coframe is the 3D accessor; "
-                         "use two_form_coeffs in other dimensions")
-    c = two_form_coeffs(beta, frame, tol=tol)
-    return c[(1, 2)], c[(0, 2)], c[(0, 1)]
 
 
 def one_form_coeffs(a: PForm, frame: Coframe):

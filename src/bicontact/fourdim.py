@@ -33,6 +33,7 @@ from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
                     wedge)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
+from .report import nan_max
 
 __all__ = ["Coframe4", "symp_structure", "compute_E", "e_expansion",
            "symplectic_quadratic", "symplectic_quadratic_check",
@@ -60,7 +61,7 @@ class Coframe4:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return nan_max(*self.residuals.values())
 
 
 def symp_structure(frame: Coframe) -> Coframe4:
@@ -76,7 +77,7 @@ def symp_structure(frame: Coframe) -> Coframe4:
     def dev(table, expected):
         worst = 0.0
         for pair, coeff in table.items():
-            worst = max(worst, abs(coeff.value - expected.get(pair, 0.0)))
+            worst = nan_max(worst, abs(coeff.value - expected.get(pair, 0.0)))
         return worst
 
     res = {
@@ -111,7 +112,8 @@ def e_expansion(frame: Coframe, E: Jet | None = None) -> dict:
     if E is None:
         E = compute_E(frame)
     coeffs = one_form_coeffs(scalar_d(frame.chart, E), frame)
-    residual = max(abs(coeffs[2].value), abs(coeffs[3].value - 2.0 * E.value))
+    residual = nan_max(abs(coeffs[2].value),
+                       abs(coeffs[3].value - 2.0 * E.value))
     return {"E1": coeffs[0], "E2": coeffs[1], "residual": residual}
 
 
@@ -138,7 +140,7 @@ def symplectic_quadratic_check(F: Coframe4, a_samples=()) -> dict:
     vol = frame.volume()
     th1 = ext_d(frame.omega(1))
     th2 = ext_d(frame.omega(2))
-    closed = max(ext_d(th1).max_abs_value(), ext_d(th2).max_abs_value())
+    closed = nan_max(ext_d(th1).max_abs_value(), ext_d(th2).max_abs_value())
     r11 = top_ratio(wedge(th1, th1), vol).value - 2.0
     r22 = top_ratio(wedge(th2, th2), vol).value + 2.0 * F.eps
     r12 = top_ratio(wedge(th1, th2), vol).value - 2.0 * F.C.value
@@ -147,7 +149,7 @@ def symplectic_quadratic_check(F: Coframe4, a_samples=()) -> dict:
         th = th1.scaled(float(a1)) + th2.scaled(float(a2))
         got = top_ratio(wedge(th, th), vol).value
         want = symplectic_quadratic(a1, a2, F.C.value, F.eps)
-        worst_a = max(worst_a, abs(got - want))
+        worst_a = nan_max(worst_a, abs(got - want))
     return {"closed": closed, "quad11": abs(r11), "quad22": abs(r22),
             "quad12": abs(r12), "sampled": worst_a}
 
@@ -168,12 +170,12 @@ class Curvature4Report:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return nan_max(*self.residuals.values())
 
 
 def _matrix_dev(got_rows, want_rows):
-    return max(abs(g.value - w) for grow, wrow in zip(got_rows, want_rows)
-               for g, w in zip(grow, wrow))
+    return nan_max(*(abs(g.value - w) for grow, wrow in zip(got_rows, want_rows)
+                     for g, w in zip(grow, wrow)))
 
 
 def curvature4(F: Coframe4, tol: float = 1e-8) -> Curvature4Report:
@@ -193,7 +195,7 @@ def curvature4(F: Coframe4, tol: float = 1e-8) -> Curvature4Report:
     E1, E2 = exp_d["E1"].value, exp_d["E2"].value
 
     G = conn.gamma
-    conn_dev = max(
+    conn_dev = nan_max(
         _matrix_dev([G[0][1]], [[0.0, 0.0, 0.5 * (1 - eps), -0.5 * E]]),
         _matrix_dev([G[2][0]], [[-C, 0.5 * (1 + eps), 0.0, 0.0]]),
         _matrix_dev([G[2][1]], [[0.5 * (1 + eps), C, 0.0, 0.0]]),
@@ -224,16 +226,16 @@ def curvature4(F: Coframe4, tol: float = 1e-8) -> Curvature4Report:
         table = curv.coeffs[i][j]
         for pair, coeff in table.items():
             dev = abs(coeff.value - want.get(pair, 0.0))
-            curv_dev = max(curv_dev, dev)
+            curv_dev = nan_max(curv_dev, dev)
             if (i, j) == (2, 3):
-                theta34 = max(theta34, abs(coeff.value))
+                theta34 = nan_max(theta34, abs(coeff.value))
 
     S = scalar_curvature(curv)
     pf = pfaffian_coefficient(curv)
     leaf = leaf_geometry(frame, conn, curv, tol=tol, normal=2)
     shape_want = [[-C, half_pe, 0.0], [half_pe, C, 0.0], [0.0, 0.0, 0.0]]
-    shape_dev = max(abs(g - w) for grow, wrow in zip(leaf.shape, shape_want)
-                    for g, w in zip(grow, wrow))
+    shape_dev = nan_max(*(abs(g - w) for grow, wrow in zip(leaf.shape, shape_want)
+                          for g, w in zip(grow, wrow)))
 
     res = {
         "connection": conn_dev,
@@ -310,7 +312,7 @@ class QSolution:
 
     def wronskian_drift(self, z_values) -> float:
         w0 = self.ode.W0
-        return max(abs(self.wronskian(z) - w0) for z in z_values)
+        return nan_max(*(abs(self.wronskian(z) - w0) for z in z_values))
 
 
 def solve_q(ode: QOde, z_span) -> QSolution:
@@ -463,10 +465,11 @@ def verify_normal_form(fld: CoframeField, ode: QOde, points,
         cf = fld.at(p, order)
         s4 = symp_structure(cf)
         for key in ("domega1", "domega2", "domega3", "domega4"):
-            worst[key] = max(worst[key], s4.residuals[key])
+            worst[key] = nan_max(worst[key], s4.residuals[key])
         c_here = expressions.eval_number(ode._node, {"z": p[2]})
-        worst["C"] = max(worst["C"], abs(s4.C.value - c_here))
-        worst["eps"] = max(worst["eps"], abs(s4.eps - ode.eps)
-                           + s4.residuals["eps_integer"])
-        worst["E_vs_w"] = max(worst["E_vs_w"], abs(compute_E(cf).value - p[3]))
+        worst["C"] = nan_max(worst["C"], abs(s4.C.value - c_here))
+        worst["eps"] = nan_max(worst["eps"], abs(s4.eps - ode.eps)
+                               + s4.residuals["eps_integer"])
+        worst["E_vs_w"] = nan_max(worst["E_vs_w"],
+                                  abs(compute_E(cf).value - p[3]))
     return worst

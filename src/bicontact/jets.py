@@ -8,6 +8,11 @@ graded, truncating to a lower order is a prefix slice.
 Arithmetic between jets of different orders silently truncates to the lower
 order; every jet therefore knows how many derivative levels it still carries,
 which is what the exterior-derivative budget accounting relies on.
+
+A product with a float or a constant jet only scales the coefficients, so
+``Jet.__mul__`` skips the convolution for it; the ``+ 0.0`` there turns a
+-0.0 into +0.0, as the convolution's zero-started sum does, which keeps every
+finite coefficient bit-identical to the full product.
 """
 
 from __future__ import annotations
@@ -189,7 +194,14 @@ class Jet:
         return Jet(a.dim, a.order, b.c - a.c)
 
     def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.dim, self.order, self.c * float(other) + 0.0)
         a, b = self._align(other)
+        # count_nonzero is several times cheaper than .any() on these sizes
+        if not np.count_nonzero(b.c[1:]):
+            return Jet(a.dim, a.order, a.c * b.c[0] + 0.0)
+        if not np.count_nonzero(a.c[1:]):
+            return Jet(a.dim, a.order, b.c * a.c[0] + 0.0)
         I, J, T = _mul_table(a.dim, a.order)
         prod = np.bincount(T, weights=a.c[I] * b.c[J],
                            minlength=ncoeffs(a.dim, a.order))
@@ -231,8 +243,15 @@ def _compose(f: Jet, outer) -> Jet:
     return acc
 
 
-def _series(f, coeff_fn):
-    outer = [coeff_fn(k) for k in range(f.order + 1)]
+def _series(f, fn, coeff_fn):
+    """Compose with the series whose k-th coefficient is coeff_fn(k).
+
+    A coefficient outside the float range raises DomainError(fn, f0).
+    """
+    try:
+        outer = [coeff_fn(k) for k in range(f.order + 1)]
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(fn, f.value) from None
     return _compose(f, outer)
 
 
@@ -243,8 +262,8 @@ def _as_jet(x, like: Jet) -> Jet:
 
 
 def exp(f: Jet) -> Jet:
-    e0 = math.exp(f.value)
-    return _series(f, lambda k: e0 / math.factorial(k))
+    f0 = f.value
+    return _series(f, "exp", lambda k: math.exp(f0) / math.factorial(k))
 
 
 def ln(f: Jet) -> Jet:
@@ -255,14 +274,14 @@ def ln(f: Jet) -> Jet:
         if k == 0:
             return math.log(f0)
         return ((-1.0) ** (k + 1)) / (k * f0 ** k)
-    return _series(f, ck)
+    return _series(f, "ln", ck)
 
 
 def reciprocal(f: Jet) -> Jet:
     f0 = f.value
     if f0 == 0.0:
         raise DomainError("reciprocal", f0)
-    return _series(f, lambda k: ((-1.0) ** k) / f0 ** (k + 1))
+    return _series(f, "reciprocal", lambda k: ((-1.0) ** k) / f0 ** (k + 1))
 
 
 def _int_power(f: Jet, n: int) -> Jet:
@@ -289,7 +308,7 @@ def powf(f: Jet, p: float) -> Jet:
     f0 = f.value
     if f0 <= 0.0:
         raise DomainError("power", f0)
-    return _series(f, lambda k: _binom(p, k) * f0 ** (p - k))
+    return _series(f, "power", lambda k: _binom(p, k) * f0 ** (p - k))
 
 
 def _binom(p: float, k: int) -> float:
@@ -315,17 +334,19 @@ def sqrt(f: Jet) -> Jet:
         raise DomainError("sqrt", f0)
     if f0 == 0.0:
         return Jet.constant(0.0, f.dim, f.order)
-    return _series(f, lambda k: _binom(0.5, k) * f0 ** (0.5 - k))
+    return _series(f, "sqrt", lambda k: _binom(0.5, k) * f0 ** (0.5 - k))
 
 
 def sin(f: Jet) -> Jet:
     f0 = f.value
-    return _series(f, lambda k: math.sin(f0 + k * math.pi / 2) / math.factorial(k))
+    return _series(f, "sin",
+                   lambda k: math.sin(f0 + k * math.pi / 2) / math.factorial(k))
 
 
 def cos(f: Jet) -> Jet:
     f0 = f.value
-    return _series(f, lambda k: math.cos(f0 + k * math.pi / 2) / math.factorial(k))
+    return _series(f, "cos",
+                   lambda k: math.cos(f0 + k * math.pi / 2) / math.factorial(k))
 
 
 def tan(f: Jet) -> Jet:
@@ -351,14 +372,14 @@ def cot(f: Jet) -> Jet:
 
 def sinh(f: Jet) -> Jet:
     f0 = f.value
-    s0, c0 = math.sinh(f0), math.cosh(f0)
-    return _series(f, lambda k: (s0 if k % 2 == 0 else c0) / math.factorial(k))
+    return _series(f, "sinh", lambda k: (math.sinh(f0) if k % 2 == 0
+                                         else math.cosh(f0)) / math.factorial(k))
 
 
 def cosh(f: Jet) -> Jet:
     f0 = f.value
-    s0, c0 = math.sinh(f0), math.cosh(f0)
-    return _series(f, lambda k: (c0 if k % 2 == 0 else s0) / math.factorial(k))
+    return _series(f, "cosh", lambda k: (math.cosh(f0) if k % 2 == 0
+                                         else math.sinh(f0)) / math.factorial(k))
 
 
 def tanh(f: Jet) -> Jet:

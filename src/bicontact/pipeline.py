@@ -32,15 +32,15 @@ from .errors import (
     DegenerateTranslation, EpsilonMismatch, MixedEpsilon, StructureMismatch,
 )
 from .forms import (
-    Coframe, CoframeField, PForm, coeffs_in_coframe, ext_d, frame_derivative,
+    Coframe, CoframeField, PForm, ext_d, frame_derivative,
     one_form_coeffs, scalar_d, top_ratio, two_form_coeffs, wedge, wedge_all,
 )
 from .jets import Jet
 
 __all__ = [
     "Tolerances", "InvariantRecord", "QuadraticClassification",
-    "one_adapt", "compute_C", "compute_C3", "classify", "quadratic_form",
-    "variable_coefficient_defect", "case_detect", "case1_adapt", "case2_adapt",
+    "one_adapt", "compute_C", "compute_C3", "classify",
+    "case_detect", "case1_adapt", "case2_adapt",
     "case1_adapt_field", "case2_adapt_field",
     "taut_circle_transform", "taut_circle_field", "taut_hyperbola_transform",
     "circle_volume_coefficient", "predicted_circle_coefficient",
@@ -70,10 +70,6 @@ class QuadraticClassification:
     coefficients: tuple          # (1, -eps, 2C)
     tag: str                     # elliptic | hyperbolic | linear
     witness: str                 # which taut family realizes the class
-
-    def __call__(self, a1, a2):
-        one, meps, twoC = self.coefficients
-        return one * a1 * a1 + meps * a2 * a2 + twoC * a1 * a2
 
 
 @dataclass
@@ -176,10 +172,6 @@ def compute_C3(cf: Coframe, C: Jet):
     return C3, c1, c2
 
 
-def quadratic_form(C, eps, a1, a2):
-    return a1 * a1 - (a2 * a2) * eps + (a1 * a2) * (2.0 * C)
-
-
 def classify(C: float, eps: int, band: float = 1e-9):
     if eps == -1 and abs(abs(C) - 1.0) <= band:
         tag, witness = "linear", "degenerate pair (|C| = 1): zero locus is a line"
@@ -188,12 +180,6 @@ def classify(C: float, eps: int, band: float = 1e-9):
     else:
         tag, witness = "hyperbolic", "taut contact hyperbola branch r = +1 or -1"
     return tag, QuadraticClassification((1.0, -float(eps), 2.0 * float(C)), tag, witness)
-
-
-def variable_coefficient_defect(cf: Coframe, a1: Jet, a2: Jet) -> Jet:
-    """a1 * e3(a2) - a2 * e3(a1): zero iff the pair scales to constants."""
-    return a1 * frame_derivative(a2, cf, 2, stage="variable_coefficient_defect") \
-        - a2 * frame_derivative(a1, cf, 2, stage="variable_coefficient_defect")
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +217,9 @@ def case_detect(fld: CoframeField, points, order, tol: Tolerances | None = None)
             jets.reciprocal(C3))
         trial = cf.replace(forms=(cf.forms[0], cf.forms[1], new3))
         d3 = ext_d(new3, stage="case_detect(d omega3)")
-        b23, b13, _b12 = coeffs_in_coframe(d3, trial)
-        small_B.append(b23.value ** 2 + b13.value ** 2 <= tol.case3_band)
+        b = two_form_coeffs(d3, trial)
+        small_B.append(b[(1, 2)].value ** 2 + b[(0, 2)].value ** 2
+                       <= tol.case3_band)
     if all(small_B):
         return "case3"
     if any(small_B):
@@ -270,7 +257,8 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
     frame0 = cf.replace(forms=(w1, w2, new3), stage="case2-adapted")
 
     d3 = ext_d(new3, stage="case2_adapt(d omega3)")
-    B1_0, B2_0, B3_0 = coeffs_in_coframe(d3, frame0)
+    b0 = two_form_coeffs(d3, frame0)
+    B1_0, B2_0 = b0[(1, 2)], b0[(0, 2)]
     s2 = B1_0 * B1_0 + B2_0 * B2_0
     if s2.value <= tol.case3_band:
         raise DegenerateB(
@@ -283,17 +271,18 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
 
     dw1 = ext_d(w1h, stage="case2_adapt(d omega1)")
     dw2 = ext_d(w2h, stage="case2_adapt(d omega2)")
-    k1_23, k1_13, k1_12 = coeffs_in_coframe(dw1, out)
-    k2_23, k2_13, k2_12 = coeffs_in_coframe(dw2, out)
+    k1 = two_form_coeffs(dw1, out)
+    k2 = two_form_coeffs(dw2, out)
     d3h = ext_d(new3, stage="case2_adapt(d omega3 hat)")
-    B1, B2, B3 = coeffs_in_coframe(d3h, out)
+    b = two_form_coeffs(d3h, out)
+    B1, B2, B3 = b[(1, 2)], b[(0, 2)], b[(0, 1)]
     if abs(B3.value) > 1e-8 * (1.0 + abs(B1.value) + abs(B2.value)):
         raise StructureMismatch(
             f"B3 = {B3.value!r} should vanish (forced by d^2 C = 0)")
 
-    A2 = k1_12
-    A1 = -k2_12
-    A3 = k1_13 + C
+    A2 = k1[(0, 1)]
+    A1 = -k2[(0, 1)]
+    A3 = k1[(0, 2)] + C
     zeta = jets.atan2(B2, B1)
 
     # C-derivative data relative to the final frame
@@ -312,9 +301,9 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
 
     # the displayed first-structure-equation lines as residuals
     res = rec.residuals
-    res["domega1_23_minus_1"] = abs(k1_23.value - 1.0)
-    res["domega2_13_minus_eps"] = abs(k2_13.value - eps)
-    res["A3_cross_check"] = abs((k2_23.value - C.value) - A3.value)
+    res["domega1_23_minus_1"] = abs(k1[(1, 2)].value - 1.0)
+    res["domega2_13_minus_eps"] = abs(k2[(0, 2)].value - eps)
+    res["A3_cross_check"] = abs((k2[(1, 2)].value - C.value) - A3.value)
     res["B3"] = abs(B3.value)
     res["B_unit"] = abs(B1.value ** 2 + B2.value ** 2 - 1.0)
     res["C1"] = abs(C1f.value)
@@ -354,9 +343,7 @@ def case2_adapt_field(fld: CoframeField, points, order, tol=None):
 def _torsion_coeffs(frame: Coframe, stage: str):
     dw1 = ext_d(frame.forms[0], stage=stage)
     dw2 = ext_d(frame.forms[1], stage=stage)
-    k1 = coeffs_in_coframe(dw1, frame)
-    k2 = coeffs_in_coframe(dw2, frame)
-    return k1, k2
+    return two_form_coeffs(dw1, frame), two_form_coeffs(dw2, frame)
 
 
 def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
@@ -393,7 +380,7 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
         w3t = base.forms[2] + w1h.scaled(b1) + w2h.scaled(b2)
         trial = base.replace(forms=(w1h, w2h, w3t))
         k1, k2 = _torsion_coeffs(trial, "case1_adapt(probe)")
-        return -k2[2], k1[2]          # (A1, A2) = (-(d omega2)_12, (d omega1)_12)
+        return -k2[(0, 1)], k1[(0, 1)]   # (A1, A2) = (-(d omega2)_12, (d omega1)_12)
 
     dim, order = C.dim, min(f.order for f in base.forms)
     zero = Jet.constant(0.0, dim, order)
@@ -416,10 +403,11 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
                   delta=cf.delta, stage="case1-adapted")
 
     k1, k2 = _torsion_coeffs(out, "case1_adapt(final)")
-    A1, A2 = -k2[2], k1[2]
-    A3 = k1[1] + C
+    A1, A2 = -k2[(0, 1)], k1[(0, 1)]
+    A3 = k1[(0, 2)] + C
     d3 = ext_d(w3h, stage="case1_adapt(d omega3)")
-    B1, B2, B3 = coeffs_in_coframe(d3, out)
+    b = two_form_coeffs(d3, out)
+    B1, B2, B3 = b[(1, 2)], b[(0, 2)], b[(0, 1)]
 
     xi3 = frame_derivative(xi, out, 2, stage="case1_adapt(xi3)")
     x1 = frame_derivative(xi, out, 0, stage="case1_adapt(rho fit)").value
@@ -435,11 +423,11 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     )
     rec.klass, _ = classify(C.value, eps, tol.linear_band)
     res = rec.residuals
-    res["domega1_23_minus_1"] = abs(k1[0].value - 1.0)
-    res["domega2_13_minus_eps"] = abs(k2[1].value - eps)
+    res["domega1_23_minus_1"] = abs(k1[(1, 2)].value - 1.0)
+    res["domega2_13_minus_eps"] = abs(k2[(0, 2)].value - eps)
     res["A1"] = abs(A1.value)
     res["A2"] = abs(A2.value)
-    res["A3_cross_check"] = abs((k2[0].value - C.value) - A3.value)
+    res["A3_cross_check"] = abs((k2[(1, 2)].value - C.value) - A3.value)
     res["C_unit"] = abs(C1h.value ** 2 + C2h.value ** 2 - 1.0)
     res["rho_fit"] = math.hypot(x1 + rho * sx, x2 - rho * cx)
     res["translation_det"] = abs(det.value)
@@ -613,19 +601,19 @@ def cartan_structure_check(fld: CoframeField, points, order,
         cf = fld.at(p, order)
         w1, w2, w3 = cf.forms
         k1, k2 = _torsion_coeffs(cf, "cartan_check(torsion)")
-        A1, A2 = -k2[2], k1[2]
+        A1, A2 = -k2[(0, 1)], k1[(0, 1)]
         w3h = w3 + w1.scaled(-A2) + w2.scaled(A1 * (-float(eps)))
         frame = cf.replace(forms=(w1, w2, w3h), stage="cartan")
         d3 = ext_d(w3h, stage="cartan_check(d omega3)")
-        c23, c13, c12 = coeffs_in_coframe(d3, frame)
-        K = c12
+        c = two_form_coeffs(d3, frame)
+        c23, c13, K = c[(1, 2)], c[(0, 2)], c[(0, 1)]
         dw1 = ext_d(w1, stage="cartan_check(res)")
         dw2 = ext_d(w2, stage="cartan_check(res)")
         t1 = dw1 - wedge(w2, w3h)
         t2 = dw2 - wedge(w1, w3h).scaled(float(eps))
         res = {
-            "domega1": max(abs(j.value) for j in t1.coeffs.values()),
-            "domega2": max(abs(j.value) for j in t2.coeffs.values()),
+            "domega1": t1.max_abs_value(),
+            "domega2": t2.max_abs_value(),
             "domega3_13": abs(c13.value),
             "domega3_23": abs(c23.value),
         }
@@ -662,7 +650,8 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
     lhs = top_ratio(wedge_all(dC, dC3, dC33), cf2.volume())
 
     d3 = ext_d(cf2.forms[2], stage="invariant_coords(d omega3)")
-    B1, B2, _B3 = coeffs_in_coframe(d3, cf2)
+    b = two_form_coeffs(d3, cf2)
+    B1, B2 = b[(1, 2)], b[(0, 2)]
     zeta = jets.atan2(B2, B1)
     zeta3 = frame_derivative(zeta, cf2, 2, stage="invariant_coords(zeta3)")
     cz = math.cos(zeta.value)

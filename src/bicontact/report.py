@@ -16,7 +16,7 @@ from . import __version__
 from .pipeline import InvariantRecord
 
 __all__ = ["format_float", "dumps_canonical", "record_to_dict", "check",
-           "summarize_residuals", "Report"]
+           "nan_max", "summarize_residuals", "Report"]
 
 TOOL_NAME = "bicontact"
 
@@ -106,6 +106,18 @@ def check(name: str, value, tol=None, passed=None) -> dict:
     return entry
 
 
+def nan_max(*values):
+    """max(*values), except that any NaN among them is the result.
+
+    The built-in max keeps its running maximum when compared with NaN, so a
+    NaN residual after the first value would vanish and its check pass.
+    """
+    for value in values:
+        if math.isnan(value):
+            return value
+    return max(values)
+
+
 def summarize_residuals(rows) -> dict:
     """max / mean / count per residual name over an iterable of dicts."""
     acc: dict = {}
@@ -113,7 +125,7 @@ def summarize_residuals(rows) -> dict:
         for name, value in row.items():
             value = abs(float(value))
             slot = acc.setdefault(name, [0.0, 0.0, 0])
-            slot[0] = max(slot[0], value)
+            slot[0] = nan_max(slot[0], value)
             slot[1] += value
             slot[2] += 1
     return {name: {"max": mx, "mean": total / n, "count": n}
@@ -156,7 +168,3 @@ class Report:
 
     def to_json(self) -> str:
         return dumps_canonical(self.to_dict()) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())

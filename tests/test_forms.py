@@ -180,3 +180,24 @@ def test_coframe_field_from_expressions_evaluates():
     assert cf.omega(1).coeffs[(2,)].value == pytest.approx(POINT[1])
     assert cf.omega(2).coeffs[(1,)].value == 1.0
     assert cf.dim == 3
+
+
+def test_two_form_coeffs_with_filled_caches_equal_a_fresh_frame():
+    chart = Chart(("x", "y", "z", "w"))
+    point = (0.3, -0.2, 0.5, 0.1)
+    rng = np.random.default_rng(4)
+    mat = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    forms = tuple(
+        PForm(chart, 1, {(j,): Jet.constant(float(mat[i, j]), 4, 4)
+                         + _scalar(f"0.1*sin(x+{j}*w)", point, 4, chart)
+                         for j in range(4)})
+        for i in range(4))
+    frame = Coframe(chart, point, forms)
+    first = ext_d(_one_form(("y*w", "x^2", "sin(z)", "exp(x)"), point, 5, chart))
+    beta = ext_d(_one_form(("z", "cos(w)", "x*y", "1"), point, 5, chart))
+    two_form_coeffs(first, frame)           # fills the volume and complements
+    cached = two_form_coeffs(beta, frame)
+    fresh = two_form_coeffs(beta, frame.replace())
+    assert list(cached) == list(fresh)
+    for pair in fresh:
+        assert cached[pair].c.tobytes() == fresh[pair].c.tobytes()

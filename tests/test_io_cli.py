@@ -10,7 +10,8 @@ from bicontact.cli import main
 from bicontact.errors import ArityError, ParseError, UnknownIdentifier
 from bicontact.examples import build_example
 from bicontact.inputfile import load_coframe, load_definition, parse_coframe_text
-from bicontact.report import dumps_canonical, format_float
+from bicontact.report import (check, dumps_canonical, format_float, nan_max,
+                              summarize_residuals)
 from conftest import DATA
 
 GOOD = ("[chart]\ncoords = x y z\n[omega1]\ndx = 1\n"
@@ -225,3 +226,27 @@ def test_cli_failure_paths(tmp_path):
     assert rc == 1
     rep = json.loads(out.read_text())
     assert rep["errors"]
+
+
+def test_nan_residual_fails_its_check():
+    summary = summarize_residuals([{"r": 1e-12}, {"r": float("nan")}])
+    assert math.isnan(summary["r"]["max"])
+    assert not check("r", summary["r"]["max"], 1e-9)["passed"]
+    assert math.isnan(nan_max(0.0, 1.0, float("nan"), 2.0))
+    assert nan_max(1e-12, 3e-12, 2e-12) == 3e-12
+
+
+@pytest.mark.parametrize("dz,fn", [("exp(300*y)", "reciprocal"),
+                                   ("exp(800*y)", "exp")])
+def test_cli_overflow_is_a_typed_error(tmp_path, dz, fn):
+    text = (DATA / "case1_frame.txt").read_text()
+    src = tmp_path / "overflow.txt"
+    src.write_text(text.replace("dz = 1", f'dz = "{dz}"'))
+    out = tmp_path / "rep.json"
+    rc = main(["invariants", str(src), "--at", "0.3,1.5,0.2",
+               "--out", str(out)])
+    assert rc == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    assert rep["errors"][0]["type"] == "DomainError"
+    assert rep["errors"][0]["message"].startswith(fn + ":")

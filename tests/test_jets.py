@@ -144,3 +144,78 @@ def test_jet_matrix_inverse():
                 acc = acc + mat[i][k] * inv[k][j]
             want = 1.0 if i == j else 0.0
             assert abs(acc.value - want) < 1e-12
+
+
+# -- the scalar shortcut in Jet.__mul__ against a plain convolution ----------
+
+def _reference_product(a, b):
+    """Full truncated convolution of two coefficient vectors."""
+    dim, order = a.dim, min(a.order, b.order)
+    n = jets.ncoeffs(dim, order)
+    I, J, T = jets._mul_table(dim, order)
+    return np.bincount(T, weights=a.c[:n][I] * b.c[:n][J], minlength=n)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+_COEFF = st.one_of(_SPECIAL, st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _jet(draw, dim, constant):
+    order = draw(st.integers(0, 4))
+    n = jets.ncoeffs(dim, order)
+    c = np.zeros(n)
+    c[0] = draw(_COEFF)
+    if not constant:
+        c[1:] = draw(st.lists(_COEFF, min_size=n - 1, max_size=n - 1))
+    return Jet(dim, order, c)
+
+
+@st.composite
+def _operands(draw):
+    dim = draw(st.sampled_from([3, 4]))
+    kinds = ("float", "const", "jet")
+    left, right = draw(st.sampled_from(kinds)), draw(st.sampled_from(kinds))
+    if left == right == "float":
+        right = "jet"
+    out = []
+    for kind in (left, right):
+        if kind == "float":
+            out.append(draw(_COEFF))
+        else:
+            out.append(draw(_jet(dim, kind == "const")))
+    return out
+
+
+@given(_operands())
+@settings(max_examples=200, deadline=None)
+def test_mul_is_bitwise_the_convolution(ops):
+    a, b = ops
+    prod = a * b
+    ja = a if isinstance(a, Jet) else Jet.constant(a, b.dim, b.order)
+    jb = b if isinstance(b, Jet) else Jet.constant(b, a.dim, a.order)
+    want = _reference_product(ja, jb)
+    assert prod.order == min(ja.order, jb.order)
+    assert prod.c.tobytes() == want.tobytes()
+
+
+def test_mul_with_inf_coefficient_stays_nonfinite():
+    a = Jet.variable(0.5, 1, 4, 3)
+    a.c[2] = np.inf
+    full = Jet.variable(0.2, 0, 4, 3)
+    with np.errstate(invalid="ignore"):
+        for other in (2.0, 0.0, Jet.constant(-1.0, 4, 3),
+                      Jet.constant(0.0, 4, 3), full):
+            assert not np.isfinite((a * other).c).all()
+            assert not np.isfinite((other * a).c).all()
+
+
+@pytest.mark.parametrize("fn,value", [
+    (jets.exp, 800.0),             # math.exp overflows
+    (jets.reciprocal, 1e200),      # f0 ** (k + 1) overflows
+    (jets.reciprocal, 1e-200),     # f0 ** (k + 1) underflows to 0
+    (jets.cosh, 800.0),
+])
+def test_out_of_range_series_is_a_domain_error(fn, value):
+    with pytest.raises(DomainError):
+        fn(Jet.variable(value, 0, 2, 3))
