@@ -321,7 +321,7 @@ def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                "scalar": scalar_curvature(curv).value,
                "residuals": {"connection": conn.structure_residual}}
         try:
-            leaf = leaf_geometry(cf, conn)
+            leaf = leaf_geometry(cf, conn, curv)
             row["mean_curvature"] = leaf.H
             row["leaf_curvature"] = leaf.K_leaf
             row["residuals"]["leaf_integrability"] = leaf.defect

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -251,23 +252,38 @@ class Coframe:
         return cached
 
 
+def _frame_key(point, order):
+    return tuple(float(x) for x in point), int(order)
+
+
 class CoframeField:
     """A chart-level family of coframes: builds a Coframe at any point.
 
     ``builder(point, order)`` must return a :class:`Coframe`.  Stage,
     epsilon and delta describe the family as a whole; the builder is expected
     to raise if a requested point is inconsistent with them.
+
+    ``frames`` maps ``(point, order)`` to a Coframe the builder would return
+    there.  Only a pipeline driver fills it, with the frames it built for its
+    own sample list at its own order, so the map is bounded by that list and
+    read-only afterwards; ``at`` returns a kept frame as is, and callers must
+    not mutate it.  Any other point or order goes to the builder.
     """
 
-    def __init__(self, chart, builder, eps=None, delta=1, stage="raw"):
+    def __init__(self, chart, builder, eps=None, delta=1, stage="raw",
+                 frames=None):
         self.chart = chart
         self._builder = builder
         self.eps = eps
         self.delta = delta
         self.stage = stage
+        self.frames = MappingProxyType(
+            {_frame_key(p, o): cf for (p, o), cf in (frames or {}).items()})
 
     def at(self, point, order) -> Coframe:
-        return self._builder(tuple(float(x) for x in point), int(order))
+        key = _frame_key(point, order)
+        kept = self.frames.get(key)
+        return kept if kept is not None else self._builder(*key)
 
 
 def coframe_field_from_expressions(chart: Chart, rows, params=None, stage="raw"):

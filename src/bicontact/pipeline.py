@@ -19,6 +19,7 @@ Stages:
 Point-local functions act on a :class:`~bicontact.forms.Coframe`; drivers act
 on a :class:`~bicontact.forms.CoframeField` plus a sample-point list and fix
 the global signs (epsilon, branch choices) that must be constant per region.
+Drivers return fields that keep the frames they built at their sample points.
 """
 
 from __future__ import annotations
@@ -136,10 +137,11 @@ def _one_adapt_point(cf: Coframe, tol: Tolerances, eps_expected=None):
 def one_adapt(fld: CoframeField, points, order, tol: Tolerances | None = None):
     """Driver: fix epsilon over the sample set, return the adapted field."""
     tol = tol or Tolerances()
-    eps_seen = {}
+    eps_seen, kept = {}, {}
     for p in points:
-        _, r, _, _ = _one_adapt_point(fld.at(p, order), tol)
-        eps_seen.setdefault(-1 if r.value > 0 else 1, []).append(tuple(p))
+        out, _, _, _ = _one_adapt_point(fld.at(p, order), tol)
+        eps_seen.setdefault(out.eps, []).append(tuple(p))
+        kept[tuple(p), order] = out
     if len(eps_seen) != 1:
         raise MixedEpsilon(f"epsilon not constant over samples: {eps_seen}")
     eps = next(iter(eps_seen))
@@ -150,7 +152,7 @@ def one_adapt(fld: CoframeField, points, order, tol: Tolerances | None = None):
         return adapted
 
     return CoframeField(fld.chart, build, eps=eps, delta=fld.delta,
-                        stage="one-adapted")
+                        stage="one-adapted", frames=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +254,8 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
     # canonical third covector: omega3 := dC / C3  (volume is unchanged
     # because dC's omega3-component is exactly C3)
     w1, w2 = cf.forms[0], cf.forms[1]
-    new3 = scalar_d(cf.chart, C, stage="case2_adapt(omega3)").scaled(
-        jets.reciprocal(C3_pre))
+    dC = scalar_d(cf.chart, C, stage="case2_adapt(omega3)")
+    new3 = dC.scaled(jets.reciprocal(C3_pre))
     frame0 = cf.replace(forms=(w1, w2, new3), stage="case2-adapted")
 
     d3 = ext_d(new3, stage="case2_adapt(d omega3)")
@@ -273,8 +275,7 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
     dw2 = ext_d(w2h, stage="case2_adapt(d omega2)")
     k1 = two_form_coeffs(dw1, out)
     k2 = two_form_coeffs(dw2, out)
-    d3h = ext_d(new3, stage="case2_adapt(d omega3 hat)")
-    b = two_form_coeffs(d3h, out)
+    b = two_form_coeffs(d3, out)
     B1, B2, B3 = b[(1, 2)], b[(0, 2)], b[(0, 1)]
     if abs(B3.value) > 1e-8 * (1.0 + abs(B1.value) + abs(B2.value)):
         raise StructureMismatch(
@@ -286,7 +287,6 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
     zeta = jets.atan2(B2, B1)
 
     # C-derivative data relative to the final frame
-    dC = scalar_d(cf.chart, C, stage="case2_adapt(dC)")
     C1f, C2f, C3f = one_form_coeffs(dC, out)
     zeta3 = frame_derivative(zeta, out, 2, stage="case2_adapt(zeta3)")
 
@@ -324,17 +324,18 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
 def case2_adapt_field(fld: CoframeField, points, order, tol=None):
     """Driver: case-2 adapt at each sample; returns (field, records)."""
     tol = tol or Tolerances()
-    records = []
+    records, kept = [], {}
     for p in points:
-        _, rec, _ = case2_adapt(fld.at(p, order), tol)
+        out, rec, _ = case2_adapt(fld.at(p, order), tol)
         records.append(rec)
+        kept[tuple(p), order] = out
 
     def build(point, order2):
         out, _, _ = case2_adapt(fld.at(point, order2), tol)
         return out
 
     return CoframeField(fld.chart, build, eps=fld.eps, delta=fld.delta,
-                        stage="case2-adapted"), records
+                        stage="case2-adapted", frames=kept), records
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +451,17 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
 
 def case1_adapt_field(fld: CoframeField, points, order, tol=None):
     tol = tol or Tolerances()
-    records = [case1_adapt(fld.at(p, order), tol)[1] for p in points]
+    records, kept = [], {}
+    for p in points:
+        out, rec, _ = case1_adapt(fld.at(p, order), tol)
+        records.append(rec)
+        kept[tuple(p), order] = out
 
     def build(point, order2):
         return case1_adapt(fld.at(point, order2), tol)[0]
 
     return CoframeField(fld.chart, build, eps=fld.eps, delta=fld.delta,
-                        stage="case1-adapted"), records
+                        stage="case1-adapted", frames=kept), records
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +499,10 @@ def taut_circle_transform(cf: Coframe, branch=None):
 
 def taut_circle_field(fld: CoframeField, points, order):
     """Driver: fix the (1+C, 1-C) sign branch over the region."""
-    branch = None
+    branch, kept = None, {}
     for p in points:
-        _, _, here = taut_circle_transform(fld.at(p, order))
+        out, _, here = taut_circle_transform(fld.at(p, order))
+        kept[tuple(p), order] = out
         if branch is None:
             branch = here
         elif here != branch:
@@ -508,7 +514,7 @@ def taut_circle_field(fld: CoframeField, points, order):
         return taut_circle_transform(fld.at(point, order2), branch)[0]
 
     return CoframeField(fld.chart, build, eps=fld.eps, delta=fld.delta,
-                        stage="taut-circle"), branch
+                        stage="taut-circle", frames=kept), branch
 
 
 def circle_volume_coefficient(cf: Coframe, taut: Coframe, a1: float, a2: float):
