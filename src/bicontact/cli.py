@@ -38,7 +38,8 @@ from .examples import EXAMPLES, ExampleSpec, build_example
 from .expressions import eval_number, parse as parse_expr
 from .forms import CoframeField, ext_d, top_ratio, wedge
 from .inputfile import load_definition
-from .pipeline import (Tolerances, analyze, cartan_structure_check,
+from .pipeline import (LINEAR_BAND, Tolerances, analyze,
+                       cartan_structure_check,
                        circle_volume_coefficient, classify, compute_C,
                        compute_C3, hyperbola_residuals,
                        mixed_circle_coefficient, one_adapt,
@@ -232,11 +233,10 @@ def _cmd_invariants(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
 
 def _cmd_classify(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     adapted = one_adapt(fld, pts, cfg.order, cfg.tolerances)
-    band = cfg.tolerances.linear_band
     for p in pts:
         cf = adapted.at(p, cfg.order)
         C = compute_C(cf).value
-        tag, quad = classify(C, cf.eps, band)
+        tag, quad = classify(C, cf.eps, LINEAR_BAND)
         key = "excluded_band" if tag == "linear" else tag
         rep.histogram[key] = rep.histogram.get(key, 0) + 1
         rep.records.append({"point": list(p), "eps": cf.eps, "C": C,
@@ -285,12 +285,6 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     rep.checks.append(check("taut_rotation_identities", worst, tol.deep))
 
 
-def _adapted_for_curvature(cfg, fld, pts):
-    result = analyze(fld, pts, cfg.order, cfg.tolerances)
-    frame_field = result.get("adapted_field", result["field"])
-    return result, frame_field
-
-
 def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
@@ -308,7 +302,8 @@ def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             nan_max(*(s["max"] for s in rep.summary.values())),
             tol.deep))
         return
-    result, frame_field = _adapted_for_curvature(cfg, fld, pts)
+    result = analyze(fld, pts, cfg.order, tol)
+    frame_field = result.get("adapted_field", result["field"])
     rep.histogram[f"case:{result['case']}"] = len(pts)
     for p in pts:
         cf = frame_field.at(p, cfg.order)
@@ -371,7 +366,7 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
         nan_max(*(r["curvature_residual"] for r in rep.records)), tol.deep))
 
 
-def _cmd_normal_form(cfg: RunConfig, rep: Report, pts_unused):
+def _cmd_normal_form(cfg: RunConfig, rep: Report):
     tol = cfg.tolerances
     eps = cfg.extra["eps"]
     span = cfg.extra["span"]
@@ -572,7 +567,7 @@ def run(cfg: RunConfig, raw_params=()) -> Report:
     try:
         if cfg.command == "normal-form":
             rep.config = cfg.echo()
-            _cmd_normal_form(cfg, rep, None)
+            _cmd_normal_form(cfg, rep)
             return rep
         if cfg.source in EXAMPLES and raw_params:
             cfg.params.update(_coerce_params(EXAMPLES[cfg.source], raw_params))

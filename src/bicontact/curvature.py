@@ -8,10 +8,8 @@ Everything works in any chart dimension (used here for 3 and 4).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from . import jets
 from .jets import Jet
 from .errors import NotIntegrable
 from .report import nan_max
@@ -30,8 +28,7 @@ def _structure_coeffs(frame: Coframe):
     zero = Jet.constant(0.0, dim, max(frame.forms[0].order - 1, 0))
     D = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
-        dw = ext_d(frame.omega(i + 1), stage="levi_civita(structure coeffs)")
-        coeffs = two_form_coeffs(dw, frame)
+        coeffs = frame.d_coeffs(i, stage="levi_civita(structure coeffs)")
         for (j, k), c in coeffs.items():
             D[i][j][k] = c
             D[i][k][j] = -c
@@ -162,8 +159,7 @@ class LeafGeometry:
 def _integrability_defect(frame: Coframe, normal: int) -> float:
     alpha = frame.omega(normal + 1)
     if frame.chart.dim == 3:
-        d = frobenius_defect(alpha)
-        return abs(d.value) if hasattr(d, "value") else abs(d)
+        return abs(frobenius_defect(alpha).value)
     prod = wedge(alpha, ext_d(alpha, stage="leaf_geometry(defect)"))
     return prod.max_abs_value()
 

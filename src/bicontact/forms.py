@@ -3,9 +3,10 @@
 A :class:`PForm` is a p-form *at one base point*: its coefficients (one per
 strictly increasing coordinate index tuple) are jets, so it carries enough
 derivative information for repeated exterior differentiation.  Chart-level
-objects — families of coframes defined by closed-form coefficient
-expressions or by composed transforms — are :class:`CoframeField`s, which
-build a point-local :class:`Coframe` on demand.
+families of coframes are :class:`CoframeField`s: a raw field builds a
+point-local :class:`Coframe` on demand from closed-form coefficient
+expressions, and a pipeline driver's field holds the frames it built at its
+sample points.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.
@@ -236,6 +237,17 @@ class Coframe:
             self._winv = cached
         return cached
 
+    def d_coeffs(self, i: int, stage: str = "ext_d") -> dict:
+        """Cached ``two_form_coeffs(ext_d(forms[i]), self)``: the structure
+        functions of the 0-based covector i; callers must not mutate it.
+        ``stage`` only labels a BudgetError on a cache miss."""
+        cached = getattr(self, "_d", None)
+        if cached is None:
+            cached = self._d = {}
+        if i not in cached:
+            cached[i] = two_form_coeffs(ext_d(self.forms[i], stage=stage), self)
+        return cached[i]
+
     def _complements(self):
         """Cached {(a, b): (sign, rest)} with omega^a ^ omega^b ^ rest =
         sign * volume(), rest the wedge of the other covectors in order."""
@@ -257,17 +269,18 @@ def _frame_key(point, order):
 
 
 class CoframeField:
-    """A chart-level family of coframes: builds a Coframe at any point.
+    """A chart-level family of coframes, served by a builder or a frame map.
 
-    ``builder(point, order)`` must return a :class:`Coframe`.  Stage,
-    epsilon and delta describe the family as a whole; the builder is expected
-    to raise if a requested point is inconsistent with them.
+    A raw field has a ``builder(point, order)`` that returns a
+    :class:`Coframe` at any point.  Stage, epsilon and delta describe the
+    family as a whole.
 
-    ``frames`` maps ``(point, order)`` to a Coframe the builder would return
-    there.  Only a pipeline driver fills it, with the frames it built for its
-    own sample list at its own order, so the map is bounded by that list and
-    read-only afterwards; ``at`` returns a kept frame as is, and callers must
-    not mutate it.  Any other point or order goes to the builder.
+    A pipeline driver passes ``builder=None`` and ``frames``, a map from
+    ``(point, order)`` to the frame it built and checked at each of its own
+    sample points, at its own order.  The map is read-only, and callers must
+    not mutate the frames.  Asking such a field for any other point or order
+    raises ``KeyError``: the region-wide checks of the driver (constant
+    epsilon, constant branch, the detected case) covered only its samples.
     """
 
     def __init__(self, chart, builder, eps=None, delta=1, stage="raw",
@@ -283,7 +296,12 @@ class CoframeField:
     def at(self, point, order) -> Coframe:
         key = _frame_key(point, order)
         kept = self.frames.get(key)
-        return kept if kept is not None else self._builder(*key)
+        if kept is not None:
+            return kept
+        if self._builder is None:
+            raise KeyError(f"the {self.stage} field keeps no frame at point "
+                           f"{key[0]} and order {key[1]}")
+        return self._builder(*key)
 
 
 def coframe_field_from_expressions(chart: Chart, rows, params=None, stage="raw"):

@@ -20,17 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import jets
 from .jets import Jet
-from .errors import (DegenerateH, DomainError, OdeStepFailure,
-                     SingularVolumeError)
+from .errors import DegenerateH, DomainError, OdeStepFailure
 from . import expressions
 from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
-                    one_form_coeffs, scalar_d, top_ratio, two_form_coeffs,
-                    wedge)
+                    one_form_coeffs, scalar_d, top_ratio, wedge)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
 from .report import nan_max
@@ -68,7 +65,7 @@ def symp_structure(frame: Coframe) -> Coframe4:
     """Extract (eps, C, E) and the full residual table of the 4D pattern."""
     if frame.dim != 4:
         raise ValueError("symp_structure needs a 4D coframe")
-    d = [two_form_coeffs(ext_d(frame.omega(i + 1)), frame) for i in range(4)]
+    d = [frame.d_coeffs(i) for i in range(4)]
     C = -d[0][(0, 2)]
     eps_raw = d[1][(0, 2)].value
     eps = int(round(eps_raw))

@@ -19,7 +19,10 @@ Stages:
 Point-local functions act on a :class:`~bicontact.forms.Coframe`; drivers act
 on a :class:`~bicontact.forms.CoframeField` plus a sample-point list and fix
 the global signs (epsilon, branch choices) that must be constant per region.
-Drivers return fields that keep the frames they built at their sample points.
+Drivers return fields that hold only the frames they built and checked at
+their sample points, at their order; any other request raises ``KeyError``.
+Each frame's structure functions, the coefficients of d(omega^i) in the frame
+itself, come from its cached :meth:`~bicontact.forms.Coframe.d_coeffs`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     DegenerateTranslation, EpsilonMismatch, MixedEpsilon, StructureMismatch,
 )
 from .forms import (
-    Coframe, CoframeField, PForm, ext_d, frame_derivative,
+    Coframe, CoframeField, ext_d, frame_derivative,
     one_form_coeffs, scalar_d, top_ratio, two_form_coeffs, wedge, wedge_all,
 )
 from .jets import Jet
@@ -50,18 +53,20 @@ __all__ = [
 ]
 
 
+CONTACT = 1e-10       # |omega ^ d omega| below this = not contact
+FLAT_DC = 1e-8        # max |dC| below this = constant C
+C3_BAND = 1e-7        # |C3| <= C3_BAND*(1+|dC|) declares C3 = 0
+CASE3_BAND = 1e-10    # B1^2+B2^2 below this = case 3
+LINEAR_BAND = 1e-9    # | |C|-1 | band for the linear class
+CRITICAL = 1e-10      # |dC| below this inside case1/2 = critical point
+
+
 @dataclass
 class Tolerances:
-    """Tolerance bands used by the pipeline; all configurable from the CLI."""
+    """Residual tolerances, set from the CLI's --tol-shallow / --tol-deep."""
 
     shallow: float = 1e-9       # identities within <= 2 derivative levels
     deep: float = 1e-6          # deeper derivative chains
-    contact: float = 1e-10      # |omega ^ d omega| below this = not contact
-    flat_dC: float = 1e-8       # max |dC| below this = constant C
-    c3_band: float = 1e-7       # |C3| <= c3_band*(1+|dC|) declares C3 = 0
-    case3_band: float = 1e-10   # B1^2+B2^2 below this = case 3
-    linear_band: float = 1e-9   # | |C|-1 | band for the linear class
-    critical: float = 1e-10     # |dC| below this inside case1/2 = critical point
 
 
 @dataclass
@@ -105,29 +110,26 @@ class InvariantRecord:
 # ---------------------------------------------------------------------------
 # stage 1: one-adaptation
 
-def _one_adapt_point(cf: Coframe, tol: Tolerances, eps_expected=None):
+def _one_adapt_point(cf: Coframe):
     w1, w2, w3_seed = cf.forms
     dw1 = ext_d(w1, stage="one_adapt(d omega1)")
     dw2 = ext_d(w2, stage="one_adapt(d omega2)")
     vol1 = wedge(w1, dw1)
     vol2 = wedge(w2, dw2)
     top = (0, 1, 2)
-    if abs(vol1.coeffs[top].value) <= tol.contact:
+    if abs(vol1.coeffs[top].value) <= CONTACT:
         raise ContactFailure(
             f"omega1 ^ d(omega1) = {vol1.coeffs[top].value!r} at {cf.point}")
-    if abs(vol2.coeffs[top].value) <= tol.contact:
+    if abs(vol2.coeffs[top].value) <= CONTACT:
         raise ContactFailure(
             f"omega2 ^ d(omega2) = {vol2.coeffs[top].value!r} at {cf.point}")
     r = top_ratio(vol2, vol1)
     eps = -1 if r.value > 0 else 1
-    if eps_expected is not None and eps != eps_expected:
-        raise MixedEpsilon(
-            f"epsilon flips to {eps} at point {cf.point} (region has {eps_expected})")
     # |r| with the branch fixed by the point value, kept smooth as a jet
     scale = jets.reciprocal(jets.sqrt(r * float(-eps)))
     w2h = w2.scaled(scale)
     Omega = vol1
-    lam = top_ratio(wedge_all(w1, w2h, w3_seed), Omega, tol=tol.contact)
+    lam = top_ratio(wedge_all(w1, w2h, w3_seed), Omega, tol=CONTACT)
     w3h = w3_seed.scaled(jets.reciprocal(lam))
     out = Coframe(cf.chart, cf.point, (w1, w2h, w3h), eps=eps,
                   delta=cf.delta, stage="one-adapted")
@@ -136,22 +138,15 @@ def _one_adapt_point(cf: Coframe, tol: Tolerances, eps_expected=None):
 
 def one_adapt(fld: CoframeField, points, order, tol: Tolerances | None = None):
     """Driver: fix epsilon over the sample set, return the adapted field."""
-    tol = tol or Tolerances()
     eps_seen, kept = {}, {}
     for p in points:
-        out, _, _, _ = _one_adapt_point(fld.at(p, order), tol)
+        out, _, _, _ = _one_adapt_point(fld.at(p, order))
         eps_seen.setdefault(out.eps, []).append(tuple(p))
         kept[tuple(p), order] = out
     if len(eps_seen) != 1:
         raise MixedEpsilon(f"epsilon not constant over samples: {eps_seen}")
     eps = next(iter(eps_seen))
-
-    def build(point, order2):
-        cf = fld.at(point, order2)
-        adapted, _, _, _ = _one_adapt_point(cf, tol, eps_expected=eps)
-        return adapted
-
-    return CoframeField(fld.chart, build, eps=eps, delta=fld.delta,
+    return CoframeField(fld.chart, None, eps=eps, delta=fld.delta,
                         stage="one-adapted", frames=kept)
 
 
@@ -187,7 +182,7 @@ def classify(C: float, eps: int, band: float = 1e-9):
 # ---------------------------------------------------------------------------
 # case detection
 
-def _dC_data(cf: Coframe, tol: Tolerances):
+def _dC_data(cf: Coframe):
     C = compute_C(cf)
     C3, c1, c2 = compute_C3(cf, C)
     norm = math.sqrt(c1.value ** 2 + c2.value ** 2 + C3.value ** 2)
@@ -196,14 +191,13 @@ def _dC_data(cf: Coframe, tol: Tolerances):
 
 def case_detect(fld: CoframeField, points, order, tol: Tolerances | None = None) -> str:
     """Classify the sampled region as constantC / case1 / case2 / case3."""
-    tol = tol or Tolerances()
     flat, c3zero, small_B, data = [], [], [], []
     for p in points:
         cf = fld.at(p, order)
-        C, C3, c1, c2, norm = _dC_data(cf, tol)
+        C, C3, c1, c2, norm = _dC_data(cf)
         data.append((tuple(p), cf, C, C3, c1, c2, norm))
-        flat.append(norm <= tol.flat_dC)
-        c3zero.append(abs(C3.value) <= tol.c3_band * (1.0 + norm))
+        flat.append(norm <= FLAT_DC)
+        c3zero.append(abs(C3.value) <= C3_BAND * (1.0 + norm))
     if all(flat):
         return "constantC"
     if any(flat):
@@ -218,10 +212,9 @@ def case_detect(fld: CoframeField, points, order, tol: Tolerances | None = None)
         new3 = scalar_d(cf.chart, C, stage="case_detect").scaled(
             jets.reciprocal(C3))
         trial = cf.replace(forms=(cf.forms[0], cf.forms[1], new3))
-        d3 = ext_d(new3, stage="case_detect(d omega3)")
-        b = two_form_coeffs(d3, trial)
+        b = trial.d_coeffs(2, stage="case_detect(d omega3)")
         small_B.append(b[(1, 2)].value ** 2 + b[(0, 2)].value ** 2
-                       <= tol.case3_band)
+                       <= CASE3_BAND)
     if all(small_B):
         return "case3"
     if any(small_B):
@@ -238,16 +231,13 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
 
     Returns (adapted coframe, record).  The input must be one-adapted.
     """
-    tol = tol or Tolerances()
     if cf.eps is None:
         raise ValueError("case2_adapt needs a one-adapted coframe")
     eps = cf.eps
-    C = compute_C(cf)
-    C3_pre, c1_pre, c2_pre = compute_C3(cf, C)
-    norm = math.sqrt(c1_pre.value ** 2 + c2_pre.value ** 2 + C3_pre.value ** 2)
-    if norm <= tol.critical:
+    C, C3_pre, _, _, norm = _dC_data(cf)
+    if norm <= CRITICAL:
         raise CriticalPoint(f"dC = 0 at {cf.point}")
-    if abs(C3_pre.value) <= tol.c3_band * (1.0 + norm):
+    if abs(C3_pre.value) <= C3_BAND * (1.0 + norm):
         raise CriticalPoint(
             f"C3 = {C3_pre.value!r} vanishes at {cf.point}; not a case-2 point")
 
@@ -258,11 +248,10 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
     new3 = dC.scaled(jets.reciprocal(C3_pre))
     frame0 = cf.replace(forms=(w1, w2, new3), stage="case2-adapted")
 
-    d3 = ext_d(new3, stage="case2_adapt(d omega3)")
-    b0 = two_form_coeffs(d3, frame0)
+    b0 = frame0.d_coeffs(2, stage="case2_adapt(d omega3)")
     B1_0, B2_0 = b0[(1, 2)], b0[(0, 2)]
     s2 = B1_0 * B1_0 + B2_0 * B2_0
-    if s2.value <= tol.case3_band:
+    if s2.value <= CASE3_BAND:
         raise DegenerateB(
             f"B1^2+B2^2 = {s2.value!r} at {cf.point}: case-3 data, no rescale")
     s = jets.sqrt(s2)
@@ -271,11 +260,9 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
     out = Coframe(cf.chart, cf.point, (w1h, w2h, new3), eps=eps,
                   delta=cf.delta, stage="case2-adapted")
 
-    dw1 = ext_d(w1h, stage="case2_adapt(d omega1)")
-    dw2 = ext_d(w2h, stage="case2_adapt(d omega2)")
-    k1 = two_form_coeffs(dw1, out)
-    k2 = two_form_coeffs(dw2, out)
-    b = two_form_coeffs(d3, out)
+    k1 = out.d_coeffs(0, stage="case2_adapt(d omega1)")
+    k2 = out.d_coeffs(1, stage="case2_adapt(d omega2)")
+    b = out.d_coeffs(2, stage="case2_adapt(d omega3)")
     B1, B2, B3 = b[(1, 2)], b[(0, 2)], b[(0, 1)]
     if abs(B3.value) > 1e-8 * (1.0 + abs(B1.value) + abs(B2.value)):
         raise StructureMismatch(
@@ -297,7 +284,7 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
         B1=B1.value, B2=B2.value, B3=B3.value,
         zeta=zeta.value, zeta3=zeta3.value,
     )
-    rec.klass, _ = classify(C.value, eps, tol.linear_band)
+    rec.klass, _ = classify(C.value, eps, LINEAR_BAND)
 
     # the displayed first-structure-equation lines as residuals
     res = rec.residuals
@@ -323,29 +310,17 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
 
 def case2_adapt_field(fld: CoframeField, points, order, tol=None):
     """Driver: case-2 adapt at each sample; returns (field, records)."""
-    tol = tol or Tolerances()
     records, kept = [], {}
     for p in points:
         out, rec, _ = case2_adapt(fld.at(p, order), tol)
         records.append(rec)
         kept[tuple(p), order] = out
-
-    def build(point, order2):
-        out, _, _ = case2_adapt(fld.at(point, order2), tol)
-        return out
-
-    return CoframeField(fld.chart, build, eps=fld.eps, delta=fld.delta,
+    return CoframeField(fld.chart, None, eps=fld.eps, delta=fld.delta,
                         stage="case2-adapted", frames=kept), records
 
 
 # ---------------------------------------------------------------------------
 # case-1 adaptation
-
-def _torsion_coeffs(frame: Coframe, stage: str):
-    dw1 = ext_d(frame.forms[0], stage=stage)
-    dw2 = ext_d(frame.forms[1], stage=stage)
-    return two_form_coeffs(dw1, frame), two_form_coeffs(dw2, frame)
-
 
 def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     """Point-local adaptation for the C3 = 0, dC != 0 case."""
@@ -353,18 +328,16 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     if cf.eps is None:
         raise ValueError("case1_adapt needs a one-adapted coframe")
     eps = cf.eps
-    C = compute_C(cf)
-    C3_pre, c1_pre, c2_pre = compute_C3(cf, C)
-    norm = math.sqrt(c1_pre.value ** 2 + c2_pre.value ** 2 + C3_pre.value ** 2)
-    if norm <= tol.critical:
+    C, C3_pre, c1_pre, c2_pre, norm = _dC_data(cf)
+    if norm <= CRITICAL:
         raise CriticalPoint(f"dC = 0 at {cf.point}")
-    if abs(C3_pre.value) > tol.c3_band * (1.0 + norm):
+    if abs(C3_pre.value) > C3_BAND * (1.0 + norm):
         raise StructureMismatch(
             f"C3 = {C3_pre.value!r} is not zero at {cf.point}; not case-1 data")
 
     # rescale so C1^2 + C2^2 = 1
     s2 = c1_pre * c1_pre + c2_pre * c2_pre
-    if s2.value <= tol.critical:
+    if s2.value <= CRITICAL:
         raise CriticalPoint(f"C1 = C2 = 0 at {cf.point}")
     s = jets.sqrt(s2)
     w1h, w2h = cf.forms[0].scaled(s), cf.forms[1].scaled(s)
@@ -380,7 +353,8 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     def probe(b1, b2):
         w3t = base.forms[2] + w1h.scaled(b1) + w2h.scaled(b2)
         trial = base.replace(forms=(w1h, w2h, w3t))
-        k1, k2 = _torsion_coeffs(trial, "case1_adapt(probe)")
+        k1 = trial.d_coeffs(0, stage="case1_adapt(probe)")
+        k2 = trial.d_coeffs(1, stage="case1_adapt(probe)")
         return -k2[(0, 1)], k1[(0, 1)]   # (A1, A2) = (-(d omega2)_12, (d omega1)_12)
 
     dim, order = C.dim, min(f.order for f in base.forms)
@@ -403,11 +377,11 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     out = Coframe(cf.chart, cf.point, (w1h, w2h, w3h), eps=eps,
                   delta=cf.delta, stage="case1-adapted")
 
-    k1, k2 = _torsion_coeffs(out, "case1_adapt(final)")
+    k1 = out.d_coeffs(0, stage="case1_adapt(final)")
+    k2 = out.d_coeffs(1, stage="case1_adapt(final)")
     A1, A2 = -k2[(0, 1)], k1[(0, 1)]
     A3 = k1[(0, 2)] + C
-    d3 = ext_d(w3h, stage="case1_adapt(d omega3)")
-    b = two_form_coeffs(d3, out)
+    b = out.d_coeffs(2, stage="case1_adapt(d omega3)")
     B1, B2, B3 = b[(1, 2)], b[(0, 2)], b[(0, 1)]
 
     xi3 = frame_derivative(xi, out, 2, stage="case1_adapt(xi3)")
@@ -422,7 +396,7 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
         B1=B1.value, B2=B2.value, B3=B3.value,
         xi=xi.value, rho=rho,
     )
-    rec.klass, _ = classify(C.value, eps, tol.linear_band)
+    rec.klass, _ = classify(C.value, eps, LINEAR_BAND)
     res = rec.residuals
     res["domega1_23_minus_1"] = abs(k1[(1, 2)].value - 1.0)
     res["domega2_13_minus_eps"] = abs(k2[(0, 2)].value - eps)
@@ -431,7 +405,6 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     res["A3_cross_check"] = abs((k2[(1, 2)].value - C.value) - A3.value)
     res["C_unit"] = abs(C1h.value ** 2 + C2h.value ** 2 - 1.0)
     res["rho_fit"] = math.hypot(x1 + rho * sx, x2 - rho * cx)
-    res["translation_det"] = abs(det.value)
 
     # closed forms available when B3 vanishes
     if abs(B3.value) <= 1e-7:
@@ -450,17 +423,13 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
 
 
 def case1_adapt_field(fld: CoframeField, points, order, tol=None):
-    tol = tol or Tolerances()
+    """Driver: case-1 adapt at each sample; returns (field, records)."""
     records, kept = [], {}
     for p in points:
         out, rec, _ = case1_adapt(fld.at(p, order), tol)
         records.append(rec)
         kept[tuple(p), order] = out
-
-    def build(point, order2):
-        return case1_adapt(fld.at(point, order2), tol)[0]
-
-    return CoframeField(fld.chart, build, eps=fld.eps, delta=fld.delta,
+    return CoframeField(fld.chart, None, eps=fld.eps, delta=fld.delta,
                         stage="case1-adapted", frames=kept), records
 
 
@@ -509,11 +478,7 @@ def taut_circle_field(fld: CoframeField, points, order):
             raise BranchError(
                 f"sign branch of (1+C, 1-C) is {here} at {tuple(p)}, "
                 f"{branch} elsewhere in the region")
-
-    def build(point, order2):
-        return taut_circle_transform(fld.at(point, order2), branch)[0]
-
-    return CoframeField(fld.chart, build, eps=fld.eps, delta=fld.delta,
+    return CoframeField(fld.chart, None, eps=fld.eps, delta=fld.delta,
                         stage="taut-circle", frames=kept), branch
 
 
@@ -606,12 +571,12 @@ def cartan_structure_check(fld: CoframeField, points, order,
     for p in points:
         cf = fld.at(p, order)
         w1, w2, w3 = cf.forms
-        k1, k2 = _torsion_coeffs(cf, "cartan_check(torsion)")
+        k1 = cf.d_coeffs(0, stage="cartan_check(torsion)")
+        k2 = cf.d_coeffs(1, stage="cartan_check(torsion)")
         A1, A2 = -k2[(0, 1)], k1[(0, 1)]
         w3h = w3 + w1.scaled(-A2) + w2.scaled(A1 * (-float(eps)))
         frame = cf.replace(forms=(w1, w2, w3h), stage="cartan")
-        d3 = ext_d(w3h, stage="cartan_check(d omega3)")
-        c = two_form_coeffs(d3, frame)
+        c = frame.d_coeffs(2, stage="cartan_check(d omega3)")
         c23, c13, K = c[(1, 2)], c[(0, 2)], c[(0, 1)]
         dw1 = ext_d(w1, stage="cartan_check(res)")
         dw2 = ext_d(w2, stage="cartan_check(res)")
@@ -655,8 +620,7 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
     dC33 = scalar_d(cf2.chart, C33, stage="invariant_coords(dC33)")
     lhs = top_ratio(wedge_all(dC, dC3, dC33), cf2.volume())
 
-    d3 = ext_d(cf2.forms[2], stage="invariant_coords(d omega3)")
-    b = two_form_coeffs(d3, cf2)
+    b = cf2.d_coeffs(2, stage="invariant_coords(d omega3)")
     B1, B2 = b[(1, 2)], b[(0, 2)]
     zeta = jets.atan2(B2, B1)
     zeta3 = frame_derivative(zeta, cf2, 2, stage="invariant_coords(zeta3)")
@@ -701,12 +665,12 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
     if case in ("constantC", "case3"):
         for p in points:
             cf = adapted.at(p, order)
-            C, C3, c1, c2, _ = _dC_data(cf, tol)
+            C, C3, c1, c2, _ = _dC_data(cf)
             rec = InvariantRecord(point=tuple(p), eps=adapted.eps,
                                   delta=adapted.delta, case=case,
                                   C=C.value, C1=c1.value, C2=c2.value,
                                   C3=C3.value)
-            rec.klass, _ = classify(C.value, adapted.eps, tol.linear_band)
+            rec.klass, _ = classify(C.value, adapted.eps, LINEAR_BAND)
             result["records"].append(rec)
     elif case == "case1":
         field1, records = case1_adapt_field(adapted, points, order, tol)

@@ -18,7 +18,7 @@ TOL = Tolerances()
 CASE2_KEYS = {"domega1_23_minus_1", "domega2_13_minus_eps", "A3_cross_check",
               "B3", "B_unit", "C1", "C2", "W_fit"}
 CASE1_KEYS = {"domega1_23_minus_1", "domega2_13_minus_eps", "A1", "A2",
-              "A3_cross_check", "C_unit", "rho_fit", "translation_det"}
+              "A3_cross_check", "C_unit", "rho_fit"}
 
 
 def _beta(x, y):
@@ -78,7 +78,7 @@ def test_case1_fixture_closed_form_invariant():
         assert rec.residuals["A3_cross_check"] < 1e-11
         assert rec.residuals["C_unit"] < 1e-12
         assert rec.residuals["rho_fit"] < 1e-11
-        assert rec.residuals["translation_det"] > 0.1
+        assert abs(extras["det"].value) > 0.1
         assert abs(rec.B3) > 1.0
         assert rec.klass == "elliptic"
         assert out.stage == "case1-adapted"

@@ -4,7 +4,9 @@ The drivers hand their sample-point frames on to later stages instead of
 rebuilding them; every report must stay byte-identical.  These SHA-256
 digests pin one command per driver path: ``analyze`` in case 2, the taut
 hyperbola loop over ``one_adapt``, the constant-C branch with the
-``curvature_12`` loop over the adapted field, and ``cartan_structure_check``.
+``curvature_12`` loop over the adapted field, ``cartan_structure_check``,
+and ``analyze`` in case 1 on the definition-file fixture.  Every command runs
+from the repository root, since a report echoes its source path.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from bicontact.cli import main
+from conftest import DATA
 
 GOLDEN = [
     (["invariants", "eta_frame", "--points", "4"],
@@ -24,12 +27,15 @@ GOLDEN = [
      "d2b1725a69c89b2d3821f488e625555dfcb9050484852b3c45e9be2b4b89a3a4"),
     (["example", "sphere_frame", "--points", "4"],
      "3466540edb17f7a16bf71007821be00c65723fb1cfcc5178cd0a896b04c93613"),
+    (["invariants", "tests/data/case1_frame.txt", "--points", "4"],
+     "14aee915d3854fe1451a6213914a1f442a2e1d522cf8e65e1991edaa2dd8d815"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", GOLDEN,
                          ids=[" ".join(args[:2]) for args, _ in GOLDEN])
-def test_report_bytes_are_pinned(args, digest):
+def test_report_bytes_are_pinned(args, digest, monkeypatch):
+    monkeypatch.chdir(DATA.parent.parent)
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert main(args) == 0

@@ -201,3 +201,18 @@ def test_two_form_coeffs_with_filled_caches_equal_a_fresh_frame():
     assert list(cached) == list(fresh)
     for pair in fresh:
         assert cached[pair].c.tobytes() == fresh[pair].c.tobytes()
+
+
+def test_d_coeffs_is_the_cached_structure_table_of_each_covector():
+    chart = Chart(("x", "y", "z"))
+    forms = (_one_form(("1", "0", "y"), POINT, 5, chart),
+             _one_form(("z", "exp(x)", "0"), POINT, 5, chart),
+             _one_form(("sin(y)", "x", "1"), POINT, 5, chart))
+    frame = Coframe(chart, POINT, forms)
+    for i in range(3):
+        table = frame.d_coeffs(i)
+        fresh = two_form_coeffs(ext_d(forms[i]), frame.replace())
+        assert list(table) == list(fresh)
+        for pair in fresh:
+            assert table[pair].c.tobytes() == fresh[pair].c.tobytes()
+        assert frame.d_coeffs(i) is table

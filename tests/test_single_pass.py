@@ -2,8 +2,12 @@
 
 Every later stage that asks a driver's field for a sample point at the
 driver's order gets the kept frame, so expression evaluation, adaptation
-and curvature run once per point.  Any other point or order is still built
-from scratch and must agree bit for bit with a fresh build.
+and curvature run once per point.  A driver's field holds nothing else: any
+other point or order raises ``KeyError``, since the driver's region-wide
+checks never saw it.  The kept frames agree bit for bit with a fresh build,
+and each frame's structure table ``d_coeffs`` is computed once and shared by
+every later stage, so coefficient extraction runs a fixed number of times
+per point.
 """
 
 import io
@@ -11,7 +15,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from bicontact import cli, curvature, expressions, pipeline
+from bicontact import cli, curvature, expressions, forms, fourdim, pipeline
 from bicontact.examples import build_example
 from bicontact.pipeline import Tolerances, _one_adapt_point, analyze, one_adapt
 
@@ -61,6 +65,25 @@ def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("args,calls", [
+    (["curvature", "normal_form_3d", "--points", "5"], 8 * 5),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 10 * 2),
+], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
+def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
+                                                      calls):
+    # per point in 3D: case_detect 1, case2_adapt 4, curvature 3, with
+    # levi_civita reading case2_adapt's table; in 4D: symp_structure 4,
+    # curvature 6, with levi_civita reading symp_structure's table
+    aliases = tuple((m, "two_form_coeffs")
+                    for m in (cli, curvature, fourdim, pipeline)
+                    if getattr(m, "two_form_coeffs", None)
+                    is forms.two_form_coeffs)
+    counted = _counting(monkeypatch, forms, "two_form_coeffs", *aliases)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0
+    assert len(counted) == calls
+
+
 def test_kept_frames_are_bounded_by_the_sample_list():
     spec = build_example("normal_form_3d")
     raw = spec.coframes()
@@ -68,8 +91,9 @@ def test_kept_frames_are_bounded_by_the_sample_list():
     pts = _normal_form_points(3)
     fld = one_adapt(raw, pts, 6, TOL)
     assert set(fld.frames) == {(p, 6) for p in pts}
-    fld.at((0.5, 1.0, 0.0), 6)
-    fld.at(pts[0], 5)
+    for point, order in (((0.5, 1.0, 0.0), 6), (pts[0], 5)):
+        with pytest.raises(KeyError):
+            fld.at(point, order)
     assert len(fld.frames) == 3
     with pytest.raises(TypeError):
         fld.frames[((0.5, 1.0, 0.0), 6)] = fld.at(pts[0], 6)
@@ -78,16 +102,18 @@ def test_kept_frames_are_bounded_by_the_sample_list():
 
 @pytest.mark.parametrize("point,order", [((0.5, 1.0, 0.0), 6), (None, 5)],
                          ids=["off_sample", "other_order"])
-def test_unkept_requests_match_a_fresh_build(point, order):
+def test_unkept_requests_raise_key_error(point, order):
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
-    fld = one_adapt(spec.coframes(), pts, 6, TOL)
+    adapted = one_adapt(spec.coframes(), pts, 6, TOL)
+    field2, _ = pipeline.case2_adapt_field(adapted, pts, 6, TOL)
     point = pts[0] if point is None else point
-    fresh, _, _, _ = _one_adapt_point(spec.coframes().at(point, order), TOL)
-    got = fld.at(point, order)
-    assert got is not fresh
-    assert got.eps == fresh.eps and got.stage == fresh.stage
-    assert _frame_bytes(got) == _frame_bytes(fresh)
+    for fld in (adapted, field2):
+        with pytest.raises(KeyError) as err:
+            fld.at(point, order)
+        message = str(err.value)
+        assert fld.stage in message
+        assert str(tuple(point)) in message and f"order {order}" in message
 
 
 def test_kept_frames_match_a_fresh_build():
@@ -96,7 +122,7 @@ def test_kept_frames_match_a_fresh_build():
     adapted = one_adapt(spec.coframes(), pts, 6, TOL)
     field2, _ = pipeline.case2_adapt_field(adapted, pts, 6, TOL)
     for p in pts:
-        one, _, _, _ = _one_adapt_point(spec.coframes().at(p, 6), TOL)
+        one, _, _, _ = _one_adapt_point(spec.coframes().at(p, 6))
         two, _, _ = pipeline.case2_adapt(one, TOL)
         assert _frame_bytes(adapted.at(p, 6)) == _frame_bytes(one)
         assert _frame_bytes(field2.at(p, 6)) == _frame_bytes(two)
