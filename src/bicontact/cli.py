@@ -26,14 +26,14 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__, fourdim
 from .curvature import curvature as curvature_of
 from .curvature import leaf_geometry, levi_civita, scalar_curvature
-from .errors import BicontactError, NotIntegrable
+from .errors import BicontactError, BudgetError, NotIntegrable
 from .examples import EXAMPLES, ExampleSpec, build_example
 from .expressions import eval_number, parse as parse_expr
 from .forms import CoframeField, ext_d, top_ratio, wedge
@@ -50,17 +50,54 @@ from .report import (Report, check, nan_max, record_to_dict,
 
 DEFAULT_HALF_WIDTH = 0.75
 
+# Default --order per (command, chart dim): the derivative levels consumed by
+# the command's deepest chain of ext_d, scalar_d, frame_derivative and the
+# partials of a frame build, and at least 2.  Truncated jet arithmetic is exact
+# coefficient by coefficient, so any higher order gives the same report apart
+# from config.order.  In 3D, one_adapt costs 1 level (d omega1, d omega2), C
+# one more (d of the rescaled omega2), dC one more.  A command on a chart it
+# does not support fails at any order; it runs at FALLBACK_ORDER.
+ORDER_NEEDED = {
+    # one_adapt 1 + d(d omega2) of the rescaled omega2 in d_after_d 2
+    ("check", 3): 3,
+    # d_coeffs of the raw frame 1, raised to the minimum 2
+    ("check", 4): 2,
+    # one_adapt 1 + d of the rescaled omega2 in C 1
+    ("classify", 3): 2,
+    # C 2 + d of the taut covectors (built from C), dC or d theta(C) 1
+    ("taut", 3): 3,
+    # C 2 + dC 1 + d omega3, d omega1 (case 2) or d omega1, d omega3 (case 1) 2
+    ("invariants", 3): 5,
+    # invariants 5 + d of the connection forms, built from d_coeffs 1
+    ("curvature", 3): 6,
+    # d_coeffs 1 + d of the connection forms 1
+    ("curvature", 4): 2,
+    # d_coeffs 1 + d of the connection forms 1; d(d omega1) in quad_closed 2
+    ("fourdim", 4): 2,
+    # invariants 5; only constant-C examples declare curvature_12 (3), K (4)
+    ("example", 3): 5,
+    # d_coeffs of the raw frame 1, raised to the minimum 2
+    ("example", 4): 2,
+    # the build's f_z (f holds L_x) in omega4 2 + d omega4 in d_coeffs 1
+    ("normal-form", 4): 3,
+}
+FALLBACK_ORDER = 6
+
 
 # ---------------------------------------------------------------------------
 # configuration
 
 @dataclass
 class RunConfig:
-    """One CLI invocation, echoed verbatim into the report."""
+    """One CLI invocation, echoed verbatim into the report.
+
+    ``order=None`` runs at the order the command needs on the source's chart
+    (``ORDER_NEEDED``); the report echoes the order actually used.
+    """
 
     command: str
     source: str
-    order: int = 6
+    order: int | None = None
     tol_shallow: float = 1e-9
     tol_deep: float = 1e-6
     points: int = 100
@@ -72,7 +109,7 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.order < 2:
+        if self.order is not None and self.order < 2:
             raise ValueError("--order must be at least 2")
         for name in ("tol_shallow", "tol_deep"):
             if getattr(self, name) <= 0:
@@ -193,7 +230,7 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
         worst = nan_max(*(s["max"] for s in rep.summary.values()))
         rep.checks.append(check("four_covector_pattern", worst, tol.shallow))
         return
-    adapted = one_adapt(fld, pts, cfg.order, tol)
+    adapted = one_adapt(fld, pts, cfg.order)
     for p in pts:
         cf = adapted.at(p, cfg.order)
         Omega = cf.volume()
@@ -232,7 +269,7 @@ def _cmd_invariants(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
 
 
 def _cmd_classify(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
-    adapted = one_adapt(fld, pts, cfg.order, cfg.tolerances)
+    adapted = one_adapt(fld, pts, cfg.order)
     for p in pts:
         cf = adapted.at(p, cfg.order)
         C = compute_C(cf).value
@@ -248,7 +285,7 @@ def _cmd_classify(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
 
 def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     tol = cfg.tolerances
-    adapted = one_adapt(fld, pts, cfg.order, tol)
+    adapted = one_adapt(fld, pts, cfg.order)
     a_samples = _unit_circle()
     if adapted.eps == -1:
         taut_fld, branch = taut_circle_field(adapted, pts, cfg.order)
@@ -480,10 +517,18 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec: ExampleSpec, pts):
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
-def _add_common(sp, source_help):
+def _order_help(command: str) -> str:
+    needed = ", ".join(f"{order} on {dim}D charts"
+                       for (cmd, dim), order in sorted(ORDER_NEEDED.items())
+                       if cmd == command)
+    return ("jet truncation order (default: the order the command needs, "
+            f"{needed})")
+
+
+def _add_common(sp, command, source_help):
     sp.add_argument("source", help=source_help)
-    sp.add_argument("--order", type=int, default=6,
-                    help="jet truncation order (default 6)")
+    sp.add_argument("--order", type=int, default=None,
+                    help=_order_help(command))
     sp.add_argument("--tol-shallow", type=float, default=1e-9,
                     help="tolerance for few-derivative identities")
     sp.add_argument("--tol-deep", type=float, default=1e-6,
@@ -523,14 +568,15 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, text in helps.items():
         sp = sub.add_parser(name, help=text)
-        _add_common(sp, file_help)
+        _add_common(sp, name, file_help)
 
     ex = sub.add_parser("example", help="verify a built-in generator")
-    _add_common(ex, "built-in example name: " + ", ".join(sorted(EXAMPLES)))
+    _add_common(ex, "example",
+                "built-in example name: " + ", ".join(sorted(EXAMPLES)))
 
     nf = sub.add_parser("normal-form",
                         help="build and verify a 4D coframe from C(z)")
-    _add_common(nf, "invariant profile C as an expression in z")
+    _add_common(nf, "normal-form", "invariant profile C as an expression in z")
     nf.add_argument("--eps", type=int, choices=(-1, 1), default=1,
                     help="orientation sign (default +1)")
     nf.add_argument("--z0", type=float, default=0.0,
@@ -562,10 +608,20 @@ def _config_from_args(args) -> RunConfig:
         params={}, extra=extra)
 
 
+def _at_needed_order(cfg: RunConfig, dim: int):
+    """(config to run, order the command needs on a dim-coordinate chart)."""
+    needed = ORDER_NEEDED.get((cfg.command, dim))
+    if cfg.order is None:
+        cfg = replace(cfg, order=needed or FALLBACK_ORDER)
+    return cfg, needed
+
+
 def run(cfg: RunConfig, raw_params=()) -> Report:
     rep = Report(command=cfg.command, config={})
+    needed = None
     try:
         if cfg.command == "normal-form":
+            cfg, needed = _at_needed_order(cfg, 4)
             rep.config = cfg.echo()
             _cmd_normal_form(cfg, rep)
             return rep
@@ -576,6 +632,8 @@ def run(cfg: RunConfig, raw_params=()) -> Report:
                 "--param only applies to built-in example names")
         rep.config = cfg.echo()
         fld, spec = _resolve(cfg)
+        cfg, needed = _at_needed_order(cfg, fld.chart.dim)
+        rep.config = cfg.echo()
         pts = _sample(cfg, fld.chart.dim, spec)
         if cfg.command == "example":
             if spec is None:
@@ -597,6 +655,10 @@ def run(cfg: RunConfig, raw_params=()) -> Report:
             _cmd_fourdim(cfg, rep, fld, pts)
         else:
             raise ValueError(f"unhandled command {cfg.command!r}")
+    except BudgetError as exc:
+        if needed is not None and cfg.order < needed:
+            exc = BudgetError(exc.stage, needed=needed)
+        rep.add_error(cfg.command, exc)
     except (BicontactError, OSError, ValueError,
             argparse.ArgumentTypeError) as exc:
         rep.add_error(cfg.command, exc)

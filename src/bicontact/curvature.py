@@ -42,13 +42,22 @@ class ConnectionMatrix:
     frame: Coframe
     gamma: list
     structure_residual: float = 0.0
+    _forms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def form(self, i: int, j: int) -> PForm:
-        """The connection 1-form omega^i_j (0-based indices)."""
+        """The connection 1-form omega^i_j (0-based indices).  It is built
+        once per (i, j), and again only after an entry of gamma[i][j] has been
+        replaced; callers must not mutate it."""
+        gamma = tuple(self.gamma[i][j])
+        kept = self._forms.get((i, j))
+        if kept is not None and all(a is b for a, b in zip(kept[0], gamma)):
+            return kept[1]
         out = None
         for k in range(self.frame.chart.dim):
-            term = self.frame.omega(k + 1).scaled(self.gamma[i][j][k])
+            term = self.frame.omega(k + 1).scaled(gamma[k])
             out = term if out is None else out + term
+        self._forms[i, j] = (gamma, out)
         return out
 
     def residual(self) -> float:

@@ -30,15 +30,17 @@ class BudgetError(BicontactError):
     """Ran out of derivative order: an exterior derivative was requested of
     data that no longer carries first-order information.
 
-    ``stage`` names the pipeline step that exhausted the budget.
+    ``stage`` names the pipeline step that exhausted the budget; ``needed``,
+    when known, is the truncation order the whole command needs.
     """
 
-    def __init__(self, stage: str):
+    def __init__(self, stage: str, needed: int | None = None):
         self.stage = stage
+        self.needed = needed
+        hint = ("re-run with a higher truncation order" if needed is None
+                else f"the command needs truncation order {needed}")
         super().__init__(
-            f"derivative-order budget exhausted at stage {stage!r}; "
-            "re-run with a higher truncation order"
-        )
+            f"derivative-order budget exhausted at stage {stage!r}; {hint}")
 
 
 class SingularVolumeError(BicontactError):

@@ -182,10 +182,14 @@ def top_ratio(a: PForm, b: PForm, tol: float = 0.0) -> Jet:
         raise ValueError("top_ratio needs top-degree forms")
     key = tuple(range(dim))
     denom = b.coeffs[key]
+    _check_denominator(denom, tol)
+    return a.coeffs[key] / denom
+
+
+def _check_denominator(denom: Jet, tol: float = 0.0):
     if abs(denom.value) <= tol or not np.isfinite(denom.value):
         raise SingularVolumeError(
             f"volume-form denominator {denom.value!r} is numerically zero")
-    return a.coeffs[key] / denom
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +240,21 @@ class Coframe:
             cached = jets.jet_matrix_inverse(self.coefficient_matrix())
             self._winv = cached
         return cached
+
+    def _volume_reciprocal(self, order: int) -> Jet:
+        """Cached reciprocal of the volume coefficient at ``order``, or at the
+        volume's own order if that is lower, truncated before inverting as
+        ``top_ratio`` does, so a product with it is the jet ``top_ratio``
+        returns.  Raises SingularVolumeError where ``top_ratio`` would."""
+        cached = getattr(self, "_vinv", None)
+        if cached is None:
+            cached = self._vinv = {}
+        if order not in cached:
+            denom = self.volume().coeffs[tuple(range(self.dim))]
+            _check_denominator(denom)
+            cached[order] = jets.reciprocal(
+                denom.truncate(min(order, denom.order)))
+        return cached[order]
 
     def d_coeffs(self, i: int, stage: str = "ext_d") -> dict:
         """Cached ``two_form_coeffs(ext_d(forms[i]), self)``: the structure
@@ -343,15 +362,20 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None, stage="raw")
 # ---------------------------------------------------------------------------
 # coefficient extraction against a coframe
 
-def two_form_coeffs(beta: PForm, frame: Coframe, tol: float = 0.0) -> dict:
+def two_form_coeffs(beta: PForm, frame: Coframe) -> dict:
     """Coefficients b[(a,b)] with beta = sum_{a<b} b[(a,b)] omega^a ^ omega^b.
 
     Works in any chart dimension via complements and permutation parity.
-    In 3D, ``c[(1, 2)], c[(0, 2)], c[(0, 1)]`` are (b23, b13, b12).
+    In 3D, ``c[(1, 2)], c[(0, 2)], c[(0, 1)]`` are (b23, b13, b12).  Each
+    coefficient is ``top_ratio(beta ^ rest, volume) * sign``, with the
+    volume's reciprocal taken from the frame's cache.
     """
-    vol = frame.volume()
-    return {pair: top_ratio(wedge(beta, rest), vol, tol=tol) * sign
-            for pair, (sign, rest) in frame._complements().items()}
+    top = tuple(range(frame.dim))
+    out = {}
+    for pair, (sign, rest) in frame._complements().items():
+        num = wedge(beta, rest).coeffs[top]
+        out[pair] = num * frame._volume_reciprocal(num.order) * sign
+    return out
 
 
 def _perm_sign(perm):

@@ -136,7 +136,7 @@ def _one_adapt_point(cf: Coframe):
     return out, r, scale, lam
 
 
-def one_adapt(fld: CoframeField, points, order, tol: Tolerances | None = None):
+def one_adapt(fld: CoframeField, points, order):
     """Driver: fix epsilon over the sample set, return the adapted field."""
     eps_seen, kept = {}, {}
     for p in points:
@@ -189,7 +189,7 @@ def _dC_data(cf: Coframe):
     return C, C3, c1, c2, norm
 
 
-def case_detect(fld: CoframeField, points, order, tol: Tolerances | None = None) -> str:
+def case_detect(fld: CoframeField, points, order) -> str:
     """Classify the sampled region as constantC / case1 / case2 / case3."""
     flat, c3zero, small_B, data = [], [], [], []
     for p in points:
@@ -226,7 +226,7 @@ def case_detect(fld: CoframeField, points, order, tol: Tolerances | None = None)
 # ---------------------------------------------------------------------------
 # case-2 adaptation
 
-def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
+def case2_adapt(cf: Coframe):
     """Point-local full adaptation for the generic nonconstant-C case.
 
     Returns (adapted coframe, record).  The input must be one-adapted.
@@ -308,11 +308,11 @@ def case2_adapt(cf: Coframe, tol: Tolerances | None = None):
                       "A1": A1, "A2": A2, "A3": A3, "B1": B1, "B2": B2, "B3": B3}
 
 
-def case2_adapt_field(fld: CoframeField, points, order, tol=None):
+def case2_adapt_field(fld: CoframeField, points, order):
     """Driver: case-2 adapt at each sample; returns (field, records)."""
     records, kept = [], {}
     for p in points:
-        out, rec, _ = case2_adapt(fld.at(p, order), tol)
+        out, rec, _ = case2_adapt(fld.at(p, order))
         records.append(rec)
         kept[tuple(p), order] = out
     return CoframeField(fld.chart, None, eps=fld.eps, delta=fld.delta,
@@ -658,8 +658,8 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
     classification summary.  Case-specific adaptation failures propagate.
     """
     tol = tol or Tolerances()
-    adapted = one_adapt(fld, points, order, tol)
-    case = case_detect(adapted, points, order, tol)
+    adapted = one_adapt(fld, points, order)
+    case = case_detect(adapted, points, order)
     result = {"eps": adapted.eps, "delta": adapted.delta, "case": case,
               "records": [], "field": adapted}
     if case in ("constantC", "case3"):
@@ -677,7 +677,7 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
         result["records"] = records
         result["adapted_field"] = field1
     else:
-        field2, records = case2_adapt_field(adapted, points, order, tol)
+        field2, records = case2_adapt_field(adapted, points, order)
         result["records"] = records
         result["adapted_field"] = field2
     return result

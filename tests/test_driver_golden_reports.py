@@ -19,15 +19,16 @@ from bicontact.cli import main
 from conftest import DATA
 
 GOLDEN = [
-    (["invariants", "eta_frame", "--points", "4"],
+    (["invariants", "eta_frame", "--points", "4", "--order", "6"],
      "f017e3630bda7ab4dbc94a0f545cb1362fa3c48ae12f8cabe05c6a6bc4aad0a6"),
-    (["taut", "normal_form_3d", "--points", "4"],
+    (["taut", "normal_form_3d", "--points", "4", "--order", "6"],
      "e106c8f3d3233ee0b335fe482e51f45139b0b41cb69bc66c65ef18d6abd022d2"),
-    (["example", "torus_constC", "--points", "4"],
+    (["example", "torus_constC", "--points", "4", "--order", "6"],
      "d2b1725a69c89b2d3821f488e625555dfcb9050484852b3c45e9be2b4b89a3a4"),
-    (["example", "sphere_frame", "--points", "4"],
+    (["example", "sphere_frame", "--points", "4", "--order", "6"],
      "3466540edb17f7a16bf71007821be00c65723fb1cfcc5178cd0a896b04c93613"),
-    (["invariants", "tests/data/case1_frame.txt", "--points", "4"],
+    (["invariants", "tests/data/case1_frame.txt", "--points", "4", "--order",
+      "6"],
      "14aee915d3854fe1451a6213914a1f442a2e1d522cf8e65e1991edaa2dd8d815"),
 ]
 

@@ -17,7 +17,7 @@ from bicontact.cli import main
 GOLDEN = [
     (["curvature", "normal_form_3d", "--points", "4"],
      "b92425dce761547faa4563b0b26266edb7c6d0394caa1450db79f730ebc53576"),
-    (["fourdim", "fourd_enonzero", "--points", "2"],
+    (["fourdim", "fourd_enonzero", "--points", "2", "--order", "6"],
      "bb4c63a60d5cdd17cb4108126170125cd999d692a7b092e5539eb68aa53e3ab7"),
     (["normal-form", "tan(z)", "--order", "3", "--points", "10"],
      "4bdba510eb233b246c09e1f9a0b0b1fb63f972413d605b9058d99f104fa5498a"),

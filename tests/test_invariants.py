@@ -80,7 +80,7 @@ def test_constant_invariant_has_zero_spread():
 
 def test_compute_C_on_adapted_frame():
     spec = build_example("hyp_c3", eps=1, c3="1+z^2")
-    fld = one_adapt(spec.coframes(), _points(spec, n=3), 6, TOL)
+    fld = one_adapt(spec.coframes(), _points(spec, n=3), 6)
     for p in _points(spec, n=3):
         cf = fld.at(p, 6)
         assert compute_C(cf).value == pytest.approx(p[2], abs=1e-10)
@@ -108,9 +108,9 @@ def test_homothety_invariance():
 def test_invariant_coordinate_identity():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=7)
-    fld = one_adapt(spec.coframes(), pts, 8, TOL)
+    fld = one_adapt(spec.coframes(), pts, 8)
     for p in pts:
-        adapted, rec, extras = case2_adapt(fld.at(p, 8), TOL)
+        adapted, rec, extras = case2_adapt(fld.at(p, 8))
         info = invariant_coords(adapted, TOL)
         assert not info["degenerate"]
         assert info["identity_residual"] < 1e-6
@@ -134,7 +134,7 @@ def test_contact_failure_raises():
     rows = [{"dx": "1"}, {"dy": "1", "dx": "z^2/2"}, {"dz": "1"}]
     fld = coframe_field_from_expressions(ch, rows)
     with pytest.raises(ContactFailure):
-        one_adapt(fld, [(0.1, 0.2, 0.5)], 5, TOL)
+        one_adapt(fld, [(0.1, 0.2, 0.5)], 5)
 
 
 def test_analyze_record_contents():

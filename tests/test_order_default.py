@@ -1,0 +1,160 @@
+"""The default truncation order of each command, and the caches that make a
+low order cheap.
+
+Every command runs, unless ``--order`` says otherwise, at the order its
+deepest derivative chain needs (``cli.ORDER_NEEDED``).  Truncated jet
+arithmetic is exact coefficient by coefficient, so that report must equal the
+order-6 report in every field but ``config.order``.  One order lower, some
+source must run out of derivative levels, or the table would be padded; the
+failure then names the order the command needs.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+from bicontact import cli
+from bicontact.curvature import ConnectionMatrix, curvature, levi_civita
+from bicontact.errors import SingularVolumeError
+from bicontact.examples import EXAMPLES, build_example
+from bicontact.forms import (Chart, Coframe, PForm, ext_d, top_ratio,
+                             two_form_coeffs, wedge)
+from bicontact.jets import reciprocal
+from conftest import DATA
+
+FILES = [str(DATA / "case1_frame.txt"), str(DATA / "hyp_ex.txt")]
+PROFILES = ["tan(z)", "z^2"]
+
+
+def _dim(source):
+    fld, _ = cli._resolve(cli.RunConfig("check", source))
+    return fld.chart.dim
+
+
+DIMS = {source: _dim(source) for source in sorted(EXAMPLES) + FILES}
+
+
+def _sources(command, dim):
+    if command == "normal-form":
+        return PROFILES
+    names = sorted(EXAMPLES) if command == "example" else list(DIMS)
+    return [s for s in names if DIMS[s] == dim]
+
+
+SWEEP = [(command, source) for (command, dim) in sorted(cli.ORDER_NEEDED)
+         for source in _sources(command, dim)]
+
+
+def _report(command, source, *extra):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli.main([command, source, "--points", "3", *extra])
+    return json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize("command,source", SWEEP,
+                         ids=[f"{c} {s.rsplit('/', 1)[-1]}" for c, s in SWEEP])
+def test_default_order_report_equals_the_order_6_report(command, source):
+    dim = 4 if command == "normal-form" else DIMS[source]
+    needed = cli.ORDER_NEEDED[command, dim]
+    low = _report(command, source)
+    high = _report(command, source, "--order", "6")
+    assert low["config"]["order"] == needed
+    assert high["config"]["order"] == 6
+    low["config"]["order"] = high["config"]["order"] = None
+    assert low == high
+
+
+@pytest.mark.parametrize("key", sorted(k for k, n in cli.ORDER_NEEDED.items()
+                                       if n > 2),
+                         ids=lambda k: f"{k[0]} {k[1]}D")
+def test_one_order_below_the_default_runs_out_of_derivatives(key):
+    command, dim = key
+    needed = cli.ORDER_NEEDED[key]
+    for source in _sources(command, dim):
+        errors = _report(command, source, "--order", str(needed - 1))["errors"]
+        if errors and errors[0]["type"] == "BudgetError":
+            assert errors[0]["message"].endswith(
+                f"the command needs truncation order {needed}")
+            return
+    pytest.fail(f"every {command} source passes at order {needed - 1}")
+
+
+def test_explicit_order_is_echoed_as_given():
+    rep = _report("fourdim", "fourd_enonzero", "--order", "3")
+    assert rep["config"]["order"] == 3
+    assert rep["passed"] is True
+
+
+def test_help_names_the_default_order(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["curvature", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "the order the command needs, 6 on 3D charts, 2 on 4D charts" in text
+
+
+def _bits(form):
+    return {k: j.c.tobytes() for k, j in form.coeffs.items()}
+
+
+def test_memoized_connection_forms_equal_fresh_builds():
+    spec = build_example("fourd_enonzero")
+    frame = spec.coframes().at((0.3, 0.6, 0.1, 0.4), 4)
+    conn = levi_civita(frame)
+    curvature(conn)                          # every form is now memoized
+    fresh = ConnectionMatrix(frame, conn.gamma)
+    for i in range(4):
+        for j in range(4):
+            kept = conn.form(i, j)
+            assert kept is conn.form(i, j)
+            assert _bits(kept) == _bits(fresh.form(i, j))
+
+
+def _frame4(order):
+    chart = Chart(("x", "y", "z", "w"))
+    point = (0.3, -0.2, 0.5, 0.1)
+    coords = chart.coordinate_jets(point, order)
+    rng = np.random.default_rng(11)
+    mat = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    forms = tuple(
+        PForm(chart, 1, {(j,): coords[(i + j) % 4] * coords[j] * 0.1
+                         + float(mat[i, j]) for j in range(4)})
+        for i in range(4))
+    return chart, point, Coframe(chart, point, forms)
+
+
+def test_cached_volume_reciprocal_equals_a_fresh_reciprocal():
+    chart, point, frame = _frame4(4)
+    vol = frame.volume()
+    coeff = vol.coeffs[(0, 1, 2, 3)]
+    for order in (4, 2, 3, 6, 0):
+        got = frame._volume_reciprocal(order)
+        want = reciprocal(coeff.truncate(min(order, 4)))
+        assert got.order == want.order
+        assert got.c.tobytes() == want.c.tobytes()
+        assert frame._volume_reciprocal(order) is got
+    coords = chart.coordinate_jets(point, 6)
+    for order in (6, 3, 2):
+        beta = ext_d(PForm(chart, 1, {(j,): (coords[j] * coords[(j + 1) % 4]
+                                            ).truncate(order)
+                                      for j in range(4)}))
+        got = two_form_coeffs(beta, frame)
+        for pair, (sign, rest) in frame._complements().items():
+            want = top_ratio(wedge(beta, rest), vol) * sign
+            assert got[pair].c.tobytes() == want.c.tobytes()
+
+
+def test_cached_volume_reciprocal_raises_like_top_ratio():
+    chart, point, frame = _frame4(3)
+    flat = frame.replace(forms=frame.forms[:3] + (PForm.zero(chart, 1, 3),))
+    beta = ext_d(frame.forms[1])
+    with pytest.raises(SingularVolumeError) as direct:
+        top_ratio(wedge(beta, wedge(flat.forms[2], flat.forms[3])),
+                  flat.volume())
+    with pytest.raises(SingularVolumeError) as cached:
+        two_form_coeffs(beta, flat)
+    assert str(cached.value) == str(direct.value)
+    assert not getattr(flat, "_vinv", None)

@@ -89,7 +89,7 @@ def test_kept_frames_are_bounded_by_the_sample_list():
     raw = spec.coframes()
     assert len(raw.frames) == 0
     pts = _normal_form_points(3)
-    fld = one_adapt(raw, pts, 6, TOL)
+    fld = one_adapt(raw, pts, 6)
     assert set(fld.frames) == {(p, 6) for p in pts}
     for point, order in (((0.5, 1.0, 0.0), 6), (pts[0], 5)):
         with pytest.raises(KeyError):
@@ -105,8 +105,8 @@ def test_kept_frames_are_bounded_by_the_sample_list():
 def test_unkept_requests_raise_key_error(point, order):
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
-    adapted = one_adapt(spec.coframes(), pts, 6, TOL)
-    field2, _ = pipeline.case2_adapt_field(adapted, pts, 6, TOL)
+    adapted = one_adapt(spec.coframes(), pts, 6)
+    field2, _ = pipeline.case2_adapt_field(adapted, pts, 6)
     point = pts[0] if point is None else point
     for fld in (adapted, field2):
         with pytest.raises(KeyError) as err:
@@ -119,10 +119,10 @@ def test_unkept_requests_raise_key_error(point, order):
 def test_kept_frames_match_a_fresh_build():
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
-    adapted = one_adapt(spec.coframes(), pts, 6, TOL)
-    field2, _ = pipeline.case2_adapt_field(adapted, pts, 6, TOL)
+    adapted = one_adapt(spec.coframes(), pts, 6)
+    field2, _ = pipeline.case2_adapt_field(adapted, pts, 6)
     for p in pts:
         one, _, _, _ = _one_adapt_point(spec.coframes().at(p, 6))
-        two, _, _ = pipeline.case2_adapt(one, TOL)
+        two, _, _ = pipeline.case2_adapt(one)
         assert _frame_bytes(adapted.at(p, 6)) == _frame_bytes(one)
         assert _frame_bytes(field2.at(p, 6)) == _frame_bytes(two)

@@ -5,15 +5,14 @@ import pytest
 
 from bicontact.errors import BranchError, EpsilonMismatch
 from bicontact.examples import build_example
-from bicontact.pipeline import (Tolerances, circle_volume_coefficient,
-                                compute_C3, compute_C, hyperbola_residuals,
+from bicontact.pipeline import (circle_volume_coefficient, compute_C3,
+                                compute_C, hyperbola_residuals,
                                 mixed_circle_coefficient, one_adapt,
                                 predicted_circle_coefficient,
                                 taut_circle_field, taut_circle_transform,
                                 taut_hyperbola_transform)
 from conftest import box_points
 
-TOL = Tolerances()
 INSIDE = ((-0.8, 0.8), (-0.8, 0.8), (-0.85, 0.85))
 OUTSIDE = ((-0.8, 0.8), (-0.8, 0.8), (1.1, 1.7))
 
@@ -22,7 +21,7 @@ UNIT_AS = [(float(np.cos(t)), float(np.sin(t)))
 
 
 def _adapted(spec, pts, order=7):
-    return one_adapt(spec.coframes(), pts, order, TOL)
+    return one_adapt(spec.coframes(), pts, order)
 
 
 def test_circle_inside_branch_matches_prediction():
