@@ -36,11 +36,11 @@ from .curvature import leaf_geometry, levi_civita, scalar_curvature
 from .errors import BicontactError, BudgetError, NotIntegrable
 from .examples import EXAMPLES, ExampleSpec, build_example
 from .expressions import eval_number, parse as parse_expr
-from .forms import CoframeField, ext_d, top_ratio, wedge
+from .forms import CoframeField, ext_d, wedge
 from .inputfile import load_definition
-from .pipeline import (LINEAR_BAND, Tolerances, analyze,
+from .pipeline import (Tolerances, analyze, cached_C,
                        cartan_structure_check,
-                       circle_volume_coefficient, classify, compute_C,
+                       circle_volume_coefficient, classify,
                        compute_C3, hyperbola_residuals,
                        mixed_circle_coefficient, one_adapt,
                        predicted_circle_coefficient, taut_circle_field,
@@ -234,9 +234,9 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     for p in pts:
         cf = adapted.at(p, cfg.order)
         Omega = cf.volume()
-        n1 = top_ratio(wedge(cf.omega(1), ext_d(cf.omega(1))) - Omega, Omega)
-        n2 = top_ratio(wedge(cf.omega(2), ext_d(cf.omega(2)))
-                       + Omega.scaled(float(cf.eps)), Omega)
+        n1 = cf.ratio(wedge(cf.omega(1), ext_d(cf.omega(1))) - Omega)
+        n2 = cf.ratio(wedge(cf.omega(2), ext_d(cf.omega(2)))
+                      + Omega.scaled(float(cf.eps)))
         dd = nan_max(*(ext_d(ext_d(cf.omega(i))).max_abs_value()
                        for i in (1, 2, 3)))
         row = {"point": list(p), "eps": cf.eps,
@@ -272,8 +272,8 @@ def _cmd_classify(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     adapted = one_adapt(fld, pts, cfg.order)
     for p in pts:
         cf = adapted.at(p, cfg.order)
-        C = compute_C(cf).value
-        tag, quad = classify(C, cf.eps, LINEAR_BAND)
+        C = cached_C(cf).value
+        tag, quad = classify(C, cf.eps)
         key = "excluded_band" if tag == "linear" else tag
         rep.histogram[key] = rep.histogram.get(key, 0) + 1
         rep.records.append({"point": list(p), "eps": cf.eps, "C": C,
@@ -292,7 +292,7 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
         for p in pts:
             cf = adapted.at(p, cfg.order)
             taut = taut_fld.at(p, cfg.order)
-            C = compute_C(cf)
+            C = cached_C(cf)
             C3, _c1, _c2 = compute_C3(cf, C)
             worst = 0.0
             for a1, a2 in a_samples:
@@ -379,7 +379,7 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
         resid = {k: rec.residuals[k] for k in sorted(rec.residuals)}
         e_direct = fourdim.compute_E(frame)
         resid["E_ratio_vs_pattern"] = abs(e_direct.value - rec.E.value)
-        exp = fourdim.e_expansion(frame, rec.E)
+        exp = rec.expansion
         resid["E_expansion"] = exp["residual"]
         quad = fourdim.symplectic_quadratic_check(rec, a_samples)
         resid.update({"quad_closed": quad["closed"],

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from .jets import Jet
 from .errors import NotIntegrable
 from .report import nan_max
-from .forms import (Coframe, PForm, wedge, ext_d, top_ratio, two_form_coeffs,
-                    frobenius_defect)
+from .forms import Coframe, PForm, wedge, ext_d, two_form_coeffs
 
 __all__ = ["ConnectionMatrix", "CurvatureMatrix", "levi_civita", "curvature",
            "scalar_curvature", "pfaffian_coefficient", "LeafGeometry",
            "leaf_geometry"]
+
+INTEGRABLE = 1e-8   # integrability defect above this = not integrable
 
 
 def _structure_coeffs(frame: Coframe):
@@ -146,7 +147,7 @@ def pfaffian_coefficient(curv: CurvatureMatrix) -> Jet:
     pf = wedge(curv.entry(0, 1), curv.entry(2, 3)) \
         - wedge(curv.entry(0, 2), curv.entry(1, 3)) \
         + wedge(curv.entry(0, 3), curv.entry(1, 2))
-    return top_ratio(pf, curv.frame.volume())
+    return curv.frame.ratio(pf)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +167,16 @@ class LeafGeometry:
 
 
 def _integrability_defect(frame: Coframe, normal: int) -> float:
+    """Max |coefficient| of alpha ^ d(alpha): zero iff ker(alpha) is
+    integrable (Frobenius), in any dimension."""
     alpha = frame.omega(normal + 1)
-    if frame.chart.dim == 3:
-        return abs(frobenius_defect(alpha).value)
     prod = wedge(alpha, ext_d(alpha, stage="leaf_geometry(defect)"))
     return prod.max_abs_value()
 
 
 def leaf_geometry(frame: Coframe, conn: ConnectionMatrix | None = None,
                   curv: CurvatureMatrix | None = None,
-                  tol: float = 1e-8, normal: int | None = None) -> LeafGeometry:
+                  normal: int | None = None) -> LeafGeometry:
     """Shape operator, mean curvature, and (3D) leaf Gauss curvature.
 
     ``normal`` picks the coframe covector (0-based) whose kernel is foliated;
@@ -189,7 +190,7 @@ def leaf_geometry(frame: Coframe, conn: ConnectionMatrix | None = None,
         normal = dim - 1
     tangent = [i for i in range(dim) if i != normal]
     dval = _integrability_defect(frame, normal)
-    if dval > tol:
+    if dval > INTEGRABLE:
         raise NotIntegrable(
             f"omega^{normal + 1} is not integrable: defect {dval!r}")
     if conn is None:

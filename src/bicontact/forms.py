@@ -9,7 +9,9 @@ expressions, and a pipeline driver's field holds the frames it built at its
 sample points.
 
 Every structure-equation check in the pipeline reduces to wedge products,
-exterior derivatives, and top-form ratios of these objects.
+exterior derivatives, and top-form ratios of these objects.  A coframe keeps
+the data derived from it in one memo, and :meth:`Coframe.ratio` divides a
+top-degree form by the frame's volume through the cached reciprocal.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
     "wedge", "wedge_all", "ext_d", "top_ratio",
     "two_form_coeffs", "one_form_coeffs",
-    "frame_derivative", "frobenius_defect", "scalar_d",
+    "frame_derivative", "scalar_d",
     "coframe_field_from_expressions",
 ]
 
@@ -81,10 +83,6 @@ class PForm:
         f = cls.zero(chart, 1, order)
         f.coeffs[(axis,)] = Jet.constant(1.0, chart.dim, order)
         return f
-
-    @classmethod
-    def from_scalar(cls, chart, jet):
-        return cls(chart, 0, {(): jet})
 
     @property
     def order(self) -> int:
@@ -171,23 +169,19 @@ def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
     return out
 
 
-def top_ratio(a: PForm, b: PForm, tol: float = 0.0) -> Jet:
-    """The scalar (as a jet) with a = ratio * b, for top-degree forms.
-
-    ``tol`` is an absolute threshold on |b|'s value part below which the
-    denominator counts as vanishing.
-    """
+def top_ratio(a: PForm, b: PForm) -> Jet:
+    """The scalar (as a jet) with a = ratio * b, for top-degree forms."""
     dim = a.chart.dim
     if a.degree != dim or b.degree != dim:
         raise ValueError("top_ratio needs top-degree forms")
     key = tuple(range(dim))
     denom = b.coeffs[key]
-    _check_denominator(denom, tol)
+    _check_denominator(denom)
     return a.coeffs[key] / denom
 
 
-def _check_denominator(denom: Jet, tol: float = 0.0):
-    if abs(denom.value) <= tol or not np.isfinite(denom.value):
+def _check_denominator(denom: Jet):
+    if denom.value == 0.0 or not np.isfinite(denom.value):
         raise SingularVolumeError(
             f"volume-form denominator {denom.value!r} is numerically zero")
 
@@ -205,6 +199,16 @@ class Coframe:
     eps: int | None = None
     delta: int = 1
     stage: str = "raw"
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def _cached(self, key, build):
+        """The memo entry ``key``, built by ``build()`` on first use.  Every
+        datum derived from the frame is kept here, the pipeline's too;
+        callers must not mutate it."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def omega(self, i: int) -> PForm:
         """1-based accessor matching the usual superscript numbering."""
@@ -215,12 +219,8 @@ class Coframe:
         return self.chart.dim
 
     def volume(self) -> PForm:
-        """Cached omega^1 ^ ... ^ omega^dim; callers must not mutate it."""
-        cached = getattr(self, "_vol", None)
-        if cached is None:
-            cached = wedge_all(*self.forms)
-            self._vol = cached
-        return cached
+        """Cached omega^1 ^ ... ^ omega^dim."""
+        return self._cached("volume", lambda: wedge_all(*self.forms))
 
     def replace(self, **kw):
         d = dict(chart=self.chart, point=self.point, forms=self.forms,
@@ -235,52 +235,49 @@ class Coframe:
 
     def dual_matrix(self):
         """Cached inverse of the coefficient matrix (columns = frame vectors)."""
-        cached = getattr(self, "_winv", None)
-        if cached is None:
-            cached = jets.jet_matrix_inverse(self.coefficient_matrix())
-            self._winv = cached
-        return cached
+        return self._cached("dual", lambda: jets.jet_matrix_inverse(
+            self.coefficient_matrix()))
 
     def _volume_reciprocal(self, order: int) -> Jet:
         """Cached reciprocal of the volume coefficient at ``order``, or at the
         volume's own order if that is lower, truncated before inverting as
-        ``top_ratio`` does, so a product with it is the jet ``top_ratio``
-        returns.  Raises SingularVolumeError where ``top_ratio`` would."""
-        cached = getattr(self, "_vinv", None)
-        if cached is None:
-            cached = self._vinv = {}
-        if order not in cached:
+        ``top_ratio`` does.  Raises SingularVolumeError where ``top_ratio``
+        would."""
+        def build():
             denom = self.volume().coeffs[tuple(range(self.dim))]
             _check_denominator(denom)
-            cached[order] = jets.reciprocal(
-                denom.truncate(min(order, denom.order)))
-        return cached[order]
+            return jets.reciprocal(denom.truncate(min(order, denom.order)))
+        return self._cached(("reciprocal", order), build)
+
+    def ratio(self, top: PForm) -> Jet:
+        """The jet r with top = r * volume() for a top-degree form: bit-equal
+        to ``top_ratio(top, self.volume())``, with the cached reciprocal."""
+        dim = self.dim
+        if top.degree != dim:
+            raise ValueError("ratio needs a top-degree form")
+        num = top.coeffs[tuple(range(dim))]
+        return num * self._volume_reciprocal(num.order)
 
     def d_coeffs(self, i: int, stage: str = "ext_d") -> dict:
         """Cached ``two_form_coeffs(ext_d(forms[i]), self)``: the structure
-        functions of the 0-based covector i; callers must not mutate it.
-        ``stage`` only labels a BudgetError on a cache miss."""
-        cached = getattr(self, "_d", None)
-        if cached is None:
-            cached = self._d = {}
-        if i not in cached:
-            cached[i] = two_form_coeffs(ext_d(self.forms[i], stage=stage), self)
-        return cached[i]
+        functions of the 0-based covector i.  ``stage`` only labels a
+        BudgetError on a cache miss."""
+        return self._cached(("d", i), lambda: two_form_coeffs(
+            ext_d(self.forms[i], stage=stage), self))
 
     def _complements(self):
         """Cached {(a, b): (sign, rest)} with omega^a ^ omega^b ^ rest =
         sign * volume(), rest the wedge of the other covectors in order."""
-        cached = getattr(self, "_comp", None)
-        if cached is None:
-            cached = {}
+        def build():
+            out = {}
             for pair in combinations(range(self.dim), 2):
                 comp = tuple(i for i in range(self.dim) if i not in pair)
                 rest = self.forms[comp[0]]
                 for c in comp[1:]:
                     rest = wedge(rest, self.forms[c])
-                cached[pair] = (_perm_sign(pair + comp), rest)
-            self._comp = cached
-        return cached
+                out[pair] = (_perm_sign(pair + comp), rest)
+            return out
+        return self._cached("complements", build)
 
 
 def _frame_key(point, order):
@@ -367,15 +364,10 @@ def two_form_coeffs(beta: PForm, frame: Coframe) -> dict:
 
     Works in any chart dimension via complements and permutation parity.
     In 3D, ``c[(1, 2)], c[(0, 2)], c[(0, 1)]`` are (b23, b13, b12).  Each
-    coefficient is ``top_ratio(beta ^ rest, volume) * sign``, with the
-    volume's reciprocal taken from the frame's cache.
+    coefficient is ``frame.ratio(beta ^ rest) * sign``.
     """
-    top = tuple(range(frame.dim))
-    out = {}
-    for pair, (sign, rest) in frame._complements().items():
-        num = wedge(beta, rest).coeffs[top]
-        out[pair] = num * frame._volume_reciprocal(num.order) * sign
-    return out
+    return {pair: frame.ratio(wedge(beta, rest)) * sign
+            for pair, (sign, rest) in frame._complements().items()}
 
 
 def _perm_sign(perm):
@@ -416,15 +408,3 @@ def scalar_d(chart: Chart, f: Jet, stage: str = "scalar_d") -> PForm:
         raise BudgetError(stage)
     return PForm(chart, 1, {(j,): jets.partial(f, j) for j in range(chart.dim)})
 
-
-def frobenius_defect(a: PForm, tol: float = 0.0) -> Jet:
-    """(a ^ da) / (coordinate volume): zero iff ker(a) is integrable (3D)."""
-    if a.chart.dim != 3:
-        raise ValueError("frobenius_defect is 3D-only")
-    da = ext_d(a, stage="frobenius_defect")
-    vol_key = (0, 1, 2)
-    num = wedge(a, da)
-    order = num.order
-    one = Jet.constant(1.0, 3, order)
-    vol = PForm(a.chart, 3, {vol_key: one})
-    return top_ratio(num, vol, tol=tol)

@@ -27,7 +27,7 @@ from .jets import Jet
 from .errors import DegenerateH, DomainError, OdeStepFailure
 from . import expressions
 from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
-                    one_form_coeffs, scalar_d, top_ratio, wedge)
+                    one_form_coeffs, scalar_d, wedge)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
 from .report import nan_max
@@ -36,6 +36,8 @@ __all__ = ["Coframe4", "symp_structure", "compute_E", "e_expansion",
            "symplectic_quadratic", "symplectic_quadratic_check",
            "Curvature4Report", "curvature4", "QOde", "QSolution", "solve_q",
            "q_jets", "normal_form_4d", "verify_normal_form"]
+
+DEGENERATE_H = 1e-10   # |det h| at or below this = degenerate mixing matrix
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +61,12 @@ class Coframe4:
     @property
     def max_residual(self) -> float:
         return nan_max(*self.residuals.values())
+
+    @property
+    def expansion(self) -> dict:
+        """``e_expansion(frame, E)``, computed on first use, once per frame."""
+        frame = self.frame
+        return frame._cached("dE", lambda: e_expansion(frame, self.E))
 
 
 def symp_structure(frame: Coframe) -> Coframe4:
@@ -96,7 +104,7 @@ def compute_E(frame: Coframe) -> Jet:
     omega^1 ^ omega^2 one.
     """
     num = wedge(wedge(ext_d(frame.omega(4)), frame.omega(3)), frame.omega(4))
-    return top_ratio(num, frame.volume())
+    return frame.ratio(num)
 
 
 def e_expansion(frame: Coframe, E: Jet | None = None) -> dict:
@@ -134,17 +142,16 @@ def symplectic_quadratic_check(F: Coframe4, a_samples=()) -> dict:
     quadratic above and are spot-checked for each pair in ``a_samples``.
     """
     frame = F.frame
-    vol = frame.volume()
     th1 = ext_d(frame.omega(1))
     th2 = ext_d(frame.omega(2))
     closed = nan_max(ext_d(th1).max_abs_value(), ext_d(th2).max_abs_value())
-    r11 = top_ratio(wedge(th1, th1), vol).value - 2.0
-    r22 = top_ratio(wedge(th2, th2), vol).value + 2.0 * F.eps
-    r12 = top_ratio(wedge(th1, th2), vol).value - 2.0 * F.C.value
+    r11 = frame.ratio(wedge(th1, th1)).value - 2.0
+    r22 = frame.ratio(wedge(th2, th2)).value + 2.0 * F.eps
+    r12 = frame.ratio(wedge(th1, th2)).value - 2.0 * F.C.value
     worst_a = 0.0
     for a1, a2 in a_samples:
         th = th1.scaled(float(a1)) + th2.scaled(float(a2))
-        got = top_ratio(wedge(th, th), vol).value
+        got = frame.ratio(wedge(th, th)).value
         want = symplectic_quadratic(a1, a2, F.C.value, F.eps)
         worst_a = nan_max(worst_a, abs(got - want))
     return {"closed": closed, "quad11": abs(r11), "quad22": abs(r22),
@@ -175,7 +182,7 @@ def _matrix_dev(got_rows, want_rows):
                      for g, w in zip(grow, wrow)))
 
 
-def curvature4(F: Coframe4, tol: float = 1e-8) -> Curvature4Report:
+def curvature4(F: Coframe4) -> Curvature4Report:
     """Levi-Civita data of the 4D pattern frame, checked against closed forms.
 
     Every nonzero connection entry, every curvature entry, the scalar
@@ -188,8 +195,7 @@ def curvature4(F: Coframe4, tol: float = 1e-8) -> Curvature4Report:
     conn = levi_civita(frame)
     curv = curvature(conn)
     C3 = one_form_coeffs(scalar_d(frame.chart, F.C), frame)[2].value
-    exp_d = e_expansion(frame, F.E)
-    E1, E2 = exp_d["E1"].value, exp_d["E2"].value
+    E1, E2 = F.expansion["E1"].value, F.expansion["E2"].value
 
     G = conn.gamma
     conn_dev = nan_max(
@@ -229,7 +235,7 @@ def curvature4(F: Coframe4, tol: float = 1e-8) -> Curvature4Report:
 
     S = scalar_curvature(curv)
     pf = pfaffian_coefficient(curv)
-    leaf = leaf_geometry(frame, conn, curv, tol=tol, normal=2)
+    leaf = leaf_geometry(frame, conn, curv, normal=2)
     shape_want = [[-C, half_pe, 0.0], [half_pe, C, 0.0], [0.0, 0.0, 0.0]]
     shape_dev = nan_max(*(abs(g - w) for grow, wrow in zip(leaf.shape, shape_want)
                           for g, w in zip(grow, wrow)))
@@ -377,8 +383,7 @@ _CHART4 = ("x", "y", "z", "w")
 _IDENTITY_H = (("1", "0"), ("0", "1"))
 
 
-def normal_form_4d(ode: QOde, h=None, z_span=(-1.2, 1.2),
-                   det_tol: float = 1e-10) -> CoframeField:
+def normal_form_4d(ode: QOde, h=None, z_span=(-1.2, 1.2)) -> CoframeField:
     """Coframe field built from the ODE solutions on the chart (x, y, z, w).
 
     With S = Q-solution data, h a 2x2 matrix of expressions in (x, y) and
@@ -409,7 +414,7 @@ def normal_form_4d(ode: QOde, h=None, z_span=(-1.2, 1.2),
         hj = [[expressions.eval_jet(n, point, order, _CHART4) for n in row]
               for row in hnodes]
         det_h = hj[0][0] * hj[1][1] - hj[0][1] * hj[1][0]
-        if abs(det_h.value) <= det_tol:
+        if abs(det_h.value) <= DEGENERATE_H:
             raise DegenerateH(f"det h = {det_h.value!r} at {point!r}")
         q1, q2 = q_jets(sol, z, 4, 2, order)
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))

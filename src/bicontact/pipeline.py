@@ -22,7 +22,9 @@ the global signs (epsilon, branch choices) that must be constant per region.
 Drivers return fields that hold only the frames they built and checked at
 their sample points, at their order; any other request raises ``KeyError``.
 Each frame's structure functions, the coefficients of d(omega^i) in the frame
-itself, come from its cached :meth:`~bicontact.forms.Coframe.d_coeffs`.
+itself, come from its cached :meth:`~bicontact.forms.Coframe.d_coeffs`.  C,
+the dC data and the (omega1, omega2, dC/C3) frame are memoized per frame, so
+``case_detect`` and ``case2_adapt`` share them.
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ from .jets import Jet
 
 __all__ = [
     "Tolerances", "InvariantRecord", "QuadraticClassification",
-    "one_adapt", "compute_C", "compute_C3", "classify",
+    "one_adapt", "compute_C", "cached_C", "compute_C3", "classify",
     "case_detect", "case1_adapt", "case2_adapt",
     "case1_adapt_field", "case2_adapt_field",
     "taut_circle_transform", "taut_circle_field", "taut_hyperbola_transform",
     "circle_volume_coefficient", "predicted_circle_coefficient",
-    "hyperbola_residuals", "cartan_structure_check", "invariant_coords",
-    "analyze",
+    "mixed_circle_coefficient", "hyperbola_residuals",
+    "cartan_structure_check", "invariant_coords", "analyze",
 ]
 
 
@@ -129,7 +131,7 @@ def _one_adapt_point(cf: Coframe):
     scale = jets.reciprocal(jets.sqrt(r * float(-eps)))
     w2h = w2.scaled(scale)
     Omega = vol1
-    lam = top_ratio(wedge_all(w1, w2h, w3_seed), Omega, tol=CONTACT)
+    lam = top_ratio(wedge_all(w1, w2h, w3_seed), Omega)
     w3h = w3_seed.scaled(jets.reciprocal(lam))
     out = Coframe(cf.chart, cf.point, (w1, w2h, w3h), eps=eps,
                   delta=cf.delta, stage="one-adapted")
@@ -158,19 +160,24 @@ def compute_C(cf: Coframe) -> Jet:
     w1, w2 = cf.forms[0], cf.forms[1]
     num = wedge(w1, ext_d(w2, stage="compute_C")) + \
         wedge(w2, ext_d(w1, stage="compute_C"))
-    return top_ratio(num, cf.volume()) * 0.5
+    return cf.ratio(num) * 0.5
+
+
+def cached_C(cf: Coframe) -> Jet:
+    """``compute_C(cf)``, computed once per frame."""
+    return cf._cached("C", lambda: compute_C(cf))
 
 
 def compute_C3(cf: Coframe, C: Jet):
     """(C3, C1, C2): C3 from the volume ratio, C1/C2 from the dual frame."""
     dC = scalar_d(cf.chart, C, stage="compute_C3")
-    C3 = top_ratio(wedge_all(dC, cf.forms[0], cf.forms[1]), cf.volume())
+    C3 = cf.ratio(wedge_all(dC, cf.forms[0], cf.forms[1]))
     c1, c2, _c3_dual = one_form_coeffs(dC, cf)
     return C3, c1, c2
 
 
-def classify(C: float, eps: int, band: float = 1e-9):
-    if eps == -1 and abs(abs(C) - 1.0) <= band:
+def classify(C: float, eps: int):
+    if eps == -1 and abs(abs(C) - 1.0) <= LINEAR_BAND:
         tag, witness = "linear", "degenerate pair (|C| = 1): zero locus is a line"
     elif eps == -1 and abs(C) < 1.0:
         tag, witness = "elliptic", "taut contact circle after rotation"
@@ -183,44 +190,55 @@ def classify(C: float, eps: int, band: float = 1e-9):
 # case detection
 
 def _dC_data(cf: Coframe):
-    C = compute_C(cf)
-    C3, c1, c2 = compute_C3(cf, C)
-    norm = math.sqrt(c1.value ** 2 + c2.value ** 2 + C3.value ** 2)
-    return C, C3, c1, c2, norm
+    """(C, C3, C1, C2, |dC|) of a frame, computed once per frame."""
+    def build():
+        C = cached_C(cf)
+        C3, c1, c2 = compute_C3(cf, C)
+        norm = math.sqrt(c1.value ** 2 + c2.value ** 2 + C3.value ** 2)
+        return C, C3, c1, c2, norm
+    return cf._cached("dC data", build)
+
+
+def _omega3_frame(cf: Coframe, stage: str):
+    """(frame, dC, its d(omega3) table) for the frame (omega1, omega2, dC/C3),
+    built once per frame; dC's omega3-component is C3, so the volume stays.
+    ``stage`` labels a BudgetError."""
+    def build():
+        C, C3 = _dC_data(cf)[:2]
+        dC = scalar_d(cf.chart, C, stage=stage)
+        new3 = dC.scaled(jets.reciprocal(C3))
+        return cf.replace(forms=(cf.forms[0], cf.forms[1], new3),
+                          stage="case2-adapted"), dC
+    frame, dC = cf._cached("omega3 frame", build)
+    return frame, dC, frame.d_coeffs(2, stage=f"{stage}(d omega3)")
+
+
+def _everywhere(flags, points, what) -> bool:
+    """True if every sample is flagged, False if none, else AmbiguousCase."""
+    if any(flags) and not all(flags):
+        raise AmbiguousCase(f"{what} at some sampled points only",
+                            [p for p, f in zip(points, flags) if f])
+    return all(flags)
 
 
 def case_detect(fld: CoframeField, points, order) -> str:
     """Classify the sampled region as constantC / case1 / case2 / case3."""
-    flat, c3zero, small_B, data = [], [], [], []
+    pts, frames, flat, c3zero = [], [], [], []
     for p in points:
         cf = fld.at(p, order)
-        C, C3, c1, c2, norm = _dC_data(cf)
-        data.append((tuple(p), cf, C, C3, c1, c2, norm))
+        _, C3, _, _, norm = _dC_data(cf)
+        pts.append(tuple(p))
+        frames.append(cf)
         flat.append(norm <= FLAT_DC)
         c3zero.append(abs(C3.value) <= C3_BAND * (1.0 + norm))
-    if all(flat):
+    if _everywhere(flat, pts, "dC vanishes"):
         return "constantC"
-    if any(flat):
-        raise AmbiguousCase("dC vanishes at some sampled points only",
-                            [d[0] for d, f in zip(data, flat) if f])
-    if all(c3zero):
+    if _everywhere(c3zero, pts, "C3 = 0"):
         return "case1"
-    if any(c3zero):
-        raise AmbiguousCase("C3 = 0 at some sampled points only",
-                            [d[0] for d, z in zip(data, c3zero) if z])
-    for (p, cf, C, C3, c1, c2, norm) in data:
-        new3 = scalar_d(cf.chart, C, stage="case_detect").scaled(
-            jets.reciprocal(C3))
-        trial = cf.replace(forms=(cf.forms[0], cf.forms[1], new3))
-        b = trial.d_coeffs(2, stage="case_detect(d omega3)")
-        small_B.append(b[(1, 2)].value ** 2 + b[(0, 2)].value ** 2
-                       <= CASE3_BAND)
-    if all(small_B):
-        return "case3"
-    if any(small_B):
-        raise AmbiguousCase("B1 = B2 = 0 at some sampled points only",
-                            [d[0] for d, s in zip(data, small_B) if s])
-    return "case2"
+    tables = [_omega3_frame(cf, "case_detect")[2] for cf in frames]
+    small_B = [b[(1, 2)].value ** 2 + b[(0, 2)].value ** 2 <= CASE3_BAND
+               for b in tables]
+    return "case3" if _everywhere(small_B, pts, "B1 = B2 = 0") else "case2"
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +259,9 @@ def case2_adapt(cf: Coframe):
         raise CriticalPoint(
             f"C3 = {C3_pre.value!r} vanishes at {cf.point}; not a case-2 point")
 
-    # canonical third covector: omega3 := dC / C3  (volume is unchanged
-    # because dC's omega3-component is exactly C3)
-    w1, w2 = cf.forms[0], cf.forms[1]
-    dC = scalar_d(cf.chart, C, stage="case2_adapt(omega3)")
-    new3 = dC.scaled(jets.reciprocal(C3_pre))
-    frame0 = cf.replace(forms=(w1, w2, new3), stage="case2-adapted")
-
-    b0 = frame0.d_coeffs(2, stage="case2_adapt(d omega3)")
+    # canonical third covector: omega3 := dC / C3
+    frame0, dC, b0 = _omega3_frame(cf, "case2_adapt")
+    w1, w2, new3 = frame0.forms
     B1_0, B2_0 = b0[(1, 2)], b0[(0, 2)]
     s2 = B1_0 * B1_0 + B2_0 * B2_0
     if s2.value <= CASE3_BAND:
@@ -284,7 +297,7 @@ def case2_adapt(cf: Coframe):
         B1=B1.value, B2=B2.value, B3=B3.value,
         zeta=zeta.value, zeta3=zeta3.value,
     )
-    rec.klass, _ = classify(C.value, eps, LINEAR_BAND)
+    rec.klass, _ = classify(C.value, eps)
 
     # the displayed first-structure-equation lines as residuals
     res = rec.residuals
@@ -396,7 +409,7 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
         B1=B1.value, B2=B2.value, B3=B3.value,
         xi=xi.value, rho=rho,
     )
-    rec.klass, _ = classify(C.value, eps, LINEAR_BAND)
+    rec.klass, _ = classify(C.value, eps)
     res = rec.residuals
     res["domega1_23_minus_1"] = abs(k1[(1, 2)].value - 1.0)
     res["domega2_13_minus_eps"] = abs(k2[(0, 2)].value - eps)
@@ -444,7 +457,7 @@ def taut_circle_transform(cf: Coframe, branch=None):
     """
     if cf.eps != -1:
         raise EpsilonMismatch("taut_circle_transform needs eps = -1")
-    C = compute_C(cf)
+    C = cached_C(cf)
     sp = C + 1.0
     sm = 1.0 - C
     here = (1 if sp.value > 0 else -1, 1 if sm.value > 0 else -1)
@@ -486,7 +499,7 @@ def circle_volume_coefficient(cf: Coframe, taut: Coframe, a1: float, a2: float):
     """(eta_a ^ d eta_a) / Omega for a constant coefficient pair (a1, a2)."""
     eta_a = taut.forms[0].scaled(a1) + taut.forms[1].scaled(a2)
     num = wedge(eta_a, ext_d(eta_a, stage="taut_circle(volume)"))
-    return top_ratio(num, cf.volume())
+    return cf.ratio(num)
 
 
 def predicted_circle_coefficient(C: float, C3: float, a1: float, a2: float) -> float:
@@ -507,14 +520,14 @@ def mixed_circle_coefficient(cf: Coframe, taut: Coframe):
     e1, e2 = taut.forms[0], taut.forms[1]
     mixed = wedge(e1, ext_d(e2, stage="taut_circle(mixed)")) + \
         wedge(e2, ext_d(e1, stage="taut_circle(mixed)"))
-    return top_ratio(mixed, cf.volume())
+    return cf.ratio(mixed)
 
 
 def taut_hyperbola_transform(cf: Coframe):
     """Rotate an eps = +1 adapted frame by the hyperbolic half-angle of C."""
     if cf.eps != 1:
         raise EpsilonMismatch("taut_hyperbola_transform needs eps = +1")
-    C = compute_C(cf)
+    C = cached_C(cf)
     theta = jets.asinh(C)
     ch, sh = jets.cosh(theta * 0.5), jets.sinh(theta * 0.5)
     inv = jets.reciprocal(jets.cosh(theta))
@@ -537,11 +550,11 @@ def hyperbola_residuals(cf: Coframe, taut: Coframe, C: Jet, theta: Jet):
     eta1, eta2 = taut.forms[0], taut.forms[1]
     v1 = wedge(eta1, ext_d(eta1, stage="taut_hyperbola(v1)"))
     v2 = wedge(eta2, ext_d(eta2, stage="taut_hyperbola(v2)"))
-    r1 = top_ratio(v1 - (Omega - corr), Omega)
-    r2 = top_ratio(v2 - (Omega.scaled(-1.0) - corr), Omega)
+    r1 = cf.ratio(v1 - (Omega - corr))
+    r2 = cf.ratio(v2 - (Omega.scaled(-1.0) - corr))
     mixed = wedge(eta1, ext_d(eta2, stage="taut_hyperbola(mixed)")) + \
         wedge(eta2, ext_d(eta1, stage="taut_hyperbola(mixed)"))
-    defect = top_ratio(mixed, Omega)
+    defect = cf.ratio(mixed)
     return abs(r1.value), abs(r2.value), defect
 
 
@@ -561,9 +574,8 @@ def cartan_structure_check(fld: CoframeField, points, order,
     for p in points:
         cf = fld.at(p, order)
         w1, w2, w3 = cf.forms
-        Omega = cf.volume()
-        s1 = top_ratio(wedge(w1, ext_d(w2, stage="cartan_check")), Omega)
-        s2 = top_ratio(wedge(w2, ext_d(w1, stage="cartan_check")), Omega)
+        s1 = cf.ratio(wedge(w1, ext_d(w2, stage="cartan_check")))
+        s2 = cf.ratio(wedge(w2, ext_d(w1, stage="cartan_check")))
         if abs(s1.value) > tol.shallow or abs(s2.value) > tol.shallow:
             return None
     eps = fld.eps
@@ -589,8 +601,7 @@ def cartan_structure_check(fld: CoframeField, points, order,
             "domega3_23": abs(c23.value),
         }
         dK = scalar_d(cf.chart, K, stage="cartan_check(dK)")
-        res["dK_wedge_12"] = abs(top_ratio(
-            wedge_all(dK, w1, w2), frame.volume()).value)
+        res["dK_wedge_12"] = abs(frame.ratio(wedge_all(dK, w1, w2)).value)
         out["points"].append(tuple(p))
         out["K"].append(K.value)
         out["residuals"].append(res)
@@ -611,14 +622,14 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
     if cf2.stage != "case2-adapted":
         raise ValueError("invariant_coords needs a case2-adapted frame")
     eps, delta = cf2.eps, cf2.delta
-    C = compute_C(cf2)
+    C = cached_C(cf2)
     dC = scalar_d(cf2.chart, C, stage="invariant_coords(dC)")
     _c1, _c2, C3 = one_form_coeffs(dC, cf2)
     C33 = frame_derivative(C3, cf2, 2, stage="invariant_coords(C33)")
     C333 = frame_derivative(C33, cf2, 2, stage="invariant_coords(C333)")
     dC3 = scalar_d(cf2.chart, C3, stage="invariant_coords(dC3)")
     dC33 = scalar_d(cf2.chart, C33, stage="invariant_coords(dC33)")
-    lhs = top_ratio(wedge_all(dC, dC3, dC33), cf2.volume())
+    lhs = cf2.ratio(wedge_all(dC, dC3, dC33))
 
     b = cf2.d_coeffs(2, stage="invariant_coords(d omega3)")
     B1, B2 = b[(1, 2)], b[(0, 2)]
@@ -670,7 +681,7 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
                                   delta=adapted.delta, case=case,
                                   C=C.value, C1=c1.value, C2=c2.value,
                                   C3=C3.value)
-            rec.klass, _ = classify(C.value, adapted.eps, LINEAR_BAND)
+            rec.klass, _ = classify(C.value, adapted.eps)
             result["records"].append(rec)
     elif case == "case1":
         field1, records = case1_adapt_field(adapted, points, order, tol)

@@ -5,7 +5,9 @@ rebuilding them; every report must stay byte-identical.  These SHA-256
 digests pin one command per driver path: ``analyze`` in case 2, the taut
 hyperbola loop over ``one_adapt``, the constant-C branch with the
 ``curvature_12`` loop over the adapted field, ``cartan_structure_check``,
-and ``analyze`` in case 1 on the definition-file fixture.  Every command runs
+``analyze`` in case 1 on the definition-file fixture, the taut circle
+branch, the self-volume ratios of ``check``, C in ``classify``, and the 4D
+``curvature`` command with its Pfaffian.  Every command runs
 from the repository root, since a report echoes its source path.
 """
 
@@ -30,6 +32,14 @@ GOLDEN = [
     (["invariants", "tests/data/case1_frame.txt", "--points", "4", "--order",
       "6"],
      "14aee915d3854fe1451a6213914a1f442a2e1d522cf8e65e1991edaa2dd8d815"),
+    (["taut", "sphere_frame", "--points", "4", "--order", "6"],
+     "f3037eaa2cadbfc036a4251261e6711fd7016ed8da218a604e00cb2f4d2200a0"),
+    (["check", "eta_frame", "--points", "4", "--order", "6"],
+     "cc631e07d754b08a5e54daefa7232d47caf082cfa05767e14d989647514578ce"),
+    (["classify", "eta_frame", "--points", "4", "--order", "6"],
+     "16c5b2e6b55a2ce6b56c97a1f781044571ca58e9f4ec1f88dfcc18ec5c769d00"),
+    (["curvature", "fourd_enonzero", "--points", "2", "--order", "6"],
+     "244ef2b6b01db4a86a8b4ea46f9d9977a4bb76210e01b75e918750c80b2cc5fd"),
 ]
 
 

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from bicontact.curvature import _integrability_defect
 from bicontact.errors import BudgetError, SingularVolumeError
 from bicontact.expressions import eval_jet, parse
 from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressions,
-                             ext_d, frobenius_defect, one_form_coeffs,
-                             scalar_d, top_ratio, two_form_coeffs, wedge,
-                             wedge_all)
+                             ext_d, one_form_coeffs, scalar_d, top_ratio,
+                             two_form_coeffs, wedge, wedge_all)
 from bicontact.jets import Jet
 
 CH3 = Chart(("x", "y", "z"))
@@ -152,13 +152,18 @@ def test_coefficient_reconstruction_round_trip():
 
 
 def test_frobenius_defect():
+    dx, dy = PForm.d_coord(CH3, 0, 5), PForm.d_coord(CH3, 1, 5)
+
+    def defect(alpha):
+        return _integrability_defect(Coframe(CH3, POINT, (dx, dy, alpha)), 2)
+
     dz = PForm.d_coord(CH3, 2, 5)
-    assert abs(frobenius_defect(dz).value) < 1e-15
+    assert defect(dz) < 1e-15
     # dz + x dy is a contact form: defect is the unit volume coefficient
     contact = PForm(CH3, 1, {(0,): Jet.constant(0.0, 3, 5),
                              (1,): Jet.variable(POINT[0], 0, 3, 5),
                              (2,): Jet.constant(1.0, 3, 5)})
-    assert abs(frobenius_defect(contact).value) == pytest.approx(1.0, abs=1e-13)
+    assert defect(contact) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_coframe_volume_and_dual():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from bicontact.errors import ContactFailure, MixedEpsilon
+from bicontact import pipeline
+from bicontact.errors import AmbiguousCase, ContactFailure, MixedEpsilon
 from bicontact.examples import build_example
 from bicontact.forms import Chart, coframe_field_from_expressions
-from bicontact.pipeline import (Tolerances, analyze, case2_adapt, classify,
-                                compute_C, invariant_coords, one_adapt)
+from bicontact.pipeline import (Tolerances, analyze, case2_adapt, case_detect,
+                                classify, compute_C, invariant_coords,
+                                one_adapt)
 from conftest import box_points
 
 TOL = Tolerances()
@@ -20,18 +22,18 @@ def _points(spec, n=6, seed=11):
 def test_classify_truth_table():
     # eps=+1 is hyperbolic for every C; eps=-1 splits at |C|=1
     for c in (-3.0, 0.0, 0.4, 10.0):
-        tag, q = classify(c, 1, 1e-9)
+        tag, q = classify(c, 1)
         assert tag == "hyperbolic"
         assert q.coefficients == (1.0, -1.0, 2.0 * c)
-    assert classify(0.0, -1, 1e-9)[0] == "elliptic"
-    assert classify(0.97, -1, 1e-9)[0] == "elliptic"
-    assert classify(-2.5, -1, 1e-9)[0] == "hyperbolic"
+    assert classify(0.0, -1)[0] == "elliptic"
+    assert classify(0.97, -1)[0] == "elliptic"
+    assert classify(-2.5, -1)[0] == "hyperbolic"
     for c in (1.0, -1.0, 1.0 + 1e-12, -1.0 + 1e-11):
-        tag, q = classify(c, -1, 1e-9)
+        tag, q = classify(c, -1)
         assert tag == "linear"
     # just outside the band classifies normally again
-    assert classify(1.0 + 1e-6, -1, 1e-9)[0] == "hyperbolic"
-    assert classify(1.0 - 1e-6, -1, 1e-9)[0] == "elliptic"
+    assert classify(1.0 + 1e-6, -1)[0] == "hyperbolic"
+    assert classify(1.0 - 1e-6, -1)[0] == "elliptic"
 
 
 def test_case_tags_across_examples():
@@ -117,6 +119,40 @@ def test_invariant_coordinate_identity():
         assert info["volume_ratio"] == pytest.approx(info["predicted"],
                                                      abs=1e-6)
         assert info["C"] == pytest.approx(extras["C"].value, abs=1e-9)
+
+
+def _dC_norm(cf):
+    return pipeline._dC_data(cf)[4]
+
+
+def _C3_ratio(cf):
+    _, C3, _, _, norm = pipeline._dC_data(cf)
+    return abs(C3.value) / (1.0 + norm)
+
+
+def _B_square(cf):
+    b = pipeline._omega3_frame(cf, "test")[2]
+    return b[(1, 2)].value ** 2 + b[(0, 2)].value ** 2
+
+
+@pytest.mark.parametrize("band,measure,what", [
+    ("FLAT_DC", _dC_norm, "dC vanishes"),
+    ("C3_BAND", _C3_ratio, "C3 = 0"),
+    ("CASE3_BAND", _B_square, "B1 = B2 = 0"),
+], ids=["flat", "C3", "B"])
+def test_case_detect_names_the_samples_that_disagree(monkeypatch, band,
+                                                     measure, what):
+    # a band between the samples' own values flags some of them only
+    spec = build_example("normal_form_3d")
+    pts = _points(spec, 4)
+    adapted = one_adapt(spec.coframes(), pts, 6)
+    values = [measure(adapted.at(p, 6)) for p in pts]
+    low, high = sorted(values)[1:3]
+    monkeypatch.setattr(pipeline, band, 0.5 * (low + high))
+    with pytest.raises(AmbiguousCase) as err:
+        case_detect(adapted, pts, 6)
+    assert str(err.value).startswith(f"{what} at some sampled points only")
+    assert err.value.points == [p for p, v in zip(pts, values) if v <= low]
 
 
 def test_mixed_epsilon_raises():

@@ -21,7 +21,7 @@ from bicontact.curvature import ConnectionMatrix, curvature, levi_civita
 from bicontact.errors import SingularVolumeError
 from bicontact.examples import EXAMPLES, build_example
 from bicontact.forms import (Chart, Coframe, PForm, ext_d, top_ratio,
-                             two_form_coeffs, wedge)
+                             two_form_coeffs, wedge, wedge_all)
 from bicontact.jets import reciprocal
 from conftest import DATA
 
@@ -113,16 +113,16 @@ def test_memoized_connection_forms_equal_fresh_builds():
             assert _bits(kept) == _bits(fresh.form(i, j))
 
 
-def _frame4(order):
-    chart = Chart(("x", "y", "z", "w"))
-    point = (0.3, -0.2, 0.5, 0.1)
+def _frame4(order, dim=4):
+    chart = Chart(("x", "y", "z", "w")[:dim])
+    point = (0.3, -0.2, 0.5, 0.1)[:dim]
     coords = chart.coordinate_jets(point, order)
     rng = np.random.default_rng(11)
-    mat = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    mat = rng.standard_normal((dim, dim)) + dim * np.eye(dim)
     forms = tuple(
-        PForm(chart, 1, {(j,): coords[(i + j) % 4] * coords[j] * 0.1
-                         + float(mat[i, j]) for j in range(4)})
-        for i in range(4))
+        PForm(chart, 1, {(j,): coords[(i + j) % dim] * coords[j] * 0.1
+                         + float(mat[i, j]) for j in range(dim)})
+        for i in range(dim))
     return chart, point, Coframe(chart, point, forms)
 
 
@@ -157,4 +157,30 @@ def test_cached_volume_reciprocal_raises_like_top_ratio():
     with pytest.raises(SingularVolumeError) as cached:
         two_form_coeffs(beta, flat)
     assert str(cached.value) == str(direct.value)
-    assert not getattr(flat, "_vinv", None)
+    assert not any(isinstance(key, tuple) and key[0] == "reciprocal"
+                   for key in flat._memo)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_ratio_is_bit_equal_to_top_ratio(dim):
+    for order in (2, 4, 6):
+        chart, point, frame = _frame4(order, dim)
+        coords = chart.coordinate_jets(point, 6)
+        f = coords[0] * coords[1] + coords[dim - 1] + 2.0
+        for low in (6, order, 1):
+            top = wedge_all(*(
+                PForm(chart, 1, {(j,): (coords[(i + j) % dim] * f
+                                        + float(i == j)).truncate(low)
+                                 for j in range(dim)})
+                for i in range(dim)))
+            got = frame.ratio(top)
+            want = top_ratio(top, frame.volume())
+            assert got.order == want.order
+            assert got.c.tobytes() == want.c.tobytes()
+        flat = frame.replace(
+            forms=frame.forms[:-1] + (PForm.zero(chart, 1, order),))
+        with pytest.raises(SingularVolumeError) as direct:
+            top_ratio(top, flat.volume())
+        with pytest.raises(SingularVolumeError) as cached:
+            flat.ratio(top)
+        assert str(cached.value) == str(direct.value)

@@ -7,7 +7,8 @@ other point or order raises ``KeyError``, since the driver's region-wide
 checks never saw it.  The kept frames agree bit for bit with a fresh build,
 and each frame's structure table ``d_coeffs`` is computed once and shared by
 every later stage, so coefficient extraction runs a fixed number of times
-per point.
+per point.  So do C, the omega3 = dC/C3 frame of case 2 and the dE expansion
+of a 4D frame, which each frame memoizes.
 """
 
 import io
@@ -38,6 +39,18 @@ def _counting(monkeypatch, owner, name, *aliases):
     return calls
 
 
+def _aliases(owner, name):
+    """The ``(module, name)`` pairs that import ``owner.name`` directly."""
+    return tuple((m, name) for m in (cli, curvature, fourdim, pipeline)
+                 if m is not owner
+                 and getattr(m, name, None) is getattr(owner, name))
+
+
+def _run(args):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0
+
+
 def _frame_bytes(cf):
     return [f.coeffs[k].c.tobytes() for f in cf.forms for k in sorted(f.coeffs)]
 
@@ -60,28 +73,45 @@ def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
 def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
     calls = _counting(monkeypatch, curvature, "curvature",
                       (cli, "curvature_of"))
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(["curvature", "normal_form_3d", "--points", "5"]) == 0
+    _run(["curvature", "normal_form_3d", "--points", "5"])
     assert len(calls) == 5
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 8 * 5),
+    (["curvature", "normal_form_3d", "--points", "5"], 7 * 5),
     (["fourdim", "fourd_enonzero", "--points", "2"], 10 * 2),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
 def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
                                                       calls):
-    # per point in 3D: case_detect 1, case2_adapt 4, curvature 3, with
-    # levi_civita reading case2_adapt's table; in 4D: symp_structure 4,
-    # curvature 6, with levi_civita reading symp_structure's table
-    aliases = tuple((m, "two_form_coeffs")
-                    for m in (cli, curvature, fourdim, pipeline)
-                    if getattr(m, "two_form_coeffs", None)
-                    is forms.two_form_coeffs)
-    counted = _counting(monkeypatch, forms, "two_form_coeffs", *aliases)
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(args) == 0
+    # per point in 3D: case_detect 1, case2_adapt 3, reading the B-table
+    # that case_detect built, curvature 3, with levi_civita reading
+    # case2_adapt's table; in 4D: symp_structure 4, curvature 6, with
+    # levi_civita reading symp_structure's table
+    counted = _counting(monkeypatch, forms, "two_form_coeffs",
+                        *_aliases(forms, "two_form_coeffs"))
+    _run(args)
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("args", [
+    ["invariants", "normal_form_3d", "--points", "5"],
+    ["taut", "sphere_frame", "--points", "5"],
+], ids=lambda args: " ".join(args[:2]))
+def test_each_frame_computes_C_once(monkeypatch, args):
+    calls = _counting(monkeypatch, pipeline, "compute_C",
+                      *_aliases(pipeline, "compute_C"))
+    _run(args)
+    assert len(calls) == 5
+
+
+def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
+        monkeypatch):
+    expansions = _counting(monkeypatch, fourdim, "e_expansion")
+    ratios = _counting(monkeypatch, forms, "top_ratio",
+                       *_aliases(forms, "top_ratio"))
+    _run(["fourdim", "fourd_enonzero", "--points", "2"])
+    assert len(expansions) == 2
+    assert not ratios
 
 
 def test_kept_frames_are_bounded_by_the_sample_list():
