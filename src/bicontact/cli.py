@@ -358,9 +358,11 @@ def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             row["leaf_curvature"] = leaf.K_leaf
             row["residuals"]["leaf_integrability"] = leaf.defect
         except NotIntegrable as exc:
+            # a frame without leaves has no leaf geometry; that is data about
+            # the frame, not a failure of the run
             row["mean_curvature"] = None
             row["leaf_curvature"] = None
-            rep.add_error("leaf_geometry", exc)
+            row["residuals"]["leaf_integrability"] = exc.defect
         rep.records.append(row)
     rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
     rep.checks.append(check("connection_consistency",
@@ -414,7 +416,7 @@ def _cmd_normal_form(cfg: RunConfig, rep: Report):
     drift = sol.wronskian_drift(zgrid)
     rep.checks.append(check("wronskian_drift", drift, tol.deep))
 
-    fld = fourdim.normal_form_4d(ode, h=h, z_span=span)
+    fld = fourdim.normal_form_4d(sol, h=h)
     margin = 0.1 * (span[1] - span[0])
     box = cfg.box or ((-0.8, 0.8), (-0.8, 0.8),
                       (span[0] + margin, span[1] - margin), (0.2, 1.8))

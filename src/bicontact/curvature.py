@@ -192,7 +192,8 @@ def leaf_geometry(frame: Coframe, conn: ConnectionMatrix | None = None,
     dval = _integrability_defect(frame, normal)
     if dval > INTEGRABLE:
         raise NotIntegrable(
-            f"omega^{normal + 1} is not integrable: defect {dval!r}")
+            f"omega^{normal + 1} is not integrable: defect {dval!r}",
+            defect=dval)
     if conn is None:
         conn = levi_civita(frame)
     shape = [[conn.gamma[normal][i][j].value for j in tangent] for i in tangent]

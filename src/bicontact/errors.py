@@ -89,7 +89,11 @@ class EpsilonMismatch(BicontactError):
 
 class NotIntegrable(BicontactError):
     """The plane field whose leaf geometry was requested fails the
-    integrability (Frobenius) check."""
+    integrability (Frobenius) check; ``defect`` is the measured defect."""
+
+    def __init__(self, message: str, defect: float | None = None):
+        self.defect = defect
+        super().__init__(message)
 
 
 class OdeStepFailure(BicontactError):

@@ -12,11 +12,26 @@ Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
 the data derived from it in one memo, and :meth:`Coframe.ratio` divides a
 top-degree form by the frame's volume through the cached reciprocal.
+
+:func:`wedge` and :func:`ext_d` are array kernels.  They stack the input
+coefficients, truncated to the common order, into one array and run a
+gather/scatter plan cached per (dim, order, key order of each input): one
+batched convolution from ``jets._mul_table`` (or one gather from
+``jets._diff_table``) and ``np.bincount`` sums, with a ``Jet`` built only for
+each output coefficient.  Their results are bit-equal to the per-term ``Jet``
+loops they replaced, which the tests keep as the oracle: ``np.bincount`` adds
+in input order, so every sum runs in the loop's order, and a wedge factor
+without a derivative part takes ``Jet.__mul__``'s scaling path.  This holds
+for finite coefficients at any mix of orders, and for inf and NaN entries
+when each form's coefficients share one order.  The one exception is which
+of two NaNs a product or sum keeps (its sign and payload bits): NumPy's own
+choice depends on array length and position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
@@ -122,22 +137,95 @@ def _merge_sign(a, b):
     return -1.0 if inv % 2 else 1.0
 
 
+def _stacked(forms, n: int) -> np.ndarray:
+    """The coefficients of the forms as rows, in dict order, truncated to n
+    (a prefix slice, because the coefficient order is graded)."""
+    return np.array([j.c[:n] for f in forms for j in f.coeffs.values()])
+
+
+def _output(chart, degree, order, keys, rows) -> PForm:
+    return PForm(chart, degree, {k: Jet(chart.dim, order, r)
+                                 for k, r in zip(keys, rows)})
+
+
+# Flat entries per convolution batch in ``wedge``.  Larger temporaries cost
+# more in fresh memory pages than the batching saves (dim 4, order 6).
+_BATCH = 8192
+
+
+@lru_cache(maxsize=None)
+def _wedge_plan(dim, order, keys_a, keys_b):
+    """Gather/scatter plan of ``wedge`` for inputs with these coefficient keys
+    (in dict order) at truncation order ``order``.
+
+    Its terms run in the order of the loop over the keys of a, then of b, with
+    rows ``ra`` and ``rb`` of the coefficients of a and b stacked in that
+    order, and merge ``sign``.  Per term, ``gather_a`` and ``gather_b`` index
+    the flattened stack with the pairs of ``jets._mul_table``, and
+    ``conv_bins`` holds their flat (term, coefficient) targets; ``out_bins``
+    flattens (output key, coefficient) for every term coefficient."""
+    out_keys = tuple(combinations(range(dim), len(keys_a[0]) + len(keys_b[0])))
+    slot = {k: r for r, k in enumerate(out_keys)}
+    ra, rb, ro, sign = [], [], [], []
+    for i, ka in enumerate(keys_a):
+        for j, kb in enumerate(keys_b, start=len(keys_a)):
+            if set(ka) & set(kb):
+                continue
+            ra.append(i)
+            rb.append(j)
+            ro.append(slot[tuple(sorted(ka + kb))])
+            sign.append(_merge_sign(ka, kb))
+    n = jets.ncoeffs(dim, order)
+    I, J, T = jets._mul_table(dim, order)
+    ra, rb = np.asarray(ra), np.asarray(rb)
+
+    def flat(rows, cols):
+        return (rows[:, None] * n + cols).ravel()
+
+    return (out_keys, ra, rb, np.asarray(sign)[:, None], flat(ra, I),
+            flat(rb, J), flat(np.arange(len(ra)), T),
+            flat(np.asarray(ro), np.arange(n)))
+
+
 def wedge(a: PForm, b: PForm) -> PForm:
+    """a ^ b, bit-equal to summing ``(ja * jb) * sign`` term by term, in the
+    order of a's keys and then b's, into zero jets of the common order."""
     if a.chart is not b.chart and a.chart != b.chart:
         raise ValueError("wedge of forms on different charts")
     deg = a.degree + b.degree
     if deg > a.chart.dim:
         raise ValueError(f"wedge degree {deg} exceeds chart dimension")
     order = min(a.order, b.order)
-    out = PForm.zero(a.chart, deg, order)
-    for ka, ja in a.coeffs.items():
-        for kb, jb in b.coeffs.items():
-            if set(ka) & set(kb):
-                continue
-            key = tuple(sorted(ka + kb))
-            term = (ja * jb) * _merge_sign(ka, kb)
-            out.coeffs[key] = out.coeffs[key] + term
-    return out
+    dim = a.chart.dim
+    (out_keys, ra, rb, sign, gather_a, gather_b, conv_bins,
+     out_bins) = _wedge_plan(dim, order, tuple(a.coeffs), tuple(b.coeffs))
+    n = jets.ncoeffs(dim, order)
+    stack = _stacked((a, b), n)
+    flat = stack.ravel()
+    pairs = len(conv_bins) // len(ra)
+    step = max(1, _BATCH // pairs) * pairs
+    prod = np.empty(len(ra) * n)
+    for s in range(0, len(conv_bins), step):
+        w = flat[gather_a[s:s + step]]
+        w *= flat[gather_b[s:s + step]]
+        size = len(w) // pairs * n
+        lo = s // pairs * n
+        prod[lo:lo + size] = np.bincount(conv_bins[:len(w)], weights=w,
+                                         minlength=size)
+    prod = prod.reshape(len(ra), n)
+    # A factor without a derivative part takes Jet.__mul__'s scaling path,
+    # which differs from the convolution only for inf and NaN entries.  The
+    # "+ 0.0" of Jet.__mul__ is left out here and below: the sums start from
+    # +0.0, which turns a -0.0 term into +0.0 all the same.
+    live = stack[:, 1:].any(axis=1)
+    if not live.all():
+        ga, gb = stack[ra], stack[rb]
+        prod = np.where(~live[rb, None], ga * gb[:, :1],
+                        np.where(~live[ra, None], gb * ga[:, :1], prod))
+    out = np.bincount(out_bins, weights=(prod * sign).ravel(),
+                      minlength=len(out_keys) * n)
+    return _output(a.chart, deg, order, out_keys,
+                   out.reshape(len(out_keys), n))
 
 
 def wedge_all(*forms):
@@ -147,8 +235,36 @@ def wedge_all(*forms):
     return acc
 
 
+@lru_cache(maxsize=None)
+def _ext_d_plan(dim, order, keys):
+    """Gather/scatter plan of ``ext_d`` for a form with these coefficient keys
+    (in dict order) at truncation order ``order``: per term (key, axis), in
+    the loop's order, the flat source index into the stacked coefficients,
+    the factor ``jets._diff_table`` gives times the sign, and the flat
+    (output key, coefficient) target.  With the sign s = +-1 on the factor f,
+    x * (f * s) equals the loop's (x * f) * s bit for bit."""
+    out_keys = tuple(combinations(range(dim), len(keys[0]) + 1))
+    slot = {k: r for r, k in enumerate(out_keys)}
+    n_hi, n_lo = jets.ncoeffs(dim, order), jets.ncoeffs(dim, order - 1)
+    src, fac, dst = [], [], []
+    for r, key in enumerate(keys):
+        for axis in range(dim):
+            if axis in key:
+                continue
+            pos = sum(1 for k in key if k < axis)
+            s, d, f = jets._diff_table(dim, order, axis)
+            src.append(r * n_hi + s)
+            fac.append(f * (-1.0 if pos % 2 else 1.0))
+            dst.append(slot[tuple(sorted(key + (axis,)))] * n_lo + d)
+    return (out_keys, np.concatenate(src), np.concatenate(fac),
+            np.concatenate(dst))
+
+
 def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
-    """Exterior derivative; consumes one derivative-order level."""
+    """Exterior derivative; consumes one derivative-order level.
+
+    Bit-equal to summing ``jets.partial(j, axis) * sign`` term by term into
+    zero jets, in the order of a's keys and then the axes."""
     if a.order < 1:
         raise BudgetError(stage)
     if a.degree == a.chart.dim:
@@ -156,17 +272,13 @@ def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
         # never need it, but guard with a clear message anyway
         raise ValueError("exterior derivative of a top-degree form")
     order = a.order
-    out = PForm.zero(a.chart, a.degree + 1, order - 1)
-    for key, j in a.coeffs.items():
-        j = j.truncate(order)
-        for axis in range(a.chart.dim):
-            if axis in key:
-                continue
-            pos = sum(1 for k in key if k < axis)
-            newkey = tuple(sorted(key + (axis,)))
-            term = jets.partial(j, axis) * (-1.0 if pos % 2 else 1.0)
-            out.coeffs[newkey] = out.coeffs[newkey] + term
-    return out
+    dim = a.chart.dim
+    out_keys, src, fac, dst = _ext_d_plan(dim, order, tuple(a.coeffs))
+    n = jets.ncoeffs(dim, order - 1)
+    vals = _stacked((a,), jets.ncoeffs(dim, order)).ravel()[src] * fac
+    out = np.bincount(dst, weights=vals, minlength=len(out_keys) * n)
+    return _output(a.chart, a.degree + 1, order - 1, out_keys,
+                   out.reshape(len(out_keys), n))
 
 
 def top_ratio(a: PForm, b: PForm) -> Jet:

@@ -383,8 +383,9 @@ _CHART4 = ("x", "y", "z", "w")
 _IDENTITY_H = (("1", "0"), ("0", "1"))
 
 
-def normal_form_4d(ode: QOde, h=None, z_span=(-1.2, 1.2)) -> CoframeField:
-    """Coframe field built from the ODE solutions on the chart (x, y, z, w).
+def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
+    """Coframe field built from the solved ODE ``sol`` (from ``solve_q``) on
+    the chart (x, y, z, w); frames exist for z in the solved interval.
 
     With S = Q-solution data, h a 2x2 matrix of expressions in (x, y) and
     K = (h11 Q1 + h12 Q2)/sqrt(w), L = (h21 Q1 + h22 Q2)/sqrt(w):
@@ -404,7 +405,7 @@ def normal_form_4d(ode: QOde, h=None, z_span=(-1.2, 1.2)) -> CoframeField:
     rows = h if h is not None else _IDENTITY_H
     hnodes = [[expressions.parse(str(e), _CHART4) for e in row]
               for row in rows]
-    sol = solve_q(ode, z_span)
+    ode = sol.ode
     w0 = ode.W0
 
     def build(point, order):

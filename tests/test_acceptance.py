@@ -271,7 +271,8 @@ def test_criterion_10_profile_ode_and_build():
             worst_ode = max(worst_ode, abs(q1 - f1(z)), abs(q2 - f2(z)))
         worst_drift = max(worst_drift, sol.wronskian_drift(zs))
     ode = QOde("tan(z)", -1)
-    fld = normal_form_4d(ode, h=(("1", "0"), ("x^2/2", "1")))
+    fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)),
+                         h=(("1", "0"), ("x^2/2", "1")))
     pts = box_points(((-0.8, 0.8), (-0.8, 0.8), (-0.9, 0.9), (0.2, 1.8)),
                      4, seed=110)
     worst = verify_normal_form(fld, ode, pts, order=6)

@@ -7,7 +7,10 @@ hyperbola loop over ``one_adapt``, the constant-C branch with the
 ``curvature_12`` loop over the adapted field, ``cartan_structure_check``,
 ``analyze`` in case 1 on the definition-file fixture, the taut circle
 branch, the self-volume ratios of ``check``, C in ``classify``, and the 4D
-``curvature`` command with its Pfaffian.  Every command runs
+``curvature`` command with its Pfaffian.  Three more run at the default
+order: ``fourdim`` in 4D (the wedge and ``ext_d`` kernels at order 2), the
+``normal-form`` profile solve and build, and the 3D ``curvature`` command
+with its leaf geometry.  Every command runs
 from the repository root, since a report echoes its source path.
 """
 
@@ -40,6 +43,12 @@ GOLDEN = [
      "16c5b2e6b55a2ce6b56c97a1f781044571ca58e9f4ec1f88dfcc18ec5c769d00"),
     (["curvature", "fourd_enonzero", "--points", "2", "--order", "6"],
      "244ef2b6b01db4a86a8b4ea46f9d9977a4bb76210e01b75e918750c80b2cc5fd"),
+    (["fourdim", "fourd_enonzero", "--points", "2"],
+     "8eca017e0e0e95834a9717d18b63f04785f692a70893a6669961cca276a5d3dd"),
+    (["normal-form", "z^2", "--points", "5"],
+     "f72f7de1272ee8ad93fc7df350b6dd6ec791379b668a1973772cead6ebfcc4c7"),
+    (["curvature", "eta_frame", "--points", "4"],
+     "0cc1a14d1d58587fd5dca9d4e164c0d49fcdf603eb938cfa9519b05bdfd89734"),
 ]
 
 

@@ -1,9 +1,11 @@
 """Exterior calculus on jet-coefficient forms: wedge, d, ratios, coframes."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicontact.curvature import _integrability_defect
 from bicontact.errors import BudgetError, SingularVolumeError
@@ -11,7 +13,7 @@ from bicontact.expressions import eval_jet, parse
 from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressions,
                              ext_d, one_form_coeffs, scalar_d, top_ratio,
                              two_form_coeffs, wedge, wedge_all)
-from bicontact.jets import Jet
+from bicontact.jets import Jet, ncoeffs, partial
 
 CH3 = Chart(("x", "y", "z"))
 
@@ -221,3 +223,130 @@ def test_d_coeffs_is_the_cached_structure_table_of_each_covector():
         for pair in fresh:
             assert table[pair].c.tobytes() == fresh[pair].c.tobytes()
         assert frame.d_coeffs(i) is table
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the array kernels of wedge and ext_d against the per-term
+# loops they replaced
+
+def _loop_wedge(a, b):
+    order = min(a.order, b.order)
+    out = PForm.zero(a.chart, a.degree + b.degree, order)
+    for ka, ja in a.coeffs.items():
+        for kb, jb in b.coeffs.items():
+            if set(ka) & set(kb):
+                continue
+            key = tuple(sorted(ka + kb))
+            inv = sum(1 for i in ka for j in kb if i > j)
+            term = (ja * jb) * (-1.0 if inv % 2 else 1.0)
+            out.coeffs[key] = out.coeffs[key] + term
+    return out
+
+
+def _loop_ext_d(a):
+    order = a.order
+    out = PForm.zero(a.chart, a.degree + 1, order - 1)
+    for key, j in a.coeffs.items():
+        j = j.truncate(order)
+        for axis in range(a.chart.dim):
+            if axis in key:
+                continue
+            pos = sum(1 for k in key if k < axis)
+            newkey = tuple(sorted(key + (axis,)))
+            term = partial(j, axis) * (-1.0 if pos % 2 else 1.0)
+            out.coeffs[newkey] = out.coeffs[newkey] + term
+    return out
+
+
+CHARTS = {3: CH3, 4: Chart(("x", "y", "z", "w"))}
+KINDS = ("dense", "sparse", "constant", "zero")
+SPECIAL = (0.0, -0.0, 1.0, -2.5, 1e-300, -1e300)
+NONFINITE = (math.inf, -math.inf, math.nan, -math.nan)
+
+
+def _coefficients(rng, kind, n, finite):
+    palette = SPECIAL if finite else SPECIAL + NONFINITE
+    c = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    pick = rng.random(n) < (0.6 if kind == "sparse" else 0.15)
+    c[pick] = rng.choice(palette, pick.sum())
+    if kind in ("constant", "zero"):
+        c[1:] = rng.choice((0.0, -0.0), n - 1)
+    if kind == "zero":
+        c[0] = rng.choice((0.0, -0.0))
+    return c
+
+
+@st.composite
+def _forms(draw, degrees, least_order):
+    """Forms of the given degrees on one chart, each coefficient a random
+    jet of a drawn kind, and whether every value is finite.  Coefficient
+    orders are mixed for finite values and shared within each form otherwise;
+    dict insertion order is shuffled."""
+    dim = draw(st.sampled_from((3, 4)))
+    degs = draw(degrees(dim))
+    finite = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = []
+    for deg in degs:
+        keys = draw(st.permutations(list(combinations(range(dim), deg))))
+        base = draw(st.integers(least_order, 6))
+        coeffs = {}
+        for key in keys:
+            order = draw(st.integers(base, 6)) if finite else base
+            kind = draw(st.sampled_from(KINDS))
+            coeffs[key] = Jet(dim, order, _coefficients(
+                rng, kind, ncoeffs(dim, order), finite))
+        out.append(PForm(CHARTS[dim], deg, coeffs))
+    return out, finite
+
+
+def _wedge_degrees(dim):
+    return st.sampled_from([(p, q) for p in range(dim + 1)
+                            for q in range(dim + 1 - p)])
+
+
+def _bits(c, finite):
+    # A product of two NaNs keeps one of them, and which one NumPy keeps
+    # depends on the array length and the element's place in it, so no
+    # batched kernel can reproduce the loop's NaN sign and payload bits.
+    # Nonfinite inputs are therefore compared with every NaN made canonical:
+    # NaN where the loop has NaN, every other value bit for bit.
+    return (c if finite else np.where(np.isnan(c), np.nan, c)).tobytes()
+
+
+def _assert_bit_equal(got, want, finite):
+    assert got.degree == want.degree
+    assert list(got.coeffs) == list(want.coeffs)
+    for key, jet in want.coeffs.items():
+        assert got.coeffs[key].order == jet.order
+        assert _bits(got.coeffs[key].c, finite) == _bits(jet.c, finite), key
+
+
+@given(_forms(_wedge_degrees, 0))
+@settings(max_examples=300, deadline=None)
+def test_wedge_kernel_is_bit_equal_to_the_term_loop(drawn):
+    (a, b), finite = drawn
+    with np.errstate(all="ignore"):
+        _assert_bit_equal(wedge(a, b), _loop_wedge(a, b), finite)
+
+
+@given(_forms(lambda dim: st.tuples(st.integers(0, dim - 1)), 1))
+@settings(max_examples=200, deadline=None)
+def test_ext_d_kernel_is_bit_equal_to_the_term_loop(drawn):
+    (a,), finite = drawn
+    with np.errstate(all="ignore"):
+        _assert_bit_equal(ext_d(a), _loop_ext_d(a), finite)
+
+
+def test_kernels_keep_their_errors():
+    a = _one_form(("y", "x", "0"), POINT, order=0)
+    with pytest.raises(BudgetError):
+        ext_d(a, stage="unit-test")
+    top = wedge_all(*(PForm.d_coord(CH3, i, 2) for i in range(3)))
+    with pytest.raises(ValueError, match="top-degree"):
+        ext_d(top)
+    with pytest.raises(ValueError, match="exceeds chart dimension"):
+        wedge(top, PForm.d_coord(CH3, 0, 2))
+    with pytest.raises(ValueError, match="different charts"):
+        wedge(PForm.d_coord(CH3, 0, 2),
+              PForm.d_coord(CHARTS[4], 0, 2))

@@ -149,7 +149,7 @@ def test_q_jets_satisfy_the_equation():
 
 def test_normal_form_4d_with_compatible_h():
     ode = QOde("tan(z)", -1)
-    fld = normal_form_4d(ode, h=GOOD_H)
+    fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)), h=GOOD_H)
     pts = box_points(BOX4, 5, seed=47)
     worst = verify_normal_form(fld, ode, pts, order=6)
     for key in ("domega1", "domega2", "domega3", "domega4"):
@@ -161,7 +161,7 @@ def test_normal_form_4d_with_compatible_h():
 
 def test_normal_form_4d_other_invariant_and_sign():
     ode = QOde("0.3*z", 1)
-    fld = normal_form_4d(ode, h=GOOD_H)
+    fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)), h=GOOD_H)
     pts = box_points(BOX4, 2, seed=48)
     worst = verify_normal_form(fld, ode, pts, order=6)
     assert max(worst[k] for k in ("domega1", "domega2", "domega3",
@@ -173,7 +173,7 @@ def test_normal_form_identity_h_breaks_round_trip():
     """The identity matrix satisfies the first three structure equations but
     produces a frame whose scale invariant is 0, not w."""
     ode = QOde("tan(z)", -1)
-    fld = normal_form_4d(ode)
+    fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)))
     pts = box_points(BOX4, 3, seed=49)
     worst = verify_normal_form(fld, ode, pts, order=6)
     for key in ("domega1", "domega2", "domega3", "domega4"):
@@ -183,10 +183,11 @@ def test_normal_form_identity_h_breaks_round_trip():
 
 def test_normal_form_guards():
     ode = QOde("0", -1)
-    degenerate = normal_form_4d(ode, h=(("1", "1"), ("1", "1")))
+    degenerate = normal_form_4d(solve_q(ode, (-1.2, 1.2)),
+                                h=(("1", "1"), ("1", "1")))
     with pytest.raises(DegenerateH):
         degenerate.at((0.1, 0.2, 0.0, 0.5), 4)
-    good = normal_form_4d(ode, h=GOOD_H)
+    good = normal_form_4d(solve_q(ode, (-1.2, 1.2)), h=GOOD_H)
     with pytest.raises(DomainError):
         good.at((0.1, 0.2, 0.0, -0.5), 4)
     with pytest.raises(DomainError):

@@ -180,6 +180,22 @@ def test_cli_curvature_on_torus(tmp_path):
     assert all(c["passed"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("source", ["sphere_frame",
+                                    str(DATA / "case1_frame.txt")])
+def test_cli_curvature_without_leaves_passes(tmp_path, source):
+    """A normal covector that is not integrable has no leaves: the leaf
+    fields are null and its defect is filed as a residual, not an error."""
+    out = tmp_path / "rep.json"
+    assert main(["curvature", source, "--points", "3", "--out",
+                 str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is True and rep["errors"] == []
+    for row in rep["records"]:
+        assert row["mean_curvature"] is None
+        assert row["leaf_curvature"] is None
+        assert row["residuals"]["leaf_integrability"] > 1e-8
+
+
 def test_cli_check_taut_fourdim_example(tmp_path):
     for args in (["check", str(DATA / "hyp_ex.txt"), "--points", "5"],
                  ["taut", "hyp_c3", "--points", "4"],

@@ -1,0 +1,88 @@
+"""Hash the report of every command over a fixed sweep of sources and orders.
+
+    python tools/report_sweep.py SWEEP.json            # write {argv: sha256}
+    python tools/report_sweep.py --compare A.json B.json
+
+The sweep runs each command on the built-in examples and both
+``tests/data`` definition files, and ``normal-form`` on its profiles, at
+``--points 3``, once at the command's default order and once at each of the
+orders 2 to 6.  Every run goes through ``bicontact.cli.main`` in this process,
+from the checkout that holds this script (its ``src/`` comes first on the
+path), with the checkout as the working directory, since a report echoes its
+source path.  A key is the argv joined by spaces; a value is the SHA-256 of
+the bytes the command printed.  ``--compare`` prints each key whose digest
+differs or that only one file has, and exits 1 when there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+from contextlib import redirect_stdout
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FILES = ["tests/data/case1_frame.txt", "tests/data/hyp_ex.txt"]
+PROFILES = ["tan(z)", "z^2"]
+ORDERS = [None, 2, 3, 4, 5, 6]
+
+
+def sweep_argvs(commands, examples):
+    for command in commands:
+        sources = PROFILES if command == "normal-form" else examples + FILES
+        for source in sources:
+            for order in ORDERS:
+                extra = [] if order is None else ["--order", str(order)]
+                yield [command, source, "--points", "3", *extra]
+
+
+def run_sweep() -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    os.chdir(ROOT)
+    from bicontact import cli
+    from bicontact.examples import EXAMPLES
+
+    commands = sorted({command for command, _ in cli.ORDER_NEEDED})
+    out = {}
+    for argv in sweep_argvs(commands, sorted(EXAMPLES)):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            cli.main(argv)
+        out[" ".join(argv)] = hashlib.sha256(
+            buf.getvalue().encode()).hexdigest()
+    return out
+
+
+def compare(a: dict, b: dict) -> list:
+    """Keys whose digests differ or that only one sweep has, sorted."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("out", nargs="?", help="write the sweep's digests here")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                   help="print the entries that differ between two sweeps")
+    args = p.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(pathlib.Path(f).read_text()) for f in args.compare)
+        diff = compare(a, b)
+        for key in diff:
+            print(f"{key}\n  A {a.get(key)}\n  B {b.get(key)}")
+        print(f"{len(diff)} of {len(a.keys() | b.keys())} entries differ")
+        return 1 if diff else 0
+    if not args.out:
+        p.error("give an output file or --compare A B")
+    out = pathlib.Path(args.out).resolve()
+    digests = run_sweep()
+    out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"{len(digests)} reports hashed into {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
