@@ -51,12 +51,12 @@ from .report import (Report, check, nan_max, record_to_dict,
 DEFAULT_HALF_WIDTH = 0.75
 
 # Default --order per (command, chart dim): the derivative levels consumed by
-# the command's deepest chain of ext_d, scalar_d, frame_derivative and the
-# partials of a frame build, and at least 2.  Truncated jet arithmetic is exact
-# coefficient by coefficient, so any higher order gives the same report apart
-# from config.order.  In 3D, one_adapt costs 1 level (d omega1, d omega2), C
-# one more (d of the rescaled omega2), dC one more.  A command on a chart it
-# does not support fails at any order; it runs at FALLBACK_ORDER.
+# the command's deepest chain of ext_d (scalar_d and Coframe.d included) and
+# the partials of a frame build, and at least 2.  Truncated jet arithmetic is
+# exact coefficient by coefficient, so any higher order gives the same report
+# apart from config.order.  In 3D, one_adapt costs 1 level (d omega1,
+# d omega2), C one more (d of the rescaled omega2), dC one more.  A command on
+# a chart it does not support fails at any order; it runs at FALLBACK_ORDER.
 ORDER_NEEDED = {
     # one_adapt 1 + d(d omega2) of the rescaled omega2 in d_after_d 2
     ("check", 3): 3,
@@ -186,18 +186,16 @@ def _resolve(cfg: RunConfig):
     return load_definition(cfg.source).coframes(), None
 
 
-def _sample(cfg: RunConfig, dim: int, spec: ExampleSpec | None):
+def _sample(cfg: RunConfig, dim: int, box: tuple | None):
+    """The --at points, or cfg.points seeded draws from --box, else from the
+    source's ``box``, else from the default cube."""
     if cfg.at:
         bad = [p for p in cfg.at if len(p) != dim]
         if bad:
             raise argparse.ArgumentTypeError(
                 f"--at points {bad} do not have {dim} coordinates")
         return [tuple(p) for p in cfg.at]
-    box = cfg.box
-    if box is None and spec is not None and spec.box:
-        box = spec.box
-    if box is None:
-        box = ((-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH),) * dim
+    box = cfg.box or box or ((-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH),) * dim
     if len(box) != dim:
         raise argparse.ArgumentTypeError(
             f"--box has {len(box)} components for a {dim}-coordinate chart")
@@ -234,11 +232,10 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     for p in pts:
         cf = adapted.at(p, cfg.order)
         Omega = cf.volume()
-        n1 = cf.ratio(wedge(cf.omega(1), ext_d(cf.omega(1))) - Omega)
-        n2 = cf.ratio(wedge(cf.omega(2), ext_d(cf.omega(2)))
+        n1 = cf.ratio(wedge(cf.omega(1), cf.d(0)) - Omega)
+        n2 = cf.ratio(wedge(cf.omega(2), cf.d(1))
                       + Omega.scaled(float(cf.eps)))
-        dd = nan_max(*(ext_d(ext_d(cf.omega(i))).max_abs_value()
-                       for i in (1, 2, 3)))
+        dd = nan_max(*(ext_d(cf.d(i)).max_abs_value() for i in range(3)))
         row = {"point": list(p), "eps": cf.eps,
                "residuals": {"self_volume_1": abs(n1.value),
                              "self_volume_2": abs(n2.value),
@@ -293,7 +290,7 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             cf = adapted.at(p, cfg.order)
             taut = taut_fld.at(p, cfg.order)
             C = cached_C(cf)
-            C3, _c1, _c2 = compute_C3(cf, C)
+            C3, _c1, _c2 = compute_C3(cf)
             worst = 0.0
             for a1, a2 in a_samples:
                 got = circle_volume_coefficient(cf, taut, a1, a2).value
@@ -410,6 +407,9 @@ def _cmd_normal_form(cfg: RunConfig, rep: Report):
     eps = cfg.extra["eps"]
     span = cfg.extra["span"]
     h = cfg.extra["h"]
+    margin = 0.1 * (span[1] - span[0])
+    pts = _sample(cfg, 4, ((-0.8, 0.8), (-0.8, 0.8),
+                           (span[0] + margin, span[1] - margin), (0.2, 1.8)))
     ode = fourdim.QOde(cfg.source, eps, z0=cfg.extra["z0"])
     sol = fourdim.solve_q(ode, span)
     zgrid = np.linspace(span[0], span[1], 41)
@@ -417,14 +417,6 @@ def _cmd_normal_form(cfg: RunConfig, rep: Report):
     rep.checks.append(check("wronskian_drift", drift, tol.deep))
 
     fld = fourdim.normal_form_4d(sol, h=h)
-    margin = 0.1 * (span[1] - span[0])
-    box = cfg.box or ((-0.8, 0.8), (-0.8, 0.8),
-                      (span[0] + margin, span[1] - margin), (0.2, 1.8))
-    rng = np.random.default_rng(cfg.seed)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    pts = [tuple(float(x) for x in row)
-           for row in lo + (hi - lo) * rng.random((cfg.points, 4))]
     for p in pts:
         worst = fourdim.verify_normal_form(fld, ode, [p], order=cfg.order)
         rep.records.append({"point": list(p),
@@ -636,7 +628,7 @@ def run(cfg: RunConfig, raw_params=()) -> Report:
         fld, spec = _resolve(cfg)
         cfg, needed = _at_needed_order(cfg, fld.chart.dim)
         rep.config = cfg.echo()
-        pts = _sample(cfg, fld.chart.dim, spec)
+        pts = _sample(cfg, fld.chart.dim, spec.box if spec else None)
         if cfg.command == "example":
             if spec is None:
                 raise BicontactError(

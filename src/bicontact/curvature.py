@@ -66,7 +66,7 @@ class ConnectionMatrix:
         worst = 0.0
         dim = self.frame.chart.dim
         for i in range(dim):
-            r = ext_d(self.frame.omega(i + 1), stage="connection residual")
+            r = self.frame.d(i, stage="connection residual")
             for j in range(dim):
                 r = r + wedge(self.form(i, j), self.frame.omega(j + 1))
             worst = nan_max(worst, r.max_abs_value())
@@ -169,8 +169,8 @@ class LeafGeometry:
 def _integrability_defect(frame: Coframe, normal: int) -> float:
     """Max |coefficient| of alpha ^ d(alpha): zero iff ker(alpha) is
     integrable (Frobenius), in any dimension."""
-    alpha = frame.omega(normal + 1)
-    prod = wedge(alpha, ext_d(alpha, stage="leaf_geometry(defect)"))
+    prod = wedge(frame.omega(normal + 1),
+                 frame.d(normal, stage="leaf_geometry(defect)"))
     return prod.max_abs_value()
 
 

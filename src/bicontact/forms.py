@@ -10,8 +10,13 @@ sample points.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
-the data derived from it in one memo, and :meth:`Coframe.ratio` divides a
-top-degree form by the frame's volume through the cached reciprocal.
+the data derived from it in one memo: :meth:`Coframe.d` is the one place the
+exterior derivative of a frame's own covector is taken, and
+:meth:`Coframe.d_coeffs` expands it in the frame.  :meth:`Coframe.ratio`
+divides a top-degree form by the frame's volume through the cached
+reciprocal.  :func:`scalar_d` is :func:`ext_d` of a 0-form, so ``ext_d`` is
+the only differentiation kernel here, and a scalar's derivatives along the
+dual frame vectors are ``one_form_coeffs(scalar_d(chart, f), frame)``.
 
 :func:`wedge` and :func:`ext_d` are array kernels.  They stack the input
 coefficients, truncated to the common order, into one array and run a
@@ -44,8 +49,7 @@ from .jets import Jet
 __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
     "wedge", "wedge_all", "ext_d", "top_ratio",
-    "two_form_coeffs", "one_form_coeffs",
-    "frame_derivative", "scalar_d",
+    "two_form_coeffs", "one_form_coeffs", "scalar_d",
     "coframe_field_from_expressions",
 ]
 
@@ -131,12 +135,6 @@ class PForm:
         return f"PForm(degree={self.degree}, values={vals})"
 
 
-def _merge_sign(a, b):
-    """Sign of sorting the concatenation of two increasing disjoint tuples."""
-    inv = sum(1 for i in a for j in b if i > j)
-    return -1.0 if inv % 2 else 1.0
-
-
 def _stacked(forms, n: int) -> np.ndarray:
     """The coefficients of the forms as rows, in dict order, truncated to n
     (a prefix slice, because the coefficient order is graded)."""
@@ -174,7 +172,7 @@ def _wedge_plan(dim, order, keys_a, keys_b):
             ra.append(i)
             rb.append(j)
             ro.append(slot[tuple(sorted(ka + kb))])
-            sign.append(_merge_sign(ka, kb))
+            sign.append(_perm_sign(ka + kb))
     n = jets.ncoeffs(dim, order)
     I, J, T = jets._mul_table(dim, order)
     ra, rb = np.asarray(ra), np.asarray(rb)
@@ -370,12 +368,17 @@ class Coframe:
         num = top.coeffs[tuple(range(dim))]
         return num * self._volume_reciprocal(num.order)
 
+    def d(self, i: int, stage: str = "ext_d") -> PForm:
+        """Cached ``ext_d(forms[i])``, the 2-form d(omega^(i+1)).  ``stage``
+        only labels a BudgetError on a cache miss: a later call on the same
+        covector can fail only where the first one did."""
+        return self._cached(("d", i), lambda: ext_d(self.forms[i], stage=stage))
+
     def d_coeffs(self, i: int, stage: str = "ext_d") -> dict:
-        """Cached ``two_form_coeffs(ext_d(forms[i]), self)``: the structure
-        functions of the 0-based covector i.  ``stage`` only labels a
-        BudgetError on a cache miss."""
-        return self._cached(("d", i), lambda: two_form_coeffs(
-            ext_d(self.forms[i], stage=stage), self))
+        """Cached ``two_form_coeffs(self.d(i), self)``: the structure
+        functions of the 0-based covector i."""
+        return self._cached(("d coeffs", i), lambda: two_form_coeffs(
+            self.d(i, stage), self))
 
     def _complements(self):
         """Cached {(a, b): (sign, rest)} with omega^a ^ omega^b ^ rest =
@@ -502,21 +505,10 @@ def one_form_coeffs(a: PForm, frame: Coframe):
     return out
 
 
-def frame_derivative(f: Jet, frame: Coframe, k: int, stage: str = "frame_derivative") -> Jet:
-    """Derivative of a scalar jet along the k-th dual frame vector (0-based)."""
-    if f.order < 1:
-        raise BudgetError(stage)
-    Winv = frame.dual_matrix()
-    acc = None
-    for j in range(frame.dim):
-        term = Winv[j][k] * jets.partial(f, j)
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def scalar_d(chart: Chart, f: Jet, stage: str = "scalar_d") -> PForm:
-    """The differential of a scalar jet as a 1-form (costs one order level)."""
-    if f.order < 1:
-        raise BudgetError(stage)
-    return PForm(chart, 1, {(j,): jets.partial(f, j) for j in range(chart.dim)})
+    """The differential of a scalar jet as a 1-form (costs one order level):
+    ``ext_d`` of the 0-form f.  Its coefficients in a coframe,
+    ``one_form_coeffs(scalar_d(chart, f), frame)``, are the derivatives of f
+    along the dual frame vectors."""
+    return ext_d(PForm(chart, 0, {(): f}), stage=stage)
 

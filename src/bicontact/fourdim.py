@@ -103,7 +103,7 @@ def compute_E(frame: Coframe) -> Jet:
     wedge with omega^3 ^ omega^4 kills every d(omega^4) component except the
     omega^1 ^ omega^2 one.
     """
-    num = wedge(wedge(ext_d(frame.omega(4)), frame.omega(3)), frame.omega(4))
+    num = wedge(wedge(frame.d(3), frame.omega(3)), frame.omega(4))
     return frame.ratio(num)
 
 
@@ -142,8 +142,7 @@ def symplectic_quadratic_check(F: Coframe4, a_samples=()) -> dict:
     quadratic above and are spot-checked for each pair in ``a_samples``.
     """
     frame = F.frame
-    th1 = ext_d(frame.omega(1))
-    th2 = ext_d(frame.omega(2))
+    th1, th2 = frame.d(0), frame.d(1)
     closed = nan_max(ext_d(th1).max_abs_value(), ext_d(th2).max_abs_value())
     r11 = frame.ratio(wedge(th1, th1)).value - 2.0
     r22 = frame.ratio(wedge(th2, th2)).value + 2.0 * F.eps

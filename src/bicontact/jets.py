@@ -146,12 +146,6 @@ class Jet:
     def value(self) -> float:
         return float(self.c[0])
 
-    def gradient(self) -> np.ndarray:
-        """The first-order coefficients (the plain partial derivatives)."""
-        if self.order < 1:
-            raise ValueError("order-0 jet has no gradient")
-        return self.c[1:1 + self.dim].copy()
-
     def coeff(self, alpha) -> float:
         """Taylor coefficient for an exponent multi-index."""
         return float(self.c[_rank(self.dim, self.order)[tuple(alpha)]])

@@ -21,10 +21,13 @@ on a :class:`~bicontact.forms.CoframeField` plus a sample-point list and fix
 the global signs (epsilon, branch choices) that must be constant per region.
 Drivers return fields that hold only the frames they built and checked at
 their sample points, at their order; any other request raises ``KeyError``.
-Each frame's structure functions, the coefficients of d(omega^i) in the frame
-itself, come from its cached :meth:`~bicontact.forms.Coframe.d_coeffs`.  C,
-the dC data and the (omega1, omega2, dC/C3) frame are memoized per frame, so
-``case_detect`` and ``case2_adapt`` share them.
+Each d(omega^i) of a frame's own covector comes from its cached
+:meth:`~bicontact.forms.Coframe.d`, and its structure functions, the
+coefficients of d(omega^i) in the frame itself, from
+:meth:`~bicontact.forms.Coframe.d_coeffs`.  C, dC (built once per frame), the
+dC data and the (omega1, omega2, dC/C3) frame are memoized per frame, so
+``compute_C3``, ``case_detect``, ``case1_adapt`` and ``case2_adapt`` share
+them.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ from dataclasses import dataclass, field
 
 from . import jets
 from .errors import (
-    AmbiguousCase, BranchError, ContactFailure, CriticalPoint, DegenerateB,
-    DegenerateTranslation, EpsilonMismatch, MixedEpsilon, StructureMismatch,
+    AmbiguousCase, BicontactError, BranchError, ContactFailure, CriticalPoint,
+    DegenerateB, DegenerateTranslation, EpsilonMismatch, MixedEpsilon,
+    StructureMismatch,
 )
 from .forms import (
-    Coframe, CoframeField, ext_d, frame_derivative,
-    one_form_coeffs, scalar_d, top_ratio, two_form_coeffs, wedge, wedge_all,
+    Coframe, CoframeField, PForm, ext_d, one_form_coeffs, scalar_d,
+    top_ratio, two_form_coeffs, wedge, wedge_all,
 )
 from .jets import Jet
 
@@ -114,8 +118,8 @@ class InvariantRecord:
 
 def _one_adapt_point(cf: Coframe):
     w1, w2, w3_seed = cf.forms
-    dw1 = ext_d(w1, stage="one_adapt(d omega1)")
-    dw2 = ext_d(w2, stage="one_adapt(d omega2)")
+    dw1 = cf.d(0, stage="one_adapt(d omega1)")
+    dw2 = cf.d(1, stage="one_adapt(d omega2)")
     vol1 = wedge(w1, dw1)
     vol2 = wedge(w2, dw2)
     top = (0, 1, 2)
@@ -139,7 +143,12 @@ def _one_adapt_point(cf: Coframe):
 
 
 def one_adapt(fld: CoframeField, points, order):
-    """Driver: fix epsilon over the sample set, return the adapted field."""
+    """Driver: fix epsilon over the sample set, return the adapted field.
+    This is the entry of the 3D pipeline, so it rejects other charts."""
+    if fld.chart.dim != 3:
+        raise BicontactError(
+            "the 3D pipeline needs a chart with 3 coordinates; this one "
+            f"has {fld.chart.dim}")
     eps_seen, kept = {}, {}
     for p in points:
         out, _, _, _ = _one_adapt_point(fld.at(p, order))
@@ -158,8 +167,8 @@ def one_adapt(fld: CoframeField, points, order):
 def compute_C(cf: Coframe) -> Jet:
     """C as a jet: half the ratio of omega1^d(omega2)+omega2^d(omega1) to the volume."""
     w1, w2 = cf.forms[0], cf.forms[1]
-    num = wedge(w1, ext_d(w2, stage="compute_C")) + \
-        wedge(w2, ext_d(w1, stage="compute_C"))
+    num = wedge(w1, cf.d(1, stage="compute_C")) + \
+        wedge(w2, cf.d(0, stage="compute_C"))
     return cf.ratio(num) * 0.5
 
 
@@ -168,9 +177,17 @@ def cached_C(cf: Coframe) -> Jet:
     return cf._cached("C", lambda: compute_C(cf))
 
 
-def compute_C3(cf: Coframe, C: Jet):
-    """(C3, C1, C2): C3 from the volume ratio, C1/C2 from the dual frame."""
-    dC = scalar_d(cf.chart, C, stage="compute_C3")
+def _dC(cf: Coframe, stage: str) -> PForm:
+    """The differential of the frame's C, taken once per frame.  ``stage``
+    labels a BudgetError on the first call."""
+    return cf._cached("dC", lambda: scalar_d(cf.chart, cached_C(cf),
+                                             stage=stage))
+
+
+def compute_C3(cf: Coframe):
+    """(C3, C1, C2) of the frame's C: C3 from the volume ratio, C1/C2 from
+    the dual frame."""
+    dC = _dC(cf, "compute_C3")
     C3 = cf.ratio(wedge_all(dC, cf.forms[0], cf.forms[1]))
     c1, c2, _c3_dual = one_form_coeffs(dC, cf)
     return C3, c1, c2
@@ -192,10 +209,9 @@ def classify(C: float, eps: int):
 def _dC_data(cf: Coframe):
     """(C, C3, C1, C2, |dC|) of a frame, computed once per frame."""
     def build():
-        C = cached_C(cf)
-        C3, c1, c2 = compute_C3(cf, C)
+        C3, c1, c2 = compute_C3(cf)
         norm = math.sqrt(c1.value ** 2 + c2.value ** 2 + C3.value ** 2)
-        return C, C3, c1, c2, norm
+        return cached_C(cf), C3, c1, c2, norm
     return cf._cached("dC data", build)
 
 
@@ -204,13 +220,13 @@ def _omega3_frame(cf: Coframe, stage: str):
     built once per frame; dC's omega3-component is C3, so the volume stays.
     ``stage`` labels a BudgetError."""
     def build():
-        C, C3 = _dC_data(cf)[:2]
-        dC = scalar_d(cf.chart, C, stage=stage)
-        new3 = dC.scaled(jets.reciprocal(C3))
+        C3 = _dC_data(cf)[1]
+        new3 = _dC(cf, stage).scaled(jets.reciprocal(C3))
         return cf.replace(forms=(cf.forms[0], cf.forms[1], new3),
-                          stage="case2-adapted"), dC
-    frame, dC = cf._cached("omega3 frame", build)
-    return frame, dC, frame.d_coeffs(2, stage=f"{stage}(d omega3)")
+                          stage="case2-adapted")
+    frame = cf._cached("omega3 frame", build)
+    return (frame, _dC(cf, stage),
+            frame.d_coeffs(2, stage=f"{stage}(d omega3)"))
 
 
 def _everywhere(flags, points, what) -> bool:
@@ -288,7 +304,8 @@ def case2_adapt(cf: Coframe):
 
     # C-derivative data relative to the final frame
     C1f, C2f, C3f = one_form_coeffs(dC, out)
-    zeta3 = frame_derivative(zeta, out, 2, stage="case2_adapt(zeta3)")
+    z1, z2, zeta3 = one_form_coeffs(
+        scalar_d(cf.chart, zeta, stage="case2_adapt(zeta3)"), out)
 
     rec = InvariantRecord(
         point=cf.point, eps=eps, delta=cf.delta, case="case2",
@@ -311,8 +328,7 @@ def case2_adapt(cf: Coframe):
 
     # fitted W of the zeta-derivative display (least squares over 2 equations,
     # delta = +1): zeta1 = W cos(zeta) + A2, zeta2 = -W sin(zeta) - A1
-    z1 = frame_derivative(zeta, out, 0, stage="case2_adapt(W fit)").value
-    z2 = frame_derivative(zeta, out, 1, stage="case2_adapt(W fit)").value
+    z1, z2 = z1.value, z2.value
     cz, sz = math.cos(zeta.value), math.sin(zeta.value)
     W = cz * (z1 - A2.value) - sz * (z2 + A1.value)
     rec.W = W
@@ -356,8 +372,7 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     w1h, w2h = cf.forms[0].scaled(s), cf.forms[1].scaled(s)
     base = Coframe(cf.chart, cf.point, (w1h, w2h, cf.forms[2]), eps=eps,
                    delta=cf.delta, stage="case1-adapted")
-    dC = scalar_d(cf.chart, C, stage="case1_adapt(dC)")
-    C1h, C2h, _ = one_form_coeffs(dC, base)
+    C1h, C2h, _ = one_form_coeffs(_dC(cf, "case1_adapt(dC)"), base)
     xi = jets.atan2(C2h, C1h)
 
     # kill A1, A2 by omega3 -> omega3 + b1 omega1 + b2 omega2.  (A1, A2)
@@ -397,9 +412,9 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     b = out.d_coeffs(2, stage="case1_adapt(d omega3)")
     B1, B2, B3 = b[(1, 2)], b[(0, 2)], b[(0, 1)]
 
-    xi3 = frame_derivative(xi, out, 2, stage="case1_adapt(xi3)")
-    x1 = frame_derivative(xi, out, 0, stage="case1_adapt(rho fit)").value
-    x2 = frame_derivative(xi, out, 1, stage="case1_adapt(rho fit)").value
+    x1, x2, xi3 = one_form_coeffs(
+        scalar_d(cf.chart, xi, stage="case1_adapt(xi3)"), out)
+    x1, x2 = x1.value, x2.value
     cx, sx = math.cos(xi.value), math.sin(xi.value)
     rho = -x1 * sx + x2 * cx        # least squares of xi1 = -rho sin, xi2 = rho cos
     rec = InvariantRecord(
@@ -517,9 +532,8 @@ def predicted_circle_coefficient(C: float, C3: float, a1: float, a2: float) -> f
 def mixed_circle_coefficient(cf: Coframe, taut: Coframe):
     """(eta1 ^ d eta2 + eta2 ^ d eta1) / Omega: the taut-failure scalar,
     equal to sgn(1-C^2) * C3 / |1-C^2|^(3/2)."""
-    e1, e2 = taut.forms[0], taut.forms[1]
-    mixed = wedge(e1, ext_d(e2, stage="taut_circle(mixed)")) + \
-        wedge(e2, ext_d(e1, stage="taut_circle(mixed)"))
+    mixed = wedge(taut.forms[0], taut.d(1, stage="taut_circle(mixed)")) + \
+        wedge(taut.forms[1], taut.d(0, stage="taut_circle(mixed)"))
     return cf.ratio(mixed)
 
 
@@ -548,12 +562,11 @@ def hyperbola_residuals(cf: Coframe, taut: Coframe, C: Jet, theta: Jet):
     corr = wedge(w12, dtheta).scaled(
         jets.reciprocal(jets.cosh(theta) * jets.cosh(theta) * 2.0))
     eta1, eta2 = taut.forms[0], taut.forms[1]
-    v1 = wedge(eta1, ext_d(eta1, stage="taut_hyperbola(v1)"))
-    v2 = wedge(eta2, ext_d(eta2, stage="taut_hyperbola(v2)"))
-    r1 = cf.ratio(v1 - (Omega - corr))
-    r2 = cf.ratio(v2 - (Omega.scaled(-1.0) - corr))
-    mixed = wedge(eta1, ext_d(eta2, stage="taut_hyperbola(mixed)")) + \
-        wedge(eta2, ext_d(eta1, stage="taut_hyperbola(mixed)"))
+    d1 = taut.d(0, stage="taut_hyperbola(v1)")
+    d2 = taut.d(1, stage="taut_hyperbola(v2)")
+    r1 = cf.ratio(wedge(eta1, d1) - (Omega - corr))
+    r2 = cf.ratio(wedge(eta2, d2) - (Omega.scaled(-1.0) - corr))
+    mixed = wedge(eta1, d2) + wedge(eta2, d1)
     defect = cf.ratio(mixed)
     return abs(r1.value), abs(r2.value), defect
 
@@ -574,8 +587,8 @@ def cartan_structure_check(fld: CoframeField, points, order,
     for p in points:
         cf = fld.at(p, order)
         w1, w2, w3 = cf.forms
-        s1 = cf.ratio(wedge(w1, ext_d(w2, stage="cartan_check")))
-        s2 = cf.ratio(wedge(w2, ext_d(w1, stage="cartan_check")))
+        s1 = cf.ratio(wedge(w1, cf.d(1, stage="cartan_check")))
+        s2 = cf.ratio(wedge(w2, cf.d(0, stage="cartan_check")))
         if abs(s1.value) > tol.shallow or abs(s2.value) > tol.shallow:
             return None
     eps = fld.eps
@@ -590,10 +603,9 @@ def cartan_structure_check(fld: CoframeField, points, order,
         frame = cf.replace(forms=(w1, w2, w3h), stage="cartan")
         c = frame.d_coeffs(2, stage="cartan_check(d omega3)")
         c23, c13, K = c[(1, 2)], c[(0, 2)], c[(0, 1)]
-        dw1 = ext_d(w1, stage="cartan_check(res)")
-        dw2 = ext_d(w2, stage="cartan_check(res)")
-        t1 = dw1 - wedge(w2, w3h)
-        t2 = dw2 - wedge(w1, w3h).scaled(float(eps))
+        t1 = cf.d(0, stage="cartan_check(res)") - wedge(w2, w3h)
+        t2 = cf.d(1, stage="cartan_check(res)") - \
+            wedge(w1, w3h).scaled(float(eps))
         res = {
             "domega1": t1.max_abs_value(),
             "domega2": t2.max_abs_value(),
@@ -623,18 +635,19 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
         raise ValueError("invariant_coords needs a case2-adapted frame")
     eps, delta = cf2.eps, cf2.delta
     C = cached_C(cf2)
-    dC = scalar_d(cf2.chart, C, stage="invariant_coords(dC)")
-    _c1, _c2, C3 = one_form_coeffs(dC, cf2)
-    C33 = frame_derivative(C3, cf2, 2, stage="invariant_coords(C33)")
-    C333 = frame_derivative(C33, cf2, 2, stage="invariant_coords(C333)")
-    dC3 = scalar_d(cf2.chart, C3, stage="invariant_coords(dC3)")
-    dC33 = scalar_d(cf2.chart, C33, stage="invariant_coords(dC33)")
+    dC = _dC(cf2, "invariant_coords(dC)")
+    C3 = one_form_coeffs(dC, cf2)[2]
+    dC3 = scalar_d(cf2.chart, C3, stage="invariant_coords(C33)")
+    C33 = one_form_coeffs(dC3, cf2)[2]
+    dC33 = scalar_d(cf2.chart, C33, stage="invariant_coords(C333)")
+    C333 = one_form_coeffs(dC33, cf2)[2]
     lhs = cf2.ratio(wedge_all(dC, dC3, dC33))
 
     b = cf2.d_coeffs(2, stage="invariant_coords(d omega3)")
     B1, B2 = b[(1, 2)], b[(0, 2)]
     zeta = jets.atan2(B2, B1)
-    zeta3 = frame_derivative(zeta, cf2, 2, stage="invariant_coords(zeta3)")
+    zeta3 = one_form_coeffs(
+        scalar_d(cf2.chart, zeta, stage="invariant_coords(zeta3)"), cf2)[2]
     cz = math.cos(zeta.value)
     sz = math.sin(zeta.value)
     predicted = -C3.value ** 3 * (

@@ -60,7 +60,7 @@ def test_hyp_c3_third_derivative_table():
     for p in pts:
         cf = fld.at(p, 7)
         C = compute_C(cf)
-        C3, _, _ = compute_C3(cf, C)
+        C3, _, _ = compute_C3(cf)
         assert C3.value == pytest.approx(1.0 + p[2] ** 2, abs=1e-9)
 
 

@@ -9,11 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from bicontact.curvature import _integrability_defect
 from bicontact.errors import BudgetError, SingularVolumeError
+from bicontact.examples import build_example
 from bicontact.expressions import eval_jet, parse
 from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressions,
                              ext_d, one_form_coeffs, scalar_d, top_ratio,
                              two_form_coeffs, wedge, wedge_all)
+from bicontact.inputfile import load_coframe
 from bicontact.jets import Jet, ncoeffs, partial
+from bicontact.pipeline import analyze, cached_C
+
+from conftest import DATA, box_points
 
 CH3 = Chart(("x", "y", "z"))
 
@@ -223,6 +228,8 @@ def test_d_coeffs_is_the_cached_structure_table_of_each_covector():
         for pair in fresh:
             assert table[pair].c.tobytes() == fresh[pair].c.tobytes()
         assert frame.d_coeffs(i) is table
+        assert frame.d(i) is frame.d(i, stage="other")
+        _assert_bit_equal(frame.d(i), ext_d(forms[i]), True)
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +357,58 @@ def test_kernels_keep_their_errors():
     with pytest.raises(ValueError, match="different charts"):
         wedge(PForm.d_coord(CH3, 0, 2),
               PForm.d_coord(CHARTS[4], 0, 2))
+
+
+# ---------------------------------------------------------------------------
+# one differentiation kernel: scalar_d is ext_d of a 0-form, and a scalar's
+# frame derivatives are its one_form_coeffs, bit-equal to the loops they
+# replaced
+
+def _loop_scalar_d(chart, f):
+    return PForm(chart, 1, {(j,): partial(f, j) for j in range(chart.dim)})
+
+
+def _loop_frame_derivative(f, frame, k):
+    """f along the k-th dual frame vector, summed axis by axis."""
+    Winv = frame.dual_matrix()
+    acc = None
+    for j in range(frame.dim):
+        term = Winv[j][k] * partial(f, j)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@given(_forms(lambda dim: st.tuples(st.just(0)), 1))
+@settings(max_examples=200, deadline=None)
+def test_scalar_d_is_bit_equal_to_per_axis_partials(drawn):
+    (a,), _ = drawn
+    f = a.coeffs[()]
+    with np.errstate(all="ignore"):
+        # every coefficient has one term, so even NaN bits must agree
+        _assert_bit_equal(scalar_d(a.chart, f), _loop_scalar_d(a.chart, f),
+                          True)
+
+
+def _kept_case_frames(case):
+    if case == "case1":
+        fld = load_coframe(DATA / "case1_frame.txt")
+        pts = [(0.25, -0.35, 0.15), (-0.45, 0.55, -0.25)]
+    else:
+        spec = build_example("normal_form_3d")
+        fld, pts = spec.coframes(), box_points(spec.box, 2, seed=5)
+    out = analyze(fld, pts, 6)
+    assert out["case"] == case
+    return list(out["adapted_field"].frames.values())
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_frame_derivatives_are_bit_equal_to_the_axis_loop(case):
+    for frame in _kept_case_frames(case):
+        scalars = [cached_C(frame)] + [
+            j for w in frame.forms for j in w.coeffs.values()]
+        for f in scalars:
+            coeffs = one_form_coeffs(scalar_d(frame.chart, f), frame)
+            for k in range(frame.dim):
+                want = _loop_frame_derivative(f, frame, k)
+                assert coeffs[k].order == want.order
+                assert coeffs[k].c.tobytes() == want.c.tobytes()

@@ -227,6 +227,42 @@ def test_cli_normal_form(tmp_path):
     assert "round_trip_E_equals_w" in names
 
 
+def test_cli_normal_form_samples_the_given_point(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["normal-form", "z^2", "--at", "0.1,0.2,0.3,0.5",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["config"]["at"] == [[0.1, 0.2, 0.3, 0.5]]
+    assert [r["point"] for r in rep["records"]] == [[0.1, 0.2, 0.3, 0.5]]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--at", "0.1,0.2,0.3"], "do not have 4 coordinates"),
+    (["--box", "0.1:0.5,0.1:0.5"],
+     "--box has 2 components for a 4-coordinate chart"),
+], ids=["at", "box"])
+def test_cli_normal_form_rejects_samples_off_its_chart(tmp_path, args,
+                                                       message):
+    out = tmp_path / "rep.json"
+    assert main(["normal-form", "z^2", *args, "--out", str(out)]) == 1
+    (err,) = json.loads(out.read_text())["errors"]
+    assert err["type"] == "ArgumentTypeError"
+    assert message in err["message"]
+
+
+@pytest.mark.parametrize("source", ["fourd_ezero", "fourd_enonzero"])
+@pytest.mark.parametrize("command", ["classify", "invariants", "taut"])
+def test_cli_3d_commands_reject_4d_charts(tmp_path, command, source):
+    out = tmp_path / "rep.json"
+    assert main([command, source, "--points", "2", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["records"] == []
+    assert rep["errors"] == [{
+        "stage": command, "type": "BicontactError",
+        "message": "the 3D pipeline needs a chart with 3 coordinates; "
+                   "this one has 4"}]
+
+
 def test_cli_failure_paths(tmp_path):
     out = tmp_path / "rep.json"
     bad = tmp_path / "bad.txt"

@@ -1,0 +1,50 @@
+"""tools/report_sweep.py: the argv list of the sweep and the comparison of
+two sweeps.  No command runs here."""
+
+import importlib.util
+import json
+import pathlib
+from collections import Counter
+
+from bicontact import cli
+from bicontact.examples import EXAMPLES
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FILES = {"tests/data/case1_frame.txt", "tests/data/hyp_ex.txt"}
+ORDERS = {()} | {("--order", str(n)) for n in range(2, 7)}
+
+_spec = importlib.util.spec_from_file_location(
+    "report_sweep", ROOT / "tools" / "report_sweep.py")
+report_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_sweep)
+
+
+def test_sweep_covers_every_command_source_and_order():
+    commands = sorted({command for command, _ in cli.ORDER_NEEDED})
+    argvs = list(report_sweep.sweep_argvs(commands, sorted(EXAMPLES)))
+    assert len(argvs) == 390
+    assert len({" ".join(argv) for argv in argvs}) == 390
+    assert {argv[0] for argv in argvs} == set(commands)
+    assert all(argv[2:4] == ["--points", "3"] for argv in argvs)
+    assert {tuple(argv[4:]) for argv in argvs} == ORDERS
+    sources = {argv[1] for argv in argvs if argv[0] != "normal-form"}
+    assert sources == set(EXAMPLES) | FILES and len(sources) == 9
+    assert all((ROOT / f).is_file() for f in FILES)
+    # each (command, source) pair runs at the default order and at 2..6
+    pairs = Counter((argv[0], argv[1]) for argv in argvs)
+    assert set(pairs.values()) == {len(ORDERS)}
+    assert len(pairs) == 7 * 9 + 2
+
+
+def test_compare_reports_changed_and_one_sided_keys(tmp_path, capsys):
+    a = {"kept": "1", "changed": "2", "only in a": "3"}
+    b = {"kept": "1", "changed": "9", "only in b": "4"}
+    assert report_sweep.compare(a, b) == ["changed", "only in a", "only in b"]
+    assert report_sweep.compare(a, dict(a)) == []
+    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    fa.write_text(json.dumps(a))
+    fb.write_text(json.dumps(b))
+    assert report_sweep.main(["--compare", str(fa), str(fb)]) == 1
+    assert "3 of 4 entries differ" in capsys.readouterr().out
+    assert report_sweep.main(["--compare", str(fa), str(fa)]) == 0
+    assert "0 of 3 entries differ" in capsys.readouterr().out

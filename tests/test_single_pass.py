@@ -8,7 +8,9 @@ checks never saw it.  The kept frames agree bit for bit with a fresh build,
 and each frame's structure table ``d_coeffs`` is computed once and shared by
 every later stage, so coefficient extraction runs a fixed number of times
 per point.  So do C, the omega3 = dC/C3 frame of case 2 and the dE expansion
-of a 4D frame, which each frame memoizes.
+of a 4D frame, which each frame memoizes.  Each frame takes d of its own
+covectors once, and ``ext_d`` is the only differentiation kernel of the forms
+layer.
 """
 
 import io
@@ -16,7 +18,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from bicontact import cli, curvature, expressions, forms, fourdim, pipeline
+from bicontact import (cli, curvature, expressions, forms, fourdim, jets,
+                       pipeline)
 from bicontact.examples import build_example
 from bicontact.pipeline import Tolerances, _one_adapt_point, analyze, one_adapt
 
@@ -91,6 +94,27 @@ def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
                         *_aliases(forms, "two_form_coeffs"))
     _run(args)
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("args,calls", [
+    (["curvature", "normal_form_3d", "--points", "5"], 13 * 5),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 14 * 2),
+], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
+def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
+                                                      calls):
+    # per point in 3D: one_adapt 2 on the raw frame, C 2 on the one-adapted
+    # frame, dC 1, d omega3 of the omega3 frame 1, case2_adapt 3 on its
+    # final frame, d zeta 1, the connection forms 3; the connection residual
+    # and the leaf defect read the final frame's memo.  In 4D:
+    # symp_structure 4, dE 1, d theta^1 and d theta^2 2, the connection
+    # forms 6, dC 1; compute_E, the pairings, the connection residual and
+    # the leaf defect read the memo.  scalar_d runs through ext_d, so
+    # jets.partial never runs.
+    ext_d = _counting(monkeypatch, forms, "ext_d", *_aliases(forms, "ext_d"))
+    partial = _counting(monkeypatch, jets, "partial",
+                        *_aliases(jets, "partial"))
+    _run(args)
+    assert (len(ext_d), len(partial)) == (calls, 0)
 
 
 @pytest.mark.parametrize("args", [

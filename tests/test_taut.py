@@ -79,7 +79,7 @@ def test_circle_on_eta_frame_spot_check():
         cf = fld.at(p, 8)
         taut, C, here = taut_circle_transform(cf)
         assert abs(C.value) < 1.0 and here == (1, 1)
-        C3, _, _ = compute_C3(cf, C)
+        C3, _, _ = compute_C3(cf)
         for a1, a2 in UNIT_AS[::5]:
             got = circle_volume_coefficient(cf, taut, a1, a2).value
             want = predicted_circle_coefficient(C.value, C3.value, a1, a2)
