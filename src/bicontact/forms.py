@@ -1,12 +1,16 @@
 """Point-local exterior calculus on a coordinate chart.
 
-A :class:`PForm` is a p-form *at one base point*: its coefficients (one per
-strictly increasing coordinate index tuple) are jets, so it carries enough
-derivative information for repeated exterior differentiation.  Chart-level
-families of coframes are :class:`CoframeField`s: a raw field builds a
-point-local :class:`Coframe` on demand from closed-form coefficient
-expressions, and a pipeline driver's field holds the frames it built at its
-sample points.
+A :class:`PForm` is a p-form *at one base point*: one float array ``c`` with
+a row per coefficient (per strictly increasing coordinate index tuple, in
+``combinations`` order) holding that coefficient's Taylor coefficients, all
+at one truncation order, so the form carries enough derivative information
+for repeated exterior differentiation.  Building a form from a {key: Jet}
+dict truncates every coefficient to the lowest order among them.  Forms are
+immutable; ``PForm.coeffs`` is a read-only {key: Jet} view of the rows,
+built on first read.  Chart-level families of coframes are
+:class:`CoframeField`s: a raw field builds a point-local :class:`Coframe` on
+demand from closed-form coefficient expressions, and a pipeline driver's
+field holds the frames it built at its sample points.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -18,19 +22,22 @@ reciprocal.  :func:`scalar_d` is :func:`ext_d` of a 0-form, so ``ext_d`` is
 the only differentiation kernel here, and a scalar's derivatives along the
 dual frame vectors are ``one_form_coeffs(scalar_d(chart, f), frame)``.
 
-:func:`wedge` and :func:`ext_d` are array kernels.  They stack the input
-coefficients, truncated to the common order, into one array and run a
-gather/scatter plan cached per (dim, order, key order of each input): one
-batched convolution from ``jets._mul_table`` (or one gather from
-``jets._diff_table``) and ``np.bincount`` sums, with a ``Jet`` built only for
-each output coefficient.  Their results are bit-equal to the per-term ``Jet``
-loops they replaced, which the tests keep as the oracle: ``np.bincount`` adds
-in input order, so every sum runs in the loop's order, and a wedge factor
-without a derivative part takes ``Jet.__mul__``'s scaling path.  This holds
-for finite coefficients at any mix of orders, and for inf and NaN entries
-when each form's coefficients share one order.  The one exception is which
-of two NaNs a product or sum keeps (its sign and payload bits): NumPy's own
-choice depends on array length and position.
+Sums, differences and float multiples of forms are single array operations
+on ``c``.  :func:`wedge`, :func:`ext_d`, :meth:`PForm.scaled` by a jet and
+:func:`two_form_coeffs` are array kernels that read ``c`` directly, with
+gather/scatter plans cached per (dim, order, degrees): every jet product
+goes through one capped, batched convolution from ``jets._mul_table``
+(``_multiply``), every derivative through one gather from
+``jets._diff_table``, and every sum through ``np.bincount``.
+``two_form_coeffs`` runs the wedges of beta with all complements of a frame
+as one such product per truncation order, and divides by the frame's volume
+in one more.  Their results are bit-equal to the per-term ``Jet`` loops they
+replaced, which the tests keep as the oracle: ``np.bincount`` adds in input
+order, so every sum runs in the loop's order, and a factor without a
+derivative part gets ``Jet.__mul__``'s scaling path.  This holds for finite,
+inf and NaN coefficients alike, with one exception: which of two NaNs a
+product or sum keeps (its sign and payload bits), since NumPy's own choice
+depends on array length and position.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,114 +83,219 @@ class Chart:
                 for i in range(self.dim)]
 
 
-class PForm:
-    """A p-form at a point with jet coefficients."""
+@lru_cache(maxsize=None)
+def _keys(dim: int, degree: int) -> tuple:
+    """The coefficient keys of a degree-form, in ``combinations`` order."""
+    return tuple(combinations(range(dim), degree))
 
-    __slots__ = ("chart", "degree", "coeffs")
+
+class PForm:
+    """A p-form at a point: one float array ``c`` of shape (number of keys,
+    ``jets.ncoeffs(dim, order)``), whose row r holds the Taylor coefficients
+    of the r-th key in ``combinations`` order, all at one truncation
+    ``order``.  Forms are immutable, ``c`` included."""
+
+    __slots__ = ("chart", "degree", "order", "c", "_coeffs")
 
     def __init__(self, chart: Chart, degree: int, coeffs: dict):
+        """The form with coefficient jets ``coeffs`` ({key: Jet}), each
+        truncated to the lowest order among them."""
+        dim = chart.dim
+        keys = _keys(dim, degree)
+        missing = sorted(set(keys) - set(coeffs))
+        unexpected = sorted(set(coeffs) - set(keys), key=repr)
+        wrong_dim = sorted(k for k, j in coeffs.items()
+                           if k in keys and j.dim != dim)
+        if missing or unexpected or wrong_dim or not keys:
+            raise ValueError(
+                f"bad coefficients for a {degree}-form on a {dim}D chart: "
+                f"missing keys {missing}, unexpected keys {unexpected}, "
+                f"keys whose jet is not of dim {dim} {wrong_dim}")
+        order = min(j.order for j in coeffs.values())
+        n = jets.ncoeffs(dim, order)
+        self._fill(chart, degree, order,
+                   np.array([coeffs[k].c[:n] for k in keys]))
+
+    def _fill(self, chart, degree, order, c):
+        c.flags.writeable = False
         self.chart = chart
         self.degree = degree
-        self.coeffs = coeffs
-        expect = list(combinations(range(chart.dim), degree))
-        if sorted(coeffs) != expect:
-            missing = set(expect) - set(coeffs)
-            raise ValueError(f"bad coefficient slots (missing {missing})")
+        self.order = order
+        self.c = c
+        self._coeffs = None
+
+    @classmethod
+    def _of(cls, chart, degree, order, c) -> "PForm":
+        """The form on a fresh coefficient array ``c`` of the right shape,
+        without re-validating it."""
+        f = object.__new__(cls)
+        f._fill(chart, degree, order, c)
+        return f
 
     @classmethod
     def zero(cls, chart, degree, order):
         dim = chart.dim
-        z = {k: Jet.constant(0.0, dim, order)
-             for k in combinations(range(dim), degree)}
-        return cls(chart, degree, z)
+        return cls._of(chart, degree, order, np.zeros(
+            (len(_keys(dim, degree)), jets.ncoeffs(dim, order))))
 
     @classmethod
     def d_coord(cls, chart, axis, order):
         """The coordinate 1-form dx_axis (constant coefficients)."""
-        f = cls.zero(chart, 1, order)
-        f.coeffs[(axis,)] = Jet.constant(1.0, chart.dim, order)
-        return f
+        c = np.zeros((chart.dim, jets.ncoeffs(chart.dim, order)))
+        c[axis, 0] = 1.0
+        return cls._of(chart, 1, order, c)
 
     @property
-    def order(self) -> int:
-        return min(j.order for j in self.coeffs.values())
+    def coeffs(self):
+        """Read-only {key: Jet} view of the rows, built on first read."""
+        if self._coeffs is None:
+            dim, order = self.chart.dim, self.order
+            self._coeffs = MappingProxyType({
+                k: Jet._of(dim, order, row)
+                for k, row in zip(_keys(dim, self.degree), self.c)})
+        return self._coeffs
 
-    def map_coeffs(self, fn):
-        return PForm(self.chart, self.degree,
-                     {k: fn(v) for k, v in self.coeffs.items()})
+    def _aligned(self, other):
+        """The common order and both coefficient arrays truncated to it."""
+        if other.degree != self.degree or other.chart.dim != self.chart.dim:
+            raise ValueError("sum of forms of different degrees or charts")
+        order = min(self.order, other.order)
+        n = jets.ncoeffs(self.chart.dim, order)
+        return order, self.c[:, :n], other.c[:, :n]
 
     def __add__(self, other):
-        return PForm(self.chart, self.degree,
-                     {k: self.coeffs[k] + other.coeffs[k] for k in self.coeffs})
+        order, a, b = self._aligned(other)
+        return PForm._of(self.chart, self.degree, order, a + b)
 
     def __sub__(self, other):
-        return PForm(self.chart, self.degree,
-                     {k: self.coeffs[k] - other.coeffs[k] for k in self.coeffs})
+        order, a, b = self._aligned(other)
+        return PForm._of(self.chart, self.degree, order, a - b)
 
     def __neg__(self):
-        return self.map_coeffs(lambda j: -j)
+        return PForm._of(self.chart, self.degree, self.order, -self.c)
 
     def scaled(self, s):
-        """Multiply by a scalar (float or jet)."""
-        return self.map_coeffs(lambda j: j * s)
+        """Multiply by a scalar (float or jet): bit-equal to ``j * s`` for
+        each coefficient jet j."""
+        if not isinstance(s, Jet):
+            return PForm._of(self.chart, self.degree, self.order,
+                             self.c * float(s) + 0.0)
+        dim = self.chart.dim
+        if s.dim != dim:
+            raise ValueError("jet dimension mismatch")
+        order = min(self.order, s.order)
+        n = jets.ncoeffs(dim, order)
+        prod = _multiply(self.c[:, :n], s.c[None, :n],
+                         _scale_plan(dim, order, len(self.c)))
+        return PForm._of(self.chart, self.degree, order, prod)
 
     def max_abs_value(self) -> float:
         # np.max, unlike the built-in max, lets a NaN coefficient through
-        return float(np.max(np.abs([j.value for j in self.coeffs.values()])))
+        return float(np.max(np.abs(self.c[:, 0])))
 
     def __repr__(self):
         vals = {k: round(v.value, 6) for k, v in self.coeffs.items()}
         return f"PForm(degree={self.degree}, values={vals})"
 
 
-def _stacked(forms, n: int) -> np.ndarray:
-    """The coefficients of the forms as rows, in dict order, truncated to n
-    (a prefix slice, because the coefficient order is graded)."""
-    return np.array([j.c[:n] for f in forms for j in f.coeffs.values()])
-
-
-def _output(chart, degree, order, keys, rows) -> PForm:
-    return PForm(chart, degree, {k: Jet(chart.dim, order, r)
-                                 for k, r in zip(keys, rows)})
-
-
-# Flat entries per convolution batch in ``wedge``.  Larger temporaries cost
-# more in fresh memory pages than the batching saves (dim 4, order 6).
+# Flat entries per convolution batch in ``_multiply``.  Larger temporaries
+# cost more in fresh memory pages than the batching saves (dim 4, order 6).
 _BATCH = 8192
 
 
-@lru_cache(maxsize=None)
-def _wedge_plan(dim, order, keys_a, keys_b):
-    """Gather/scatter plan of ``wedge`` for inputs with these coefficient keys
-    (in dict order) at truncation order ``order``.
+class _Products(NamedTuple):
+    """Plan of ``_multiply``: term t multiplies row ``rx[t]`` of x by row
+    ``ry[t]`` of y, both of ``n`` coefficients.  ``gx`` and ``gy`` index the
+    flattened x and y with the pairs of ``jets._mul_table``, term by term,
+    and ``bins`` holds the flat (term, coefficient) target of each pair of
+    one batch of at most ``_BATCH`` entries."""
 
-    Its terms run in the order of the loop over the keys of a, then of b, with
-    rows ``ra`` and ``rb`` of the coefficients of a and b stacked in that
-    order, and merge ``sign``.  Per term, ``gather_a`` and ``gather_b`` index
-    the flattened stack with the pairs of ``jets._mul_table``, and
-    ``conv_bins`` holds their flat (term, coefficient) targets; ``out_bins``
-    flattens (output key, coefficient) for every term coefficient."""
-    out_keys = tuple(combinations(range(dim), len(keys_a[0]) + len(keys_b[0])))
-    slot = {k: r for r, k in enumerate(out_keys)}
+    rx: np.ndarray
+    ry: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    bins: np.ndarray
+    n: int
+
+
+def _products(dim, order, rx, ry) -> _Products:
+    n = jets.ncoeffs(dim, order)
+    I, J, T = jets._mul_table(dim, order)
+    rx, ry = np.asarray(rx, dtype=np.intp), np.asarray(ry, dtype=np.intp)
+    step = min(max(1, _BATCH // len(I)), len(rx))
+    return _Products(rx, ry, (rx[:, None] * n + I).ravel(),
+                     (ry[:, None] * n + J).ravel(),
+                     (np.arange(step)[:, None] * n + T).ravel(), n)
+
+
+def _multiply(x, y, plan: _Products) -> np.ndarray:
+    """The products of the rows of x and y that ``plan`` pairs, one row per
+    term, each bit-equal to ``Jet.__mul__`` of the two rows as jets.
+
+    One convolution runs in batches.  A factor without a derivative part
+    takes ``Jet.__mul__``'s scaling path instead, which gives what the
+    convolution gives unless one of its products is NaN: its other products
+    are then +-0, and the zero-started sums add them to the one scaled
+    term, as the scaling path's "+ 0.0" does.  A NaN product leaves a NaN in
+    the sums, so the scaling path is applied only where they hold a NaN (or
+    +inf and -inf both, whose sum is NaN too)."""
+    rx, ry, gx, gy, bins, n = plan
+    fx, fy = x.ravel(), y.ravel()
+    pairs = len(gx) // len(rx)
+    out = np.empty(len(rx) * n)
+    for s in range(0, len(gx), len(bins)):
+        w = fx[gx[s:s + len(bins)]]
+        w *= fy[gy[s:s + len(bins)]]
+        lo, size = s // pairs * n, len(w) // pairs * n
+        out[lo:lo + size] = np.bincount(bins[:len(w)], weights=w,
+                                        minlength=size)
+    out = out.reshape(len(rx), n)
+    if np.isnan(out.sum()):
+        live_x, live_y = x[:, 1:].any(axis=1), y[:, 1:].any(axis=1)
+        xs, ys = x[rx], y[ry]
+        out = np.where(~live_y[ry, None], xs * ys[:, :1] + 0.0,
+                       np.where(~live_x[rx, None], ys * xs[:, :1] + 0.0,
+                                out))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _scale_plan(dim, order, rows) -> _Products:
+    """Products of each of ``rows`` rows with one jet (row 0 of y)."""
+    return _products(dim, order, range(rows), [0] * rows)
+
+
+@lru_cache(maxsize=None)
+def _wedge_terms(dim, p, q):
+    """The terms of the wedge of a p-form a and a q-form b, in the order of
+    the loop over the keys of a, then of b: the rows ``ra`` of a and ``rb``
+    of b, the output row ``ro`` and the merge sign of each."""
+    slot = {k: r for r, k in enumerate(_keys(dim, p + q))}
     ra, rb, ro, sign = [], [], [], []
-    for i, ka in enumerate(keys_a):
-        for j, kb in enumerate(keys_b, start=len(keys_a)):
+    for i, ka in enumerate(_keys(dim, p)):
+        for j, kb in enumerate(_keys(dim, q)):
             if set(ka) & set(kb):
                 continue
             ra.append(i)
             rb.append(j)
             ro.append(slot[tuple(sorted(ka + kb))])
             sign.append(_perm_sign(ka + kb))
-    n = jets.ncoeffs(dim, order)
-    I, J, T = jets._mul_table(dim, order)
-    ra, rb = np.asarray(ra), np.asarray(rb)
+    return ra, rb, ro, sign
 
-    def flat(rows, cols):
-        return (rows[:, None] * n + cols).ravel()
 
-    return (out_keys, ra, rb, np.asarray(sign)[:, None], flat(ra, I),
-            flat(rb, J), flat(np.arange(len(ra)), T),
-            flat(np.asarray(ro), np.arange(n)))
+def _scatter(rows, n):
+    """Flat (row, coefficient) targets of whole rows of n coefficients."""
+    return (np.asarray(rows)[:, None] * n + np.arange(n)).ravel()
+
+
+@lru_cache(maxsize=None)
+def _wedge_plan(dim, order, p, q):
+    """Plan of ``wedge`` of a p-form and a q-form at truncation order
+    ``order``: the products of its terms, their signs as a column, and the
+    flat (output key, coefficient) target of every term coefficient."""
+    ra, rb, ro, sign = _wedge_terms(dim, p, q)
+    return (_products(dim, order, ra, rb), np.asarray(sign)[:, None],
+            _scatter(ro, jets.ncoeffs(dim, order)))
 
 
 def wedge(a: PForm, b: PForm) -> PForm:
@@ -195,35 +308,15 @@ def wedge(a: PForm, b: PForm) -> PForm:
         raise ValueError(f"wedge degree {deg} exceeds chart dimension")
     order = min(a.order, b.order)
     dim = a.chart.dim
-    (out_keys, ra, rb, sign, gather_a, gather_b, conv_bins,
-     out_bins) = _wedge_plan(dim, order, tuple(a.coeffs), tuple(b.coeffs))
     n = jets.ncoeffs(dim, order)
-    stack = _stacked((a, b), n)
-    flat = stack.ravel()
-    pairs = len(conv_bins) // len(ra)
-    step = max(1, _BATCH // pairs) * pairs
-    prod = np.empty(len(ra) * n)
-    for s in range(0, len(conv_bins), step):
-        w = flat[gather_a[s:s + step]]
-        w *= flat[gather_b[s:s + step]]
-        size = len(w) // pairs * n
-        lo = s // pairs * n
-        prod[lo:lo + size] = np.bincount(conv_bins[:len(w)], weights=w,
-                                         minlength=size)
-    prod = prod.reshape(len(ra), n)
-    # A factor without a derivative part takes Jet.__mul__'s scaling path,
-    # which differs from the convolution only for inf and NaN entries.  The
-    # "+ 0.0" of Jet.__mul__ is left out here and below: the sums start from
-    # +0.0, which turns a -0.0 term into +0.0 all the same.
-    live = stack[:, 1:].any(axis=1)
-    if not live.all():
-        ga, gb = stack[ra], stack[rb]
-        prod = np.where(~live[rb, None], ga * gb[:, :1],
-                        np.where(~live[ra, None], gb * ga[:, :1], prod))
+    products, sign, out_bins = _wedge_plan(dim, order, a.degree, b.degree)
+    prod = _multiply(a.c[:, :n], b.c[:, :n], products)
+    # np.bincount starts each sum from +0.0 and adds in input order, as the
+    # loop adds its terms into zero jets
+    rows = len(_keys(dim, deg))
     out = np.bincount(out_bins, weights=(prod * sign).ravel(),
-                      minlength=len(out_keys) * n)
-    return _output(a.chart, deg, order, out_keys,
-                   out.reshape(len(out_keys), n))
+                      minlength=rows * n)
+    return PForm._of(a.chart, deg, order, out.reshape(rows, n))
 
 
 def wedge_all(*forms):
@@ -234,18 +327,17 @@ def wedge_all(*forms):
 
 
 @lru_cache(maxsize=None)
-def _ext_d_plan(dim, order, keys):
-    """Gather/scatter plan of ``ext_d`` for a form with these coefficient keys
-    (in dict order) at truncation order ``order``: per term (key, axis), in
-    the loop's order, the flat source index into the stacked coefficients,
-    the factor ``jets._diff_table`` gives times the sign, and the flat
-    (output key, coefficient) target.  With the sign s = +-1 on the factor f,
-    x * (f * s) equals the loop's (x * f) * s bit for bit."""
-    out_keys = tuple(combinations(range(dim), len(keys[0]) + 1))
-    slot = {k: r for r, k in enumerate(out_keys)}
+def _ext_d_plan(dim, order, degree):
+    """Gather/scatter plan of ``ext_d`` for a degree-form at truncation order
+    ``order``: per term (key, axis), in the loop's order, the flat source
+    index into the coefficient array, the factor ``jets._diff_table`` gives
+    times the sign, and the flat (output key, coefficient) target.  With the
+    sign s = +-1 on the factor f, x * (f * s) equals the loop's (x * f) * s
+    bit for bit."""
+    slot = {k: r for r, k in enumerate(_keys(dim, degree + 1))}
     n_hi, n_lo = jets.ncoeffs(dim, order), jets.ncoeffs(dim, order - 1)
     src, fac, dst = [], [], []
-    for r, key in enumerate(keys):
+    for r, key in enumerate(_keys(dim, degree)):
         for axis in range(dim):
             if axis in key:
                 continue
@@ -254,8 +346,7 @@ def _ext_d_plan(dim, order, keys):
             src.append(r * n_hi + s)
             fac.append(f * (-1.0 if pos % 2 else 1.0))
             dst.append(slot[tuple(sorted(key + (axis,)))] * n_lo + d)
-    return (out_keys, np.concatenate(src), np.concatenate(fac),
-            np.concatenate(dst))
+    return np.concatenate(src), np.concatenate(fac), np.concatenate(dst)
 
 
 def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
@@ -271,12 +362,12 @@ def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
         raise ValueError("exterior derivative of a top-degree form")
     order = a.order
     dim = a.chart.dim
-    out_keys, src, fac, dst = _ext_d_plan(dim, order, tuple(a.coeffs))
+    src, fac, dst = _ext_d_plan(dim, order, a.degree)
+    rows = len(_keys(dim, a.degree + 1))
     n = jets.ncoeffs(dim, order - 1)
-    vals = _stacked((a,), jets.ncoeffs(dim, order)).ravel()[src] * fac
-    out = np.bincount(dst, weights=vals, minlength=len(out_keys) * n)
-    return _output(a.chart, a.degree + 1, order - 1, out_keys,
-                   out.reshape(len(out_keys), n))
+    out = np.bincount(dst, weights=a.c.ravel()[src] * fac,
+                      minlength=rows * n)
+    return PForm._of(a.chart, a.degree + 1, order - 1, out.reshape(rows, n))
 
 
 def top_ratio(a: PForm, b: PForm) -> Jet:
@@ -380,6 +471,25 @@ class Coframe:
         return self._cached(("d coeffs", i), lambda: two_form_coeffs(
             self.d(i, stage), self))
 
+    def _complement_rows(self, order: int):
+        """Cached batches of ``two_form_coeffs`` for a 2-form of truncation
+        order ``order``: the pairs of ``_complements`` grouped by the order of
+        beta ^ rest, with per group that order, its pairs, the coefficient
+        rows of its rests stacked pair by pair, and its signs as a column."""
+        def build():
+            groups = {}
+            for pair, (sign, rest) in self._complements().items():
+                groups.setdefault(min(order, rest.order), []).append(
+                    (pair, sign, rest))
+            out = []
+            for low, members in groups.items():
+                n = jets.ncoeffs(self.dim, low)
+                out.append((low, tuple(m[0] for m in members),
+                            np.concatenate([m[2].c[:, :n] for m in members]),
+                            np.array([[m[1]] for m in members])))
+            return out
+        return self._cached(("complement rows", order), build)
+
     def _complements(self):
         """Cached {(a, b): (sign, rest)} with omega^a ^ omega^b ^ rest =
         sign * volume(), rest the wedge of the other covectors in order."""
@@ -459,14 +569,13 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None, stage="raw")
         compiled.append(crow)
 
     def build(point, order):
-        forms = []
-        for crow in compiled:
-            f = PForm.zero(chart, 1, order)
-            for axis, ast in crow.items():
-                f.coeffs[(axis,)] = expressions.eval_jet(
-                    ast, point, order, names, params)
-            forms.append(f)
-        return Coframe(chart, point, tuple(forms), stage=stage)
+        zero = Jet.constant(0.0, chart.dim, order)
+        forms = tuple(
+            PForm(chart, 1, {(axis,): expressions.eval_jet(
+                crow[axis], point, order, names, params) if axis in crow
+                else zero for axis in range(chart.dim)})
+            for crow in compiled)
+        return Coframe(chart, point, forms, stage=stage)
 
     return CoframeField(chart, build, stage=stage)
 
@@ -479,10 +588,42 @@ def two_form_coeffs(beta: PForm, frame: Coframe) -> dict:
 
     Works in any chart dimension via complements and permutation parity.
     In 3D, ``c[(1, 2)], c[(0, 2)], c[(0, 1)]`` are (b23, b13, b12).  Each
-    coefficient is ``frame.ratio(beta ^ rest) * sign``.
+    coefficient is bit-equal to ``frame.ratio(wedge(beta, rest)) * sign``:
+    per truncation order of beta ^ rest, the terms of every such wedge run
+    as one batched product, and their top coefficients as one more against
+    the frame's cached volume reciprocal.
     """
-    return {pair: frame.ratio(wedge(beta, rest)) * sign
-            for pair, (sign, rest) in frame._complements().items()}
+    dim = frame.dim
+    out = {}
+    for order, pairs, rests, signs in frame._complement_rows(beta.order):
+        n = jets.ncoeffs(dim, order)
+        products, term_sign, bins = _two_form_plan(dim, order, len(pairs))
+        prod = _multiply(beta.c[:, :n], rests, products)
+        top = np.bincount(bins, weights=(prod * term_sign).ravel(),
+                          minlength=len(pairs) * n).reshape(len(pairs), n)
+        recip = frame._volume_reciprocal(order)
+        m = jets.ncoeffs(dim, recip.order)
+        coeffs = _multiply(top[:, :m], recip.c[None],
+                           _scale_plan(dim, recip.order, len(pairs)))
+        coeffs = coeffs * signs + 0.0
+        out.update((pair, Jet._of(dim, recip.order, row))
+                   for pair, row in zip(pairs, coeffs))
+    return {pair: out[pair] for pair in _keys(dim, 2)}
+
+
+@lru_cache(maxsize=None)
+def _two_form_plan(dim, order, count):
+    """Plan of ``two_form_coeffs`` for ``count`` complements at truncation
+    order ``order``: the terms of beta ^ rest for each complement in turn,
+    with the rests' rows stacked in that order, their signs as a column, and
+    the flat (complement, coefficient) target of every term coefficient."""
+    ra, rb, _, sign = _wedge_terms(dim, 2, dim - 2)
+    size = len(_keys(dim, dim - 2))
+    return (_products(dim, order, ra * count,
+                      [r + size * k for k in range(count) for r in rb]),
+            np.tile(sign, count)[:, None],
+            _scatter(np.repeat(np.arange(count), len(ra)),
+                     jets.ncoeffs(dim, order)))
 
 
 def _perm_sign(perm):

@@ -126,6 +126,17 @@ class Jet:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _of(cls, dim: int, order: int, c: np.ndarray) -> "Jet":
+        """A jet on a float vector ``c`` already of the right length, without
+        re-validating it: the constructor of the jet operations and of the
+        coefficient views of a form."""
+        j = object.__new__(cls)
+        j.dim = dim
+        j.order = order
+        j.c = c
+        return j
+
+    @classmethod
     def constant(cls, value: float, dim: int, order: int) -> "Jet":
         c = np.zeros(ncoeffs(dim, order))
         c[0] = value
@@ -155,7 +166,7 @@ class Jet:
             raise ValueError(f"cannot extend order {self.order} jet to {order}")
         if order == self.order:
             return self
-        return Jet(self.dim, order, self.c[:ncoeffs(self.dim, order)])
+        return Jet._of(self.dim, order, self.c[:ncoeffs(self.dim, order)])
 
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value:.6g})"
@@ -170,36 +181,53 @@ class Jet:
             return self.truncate(m), other.truncate(m)
         return self, Jet.constant(float(other), self.dim, self.order)
 
+    # A float operand of + and - touches c[0] only; the other coefficients
+    # get what adding the constant jet's zeros gives them: "+ 0.0" turns a
+    # -0.0 into +0.0, "- 0.0" changes nothing, and "0.0 - c" is the
+    # reflected difference.
+
     def __add__(self, other):
+        if not isinstance(other, Jet):
+            c = self.c + 0.0
+            c[0] = self.c[0] + float(other)
+            return Jet._of(self.dim, self.order, c)
         a, b = self._align(other)
-        return Jet(a.dim, a.order, a.c + b.c)
+        return Jet._of(a.dim, a.order, a.c + b.c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.dim, self.order, -self.c)
+        return Jet._of(self.dim, self.order, -self.c)
 
     def __sub__(self, other):
+        if not isinstance(other, Jet):
+            c = self.c.copy()
+            c[0] = self.c[0] - float(other)
+            return Jet._of(self.dim, self.order, c)
         a, b = self._align(other)
-        return Jet(a.dim, a.order, a.c - b.c)
+        return Jet._of(a.dim, a.order, a.c - b.c)
 
     def __rsub__(self, other):
+        if not isinstance(other, Jet):
+            c = 0.0 - self.c
+            c[0] = float(other) - self.c[0]
+            return Jet._of(self.dim, self.order, c)
         a, b = self._align(other)
-        return Jet(a.dim, a.order, b.c - a.c)
+        return Jet._of(a.dim, a.order, b.c - a.c)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.order, self.c * float(other) + 0.0)
+            return Jet._of(self.dim, self.order, self.c * float(other) + 0.0)
         a, b = self._align(other)
         # count_nonzero is several times cheaper than .any() on these sizes
         if not np.count_nonzero(b.c[1:]):
-            return Jet(a.dim, a.order, a.c * b.c[0] + 0.0)
+            return Jet._of(a.dim, a.order, a.c * b.c[0] + 0.0)
         if not np.count_nonzero(a.c[1:]):
-            return Jet(a.dim, a.order, b.c * a.c[0] + 0.0)
+            return Jet._of(a.dim, a.order, b.c * a.c[0] + 0.0)
         I, J, T = _mul_table(a.dim, a.order)
         prod = np.bincount(T, weights=a.c[I] * b.c[J],
                            minlength=ncoeffs(a.dim, a.order))
-        return Jet(a.dim, a.order, prod)
+        return Jet._of(a.dim, a.order, prod)
 
     __rmul__ = __mul__
 
@@ -222,7 +250,7 @@ def partial(j: Jet, axis: int) -> Jet:
     src, dst, fac = _diff_table(j.dim, j.order, axis)
     c = np.zeros(ncoeffs(j.dim, j.order - 1))
     np.add.at(c, dst, j.c[src] * fac)
-    return Jet(j.dim, j.order - 1, c)
+    return Jet._of(j.dim, j.order - 1, c)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from bicontact.curvature import _integrability_defect
 from bicontact.errors import BudgetError, SingularVolumeError
+from bicontact import forms
 from bicontact.examples import build_example
 from bicontact.expressions import eval_jet, parse
 from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressions,
                              ext_d, one_form_coeffs, scalar_d, top_ratio,
                              two_form_coeffs, wedge, wedge_all)
+from bicontact.fourdim import QOde, normal_form_4d, solve_q
 from bicontact.inputfile import load_coframe
-from bicontact.jets import Jet, ncoeffs, partial
+from bicontact.jets import Jet, _mul_table, ncoeffs, partial
 from bicontact.pipeline import analyze, cached_C
 
 from conftest import DATA, box_points
@@ -236,9 +238,14 @@ def test_d_coeffs_is_the_cached_structure_table_of_each_covector():
 # bitwise oracle: the array kernels of wedge and ext_d against the per-term
 # loops they replaced
 
+def _zero_coeffs(chart, degree, order):
+    return {k: Jet.constant(0.0, chart.dim, order)
+            for k in combinations(range(chart.dim), degree)}
+
+
 def _loop_wedge(a, b):
     order = min(a.order, b.order)
-    out = PForm.zero(a.chart, a.degree + b.degree, order)
+    out = _zero_coeffs(a.chart, a.degree + b.degree, order)
     for ka, ja in a.coeffs.items():
         for kb, jb in b.coeffs.items():
             if set(ka) & set(kb):
@@ -246,13 +253,13 @@ def _loop_wedge(a, b):
             key = tuple(sorted(ka + kb))
             inv = sum(1 for i in ka for j in kb if i > j)
             term = (ja * jb) * (-1.0 if inv % 2 else 1.0)
-            out.coeffs[key] = out.coeffs[key] + term
-    return out
+            out[key] = out[key] + term
+    return PForm(a.chart, a.degree + b.degree, out)
 
 
 def _loop_ext_d(a):
     order = a.order
-    out = PForm.zero(a.chart, a.degree + 1, order - 1)
+    out = _zero_coeffs(a.chart, a.degree + 1, order - 1)
     for key, j in a.coeffs.items():
         j = j.truncate(order)
         for axis in range(a.chart.dim):
@@ -261,8 +268,8 @@ def _loop_ext_d(a):
             pos = sum(1 for k in key if k < axis)
             newkey = tuple(sorted(key + (axis,)))
             term = partial(j, axis) * (-1.0 if pos % 2 else 1.0)
-            out.coeffs[newkey] = out.coeffs[newkey] + term
-    return out
+            out[newkey] = out[newkey] + term
+    return PForm(a.chart, a.degree + 1, out)
 
 
 CHARTS = {3: CH3, 4: Chart(("x", "y", "z", "w"))}
@@ -412,3 +419,129 @@ def test_frame_derivatives_are_bit_equal_to_the_axis_loop(case):
                 want = _loop_frame_derivative(f, frame, k)
                 assert coeffs[k].order == want.order
                 assert coeffs[k].c.tobytes() == want.c.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a form is one coefficient array at one order: construction, validation,
+# the read-only coefficient view, and the array operations against the
+# per-coefficient Jet operations
+
+def test_form_from_mixed_orders_takes_the_lowest_order():
+    coeffs = {(0,): Jet.variable(0.1, 0, 3, 5),
+              (1,): Jet.constant(2.0, 3, 2),
+              (2,): _scalar("sin(x*y)", POINT, order=4)}
+    f = PForm(CH3, 1, coeffs)
+    assert f.order == 2
+    assert f.c.shape == (3, ncoeffs(3, 2))
+    for key, jet in coeffs.items():
+        assert f.coeffs[key].order == 2
+        assert f.coeffs[key].c.tobytes() == jet.truncate(2).c.tobytes()
+
+
+def test_coefficients_are_read_only():
+    f = PForm.d_coord(CH3, 0, 2)
+    with pytest.raises(TypeError):
+        f.coeffs[(0,)] = Jet.constant(0.0, 3, 2)
+    with pytest.raises(ValueError):
+        f.coeffs[(1,)].c[0] = 1.0
+    with pytest.raises(ValueError):
+        f.c[0, 0] = 2.0
+    assert f.coeffs[(0,)].value == 1.0
+
+
+def test_bad_coefficients_name_every_fault():
+    good = {(i,): Jet.constant(1.0, 3, 2) for i in range(3)}
+    with pytest.raises(ValueError, match=r"missing keys \[\(2,\)\]"):
+        PForm(CH3, 1, {(0,): good[(0,)], (1,): good[(1,)]})
+    with pytest.raises(ValueError, match=r"unexpected keys \[\(0, 1\)\]"):
+        PForm(CH3, 1, {**good, (0, 1): Jet.constant(1.0, 3, 2)})
+    with pytest.raises(ValueError, match=r"not of dim 3 \[\(1,\)\]"):
+        PForm(CH3, 1, {**good, (1,): Jet.constant(1.0, 4, 2)})
+
+
+def _same_degree(dim):
+    return st.integers(0, dim).map(lambda p: (p, p))
+
+
+def _with_scalar(dim):
+    return st.integers(0, dim).map(lambda p: (p, 0))
+
+
+@given(_forms(_same_degree, 0))
+@settings(max_examples=150, deadline=None)
+def test_sums_are_bit_equal_to_the_coefficient_ops(drawn):
+    (a, b), finite = drawn
+    with np.errstate(all="ignore"):
+        for got, op in ((a + b, lambda ja, jb: ja + jb),
+                        (a - b, lambda ja, jb: ja - jb),
+                        (-a, lambda ja, jb: -ja)):
+            want = PForm(a.chart, a.degree, {
+                k: op(ja, b.coeffs[k]) for k, ja in a.coeffs.items()})
+            _assert_bit_equal(got, want, finite)
+
+
+@given(_forms(_with_scalar, 0), st.sampled_from(SPECIAL + NONFINITE))
+@settings(max_examples=150, deadline=None)
+def test_scaled_is_bit_equal_to_the_coefficient_products(drawn, x):
+    (a, s), finite = drawn
+    f = s.coeffs[()]
+    with np.errstate(all="ignore"):
+        _assert_bit_equal(a.scaled(f), PForm(a.chart, a.degree, {
+            k: j * f for k, j in a.coeffs.items()}), finite)
+        _assert_bit_equal(a.scaled(x), PForm(a.chart, a.degree, {
+            k: j * x for k, j in a.coeffs.items()}),
+            finite and math.isfinite(x))
+
+
+def _loop_two_form_coeffs(beta, frame):
+    return {pair: frame.ratio(wedge(beta, rest)) * sign
+            for pair, (sign, rest) in frame._complements().items()}
+
+
+BOX4 = ((-0.8, 0.8), (-0.8, 0.8), (-0.9, 0.9), (0.2, 1.8))
+
+
+def _two_form_frames(kind):
+    if kind in ("case1", "case2"):
+        return _kept_case_frames(kind)
+    if kind == "fourd_enonzero":
+        spec = build_example(kind)
+        return [spec.coframes().at(p, order)
+                for p in box_points(spec.box, 2, seed=3) for order in (2, 6)]
+    if kind == "normal_form_4d":
+        fld = normal_form_4d(solve_q(QOde("tan(z)", -1), (-1.2, 1.2)),
+                             h=(("1", "0"), ("x^2/2", "1")))
+        return [fld.at(p, order)
+                for p in box_points(BOX4, 2, seed=5) for order in (3, 6)]
+    chart = CHARTS[4]
+    point = (0.3, -0.2, 0.5, 0.1)
+    rng = np.random.default_rng(8)
+    mat = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    return [Coframe(chart, point, tuple(
+        PForm(chart, 1, {(j,): _scalar(f"0.1*sin(x+{j}*w)*exp(y*z)", point,
+                                       6, chart) + float(mat[i, j])
+                         for j in range(4)})
+        for i in range(4)))]
+
+
+@pytest.mark.parametrize("kind", ["case1", "case2", "fourd_enonzero",
+                                  "normal_form_4d", "dim4_order6"])
+def test_two_form_coeffs_is_bit_equal_to_the_pair_loop(kind):
+    groups = []
+    for frame in _two_form_frames(kind):
+        betas = [frame.d(i) for i in range(frame.dim)]
+        betas.append(wedge(frame.forms[0], frame.forms[-1]))
+        for beta in betas:
+            got = two_form_coeffs(beta, frame)
+            want = _loop_two_form_coeffs(beta, frame)
+            assert list(got) == list(want)
+            for pair, jet in want.items():
+                assert got[pair].order == jet.order
+                assert got[pair].c.tobytes() == jet.c.tobytes(), pair
+            groups.append(len(frame._complement_rows(beta.order)))
+    if kind == "normal_form_4d":
+        # the frame's covectors have three orders, so its complements do too
+        assert max(groups) > 1
+    if kind == "dim4_order6":
+        # 6 complements of 6 terms, each of 3003 coefficient pairs
+        assert 36 * len(_mul_table(4, 6)[0]) > forms._BATCH

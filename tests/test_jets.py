@@ -210,6 +210,41 @@ def test_mul_with_inf_coefficient_stays_nonfinite():
             assert not np.isfinite((other * a).c).all()
 
 
+# -- a float operand of + and - against the constant-jet path ----------------
+
+_EDGE = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_ANY = st.one_of(_EDGE, _COEFF)
+
+
+def _canonical(c):
+    # which of two NaNs an operation keeps is NumPy's choice, so NaNs are
+    # compared as NaN and every other value bit for bit
+    return np.where(np.isnan(c), np.nan, c).tobytes()
+
+
+@given(st.sampled_from([3, 4]), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_float_operands_are_bitwise_the_constant_jet_path(dim, order, data):
+    n = jets.ncoeffs(dim, order)
+    j = Jet(dim, order, data.draw(st.lists(_ANY, min_size=n, max_size=n)))
+    x = data.draw(_ANY)
+    k = Jet.constant(x, dim, order)
+    with np.errstate(invalid="ignore"):
+        pairs = [(j + x, j + k), (x + j, k + j),
+                 (j - x, j - k), (x - j, k - j)]
+    for got, want in pairs:
+        assert got.order == want.order
+        assert _canonical(got.c) == _canonical(want.c)
+
+
+def test_float_division_keeps_the_reciprocal_path():
+    j = Jet.variable(0.5, 0, 3, 3)
+    with pytest.raises(DomainError):
+        j / 1e-200
+    assert (j / 4.0).c.tobytes() == (j * jets.reciprocal(
+        Jet.constant(4.0, 3, 3))).c.tobytes()
+
+
 @pytest.mark.parametrize("fn,value", [
     (jets.exp, 800.0),             # math.exp overflows
     (jets.reciprocal, 1e200),      # f0 ** (k + 1) overflows

@@ -117,6 +117,22 @@ def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
     assert (len(ext_d), len(partial)) == (calls, 0)
 
 
+def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
+    # per point: 3 for the frame's volume, 6 for its complements and 57 in
+    # the E, pairing, connection, curvature and leaf stages; the 10
+    # two_form_coeffs calls of a point run as batched products and take none
+    wedges = _counting(monkeypatch, forms, "wedge", *_aliases(forms, "wedge"))
+    _run(["fourdim", "fourd_enonzero", "--points", "2"])
+    assert len(wedges) == 66 * 2
+
+    frame = build_example("fourd_enonzero").coframes().at((0.5, 1.0, 0.0, 0.1),
+                                                          2)
+    frame.d_coeffs(0)
+    del wedges[:]
+    frame.d_coeffs(1)
+    assert not wedges
+
+
 @pytest.mark.parametrize("args", [
     ["invariants", "normal_form_3d", "--points", "5"],
     ["taut", "sphere_frame", "--points", "5"],
