@@ -68,7 +68,8 @@ class ConnectionMatrix:
         for i in range(dim):
             r = self.frame.d(i, stage="connection residual")
             for j in range(dim):
-                r = r + wedge(self.form(i, j), self.frame.omega(j + 1))
+                if j != i:   # omega^i_i = 0 by skew symmetry
+                    r = r + wedge(self.form(i, j), self.frame.omega(j + 1))
             worst = nan_max(worst, r.max_abs_value())
         return worst
 
@@ -113,12 +114,11 @@ def curvature(conn: ConnectionMatrix) -> CurvatureMatrix:
     theta = [[None] * dim for _ in range(dim)]
     coeffs = [[None] * dim for _ in range(dim)]
     for i in range(dim):
-        for j in range(dim):
-            if j <= i:
-                continue
+        for j in range(i + 1, dim):
             t = ext_d(conn.form(i, j), stage="curvature(d connection)")
             for k in range(dim):
-                t = t + wedge(conn.form(i, k), conn.form(k, j))
+                if k not in (i, j):   # omega^i_i = omega^j_j = 0
+                    t = t + wedge(conn.form(i, k), conn.form(k, j))
             theta[i][j] = t
             theta[j][i] = -t
             coeffs[i][j] = two_form_coeffs(t, conn.frame)

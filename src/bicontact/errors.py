@@ -97,7 +97,7 @@ class NotIntegrable(BicontactError):
 
 
 class OdeStepFailure(BicontactError):
-    """The ODE integrator reported failure or left its validity window."""
+    """A Taylor step of the profile ODE fell below its floor or hit a NaN."""
 
 
 class DegenerateH(BicontactError):

@@ -424,10 +424,15 @@ class Coframe:
         return self._cached("volume", lambda: wedge_all(*self.forms))
 
     def replace(self, **kw):
-        d = dict(chart=self.chart, point=self.point, forms=self.forms,
-                 eps=self.eps, delta=self.delta, stage=self.stage)
-        d.update(kw)
-        return Coframe(**d)
+        """A copy with the fields in ``kw``; it keeps the memo's d of each
+        covector that stays the same object."""
+        out = Coframe(**(dict(chart=self.chart, point=self.point,
+                              forms=self.forms, eps=self.eps, delta=self.delta,
+                              stage=self.stage) | kw))
+        for i, (new, old) in enumerate(zip(out.forms, self.forms)):
+            if new is old and ("d", i) in self._memo:
+                out._memo["d", i] = self._memo["d", i]
+        return out
 
     def coefficient_matrix(self):
         """W with omega^i = sum_j W[i][j] dx^j (jet entries)."""

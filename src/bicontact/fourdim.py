@@ -17,10 +17,11 @@ second-order ODE.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
-from scipy.integrate import solve_ivp
+import numpy as np
 
 from . import jets
 from .jets import Jet
@@ -38,6 +39,8 @@ __all__ = ["Coframe4", "symp_structure", "compute_E", "e_expansion",
            "q_jets", "normal_form_4d", "verify_normal_form"]
 
 DEGENERATE_H = 1e-10   # |det h| at or below this = degenerate mixing matrix
+_TAYLOR_ORDER = 20     # degree of each Taylor step of solve_q
+_TAYLOR_TOL = 1e-14    # bound on a step's last two terms, relative to |Q| >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,8 @@ class QOde:
     """Q'' = (C^2 + eps + C') Q for a declared vertical invariant C(z).
 
     Two independent solutions are tracked with the given initial data at
-    ``z0``; their Wronskian Q1 Q2' - Q2 Q1' is the constant W0.
+    ``z0``; their Wronskian Q1 Q2' - Q2 Q1' is the constant W0.  ``solve_q``
+    steps both by Taylor series, with no tolerance to set.
     """
 
     c_text: str
@@ -269,8 +273,6 @@ class QOde:
     z0: float = 0.0
     q1_init: tuple = (0.0, 1.0)
     q2_init: tuple = (1.0, 0.0)
-    rtol: float = 1e-10
-    atol: float = 1e-12
     _node: object = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -293,20 +295,43 @@ class QOde:
         return self.u_jet(z, 0).value
 
 
+def _q_taylor(u, q: float, dq: float) -> list:
+    """Q's Taylor coefficients at z from u's and (Q, Q'): Q'' = u Q gives
+    Q_{n+2} = sum_k u_k Q_{n-k} / ((n+1)(n+2)), up to degree len(u) + 1."""
+    out = [q, dq]
+    for n in range(len(u)):
+        out.append(sum(u[k] * out[n - k] for k in range(n + 1))
+                   / ((n + 1) * (n + 2)))
+    return out
+
+
+def _horner(c, t: float):
+    """Value and derivative at offset t of the polynomial sum_n c[n] t^n."""
+    v = dv = 0.0
+    for a in reversed(c):
+        dv = dv * t + v
+        v = v * t + a
+    return v, dv
+
+
 @dataclass
 class QSolution:
-    """Dense ODE solution carrying (Q1, Q1', Q2, Q2') over a z-interval."""
+    """(Q1, Q1', Q2, Q2') over [lo, hi] from the Taylor polynomials of the
+    step that holds z; ``steps`` holds (left end, expansion point, (Q1, Q2)
+    coefficients) for each step of ``solve_q``, sorted by left end."""
 
     ode: QOde
     lo: float
     hi: float
-    _eval: object
+    steps: list
 
     def state(self, z: float):
         if not (self.lo - 1e-12 <= z <= self.hi + 1e-12):
             raise DomainError(f"z={z!r} outside integrated interval "
                               f"[{self.lo}, {self.hi}]")
-        return self._eval(z)
+        i = bisect.bisect_right(self.steps, z, key=lambda s: s[0])
+        _, za, (c1, c2) = self.steps[max(i - 1, 0)]
+        return (*_horner(c1, z - za), *_horner(c2, z - za))
 
     def wronskian(self, z: float) -> float:
         q1, dq1, q2, dq2 = self.state(z)
@@ -318,61 +343,57 @@ class QSolution:
 
 
 def solve_q(ode: QOde, z_span) -> QSolution:
-    """Integrate both solutions over ``z_span`` with dense output."""
+    """Integrate both solutions over ``z_span`` by Taylor steps from z0.
+
+    Each step expands Q1 and Q2 to degree ``_TAYLOR_ORDER`` by ``_q_taylor``;
+    its length keeps their last two terms below ``_TAYLOR_TOL`` max(1, |Q|).
+    A step shorter than 1e-12 max(1, |z|), as on the way into a pole of C,
+    or a NaN step raises ``OdeStepFailure`` naming z.
+    """
     lo, hi = float(z_span[0]), float(z_span[1])
     if not lo <= ode.z0 <= hi:
         raise DomainError(f"z0={ode.z0!r} outside span {z_span!r}")
+    steps = []
+    for end in (lo, hi):
+        z, z1, init = float(ode.z0), None, (ode.q1_init, ode.q2_init)
+        while z1 != end:
+            u = ode.u_jet(z, _TAYLOR_ORDER - 2).c.tolist()
+            cs = tuple(_q_taylor(u, q, dq) for q, dq in init)
+            c, room = np.abs(cs), abs(end - z)
+            r = np.max((c[:, -2:] / (_TAYLOR_TOL * np.maximum(1.0, c[:, :1])))
+                       ** (1.0 / np.array([_TAYLOR_ORDER - 1, _TAYLOR_ORDER])))
+            h = room if r * room <= 1.0 else float(1.0 / r)
+            if not (h >= room or h >= 1e-12 * max(1.0, abs(z))):
+                raise OdeStepFailure(f"Taylor step {h!r} too short at z={z!r}")
+            z1 = end if h >= room else z + math.copysign(h, end - z)
+            steps.append((min(z, z1), z, cs))
+            init, z = [_horner(ci, z1 - z) for ci in cs], z1
+    steps.sort(key=lambda s: s[0])
+    return QSolution(ode=ode, lo=lo, hi=hi, steps=steps)
 
-    def rhs(z, s):
-        u = ode.u_value(z)
-        return [s[1], u * s[0], s[3], u * s[2]]
 
-    y0 = [ode.q1_init[0], ode.q1_init[1], ode.q2_init[0], ode.q2_init[1]]
-    pieces = []
-    for a, b in ((ode.z0, hi), (ode.z0, lo)):
-        if a == b:
-            pieces.append(None)
-            continue
-        sol = solve_ivp(rhs, (a, b), y0, method="RK45", dense_output=True,
-                        rtol=ode.rtol, atol=ode.atol)
-        if not sol.success:
-            raise OdeStepFailure(sol.message)
-        pieces.append(sol.sol)
-
-    def evaluate(z):
-        part = pieces[0] if z >= ode.z0 else pieces[1]
-        if part is None:
-            return tuple(y0)
-        return tuple(part(z))
-
-    return QSolution(ode=ode, lo=lo, hi=hi, _eval=evaluate)
+def _lift(coeffs, z: float, dim: int, axis: int, order: int) -> Jet:
+    """The polynomial sum_m coeffs[m] (x_axis - z)^m as a jet at z of a
+    dim-dimensional chart."""
+    dz = Jet.variable(z, axis, dim, order) - z
+    acc = Jet.constant(0.0, dim, order)
+    for m in range(min(order, len(coeffs) - 1), -1, -1):
+        acc = acc * dz + coeffs[m]
+    return acc
 
 
 def q_jets(sol: QSolution, z: float, dim: int, axis: int, order: int):
     """Lift (Q1, Q2) at z into jets of the ambient chart.
 
     Values and first derivatives come from the integrated state; all higher
-    derivatives follow from the ODE by the Leibniz recursion
-    Q^(n+2) = sum_k binom(n, k) u^(k) Q^(n-k), so the jets satisfy the
-    equation coefficient-for-coefficient regardless of integration error.
+    Taylor coefficients follow from the ODE by ``_q_taylor``, so the jets
+    satisfy the equation coefficient-for-coefficient regardless of
+    integration error.
     """
-    u = sol.ode.u_jet(z, max(order - 2, 0))
-    uder = [u.coeff((k,)) * math.factorial(k) for k in range(max(order - 1, 1))]
+    u = sol.ode.u_jet(z, max(order - 2, 0)).c.tolist()
     q1, dq1, q2, dq2 = sol.state(z)
-    out = []
-    for q, dq in ((q1, dq1), (q2, dq2)):
-        der = [q, dq]
-        for n in range(order - 1):
-            nxt = sum(math.comb(n, k) * uder[k] * der[n - k]
-                      for k in range(n + 1))
-            der.append(nxt)
-        zvar = Jet.variable(z, axis, dim, order)
-        dz = zvar - z
-        acc = Jet.constant(0.0, dim, order)
-        for m in range(order, -1, -1):
-            acc = acc * dz + der[m] / math.factorial(m)
-        out.append(acc)
-    return out[0], out[1]
+    return tuple(_lift(_q_taylor(u, q, dq), z, dim, axis, order)
+                 for q, dq in ((q1, dq1), (q2, dq2)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +441,8 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
         K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
         L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
-        Cj = expressions.eval_jet(ode._node, (z,), order, ("z",))
-        Cj = _lift_univariate(Cj, z, 4, 2, order)
+        Cj = _lift(expressions.eval_jet(ode._node, (z,), order, ("z",))
+                   .c.tolist(), z, 4, 2, order)
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
         f = (Jet.variable(w, 3, 4, order) / (det_h * w0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))
@@ -440,16 +461,6 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
         return Coframe(chart, point, (w1, w2, w3, w4), stage="normal_form_4d")
 
     return CoframeField(chart, build, stage="normal_form_4d")
-
-
-def _lift_univariate(j: Jet, z: float, dim: int, axis: int, order: int) -> Jet:
-    """Re-seed a univariate jet at z as a jet of a dim-dimensional chart."""
-    zvar = Jet.variable(z, axis, dim, order)
-    dz = zvar - z
-    acc = Jet.constant(0.0, dim, order)
-    for m in range(min(order, j.order), -1, -1):
-        acc = acc * dz + j.coeff((m,))
-    return acc
 
 
 def verify_normal_form(fld: CoframeField, ode: QOde, points,

@@ -137,8 +137,7 @@ def _one_adapt_point(cf: Coframe):
     Omega = vol1
     lam = top_ratio(wedge_all(w1, w2h, w3_seed), Omega)
     w3h = w3_seed.scaled(jets.reciprocal(lam))
-    out = Coframe(cf.chart, cf.point, (w1, w2h, w3h), eps=eps,
-                  delta=cf.delta, stage="one-adapted")
+    out = cf.replace(forms=(w1, w2h, w3h), eps=eps, stage="one-adapted")
     return out, r, scale, lam
 
 
@@ -286,8 +285,7 @@ def case2_adapt(cf: Coframe):
     s = jets.sqrt(s2)
 
     w1h, w2h = w1.scaled(s), w2.scaled(s)
-    out = Coframe(cf.chart, cf.point, (w1h, w2h, new3), eps=eps,
-                  delta=cf.delta, stage="case2-adapted")
+    out = frame0.replace(forms=(w1h, w2h, new3))
 
     k1 = out.d_coeffs(0, stage="case2_adapt(d omega1)")
     k2 = out.d_coeffs(1, stage="case2_adapt(d omega2)")

@@ -46,7 +46,7 @@ GOLDEN = [
     (["fourdim", "fourd_enonzero", "--points", "2"],
      "8eca017e0e0e95834a9717d18b63f04785f692a70893a6669961cca276a5d3dd"),
     (["normal-form", "z^2", "--points", "5"],
-     "f72f7de1272ee8ad93fc7df350b6dd6ec791379b668a1973772cead6ebfcc4c7"),
+     "677c5a0d110627be93406b5c61ac2e68608ad28bc95c9a2964ebec355279323d"),
     (["curvature", "eta_frame", "--points", "4"],
      "0cc1a14d1d58587fd5dca9d4e164c0d49fcdf603eb938cfa9519b05bdfd89734"),
 ]

@@ -115,20 +115,27 @@ def test_curvature4_flat_E_values():
     assert rep5.pfaffian.value == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("eps,f1,f2", [(-1, math.sin, math.cos),
-                                       (1, math.sinh, math.cosh)])
-def test_qode_matches_analytic_solutions(eps, f1, f2):
-    ode = QOde("0", eps)
+@pytest.mark.parametrize("c_text,eps,f1,f2,lo", [
+    ("0", -1, math.sin, math.cos, 0.0),
+    ("0", 1, math.sinh, math.cosh, 0.0),
+    ("0.5", -1, math.sin, math.cos, -1.0),
+    ("0.5", 1, math.sinh, math.cosh, -1.0),
+], ids=["-1-sin-cos", "1-sinh-cosh", "C=0.5--1-sin-cos", "C=0.5-1-sinh-cosh"])
+def test_qode_matches_analytic_solutions(c_text, eps, f1, f2, lo):
+    # constant C: u = C^2 + eps is constant, so with w = sqrt|u| the
+    # solutions are Q1 = f1(w z) / w and Q2 = f2(w z); a span with lo < 0
+    # checks the backward steps too
+    w = math.sqrt(abs(float(c_text) ** 2 + eps))
+    ode = QOde(c_text, eps)
     assert ode.W0 == -1.0
-    sol = solve_q(ode, (0.0, 1.0))
-    zs = np.linspace(0.0, 1.0, 21)
+    sol = solve_q(ode, (lo, 1.0))
+    zs = np.linspace(lo, 1.0, 21)
     for z in zs:
         q1, dq1, q2, dq2 = sol.state(float(z))
-        assert abs(q1 - f1(z)) < 1e-8
-        assert abs(q2 - f2(z)) < 1e-8
-        assert abs(dq1 - f2(z)) < 1e-8
-        want_dq2 = -f1(z) if eps == -1 else f1(z)
-        assert abs(dq2 - want_dq2) < 1e-8
+        assert abs(q1 - f1(w * z) / w) < 1e-8
+        assert abs(q2 - f2(w * z)) < 1e-8
+        assert abs(dq1 - f2(w * z)) < 1e-8
+        assert abs(dq2 - eps * w * f1(w * z)) < 1e-8
     assert sol.wronskian_drift(zs) < 1e-8
 
 
@@ -145,6 +152,26 @@ def test_q_jets_satisfy_the_equation():
             # second derivative reproduces u * Q coefficient-for-coefficient
             assert partial(partial(j, 2), 2).value == pytest.approx(
                 u * q, abs=1e-10)
+
+
+def test_q_jets_match_the_leibniz_recursion():
+    # oracle: derivatives Q^(n+2) = sum_k binom(n, k) u^(k) Q^(n-k), then
+    # Taylor coefficients Q^(m) / m!
+    ode = QOde("tan(z)", -1)
+    sol = solve_q(ode, (-1.2, 1.2))
+    for z in (-0.7, 0.0, 0.45):
+        u = ode.u_jet(z, 6)
+        uder = [u.coeff((k,)) * math.factorial(k) for k in range(7)]
+        jets_ = q_jets(sol, z, 4, 2, 8)
+        state = sol.state(z)
+        for j, der in zip(jets_, ([state[0], state[1]], [state[2], state[3]])):
+            for n in range(7):
+                der.append(sum(math.comb(n, k) * uder[k] * der[n - k]
+                               for k in range(n + 1)))
+            for m in range(9):
+                want = der[m] / math.factorial(m)
+                assert j.coeff((0, 0, m, 0)) == pytest.approx(
+                    want, rel=1e-12, abs=1e-14)
 
 
 def test_normal_form_4d_with_compatible_h():

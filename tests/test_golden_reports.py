@@ -20,7 +20,7 @@ GOLDEN = [
     (["fourdim", "fourd_enonzero", "--points", "2", "--order", "6"],
      "bb4c63a60d5cdd17cb4108126170125cd999d692a7b092e5539eb68aa53e3ab7"),
     (["normal-form", "tan(z)", "--order", "3", "--points", "10"],
-     "4bdba510eb233b246c09e1f9a0b0b1fb63f972413d605b9058d99f104fa5498a"),
+     "4737ec6839c06269b24b21f3c43ba3e302add7358a8763f09111b339b2fe6c98"),
 ]
 
 

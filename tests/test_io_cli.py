@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bicontact
 from bicontact.cli import main
 from bicontact.errors import ArityError, ParseError, UnknownIdentifier
 from bicontact.examples import build_example
@@ -234,6 +239,25 @@ def test_cli_normal_form_samples_the_given_point(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["config"]["at"] == [[0.1, 0.2, 0.3, 0.5]]
     assert [r["point"] for r in rep["records"]] == [[0.1, 0.2, 0.3, 0.5]]
+
+
+def test_cli_normal_form_span_into_a_pole_is_a_typed_error(tmp_path):
+    # tan(z) has a pole at pi/2 inside the span, where the steps shrink
+    out = tmp_path / "rep.json"
+    assert main(["normal-form", "tan(z)", "--span=-1:2", "--points", "3",
+                 "--out", str(out)]) == 1
+    (err,) = json.loads(out.read_text())["errors"]
+    assert err["type"] == "OdeStepFailure"
+    assert "at z=1.57" in err["message"]
+
+
+def test_cli_import_leaves_scipy_out():
+    src = pathlib.Path(bicontact.__file__).resolve().parents[1]
+    code = "import sys, bicontact.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("args,message", [

@@ -97,15 +97,16 @@ def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 13 * 5),
+    (["curvature", "normal_form_3d", "--points", "5"], 11 * 5),
     (["fourdim", "fourd_enonzero", "--points", "2"], 14 * 2),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
 def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
                                                       calls):
-    # per point in 3D: one_adapt 2 on the raw frame, C 2 on the one-adapted
-    # frame, dC 1, d omega3 of the omega3 frame 1, case2_adapt 3 on its
-    # final frame, d zeta 1, the connection forms 3; the connection residual
-    # and the leaf defect read the final frame's memo.  In 4D:
+    # per point in 3D: one_adapt 2 on the raw frame, C 1 on the one-adapted
+    # frame (d omega1 carries over from the raw frame), dC 1, d omega3 of the
+    # omega3 frame 1, case2_adapt 2 on its final frame (d omega3 carries over
+    # from the omega3 frame), d zeta 1, the connection forms 3; the
+    # connection residual and the leaf defect read the final frame's memo.  In 4D:
     # symp_structure 4, dE 1, d theta^1 and d theta^2 2, the connection
     # forms 6, dC 1; compute_E, the pairings, the connection residual and
     # the leaf defect read the memo.  scalar_d runs through ext_d, so
@@ -118,12 +119,13 @@ def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
 
 
 def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
-    # per point: 3 for the frame's volume, 6 for its complements and 57 in
-    # the E, pairing, connection, curvature and leaf stages; the 10
-    # two_form_coeffs calls of a point run as batched products and take none
+    # per point: 3 for the frame's volume, 6 for its complements and 41 in
+    # the E, pairing, connection, curvature and leaf stages, which skip the
+    # zero diagonal connection forms; the 10 two_form_coeffs calls of a
+    # point run as batched products and take none
     wedges = _counting(monkeypatch, forms, "wedge", *_aliases(forms, "wedge"))
     _run(["fourdim", "fourd_enonzero", "--points", "2"])
-    assert len(wedges) == 66 * 2
+    assert len(wedges) == 50 * 2
 
     frame = build_example("fourd_enonzero").coframes().at((0.5, 1.0, 0.0, 0.1),
                                                           2)
