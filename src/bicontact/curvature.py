@@ -3,7 +3,11 @@
 The metric declares the given coframe orthonormal.  The connection solves
 the first structure equation d(omega^i) = -omega^i_j ^ omega^j with a
 skew coefficient matrix; curvature is Theta = d(theta) + theta ^ theta.
-Everything works in any chart dimension (used here for 3 and 4).
+Both tables are built once, on construction, and are frozen and skew: the
+connection builds omega^i_j for i < j and sets omega^j_i = -omega^i_j, the
+curvature holds Theta^i_j for i < j and gives the lower half by sign, and
+neither builds the zero diagonal.  Everything works in any chart dimension
+(used here for 3 and 4).
 """
 
 from __future__ import annotations
@@ -36,30 +40,37 @@ def _structure_coeffs(frame: Coframe):
     return D
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectionMatrix:
-    """Skew matrix of connection 1-forms omega^i_j = Gamma[i][j][k] omega^k."""
+    """Skew matrix of connection 1-forms omega^i_j = Gamma[i][j][k] omega^k.
+
+    Construction builds each omega^i_j with i < j as the k-sum, sets
+    omega^j_i = -omega^i_j, and stores the structure-equation residual.  The
+    diagonal omega^i_i is zero by skew symmetry and is never built."""
 
     frame: Coframe
-    gamma: list
-    structure_residual: float = 0.0
-    _forms: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    gamma: tuple
+    omega: dict = field(init=False, repr=False, compare=False)
+    structure_residual: float = field(init=False)
+
+    def __post_init__(self):
+        dim = self.frame.chart.dim
+        gamma = tuple(tuple(map(tuple, plane)) for plane in self.gamma)
+        omega = {}
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                out = None
+                for k in range(dim):
+                    term = self.frame.omega(k + 1).scaled(gamma[i][j][k])
+                    out = term if out is None else out + term
+                omega[i, j], omega[j, i] = out, -out
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "structure_residual", self.residual())
 
     def form(self, i: int, j: int) -> PForm:
-        """The connection 1-form omega^i_j (0-based indices).  It is built
-        once per (i, j), and again only after an entry of gamma[i][j] has been
-        replaced; callers must not mutate it."""
-        gamma = tuple(self.gamma[i][j])
-        kept = self._forms.get((i, j))
-        if kept is not None and all(a is b for a, b in zip(kept[0], gamma)):
-            return kept[1]
-        out = None
-        for k in range(self.frame.chart.dim):
-            term = self.frame.omega(k + 1).scaled(gamma[k])
-            out = term if out is None else out + term
-        self._forms[i, j] = (gamma, out)
-        return out
+        """The connection 1-form omega^i_j (0-based indices, i != j)."""
+        return self.omega[i, j]
 
     def residual(self) -> float:
         """Max coefficient of d(omega^i) + omega^i_j ^ omega^j over i."""
@@ -83,49 +94,45 @@ def levi_civita(frame: Coframe) -> ConnectionMatrix:
     """
     dim = frame.chart.dim
     D = _structure_coeffs(frame)
-    gamma = [[[(D[i][j][k] + D[j][k][i] - D[k][i][j]) * 0.5
-               for k in range(dim)] for j in range(dim)] for i in range(dim)]
-    conn = ConnectionMatrix(frame, gamma)
-    conn.structure_residual = conn.residual()
-    return conn
+    return ConnectionMatrix(frame, [[[
+        (D[i][j][k] + D[j][k][i] - D[k][i][j]) * 0.5 for k in range(dim)]
+        for j in range(dim)] for i in range(dim)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureMatrix:
     """Skew matrix of curvature 2-forms Theta^i_j = d omega^i_j +
-    omega^i_k ^ omega^k_j, with coefficients in the coframe basis."""
+    omega^i_k ^ omega^k_j, with coefficients in the coframe basis.
+
+    ``theta`` and ``coeffs`` hold Theta^i_j and its table
+    {(a, b): [Theta^i_j]_ab} for i < j and a < b, keyed by (i, j); ``entry``
+    and ``coefficient`` give the other index orders by sign."""
 
     frame: Coframe
-    connection: ConnectionMatrix
-    theta: list
-    coeffs: list = field(default=None)
+    theta: dict
+    coeffs: dict
 
     def entry(self, i: int, j: int) -> PForm:
-        return self.theta[i][j]
+        return self.theta[i, j] if i < j else -self.theta[j, i]
 
     def coefficient(self, i: int, j: int, a: int, b: int) -> Jet:
         """[Theta^i_j]_ab with Theta^i_j = sum_{a<b} [..]_ab omega^a ^ omega^b."""
-        c = self.coeffs[i][j]
-        return c[(a, b)] if a < b else -c[(b, a)]
+        c = self.coeffs[min(i, j), max(i, j)][min(a, b), max(a, b)]
+        return c if (i < j) == (a < b) else -c
 
 
 def curvature(conn: ConnectionMatrix) -> CurvatureMatrix:
     dim = conn.frame.chart.dim
-    theta = [[None] * dim for _ in range(dim)]
-    coeffs = [[None] * dim for _ in range(dim)]
+    theta, coeffs = {}, {}
     for i in range(dim):
         for j in range(i + 1, dim):
             t = ext_d(conn.form(i, j), stage="curvature(d connection)")
             for k in range(dim):
                 if k not in (i, j):   # omega^i_i = omega^j_j = 0
                     t = t + wedge(conn.form(i, k), conn.form(k, j))
-            theta[i][j] = t
-            theta[j][i] = -t
-            coeffs[i][j] = two_form_coeffs(t, conn.frame)
-            coeffs[j][i] = {key: -c for key, c in coeffs[i][j].items()}
-    curv = CurvatureMatrix(conn.frame, conn, theta)
-    curv.coeffs = coeffs
-    return curv
+            theta[i, j] = t
+            coeffs[i, j] = two_form_coeffs(t, conn.frame)
+    return CurvatureMatrix(conn.frame, theta, coeffs)
 
 
 def scalar_curvature(curv: CurvatureMatrix) -> Jet:

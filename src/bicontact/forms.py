@@ -398,7 +398,6 @@ class Coframe:
     point: tuple
     forms: tuple
     eps: int | None = None
-    delta: int = 1
     stage: str = "raw"
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -427,7 +426,7 @@ class Coframe:
         """A copy with the fields in ``kw``; it keeps the memo's d of each
         covector that stays the same object."""
         out = Coframe(**(dict(chart=self.chart, point=self.point,
-                              forms=self.forms, eps=self.eps, delta=self.delta,
+                              forms=self.forms, eps=self.eps,
                               stage=self.stage) | kw))
         for i, (new, old) in enumerate(zip(out.forms, self.forms)):
             if new is old and ("d", i) in self._memo:
@@ -518,8 +517,8 @@ class CoframeField:
     """A chart-level family of coframes, served by a builder or a frame map.
 
     A raw field has a ``builder(point, order)`` that returns a
-    :class:`Coframe` at any point.  Stage, epsilon and delta describe the
-    family as a whole.
+    :class:`Coframe` at any point.  Stage and epsilon describe the family as
+    a whole.
 
     A pipeline driver passes ``builder=None`` and ``frames``, a map from
     ``(point, order)`` to the frame it built and checked at each of its own
@@ -529,12 +528,10 @@ class CoframeField:
     epsilon, constant branch, the detected case) covered only its samples.
     """
 
-    def __init__(self, chart, builder, eps=None, delta=1, stage="raw",
-                 frames=None):
+    def __init__(self, chart, builder, eps=None, stage="raw", frames=None):
         self.chart = chart
         self._builder = builder
         self.eps = eps
-        self.delta = delta
         self.stage = stage
         self.frames = MappingProxyType(
             {_frame_key(p, o): cf for (p, o), cf in (frames or {}).items()})

@@ -165,10 +165,9 @@ def symplectic_quadratic_check(F: Coframe4, a_samples=()) -> dict:
 
 @dataclass
 class Curvature4Report:
-    """Connection/curvature of the orthonormal metric on a 4D pattern frame."""
+    """Curvature scalars, leaf data and closed-form deviations of the
+    orthonormal metric on a 4D pattern frame."""
 
-    connection: object
-    curvature: object
     S: Jet
     pfaffian: Jet
     leaf: object
@@ -228,7 +227,7 @@ def curvature4(F: Coframe4) -> Curvature4Report:
     curv_dev = 0.0
     theta34 = 0.0
     for (i, j), want in want_theta.items():
-        table = curv.coeffs[i][j]
+        table = curv.coeffs[i, j]
         for pair, coeff in table.items():
             dev = abs(coeff.value - want.get(pair, 0.0))
             curv_dev = nan_max(curv_dev, dev)
@@ -252,8 +251,7 @@ def curvature4(F: Coframe4) -> Curvature4Report:
         "leaf_trace": abs(leaf.trace),
         "leaf_shape": shape_dev,
     }
-    return Curvature4Report(connection=conn, curvature=curv, S=S, pfaffian=pf,
-                            leaf=leaf, residuals=res)
+    return Curvature4Report(S=S, pfaffian=pf, leaf=leaf, residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +288,6 @@ class QOde:
         """The coefficient C^2 + eps + C' as a univariate jet at z."""
         c = expressions.eval_jet(self._node, (z,), order + 1, ("z",))
         return c * c + float(self.eps) + jets.partial(c, 0)
-
-    def u_value(self, z: float) -> float:
-        return self.u_jet(z, 0).value
 
 
 def _q_taylor(u, q: float, dq: float) -> list:

@@ -156,8 +156,8 @@ def one_adapt(fld: CoframeField, points, order):
     if len(eps_seen) != 1:
         raise MixedEpsilon(f"epsilon not constant over samples: {eps_seen}")
     eps = next(iter(eps_seen))
-    return CoframeField(fld.chart, None, eps=eps, delta=fld.delta,
-                        stage="one-adapted", frames=kept)
+    return CoframeField(fld.chart, None, eps=eps, stage="one-adapted",
+                        frames=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,7 @@ def case2_adapt(cf: Coframe):
         scalar_d(cf.chart, zeta, stage="case2_adapt(zeta3)"), out)
 
     rec = InvariantRecord(
-        point=cf.point, eps=eps, delta=cf.delta, case="case2",
+        point=cf.point, eps=eps, case="case2",
         C=C.value, C1=C1f.value, C2=C2f.value, C3=C3f.value,
         A1=A1.value, A2=A2.value, A3=A3.value,
         B1=B1.value, B2=B2.value, B3=B3.value,
@@ -324,8 +324,8 @@ def case2_adapt(cf: Coframe):
     res["C1"] = abs(C1f.value)
     res["C2"] = abs(C2f.value)
 
-    # fitted W of the zeta-derivative display (least squares over 2 equations,
-    # delta = +1): zeta1 = W cos(zeta) + A2, zeta2 = -W sin(zeta) - A1
+    # fitted W of the zeta-derivative display (least squares over 2
+    # equations): zeta1 = W cos(zeta) + A2, zeta2 = -W sin(zeta) - A1
     z1, z2 = z1.value, z2.value
     cz, sz = math.cos(zeta.value), math.sin(zeta.value)
     W = cz * (z1 - A2.value) - sz * (z2 + A1.value)
@@ -342,8 +342,8 @@ def case2_adapt_field(fld: CoframeField, points, order):
         out, rec, _ = case2_adapt(fld.at(p, order))
         records.append(rec)
         kept[tuple(p), order] = out
-    return CoframeField(fld.chart, None, eps=fld.eps, delta=fld.delta,
-                        stage="case2-adapted", frames=kept), records
+    return CoframeField(fld.chart, None, eps=fld.eps, stage="case2-adapted",
+                        frames=kept), records
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     s = jets.sqrt(s2)
     w1h, w2h = cf.forms[0].scaled(s), cf.forms[1].scaled(s)
     base = Coframe(cf.chart, cf.point, (w1h, w2h, cf.forms[2]), eps=eps,
-                   delta=cf.delta, stage="case1-adapted")
+                   stage="case1-adapted")
     C1h, C2h, _ = one_form_coeffs(_dC(cf, "case1_adapt(dC)"), base)
     xi = jets.atan2(C2h, C1h)
 
@@ -401,7 +401,7 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
 
     w3h = base.forms[2] + w1h.scaled(b1) + w2h.scaled(b2)
     out = Coframe(cf.chart, cf.point, (w1h, w2h, w3h), eps=eps,
-                  delta=cf.delta, stage="case1-adapted")
+                  stage="case1-adapted")
 
     k1 = out.d_coeffs(0, stage="case1_adapt(final)")
     k2 = out.d_coeffs(1, stage="case1_adapt(final)")
@@ -416,7 +416,7 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     cx, sx = math.cos(xi.value), math.sin(xi.value)
     rho = -x1 * sx + x2 * cx        # least squares of xi1 = -rho sin, xi2 = rho cos
     rec = InvariantRecord(
-        point=cf.point, eps=eps, delta=cf.delta, case="case1",
+        point=cf.point, eps=eps, case="case1",
         C=C.value, C1=C1h.value, C2=C2h.value, C3=C3_pre.value,
         A1=A1.value, A2=A2.value, A3=A3.value,
         B1=B1.value, B2=B2.value, B3=B3.value,
@@ -455,8 +455,8 @@ def case1_adapt_field(fld: CoframeField, points, order, tol=None):
         out, rec, _ = case1_adapt(fld.at(p, order), tol)
         records.append(rec)
         kept[tuple(p), order] = out
-    return CoframeField(fld.chart, None, eps=fld.eps, delta=fld.delta,
-                        stage="case1-adapted", frames=kept), records
+    return CoframeField(fld.chart, None, eps=fld.eps, stage="case1-adapted",
+                        frames=kept), records
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +488,7 @@ def taut_circle_transform(cf: Coframe, branch=None):
     one_minus_C2 = sp * sm * float(here[0] * here[1])
     eta3 = w3.scaled(-jets.sqrt(one_minus_C2))
     out = Coframe(cf.chart, cf.point, (eta1, eta2, eta3), eps=cf.eps,
-                  delta=cf.delta, stage="taut-circle")
+                  stage="taut-circle")
     return out, C, here
 
 
@@ -504,8 +504,8 @@ def taut_circle_field(fld: CoframeField, points, order):
             raise BranchError(
                 f"sign branch of (1+C, 1-C) is {here} at {tuple(p)}, "
                 f"{branch} elsewhere in the region")
-    return CoframeField(fld.chart, None, eps=fld.eps, delta=fld.delta,
-                        stage="taut-circle", frames=kept), branch
+    return CoframeField(fld.chart, None, eps=fld.eps, stage="taut-circle",
+                        frames=kept), branch
 
 
 def circle_volume_coefficient(cf: Coframe, taut: Coframe, a1: float, a2: float):
@@ -547,7 +547,7 @@ def taut_hyperbola_transform(cf: Coframe):
     eta1 = (w1.scaled(ch) + w2.scaled(sh)).scaled(inv)
     eta2 = (w1.scaled(-sh) + w2.scaled(ch)).scaled(inv)
     out = Coframe(cf.chart, cf.point, (eta1, eta2, w3), eps=cf.eps,
-                  delta=cf.delta, stage="taut-hyperbola")
+                  stage="taut-hyperbola")
     return out, C, theta
 
 
@@ -631,7 +631,7 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
     tol = tol or Tolerances()
     if cf2.stage != "case2-adapted":
         raise ValueError("invariant_coords needs a case2-adapted frame")
-    eps, delta = cf2.eps, cf2.delta
+    eps = cf2.eps
     C = cached_C(cf2)
     dC = _dC(cf2, "invariant_coords(dC)")
     C3 = one_form_coeffs(dC, cf2)[2]
@@ -649,14 +649,13 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
     cz = math.cos(zeta.value)
     sz = math.sin(zeta.value)
     predicted = -C3.value ** 3 * (
-        1.0 - (1 + eps) * cz * cz + 2.0 * delta * C.value * sz * cz
-        + delta * zeta3.value)
+        1.0 - (1 + eps) * cz * cz + 2.0 * C.value * sz * cz + zeta3.value)
 
     pair = wedge(dC, dC3)
     pc = two_form_coeffs(pair, cf2)
     pair_res = {
         "coeff_13_minus_C3sq_sin": abs(pc[(0, 2)].value - C3.value ** 2 * sz),
-        "coeff_23_minus_delta_C3sq_cos": abs(pc[(1, 2)].value - delta * C3.value ** 2 * cz),
+        "coeff_23_minus_delta_C3sq_cos": abs(pc[(1, 2)].value - C3.value ** 2 * cz),
         "coeff_12": abs(pc[(0, 1)].value),
     }
     degenerate = abs(lhs.value) <= tol.deep * max(1.0, abs(C3.value) ** 3)
@@ -682,14 +681,13 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
     tol = tol or Tolerances()
     adapted = one_adapt(fld, points, order)
     case = case_detect(adapted, points, order)
-    result = {"eps": adapted.eps, "delta": adapted.delta, "case": case,
-              "records": [], "field": adapted}
+    result = {"eps": adapted.eps, "case": case, "records": [],
+              "field": adapted}
     if case in ("constantC", "case3"):
         for p in points:
             cf = adapted.at(p, order)
             C, C3, c1, c2, _ = _dC_data(cf)
-            rec = InvariantRecord(point=tuple(p), eps=adapted.eps,
-                                  delta=adapted.delta, case=case,
+            rec = InvariantRecord(point=tuple(p), eps=adapted.eps, case=case,
                                   C=C.value, C1=c1.value, C2=c2.value,
                                   C3=C3.value)
             rec.klass, _ = classify(C.value, adapted.eps)

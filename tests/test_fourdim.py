@@ -144,7 +144,7 @@ def test_q_jets_satisfy_the_equation():
     sol = solve_q(ode, (-1.2, 1.2))
     for z in (-0.7, 0.0, 0.45):
         j1, j2 = q_jets(sol, z, 4, 2, 6)
-        u = ode.u_value(z)
+        u = ode.u_jet(z, 0).value
         s = sol.state(z)
         for j, (q, dq) in ((j1, s[0:2]), (j2, s[2:4])):
             assert j.value == pytest.approx(q, abs=1e-12)

@@ -9,6 +9,7 @@ source must run out of derivative levels, or the table would be padded; the
 failure then names the order the command needs.
 """
 
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from bicontact import cli
-from bicontact.curvature import ConnectionMatrix, curvature, levi_civita
+from bicontact.curvature import curvature, levi_civita
 from bicontact.errors import SingularVolumeError
 from bicontact.examples import EXAMPLES, build_example
 from bicontact.forms import (Chart, Coframe, PForm, ext_d, top_ratio,
@@ -100,17 +101,54 @@ def _bits(form):
     return {k: j.c.tobytes() for k, j in form.coeffs.items()}
 
 
-def test_memoized_connection_forms_equal_fresh_builds():
-    spec = build_example("fourd_enonzero")
-    frame = spec.coframes().at((0.3, 0.6, 0.1, 0.4), 4)
+def _k_sum(frame, gamma_ij):
+    """omega^i_j built on its own: sum_k omega^k Gamma^i_jk, in k order."""
+    out = None
+    for k, g in enumerate(gamma_ij):
+        term = frame.omega(k + 1).scaled(g)
+        out = term if out is None else out + term
+    return out
+
+
+def _eager_tables(curv):
+    """The coefficient tables of every Theta^i_j, i != j, with the lower half
+    negated eagerly."""
+    dim = curv.frame.chart.dim
+    table = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            table[i][j] = two_form_coeffs(curv.entry(i, j), curv.frame)
+            table[j][i] = {key: -c for key, c in table[i][j].items()}
+    return table
+
+
+@pytest.mark.parametrize("name,point", [
+    ("normal_form_3d", (0.3, 0.6, 0.1)),
+    ("fourd_enonzero", (0.3, 0.6, 0.1, 0.4)),
+], ids=["normal_form_3d", "fourd_enonzero"])
+def test_skew_tables_equal_entry_by_entry_builds(name, point):
+    frame = build_example(name).coframes().at(point, 4)
     conn = levi_civita(frame)
-    curvature(conn)                          # every form is now memoized
-    fresh = ConnectionMatrix(frame, conn.gamma)
-    for i in range(4):
-        for j in range(4):
-            kept = conn.form(i, j)
-            assert kept is conn.form(i, j)
-            assert _bits(kept) == _bits(fresh.form(i, j))
+    curv = curvature(conn)
+    dim = frame.chart.dim
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    table = _eager_tables(curv)
+    for i, j in pairs:
+        want = _k_sum(frame, conn.gamma[i][j])
+        if i < j:
+            assert _bits(conn.form(i, j)) == _bits(want)
+        else:   # -omega^j_i; Gamma is skew up to the sign of a zero
+            assert np.array_equal(conn.form(i, j).c, want.c)
+        for a, b in pairs:
+            c = table[i][j]
+            want = c[(a, b)] if a < b else -c[(b, a)]
+            assert curv.coefficient(i, j, a, b).c.tobytes() == want.c.tobytes()
+    with pytest.raises(KeyError):
+        conn.form(0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        conn.gamma = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        curv.theta = {}
 
 
 def _frame4(order, dim=4):

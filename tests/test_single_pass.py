@@ -118,6 +118,21 @@ def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
     assert (len(ext_d), len(partial)) == (calls, 0)
 
 
+@pytest.mark.parametrize("args,calls", [
+    (["curvature", "normal_form_3d", "--points", "5"], 14 * 5),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 40 * 2),
+], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
+def test_each_connection_form_is_built_once_above_the_diagonal(monkeypatch,
+                                                               args, calls):
+    # per point in 3D: one_adapt 2, the omega3 frame 1, case2_adapt 2 and
+    # the connection forms omega^i_j, i < j, 3 x 3; in 4D: the sampled
+    # pairings 16 and the connection forms 6 x 4.  omega^j_i is the negated
+    # omega^i_j, and the zero diagonal is never built.
+    scaled = _counting(monkeypatch, forms.PForm, "scaled")
+    _run(args)
+    assert len(scaled) == calls
+
+
 def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
     # per point: 3 for the frame's volume, 6 for its complements and 41 in
     # the E, pairing, connection, curvature and leaf stages, which skip the
