@@ -89,14 +89,16 @@ def levi_civita(frame: Coframe) -> ConnectionMatrix:
     """The unique metric-compatible torsion-free connection of the coframe.
 
     Gamma^i_jk = (D^i_jk + D^j_ki - D^k_ij) / 2 is the closed-form solution
-    of the skew linear system; the structure-equation residual is computed
-    on every call as a self-check.
+    of the skew linear system, taken for i != j; Gamma^i_ik is zero by skew
+    symmetry and holds the zero jet of the structure table.  The
+    structure-equation residual is computed on every call as a self-check.
     """
     dim = frame.chart.dim
     D = _structure_coeffs(frame)
+    zero = D[0][0][0]
     return ConnectionMatrix(frame, [[[
-        (D[i][j][k] + D[j][k][i] - D[k][i][j]) * 0.5 for k in range(dim)]
-        for j in range(dim)] for i in range(dim)])
+        (D[i][j][k] + D[j][k][i] - D[k][i][j]) * 0.5 if i != j else zero
+        for k in range(dim)] for j in range(dim)] for i in range(dim)])
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,31 @@ jet arithmetic, and sign branches are chosen by the pipeline instead.
 
 Identifiers are resolved at parse time against the chart coordinates and the
 parameter table, so a well-formed AST has no free names.
+
+Evaluation to jets runs on a :class:`Tape`: a sequence of ASTs compiled once
+into an ordered list of operations over slots, in which structurally
+identical subtrees share one slot (a ``Num`` by its bit pattern).  A run
+computes each distinct subexpression once and returns one jet per root.
+Jet operations are pure, so a shared slot's jet is bit-identical to
+computing the subtree again, and since slots follow the depth-first
+post-order of the recursive evaluation, the first error raised is the same.
+Deduplication is the only transformation.  :func:`eval_jet` is a one-root
+tape; :func:`eval_number` evaluates to a plain float.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 
 from . import jets
 from .errors import DomainError, ParseError, UnknownIdentifier
 from .jets import Jet
 
-__all__ = ["parse", "to_text", "eval_jet", "eval_number", "differentiate",
-           "Num", "Var", "Neg", "BinOp", "Call", "FUNCTIONS"]
+__all__ = ["parse", "to_text", "Tape", "eval_jet", "eval_number",
+           "differentiate", "Num", "Var", "Neg", "BinOp", "Call", "FUNCTIONS"]
 
 # function tag -> (jet implementation, float implementation, arity)
 FUNCTIONS = {
@@ -269,46 +281,80 @@ def to_text(node):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: a tape of distinct subexpressions
+
+_NUM, _VAR = "num", "var"
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": jets.power}
+
+
+class Tape:
+    """The ASTs ``roots`` compiled once into an ordered list of operations.
+
+    Each instruction is ``(op, arg)``: a constant (``_NUM``, its value), a
+    name (``_VAR``, resolved per run), or a jet function with the slots of
+    its arguments.  Structurally identical subtrees share one slot, so a run
+    computes each distinct subexpression once.  A ``Num`` is keyed by its
+    bit pattern, since ``Num(0.0) == Num(-0.0)``.  Slots are interned in
+    depth-first post-order over the roots in the order given, which is the
+    order of the recursive evaluation, so the first op to raise is the one
+    the recursive evaluation would raise at, with the same inputs.  Nothing
+    is folded or rewritten: ``x*0`` stays a product, as inf*0 is NaN.
+    """
+
+    def __init__(self, roots):
+        self.code = []
+        slots = {}
+        self.roots = tuple(self._intern(node, slots) for node in roots)
+
+    def _intern(self, node, slots) -> int:
+        if isinstance(node, Num):
+            key = (_NUM, struct.pack("<d", node.value))
+            instr = (_NUM, node.value)
+        elif isinstance(node, Var):
+            key = instr = (_VAR, node.name)
+        elif isinstance(node, Neg):
+            arg = (self._intern(node.arg, slots),)
+            key, instr = ("neg", arg), (operator.neg, arg)
+        elif isinstance(node, Call):
+            arg = tuple(self._intern(a, slots) for a in node.args)
+            key, instr = (node.name, arg), (FUNCTIONS[node.name][0], arg)
+        else:
+            arg = (self._intern(node.left, slots),
+                   self._intern(node.right, slots))
+            key, instr = (node.op, arg), (_BINARY[node.op], arg)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(self.code)
+            self.code.append(instr)
+        return slot
+
+    def run(self, point, order, coords, params=None) -> list:
+        """One jet per root at ``point``, seeding coordinate i with slot i."""
+        dim = len(coords)
+        env = {name: Jet.variable(float(point[i]), i, dim, order)
+               for i, name in enumerate(coords)}
+        for name, value in (params or {}).items():
+            env[name] = Jet.constant(float(value), dim, order)
+        for name, value in CONSTANTS.items():
+            env.setdefault(name, Jet.constant(value, dim, order))
+        vals = []
+        for op, arg in self.code:
+            if op is _NUM:
+                vals.append(Jet.constant(arg, dim, order))
+            elif op is _VAR:
+                try:
+                    vals.append(env[arg])
+                except KeyError:
+                    raise UnknownIdentifier(arg) from None
+            else:
+                vals.append(op(*[vals[i] for i in arg]))
+        return [vals[i] for i in self.roots]
+
 
 def eval_jet(node, point, order, coords, params=None):
     """Evaluate to a jet at `point`, seeding coordinate i with slot i."""
-    params = params or {}
-    dim = len(coords)
-    env = {name: Jet.variable(float(point[i]), i, dim, order)
-           for i, name in enumerate(coords)}
-    for name, value in params.items():
-        env[name] = Jet.constant(float(value), dim, order)
-    for name, value in CONSTANTS.items():
-        env.setdefault(name, Jet.constant(value, dim, order))
-    return _eval(node, env, dim, order)
-
-
-def _eval(node, env, dim, order):
-    if isinstance(node, Num):
-        return Jet.constant(node.value, dim, order)
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnknownIdentifier(node.name) from None
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env, dim, order)
-    if isinstance(node, Call):
-        fn = FUNCTIONS[node.name][0]
-        args = [_eval(a, env, dim, order) for a in node.args]
-        return fn(*args)
-    a = _eval(node.left, env, dim, order)
-    b = _eval(node.right, env, dim, order)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b
-    return jets.power(a, b)
+    return Tape([node]).run(point, order, coords, params)[0]
 
 
 def eval_number(node, scope):

@@ -569,13 +569,15 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None, stage="raw")
                 expr = expressions.parse(expr, names, list(params))
             crow[names.index(cname)] = expr
         compiled.append(crow)
+    tape = expressions.Tape([crow[axis] for crow in compiled
+                             for axis in sorted(crow)])
 
     def build(point, order):
         zero = Jet.constant(0.0, chart.dim, order)
+        values = iter(tape.run(point, order, names, params))
         forms = tuple(
-            PForm(chart, 1, {(axis,): expressions.eval_jet(
-                crow[axis], point, order, names, params) if axis in crow
-                else zero for axis in range(chart.dim)})
+            PForm(chart, 1, {(axis,): next(values) if axis in crow else zero
+                             for axis in range(chart.dim)})
             for crow in compiled)
         return Coframe(chart, point, forms, stage=stage)
 

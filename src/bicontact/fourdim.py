@@ -272,9 +272,11 @@ class QOde:
     q1_init: tuple = (0.0, 1.0)
     q2_init: tuple = (1.0, 0.0)
     _node: object = field(default=None, repr=False)
+    _tape: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._node = expressions.parse(self.c_text, ("z",))
+        self._tape = expressions.Tape([self._node])
 
     @property
     def W0(self) -> float:
@@ -284,9 +286,13 @@ class QOde:
             raise DomainError("initial conditions have zero Wronskian")
         return w0
 
+    def c_jet(self, z: float, order: int) -> Jet:
+        """C as a univariate jet at z."""
+        return self._tape.run((z,), order, ("z",))[0]
+
     def u_jet(self, z: float, order: int) -> Jet:
         """The coefficient C^2 + eps + C' as a univariate jet at z."""
-        c = expressions.eval_jet(self._node, (z,), order + 1, ("z",))
+        c = self.c_jet(z, order + 1)
         return c * c + float(self.eps) + jets.partial(c, 0)
 
 
@@ -418,8 +424,8 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
     """
     chart = Chart(_CHART4)
     rows = h if h is not None else _IDENTITY_H
-    hnodes = [[expressions.parse(str(e), _CHART4) for e in row]
-              for row in rows]
+    htape = expressions.Tape([expressions.parse(str(e), _CHART4)
+                              for row in rows for e in row])
     ode = sol.ode
     w0 = ode.W0
 
@@ -427,8 +433,8 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
         x, y, z, w = point
         if w <= 0.0:
             raise DomainError(f"normal form needs w > 0, got {w!r}")
-        hj = [[expressions.eval_jet(n, point, order, _CHART4) for n in row]
-              for row in hnodes]
+        entries = htape.run(point, order, _CHART4)
+        hj = [entries[:2], entries[2:]]
         det_h = hj[0][0] * hj[1][1] - hj[0][1] * hj[1][0]
         if abs(det_h.value) <= DEGENERATE_H:
             raise DegenerateH(f"det h = {det_h.value!r} at {point!r}")
@@ -436,8 +442,7 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
         K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
         L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
-        Cj = _lift(expressions.eval_jet(ode._node, (z,), order, ("z",))
-                   .c.tolist(), z, 4, 2, order)
+        Cj = _lift(ode.c_jet(z, order).c.tolist(), z, 4, 2, order)
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
         f = (Jet.variable(w, 3, 4, order) / (det_h * w0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))

@@ -155,6 +155,19 @@ def test_first_bianchi_identity():
             assert total.max_abs_value() < 1e-9
 
 
+@pytest.mark.parametrize("name,point", [
+    ("normal_form_3d", (0.3, 0.6, 0.1)),
+    ("fourd_enonzero", (0.3, 0.6, 0.1, 0.4)),
+], ids=["normal_form_3d", "fourd_enonzero"])
+def test_diagonal_christoffel_symbols_are_positive_zero(name, point):
+    conn = levi_civita(build_example(name).coframes().at(point, 4))
+    dim = len(point)
+    for i in range(dim):
+        for k in range(dim):
+            c = conn.gamma[i][i][k].c
+            assert c.tobytes() == np.zeros_like(c).tobytes()
+
+
 def test_structure_residual_detects_perturbation():
     spec = build_example("torus_constC")
     p = (0.4, 0.2, 0.1)

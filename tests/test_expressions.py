@@ -1,11 +1,13 @@
 """Expression DSL: parsing, printing, evaluation, symbolic differentiation."""
 
+import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicontact import expressions as ex
+from bicontact import expressions as ex, jets
 from bicontact.errors import DomainError, ParseError, UnknownIdentifier
 from bicontact.jets import Jet
 
@@ -134,3 +136,132 @@ def test_to_text_parenthesizes_by_precedence():
     for v in (-1.0, 0.0, 2.5):
         assert ex.eval_number(again, {"x": v}) == \
             pytest.approx(ex.eval_number(node, {"x": v}))
+
+
+# -- the tape against the recursive evaluator --------------------------------
+
+def _oracle(node, point, order, coords, params=None):
+    """The recursive evaluator: each node's jet computed on its own, in
+    depth-first post-order, with the environment ``Tape.run`` builds."""
+    dim = len(coords)
+    env = {name: Jet.variable(float(point[i]), i, dim, order)
+           for i, name in enumerate(coords)}
+    for name, value in (params or {}).items():
+        env[name] = Jet.constant(float(value), dim, order)
+    for name, value in ex.CONSTANTS.items():
+        env.setdefault(name, Jet.constant(value, dim, order))
+    return _eval(node, env, dim, order)
+
+
+def _eval(node, env, dim, order):
+    if isinstance(node, ex.Num):
+        return Jet.constant(node.value, dim, order)
+    if isinstance(node, ex.Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise UnknownIdentifier(node.name) from None
+    if isinstance(node, ex.Neg):
+        return -_eval(node.arg, env, dim, order)
+    if isinstance(node, ex.Call):
+        fn = ex.FUNCTIONS[node.name][0]
+        return fn(*[_eval(a, env, dim, order) for a in node.args])
+    a = _eval(node.left, env, dim, order)
+    b = _eval(node.right, env, dim, order)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        return a / b
+    return jets.power(a, b)
+
+
+_LEAVES = [ex.Num(0.0), ex.Num(-0.0), ex.Num(math.inf), ex.Num(1.0),
+           ex.Num(2.0), ex.Num(-1.5), ex.Num(0.5), ex.Var("x"), ex.Var("y"),
+           ex.Var("a"), ex.Var("pi")]
+
+
+@st.composite
+def _dag(draw):
+    """Roots over a pool of subtrees: each new node takes its arguments from
+    the pool, so subtrees repeat, as one object or as a structural copy."""
+    pool = list(draw(st.lists(st.sampled_from(_LEAVES), min_size=1,
+                              max_size=4)))
+    pick = st.integers(0, 10 ** 6).map(lambda k: pool[k % len(pool)])
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["bin", "neg", "call", "copy"]))
+        if kind == "bin":
+            node = ex.BinOp(draw(st.sampled_from("+-*/^")), draw(pick),
+                            draw(pick))
+        elif kind == "neg":
+            node = ex.Neg(draw(pick))
+        elif kind == "call":
+            name = draw(st.sampled_from(sorted(ex.FUNCTIONS)))
+            node = ex.Call(name, tuple(draw(pick) for _ in
+                                       range(ex.FUNCTIONS[name][2])))
+        else:
+            node = copy.deepcopy(draw(pick))
+        pool.append(node)
+    return draw(st.lists(pick, min_size=1, max_size=4))
+
+
+def _outcome(evaluate):
+    try:
+        return [j.c.tobytes() for j in evaluate()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(_dag(), st.tuples(st.sampled_from([0.0, -0.0, 0.7, -1.3, 2.0]),
+                         st.sampled_from([0.0, 0.4, -2.5])),
+       st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_tape_matches_the_recursive_evaluator(roots, point, order):
+    """Each root's coefficients are bit-equal to the recursive evaluation;
+    where that raises, the tape raises the same type with the same text."""
+    coords, params = ("x", "y"), {"a": -0.25}
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: [_oracle(r, point, order, coords, params)
+                                 for r in roots])
+        got = _outcome(lambda: ex.Tape(roots).run(point, order, coords,
+                                                  params))
+    assert got == want
+
+
+def test_tape_keeps_signed_zeros_apart():
+    roots = [ex.Num(0.0), ex.Num(-0.0), ex.BinOp("*", ex.Num(-0.0),
+                                                 ex.Var("x"))]
+    tape = ex.Tape(roots)
+    assert len(tape.code) == 4
+    pos, neg, prod = tape.run((3.0,), 2, ("x",))
+    assert not np.signbit(pos.c[0]) and np.signbit(neg.c[0])
+    assert prod.c.tobytes() == \
+        _oracle(roots[2], (3.0,), 2, ("x",)).c.tobytes()
+
+
+def test_tape_interns_structurally_equal_subtrees():
+    node = ex.parse("sin(x)*sin(x) + sin(x)/x", coords=("x",))
+    again = ex.parse("sin(x)", coords=("x",))
+    tape = ex.Tape([node, again])
+    # x, sin(x), the product, the quotient and the sum
+    assert len(tape.code) == 5
+    assert tape.roots[1] == 1
+
+
+@pytest.mark.parametrize("texts,fn", [
+    (["ln(-x) + sqrt(-x)"], "ln"),
+    (["sqrt(-x)", "ln(-x)"], "sqrt"),
+    (["x + sqrt(-x) * ln(-x)", "ln(-x)"], "sqrt"),
+])
+def test_tape_raises_where_the_recursive_evaluation_does(texts, fn):
+    roots = [ex.parse(t, coords=("x",)) for t in texts]
+    with pytest.raises(DomainError) as want:
+        for r in roots:
+            _oracle(r, (1.0,), 2, ("x",))
+    with pytest.raises(DomainError) as got:
+        ex.Tape(roots).run((1.0,), 2, ("x",))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(fn)

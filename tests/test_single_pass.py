@@ -65,12 +65,28 @@ def _normal_form_points(n):
 def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(5)
-    evals = _counting(monkeypatch, expressions, "eval_jet")
+    runs = _counting(monkeypatch, expressions.Tape, "run")
     adapts = _counting(monkeypatch, pipeline, "case2_adapt")
     result = analyze(spec.coframes(), pts, 6, TOL)
     assert result["case"] == "case2"
-    assert len(evals) == 7 * 5
+    assert len(runs) == 5
     assert len(adapts) == 5
+
+
+@pytest.mark.parametrize("args,calls", [
+    (["curvature", "normal_form_3d", "--points", "5"], 37 * 5),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 11 * 2),
+], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
+def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
+                                                      calls):
+    # per point in 3D: the raw frame's tape 15, one_adapt 3, the omega3
+    # frame 1, case2_adapt 4, top_ratio 2, volume reciprocals 6 and dual
+    # matrix inverses 6; in 4D: the tape 5, volume reciprocals 2 and dual
+    # matrix inverses 4.  Evaluating each coefficient's AST on its own took
+    # 39 (3D) and 15 (4D) series on the raw frame.
+    series = _counting(monkeypatch, jets, "_compose")
+    _run(args)
+    assert len(series) == calls
 
 
 def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
