@@ -98,13 +98,12 @@ class RunConfig:
     command: str
     source: str
     order: int | None = None
-    tol_shallow: float = 1e-9
-    tol_deep: float = 1e-6
+    tol_shallow: float = Tolerances.shallow
+    tol_deep: float = Tolerances.deep
     points: int = 100
     seed: int = 42
     box: tuple | None = None
     at: tuple = ()
-    out: str | None = None
     params: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
@@ -523,14 +522,14 @@ def _add_common(sp, command, source_help):
     sp.add_argument("source", help=source_help)
     sp.add_argument("--order", type=int, default=None,
                     help=_order_help(command))
-    sp.add_argument("--tol-shallow", type=float, default=1e-9,
+    sp.add_argument("--tol-shallow", type=float, default=RunConfig.tol_shallow,
                     help="tolerance for few-derivative identities")
-    sp.add_argument("--tol-deep", type=float, default=1e-6,
+    sp.add_argument("--tol-deep", type=float, default=RunConfig.tol_deep,
                     help="tolerance for deep derivative chains")
-    sp.add_argument("--points", type=int, default=100,
-                    help="number of random sample points (default 100)")
-    sp.add_argument("--seed", type=int, default=42,
-                    help="random-sampling seed (default 42)")
+    sp.add_argument("--points", type=int, default=RunConfig.points,
+                    help="number of random sample points (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=RunConfig.seed,
+                    help="random-sampling seed (default %(default)s)")
     sp.add_argument("--box", type=_parse_box, default=None, metavar="LO:HI,...",
                     help="per-coordinate sampling bounds")
     sp.add_argument("--at", action="append", type=_parse_point, default=None,
@@ -598,8 +597,7 @@ def _config_from_args(args) -> RunConfig:
         command=args.command, source=args.source, order=args.order,
         tol_shallow=args.tol_shallow, tol_deep=args.tol_deep,
         points=args.points, seed=args.seed, box=args.box,
-        at=tuple(args.at or ()), out=args.out,
-        params={}, extra=extra)
+        at=tuple(args.at or ()), params={}, extra=extra)
 
 
 def _at_needed_order(cfg: RunConfig, dim: int):

@@ -19,17 +19,23 @@ exterior derivative of a frame's own covector is taken, and
 :meth:`Coframe.d_coeffs` expands it in the frame.  :meth:`Coframe.ratio`
 divides a top-degree form by the frame's volume through the cached
 reciprocal.  :func:`scalar_d` is :func:`ext_d` of a 0-form, so ``ext_d`` is
-the only differentiation kernel here, and a scalar's derivatives along the
-dual frame vectors are ``one_form_coeffs(scalar_d(chart, f), frame)``.
+the only differentiation kernel here, and a scalar's frame derivatives are
+``one_form_coeffs(scalar_d(chart, f), frame)``.
+
+Coefficients in a coframe come from one complement kernel for both degrees:
+the coefficient of omega^I in a p-form beta is sign * (beta ^ rest_I) / vol,
+with rest_I the wedge of the covectors not in I.  :func:`one_form_coeffs`
+and :func:`two_form_coeffs` are that kernel at p = 1 and p = 2; no dual
+frame or matrix inverse is formed.
 
 Sums, differences and float multiples of forms are single array operations
 on ``c``.  :func:`wedge`, :func:`ext_d`, :meth:`PForm.scaled` by a jet and
-:func:`two_form_coeffs` are array kernels that read ``c`` directly, with
+the coefficient kernel are array kernels that read ``c`` directly, with
 gather/scatter plans cached per (dim, order, degrees): every jet product
 goes through one capped, batched convolution from ``jets._mul_table``
 (``_multiply``), every derivative through one gather from
-``jets._diff_table``, and every sum through ``np.bincount``.
-``two_form_coeffs`` runs the wedges of beta with all complements of a frame
+``jets._diff_table``, and every sum through ``np.bincount``.  The
+coefficient kernel runs the wedges of beta with all complements of a frame
 as one such product per truncation order, and divides by the frame's volume
 in one more.  Their results are bit-equal to the per-term ``Jet`` loops they
 replaced, which the tests keep as the oracle: ``np.bincount`` adds in input
@@ -433,16 +439,6 @@ class Coframe:
                 out._memo["d", i] = self._memo["d", i]
         return out
 
-    def coefficient_matrix(self):
-        """W with omega^i = sum_j W[i][j] dx^j (jet entries)."""
-        return [[self.forms[i].coeffs[(j,)] for j in range(self.dim)]
-                for i in range(self.dim)]
-
-    def dual_matrix(self):
-        """Cached inverse of the coefficient matrix (columns = frame vectors)."""
-        return self._cached("dual", lambda: jets.jet_matrix_inverse(
-            self.coefficient_matrix()))
-
     def _volume_reciprocal(self, order: int) -> Jet:
         """Cached reciprocal of the volume coefficient at ``order``, or at the
         volume's own order if that is lower, truncated before inverting as
@@ -475,16 +471,16 @@ class Coframe:
         return self._cached(("d coeffs", i), lambda: two_form_coeffs(
             self.d(i, stage), self))
 
-    def _complement_rows(self, order: int):
-        """Cached batches of ``two_form_coeffs`` for a 2-form of truncation
-        order ``order``: the pairs of ``_complements`` grouped by the order of
-        beta ^ rest, with per group that order, its pairs, the coefficient
-        rows of its rests stacked pair by pair, and its signs as a column."""
+    def _complement_rows(self, p: int, order: int):
+        """Cached batches of the coefficient kernel for a p-form of truncation
+        order ``order``: the keys of ``_complements(p)`` grouped by the order
+        of beta ^ rest, with per group that order, its keys, the coefficient
+        rows of its rests stacked key by key, and its signs as a column."""
         def build():
             groups = {}
-            for pair, (sign, rest) in self._complements().items():
+            for key, (sign, rest) in self._complements(p).items():
                 groups.setdefault(min(order, rest.order), []).append(
-                    (pair, sign, rest))
+                    (key, sign, rest))
             out = []
             for low, members in groups.items():
                 n = jets.ncoeffs(self.dim, low)
@@ -492,21 +488,20 @@ class Coframe:
                             np.concatenate([m[2].c[:, :n] for m in members]),
                             np.array([[m[1]] for m in members])))
             return out
-        return self._cached(("complement rows", order), build)
+        return self._cached(("complement rows", p, order), build)
 
-    def _complements(self):
-        """Cached {(a, b): (sign, rest)} with omega^a ^ omega^b ^ rest =
-        sign * volume(), rest the wedge of the other covectors in order."""
+    def _complements(self, p: int):
+        """Cached {key: (sign, rest)} over the degree-p keys, with
+        omega^key ^ rest = sign * volume(), rest the wedge of the other
+        covectors in order."""
         def build():
             out = {}
-            for pair in combinations(range(self.dim), 2):
-                comp = tuple(i for i in range(self.dim) if i not in pair)
-                rest = self.forms[comp[0]]
-                for c in comp[1:]:
-                    rest = wedge(rest, self.forms[c])
-                out[pair] = (_perm_sign(pair + comp), rest)
+            for key in _keys(self.dim, p):
+                comp = tuple(i for i in range(self.dim) if i not in key)
+                out[key] = (_perm_sign(key + comp),
+                            wedge_all(*(self.forms[c] for c in comp)))
             return out
-        return self._cached("complements", build)
+        return self._cached(("complements", p), build)
 
 
 def _frame_key(point, order):
@@ -587,47 +582,65 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None, stage="raw")
 # ---------------------------------------------------------------------------
 # coefficient extraction against a coframe
 
-def two_form_coeffs(beta: PForm, frame: Coframe) -> dict:
-    """Coefficients b[(a,b)] with beta = sum_{a<b} b[(a,b)] omega^a ^ omega^b.
-
-    Works in any chart dimension via complements and permutation parity.
-    In 3D, ``c[(1, 2)], c[(0, 2)], c[(0, 1)]`` are (b23, b13, b12).  Each
-    coefficient is bit-equal to ``frame.ratio(wedge(beta, rest)) * sign``:
-    per truncation order of beta ^ rest, the terms of every such wedge run
-    as one batched product, and their top coefficients as one more against
-    the frame's cached volume reciprocal.
-    """
+def _frame_coeffs(beta: PForm, frame: Coframe, p: int) -> dict:
+    """{key: b_key} with beta = sum_key b_key omega^key over the degree-p
+    keys, for a p-form beta and 1 <= p < dim.  Each coefficient is bit-equal
+    to ``frame.ratio(wedge(beta, rest)) * sign`` over ``frame._complements``:
+    per truncation order of beta ^ rest, the terms of every such wedge run as
+    one batched product, and their top coefficients as one more against the
+    frame's cached volume reciprocal."""
     dim = frame.dim
+    if beta.degree != p or not 0 < p < dim:
+        raise ValueError(f"expected a {p}-form on a chart of dim > {p}, "
+                         f"got a {beta.degree}-form on a {dim}D chart")
     out = {}
-    for order, pairs, rests, signs in frame._complement_rows(beta.order):
+    for order, keys, rests, signs in frame._complement_rows(p, beta.order):
         n = jets.ncoeffs(dim, order)
-        products, term_sign, bins = _two_form_plan(dim, order, len(pairs))
+        products, term_sign, bins = _coeffs_plan(dim, p, order, len(keys))
         prod = _multiply(beta.c[:, :n], rests, products)
         top = np.bincount(bins, weights=(prod * term_sign).ravel(),
-                          minlength=len(pairs) * n).reshape(len(pairs), n)
+                          minlength=len(keys) * n).reshape(len(keys), n)
         recip = frame._volume_reciprocal(order)
         m = jets.ncoeffs(dim, recip.order)
         coeffs = _multiply(top[:, :m], recip.c[None],
-                           _scale_plan(dim, recip.order, len(pairs)))
+                           _scale_plan(dim, recip.order, len(keys)))
         coeffs = coeffs * signs + 0.0
-        out.update((pair, Jet._of(dim, recip.order, row))
-                   for pair, row in zip(pairs, coeffs))
-    return {pair: out[pair] for pair in _keys(dim, 2)}
+        out.update((key, Jet._of(dim, recip.order, row))
+                   for key, row in zip(keys, coeffs))
+    return {key: out[key] for key in _keys(dim, p)}
 
 
 @lru_cache(maxsize=None)
-def _two_form_plan(dim, order, count):
-    """Plan of ``two_form_coeffs`` for ``count`` complements at truncation
-    order ``order``: the terms of beta ^ rest for each complement in turn,
-    with the rests' rows stacked in that order, their signs as a column, and
-    the flat (complement, coefficient) target of every term coefficient."""
-    ra, rb, _, sign = _wedge_terms(dim, 2, dim - 2)
-    size = len(_keys(dim, dim - 2))
+def _coeffs_plan(dim, p, order, count):
+    """Plan of ``_frame_coeffs`` for ``count`` complements of degree-p keys at
+    truncation order ``order``: the terms of beta ^ rest for each complement
+    in turn, with the rests' rows stacked in that order, their signs as a
+    column, and the flat (complement, coefficient) target of every term
+    coefficient."""
+    ra, rb, _, sign = _wedge_terms(dim, p, dim - p)
+    size = len(_keys(dim, dim - p))
     return (_products(dim, order, ra * count,
                       [r + size * k for k in range(count) for r in rb]),
             np.tile(sign, count)[:, None],
             _scatter(np.repeat(np.arange(count), len(ra)),
                      jets.ncoeffs(dim, order)))
+
+
+def two_form_coeffs(beta: PForm, frame: Coframe) -> dict:
+    """Coefficients b[(a,b)] with beta = sum_{a<b} b[(a,b)] omega^a ^ omega^b.
+
+    In 3D, ``c[(1, 2)], c[(0, 2)], c[(0, 1)]`` are (b23, b13, b12).  The
+    complement kernel ``_frame_coeffs`` at degree 2."""
+    return _frame_coeffs(beta, frame, 2)
+
+
+def one_form_coeffs(a: PForm, frame: Coframe) -> list:
+    """Coefficients a_i with a = sum_i a_i omega^i (jets), in axis order:
+    the complement kernel ``_frame_coeffs`` at degree 1, so a_i is
+    ``frame.ratio(wedge(a, rest)) * sign`` with rest the wedge of the other
+    covectors."""
+    coeffs = _frame_coeffs(a, frame, 1)
+    return [coeffs[(i,)] for i in range(frame.dim)]
 
 
 def _perm_sign(perm):
@@ -636,24 +649,10 @@ def _perm_sign(perm):
     return -1.0 if inv % 2 else 1.0
 
 
-def one_form_coeffs(a: PForm, frame: Coframe):
-    """Coefficients a_i with a = sum_i a_i omega^i (jets)."""
-    dim = frame.dim
-    Winv = frame.dual_matrix()
-    v = [a.coeffs[(j,)] for j in range(dim)]
-    out = []
-    for i in range(dim):
-        acc = Winv[0][i] * v[0]
-        for j in range(1, dim):
-            acc = acc + Winv[j][i] * v[j]
-        out.append(acc)
-    return out
-
-
 def scalar_d(chart: Chart, f: Jet, stage: str = "scalar_d") -> PForm:
     """The differential of a scalar jet as a 1-form (costs one order level):
     ``ext_d`` of the 0-form f.  Its coefficients in a coframe,
-    ``one_form_coeffs(scalar_d(chart, f), frame)``, are the derivatives of f
-    along the dual frame vectors."""
+    ``one_form_coeffs(scalar_d(chart, f), frame)``, are the frame derivatives
+    of f, read off the complement ratios."""
     return ext_d(PForm(chart, 0, {(): f}), stage=stage)
 

@@ -373,16 +373,6 @@ def solve_q(ode: QOde, z_span) -> QSolution:
     return QSolution(ode=ode, lo=lo, hi=hi, steps=steps)
 
 
-def _lift(coeffs, z: float, dim: int, axis: int, order: int) -> Jet:
-    """The polynomial sum_m coeffs[m] (x_axis - z)^m as a jet at z of a
-    dim-dimensional chart."""
-    dz = Jet.variable(z, axis, dim, order) - z
-    acc = Jet.constant(0.0, dim, order)
-    for m in range(min(order, len(coeffs) - 1), -1, -1):
-        acc = acc * dz + coeffs[m]
-    return acc
-
-
 def q_jets(sol: QSolution, z: float, dim: int, axis: int, order: int):
     """Lift (Q1, Q2) at z into jets of the ambient chart.
 
@@ -393,7 +383,8 @@ def q_jets(sol: QSolution, z: float, dim: int, axis: int, order: int):
     """
     u = sol.ode.u_jet(z, max(order - 2, 0)).c.tolist()
     q1, dq1, q2, dq2 = sol.state(z)
-    return tuple(_lift(_q_taylor(u, q, dq), z, dim, axis, order)
+    x = Jet.variable(z, axis, dim, order)
+    return tuple(jets._compose(x, _q_taylor(u, q, dq)[:order + 1])
                  for q, dq in ((q1, dq1), (q2, dq2)))
 
 
@@ -442,7 +433,8 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
         K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
         L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
-        Cj = _lift(ode.c_jet(z, order).c.tolist(), z, 4, 2, order)
+        Cj = jets._compose(Jet.variable(z, 2, 4, order),
+                           ode.c_jet(z, order).c.tolist())
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
         f = (Jet.variable(w, 3, 4, order) / (det_h * w0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))

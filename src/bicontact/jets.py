@@ -29,7 +29,6 @@ __all__ = [
     "exp", "ln", "sqrt", "powf", "power", "reciprocal",
     "sin", "cos", "tan", "csc", "cot",
     "sinh", "cosh", "tanh", "sech", "asinh", "atan", "atan2",
-    "jet_matrix_inverse",
 ]
 
 
@@ -444,39 +443,3 @@ def atan2(y, x) -> Jet:
         return t + (base - math.atan(y0 / x0))
     t = atan(x / y)
     return (base + math.atan(x0 / y0)) - t
-
-
-# ---------------------------------------------------------------------------
-# small dense linear algebra over jets
-
-def jet_matrix_inverse(m):
-    """Invert a small square matrix of jets (Gauss-Jordan, value pivoting).
-
-    Raises DomainError("matrix inverse", 0.0) when the matrix is singular at
-    the base point.
-    """
-    n = len(m)
-    a = [list(row) for row in m]
-    dim, order = a[0][0].dim, min(e.order for row in a for e in row)
-    ident = [[Jet.constant(1.0 if i == j else 0.0, dim, order) for j in range(n)]
-             for i in range(n)]
-    a = [[e.truncate(order) for e in row] for row in a]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if a[piv][col].value == 0.0:
-            raise DomainError("matrix inverse", 0.0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            ident[col], ident[piv] = ident[piv], ident[col]
-        inv_piv = reciprocal(a[col][col])
-        a[col] = [e * inv_piv for e in a[col]]
-        ident[col] = [e * inv_piv for e in ident[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if np.all(factor.c == 0.0):
-                continue
-            a[r] = [e - factor * q for e, q in zip(a[r], a[col])]
-            ident[r] = [e - factor * q for e, q in zip(ident[r], ident[col])]
-    return ident

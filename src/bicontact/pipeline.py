@@ -184,12 +184,9 @@ def _dC(cf: Coframe, stage: str) -> PForm:
 
 
 def compute_C3(cf: Coframe):
-    """(C3, C1, C2) of the frame's C: C3 from the volume ratio, C1/C2 from
-    the dual frame."""
-    dC = _dC(cf, "compute_C3")
-    C3 = cf.ratio(wedge_all(dC, cf.forms[0], cf.forms[1]))
-    c1, c2, _c3_dual = one_form_coeffs(dC, cf)
-    return C3, c1, c2
+    """(C3, C1, C2) of the frame's C: the coefficients of dC in the frame."""
+    C1, C2, C3 = one_form_coeffs(_dC(cf, "compute_C3"), cf)
+    return C3, C1, C2
 
 
 def classify(C: float, eps: int):

@@ -25,16 +25,16 @@ from conftest import DATA
 
 GOLDEN = [
     (["invariants", "eta_frame", "--points", "4", "--order", "6"],
-     "f017e3630bda7ab4dbc94a0f545cb1362fa3c48ae12f8cabe05c6a6bc4aad0a6"),
+     "36c3f64d59dc46756536669c5db77d0f1fc8dc5ef7cb397afc9e455bbb5c6845"),
     (["taut", "normal_form_3d", "--points", "4", "--order", "6"],
      "e106c8f3d3233ee0b335fe482e51f45139b0b41cb69bc66c65ef18d6abd022d2"),
     (["example", "torus_constC", "--points", "4", "--order", "6"],
      "d2b1725a69c89b2d3821f488e625555dfcb9050484852b3c45e9be2b4b89a3a4"),
     (["example", "sphere_frame", "--points", "4", "--order", "6"],
-     "3466540edb17f7a16bf71007821be00c65723fb1cfcc5178cd0a896b04c93613"),
+     "4e2fa2dfd5366b5757456d6518c2bfba099b2f634f7b87d9e498d0ef3c79df0a"),
     (["invariants", "tests/data/case1_frame.txt", "--points", "4", "--order",
       "6"],
-     "14aee915d3854fe1451a6213914a1f442a2e1d522cf8e65e1991edaa2dd8d815"),
+     "ad907c992edd1f1eb461e3dec11cdfe496a79f86b7e3cf773640bf923eb83121"),
     (["taut", "sphere_frame", "--points", "4", "--order", "6"],
      "f3037eaa2cadbfc036a4251261e6711fd7016ed8da218a604e00cb2f4d2200a0"),
     (["check", "eta_frame", "--points", "4", "--order", "6"],
@@ -44,11 +44,11 @@ GOLDEN = [
     (["curvature", "fourd_enonzero", "--points", "2", "--order", "6"],
      "244ef2b6b01db4a86a8b4ea46f9d9977a4bb76210e01b75e918750c80b2cc5fd"),
     (["fourdim", "fourd_enonzero", "--points", "2"],
-     "8eca017e0e0e95834a9717d18b63f04785f692a70893a6669961cca276a5d3dd"),
+     "23bbfe4862acddf2ab94bbb0e171f60614ea2d271e4ed62c535f0f9b33cbcf53"),
     (["normal-form", "z^2", "--points", "5"],
      "677c5a0d110627be93406b5c61ac2e68608ad28bc95c9a2964ebec355279323d"),
     (["curvature", "eta_frame", "--points", "4"],
-     "0cc1a14d1d58587fd5dca9d4e164c0d49fcdf603eb938cfa9519b05bdfd89734"),
+     "840c3e86979a068180843ace8e0446b6974d956e4a4515e0dbfcfa37fdbc3262"),
 ]
 
 

@@ -17,7 +17,7 @@ from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressio
                              two_form_coeffs, wedge, wedge_all)
 from bicontact.fourdim import QOde, normal_form_4d, solve_q
 from bicontact.inputfile import load_coframe
-from bicontact.jets import Jet, _mul_table, ncoeffs, partial
+from bicontact.jets import Jet, _mul_table, ncoeffs, partial, reciprocal
 from bicontact.pipeline import analyze, cached_C
 
 from conftest import DATA, box_points
@@ -175,16 +175,62 @@ def test_frobenius_defect():
     assert defect(contact) == pytest.approx(1.0, abs=1e-13)
 
 
+def _coefficient_matrix(frame):
+    """W with omega^i = sum_j W[i][j] dx^j (jet entries)."""
+    return [[w.coeffs[(j,)] for j in range(frame.dim)] for w in frame.forms]
+
+
+def _jet_inverse(m):
+    """Gauss-Jordan inverse of a square matrix of jets, pivoting on the
+    largest value: an oracle for the coefficients of 1-forms in a frame,
+    independent of the complement kernel."""
+    n = len(m)
+    dim, order = m[0][0].dim, min(e.order for row in m for e in row)
+    a = [[e.truncate(order) for e in row]
+         + [Jet.constant(float(i == j), dim, order) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
+        a[col], a[piv] = a[piv], a[col]
+        inv = reciprocal(a[col][col])
+        a[col] = [e * inv for e in a[col]]
+        for r in range(n):
+            if r != col:
+                factor = a[r][col]
+                a[r] = [e - factor * q for e, q in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def _assert_close(got, want, tol=1e-12):
+    assert got.order == want.order
+    assert np.abs(got.c - want.c).max() <= tol * max(1.0, np.abs(want.c).max())
+
+
 def test_coframe_volume_and_dual():
     frame = _random_frame(POINT, seed=9)
     vol = frame.volume()
     direct = wedge_all(*frame.forms)
     assert (vol - direct).max_abs_value() < 1e-12
-    dual = frame.dual_matrix()
-    coeff = frame.coefficient_matrix()
+    coeff = _coefficient_matrix(frame)
+    dual = _jet_inverse(coeff)
     prod = np.array([[sum((coeff[i][k] * dual[k][j]).value for k in range(3))
                       for j in range(3)] for i in range(3)])
     assert np.allclose(prod, np.eye(3), atol=1e-12)
+    # dx^j = sum_i dual[j][i] omega^i
+    for j in range(3):
+        for i, c in enumerate(one_form_coeffs(PForm.d_coord(CH3, j, 5),
+                                              frame)):
+            _assert_close(c, dual[j][i])
+
+
+def test_one_form_coeffs_on_a_flat_frame_raise_singular_volume():
+    frame = _random_frame(POINT, seed=9)
+    flat = frame.replace(forms=frame.forms[:2] + (PForm.zero(CH3, 1, 5),))
+    a = _one_form(("y*z", "exp(x)", "cos(y)"), POINT)
+    with pytest.raises(SingularVolumeError):
+        one_form_coeffs(a, flat)
+    with pytest.raises(SingularVolumeError):
+        two_form_coeffs(ext_d(a), flat)
 
 
 def test_coframe_field_from_expressions_evaluates():
@@ -364,22 +410,26 @@ def test_kernels_keep_their_errors():
     with pytest.raises(ValueError, match="different charts"):
         wedge(PForm.d_coord(CH3, 0, 2),
               PForm.d_coord(CHARTS[4], 0, 2))
+    frame = _random_frame(POINT, order=2)
+    with pytest.raises(ValueError, match="expected a 2-form"):
+        two_form_coeffs(PForm.d_coord(CH3, 0, 2), frame)
+    with pytest.raises(ValueError, match="expected a 1-form"):
+        one_form_coeffs(ext_d(PForm.d_coord(CH3, 0, 2)), frame)
 
 
 # ---------------------------------------------------------------------------
-# one differentiation kernel: scalar_d is ext_d of a 0-form, and a scalar's
-# frame derivatives are its one_form_coeffs, bit-equal to the loops they
-# replaced
+# one differentiation kernel: scalar_d is ext_d of a 0-form, bit-equal to the
+# loop it replaced, and a scalar's frame derivatives are its one_form_coeffs,
+# which agree with the inverse coefficient matrix applied axis by axis
 
 def _loop_scalar_d(chart, f):
     return PForm(chart, 1, {(j,): partial(f, j) for j in range(chart.dim)})
 
 
-def _loop_frame_derivative(f, frame, k):
+def _loop_frame_derivative(f, Winv, k):
     """f along the k-th dual frame vector, summed axis by axis."""
-    Winv = frame.dual_matrix()
     acc = None
-    for j in range(frame.dim):
+    for j in range(len(Winv)):
         term = Winv[j][k] * partial(f, j)
         acc = term if acc is None else acc + term
     return acc
@@ -409,16 +459,15 @@ def _kept_case_frames(case):
 
 
 @pytest.mark.parametrize("case", ["case1", "case2"])
-def test_frame_derivatives_are_bit_equal_to_the_axis_loop(case):
+def test_frame_derivatives_match_the_axis_loop(case):
     for frame in _kept_case_frames(case):
+        Winv = _jet_inverse(_coefficient_matrix(frame))
         scalars = [cached_C(frame)] + [
             j for w in frame.forms for j in w.coeffs.values()]
         for f in scalars:
             coeffs = one_form_coeffs(scalar_d(frame.chart, f), frame)
             for k in range(frame.dim):
-                want = _loop_frame_derivative(f, frame, k)
-                assert coeffs[k].order == want.order
-                assert coeffs[k].c.tobytes() == want.c.tobytes()
+                _assert_close(coeffs[k], _loop_frame_derivative(f, Winv, k))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +542,9 @@ def test_scaled_is_bit_equal_to_the_coefficient_products(drawn, x):
             finite and math.isfinite(x))
 
 
-def _loop_two_form_coeffs(beta, frame):
-    return {pair: frame.ratio(wedge(beta, rest)) * sign
-            for pair, (sign, rest) in frame._complements().items()}
+def _loop_coeffs(beta, frame):
+    return {key: frame.ratio(wedge(beta, rest)) * sign
+            for key, (sign, rest) in frame._complements(beta.degree).items()}
 
 
 BOX4 = ((-0.8, 0.8), (-0.8, 0.8), (-0.9, 0.9), (0.2, 1.8))
@@ -531,14 +580,23 @@ def test_two_form_coeffs_is_bit_equal_to_the_pair_loop(kind):
     for frame in _two_form_frames(kind):
         betas = [frame.d(i) for i in range(frame.dim)]
         betas.append(wedge(frame.forms[0], frame.forms[-1]))
+        betas += list(frame.forms)
+        betas += [scalar_d(frame.chart, f) for f in (
+            frame.forms[0].coeffs[(0,)], frame.forms[-1].coeffs[(1,)])]
+        if frame.dim == 3:
+            betas.append(scalar_d(frame.chart, cached_C(frame)))
         for beta in betas:
-            got = two_form_coeffs(beta, frame)
-            want = _loop_two_form_coeffs(beta, frame)
+            want = _loop_coeffs(beta, frame)
+            if beta.degree == 1:
+                got = dict(zip(want, one_form_coeffs(beta, frame)))
+            else:
+                got = two_form_coeffs(beta, frame)
             assert list(got) == list(want)
-            for pair, jet in want.items():
-                assert got[pair].order == jet.order
-                assert got[pair].c.tobytes() == jet.c.tobytes(), pair
-            groups.append(len(frame._complement_rows(beta.order)))
+            for key, jet in want.items():
+                assert got[key].order == jet.order
+                assert got[key].c.tobytes() == jet.c.tobytes(), key
+            groups.append(len(frame._complement_rows(beta.degree,
+                                                     beta.order)))
     if kind == "normal_form_4d":
         # the frame's covectors have three orders, so its complements do too
         assert max(groups) > 1

@@ -16,9 +16,9 @@ from bicontact.cli import main
 
 GOLDEN = [
     (["curvature", "normal_form_3d", "--points", "4"],
-     "b92425dce761547faa4563b0b26266edb7c6d0394caa1450db79f730ebc53576"),
+     "ecdc33bd7a016c2ff71f902c9fce5442b6348520db2a3bd03465303b5f2aa9f4"),
     (["fourdim", "fourd_enonzero", "--points", "2", "--order", "6"],
-     "bb4c63a60d5cdd17cb4108126170125cd999d692a7b092e5539eb68aa53e3ab7"),
+     "c1514e2c293eb58c2c8348cb7645272088fc387bc8df823ef0003aea2ba38c46"),
     (["normal-form", "tan(z)", "--order", "3", "--points", "10"],
      "4737ec6839c06269b24b21f3c43ba3e302add7358a8763f09111b339b2fe6c98"),
 ]

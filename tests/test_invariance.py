@@ -1,0 +1,163 @@
+"""Invariance under coordinate changes: an oracle independent of the kernels.
+
+Every quantity the pipeline reports is built from the coframe by
+coordinate-free operations (wedge, d, ratios of top forms), so pulling the
+coframe back by a diffeomorphism phi must give, at a point q, the values the
+original coframe gives at phi(q).  The pullback is built here on the
+expression level, from a substitution of the coordinates and a Jacobian
+taken with ``expressions.differentiate``:
+
+    (phi* omega)_k = sum_j (a_j o phi) * d phi^j / d y_k
+
+for omega = sum_j a_j dx^j.  ``hypothesis`` draws near-identity maps
+phi^j = y_j + delta_j * f_j(y_(j+1)) * y_(j+2), |delta_j| <= 0.05.  Jet
+arithmetic on the pulled-back coefficients shares no intermediate value with
+the original, so agreement to 1e-9 relative holds whatever way the forms
+layer rounds.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from bicontact import cli
+from bicontact.examples import build_example
+from bicontact.expressions import (BinOp, Call, Neg, Num, Var, differentiate,
+                                   eval_number, parse)
+from bicontact.forms import coframe_field_from_expressions
+from bicontact.fourdim import curvature4, symp_structure
+from bicontact.pipeline import analyze
+
+from conftest import box_points
+
+TOL = 1e-9
+FUNCS = ("sin", "cos", "tanh")
+
+
+def _substitute(node, env):
+    """``node`` with every Var named in ``env`` replaced by its AST."""
+    if isinstance(node, Var):
+        return env.get(node.name, node)
+    if isinstance(node, Neg):
+        return Neg(_substitute(node.arg, env))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _substitute(node.left, env),
+                     _substitute(node.right, env))
+    if isinstance(node, Call):
+        return Call(node.name, tuple(_substitute(a, env) for a in node.args))
+    return node
+
+
+def _near_identity(coords, deltas, funcs):
+    """The map phi as one AST per coordinate, in the coordinates ``coords``."""
+    n = len(coords)
+    return [BinOp("+", Var(c), BinOp("*", BinOp("*", Num(d), Call(
+        f, (Var(coords[(j + 1) % n]),))), Var(coords[(j + 2) % n])))
+        for j, (c, d, f) in enumerate(zip(coords, deltas, funcs))]
+
+
+def _pullback_rows(spec, phi):
+    """The coefficient rows of phi* omega, one {coordinate: AST} per
+    covector."""
+    coords = spec.chart.coords
+    env = dict(zip(coords, phi))
+    jac = [[differentiate(p, c) for c in coords] for p in phi]
+    rows = []
+    for row in spec.rows:
+        a = {}
+        for key, text in row.items():
+            name = key if key in coords else key[1:]
+            a[coords.index(name)] = _substitute(
+                parse(text, coords, list(spec.params)), env)
+        pulled = {}
+        for k, name in enumerate(coords):
+            acc = None
+            for j, aj in sorted(a.items()):
+                d = jac[j][k]
+                if d == Num(0.0):
+                    continue
+                term = aj if d == Num(1.0) else BinOp("*", aj, d)
+                acc = term if acc is None else BinOp("+", acc, term)
+            if acc is not None:
+                pulled[name] = acc
+        rows.append(pulled)
+    return rows
+
+
+def _fields(name, deltas, funcs, seed, shrink):
+    """(original field, pulled-back field, points q, points phi(q)); q is
+    drawn from the example's box shrunk by ``shrink``, so that phi(q), at
+    most 0.05 max|y| away, stays inside it."""
+    spec = build_example(name)
+    coords = spec.chart.coords
+    phi = _near_identity(coords, deltas, funcs)
+    pulled = coframe_field_from_expressions(
+        spec.chart, _pullback_rows(spec, phi), params=spec.params)
+    box = [(lo + shrink, hi - shrink) for lo, hi in spec.box]
+    qs = box_points(box, 2, seed=seed)
+    images = [tuple(eval_number(p, dict(zip(coords, q))) for p in phi)
+              for q in qs]
+    return spec.coframes(), pulled, qs, images
+
+
+def _assert_close(got, want, what):
+    assert math.isfinite(got) and math.isfinite(want), what
+    assert abs(got - want) <= TOL * max(1.0, abs(want)), (what, got, want)
+
+
+def _maps(dim):
+    return st.tuples(
+        st.lists(st.floats(-0.05, 0.05), min_size=dim, max_size=dim),
+        st.lists(st.sampled_from(FUNCS), min_size=dim, max_size=dim),
+        st.integers(0, 2 ** 16))
+
+
+INVARIANTS_3D = ("C", "C1", "C2", "C3", "A1", "A2", "A3", "B1", "B2", "B3",
+                 "zeta", "zeta3", "W")
+
+
+@given(_maps(3))
+@settings(max_examples=8, deadline=None)
+def test_normal_form_3d_invariants_pull_back(drawn):
+    deltas, funcs, seed = drawn
+    orig, pulled, qs, images = _fields("normal_form_3d", deltas, funcs, seed,
+                                       0.1)
+    order = cli.ORDER_NEEDED["invariants", 3]
+    got = analyze(pulled, qs, order)
+    want = analyze(orig, images, order)
+    assert (got["case"], got["eps"]) == (want["case"], want["eps"]) \
+        == ("case2", want["eps"])
+    for g, w in zip(got["records"], want["records"]):
+        assert g.klass == w.klass
+        for key in INVARIANTS_3D:
+            _assert_close(getattr(g, key), getattr(w, key), key)
+
+
+@given(_maps(4))
+@settings(max_examples=8, deadline=None)
+def test_fourd_enonzero_pattern_and_curvature_pull_back(drawn):
+    deltas, funcs, seed = drawn
+    orig, pulled, qs, images = _fields("fourd_enonzero", deltas, funcs, seed,
+                                       0.08)
+    order = cli.ORDER_NEEDED["fourdim", 4]
+    for q, p in zip(qs, images):
+        got, want = (symp_structure(fld.at(x, order))
+                     for fld, x in ((pulled, q), (orig, p)))
+        assert got.eps == want.eps
+        got4, want4 = curvature4(got), curvature4(want)
+        for key, g, w in (
+                ("C", got.C, want.C), ("E", got.E, want.E),
+                ("E1", got.expansion["E1"], want.expansion["E1"]),
+                ("E2", got.expansion["E2"], want.expansion["E2"]),
+                ("S", got4.S, want4.S),
+                ("pfaffian", got4.pfaffian, want4.pfaffian)):
+            _assert_close(g.value, w.value, key)
+
+
+def test_pullback_by_the_identity_rebuilds_the_frame():
+    orig, pulled, qs, images = _fields("normal_form_3d", (0.0,) * 3,
+                                       FUNCS, 1, 0.1)
+    assert images == qs
+    for q in qs:
+        for a, b in zip(pulled.at(q, 3).forms, orig.at(q, 3).forms):
+            assert (a - b).max_abs_value() <= 1e-14

@@ -130,22 +130,6 @@ def test_sqrt_squares_back():
         assert np.allclose((r * r).c, f.c, atol=1e-10)
 
 
-def test_jet_matrix_inverse():
-    rng = np.random.default_rng(7)
-    dim, order = 2, 3
-    mat = [[_rand_jet(rng, dim, order) for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        mat[i][i] = mat[i][i] + 5.0      # well-conditioned
-    inv = jets.jet_matrix_inverse(mat)
-    for i in range(3):
-        for j in range(3):
-            acc = Jet.constant(0.0, dim, order)
-            for k in range(3):
-                acc = acc + mat[i][k] * inv[k][j]
-            want = 1.0 if i == j else 0.0
-            assert abs(acc.value - want) < 1e-12
-
-
 # -- the scalar shortcut in Jet.__mul__ against a plain convolution ----------
 
 def _reference_product(a, b):

@@ -180,7 +180,7 @@ def test_cached_volume_reciprocal_equals_a_fresh_reciprocal():
                                             ).truncate(order)
                                       for j in range(4)}))
         got = two_form_coeffs(beta, frame)
-        for pair, (sign, rest) in frame._complements().items():
+        for pair, (sign, rest) in frame._complements(2).items():
             want = top_ratio(wedge(beta, rest), vol) * sign
             assert got[pair].c.tobytes() == want.c.tobytes()
 

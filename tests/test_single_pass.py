@@ -74,16 +74,17 @@ def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 37 * 5),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 11 * 2),
+    (["curvature", "normal_form_3d", "--points", "5"], 31 * 5),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 7 * 2),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
 def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
                                                       calls):
     # per point in 3D: the raw frame's tape 15, one_adapt 3, the omega3
-    # frame 1, case2_adapt 4, top_ratio 2, volume reciprocals 6 and dual
-    # matrix inverses 6; in 4D: the tape 5, volume reciprocals 2 and dual
-    # matrix inverses 4.  Evaluating each coefficient's AST on its own took
-    # 39 (3D) and 15 (4D) series on the raw frame.
+    # frame 1, case2_adapt 4, top_ratio 2 and volume reciprocals 6; in 4D:
+    # the tape 5 and volume reciprocals 2.  1-form coefficients divide by
+    # the cached volume reciprocal, so they take no series of their own.
+    # Evaluating each coefficient's AST on its own took 39 (3D) and 15 (4D)
+    # series on the raw frame.
     series = _counting(monkeypatch, jets, "_compose")
     _run(args)
     assert len(series) == calls
@@ -150,19 +151,22 @@ def test_each_connection_form_is_built_once_above_the_diagonal(monkeypatch,
 
 
 def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
-    # per point: 3 for the frame's volume, 6 for its complements and 41 in
+    # per point: 3 for the frame's volume, 6 for its 2-form complements
+    # (one wedge each), 8 for its 1-form complements (two each) and 41 in
     # the E, pairing, connection, curvature and leaf stages, which skip the
-    # zero diagonal connection forms; the 10 two_form_coeffs calls of a
-    # point run as batched products and take none
+    # zero diagonal connection forms; the 10 two_form_coeffs and the
+    # one_form_coeffs calls of a point run as batched products and take none
     wedges = _counting(monkeypatch, forms, "wedge", *_aliases(forms, "wedge"))
     _run(["fourdim", "fourd_enonzero", "--points", "2"])
-    assert len(wedges) == 50 * 2
+    assert len(wedges) == 58 * 2
 
     frame = build_example("fourd_enonzero").coframes().at((0.5, 1.0, 0.0, 0.1),
                                                           2)
     frame.d_coeffs(0)
+    forms.one_form_coeffs(frame.forms[0], frame)
     del wedges[:]
     frame.d_coeffs(1)
+    forms.one_form_coeffs(frame.forms[1], frame)
     assert not wedges
 
 
