@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -111,8 +112,10 @@ class RunConfig:
         if self.order is not None and self.order < 2:
             raise ValueError("--order must be at least 2")
         for name in ("tol_shallow", "tol_deep"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
+            # a NaN fails both comparisons, so it is rejected too
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"--{name.replace('_', '-')} must be "
+                                 "positive and finite")
         if self.points < 1:
             raise ValueError("--points must be positive")
 
@@ -227,9 +230,7 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
         worst = nan_max(*(s["max"] for s in rep.summary.values()))
         rep.checks.append(check("four_covector_pattern", worst, tol.shallow))
         return
-    adapted = one_adapt(fld, pts, cfg.order)
-    for p in pts:
-        cf = adapted.at(p, cfg.order)
+    for p, cf in zip(pts, one_adapt(fld, pts, cfg.order)):
         Omega = cf.volume()
         n1 = cf.ratio(wedge(cf.omega(1), cf.d(0)) - Omega)
         n2 = cf.ratio(wedge(cf.omega(2), cf.d(1))
@@ -265,9 +266,7 @@ def _cmd_invariants(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
 
 
 def _cmd_classify(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
-    adapted = one_adapt(fld, pts, cfg.order)
-    for p in pts:
-        cf = adapted.at(p, cfg.order)
+    for p, cf in zip(pts, one_adapt(fld, pts, cfg.order)):
         C = cached_C(cf).value
         tag, quad = classify(C, cf.eps)
         key = "excluded_band" if tag == "linear" else tag
@@ -283,11 +282,9 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     tol = cfg.tolerances
     adapted = one_adapt(fld, pts, cfg.order)
     a_samples = _unit_circle()
-    if adapted.eps == -1:
-        taut_fld, branch = taut_circle_field(adapted, pts, cfg.order)
-        for p in pts:
-            cf = adapted.at(p, cfg.order)
-            taut = taut_fld.at(p, cfg.order)
+    if adapted[0].eps == -1:
+        tauts, branch = taut_circle_field(adapted)
+        for p, cf, taut in zip(pts, adapted, tauts):
             C = cached_C(cf)
             C3, _c1, _c2 = compute_C3(cf)
             worst = 0.0
@@ -305,8 +302,7 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                 "residuals": {"volume_coefficient": worst,
                               "mixed_pairing": abs(mixed - mixed_want)}})
     else:
-        for p in pts:
-            cf = adapted.at(p, cfg.order)
+        for p, cf in zip(pts, adapted):
             taut, C, theta = taut_hyperbola_transform(cf)
             r1, r2, defect = hyperbola_residuals(cf, taut, C, theta)
             rep.records.append({
@@ -336,10 +332,9 @@ def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             tol.deep))
         return
     result = analyze(fld, pts, cfg.order, tol)
-    frame_field = result.get("adapted_field", result["field"])
+    frames = result.get("adapted_frames", result["frames"])
     rep.histogram[f"case:{result['case']}"] = len(pts)
-    for p in pts:
-        cf = frame_field.at(p, cfg.order)
+    for p, cf in zip(pts, frames):
         conn = levi_civita(cf)
         curv = curvature_of(conn)
         row = {"point": list(p),
@@ -490,15 +485,14 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec: ExampleSpec, pts):
                             for rec in records if getattr(rec, key) is not None))
             rep.checks.append(check(f"expected_{key}", dev, tol.deep))
     if "curvature_12" in expected:
-        frame_field = result.get("adapted_field", result["field"])
         dev = 0.0
-        for p in pts:
-            curv = curvature_of(levi_civita(frame_field.at(p, cfg.order)))
+        for cf in result.get("adapted_frames", result["frames"]):
+            curv = curvature_of(levi_civita(cf))
             dev = nan_max(dev, abs(curv.coefficient(0, 1, 0, 1).value
                                    - expected["curvature_12"]))
         rep.checks.append(check("expected_curvature_12", dev, tol.deep))
     if "K" in expected:
-        cart = cartan_structure_check(result["field"], pts, cfg.order, tol)
+        cart = cartan_structure_check(result["frames"], tol)
         if cart is None:
             rep.checks.append(check("expected_K", 0, passed=False))
         else:
@@ -667,8 +661,13 @@ def main(argv=None) -> int:
     rep = run(cfg, raw_params=args.param)
     text = rep.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"bicontact: cannot write the report: {exc}",
+                  file=sys.stderr)
+            return 2
         verdict = "pass" if rep.passed else "FAIL"
         print(f"bicontact {cfg.command}: {verdict}; report written to {args.out}")
     else:

@@ -7,10 +7,10 @@ at one truncation order, so the form carries enough derivative information
 for repeated exterior differentiation.  Building a form from a {key: Jet}
 dict truncates every coefficient to the lowest order among them.  Forms are
 immutable; ``PForm.coeffs`` is a read-only {key: Jet} view of the rows,
-built on first read.  Chart-level families of coframes are
-:class:`CoframeField`s: a raw field builds a point-local :class:`Coframe` on
-demand from closed-form coefficient expressions, and a pipeline driver's
-field holds the frames it built at its sample points.
+built on first read.  A :class:`CoframeField` is the chart-level family
+of raw coframes: it builds a point-local :class:`Coframe` on demand from
+closed-form coefficient expressions.  The pipeline drivers hand back the
+frames they adapt as tuples in sample order.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -424,9 +424,18 @@ class Coframe:
     def dim(self):
         return self.chart.dim
 
+    def _wedge(self, idx: tuple) -> PForm:
+        """Cached wedge of the covectors ``idx`` in order, built from the
+        cached wedge of ``idx[:-1]``, so frames share prefixes; bit-equal to
+        ``wedge_all`` of them, which associates the same way."""
+        if len(idx) == 1:
+            return self.forms[idx[0]]
+        return self._cached(("wedge", idx), lambda: wedge(
+            self._wedge(idx[:-1]), self.forms[idx[-1]]))
+
     def volume(self) -> PForm:
         """Cached omega^1 ^ ... ^ omega^dim."""
-        return self._cached("volume", lambda: wedge_all(*self.forms))
+        return self._wedge(tuple(range(self.dim)))
 
     def replace(self, **kw):
         """A copy with the fields in ``kw``; it keeps the memo's d of each
@@ -492,57 +501,30 @@ class Coframe:
 
     def _complements(self, p: int):
         """Cached {key: (sign, rest)} over the degree-p keys, with
-        omega^key ^ rest = sign * volume(), rest the wedge of the other
-        covectors in order."""
+        omega^key ^ rest = sign * volume(), rest the cached ``_wedge`` of the
+        other covectors in order."""
         def build():
             out = {}
             for key in _keys(self.dim, p):
                 comp = tuple(i for i in range(self.dim) if i not in key)
-                out[key] = (_perm_sign(key + comp),
-                            wedge_all(*(self.forms[c] for c in comp)))
+                out[key] = (_perm_sign(key + comp), self._wedge(comp))
             return out
         return self._cached(("complements", p), build)
 
 
-def _frame_key(point, order):
-    return tuple(float(x) for x in point), int(order)
-
-
 class CoframeField:
-    """A chart-level family of coframes, served by a builder or a frame map.
+    """A chart-level family of raw coframes: ``at(point, order)`` builds the
+    :class:`Coframe` at any point with ``builder(point, order)``."""
 
-    A raw field has a ``builder(point, order)`` that returns a
-    :class:`Coframe` at any point.  Stage and epsilon describe the family as
-    a whole.
-
-    A pipeline driver passes ``builder=None`` and ``frames``, a map from
-    ``(point, order)`` to the frame it built and checked at each of its own
-    sample points, at its own order.  The map is read-only, and callers must
-    not mutate the frames.  Asking such a field for any other point or order
-    raises ``KeyError``: the region-wide checks of the driver (constant
-    epsilon, constant branch, the detected case) covered only its samples.
-    """
-
-    def __init__(self, chart, builder, eps=None, stage="raw", frames=None):
+    def __init__(self, chart, builder):
         self.chart = chart
         self._builder = builder
-        self.eps = eps
-        self.stage = stage
-        self.frames = MappingProxyType(
-            {_frame_key(p, o): cf for (p, o), cf in (frames or {}).items()})
 
     def at(self, point, order) -> Coframe:
-        key = _frame_key(point, order)
-        kept = self.frames.get(key)
-        if kept is not None:
-            return kept
-        if self._builder is None:
-            raise KeyError(f"the {self.stage} field keeps no frame at point "
-                           f"{key[0]} and order {key[1]}")
-        return self._builder(*key)
+        return self._builder(tuple(float(x) for x in point), int(order))
 
 
-def coframe_field_from_expressions(chart: Chart, rows, params=None, stage="raw"):
+def coframe_field_from_expressions(chart: Chart, rows, params=None):
     """Build a raw CoframeField from per-coordinate coefficient expressions.
 
     ``rows`` is a sequence (one per coframe covector) of mappings
@@ -574,9 +556,9 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None, stage="raw")
             PForm(chart, 1, {(axis,): next(values) if axis in crow else zero
                              for axis in range(chart.dim)})
             for crow in compiled)
-        return Coframe(chart, point, forms, stage=stage)
+        return Coframe(chart, point, forms)
 
-    return CoframeField(chart, build, stage=stage)
+    return CoframeField(chart, build)
 
 
 # ---------------------------------------------------------------------------

@@ -271,8 +271,8 @@ class QOde:
     z0: float = 0.0
     q1_init: tuple = (0.0, 1.0)
     q2_init: tuple = (1.0, 0.0)
-    _node: object = field(default=None, repr=False)
-    _tape: object = field(default=None, repr=False, compare=False)
+    _node: object = field(init=False, repr=False)
+    _tape: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._node = expressions.parse(self.c_text, ("z",))
@@ -452,7 +452,7 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
         })
         return Coframe(chart, point, (w1, w2, w3, w4), stage="normal_form_4d")
 
-    return CoframeField(chart, build, stage="normal_form_4d")
+    return CoframeField(chart, build)
 
 
 def verify_normal_form(fld: CoframeField, ode: QOde, points,

@@ -17,10 +17,12 @@ Stages:
 7. ``invariant_coords`` validates the coordinates built from (C, C3, C33).
 
 Point-local functions act on a :class:`~bicontact.forms.Coframe`; drivers act
-on a :class:`~bicontact.forms.CoframeField` plus a sample-point list and fix
-the global signs (epsilon, branch choices) that must be constant per region.
-Drivers return fields that hold only the frames they built and checked at
-their sample points, at their order; any other request raises ``KeyError``.
+on the frames of a sample set and fix the global signs (epsilon, branch
+choices) that must be constant per region.  ``one_adapt`` builds the frames
+from a raw :class:`~bicontact.forms.CoframeField` at a sample-point list and
+order; every later driver takes the previous stage's frames and returns its
+own as a tuple in sample order, so a stage's i-th frame belongs to the i-th
+sample point.
 Each d(omega^i) of a frame's own covector comes from its cached
 :meth:`~bicontact.forms.Coframe.d`, and its structure functions, the
 coefficients of d(omega^i) in the frame itself, from
@@ -141,23 +143,22 @@ def _one_adapt_point(cf: Coframe):
     return out, r, scale, lam
 
 
-def one_adapt(fld: CoframeField, points, order):
-    """Driver: fix epsilon over the sample set, return the adapted field.
-    This is the entry of the 3D pipeline, so it rejects other charts."""
+def one_adapt(fld: CoframeField, points, order) -> tuple:
+    """Driver: the one-adapted frames of the raw field at ``points`` and
+    ``order``, in sample order, once epsilon is constant over them.  This is
+    the entry of the 3D pipeline, so it rejects other charts."""
     if fld.chart.dim != 3:
         raise BicontactError(
             "the 3D pipeline needs a chart with 3 coordinates; this one "
             f"has {fld.chart.dim}")
-    eps_seen, kept = {}, {}
+    eps_seen, frames = {}, []
     for p in points:
         out, _, _, _ = _one_adapt_point(fld.at(p, order))
         eps_seen.setdefault(out.eps, []).append(tuple(p))
-        kept[tuple(p), order] = out
+        frames.append(out)
     if len(eps_seen) != 1:
         raise MixedEpsilon(f"epsilon not constant over samples: {eps_seen}")
-    eps = next(iter(eps_seen))
-    return CoframeField(fld.chart, None, eps=eps, stage="one-adapted",
-                        frames=kept)
+    return tuple(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +234,13 @@ def _everywhere(flags, points, what) -> bool:
     return all(flags)
 
 
-def case_detect(fld: CoframeField, points, order) -> str:
-    """Classify the sampled region as constantC / case1 / case2 / case3."""
-    pts, frames, flat, c3zero = [], [], [], []
-    for p in points:
-        cf = fld.at(p, order)
+def case_detect(frames) -> str:
+    """Classify the region of the one-adapted ``frames`` as constantC /
+    case1 / case2 / case3."""
+    pts = [cf.point for cf in frames]
+    flat, c3zero = [], []
+    for cf in frames:
         _, C3, _, _, norm = _dC_data(cf)
-        pts.append(tuple(p))
-        frames.append(cf)
         flat.append(norm <= FLAT_DC)
         c3zero.append(abs(C3.value) <= C3_BAND * (1.0 + norm))
     if _everywhere(flat, pts, "dC vanishes"):
@@ -332,15 +332,10 @@ def case2_adapt(cf: Coframe):
                       "A1": A1, "A2": A2, "A3": A3, "B1": B1, "B2": B2, "B3": B3}
 
 
-def case2_adapt_field(fld: CoframeField, points, order):
-    """Driver: case-2 adapt at each sample; returns (field, records)."""
-    records, kept = [], {}
-    for p in points:
-        out, rec, _ = case2_adapt(fld.at(p, order))
-        records.append(rec)
-        kept[tuple(p), order] = out
-    return CoframeField(fld.chart, None, eps=fld.eps, stage="case2-adapted",
-                        frames=kept), records
+def case2_adapt_field(frames):
+    """Driver: case-2 adapt each frame; returns (frames, records)."""
+    outs = [case2_adapt(cf) for cf in frames]
+    return tuple(o[0] for o in outs), [o[1] for o in outs]
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +440,10 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
                       "B1": B1, "B2": B2, "B3": B3, "det": det}
 
 
-def case1_adapt_field(fld: CoframeField, points, order, tol=None):
-    """Driver: case-1 adapt at each sample; returns (field, records)."""
-    records, kept = [], {}
-    for p in points:
-        out, rec, _ = case1_adapt(fld.at(p, order), tol)
-        records.append(rec)
-        kept[tuple(p), order] = out
-    return CoframeField(fld.chart, None, eps=fld.eps, stage="case1-adapted",
-                        frames=kept), records
+def case1_adapt_field(frames, tol=None):
+    """Driver: case-1 adapt each frame; returns (frames, records)."""
+    outs = [case1_adapt(cf, tol) for cf in frames]
+    return tuple(o[0] for o in outs), [o[1] for o in outs]
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +479,20 @@ def taut_circle_transform(cf: Coframe, branch=None):
     return out, C, here
 
 
-def taut_circle_field(fld: CoframeField, points, order):
-    """Driver: fix the (1+C, 1-C) sign branch over the region."""
-    branch, kept = None, {}
-    for p in points:
-        out, _, here = taut_circle_transform(fld.at(p, order))
-        kept[tuple(p), order] = out
+def taut_circle_field(frames):
+    """Driver: the taut-circle frames of ``frames``, with the (1+C, 1-C) sign
+    branch fixed over the region; returns (frames, branch)."""
+    branch, outs = None, []
+    for cf in frames:
+        out, _, here = taut_circle_transform(cf)
+        outs.append(out)
         if branch is None:
             branch = here
         elif here != branch:
             raise BranchError(
-                f"sign branch of (1+C, 1-C) is {here} at {tuple(p)}, "
+                f"sign branch of (1+C, 1-C) is {here} at {cf.point}, "
                 f"{branch} elsewhere in the region")
-    return CoframeField(fld.chart, None, eps=fld.eps, stage="taut-circle",
-                        frames=kept), branch
+    return tuple(outs), branch
 
 
 def circle_volume_coefficient(cf: Coframe, taut: Coframe, a1: float, a2: float):
@@ -569,27 +559,24 @@ def hyperbola_residuals(cf: Coframe, taut: Coframe, C: Jet, theta: Jet):
 # ---------------------------------------------------------------------------
 # fully symmetric reduction
 
-def cartan_structure_check(fld: CoframeField, points, order,
-                           tol: Tolerances | None = None):
+def cartan_structure_check(frames, tol: Tolerances | None = None):
     """Detect the reduction with d omega1 = omega2^omega3, d omega2 =
-    eps omega1^omega3, d omega3 = K omega1^omega2.
+    eps omega1^omega3, d omega3 = K omega1^omega2 on one-adapted ``frames``.
 
     Returns None when the region fails the symmetry test; otherwise a dict
     with K values and residuals per point.
     """
     tol = tol or Tolerances()
-    out = {"eps": fld.eps, "points": [], "K": [], "residuals": []}
-    for p in points:
-        cf = fld.at(p, order)
+    eps = frames[0].eps
+    out = {"eps": eps, "points": [], "K": [], "residuals": []}
+    for cf in frames:
         w1, w2, w3 = cf.forms
         s1 = cf.ratio(wedge(w1, cf.d(1, stage="cartan_check")))
         s2 = cf.ratio(wedge(w2, cf.d(0, stage="cartan_check")))
         if abs(s1.value) > tol.shallow or abs(s2.value) > tol.shallow:
             return None
-    eps = fld.eps
 
-    for p in points:
-        cf = fld.at(p, order)
+    for cf in frames:
         w1, w2, w3 = cf.forms
         k1 = cf.d_coeffs(0, stage="cartan_check(torsion)")
         k2 = cf.d_coeffs(1, stage="cartan_check(torsion)")
@@ -609,7 +596,7 @@ def cartan_structure_check(fld: CoframeField, points, order,
         }
         dK = scalar_d(cf.chart, K, stage="cartan_check(dK)")
         res["dK_wedge_12"] = abs(frame.ratio(wedge_all(dK, w1, w2)).value)
-        out["points"].append(tuple(p))
+        out["points"].append(cf.point)
         out["K"].append(K.value)
         out["residuals"].append(res)
     return out
@@ -672,29 +659,27 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
 def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
     """Run the full pipeline over a sample set.
 
-    Returns a dict: eps, case, per-point records, and (for constant C) the
-    classification summary.  Case-specific adaptation failures propagate.
+    Returns a dict: eps, case, the per-point records, the one-adapted
+    ``frames`` and, in cases 1 and 2, the fully ``adapted_frames``, each in
+    sample order.  Case-specific adaptation failures propagate.
     """
     tol = tol or Tolerances()
-    adapted = one_adapt(fld, points, order)
-    case = case_detect(adapted, points, order)
-    result = {"eps": adapted.eps, "case": case, "records": [],
-              "field": adapted}
+    frames = one_adapt(fld, points, order)
+    eps = frames[0].eps
+    case = case_detect(frames)
+    result = {"eps": eps, "case": case, "records": [], "frames": frames}
     if case in ("constantC", "case3"):
-        for p in points:
-            cf = adapted.at(p, order)
+        for p, cf in zip(points, frames):
             C, C3, c1, c2, _ = _dC_data(cf)
-            rec = InvariantRecord(point=tuple(p), eps=adapted.eps, case=case,
+            rec = InvariantRecord(point=tuple(p), eps=eps, case=case,
                                   C=C.value, C1=c1.value, C2=c2.value,
                                   C3=C3.value)
-            rec.klass, _ = classify(C.value, adapted.eps)
+            rec.klass, _ = classify(C.value, eps)
             result["records"].append(rec)
     elif case == "case1":
-        field1, records = case1_adapt_field(adapted, points, order, tol)
-        result["records"] = records
-        result["adapted_field"] = field1
+        result["adapted_frames"], result["records"] = \
+            case1_adapt_field(frames, tol)
     else:
-        field2, records = case2_adapt_field(adapted, points, order)
-        result["records"] = records
-        result["adapted_field"] = field2
+        result["adapted_frames"], result["records"] = \
+            case2_adapt_field(frames)
     return result

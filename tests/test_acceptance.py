@@ -56,9 +56,9 @@ def test_criterion_01_invariant_equals_z():
         for c3 in ("1", "1+z^2"):
             spec = build_example("hyp_c3", eps=eps, c3=c3)
             pts = box_points(spec.box, 5, seed=101)
-            fld = one_adapt(spec.coframes(), pts, 6)
-            for p in pts:
-                worst = max(worst, abs(compute_C(fld.at(p, 6)).value - p[2]))
+            frames = one_adapt(spec.coframes(), pts, 6)
+            for p, cf in zip(pts, frames):
+                worst = max(worst, abs(compute_C(cf).value - p[2]))
     _finish(1, "mixed-family invariant", worst <= 1e-9,
             f"max |C - z| = {worst:.2e}", time.perf_counter() - t0, 1.0)
 
@@ -69,9 +69,7 @@ def test_criterion_02_one_adaptation_volumes():
     for name in THREE_D:
         spec = build_example(name)
         pts = box_points(spec.box, 4, seed=102)
-        fld = one_adapt(spec.coframes(), pts, 6)
-        for p in pts:
-            cf = fld.at(p, 6)
+        for cf in one_adapt(spec.coframes(), pts, 6):
             vol = cf.volume()
             r1 = top_ratio(wedge(cf.forms[0], ext_d(cf.forms[0])) - vol, vol)
             r2 = top_ratio(wedge(cf.forms[1], ext_d(cf.forms[1]))
@@ -89,11 +87,10 @@ def test_criterion_03_taut_circle_both_regions():
                (((-0.8, 0.8), (-0.8, 0.8), (1.1, 1.6)), -1)]
     for box, sign in regions:
         pts = box_points(box, 3, seed=103)
-        fld = one_adapt(spec.coframes(), pts, 7)
-        taut_fld, _ = taut_circle_field(fld, pts, 7)
-        for p in pts:
+        frames = one_adapt(spec.coframes(), pts, 7)
+        tauts, _ = taut_circle_field(frames)
+        for p, cf, taut in zip(pts, frames, tauts):
             z = p[2]
-            cf, taut = fld.at(p, 7), taut_fld.at(p, 7)
             for a1, a2 in UNIT_AS:
                 got = circle_volume_coefficient(cf, taut, a1, a2).value
                 want = predicted_circle_coefficient(z, 1.0, a1, a2)
@@ -113,9 +110,7 @@ def test_criterion_04_taut_hyperbola_identities():
     for name, params in (("hyp_c3", {"eps": 1}), ("torus_constC", {})):
         spec = build_example(name, **params)
         pts = box_points(spec.box, 4, seed=104)
-        fld = one_adapt(spec.coframes(), pts, 7)
-        for p in pts:
-            cf = fld.at(p, 7)
+        for cf in one_adapt(spec.coframes(), pts, 7):
             taut, C, theta = taut_hyperbola_transform(cf)
             r1, r2, defect = hyperbola_residuals(cf, taut, C, theta)
             worst = max(worst, r1, r2, abs(defect.value))
@@ -131,9 +126,9 @@ def test_criterion_05_normal_form_family():
             for g in ("0", "exp(x)"):
                 spec = build_example("normal_form_3d", eps=eps, f=f, g=g)
                 pts = box_points(spec.box, 3, seed=105)
-                fld = one_adapt(spec.coframes(), pts, 8)
-                for p in pts:
-                    _, rec, _ = case2_adapt(fld.at(p, 8))
+                frames = one_adapt(spec.coframes(), pts, 8)
+                for p, cf in zip(pts, frames):
+                    _, rec, _ = case2_adapt(cf)
                     worst_res = max(worst_res,
                                     rec.residuals["domega1_23_minus_1"],
                                     rec.residuals["domega2_13_minus_eps"])
@@ -152,10 +147,10 @@ def test_criterion_06_eta_frame_invariants():
     t0 = time.perf_counter()
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=106)
-    fld = one_adapt(spec.coframes(), pts, 8)
+    frames = one_adapt(spec.coframes(), pts, 8)
     worst_B, worst_res, worst_C, worst_id = 0.0, 0.0, 0.0, 0.0
-    for p in pts:
-        out, rec, _ = case2_adapt(fld.at(p, 8))
+    for p, cf in zip(pts, frames):
+        out, rec, _ = case2_adapt(cf)
         worst_B = max(worst_B, rec.residuals["B_unit"])
         worst_res = max(worst_res, rec.residuals["domega1_23_minus_1"],
                         rec.residuals["domega2_13_minus_eps"])
@@ -174,12 +169,11 @@ def test_criterion_07_constant_invariant_curvature():
     psi = 0.3
     spec = build_example("torus_constC", psi=psi)
     pts = box_points(spec.box, 10, seed=107)
-    fld = one_adapt(spec.coframes(), pts, 7)
-    cs = np.array([compute_C(fld.at(p, 7)).value for p in pts])
+    frames = one_adapt(spec.coframes(), pts, 7)
+    cs = np.array([compute_C(cf).value for cf in frames])
     cosh2 = math.cosh(2 * psi) ** 2
     worst_curv, worst_leaf = 0.0, 0.0
-    for p in pts[:4]:
-        cf = fld.at(p, 7)
+    for cf in frames[:4]:
         curv = curvature(levi_civita(cf))
         worst_curv = max(
             worst_curv,
@@ -209,9 +203,8 @@ def test_criterion_08_leaf_curvature_oracles():
     for name, eps in (("eta_frame", -1), ("normal_form_3d", 1)):
         spec = build_example(name)
         pts = box_points(spec.box, 3, seed=108)
-        fld = one_adapt(spec.coframes(), pts, 8)
-        for p in pts:
-            out, rec, _ = case2_adapt(fld.at(p, 8))
+        for cf in one_adapt(spec.coframes(), pts, 8):
+            out, rec, _ = case2_adapt(cf)
             conn = levi_civita(out)
             curv = curvature(conn)
             leaf = leaf_geometry(out, conn, curv)
@@ -355,12 +348,12 @@ def test_criterion_12_sphere_reduction():
     t0 = time.perf_counter()
     spec = build_example("sphere_frame")
     pts = box_points(spec.box, 4, seed=113)
-    fld = one_adapt(spec.coframes(), pts, 7)
-    out = cartan_structure_check(fld, pts, 7, TOL)
+    frames = one_adapt(spec.coframes(), pts, 7)
+    out = cartan_structure_check(frames, TOL)
     assert out is not None
     worst_K = max(abs(k - 1.0) for k in out["K"])
     worst_dK = max(r["dK_wedge_12"] for r in out["residuals"])
-    worst_C = max(abs(compute_C(fld.at(p, 7)).value) for p in pts)
+    worst_C = max(abs(compute_C(cf).value) for cf in frames)
     ok = worst_K <= 1e-8 and worst_C <= 1e-10 and worst_dK <= 1e-10
     _finish(12, "sphere-frame reduction", ok,
             f"K {worst_K:.2e}, C {worst_C:.2e}, dK {worst_dK:.2e}",

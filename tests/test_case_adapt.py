@@ -29,9 +29,9 @@ def _beta(x, y):
 def test_case2_on_normal_form(eps):
     spec = build_example("normal_form_3d", eps=eps, f="sin(x)", g="exp(x)")
     pts = box_points(spec.box, 4, seed=21)
-    fld = one_adapt(spec.coframes(), pts, 8)
-    for p in pts:
-        out, rec, extras = case2_adapt(fld.at(p, 8))
+    frames = one_adapt(spec.coframes(), pts, 8)
+    for p, cf in zip(pts, frames):
+        out, rec, extras = case2_adapt(cf)
         x = p[0]
         want_C = 1.0 / math.tan(2 * x) if eps == 1 else -1.0 / math.sin(2 * x)
         assert rec.C == pytest.approx(want_C, abs=1e-9)
@@ -45,9 +45,9 @@ def test_case2_on_normal_form(eps):
 def test_case2_on_eta_frame():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=22)
-    fld = one_adapt(spec.coframes(), pts, 8)
-    for p in pts:
-        _, rec, extras = case2_adapt(fld.at(p, 8))
+    frames = one_adapt(spec.coframes(), pts, 8)
+    for p, cf in zip(pts, frames):
+        _, rec, extras = case2_adapt(cf)
         x, y, _ = p
         assert rec.C == pytest.approx(1.0 / (math.sin(2 * x) * y), abs=1e-9)
         assert rec.residuals["B_unit"] < 1e-8
@@ -66,10 +66,10 @@ def test_case1_fixture_closed_form_invariant():
     pts = [(0.3, -0.4, 0.2), (-0.5, 0.6, -0.3), (0.1, 0.7, 0.5),
            (-0.2, -0.6, -0.7)]
     adapted = one_adapt(fld, pts, 8)
-    assert adapted.eps == -1
-    assert case_detect(adapted, pts, 8) == "case1"
-    for p in pts:
-        out, rec, extras = case1_adapt(adapted.at(p, 8), TOL)
+    assert all(cf.eps == -1 for cf in adapted)
+    assert case_detect(adapted) == "case1"
+    for p, cf in zip(pts, adapted):
+        out, rec, extras = case1_adapt(cf, TOL)
         assert rec.C == pytest.approx(math.cos(_beta(p[0], p[1])), abs=1e-12)
         assert abs(rec.A1) < 1e-12 and abs(rec.A2) < 1e-12
         assert set(rec.residuals) == CASE1_KEYS  # B3 large: no closed forms
@@ -93,17 +93,17 @@ def test_analyze_routes_case1():
     assert out["case"] == "case1"
     assert out["eps"] == -1
     assert len(out["records"]) == 2
-    assert "adapted_field" in out
-    cf = out["adapted_field"].at(pts[0], 8)
+    assert "adapted_frames" in out
+    cf = out["adapted_frames"][0]
     assert cf.stage == "case1-adapted"
 
 
 def test_case1_on_case2_data_raises():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 2, seed=23)
-    fld = one_adapt(spec.coframes(), pts, 8)
+    frames = one_adapt(spec.coframes(), pts, 8)
     with pytest.raises(StructureMismatch):
-        case1_adapt(fld.at(pts[0], 8), TOL)
+        case1_adapt(frames[0], TOL)
 
 
 def test_case2_on_case1_data_raises():
@@ -111,20 +111,20 @@ def test_case2_on_case1_data_raises():
     pts = [(0.3, -0.4, 0.2)]
     adapted = one_adapt(fld, pts, 8)
     with pytest.raises(CriticalPoint):
-        case2_adapt(adapted.at(pts[0], 8))
+        case2_adapt(adapted[0])
 
 
 def test_case2_on_case3_data_raises():
     spec = build_example("hyp_c3")
     pts = [(0.1, 0.2, 0.4)]
-    fld = one_adapt(spec.coframes(), pts, 7)
+    frames = one_adapt(spec.coframes(), pts, 7)
     with pytest.raises(DegenerateB):
-        case2_adapt(fld.at(pts[0], 7))
+        case2_adapt(frames[0])
 
 
 def test_case2_at_critical_point_raises():
     spec = build_example("torus_constC")
     pts = [(0.3, 0.1, 0.2)]
-    fld = one_adapt(spec.coframes(), pts, 7)
+    frames = one_adapt(spec.coframes(), pts, 7)
     with pytest.raises(CriticalPoint):
-        case2_adapt(fld.at(pts[0], 7))
+        case2_adapt(frames[0])

@@ -4,7 +4,7 @@ The drivers hand their sample-point frames on to later stages instead of
 rebuilding them; every report must stay byte-identical.  These SHA-256
 digests pin one command per driver path: ``analyze`` in case 2, the taut
 hyperbola loop over ``one_adapt``, the constant-C branch with the
-``curvature_12`` loop over the adapted field, ``cartan_structure_check``,
+``curvature_12`` loop over the adapted frames, ``cartan_structure_check``,
 ``analyze`` in case 1 on the definition-file fixture, the taut circle
 branch, the self-volume ratios of ``check``, C in ``classify``, and the 4D
 ``curvature`` command with its Pfaffian.  Three more run at the default

@@ -56,9 +56,7 @@ def test_parameters_change_the_rows():
 def test_hyp_c3_third_derivative_table():
     spec = build_example("hyp_c3", c3="1+z^2")
     pts = box_points(spec.box, 4, seed=51)
-    fld = one_adapt(spec.coframes(), pts, 7)
-    for p in pts:
-        cf = fld.at(p, 7)
+    for p, cf in zip(pts, one_adapt(spec.coframes(), pts, 7)):
         C = compute_C(cf)
         C3, _, _ = compute_C3(cf)
         assert C3.value == pytest.approx(1.0 + p[2] ** 2, abs=1e-9)
@@ -67,8 +65,8 @@ def test_hyp_c3_third_derivative_table():
 def test_sphere_frame_reduces_with_unit_K():
     spec = build_example("sphere_frame")
     pts = box_points(spec.box, 4, seed=52)
-    fld = one_adapt(spec.coframes(), pts, 7)
-    out = cartan_structure_check(fld, pts, 7, TOL)
+    frames = one_adapt(spec.coframes(), pts, 7)
+    out = cartan_structure_check(frames, TOL)
     assert out is not None
     assert out["eps"] == -1
     for K, res in zip(out["K"], out["residuals"]):
@@ -79,8 +77,8 @@ def test_sphere_frame_reduces_with_unit_K():
 def test_generic_frames_do_not_reduce():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 3, seed=53)
-    fld = one_adapt(spec.coframes(), pts, 7)
-    assert cartan_structure_check(fld, pts, 7, TOL) is None
+    frames = one_adapt(spec.coframes(), pts, 7)
+    assert cartan_structure_check(frames, TOL) is None
 
 
 def test_expected_epsilon_matches_analysis():

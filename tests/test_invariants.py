@@ -82,9 +82,8 @@ def test_constant_invariant_has_zero_spread():
 
 def test_compute_C_on_adapted_frame():
     spec = build_example("hyp_c3", eps=1, c3="1+z^2")
-    fld = one_adapt(spec.coframes(), _points(spec, n=3), 6)
-    for p in _points(spec, n=3):
-        cf = fld.at(p, 6)
+    pts = _points(spec, n=3)
+    for p, cf in zip(pts, one_adapt(spec.coframes(), pts, 6)):
         assert compute_C(cf).value == pytest.approx(p[2], abs=1e-10)
 
 
@@ -110,9 +109,8 @@ def test_homothety_invariance():
 def test_invariant_coordinate_identity():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=7)
-    fld = one_adapt(spec.coframes(), pts, 8)
-    for p in pts:
-        adapted, rec, extras = case2_adapt(fld.at(p, 8))
+    for cf in one_adapt(spec.coframes(), pts, 8):
+        adapted, rec, extras = case2_adapt(cf)
         info = invariant_coords(adapted, TOL)
         assert not info["degenerate"]
         assert info["identity_residual"] < 1e-6
@@ -146,11 +144,11 @@ def test_case_detect_names_the_samples_that_disagree(monkeypatch, band,
     spec = build_example("normal_form_3d")
     pts = _points(spec, 4)
     adapted = one_adapt(spec.coframes(), pts, 6)
-    values = [measure(adapted.at(p, 6)) for p in pts]
+    values = [measure(cf) for cf in adapted]
     low, high = sorted(values)[1:3]
     monkeypatch.setattr(pipeline, band, 0.5 * (low + high))
     with pytest.raises(AmbiguousCase) as err:
-        case_detect(adapted, pts, 6)
+        case_detect(adapted)
     assert str(err.value).startswith(f"{what} at some sampled points only")
     assert err.value.points == [p for p, v in zip(pts, values) if v <= low]
 

@@ -304,6 +304,29 @@ def test_cli_failure_paths(tmp_path):
     assert rep["errors"]
 
 
+@pytest.mark.parametrize("value", ["0", "inf", "nan"])
+@pytest.mark.parametrize("flag", ["--tol-shallow", "--tol-deep"])
+def test_cli_rejects_tolerances_that_are_not_positive_and_finite(
+        capsys, flag, value):
+    rc = main(["invariants", "normal_form_3d", "--points", "1", flag, value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bicontact: {flag} must be ")
+
+
+def test_cli_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    rc = main(["classify", "normal_form_3d", "--points", "1",
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bicontact: cannot write the report: ")
+    assert str(out) in captured.err
+    assert not out.parent.exists()
+
+
 def test_nan_residual_fails_its_check():
     summary = summarize_residuals([{"r": 1e-12}, {"r": float("nan")}])
     assert math.isnan(summary["r"]["max"])

@@ -1,13 +1,12 @@
-"""Drivers keep the frames they build at their sample points.
+"""Drivers return the frames they build at their sample points.
 
-Every later stage that asks a driver's field for a sample point at the
-driver's order gets the kept frame, so expression evaluation, adaptation
-and curvature run once per point.  A driver's field holds nothing else: any
-other point or order raises ``KeyError``, since the driver's region-wide
-checks never saw it.  The kept frames agree bit for bit with a fresh build,
-and each frame's structure table ``d_coeffs`` is computed once and shared by
-every later stage, so coefficient extraction runs a fixed number of times
-per point.  So do C, the omega3 = dC/C3 frame of case 2 and the dE expansion
+Each driver hands back its frames as a tuple in sample order, and every
+later stage reads them from it, so expression evaluation, adaptation and
+curvature run once per point.  The returned frames agree bit for bit with a
+fresh build, whatever the order of the sample list, and each frame's
+structure table ``d_coeffs`` is computed once and shared by every later
+stage, so coefficient extraction runs a fixed number of times per point.
+So do C, the omega3 = dC/C3 frame of case 2 and the dE expansion
 of a 4D frame, which each frame memoizes.  Each frame takes d of its own
 covectors once, and ``ext_d`` is the only differentiation kernel of the forms
 layer.
@@ -151,14 +150,16 @@ def test_each_connection_form_is_built_once_above_the_diagonal(monkeypatch,
 
 
 def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
-    # per point: 3 for the frame's volume, 6 for its 2-form complements
-    # (one wedge each), 8 for its 1-form complements (two each) and 41 in
-    # the E, pairing, connection, curvature and leaf stages, which skip the
-    # zero diagonal connection forms; the 10 two_form_coeffs and the
-    # one_form_coeffs calls of a point run as batched products and take none
+    # per point: 3 for the frame's volume, 5 for its 2-form complements
+    # (one wedge each; omega1^omega2 is the volume's first), 3 for its
+    # 1-form complements (one each on a kept 2-form prefix; omega1^omega2^
+    # omega3 is the volume's second) and 41 in the E, pairing, connection,
+    # curvature and leaf stages, which skip the zero diagonal connection
+    # forms; the 10 two_form_coeffs and the one_form_coeffs calls of a point
+    # run as batched products and take none
     wedges = _counting(monkeypatch, forms, "wedge", *_aliases(forms, "wedge"))
     _run(["fourdim", "fourd_enonzero", "--points", "2"])
-    assert len(wedges) == 58 * 2
+    assert len(wedges) == 52 * 2
 
     frame = build_example("fourd_enonzero").coframes().at((0.5, 1.0, 0.0, 0.1),
                                                           2)
@@ -191,45 +192,27 @@ def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
     assert not ratios
 
 
-def test_kept_frames_are_bounded_by_the_sample_list():
-    spec = build_example("normal_form_3d")
-    raw = spec.coframes()
-    assert len(raw.frames) == 0
-    pts = _normal_form_points(3)
-    fld = one_adapt(raw, pts, 6)
-    assert set(fld.frames) == {(p, 6) for p in pts}
-    for point, order in (((0.5, 1.0, 0.0), 6), (pts[0], 5)):
-        with pytest.raises(KeyError):
-            fld.at(point, order)
-    assert len(fld.frames) == 3
-    with pytest.raises(TypeError):
-        fld.frames[((0.5, 1.0, 0.0), 6)] = fld.at(pts[0], 6)
-    assert fld.at(pts[1], 6) is fld.frames[(pts[1], 6)]
-
-
-@pytest.mark.parametrize("point,order", [((0.5, 1.0, 0.0), 6), (None, 5)],
-                         ids=["off_sample", "other_order"])
-def test_unkept_requests_raise_key_error(point, order):
-    spec = build_example("normal_form_3d")
-    pts = _normal_form_points(3)
-    adapted = one_adapt(spec.coframes(), pts, 6)
-    field2, _ = pipeline.case2_adapt_field(adapted, pts, 6)
-    point = pts[0] if point is None else point
-    for fld in (adapted, field2):
-        with pytest.raises(KeyError) as err:
-            fld.at(point, order)
-        message = str(err.value)
-        assert fld.stage in message
-        assert str(tuple(point)) in message and f"order {order}" in message
-
-
 def test_kept_frames_match_a_fresh_build():
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
     adapted = one_adapt(spec.coframes(), pts, 6)
-    field2, _ = pipeline.case2_adapt_field(adapted, pts, 6)
-    for p in pts:
+    frames2, _ = pipeline.case2_adapt_field(adapted)
+    assert len(adapted) == len(frames2) == len(pts)
+    for p, kept1, kept2 in zip(pts, adapted, frames2):
         one, _, _, _ = _one_adapt_point(spec.coframes().at(p, 6))
         two, _, _ = pipeline.case2_adapt(one)
-        assert _frame_bytes(adapted.at(p, 6)) == _frame_bytes(one)
-        assert _frame_bytes(field2.at(p, 6)) == _frame_bytes(two)
+        assert _frame_bytes(kept1) == _frame_bytes(one)
+        assert _frame_bytes(kept2) == _frame_bytes(two)
+
+
+def test_frames_follow_the_sample_order():
+    spec = build_example("normal_form_3d")
+    pts = _normal_form_points(4)
+    forward = analyze(spec.coframes(), pts, 6, TOL)
+    backward = analyze(spec.coframes(), pts[::-1], 6, TOL)
+    assert [r.point for r in forward["records"]] == pts
+    assert backward["records"] == forward["records"][::-1]
+    for key in ("frames", "adapted_frames"):
+        assert [cf.point for cf in backward[key]] == pts[::-1]
+        assert [_frame_bytes(cf) for cf in backward[key]] == \
+            [_frame_bytes(cf) for cf in forward[key][::-1]]
