@@ -10,7 +10,8 @@ taken with ``expressions.differentiate``:
     (phi* omega)_k = sum_j (a_j o phi) * d phi^j / d y_k
 
 for omega = sum_j a_j dx^j.  ``hypothesis`` draws near-identity maps
-phi^j = y_j + delta_j * f_j(y_(j+1)) * y_(j+2), |delta_j| <= 0.05.  Jet
+phi^j = y_j + delta_j * f_j(y_(j+1)) * y_(j+2), |delta_j| <= 0.05, on built-in
+examples and on the case-1 definition file ``tests/data/case1_frame.txt``.  Jet
 arithmetic on the pulled-back coefficients shares no intermediate value with
 the original, so agreement to 1e-9 relative holds whatever way the forms
 layer rounds.
@@ -18,17 +19,20 @@ layer rounds.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bicontact import cli
 from bicontact.examples import build_example
 from bicontact.expressions import (BinOp, Call, Neg, Num, Var, differentiate,
                                    eval_number, parse)
+from bicontact.curvature import curvature, levi_civita, scalar_curvature
 from bicontact.forms import coframe_field_from_expressions
 from bicontact.fourdim import curvature4, symp_structure
+from bicontact.inputfile import load_definition
 from bicontact.pipeline import analyze
 
-from conftest import box_points
+from conftest import DATA, box_points
 
 TOL = 1e-9
 FUNCS = ("sin", "cos", "tanh")
@@ -56,19 +60,29 @@ def _near_identity(coords, deltas, funcs):
         for j, (c, d, f) in enumerate(zip(coords, deltas, funcs))]
 
 
-def _pullback_rows(spec, phi):
+def _source(name):
+    """(chart, rows, params, box) of a built-in example, or of a definition
+    file under ``tests/data``, sampled in the CLI's default cube."""
+    if name.endswith(".txt"):
+        defn = load_definition(DATA / name)
+        half = cli.DEFAULT_HALF_WIDTH
+        return defn.chart(), defn.rows, defn.params, ((-half, half),) * defn.dim
+    spec = build_example(name)
+    return spec.chart, spec.rows, spec.params, spec.box
+
+
+def _pullback_rows(coords, rows, params, phi):
     """The coefficient rows of phi* omega, one {coordinate: AST} per
     covector."""
-    coords = spec.chart.coords
     env = dict(zip(coords, phi))
     jac = [[differentiate(p, c) for c in coords] for p in phi]
-    rows = []
-    for row in spec.rows:
+    pulled_rows = []
+    for row in rows:
         a = {}
         for key, text in row.items():
             name = key if key in coords else key[1:]
             a[coords.index(name)] = _substitute(
-                parse(text, coords, list(spec.params)), env)
+                parse(text, coords, list(params)), env)
         pulled = {}
         for k, name in enumerate(coords):
             acc = None
@@ -80,24 +94,25 @@ def _pullback_rows(spec, phi):
                 acc = term if acc is None else BinOp("+", acc, term)
             if acc is not None:
                 pulled[name] = acc
-        rows.append(pulled)
-    return rows
+        pulled_rows.append(pulled)
+    return pulled_rows
 
 
 def _fields(name, deltas, funcs, seed, shrink):
     """(original field, pulled-back field, points q, points phi(q)); q is
-    drawn from the example's box shrunk by ``shrink``, so that phi(q), at
+    drawn from the source's box shrunk by ``shrink``, so that phi(q), at
     most 0.05 max|y| away, stays inside it."""
-    spec = build_example(name)
-    coords = spec.chart.coords
+    chart, rows, params, box = _source(name)
+    coords = chart.coords
     phi = _near_identity(coords, deltas, funcs)
+    orig = coframe_field_from_expressions(chart, rows, params=params)
     pulled = coframe_field_from_expressions(
-        spec.chart, _pullback_rows(spec, phi), params=spec.params)
-    box = [(lo + shrink, hi - shrink) for lo, hi in spec.box]
+        chart, _pullback_rows(coords, rows, params, phi), params=params)
+    box = [(lo + shrink, hi - shrink) for lo, hi in box]
     qs = box_points(box, 2, seed=seed)
     images = [tuple(eval_number(p, dict(zip(coords, q))) for p in phi)
               for q in qs]
-    return spec.coframes(), pulled, qs, images
+    return orig, pulled, qs, images
 
 
 def _assert_close(got, want, what):
@@ -114,6 +129,9 @@ def _maps(dim):
 
 INVARIANTS_3D = ("C", "C1", "C2", "C3", "A1", "A2", "A3", "B1", "B2", "B3",
                  "zeta", "zeta3", "W")
+INVARIANTS_CASE1 = ("C", "C1", "C2", "C3", "A1", "A2", "A3", "B1", "B2", "B3",
+                    "xi", "rho")
+CASE1_FILE = "case1_frame.txt"
 
 
 @given(_maps(3))
@@ -131,6 +149,51 @@ def test_normal_form_3d_invariants_pull_back(drawn):
         assert g.klass == w.klass
         for key in INVARIANTS_3D:
             _assert_close(getattr(g, key), getattr(w, key), key)
+
+
+@given(_maps(3))
+@settings(max_examples=8, deadline=None)
+def test_case1_fixture_invariants_pull_back(drawn):
+    deltas, funcs, seed = drawn
+    orig, pulled, qs, images = _fields(CASE1_FILE, deltas, funcs, seed, 0.1)
+    order = cli.ORDER_NEEDED["invariants", 3]
+    got = analyze(pulled, qs, order)
+    want = analyze(orig, images, order)
+    assert (got["case"], got["eps"]) == (want["case"], want["eps"]) \
+        == ("case1", -1)
+    for g, w in zip(got["records"], want["records"]):
+        assert g.klass == w.klass
+        for key in INVARIANTS_CASE1:
+            _assert_close(getattr(g, key), getattr(w, key), key)
+
+
+def _adapted_curvature(fld, points, order):
+    """(theta12, theta13, theta23, scalar curvature) of each adapted frame,
+    as the ``curvature`` command reports them."""
+    result = analyze(fld, points, order)
+    rows = []
+    for cf in result["adapted_frames"]:
+        curv = curvature(levi_civita(cf))
+        rows.append({"theta12": curv.coefficient(0, 1, 0, 1).value,
+                     "theta13": curv.coefficient(0, 2, 0, 2).value,
+                     "theta23": curv.coefficient(1, 2, 1, 2).value,
+                     "scalar": scalar_curvature(curv).value})
+    return result["case"], rows
+
+
+@given(_maps(3))
+@settings(max_examples=4, deadline=None)
+@pytest.mark.parametrize("name", ["normal_form_3d", CASE1_FILE])
+def test_adapted_frame_curvature_pulls_back(name, drawn):
+    deltas, funcs, seed = drawn
+    orig, pulled, qs, images = _fields(name, deltas, funcs, seed, 0.1)
+    order = cli.ORDER_NEEDED["curvature", 3]
+    got_case, got = _adapted_curvature(pulled, qs, order)
+    want_case, want = _adapted_curvature(orig, images, order)
+    assert got_case == want_case
+    for g, w in zip(got, want):
+        for key in ("theta12", "theta13", "theta23", "scalar"):
+            _assert_close(g[key], w[key], key)
 
 
 @given(_maps(4))
