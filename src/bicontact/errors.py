@@ -76,7 +76,7 @@ class DegenerateB(BicontactError):
 
 class DegenerateTranslation(BicontactError):
     """The 2x2 system fixing the case-1 translation is singular
-    (A3^2 - C^2 - 1 is numerically zero)."""
+    (its determinant A3^2 - C^2 - eps is numerically zero)."""
 
 
 class BranchError(BicontactError):

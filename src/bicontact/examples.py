@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
 from .expressions import differentiate, parse, to_text
 from .forms import Chart, CoframeField, coframe_field_from_expressions
 

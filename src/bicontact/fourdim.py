@@ -290,9 +290,9 @@ class QOde:
         """C as a univariate jet at z."""
         return self._tape.run((z,), order, ("z",))[0]
 
-    def u_jet(self, z: float, order: int) -> Jet:
-        """The coefficient C^2 + eps + C' as a univariate jet at z."""
-        c = self.c_jet(z, order + 1)
+    def u_jet(self, c: Jet) -> Jet:
+        """The coefficient C^2 + eps + C' as a univariate jet, one order
+        below ``c``, C's jet at the same point."""
         return c * c + float(self.eps) + jets.partial(c, 0)
 
 
@@ -358,7 +358,7 @@ def solve_q(ode: QOde, z_span) -> QSolution:
     for end in (lo, hi):
         z, z1, init = float(ode.z0), None, (ode.q1_init, ode.q2_init)
         while z1 != end:
-            u = ode.u_jet(z, _TAYLOR_ORDER - 2).c.tolist()
+            u = ode.u_jet(ode.c_jet(z, _TAYLOR_ORDER - 1)).c.tolist()
             cs = tuple(_q_taylor(u, q, dq) for q, dq in init)
             c, room = np.abs(cs), abs(end - z)
             r = np.max((c[:, -2:] / (_TAYLOR_TOL * np.maximum(1.0, c[:, :1])))
@@ -373,15 +373,18 @@ def solve_q(ode: QOde, z_span) -> QSolution:
     return QSolution(ode=ode, lo=lo, hi=hi, steps=steps)
 
 
-def q_jets(sol: QSolution, z: float, dim: int, axis: int, order: int):
-    """Lift (Q1, Q2) at z into jets of the ambient chart.
+def q_jets(sol: QSolution, z: float, c: Jet, dim: int, axis: int):
+    """Lift (Q1, Q2) at z into jets of the ambient chart, at the order of
+    ``c``, C's univariate jet at z (``sol.ode.c_jet(z, order)``).
 
     Values and first derivatives come from the integrated state; all higher
     Taylor coefficients follow from the ODE by ``_q_taylor``, so the jets
     satisfy the equation coefficient-for-coefficient regardless of
-    integration error.
+    integration error.  u comes from c truncated one order lower, which is
+    bit-equal to C's jet at that order, so C's tape runs once per point.
     """
-    u = sol.ode.u_jet(z, max(order - 2, 0)).c.tolist()
+    order = c.order
+    u = sol.ode.u_jet(c.truncate(order - 1)).c.tolist() if order > 1 else []
     q1, dq1, q2, dq2 = sol.state(z)
     x = Jet.variable(z, axis, dim, order)
     return tuple(jets._compose(x, _q_taylor(u, q, dq)[:order + 1])
@@ -429,12 +432,12 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
         det_h = hj[0][0] * hj[1][1] - hj[0][1] * hj[1][0]
         if abs(det_h.value) <= DEGENERATE_H:
             raise DegenerateH(f"det h = {det_h.value!r} at {point!r}")
-        q1, q2 = q_jets(sol, z, 4, 2, order)
+        c = ode.c_jet(z, order)
+        q1, q2 = q_jets(sol, z, c, 4, 2)
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
         K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
         L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
-        Cj = jets._compose(Jet.variable(z, 2, 4, order),
-                           ode.c_jet(z, order).c.tolist())
+        Cj = jets._compose(Jet.variable(z, 2, 4, order), c.c.tolist())
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
         f = (Jet.variable(w, 3, 4, order) / (det_h * w0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))

@@ -9,7 +9,10 @@ Stages:
 3. ``case_detect`` decides between constant C, the C3 = 0 case (case 1), the
    generic nonconstant case (case 2), and its degenerate subcase (case 3).
 4. ``case1_adapt`` / ``case2_adapt`` finish the adaptation and produce an
-   :class:`InvariantRecord` per point.
+   :class:`InvariantRecord` per point.  Case 1 kills the torsions A1, A2 by
+   absorption, omega3 -> omega3 + b1 omega1 + b2 omega2, with b solved in
+   closed form from the base frame's d omega1 and d omega2 tables; both
+   cases read A1-A3 and B1-B3 off their final frame's tables alike.
 5. ``taut_circle_transform`` / ``taut_hyperbola_transform`` build the rotated
    frames whose contact volumes are simultaneously controlled.
 6. ``cartan_structure_check`` detects the fully symmetric reduction and its
@@ -22,10 +25,11 @@ choices) that must be constant per region.  ``one_adapt`` builds the frames
 from a raw :class:`~bicontact.forms.CoframeField` at a sample-point list and
 order; every later driver takes the previous stage's frames and returns its
 own as a tuple in sample order, so a stage's i-th frame belongs to the i-th
-sample point.
-Each d(omega^i) of a frame's own covector comes from its cached
-:meth:`~bicontact.forms.Coframe.d`, and its structure functions, the
-coefficients of d(omega^i) in the frame itself, from
+sample point.  Every adapted frame is derived from its input frame by
+:meth:`~bicontact.forms.Coframe.replace`, which keeps the d of each covector
+that stays the same object.  Each d(omega^i) of a frame's own covector comes
+from its cached :meth:`~bicontact.forms.Coframe.d`, and its structure
+functions, the coefficients of d(omega^i) in the frame itself, from
 :meth:`~bicontact.forms.Coframe.d_coeffs`.  C, dC (built once per frame), the
 dC data and the (omega1, omega2, dC/C3) frame are memoized per frame, so
 ``compute_C3``, ``case_detect``, ``case1_adapt`` and ``case2_adapt`` share
@@ -254,6 +258,27 @@ def case_detect(frames) -> str:
 
 
 # ---------------------------------------------------------------------------
+# torsions of a fully adapted frame
+
+def _torsions(out: Coframe, C: Jet, stage: str):
+    """({A1, A2, A3, B1, B2, B3} as jets, residuals) of a case-1 or case-2
+    final frame: A1 = -(d omega2)_12, A2 = (d omega1)_12, A3 = (d omega1)_13
+    + C and (B1, B2, B3) = (d omega3)_(23, 13, 12), read off its structure
+    tables, with the residuals of the displayed first structure equations.
+    ``stage`` labels each table's BudgetError."""
+    k1, k2, b = [out.d_coeffs(i, stage=f"{stage}(d omega{i + 1})")
+                 for i in range(3)]
+    A3 = k1[(0, 2)] + C
+    residuals = {
+        "domega1_23_minus_1": abs(k1[(1, 2)].value - 1.0),
+        "domega2_13_minus_eps": abs(k2[(0, 2)].value - out.eps),
+        "A3_cross_check": abs((k2[(1, 2)].value - C.value) - A3.value),
+    }
+    return {"A1": -k2[(0, 1)], "A2": k1[(0, 1)], "A3": A3,
+            "B1": b[(1, 2)], "B2": b[(0, 2)], "B3": b[(0, 1)]}, residuals
+
+
+# ---------------------------------------------------------------------------
 # case-2 adaptation
 
 def case2_adapt(cf: Coframe):
@@ -283,18 +308,12 @@ def case2_adapt(cf: Coframe):
 
     w1h, w2h = w1.scaled(s), w2.scaled(s)
     out = frame0.replace(forms=(w1h, w2h, new3))
-
-    k1 = out.d_coeffs(0, stage="case2_adapt(d omega1)")
-    k2 = out.d_coeffs(1, stage="case2_adapt(d omega2)")
-    b = out.d_coeffs(2, stage="case2_adapt(d omega3)")
-    B1, B2, B3 = b[(1, 2)], b[(0, 2)], b[(0, 1)]
+    t, shared = _torsions(out, C, "case2_adapt")
+    B1, B2, B3 = t["B1"], t["B2"], t["B3"]
     if abs(B3.value) > 1e-8 * (1.0 + abs(B1.value) + abs(B2.value)):
         raise StructureMismatch(
             f"B3 = {B3.value!r} should vanish (forced by d^2 C = 0)")
-
-    A2 = k1[(0, 1)]
-    A1 = -k2[(0, 1)]
-    A3 = k1[(0, 2)] + C
+    A1, A2 = t["A1"], t["A2"]
     zeta = jets.atan2(B2, B1)
 
     # C-derivative data relative to the final frame
@@ -305,17 +324,12 @@ def case2_adapt(cf: Coframe):
     rec = InvariantRecord(
         point=cf.point, eps=eps, case="case2",
         C=C.value, C1=C1f.value, C2=C2f.value, C3=C3f.value,
-        A1=A1.value, A2=A2.value, A3=A3.value,
-        B1=B1.value, B2=B2.value, B3=B3.value,
-        zeta=zeta.value, zeta3=zeta3.value,
+        zeta=zeta.value, zeta3=zeta3.value, residuals=shared,
+        **{key: x.value for key, x in t.items()},
     )
     rec.klass, _ = classify(C.value, eps)
 
-    # the displayed first-structure-equation lines as residuals
     res = rec.residuals
-    res["domega1_23_minus_1"] = abs(k1[(1, 2)].value - 1.0)
-    res["domega2_13_minus_eps"] = abs(k2[(0, 2)].value - eps)
-    res["A3_cross_check"] = abs((k2[(1, 2)].value - C.value) - A3.value)
     res["B3"] = abs(B3.value)
     res["B_unit"] = abs(B1.value ** 2 + B2.value ** 2 - 1.0)
     res["C1"] = abs(C1f.value)
@@ -328,8 +342,7 @@ def case2_adapt(cf: Coframe):
     W = cz * (z1 - A2.value) - sz * (z2 + A1.value)
     rec.W = W
     res["W_fit"] = math.hypot(z1 - (W * cz + A2.value), z2 - (-W * sz - A1.value))
-    return out, rec, {"C": C, "C3": C3f, "zeta": zeta, "zeta3": zeta3,
-                      "A1": A1, "A2": A2, "A3": A3, "B1": B1, "B2": B2, "B3": B3}
+    return out, rec, {"C": C, "C3": C3f, "zeta": zeta, "zeta3": zeta3, **t}
 
 
 def case2_adapt_field(frames):
@@ -342,7 +355,8 @@ def case2_adapt_field(frames):
 # case-1 adaptation
 
 def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
-    """Point-local adaptation for the C3 = 0, dC != 0 case."""
+    """Point-local adaptation for the C3 = 0, dC != 0 case.  The returned
+    jets include ``det`` = d(A1, A2)/d(b1, b2) = A3^2 - C^2 - eps."""
     tol = tol or Tolerances()
     if cf.eps is None:
         raise ValueError("case1_adapt needs a one-adapted coframe")
@@ -360,29 +374,19 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
         raise CriticalPoint(f"C1 = C2 = 0 at {cf.point}")
     s = jets.sqrt(s2)
     w1h, w2h = cf.forms[0].scaled(s), cf.forms[1].scaled(s)
-    base = Coframe(cf.chart, cf.point, (w1h, w2h, cf.forms[2]), eps=eps,
-                   stage="case1-adapted")
+    base = cf.replace(forms=(w1h, w2h, cf.forms[2]), stage="case1-adapted")
     C1h, C2h, _ = one_form_coeffs(_dC(cf, "case1_adapt(dC)"), base)
     xi = jets.atan2(C2h, C1h)
 
-    # kill A1, A2 by omega3 -> omega3 + b1 omega1 + b2 omega2.  (A1, A2)
-    # depends affinely on the pointwise values of b, so three probes with
-    # constant b determine the affine map exactly.
-    def probe(b1, b2):
-        w3t = base.forms[2] + w1h.scaled(b1) + w2h.scaled(b2)
-        trial = base.replace(forms=(w1h, w2h, w3t))
-        k1 = trial.d_coeffs(0, stage="case1_adapt(probe)")
-        k2 = trial.d_coeffs(1, stage="case1_adapt(probe)")
-        return -k2[(0, 1)], k1[(0, 1)]   # (A1, A2) = (-(d omega2)_12, (d omega1)_12)
-
-    dim, order = C.dim, min(f.order for f in base.forms)
-    zero = Jet.constant(0.0, dim, order)
-    one = Jet.constant(1.0, dim, order)
-    a10, a20 = probe(zero, zero)
-    a11, a21 = probe(one, zero)
-    a12, a22 = probe(zero, one)
-    m11, m21 = a11 - a10, a21 - a20
-    m12, m22 = a12 - a10, a22 - a20
+    # kill A1 = -k2_12 and A2 = k1_12 by omega3 -> omega3 + b1 omega1 +
+    # b2 omega2 (absorption): d omega1 and d omega2 stay, and in their tables
+    # k1, k2 only the (1,2) entry moves, to k_12 - b2 k_13 + b1 k_23, so
+    # (A1, A2) = a0 + M b with a0 and M read off the base frame
+    k1 = base.d_coeffs(0, stage="case1_adapt(d omega1)")
+    k2 = base.d_coeffs(1, stage="case1_adapt(d omega2)")
+    a10, a20 = -k2[(0, 1)], k1[(0, 1)]
+    m11, m12 = -k2[(1, 2)], k2[(0, 2)]
+    m21, m22 = k1[(1, 2)], -k1[(0, 2)]
     det = m11 * m22 - m12 * m21
     if abs(det.value) <= tol.deep:
         raise DegenerateTranslation(
@@ -392,15 +396,8 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     b2 = (m21 * a10 - m11 * a20) / det
 
     w3h = base.forms[2] + w1h.scaled(b1) + w2h.scaled(b2)
-    out = Coframe(cf.chart, cf.point, (w1h, w2h, w3h), eps=eps,
-                  stage="case1-adapted")
-
-    k1 = out.d_coeffs(0, stage="case1_adapt(final)")
-    k2 = out.d_coeffs(1, stage="case1_adapt(final)")
-    A1, A2 = -k2[(0, 1)], k1[(0, 1)]
-    A3 = k1[(0, 2)] + C
-    b = out.d_coeffs(2, stage="case1_adapt(d omega3)")
-    B1, B2, B3 = b[(1, 2)], b[(0, 2)], b[(0, 1)]
+    out = base.replace(forms=(w1h, w2h, w3h))
+    t, shared = _torsions(out, C, "case1_adapt")
 
     x1, x2, xi3 = one_form_coeffs(
         scalar_d(cf.chart, xi, stage="case1_adapt(xi3)"), out)
@@ -410,34 +407,28 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     rec = InvariantRecord(
         point=cf.point, eps=eps, case="case1",
         C=C.value, C1=C1h.value, C2=C2h.value, C3=C3_pre.value,
-        A1=A1.value, A2=A2.value, A3=A3.value,
-        B1=B1.value, B2=B2.value, B3=B3.value,
-        xi=xi.value, rho=rho,
+        xi=xi.value, rho=rho, residuals=shared,
+        **{key: x.value for key, x in t.items()},
     )
     rec.klass, _ = classify(C.value, eps)
     res = rec.residuals
-    res["domega1_23_minus_1"] = abs(k1[(1, 2)].value - 1.0)
-    res["domega2_13_minus_eps"] = abs(k2[(0, 2)].value - eps)
-    res["A1"] = abs(A1.value)
-    res["A2"] = abs(A2.value)
-    res["A3_cross_check"] = abs((k2[(1, 2)].value - C.value) - A3.value)
+    res["A1"] = abs(rec.A1)
+    res["A2"] = abs(rec.A2)
     res["C_unit"] = abs(C1h.value ** 2 + C2h.value ** 2 - 1.0)
     res["rho_fit"] = math.hypot(x1 + rho * sx, x2 - rho * cx)
 
     # closed forms available when B3 vanishes
-    if abs(B3.value) <= 1e-7:
+    if abs(rec.B3) <= 1e-7:
         xi3_closed = 0.5 * (eps + 1) * math.cos(2 * xi.value) \
             + C.value * math.sin(2 * xi.value) + 0.5 * (1 - eps)
         res["xi3_closed_form"] = abs(xi3.value - xi3_closed)
         A3_closed = C.value * math.cos(2 * xi.value) \
             - 0.5 * (eps + 1) * math.sin(2 * xi.value)
-        res["A3_closed_form"] = abs(A3.value - A3_closed)
+        res["A3_closed_form"] = abs(rec.A3 - A3_closed)
         den = xi3.value + eps - 1
         if abs(den) > 1e-8:
             res["rho_closed_form"] = abs(rho - math.sin(2 * xi.value) / den)
-    return out, rec, {"C": C, "xi": xi, "xi3": xi3,
-                      "A1": A1, "A2": A2, "A3": A3,
-                      "B1": B1, "B2": B2, "B3": B3, "det": det}
+    return out, rec, {"C": C, "xi": xi, "xi3": xi3, **t, "det": det}
 
 
 def case1_adapt_field(frames, tol=None):
@@ -474,8 +465,7 @@ def taut_circle_transform(cf: Coframe, branch=None):
     eta2 = (w1 - w2).scaled(f2)
     one_minus_C2 = sp * sm * float(here[0] * here[1])
     eta3 = w3.scaled(-jets.sqrt(one_minus_C2))
-    out = Coframe(cf.chart, cf.point, (eta1, eta2, eta3), eps=cf.eps,
-                  stage="taut-circle")
+    out = cf.replace(forms=(eta1, eta2, eta3), stage="taut-circle")
     return out, C, here
 
 
@@ -533,8 +523,7 @@ def taut_hyperbola_transform(cf: Coframe):
     w1, w2, w3 = cf.forms
     eta1 = (w1.scaled(ch) + w2.scaled(sh)).scaled(inv)
     eta2 = (w1.scaled(-sh) + w2.scaled(ch)).scaled(inv)
-    out = Coframe(cf.chart, cf.point, (eta1, eta2, w3), eps=cf.eps,
-                  stage="taut-hyperbola")
+    out = cf.replace(forms=(eta1, eta2, w3), stage="taut-hyperbola")
     return out, C, theta
 
 

@@ -12,21 +12,20 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from bicontact.curvature import curvature, leaf_geometry, levi_civita
 from bicontact.examples import build_example
 from bicontact.expressions import eval_jet, parse
 from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressions,
                              ext_d, one_form_coeffs, scalar_d, top_ratio,
-                             wedge, wedge_all)
+                             wedge)
 from bicontact.fourdim import (QOde, compute_E, curvature4, normal_form_4d,
                                solve_q, symp_structure,
                                symplectic_quadratic_check, verify_normal_form)
 from bicontact.jets import Jet
 from bicontact.pipeline import (Tolerances, analyze, case2_adapt,
                                 cartan_structure_check, circle_volume_coefficient,
-                                compute_C, compute_C3, hyperbola_residuals,
+                                compute_C, hyperbola_residuals,
                                 invariant_coords, mixed_circle_coefficient,
                                 one_adapt, predicted_circle_coefficient,
                                 taut_circle_field, taut_hyperbola_transform)

@@ -3,14 +3,15 @@ that route degenerate data to the right error."""
 
 import math
 
-import numpy as np
 import pytest
 
+from bicontact import jets
 from bicontact.errors import CriticalPoint, DegenerateB, StructureMismatch
 from bicontact.examples import build_example
 from bicontact.inputfile import load_coframe
-from bicontact.pipeline import (Tolerances, analyze, case1_adapt, case2_adapt,
-                                case_detect, one_adapt)
+from bicontact.jets import Jet
+from bicontact.pipeline import (Tolerances, _dC_data, analyze, case1_adapt,
+                                case2_adapt, case_detect, one_adapt)
 from conftest import DATA, box_points
 
 TOL = Tolerances()
@@ -84,6 +85,57 @@ def test_case1_fixture_closed_form_invariant():
         assert out.stage == "case1-adapted"
         assert extras["det"].value == pytest.approx(
             rec.A3 ** 2 - rec.C ** 2 + 1.0, abs=1e-9)
+
+
+def _probe_translation(cf):
+    """The three-probe solve that the closed form replaced, kept as its
+    oracle: (A1, A2) is affine in the constant translation (b1, b2) of
+    omega3 -> omega3 + b1 omega1 + b2 omega2, so trial frames at b = (0, 0),
+    (1, 0) and (0, 1) fix the map.  Returns (the adapted omega3, det)."""
+    _, _, c1, c2, _ = _dC_data(cf)
+    s = jets.sqrt(c1 * c1 + c2 * c2)
+    w1h, w2h = cf.forms[0].scaled(s), cf.forms[1].scaled(s)
+    w3 = cf.forms[2]
+
+    def probe(b1, b2):
+        trial = cf.replace(
+            forms=(w1h, w2h, w3 + w1h.scaled(b1) + w2h.scaled(b2)))
+        k1, k2 = trial.d_coeffs(0), trial.d_coeffs(1)
+        return -k2[(0, 1)], k1[(0, 1)]
+
+    order = min(f.order for f in (w1h, w2h, w3))
+    zero, one = (Jet.constant(v, cf.dim, order) for v in (0.0, 1.0))
+    a10, a20 = probe(zero, zero)
+    a11, a21 = probe(one, zero)
+    a12, a22 = probe(zero, one)
+    m11, m21 = a11 - a10, a21 - a20
+    m12, m22 = a12 - a10, a22 - a20
+    det = m11 * m22 - m12 * m21
+    b1 = (m12 * a20 - m22 * a10) / det
+    b2 = (m21 * a10 - m11 * a20) / det
+    return w3 + w1h.scaled(b1) + w2h.scaled(b2), det
+
+
+def _rel_dev(got: Jet, want: Jet) -> float:
+    """Largest coefficient deviation over the jet's max-norm (at least 1)."""
+    return float(abs(got.c - want.c).max() / max(1.0, abs(want.c).max()))
+
+
+@pytest.mark.parametrize("order", [5, 8])
+def test_case1_closed_form_translation_matches_the_probe_solve(order):
+    # the closed form reads the same affine map off the base frame's
+    # tables, so it agrees with the probe frames to rounding (3.5e-14
+    # relative at most on these points)
+    fld = load_coframe(DATA / "case1_frame.txt")
+    pts = [(0.3, -0.4, 0.2), (-0.5, 0.6, -0.3), (0.1, 0.7, 0.5),
+           (-0.2, -0.6, -0.7)]
+    for cf in one_adapt(fld, pts, order):
+        out, _, extras = case1_adapt(cf, TOL)
+        w3, det = _probe_translation(cf)
+        assert _rel_dev(extras["det"], det) <= 1e-12
+        assert sorted(out.forms[2].coeffs) == sorted(w3.coeffs)
+        for key, coeff in w3.coeffs.items():
+            assert _rel_dev(out.forms[2].coeffs[key], coeff) <= 1e-12
 
 
 def test_analyze_routes_case1():

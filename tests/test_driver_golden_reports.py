@@ -34,7 +34,7 @@ GOLDEN = [
      "4e2fa2dfd5366b5757456d6518c2bfba099b2f634f7b87d9e498d0ef3c79df0a"),
     (["invariants", "tests/data/case1_frame.txt", "--points", "4", "--order",
       "6"],
-     "ad907c992edd1f1eb461e3dec11cdfe496a79f86b7e3cf773640bf923eb83121"),
+     "862c3bd0ddc530396652dc535f3d3e949f80d0bcc684900aba1f91579d28a7c5"),
     (["taut", "sphere_frame", "--points", "4", "--order", "6"],
      "f3037eaa2cadbfc036a4251261e6711fd7016ed8da218a604e00cb2f4d2200a0"),
     (["check", "eta_frame", "--points", "4", "--order", "6"],

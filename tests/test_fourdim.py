@@ -143,8 +143,8 @@ def test_q_jets_satisfy_the_equation():
     ode = QOde("tan(z)", -1)
     sol = solve_q(ode, (-1.2, 1.2))
     for z in (-0.7, 0.0, 0.45):
-        j1, j2 = q_jets(sol, z, 4, 2, 6)
-        u = ode.u_jet(z, 0).value
+        j1, j2 = q_jets(sol, z, ode.c_jet(z, 6), 4, 2)
+        u = ode.u_jet(ode.c_jet(z, 1)).value
         s = sol.state(z)
         for j, (q, dq) in ((j1, s[0:2]), (j2, s[2:4])):
             assert j.value == pytest.approx(q, abs=1e-12)
@@ -160,9 +160,9 @@ def test_q_jets_match_the_leibniz_recursion():
     ode = QOde("tan(z)", -1)
     sol = solve_q(ode, (-1.2, 1.2))
     for z in (-0.7, 0.0, 0.45):
-        u = ode.u_jet(z, 6)
+        u = ode.u_jet(ode.c_jet(z, 7))
         uder = [u.coeff((k,)) * math.factorial(k) for k in range(7)]
-        jets_ = q_jets(sol, z, 4, 2, 8)
+        jets_ = q_jets(sol, z, ode.c_jet(z, 8), 4, 2)
         state = sol.state(z)
         for j, der in zip(jets_, ([state[0], state[1]], [state[2], state[3]])):
             for n in range(7):
@@ -172,6 +172,20 @@ def test_q_jets_match_the_leibniz_recursion():
                 want = der[m] / math.factorial(m)
                 assert j.coeff((0, 0, m, 0)) == pytest.approx(
                     want, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("profile", ["tan(z)", "z^2", "sin(z)*exp(z)/(1+z^2)",
+                                     "sqrt(2+z)", "atan(z)-cosh(z)"])
+def test_c_jet_truncates_to_the_lower_order_jet_bit_for_bit(profile):
+    # q_jets reads u from the C jet of the lift truncated one order lower;
+    # that is C's own lower-order jet bit for bit, since each coefficient of
+    # a truncated product sums the same pairs in the same order
+    ode = QOde(profile, -1)
+    for z in np.linspace(-1.1, 1.1, 23):
+        for p in range(1, 9):
+            low = ode.c_jet(z, p).truncate(p - 1).c
+            assert low.view(np.int64).tolist() == \
+                ode.c_jet(z, p - 1).c.view(np.int64).tolist(), (z, p)
 
 
 def test_normal_form_4d_with_compatible_h():

@@ -22,9 +22,10 @@ from bicontact import (cli, curvature, expressions, forms, fourdim, jets,
 from bicontact.examples import build_example
 from bicontact.pipeline import Tolerances, _one_adapt_point, analyze, one_adapt
 
-from conftest import box_points
+from conftest import DATA, box_points
 
 TOL = Tolerances()
+CASE1_ARGS = ["invariants", str(DATA / "case1_frame.txt"), "--points", "5"]
 
 
 def _counting(monkeypatch, owner, name, *aliases):
@@ -72,6 +73,15 @@ def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
     assert len(adapts) == 5
 
 
+def test_normal_form_runs_the_profile_tape_once_per_point(monkeypatch):
+    # solve_q 16 runs over the span; per point the h tape 1 and C's tape 1,
+    # whose jet both the Q lift (truncated one order lower for u) and the C
+    # lift read
+    runs = _counting(monkeypatch, expressions.Tape, "run")
+    _run(["normal-form", "tan(z)", "--order", "3", "--points", "5"])
+    assert len(runs) == 16 + 2 * 5
+
+
 @pytest.mark.parametrize("args,calls", [
     (["curvature", "normal_form_3d", "--points", "5"], 31 * 5),
     (["fourdim", "fourd_enonzero", "--points", "2"], 7 * 2),
@@ -99,13 +109,17 @@ def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
 @pytest.mark.parametrize("args,calls", [
     (["curvature", "normal_form_3d", "--points", "5"], 7 * 5),
     (["fourdim", "fourd_enonzero", "--points", "2"], 10 * 2),
-], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
+    (CASE1_ARGS, 5 * 5),
+], ids=["curvature normal_form_3d", "fourdim fourd_enonzero",
+        "invariants case1_frame"])
 def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
                                                       calls):
     # per point in 3D: case_detect 1, case2_adapt 3, reading the B-table
     # that case_detect built, curvature 3, with levi_civita reading
     # case2_adapt's table; in 4D: symp_structure 4, curvature 6, with
-    # levi_civita reading symp_structure's table
+    # levi_civita reading symp_structure's table.  In case 1: the base
+    # frame's d omega1 and d omega2 tables 2, which give the omega3
+    # translation in closed form, and the final frame's 3
     counted = _counting(monkeypatch, forms, "two_form_coeffs",
                         *_aliases(forms, "two_form_coeffs"))
     _run(args)
@@ -115,7 +129,9 @@ def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
 @pytest.mark.parametrize("args,calls", [
     (["curvature", "normal_form_3d", "--points", "5"], 11 * 5),
     (["fourdim", "fourd_enonzero", "--points", "2"], 14 * 2),
-], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
+    (CASE1_ARGS, 8 * 5),
+], ids=["curvature normal_form_3d", "fourdim fourd_enonzero",
+        "invariants case1_frame"])
 def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
                                                       calls):
     # per point in 3D: one_adapt 2 on the raw frame, C 1 on the one-adapted
@@ -125,8 +141,10 @@ def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
     # connection residual and the leaf defect read the final frame's memo.  In 4D:
     # symp_structure 4, dE 1, d theta^1 and d theta^2 2, the connection
     # forms 6, dC 1; compute_E, the pairings, the connection residual and
-    # the leaf defect read the memo.  scalar_d runs through ext_d, so
-    # jets.partial never runs.
+    # the leaf defect read the memo.  In case 1: one_adapt 2, C 1, dC 1,
+    # d omega1 and d omega2 of the base frame 2, which carry over to the
+    # final frame, its d omega3 1 and d xi 1.  scalar_d runs through ext_d,
+    # so jets.partial never runs.
     ext_d = _counting(monkeypatch, forms, "ext_d", *_aliases(forms, "ext_d"))
     partial = _counting(monkeypatch, jets, "partial",
                         *_aliases(jets, "partial"))

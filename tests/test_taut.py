@@ -6,7 +6,7 @@ import pytest
 from bicontact.errors import BranchError, EpsilonMismatch
 from bicontact.examples import build_example
 from bicontact.pipeline import (circle_volume_coefficient, compute_C3,
-                                compute_C, hyperbola_residuals,
+                                hyperbola_residuals,
                                 mixed_circle_coefficient, one_adapt,
                                 predicted_circle_coefficient,
                                 taut_circle_field, taut_circle_transform,
