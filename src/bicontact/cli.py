@@ -35,9 +35,9 @@ from . import __version__, fourdim
 from .curvature import curvature as curvature_of
 from .curvature import leaf_geometry, levi_civita, scalar_curvature
 from .errors import BicontactError, BudgetError, NotIntegrable
-from .examples import EXAMPLES, ExampleSpec, build_example
+from .examples import EXAMPLES, build_example
 from .expressions import eval_number, parse as parse_expr
-from .forms import CoframeField, ext_d, wedge
+from .forms import ext_d, wedge
 from .inputfile import load_definition
 from .pipeline import (Tolerances, analyze, cached_C,
                        cartan_structure_check,
@@ -109,6 +109,8 @@ class RunConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
         if self.order is not None and self.order < 2:
             raise ValueError("--order must be at least 2")
         for name in ("tol_shallow", "tol_deep"):
@@ -118,6 +120,9 @@ class RunConfig:
                                  "positive and finite")
         if self.points < 1:
             raise ValueError("--points must be positive")
+        for flag, values in (("--box", self.box or ()), ("--at", self.at)):
+            if not all(math.isfinite(x) for part in values for x in part):
+                raise ValueError(f"{flag} coordinates must be finite")
 
     @property
     def tolerances(self) -> Tolerances:
@@ -182,9 +187,6 @@ def _resolve(cfg: RunConfig):
     if cfg.source in EXAMPLES:
         spec = build_example(cfg.source, **cfg.params)
         return spec.coframes(), spec
-    if cfg.params:
-        raise argparse.ArgumentTypeError(
-            "--param only applies to built-in example names")
     return load_definition(cfg.source).coframes(), None
 
 
@@ -214,21 +216,30 @@ def _unit_circle(n: int = 8):
 
 
 # ---------------------------------------------------------------------------
-# command bodies
+# command bodies: each takes (cfg, rep, fld, spec, pts) and fills ``rep``
 
-def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
+def _summarize(rep: Report, keys=None) -> float:
+    """Set ``rep.summary`` from the records' residuals and return the worst
+    maximum over ``keys`` (default: every residual name)."""
+    rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
+    return nan_max(0.0, *(rep.summary[k]["max"] for k in keys or rep.summary))
+
+
+def _tally(rep: Report, key: str):
+    rep.histogram[key] = rep.histogram.get(key, 0) + 1
+
+
+def _cmd_check(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
         for p in pts:
             rec = fourdim.symp_structure(fld.at(p, cfg.order))
-            row = {"point": list(p), "eps": rec.eps, "C": rec.C.value,
-                   "E": rec.E.value,
-                   "residuals": {k: rec.residuals[k]
-                                 for k in sorted(rec.residuals)}}
-            rep.records.append(row)
-        rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-        worst = nan_max(*(s["max"] for s in rep.summary.values()))
-        rep.checks.append(check("four_covector_pattern", worst, tol.shallow))
+            rep.records.append({
+                "point": list(p), "eps": rec.eps, "C": rec.C.value,
+                "E": rec.E.value,
+                "residuals": dict(sorted(rec.residuals.items()))})
+        rep.checks.append(check("four_covector_pattern", _summarize(rep),
+                                tol.shallow))
         return
     for p, cf in zip(pts, one_adapt(fld, pts, cfg.order)):
         Omega = cf.volume()
@@ -241,36 +252,27 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                              "self_volume_2": abs(n2.value),
                              "d_after_d": dd}}
         rep.records.append(row)
-    rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-    rep.checks.append(check(
-        "self_volume_normalizations",
-        nan_max(*(rep.summary[k]["max"]
-                  for k in ("self_volume_1", "self_volume_2"))),
-        tol.shallow))
+    worst = _summarize(rep, ("self_volume_1", "self_volume_2"))
+    rep.checks.append(check("self_volume_normalizations", worst, tol.shallow))
     rep.checks.append(check("d_after_d", rep.summary["d_after_d"]["max"],
                             1e-12))
 
 
-def _cmd_invariants(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
-    result = analyze(fld, pts, cfg.order, cfg.tolerances)
-    for rec in result["records"]:
+def _cmd_invariants(cfg: RunConfig, rep: Report, fld, spec, pts):
+    for rec in analyze(fld, pts, cfg.order, cfg.tolerances)["records"]:
         rep.records.append(record_to_dict(rec))
-        rep.histogram[f"case:{rec.case}"] = \
-            rep.histogram.get(f"case:{rec.case}", 0) + 1
+        _tally(rep, f"case:{rec.case}")
         if rec.klass:
-            rep.histogram[f"class:{rec.klass}"] = \
-                rep.histogram.get(f"class:{rec.klass}", 0) + 1
-    rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-    worst = nan_max(0.0, *(s["max"] for s in rep.summary.values()))
-    rep.checks.append(check("adaptation_residuals", worst, cfg.tol_deep))
+            _tally(rep, f"class:{rec.klass}")
+    rep.checks.append(check("adaptation_residuals", _summarize(rep),
+                            cfg.tol_deep))
 
 
-def _cmd_classify(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
+def _cmd_classify(cfg: RunConfig, rep: Report, fld, spec, pts):
     for p, cf in zip(pts, one_adapt(fld, pts, cfg.order)):
         C = cached_C(cf).value
         tag, quad = classify(C, cf.eps)
-        key = "excluded_band" if tag == "linear" else tag
-        rep.histogram[key] = rep.histogram.get(key, 0) + 1
+        _tally(rep, "excluded_band" if tag == "linear" else tag)
         rep.records.append({"point": list(p), "eps": cf.eps, "C": C,
                             "klass": tag,
                             "quadratic": list(quad.coefficients)})
@@ -278,8 +280,7 @@ def _cmd_classify(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                             len(rep.records), passed=True))
 
 
-def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
-    tol = cfg.tolerances
+def _cmd_taut(cfg: RunConfig, rep: Report, fld, spec, pts):
     adapted = one_adapt(fld, pts, cfg.order)
     a_samples = _unit_circle()
     if adapted[0].eps == -1:
@@ -309,12 +310,11 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                 "point": list(p), "C": C.value, "theta": theta.value,
                 "mixed_defect": defect.value,
                 "residuals": {"self_volume_1": r1, "self_volume_2": r2}})
-    rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-    worst = nan_max(*(s["max"] for s in rep.summary.values()))
-    rep.checks.append(check("taut_rotation_identities", worst, tol.deep))
+    rep.checks.append(check("taut_rotation_identities", _summarize(rep),
+                            cfg.tol_deep))
 
 
-def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
+def _cmd_curvature(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
         for p in pts:
@@ -323,13 +323,9 @@ def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
                 "point": list(p), "S": out.S.value,
                 "pfaffian": out.pfaffian.value,
                 "leaf_mean_curvature": out.leaf.H,
-                "residuals": {k: out.residuals[k]
-                              for k in sorted(out.residuals)}})
-        rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-        rep.checks.append(check(
-            "curvature_displays",
-            nan_max(*(s["max"] for s in rep.summary.values())),
-            tol.deep))
+                "residuals": dict(sorted(out.residuals.items()))})
+        rep.checks.append(check("curvature_displays", _summarize(rep),
+                                tol.deep))
         return
     result = analyze(fld, pts, cfg.order, tol)
     frames = result.get("adapted_frames", result["frames"])
@@ -355,12 +351,11 @@ def _cmd_curvature(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             row["leaf_curvature"] = None
             row["residuals"]["leaf_integrability"] = exc.defect
         rep.records.append(row)
-    rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
     rep.checks.append(check("connection_consistency",
-                            rep.summary["connection"]["max"], tol.deep))
+                            _summarize(rep, ("connection",)), tol.deep))
 
 
-def _cmd_fourdim(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
+def _cmd_fourdim(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim != 4:
         raise BicontactError(
@@ -369,7 +364,7 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
     for p in pts:
         frame = fld.at(p, cfg.order)
         rec = fourdim.symp_structure(frame)
-        resid = {k: rec.residuals[k] for k in sorted(rec.residuals)}
+        resid = dict(sorted(rec.residuals.items()))
         e_direct = fourdim.compute_E(frame)
         resid["E_ratio_vs_pattern"] = abs(e_direct.value - rec.E.value)
         exp = rec.expansion
@@ -386,39 +381,28 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld: CoframeField, pts):
             "S": curv.S.value, "pfaffian": curv.pfaffian.value,
             "curvature_residual": curv.max_residual,
             "residuals": resid})
-    rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-    rep.checks.append(check(
-        "pattern_and_pairings",
-        nan_max(*(s["max"] for s in rep.summary.values())),
-        tol.shallow))
+    rep.checks.append(check("pattern_and_pairings", _summarize(rep),
+                            tol.shallow))
     rep.checks.append(check(
         "curvature_displays",
         nan_max(*(r["curvature_residual"] for r in rep.records)), tol.deep))
 
 
-def _cmd_normal_form(cfg: RunConfig, rep: Report):
+def _cmd_normal_form(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
-    eps = cfg.extra["eps"]
     span = cfg.extra["span"]
-    h = cfg.extra["h"]
-    margin = 0.1 * (span[1] - span[0])
-    pts = _sample(cfg, 4, ((-0.8, 0.8), (-0.8, 0.8),
-                           (span[0] + margin, span[1] - margin), (0.2, 1.8)))
-    ode = fourdim.QOde(cfg.source, eps, z0=cfg.extra["z0"])
+    ode = fourdim.QOde(cfg.source, cfg.extra["eps"], z0=cfg.extra["z0"])
     sol = fourdim.solve_q(ode, span)
-    zgrid = np.linspace(span[0], span[1], 41)
-    drift = sol.wronskian_drift(zgrid)
+    drift = sol.wronskian_drift(np.linspace(span[0], span[1], 41))
     rep.checks.append(check("wronskian_drift", drift, tol.deep))
 
-    fld = fourdim.normal_form_4d(sol, h=h)
+    fld = fourdim.normal_form_4d(sol, h=cfg.extra["h"])
     for p in pts:
         worst = fourdim.verify_normal_form(fld, ode, [p], order=cfg.order)
         rep.records.append({"point": list(p),
-                            "residuals": {k: worst[k] for k in sorted(worst)}})
-    rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
-    structural = nan_max(*(rep.summary[k]["max"]
-                            for k in ("domega1", "domega2", "domega3",
-                                      "domega4", "C", "eps")))
+                            "residuals": dict(sorted(worst.items()))})
+    structural = _summarize(rep, ("domega1", "domega2", "domega3", "domega4",
+                                  "C", "eps"))
     rep.checks.append(check("structure_equations", structural, tol.deep))
     rep.checks.append(check("round_trip_E_equals_w",
                             rep.summary["E_vs_w"]["max"], tol.deep))
@@ -433,7 +417,11 @@ def _expected_value(expr, chart, point, params):
     return float(expr)
 
 
-def _cmd_example(cfg: RunConfig, rep: Report, fld, spec: ExampleSpec, pts):
+def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
+    if spec is None:
+        raise BicontactError(
+            f"{cfg.source!r} is not a built-in example; have "
+            + ", ".join(sorted(EXAMPLES)))
     tol = cfg.tolerances
     expected = spec.expected
     if fld.chart.dim == 4:
@@ -461,28 +449,18 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec: ExampleSpec, pts):
     records = result["records"]
     for rec in records:
         rep.records.append(record_to_dict(rec))
-        rep.histogram[f"case:{rec.case}"] = \
-            rep.histogram.get(f"case:{rec.case}", 0) + 1
+        _tally(rep, f"case:{rec.case}")
     if "eps" in expected:
         rep.checks.append(check("expected_eps", result["eps"],
                                 passed=result["eps"] == expected["eps"]))
     if "case" in expected:
         rep.checks.append(check("expected_case", 0,
                                 passed=result["case"] == expected["case"]))
-    if "C" in expected:
-        dev = nan_max(*(abs(rec.C - _expected_value(expected["C"], spec.chart,
-                                                    rec.point, spec.params))
-                        for rec in records))
-        rep.checks.append(check("expected_C", dev, tol.deep))
-    if "C3" in expected:
-        dev = nan_max(*(abs(rec.C3 - _expected_value(expected["C3"], spec.chart,
-                                                     rec.point, spec.params))
-                        for rec in records if rec.C3 is not None))
-        rep.checks.append(check("expected_C3", dev, tol.deep))
-    for key in ("A1", "A2"):
+    for key in ("C", "C3", "A1", "A2"):
         if key in expected:
-            dev = nan_max(*(abs(getattr(rec, key) - expected[key])
-                            for rec in records if getattr(rec, key) is not None))
+            dev = nan_max(*(abs(getattr(rec, key) - _expected_value(
+                expected[key], spec.chart, rec.point, spec.params))
+                for rec in records if getattr(rec, key) is not None))
             rep.checks.append(check(f"expected_{key}", dev, tol.deep))
     if "curvature_12" in expected:
         dev = 0.0
@@ -498,7 +476,24 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec: ExampleSpec, pts):
         else:
             dev = nan_max(*(abs(k - expected["K"]) for k in cart["K"]))
             rep.checks.append(check("expected_K", dev, tol.deep))
-    rep.summary = summarize_residuals(r["residuals"] for r in rep.records)
+    _summarize(rep)
+
+
+# The commands in ``--help`` order: name -> (help line, body).
+COMMANDS = {
+    "check": ("structure-equation residuals", _cmd_check),
+    "invariants": ("full adaptation pipeline and invariant table",
+                   _cmd_invariants),
+    "classify": ("plane-quadratic class per sample point", _cmd_classify),
+    "taut": ("taut-rotation volume identities", _cmd_taut),
+    "curvature": ("orthonormal connection, curvature, leaf geometry",
+                  _cmd_curvature),
+    "fourdim": ("four-covector pattern, E, pairings, curvature block",
+                _cmd_fourdim),
+    "example": ("verify a built-in generator", _cmd_example),
+    "normal-form": ("build and verify a 4D coframe from C(z)",
+                    _cmd_normal_form),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -543,27 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version",
                    version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    file_help = ("coframe definition file, or a built-in example name ("
-                 + ", ".join(sorted(EXAMPLES)) + ")")
-    helps = {
-        "check": "structure-equation residuals",
-        "invariants": "full adaptation pipeline and invariant table",
-        "classify": "plane-quadratic class per sample point",
-        "taut": "taut-rotation volume identities",
-        "curvature": "orthonormal connection, curvature, leaf geometry",
-        "fourdim": "four-covector pattern, E, pairings, curvature block",
-    }
-    for name, text in helps.items():
-        sp = sub.add_parser(name, help=text)
-        _add_common(sp, name, file_help)
-
-    ex = sub.add_parser("example", help="verify a built-in generator")
-    _add_common(ex, "example",
-                "built-in example name: " + ", ".join(sorted(EXAMPLES)))
-
-    nf = sub.add_parser("normal-form",
-                        help="build and verify a 4D coframe from C(z)")
-    _add_common(nf, "normal-form", "invariant profile C as an expression in z")
+    names = ", ".join(sorted(EXAMPLES))
+    file_help = ("coframe definition file, or a built-in example name "
+                 f"({names})")
+    source_help = {"example": "built-in example name: " + names,
+                   "normal-form": "invariant profile C as an expression in z"}
+    for name, (text, _) in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=text), name,
+                    source_help.get(name, file_help))
+    nf = sub.choices["normal-form"]
     nf.add_argument("--eps", type=int, choices=(-1, 1), default=1,
                     help="orientation sign (default +1)")
     nf.add_argument("--z0", type=float, default=0.0,
@@ -582,6 +565,9 @@ def _config_from_args(args) -> RunConfig:
         span = args.span[0] if len(args.span) == 1 else None
         if span is None:
             raise argparse.ArgumentTypeError("--span takes a single LO:HI")
+        for flag, values in (("--span", span), ("--z0", (args.z0,))):
+            if not all(map(math.isfinite, values)):
+                raise argparse.ArgumentTypeError(f"{flag} must be finite")
         h = tuple(args.h.split(","))
         if len(h) != 4:
             raise argparse.ArgumentTypeError("--h needs four expressions")
@@ -594,53 +580,31 @@ def _config_from_args(args) -> RunConfig:
         at=tuple(args.at or ()), params={}, extra=extra)
 
 
-def _at_needed_order(cfg: RunConfig, dim: int):
-    """(config to run, order the command needs on a dim-coordinate chart)."""
-    needed = ORDER_NEEDED.get((cfg.command, dim))
-    if cfg.order is None:
-        cfg = replace(cfg, order=needed or FALLBACK_ORDER)
-    return cfg, needed
-
-
 def run(cfg: RunConfig, raw_params=()) -> Report:
     rep = Report(command=cfg.command, config={})
     needed = None
     try:
-        if cfg.command == "normal-form":
-            cfg, needed = _at_needed_order(cfg, 4)
-            rep.config = cfg.echo()
-            _cmd_normal_form(cfg, rep)
-            return rep
-        if cfg.source in EXAMPLES and raw_params:
-            cfg.params.update(_coerce_params(EXAMPLES[cfg.source], raw_params))
-        elif raw_params:
+        if (raw_params or cfg.params) and cfg.source not in EXAMPLES:
             raise argparse.ArgumentTypeError(
                 "--param only applies to built-in example names")
+        if raw_params:
+            cfg.params.update(_coerce_params(EXAMPLES[cfg.source], raw_params))
         rep.config = cfg.echo()
-        fld, spec = _resolve(cfg)
-        cfg, needed = _at_needed_order(cfg, fld.chart.dim)
-        rep.config = cfg.echo()
-        pts = _sample(cfg, fld.chart.dim, spec.box if spec else None)
-        if cfg.command == "example":
-            if spec is None:
-                raise BicontactError(
-                    f"{cfg.source!r} is not a built-in example; have "
-                    + ", ".join(sorted(EXAMPLES)))
-            _cmd_example(cfg, rep, fld, spec, pts)
-        elif cfg.command == "check":
-            _cmd_check(cfg, rep, fld, pts)
-        elif cfg.command == "invariants":
-            _cmd_invariants(cfg, rep, fld, pts)
-        elif cfg.command == "classify":
-            _cmd_classify(cfg, rep, fld, pts)
-        elif cfg.command == "taut":
-            _cmd_taut(cfg, rep, fld, pts)
-        elif cfg.command == "curvature":
-            _cmd_curvature(cfg, rep, fld, pts)
-        elif cfg.command == "fourdim":
-            _cmd_fourdim(cfg, rep, fld, pts)
+        if cfg.command == "normal-form":
+            # a default box inside the profile's span, away from its ends
+            fld = spec = None
+            lo, hi = cfg.extra["span"]
+            margin = 0.1 * (hi - lo)
+            dim, box = 4, ((-0.8, 0.8), (-0.8, 0.8),
+                           (lo + margin, hi - margin), (0.2, 1.8))
         else:
-            raise ValueError(f"unhandled command {cfg.command!r}")
+            fld, spec = _resolve(cfg)
+            dim, box = fld.chart.dim, spec.box if spec else None
+        needed = ORDER_NEEDED.get((cfg.command, dim))
+        if cfg.order is None:
+            cfg = replace(cfg, order=needed or FALLBACK_ORDER)
+        rep.config = cfg.echo()
+        COMMANDS[cfg.command][1](cfg, rep, fld, spec, _sample(cfg, dim, box))
     except BudgetError as exc:
         if needed is not None and cfg.order < needed:
             exc = BudgetError(exc.stage, needed=needed)

@@ -204,17 +204,11 @@ class PForm:
         return f"PForm(degree={self.degree}, values={vals})"
 
 
-# Flat entries per convolution batch in ``_multiply``.  Larger temporaries
-# cost more in fresh memory pages than the batching saves (dim 4, order 6).
-_BATCH = 8192
-
-
 class _Products(NamedTuple):
     """Plan of ``_multiply``: term t multiplies row ``rx[t]`` of x by row
     ``ry[t]`` of y, both of ``n`` coefficients.  ``gx`` and ``gy`` index the
     flattened x and y with the pairs of ``jets._mul_table``, term by term,
-    and ``bins`` holds the flat (term, coefficient) target of each pair of
-    one batch of at most ``_BATCH`` entries."""
+    and ``bins`` holds the flat (term, coefficient) target of each pair."""
 
     rx: np.ndarray
     ry: np.ndarray
@@ -228,34 +222,29 @@ def _products(dim, order, rx, ry) -> _Products:
     n = jets.ncoeffs(dim, order)
     I, J, T = jets._mul_table(dim, order)
     rx, ry = np.asarray(rx, dtype=np.intp), np.asarray(ry, dtype=np.intp)
-    step = min(max(1, _BATCH // len(I)), len(rx))
     return _Products(rx, ry, (rx[:, None] * n + I).ravel(),
                      (ry[:, None] * n + J).ravel(),
-                     (np.arange(step)[:, None] * n + T).ravel(), n)
+                     (np.arange(len(rx))[:, None] * n + T).ravel(), n)
 
 
 def _multiply(x, y, plan: _Products) -> np.ndarray:
     """The products of the rows of x and y that ``plan`` pairs, one row per
     term, each bit-equal to ``Jet.__mul__`` of the two rows as jets.
 
-    One convolution runs in batches.  A factor without a derivative part
-    takes ``Jet.__mul__``'s scaling path instead, which gives what the
-    convolution gives unless one of its products is NaN: its other products
-    are then +-0, and the zero-started sums add them to the one scaled
-    term, as the scaling path's "+ 0.0" does.  A NaN product leaves a NaN in
-    the sums, so the scaling path is applied only where they hold a NaN (or
-    +inf and -inf both, whose sum is NaN too)."""
+    All terms run as one convolution, binned by one ``np.bincount``: each
+    term sums its pairs in ``_mul_table`` order into its own output row, as
+    one ``Jet.__mul__`` does.  A factor without a derivative part takes
+    ``Jet.__mul__``'s scaling path instead, which gives what the convolution
+    gives unless one of its products is NaN: its other products are then
+    +-0, and the zero-started sums add them to the one scaled term, as the
+    scaling path's "+ 0.0" does.  A NaN product leaves a NaN in the sums, so
+    the scaling path is applied only where they hold a NaN (or +inf and -inf
+    both, whose sum is NaN too)."""
     rx, ry, gx, gy, bins, n = plan
-    fx, fy = x.ravel(), y.ravel()
-    pairs = len(gx) // len(rx)
-    out = np.empty(len(rx) * n)
-    for s in range(0, len(gx), len(bins)):
-        w = fx[gx[s:s + len(bins)]]
-        w *= fy[gy[s:s + len(bins)]]
-        lo, size = s // pairs * n, len(w) // pairs * n
-        out[lo:lo + size] = np.bincount(bins[:len(w)], weights=w,
-                                        minlength=size)
-    out = out.reshape(len(rx), n)
+    w = x.ravel()[gx]
+    w *= y.ravel()[gy]
+    out = np.bincount(bins, weights=w, minlength=len(rx) * n).reshape(
+        len(rx), n)
     if np.isnan(out.sum()):
         live_x, live_y = x[:, 1:].any(axis=1), y[:, 1:].any(axis=1)
         xs, ys = x[rx], y[ry]

@@ -57,7 +57,6 @@ __all__ = [
     "Tolerances", "InvariantRecord", "QuadraticClassification",
     "one_adapt", "compute_C", "cached_C", "compute_C3", "classify",
     "case_detect", "case1_adapt", "case2_adapt",
-    "case1_adapt_field", "case2_adapt_field",
     "taut_circle_transform", "taut_circle_field", "taut_hyperbola_transform",
     "circle_volume_coefficient", "predicted_circle_coefficient",
     "mixed_circle_coefficient", "hyperbola_residuals",
@@ -143,8 +142,7 @@ def _one_adapt_point(cf: Coframe):
     Omega = vol1
     lam = top_ratio(wedge_all(w1, w2h, w3_seed), Omega)
     w3h = w3_seed.scaled(jets.reciprocal(lam))
-    out = cf.replace(forms=(w1, w2h, w3h), eps=eps, stage="one-adapted")
-    return out, r, scale, lam
+    return cf.replace(forms=(w1, w2h, w3h), eps=eps, stage="one-adapted")
 
 
 def one_adapt(fld: CoframeField, points, order) -> tuple:
@@ -157,7 +155,7 @@ def one_adapt(fld: CoframeField, points, order) -> tuple:
             f"has {fld.chart.dim}")
     eps_seen, frames = {}, []
     for p in points:
-        out, _, _, _ = _one_adapt_point(fld.at(p, order))
+        out = _one_adapt_point(fld.at(p, order))
         eps_seen.setdefault(out.eps, []).append(tuple(p))
         frames.append(out)
     if len(eps_seen) != 1:
@@ -345,12 +343,6 @@ def case2_adapt(cf: Coframe):
     return out, rec, {"C": C, "C3": C3f, "zeta": zeta, "zeta3": zeta3, **t}
 
 
-def case2_adapt_field(frames):
-    """Driver: case-2 adapt each frame; returns (frames, records)."""
-    outs = [case2_adapt(cf) for cf in frames]
-    return tuple(o[0] for o in outs), [o[1] for o in outs]
-
-
 # ---------------------------------------------------------------------------
 # case-1 adaptation
 
@@ -431,20 +423,15 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     return out, rec, {"C": C, "xi": xi, "xi3": xi3, **t, "det": det}
 
 
-def case1_adapt_field(frames, tol=None):
-    """Driver: case-1 adapt each frame; returns (frames, records)."""
-    outs = [case1_adapt(cf, tol) for cf in frames]
-    return tuple(o[0] for o in outs), [o[1] for o in outs]
-
-
 # ---------------------------------------------------------------------------
 # taut transforms
 
-def taut_circle_transform(cf: Coframe, branch=None):
+def taut_circle_transform(cf: Coframe):
     """Rotate an eps = -1 adapted frame into the taut-circle normal frame.
 
-    ``branch`` optionally pins (sign(1+C), sign(1-C)); the point's own signs
-    must match or a BranchError is raised.  Returns (frame, C jet, branch).
+    Returns (frame, C jet, branch), where branch is the point's
+    (sign(1+C), sign(1-C)); ``taut_circle_field`` holds it fixed over a
+    region.
     """
     if cf.eps != -1:
         raise EpsilonMismatch("taut_circle_transform needs eps = -1")
@@ -454,9 +441,6 @@ def taut_circle_transform(cf: Coframe, branch=None):
     here = (1 if sp.value > 0 else -1, 1 if sm.value > 0 else -1)
     if sp.value == 0.0 or sm.value == 0.0:
         raise BranchError(f"|C| = 1 at {cf.point}: transform undefined")
-    if branch is not None and branch != here:
-        raise BranchError(
-            f"sign of (1+C, 1-C) flips to {here} at {cf.point}; region has {branch}")
     w1, w2, w3 = cf.forms
     root2 = math.sqrt(2.0)
     f1 = jets.reciprocal(jets.sqrt(sp * float(here[0])) * root2)
@@ -665,10 +649,9 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
                                   C3=C3.value)
             rec.klass, _ = classify(C.value, eps)
             result["records"].append(rec)
-    elif case == "case1":
-        result["adapted_frames"], result["records"] = \
-            case1_adapt_field(frames, tol)
     else:
-        result["adapted_frames"], result["records"] = \
-            case2_adapt_field(frames)
+        outs = [case1_adapt(cf, tol) if case == "case1" else case2_adapt(cf)
+                for cf in frames]
+        result["adapted_frames"] = tuple(o[0] for o in outs)
+        result["records"] = [o[1] for o in outs]
     return result

@@ -17,7 +17,7 @@ from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressio
                              two_form_coeffs, wedge, wedge_all)
 from bicontact.fourdim import QOde, normal_form_4d, solve_q
 from bicontact.inputfile import load_coframe
-from bicontact.jets import Jet, _mul_table, ncoeffs, partial, reciprocal
+from bicontact.jets import Jet, ncoeffs, partial, reciprocal
 from bicontact.pipeline import analyze, cached_C
 
 from conftest import DATA, box_points
@@ -600,6 +600,3 @@ def test_two_form_coeffs_is_bit_equal_to_the_pair_loop(kind):
     if kind == "normal_form_4d":
         # the frame's covectors have three orders, so its complements do too
         assert max(groups) > 1
-    if kind == "dim4_order6":
-        # 6 complements of 6 terms, each of 3003 coefficient pairs
-        assert 36 * len(_mul_table(4, 6)[0]) > forms._BATCH

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import bicontact
-from bicontact.cli import main
+from bicontact.cli import (COMMANDS, ORDER_NEEDED, RunConfig, build_parser,
+                           main, run)
 from bicontact.errors import ArityError, ParseError, UnknownIdentifier
 from bicontact.examples import build_example
 from bicontact.inputfile import load_coframe, load_definition, parse_coframe_text
@@ -313,6 +314,51 @@ def test_cli_rejects_tolerances_that_are_not_positive_and_finite(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"bicontact: {flag} must be ")
+
+
+@pytest.mark.parametrize("args", [
+    ["invariants", "eta_frame", "--at", "nan,0,0"],
+    ["invariants", "eta_frame", "--at", "inf,0,0"],
+    ["invariants", "eta_frame", "--box", "nan:1,0:1,0:1"],
+    ["normal-form", "tan(z)", "--z0", "nan"],
+    ["normal-form", "tan(z)", "--span", "nan:1"],
+], ids=["at-nan", "at-inf", "box-nan", "z0-nan", "span-nan"])
+def test_cli_rejects_sample_input_that_is_not_finite(capsys, args):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bicontact: {args[2]} ")
+    assert captured.err.rstrip().endswith("must be finite")
+
+
+def test_cli_normal_form_rejects_param(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["normal-form", "tan(z)", "--param", "psi=1",
+                 "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["errors"] == [{
+        "stage": "normal-form", "type": "ArgumentTypeError",
+        "message": "--param only applies to built-in example names"}]
+
+
+def test_run_rejects_params_of_a_definition_file_as_the_cli_does(tmp_path):
+    source = str(DATA / "hyp_ex.txt")
+    out = tmp_path / "rep.json"
+    assert main(["invariants", source, "--param", "psi=1",
+                 "--out", str(out)]) == 1
+    rep = run(RunConfig("invariants", source, params={"psi": 1.0}))
+    assert rep.errors == [{
+        "stage": "invariants", "type": "ArgumentTypeError",
+        "message": "--param only applies to built-in example names"}]
+    assert rep.to_json() == out.read_text()
+
+
+def test_parser_registers_exactly_the_command_table():
+    # the usage line lists the subcommands in registration order
+    usage = build_parser().format_usage()
+    assert "{" + ",".join(COMMANDS) + "}" in usage
+    assert {command for command, _ in ORDER_NEEDED} <= set(COMMANDS)
+    with pytest.raises(ValueError, match="unknown command 'nope'"):
+        RunConfig("nope", "hyp_c3")
 
 
 def test_cli_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):

@@ -48,3 +48,14 @@ def test_compare_reports_changed_and_one_sided_keys(tmp_path, capsys):
     assert "3 of 4 entries differ" in capsys.readouterr().out
     assert report_sweep.main(["--compare", str(fa), str(fa)]) == 0
     assert "0 of 3 entries differ" in capsys.readouterr().out
+
+
+def test_digest_folds_in_the_exit_status():
+    report = '{"passed": true}\n'
+    kept = report_sweep.digest(report, 0)
+    assert kept == report_sweep.digest(report, 0)
+    assert len(kept) == 64 and int(kept, 16) >= 0
+    # the same report under another status, and another report under the
+    # same status, each give another digest
+    assert report_sweep.digest(report, 1) != kept
+    assert report_sweep.digest(report.replace("true", "false"), 0) != kept

@@ -20,7 +20,7 @@ import pytest
 from bicontact import (cli, curvature, expressions, forms, fourdim, jets,
                        pipeline)
 from bicontact.examples import build_example
-from bicontact.pipeline import Tolerances, _one_adapt_point, analyze, one_adapt
+from bicontact.pipeline import Tolerances, _one_adapt_point, analyze
 
 from conftest import DATA, box_points
 
@@ -213,11 +213,11 @@ def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
 def test_kept_frames_match_a_fresh_build():
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
-    adapted = one_adapt(spec.coframes(), pts, 6)
-    frames2, _ = pipeline.case2_adapt_field(adapted)
+    result = analyze(spec.coframes(), pts, 6, TOL)
+    adapted, frames2 = result["frames"], result["adapted_frames"]
     assert len(adapted) == len(frames2) == len(pts)
     for p, kept1, kept2 in zip(pts, adapted, frames2):
-        one, _, _, _ = _one_adapt_point(spec.coframes().at(p, 6))
+        one = _one_adapt_point(spec.coframes().at(p, 6))
         two, _, _ = pipeline.case2_adapt(one)
         assert _frame_bytes(kept1) == _frame_bytes(one)
         assert _frame_bytes(kept2) == _frame_bytes(two)

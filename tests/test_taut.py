@@ -86,8 +86,6 @@ def test_branch_error_across_unit_invariant():
     frames = _adapted(spec, pts)
     with pytest.raises(BranchError):
         taut_circle_field(frames)
-    with pytest.raises(BranchError):
-        taut_circle_transform(frames[0], branch=(1, -1))
 
 
 def test_epsilon_guards():

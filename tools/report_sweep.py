@@ -10,8 +10,11 @@ orders 2 to 6.  Every run goes through ``bicontact.cli.main`` in this process,
 from the checkout that holds this script (its ``src/`` comes first on the
 path), with the checkout as the working directory, since a report echoes its
 source path.  A key is the argv joined by spaces; a value is the SHA-256 of
-the bytes the command printed.  ``--compare`` prints each key whose digest
-differs or that only one file has, and exits 1 when there is any.
+the bytes the command printed followed by its exit status (``digest``), so a
+changed status shows even where the report does not.  ``--compare`` prints
+each key whose digest differs or that only one file has, and exits 1 when
+there is any.  Digests of two checkouts compare only when the same version of
+this script made both.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ def sweep_argvs(commands, examples):
                 yield [command, source, "--points", "3", *extra]
 
 
+def digest(stdout: str, status: int) -> str:
+    """SHA-256 of what a command printed, then a line with its exit status."""
+    return hashlib.sha256(f"{stdout}\nexit {status}\n".encode()).hexdigest()
+
+
 def run_sweep() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
@@ -51,9 +59,8 @@ def run_sweep() -> dict:
     for argv in sweep_argvs(commands, sorted(EXAMPLES)):
         buf = io.StringIO()
         with redirect_stdout(buf):
-            cli.main(argv)
-        out[" ".join(argv)] = hashlib.sha256(
-            buf.getvalue().encode()).hexdigest()
+            status = cli.main(argv)
+        out[" ".join(argv)] = digest(buf.getvalue(), status)
     return out
 
 
