@@ -111,6 +111,17 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        # extra holds the four normal-form options; other commands take none
+        keys = (("eps", "z0", "span", "h") if self.command == "normal-form"
+                else ())
+        if sorted(self.extra) != sorted(keys):
+            raise ValueError(f"{self.command} takes the extra keys "
+                             f"{sorted(keys)}, got {sorted(self.extra)}")
+        if keys:
+            for flag, values in (("--span", self.extra["span"]),
+                                 ("--z0", (self.extra["z0"],))):
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"{flag} must be finite")
         if self.order is not None and self.order < 2:
             raise ValueError("--order must be at least 2")
         for name in ("tol_shallow", "tol_deep"):
@@ -183,14 +194,13 @@ def _coerce_params(factory, pairs) -> dict:
 
 
 def _resolve(cfg: RunConfig):
-    """Turn the source argument into (coframe field, spec-or-None)."""
-    if cfg.source in EXAMPLES:
-        spec = build_example(cfg.source, **cfg.params)
-        return spec.coframes(), spec
-    return load_definition(cfg.source).coframes(), None
+    """Turn the source argument into (coframe field, spec)."""
+    spec = (build_example(cfg.source, **cfg.params)
+            if cfg.source in EXAMPLES else load_definition(cfg.source))
+    return spec.coframes(), spec
 
 
-def _sample(cfg: RunConfig, dim: int, box: tuple | None):
+def _sample(cfg: RunConfig, dim: int, box: tuple):
     """The --at points, or cfg.points seeded draws from --box, else from the
     source's ``box``, else from the default cube."""
     if cfg.at:
@@ -210,9 +220,10 @@ def _sample(cfg: RunConfig, dim: int, box: tuple | None):
     return [tuple(float(x) for x in row) for row in pts]
 
 
-def _unit_circle(n: int = 8):
-    angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return [(float(np.cos(t)), float(np.sin(t))) for t in angles]
+# eight evenly spaced (a1, a2) on the unit circle, the sampled combinations
+# of the taut and symplectic quadratic identities
+_UNIT_CIRCLE = [(float(np.cos(t)), float(np.sin(t)))
+                for t in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +293,13 @@ def _cmd_classify(cfg: RunConfig, rep: Report, fld, spec, pts):
 
 def _cmd_taut(cfg: RunConfig, rep: Report, fld, spec, pts):
     adapted = one_adapt(fld, pts, cfg.order)
-    a_samples = _unit_circle()
     if adapted[0].eps == -1:
         tauts, branch = taut_circle_field(adapted)
         for p, cf, taut in zip(pts, adapted, tauts):
             C = cached_C(cf)
             C3, _c1, _c2 = compute_C3(cf)
             worst = 0.0
-            for a1, a2 in a_samples:
+            for a1, a2 in _UNIT_CIRCLE:
                 got = circle_volume_coefficient(cf, taut, a1, a2).value
                 want = predicted_circle_coefficient(C.value, C3.value, a1, a2)
                 worst = nan_max(worst, abs(got - want))
@@ -305,7 +315,7 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld, spec, pts):
     else:
         for p, cf in zip(pts, adapted):
             taut, C, theta = taut_hyperbola_transform(cf)
-            r1, r2, defect = hyperbola_residuals(cf, taut, C, theta)
+            r1, r2, defect = hyperbola_residuals(cf, taut, theta)
             rep.records.append({
                 "point": list(p), "C": C.value, "theta": theta.value,
                 "mixed_defect": defect.value,
@@ -360,7 +370,6 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld, spec, pts):
     if fld.chart.dim != 4:
         raise BicontactError(
             "the fourdim command needs a chart with 4 coordinates")
-    a_samples = _unit_circle()
     for p in pts:
         frame = fld.at(p, cfg.order)
         rec = fourdim.symp_structure(frame)
@@ -369,7 +378,7 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld, spec, pts):
         resid["E_ratio_vs_pattern"] = abs(e_direct.value - rec.E.value)
         exp = rec.expansion
         resid["E_expansion"] = exp["residual"]
-        quad = fourdim.symplectic_quadratic_check(rec, a_samples)
+        quad = fourdim.symplectic_quadratic_check(rec, _UNIT_CIRCLE)
         resid.update({"quad_closed": quad["closed"],
                       "quad_11": quad["quad11"], "quad_22": quad["quad22"],
                       "quad_12": quad["quad12"],
@@ -418,7 +427,7 @@ def _expected_value(expr, chart, point, params):
 
 
 def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
-    if spec is None:
+    if cfg.source not in EXAMPLES:
         raise BicontactError(
             f"{cfg.source!r} is not a built-in example; have "
             + ", ".join(sorted(EXAMPLES)))
@@ -562,16 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     extra = {}
     if args.command == "normal-form":
-        span = args.span[0] if len(args.span) == 1 else None
-        if span is None:
+        if len(args.span) != 1:
             raise argparse.ArgumentTypeError("--span takes a single LO:HI")
-        for flag, values in (("--span", span), ("--z0", (args.z0,))):
-            if not all(map(math.isfinite, values)):
-                raise argparse.ArgumentTypeError(f"{flag} must be finite")
         h = tuple(args.h.split(","))
         if len(h) != 4:
             raise argparse.ArgumentTypeError("--h needs four expressions")
-        extra = {"eps": args.eps, "z0": args.z0, "span": span,
+        extra = {"eps": args.eps, "z0": args.z0, "span": args.span[0],
                  "h": (h[0:2], h[2:4])}
     return RunConfig(
         command=args.command, source=args.source, order=args.order,
@@ -599,7 +604,7 @@ def run(cfg: RunConfig, raw_params=()) -> Report:
                            (lo + margin, hi - margin), (0.2, 1.8))
         else:
             fld, spec = _resolve(cfg)
-            dim, box = fld.chart.dim, spec.box if spec else None
+            dim, box = fld.chart.dim, spec.box
         needed = ORDER_NEEDED.get((cfg.command, dim))
         if cfg.order is None:
             cfg = replace(cfg, order=needed or FALLBACK_ORDER)

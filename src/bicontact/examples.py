@@ -1,55 +1,21 @@
 """Built-in coframe generators used as oracles throughout the test suite.
 
-Each generator returns an :class:`ExampleSpec` bundling the chart, the
-coefficient-expression table, a sampling box, and a table of expected
-invariant values that the pipeline must reproduce.  Generators are pure:
-identical parameters give identical expression text.
+Each generator returns a :class:`~bicontact.inputfile.CoframeSpec` bundling
+the chart, the coefficient-expression table, a sampling box, and a table of
+expected invariant values that the pipeline must reproduce.  Generators are
+pure: identical parameters give identical expression text.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .expressions import differentiate, parse, to_text
-from .forms import Chart, CoframeField, coframe_field_from_expressions
+from .forms import Chart
+from .inputfile import CoframeSpec
 
-__all__ = ["ExampleSpec", "example_hyp_C3", "example_T2xR", "normal_form_3d",
-           "eta_frame", "example_4d", "sphere_frame", "EXAMPLES", "build_example"]
-
-
-@dataclass
-class ExampleSpec:
-    """A named coframe family: expression rows plus its oracle values."""
-
-    name: str
-    chart: Chart
-    rows: list                      # one {d<coord>: expression} dict per form
-    params: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
-    box: tuple = ()                 # per-coordinate (lo, hi) sampling bounds
-    notes: str = ""
-
-    def coframes(self) -> CoframeField:
-        return coframe_field_from_expressions(self.chart, self.rows,
-                                              params=self.params)
-
-    def input_text(self) -> str:
-        """Render as the section-based input-file format."""
-        lines = ["[chart]", "coords = " + " ".join(self.chart.coords)]
-        if self.params:
-            lines.append("")
-            lines.append("[params]")
-            for k, v in self.params.items():
-                lines.append(f"{k} = {v!r}")
-        for i, row in enumerate(self.rows, start=1):
-            lines.append("")
-            lines.append(f"[omega{i}]")
-            for coord in self.chart.coords:
-                key = "d" + coord
-                if key in row and row[key] not in ("0", "0.0"):
-                    lines.append(f"{key} = {row[key]}")
-        return "\n".join(lines) + "\n"
+__all__ = ["example_hyp_C3", "example_T2xR", "normal_form_3d", "eta_frame",
+           "example_4d", "sphere_frame", "EXAMPLES", "build_example"]
 
 
 def _deriv_text(expr: str, var: str, coords) -> str:
@@ -58,7 +24,7 @@ def _deriv_text(expr: str, var: str, coords) -> str:
 
 # ---------------------------------------------------------------------------
 
-def example_hyp_C3(eps: int = -1, c3: str = "1") -> ExampleSpec:
+def example_hyp_C3(eps: int = -1, c3: str = "1") -> CoframeSpec:
     """Mixed elliptic/hyperbolic family on a single chart.
 
     The invariant C equals the coordinate z; for eps=-1 the chart splits
@@ -78,7 +44,7 @@ def example_hyp_C3(eps: int = -1, c3: str = "1") -> ExampleSpec:
         {"dx": "1", "dy": "-1", "dz": f"{q2}/({c3})"},
         {"dz": f"1/({c3})"},
     ]
-    return ExampleSpec(
+    return CoframeSpec(
         name="hyp_c3", chart=chart, rows=rows, params={},
         expected={"eps": eps, "C": "z", "C3": c3, "case": "case3"},
         box=((-0.9, 0.9), (-0.9, 0.9), (-0.9, 0.9)),
@@ -87,7 +53,7 @@ def example_hyp_C3(eps: int = -1, c3: str = "1") -> ExampleSpec:
                "B-torsion vanishes identically (constant-C3 leaf case)."))
 
 
-def example_T2xR(psi: float = 0.3, Psi: str = "z") -> ExampleSpec:
+def example_T2xR(psi: float = 0.3, Psi: str = "z") -> CoframeSpec:
     """Constant-invariant family on a 3-torus-like chart.
 
     f and g trace the hyperbola f^2 - g^2 + 2Cfg = 1 with C = sinh(2 psi);
@@ -107,7 +73,7 @@ def example_T2xR(psi: float = 0.3, Psi: str = "z") -> ExampleSpec:
         {"dtheta": f"2*sinh(2*psi)*({f})-({g})", "dphi": f"-({f})", "dz": g},
         {"dz": f"({f})*({gp})-({fp})*({g})"},
     ]
-    return ExampleSpec(
+    return CoframeSpec(
         name="torus_constC", chart=chart, rows=rows, params={"psi": psi},
         expected={"eps": 1, "C": C, "case": "constantC",
                   "curvature_12": math.cosh(2.0 * psi) ** 2},
@@ -155,7 +121,7 @@ def _rotate_etas(eta1, eta2):
     return w1, w2
 
 
-def normal_form_3d(eps: int = 1, f: str = "0", g: str = "0") -> ExampleSpec:
+def normal_form_3d(eps: int = 1, f: str = "0", g: str = "0") -> CoframeSpec:
     """Fully adapted frame whose invariant depends on x alone.
 
     For any expressions f(x), g(x) the generated frame satisfies the
@@ -170,7 +136,7 @@ def normal_form_3d(eps: int = 1, f: str = "0", g: str = "0") -> ExampleSpec:
     w1, w2 = _rotate_etas(eta1, eta2)
     rows = [w1, w2, {"dx": "1/y"}]
     C = "cot(2*x)" if eps == 1 else "-csc(2*x)"
-    return ExampleSpec(
+    return CoframeSpec(
         name="normal_form_3d", chart=chart, rows=rows,
         params={},
         expected={"eps": eps, "C": C, "case": "case2", "A1": 0.0, "A2": 0.0},
@@ -180,7 +146,7 @@ def normal_form_3d(eps: int = 1, f: str = "0", g: str = "0") -> ExampleSpec:
                "The invariant depends only on x."))
 
 
-def eta_frame(f: str = "0") -> ExampleSpec:
+def eta_frame(f: str = "0") -> CoframeSpec:
     """The un-rotated auxiliary pair, with the coordinate covector dx as seed.
 
     A case-2 structure with invariant csc(2x)/y: elliptic where
@@ -189,7 +155,7 @@ def eta_frame(f: str = "0") -> ExampleSpec:
     chart = Chart(("x", "y", "z"))
     eta1, eta2 = _normal_form_etas(+1, f, "0")
     rows = [eta1, eta2, {"dx": "1"}]
-    return ExampleSpec(
+    return CoframeSpec(
         name="eta_frame", chart=chart, rows=rows, params={},
         expected={"eps": -1, "C": "csc(2*x)/y", "case": "case2"},
         box=((0.25, 0.7), (0.55, 1.9), (-0.9, 0.9)),
@@ -197,7 +163,7 @@ def eta_frame(f: str = "0") -> ExampleSpec:
                "quadratic form is a1^2 + a2^2 + 2*a1*a2*csc(2x)/y."))
 
 
-def example_4d(kind: str = "Ezero") -> ExampleSpec:
+def example_4d(kind: str = "Ezero") -> CoframeSpec:
     """The two 4D prolongation examples, distinguished by the scalar E."""
     if kind == "Ezero":
         chart = Chart(("x", "y", "z", "s"))
@@ -212,7 +178,7 @@ def example_4d(kind: str = "Ezero") -> ExampleSpec:
             {"dz": "1"},
             {"ds": "1"},
         ]
-        return ExampleSpec(
+        return CoframeSpec(
             name="fourd_ezero", chart=chart, rows=rows,
             expected={"E": 0.0, "C": "z"},
             box=((-0.8, 0.8), (-0.8, 0.8), (-0.8, 0.8), (-0.8, 0.8)),
@@ -227,7 +193,7 @@ def example_4d(kind: str = "Ezero") -> ExampleSpec:
             {"dz": "1"},
             {"dx": "-y", "dz": "-y", "dw": "1"},
         ]
-        return ExampleSpec(
+        return CoframeSpec(
             name="fourd_enonzero", chart=chart, rows=rows,
             expected={"E": "exp(2*w-y*(x+z))/y", "C": "-tan(z)"},
             box=((0.3, 1.2), (0.4, 1.5), (-0.9, 0.9), (-0.5, 0.5)),
@@ -236,7 +202,7 @@ def example_4d(kind: str = "Ezero") -> ExampleSpec:
     raise ValueError(f"unknown 4D example kind {kind!r}")
 
 
-def sphere_frame() -> ExampleSpec:
+def sphere_frame() -> CoframeSpec:
     """Euler-angle coframe with unit curvature (round-sphere frame bundle)."""
     chart = Chart(("theta", "phi", "psi"))
     rows = [
@@ -244,7 +210,7 @@ def sphere_frame() -> ExampleSpec:
         {"dtheta": "sin(psi)", "dphi": "-cos(psi)*sin(theta)"},
         {"dpsi": "1", "dphi": "cos(theta)"},
     ]
-    return ExampleSpec(
+    return CoframeSpec(
         name="sphere_frame", chart=chart, rows=rows,
         expected={"eps": -1, "C": 0.0, "K": 1.0},
         box=((0.3, 2.8), (-3.0, 3.0), (-3.0, 3.0)),
@@ -265,7 +231,7 @@ EXAMPLES = {
 }
 
 
-def build_example(name: str, **params) -> ExampleSpec:
+def build_example(name: str, **params) -> CoframeSpec:
     """Look up a generator by name and call it with string/number params."""
     try:
         factory = EXAMPLES[name]

@@ -70,10 +70,9 @@ __all__ = [
 
 @dataclass
 class Chart:
-    """A named coordinate chart with an optional parameter table."""
+    """A named coordinate chart."""
 
     coords: tuple
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.coords = tuple(self.coords)
@@ -520,7 +519,7 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None):
     {coordinate name or "d"+name: expression string or AST}; missing
     coordinates mean a zero coefficient.
     """
-    params = dict(chart.params if params is None else params)
+    params = params or {}
     names = list(chart.coords)
     compiled = []
     for row in rows:

@@ -261,30 +261,24 @@ def curvature4(F: Coframe4) -> Curvature4Report:
 class QOde:
     """Q'' = (C^2 + eps + C') Q for a declared vertical invariant C(z).
 
-    Two independent solutions are tracked with the given initial data at
-    ``z0``; their Wronskian Q1 Q2' - Q2 Q1' is the constant W0.  ``solve_q``
-    steps both by Taylor series, with no tolerance to set.
+    Two independent solutions are tracked from the fixed initial data
+    ``INIT`` = ((Q1, Q1'), (Q2, Q2')) at ``z0``; their Wronskian
+    Q1 Q2' - Q2 Q1' is the constant ``W0``.  ``solve_q`` steps both by
+    Taylor series, with no tolerance to set.
     """
+
+    INIT = ((0.0, 1.0), (1.0, 0.0))
+    W0 = -1.0
 
     c_text: str
     eps: int
     z0: float = 0.0
-    q1_init: tuple = (0.0, 1.0)
-    q2_init: tuple = (1.0, 0.0)
     _node: object = field(init=False, repr=False)
     _tape: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._node = expressions.parse(self.c_text, ("z",))
         self._tape = expressions.Tape([self._node])
-
-    @property
-    def W0(self) -> float:
-        w0 = (self.q1_init[0] * self.q2_init[1]
-              - self.q2_init[0] * self.q1_init[1])
-        if w0 == 0.0:
-            raise DomainError("initial conditions have zero Wronskian")
-        return w0
 
     def c_jet(self, z: float, order: int) -> Jet:
         """C as a univariate jet at z."""
@@ -339,8 +333,7 @@ class QSolution:
         return q1 * dq2 - q2 * dq1
 
     def wronskian_drift(self, z_values) -> float:
-        w0 = self.ode.W0
-        return nan_max(*(abs(self.wronskian(z) - w0) for z in z_values))
+        return nan_max(*(abs(self.wronskian(z) - QOde.W0) for z in z_values))
 
 
 def solve_q(ode: QOde, z_span) -> QSolution:
@@ -356,7 +349,7 @@ def solve_q(ode: QOde, z_span) -> QSolution:
         raise DomainError(f"z0={ode.z0!r} outside span {z_span!r}")
     steps = []
     for end in (lo, hi):
-        z, z1, init = float(ode.z0), None, (ode.q1_init, ode.q2_init)
+        z, z1, init = float(ode.z0), None, ode.INIT
         while z1 != end:
             u = ode.u_jet(ode.c_jet(z, _TAYLOR_ORDER - 1)).c.tolist()
             cs = tuple(_q_taylor(u, q, dq) for q, dq in init)
@@ -373,9 +366,9 @@ def solve_q(ode: QOde, z_span) -> QSolution:
     return QSolution(ode=ode, lo=lo, hi=hi, steps=steps)
 
 
-def q_jets(sol: QSolution, z: float, c: Jet, dim: int, axis: int):
-    """Lift (Q1, Q2) at z into jets of the ambient chart, at the order of
-    ``c``, C's univariate jet at z (``sol.ode.c_jet(z, order)``).
+def q_jets(sol: QSolution, z: float, c: Jet):
+    """Lift (Q1, Q2) at z into jets on the z axis of the 4D chart, at the
+    order of ``c``, C's univariate jet at z (``sol.ode.c_jet(z, order)``).
 
     Values and first derivatives come from the integrated state; all higher
     Taylor coefficients follow from the ODE by ``_q_taylor``, so the jets
@@ -386,7 +379,7 @@ def q_jets(sol: QSolution, z: float, c: Jet, dim: int, axis: int):
     order = c.order
     u = sol.ode.u_jet(c.truncate(order - 1)).c.tolist() if order > 1 else []
     q1, dq1, q2, dq2 = sol.state(z)
-    x = Jet.variable(z, axis, dim, order)
+    x = Jet.variable(z, 2, 4, order)
     return tuple(jets._compose(x, _q_taylor(u, q, dq)[:order + 1])
                  for q, dq in ((q1, dq1), (q2, dq2)))
 
@@ -395,14 +388,14 @@ def q_jets(sol: QSolution, z: float, c: Jet, dim: int, axis: int):
 # the 4D normal form
 
 _CHART4 = ("x", "y", "z", "w")
-_IDENTITY_H = (("1", "0"), ("0", "1"))
 
 
-def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
+def normal_form_4d(sol: QSolution, h) -> CoframeField:
     """Coframe field built from the solved ODE ``sol`` (from ``solve_q``) on
     the chart (x, y, z, w); frames exist for z in the solved interval.
 
-    With S = Q-solution data, h a 2x2 matrix of expressions in (x, y) and
+    With S = Q-solution data, h a 2x2 matrix of expressions in x and y
+    alone (a name of another coordinate raises ``UnknownIdentifier``) and
     K = (h11 Q1 + h12 Q2)/sqrt(w), L = (h21 Q1 + h22 Q2)/sqrt(w):
 
         omega^1 = K dx + L dy
@@ -417,11 +410,9 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
     identity matrix violates it: the left side is 0).
     """
     chart = Chart(_CHART4)
-    rows = h if h is not None else _IDENTITY_H
-    htape = expressions.Tape([expressions.parse(str(e), _CHART4)
-                              for row in rows for e in row])
+    htape = expressions.Tape([expressions.parse(str(e), ("x", "y"))
+                              for row in h for e in row])
     ode = sol.ode
-    w0 = ode.W0
 
     def build(point, order):
         x, y, z, w = point
@@ -433,13 +424,13 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
         if abs(det_h.value) <= DEGENERATE_H:
             raise DegenerateH(f"det h = {det_h.value!r} at {point!r}")
         c = ode.c_jet(z, order)
-        q1, q2 = q_jets(sol, z, c, 4, 2)
+        q1, q2 = q_jets(sol, z, c)
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
         K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
         L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
         Cj = jets._compose(Jet.variable(z, 2, 4, order), c.c.tolist())
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
-        f = (Jet.variable(w, 3, 4, order) / (det_h * w0)) \
+        f = (Jet.variable(w, 3, 4, order) / (det_h * QOde.W0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))
         fz = jets.partial(f, 2)
         zero = Jet.constant(0.0, 4, order)
@@ -459,7 +450,7 @@ def normal_form_4d(sol: QSolution, h=None) -> CoframeField:
 
 
 def verify_normal_form(fld: CoframeField, ode: QOde, points,
-                       order: int = 6) -> dict:
+                       order: int) -> dict:
     """Structure-equation and round-trip residuals of a constructed field.
 
     Reports the worst deviation over ``points`` of: the four structure

@@ -1,6 +1,11 @@
-"""Plain-text coframe definition files.
+"""Coframe definitions: the one spec type and its plain-text file format.
 
-Section-based format, one coframe per file::
+A :class:`CoframeSpec` is a chart, one row of coefficient expressions per
+covector and the numeric constants those expressions use.  A built-in
+example (:mod:`bicontact.examples`) adds a sampling box and a table of
+expected invariant values; a parsed file is named by its source and has
+neither.  :meth:`CoframeSpec.input_text` writes the section format below and
+:func:`parse_coframe_text` reads it, one coframe per file::
 
     [chart]   coords = x y z          # three or four coordinate names
     [params]  eps = -1   psi = 0.3    # numeric constants usable in expressions
@@ -13,7 +18,7 @@ Coefficient keys are ``d<coordinate>``; a missing key means that coefficient
 is zero.  ``#`` starts a comment.  A value is either a double-quoted string
 (required when several pairs share a line and an expression contains spaces)
 or the run of bare tokens up to the next ``key =`` on the same line, so the
-one-pair-per-line layout emitted by :meth:`ExampleSpec.input_text` needs no
+one-pair-per-line layout emitted by :meth:`CoframeSpec.input_text` needs no
 quotes.  Values do not span lines.
 """
 
@@ -26,7 +31,7 @@ from . import expressions
 from .errors import ArityError, ParseError
 from .forms import Chart, CoframeField, coframe_field_from_expressions
 
-__all__ = ["CoframeDefinition", "parse_coframe_text", "load_definition",
+__all__ = ["CoframeSpec", "parse_coframe_text", "load_definition",
            "load_coframe"]
 
 _SECTIONS = ("chart", "params", "omega1", "omega2", "omega3", "omega4")
@@ -35,26 +40,40 @@ _TOKEN_RE = re.compile(r'\[\s*([A-Za-z0-9_]+)\s*\]|"([^"]*)"|(=)|([^\s=\[\]"#]+)
 
 
 @dataclass
-class CoframeDefinition:
-    """Parsed contents of one definition file, prior to evaluation."""
+class CoframeSpec:
+    """A named coframe family: expression rows plus, for a built-in
+    example, its sampling box and oracle values."""
 
-    coords: tuple
-    params: dict
-    rows: list                       # one {d<coord>: expression text} per form
-    source: str = "<string>"
-    lines: dict = field(default_factory=dict)   # (section, key) -> line number
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def chart(self) -> Chart:
-        return Chart(tuple(self.coords))
+    name: str
+    chart: Chart
+    rows: list                      # one {d<coord>: expression} dict per form
+    params: dict = field(default_factory=dict)
+    expected: dict = field(default_factory=dict)
+    box: tuple = ()                 # per-coordinate (lo, hi) sampling bounds
+    notes: str = ""
 
     def coframes(self) -> CoframeField:
         """Compile the expression rows into an evaluable coframe family."""
-        return coframe_field_from_expressions(self.chart(), self.rows,
+        return coframe_field_from_expressions(self.chart, self.rows,
                                               params=self.params)
+
+    def input_text(self) -> str:
+        """Render in the section format that :func:`parse_coframe_text`
+        reads."""
+        lines = ["[chart]", "coords = " + " ".join(self.chart.coords)]
+        if self.params:
+            lines.append("")
+            lines.append("[params]")
+            for k, v in self.params.items():
+                lines.append(f"{k} = {v!r}")
+        for i, row in enumerate(self.rows, start=1):
+            lines.append("")
+            lines.append(f"[omega{i}]")
+            for coord in self.chart.coords:
+                key = "d" + coord
+                if key in row and row[key] not in ("0", "0.0"):
+                    lines.append(f"{key} = {row[key]}")
+        return "\n".join(lines) + "\n"
 
 
 def _strip_comment(line: str) -> str:
@@ -90,7 +109,7 @@ def _tokenize_line(line: str, lineno: int):
     return toks
 
 
-def _pairs(text: str, source: str):
+def _pairs(text: str):
     """Yield (section, key, value, lineno) for every key = value pair."""
     section = None
     seen = set()
@@ -134,8 +153,8 @@ def _pairs(text: str, source: str):
                              line=lineno)
 
 
-def parse_coframe_text(text: str, source: str = "<string>") -> CoframeDefinition:
-    """Parse definition text into a :class:`CoframeDefinition`.
+def parse_coframe_text(text: str, source: str = "<string>") -> CoframeSpec:
+    """Parse definition text into a :class:`CoframeSpec` named ``source``.
 
     Raises :class:`ParseError` (with a line number) for malformed input and
     :class:`ArityError` when the covector sections do not match the chart
@@ -143,7 +162,7 @@ def parse_coframe_text(text: str, source: str = "<string>") -> CoframeDefinition
     """
     sections: dict = {name: {} for name in _SECTIONS}
     lines: dict = {}
-    for section, key, value, lineno in _pairs(text, source):
+    for section, key, value, lineno in _pairs(text):
         if key in sections[section]:
             raise ParseError(f"duplicate key {key!r} in [{section}]",
                              line=lineno)
@@ -215,11 +234,11 @@ def parse_coframe_text(text: str, source: str = "<string>") -> CoframeDefinition
                 raise ParseError(
                     f"in [omega{n}] {key}: {exc}", line=lineno) from exc
 
-    return CoframeDefinition(coords=coords, params=params, rows=rows,
-                             source=source, lines=lines)
+    return CoframeSpec(name=source, chart=Chart(coords), rows=rows,
+                       params=params)
 
 
-def load_definition(path) -> CoframeDefinition:
+def load_definition(path) -> CoframeSpec:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_coframe_text(text, source=str(path))

@@ -96,6 +96,8 @@ class InvariantRecord:
     point: tuple
     eps: int
     delta: int = 1
+    case: str | None = None
+    klass: str | None = None
     C: float | None = None
     C1: float | None = None
     C2: float | None = None
@@ -113,8 +115,6 @@ class InvariantRecord:
     zeta3: float | None = None
     rho: float | None = None
     W: float | None = None
-    case: str | None = None
-    klass: str | None = None
     residuals: dict = field(default_factory=dict)
 
 
@@ -511,9 +511,10 @@ def taut_hyperbola_transform(cf: Coframe):
     return out, C, theta
 
 
-def hyperbola_residuals(cf: Coframe, taut: Coframe, C: Jet, theta: Jet):
+def hyperbola_residuals(cf: Coframe, taut: Coframe, theta: Jet):
     """Residuals of the two displayed volume identities of the hyperbolic
-    rotation, plus the mixed-volume defect and its ratio to C3."""
+    rotation, plus the mixed-volume defect, the jet
+    (eta1 ^ d eta2 + eta2 ^ d eta1) / volume."""
     Omega = cf.volume()
     w12 = wedge(cf.forms[0], cf.forms[1])
     dtheta = scalar_d(cf.chart, theta, stage="taut_hyperbola(residuals)")

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
-from .pipeline import InvariantRecord
 
 __all__ = ["format_float", "dumps_canonical", "record_to_dict", "check",
            "nan_max", "summarize_residuals", "Report"]
@@ -30,9 +29,9 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _ser(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _ser(obj, out, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -54,7 +53,7 @@ def _ser(obj, out, indent, level):
             if not isinstance(k, str):
                 raise TypeError(f"report keys must be strings, got {k!r}")
             out.append(pad_in + json.dumps(k) + ": ")
-            _ser(v, out, indent, level + 1)
+            _ser(v, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -64,31 +63,25 @@ def _ser(obj, out, indent, level):
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad_in)
-            _ser(v, out, indent, level + 1)
+            _ser(v, out, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
+def dumps_canonical(obj) -> str:
     """Serialize to JSON text with deterministic layout and float rendering."""
     out: list = []
-    _ser(obj, out, indent, 0)
+    _ser(obj, out, 0)
     return "".join(out)
 
 
-_RECORD_FIELDS = ("point", "eps", "delta", "case", "klass", "C", "C1", "C2",
-                  "C3", "C33", "C333", "A1", "A2", "A3", "B1", "B2", "B3",
-                  "xi", "zeta", "zeta3", "rho", "W")
-
-
-def record_to_dict(rec: InvariantRecord) -> dict:
-    """Flatten one per-point record; residual keys are sorted."""
-    row = {}
-    for name in _RECORD_FIELDS:
-        value = getattr(rec, name)
-        row[name] = list(value) if isinstance(value, tuple) else value
+def record_to_dict(rec) -> dict:
+    """Flatten one per-point ``pipeline.InvariantRecord`` in field order;
+    residual keys are sorted."""
+    row = {f.name: getattr(rec, f.name) for f in fields(rec)}
+    row["point"] = list(rec.point)
     row["residuals"] = {k: rec.residuals[k] for k in sorted(rec.residuals)}
     return row
 

@@ -111,7 +111,7 @@ def test_criterion_04_taut_hyperbola_identities():
         pts = box_points(spec.box, 4, seed=104)
         for cf in one_adapt(spec.coframes(), pts, 7):
             taut, C, theta = taut_hyperbola_transform(cf)
-            r1, r2, defect = hyperbola_residuals(cf, taut, C, theta)
+            r1, r2, defect = hyperbola_residuals(cf, taut, theta)
             worst = max(worst, r1, r2, abs(defect.value))
     _finish(4, "taut hyperbola volumes", worst <= 1e-8,
             f"max residual = {worst:.2e}", time.perf_counter() - t0, 2.0)

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from bicontact.examples import EXAMPLES, ExampleSpec, build_example
+from bicontact.examples import EXAMPLES, build_example
+from bicontact.inputfile import CoframeSpec, parse_coframe_text
 from bicontact.pipeline import (Tolerances, analyze, cartan_structure_check,
                                 compute_C, compute_C3, one_adapt)
 from conftest import box_points
@@ -18,7 +20,7 @@ def test_registry_is_complete_and_consistent():
     assert set(EXAMPLES) == ALL_NAMES
     for name in ALL_NAMES:
         spec = build_example(name)
-        assert isinstance(spec, ExampleSpec)
+        assert isinstance(spec, CoframeSpec)
         assert spec.name == name
         dim = spec.chart.dim
         assert dim in (3, 4)
@@ -99,3 +101,17 @@ def test_input_text_has_all_sections():
             assert f"[omega{i}]" in text
         if spec.params:
             assert "[params]" in text
+
+
+@pytest.mark.parametrize("name", sorted(ALL_NAMES))
+def test_input_text_parses_back_to_the_same_coframe(name):
+    spec = build_example(name)
+    back = parse_coframe_text(spec.input_text())
+    assert back.chart.coords == spec.chart.coords
+    assert back.params == spec.params
+    assert back.rows == [{k: v for k, v in row.items()
+                          if v not in ("0", "0.0")} for row in spec.rows]
+    centre = tuple((lo + hi) / 2 for lo, hi in spec.box)
+    got, want = (s.coframes().at(centre, 4).forms for s in (back, spec))
+    for a, b in zip(got, want, strict=True):
+        assert a.c.view(np.int64).tolist() == b.c.view(np.int64).tolist()

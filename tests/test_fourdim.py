@@ -143,7 +143,7 @@ def test_q_jets_satisfy_the_equation():
     ode = QOde("tan(z)", -1)
     sol = solve_q(ode, (-1.2, 1.2))
     for z in (-0.7, 0.0, 0.45):
-        j1, j2 = q_jets(sol, z, ode.c_jet(z, 6), 4, 2)
+        j1, j2 = q_jets(sol, z, ode.c_jet(z, 6))
         u = ode.u_jet(ode.c_jet(z, 1)).value
         s = sol.state(z)
         for j, (q, dq) in ((j1, s[0:2]), (j2, s[2:4])):
@@ -162,7 +162,7 @@ def test_q_jets_match_the_leibniz_recursion():
     for z in (-0.7, 0.0, 0.45):
         u = ode.u_jet(ode.c_jet(z, 7))
         uder = [u.coeff((k,)) * math.factorial(k) for k in range(7)]
-        jets_ = q_jets(sol, z, ode.c_jet(z, 8), 4, 2)
+        jets_ = q_jets(sol, z, ode.c_jet(z, 8))
         state = sol.state(z)
         for j, der in zip(jets_, ([state[0], state[1]], [state[2], state[3]])):
             for n in range(7):
@@ -214,7 +214,7 @@ def test_normal_form_identity_h_breaks_round_trip():
     """The identity matrix satisfies the first three structure equations but
     produces a frame whose scale invariant is 0, not w."""
     ode = QOde("tan(z)", -1)
-    fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)))
+    fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)), h=(("1", "0"), ("0", "1")))
     pts = box_points(BOX4, 3, seed=49)
     worst = verify_normal_form(fld, ode, pts, order=6)
     for key in ("domega1", "domega2", "domega3", "domega4"):
@@ -231,8 +231,6 @@ def test_normal_form_guards():
     good = normal_form_4d(solve_q(ode, (-1.2, 1.2)), h=GOOD_H)
     with pytest.raises(DomainError):
         good.at((0.1, 0.2, 0.0, -0.5), 4)
-    with pytest.raises(DomainError):
-        QOde("0", -1, q1_init=(0.0, 0.0)).W0
     with pytest.raises(DomainError):
         solve_q(ode, (0.5, 1.0))  # z0 = 0 outside the span
     sol = solve_q(ode, (0.0, 1.0))

@@ -66,7 +66,8 @@ def _source(name):
     if name.endswith(".txt"):
         defn = load_definition(DATA / name)
         half = cli.DEFAULT_HALF_WIDTH
-        return defn.chart(), defn.rows, defn.params, ((-half, half),) * defn.dim
+        return (defn.chart, defn.rows, defn.params,
+                ((-half, half),) * defn.chart.dim)
     spec = build_example(name)
     return spec.chart, spec.rows, spec.params, spec.box
 

@@ -26,8 +26,8 @@ GOOD = ("[chart]\ncoords = x y z\n[omega1]\ndx = 1\n"
 
 def test_parse_minimal_definition():
     d = parse_coframe_text(GOOD)
-    assert d.coords == ("x", "y", "z")
-    assert d.dim == 3
+    assert d.chart.coords == ("x", "y", "z")
+    assert d.chart.dim == 3
     assert d.rows == [{"dx": "1"}, {"dy": "1"}, {"dz": "1"}]
     fld = d.coframes()
     cf = fld.at((0.1, 0.2, 0.3), 4)
@@ -350,6 +350,50 @@ def test_run_rejects_params_of_a_definition_file_as_the_cli_does(tmp_path):
         "stage": "invariants", "type": "ArgumentTypeError",
         "message": "--param only applies to built-in example names"}]
     assert rep.to_json() == out.read_text()
+
+
+NF_EXTRA = {"eps": 1, "z0": 0.0, "span": (-1.2, 1.2),
+            "h": (("1", "0"), ("x^2/2", "1"))}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("normal-form", {}),
+    ("normal-form", {k: NF_EXTRA[k] for k in ("eps", "z0", "span")}),
+    ("normal-form", dict(NF_EXTRA, order=3)),
+    ("invariants", {"span": (0.0, 1.0)}),
+], ids=["normal-form-none", "normal-form-without-h", "normal-form-unknown",
+        "invariants-span"])
+def test_run_config_takes_exactly_the_extra_keys_of_its_command(
+        tmp_path, command, extra):
+    out = tmp_path / "rep.json"
+    assert main(["normal-form", "tan(z)", "--points", "2",
+                 "--out", str(out)]) == 0
+    rep = run(RunConfig("normal-form", "tan(z)", points=2, extra=NF_EXTRA))
+    assert rep.to_json() == out.read_text()
+    source = "tan(z)" if command == "normal-form" else "eta_frame"
+    with pytest.raises(ValueError, match="extra keys"):
+        RunConfig(command, source, extra=extra)
+
+
+@pytest.mark.parametrize("key, value", [("span", (math.nan, 1.0)),
+                                        ("span", (-1.0, math.inf)),
+                                        ("z0", math.nan)])
+def test_run_config_rejects_a_normal_form_extra_that_is_not_finite(key,
+                                                                   value):
+    with pytest.raises(ValueError, match=f"^--{key} must be finite$"):
+        RunConfig("normal-form", "tan(z)",
+                  extra=dict(NF_EXTRA, **{key: value}))
+
+
+@pytest.mark.parametrize("h, name", [("1,0,x^2/2+z,1", "z"),
+                                     ("w,0,x^2/2,1", "w")])
+def test_cli_normal_form_h_is_an_expression_in_x_and_y(tmp_path, h, name):
+    out = tmp_path / "rep.json"
+    assert main(["normal-form", "tan(z)", "--points", "3", "--h", h,
+                 "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["errors"] == [{
+        "stage": "normal-form", "type": "UnknownIdentifier",
+        "message": f"unknown identifier {name!r}"}]
 
 
 def test_parser_registers_exactly_the_command_table():

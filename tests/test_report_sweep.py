@@ -1,6 +1,7 @@
 """tools/report_sweep.py: the argv list of the sweep and the comparison of
 two sweeps.  No command runs here."""
 
+import argparse
 import importlib.util
 import json
 import pathlib
@@ -34,6 +35,31 @@ def test_sweep_covers_every_command_source_and_order():
     pairs = Counter((argv[0], argv[1]) for argv in argvs)
     assert set(pairs.values()) == {len(ORDERS)}
     assert len(pairs) == 7 * 9 + 2
+
+
+def _flags(parser) -> set:
+    """Every long option of ``parser`` and of its subcommands."""
+    out = set()
+    for action in parser._actions:
+        out.update(s for s in action.option_strings if s.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _flags(sub)
+    return out
+
+
+def test_option_argvs_pass_every_flag_but_out():
+    commands = sorted({command for command, _ in cli.ORDER_NEEDED})
+    grid = list(report_sweep.sweep_argvs(commands, sorted(EXAMPLES)))
+    options = [" ".join(argv) for argv in report_sweep.OPTION_ARGVS]
+    assert len(set(options)) == len(options)
+    assert not {" ".join(argv) for argv in grid} & set(options)
+    # --order comes from the grid, every other flag from OPTION_ARGVS
+    used = {word.split("=")[0]
+            for argv in grid + report_sweep.OPTION_ARGVS
+            for word in argv if word.startswith("--")}
+    missing = _flags(cli.build_parser()) - {"--out", "--help"} - used
+    assert not missing, f"flags without a sweep entry: {sorted(missing)}"
 
 
 def test_compare_reports_changed_and_one_sided_keys(tmp_path, capsys):

@@ -106,7 +106,7 @@ def test_hyperbola_identities_constant_invariant():
     for cf in _adapted(spec, pts):
         taut, C, theta = taut_hyperbola_transform(cf)
         assert C.value == pytest.approx(np.sinh(0.8), abs=1e-10)
-        r1, r2, defect = hyperbola_residuals(cf, taut, C, theta)
+        r1, r2, defect = hyperbola_residuals(cf, taut, theta)
         assert r1 < 1e-8 and r2 < 1e-8
         assert abs(defect.value) < 1e-8
 
@@ -118,6 +118,6 @@ def test_hyperbola_identities_variable_invariant():
         taut, C, theta = taut_hyperbola_transform(cf)
         assert C.value == pytest.approx(1.0 / np.tan(2 * p[0]), abs=1e-9)
         assert theta.value == pytest.approx(np.arcsinh(C.value), abs=1e-12)
-        r1, r2, defect = hyperbola_residuals(cf, taut, C, theta)
+        r1, r2, defect = hyperbola_residuals(cf, taut, theta)
         assert r1 < 1e-8 and r2 < 1e-8
         assert abs(defect.value) < 1e-8

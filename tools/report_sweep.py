@@ -6,14 +6,16 @@
 The sweep runs each command on the built-in examples and both
 ``tests/data`` definition files, and ``normal-form`` on its profiles, at
 ``--points 3``, once at the command's default order and once at each of the
-orders 2 to 6.  Every run goes through ``bicontact.cli.main`` in this process,
-from the checkout that holds this script (its ``src/`` comes first on the
-path), with the checkout as the working directory, since a report echoes its
-source path.  A key is the argv joined by spaces; a value is the SHA-256 of
-the bytes the command printed followed by its exit status (``digest``), so a
-changed status shows even where the report does not.  ``--compare`` prints
-each key whose digest differs or that only one file has, and exits 1 when
-there is any.  Digests of two checkouts compare only when the same version of
+orders 2 to 6.  Then it runs the fixed argvs of ``OPTION_ARGVS``, which
+between them pass every option of the command line but ``--out``.  Every run
+goes through ``bicontact.cli.main`` in this process, from the checkout that
+holds this script (its ``src/`` comes first on the path), with the checkout
+as the working directory, since a report echoes its source path.  A key is
+the argv joined by spaces; a value is the SHA-256 of the bytes the command
+printed on stdout followed by its exit status (``digest``), so a changed
+status shows even where the report does not.  ``--compare`` prints each key
+whose digest differs or that only one file has, and exits 1 when there is
+any.  Digests of two checkouts compare only when the same version of
 this script made both.
 """
 
@@ -32,6 +34,31 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = ["tests/data/case1_frame.txt", "tests/data/hyp_ex.txt"]
 PROFILES = ["tan(z)", "z^2"]
 ORDERS = [None, 2, 3, 4, 5, 6]
+OPTION_ARGVS = [
+    # --param on each example that takes parameters, and on a file (exit 1)
+    ["example", "hyp_c3", "--points", "3", "--param", "eps=1",
+     "--param", "c3=1+z^2"],
+    ["example", "torus_constC", "--points", "3", "--param", "psi=0.5",
+     "--param", "Psi=2*z"],
+    ["invariants", "normal_form_3d", "--points", "3", "--param", "eps=-1",
+     "--param", "f=sin(x)", "--param", "g=x"],
+    ["classify", "eta_frame", "--points", "3", "--param", "f=x"],
+    ["invariants", FILES[1], "--points", "3", "--param", "eps=1"],
+    # sampling and tolerances
+    ["check", "sphere_frame", "--at", "1,0.5,0.2", "--at", "2,-1,1"],
+    ["taut", "hyp_c3", "--points", "3", "--box=-0.5:0.5,-0.5:0.5,-0.5:0.5"],
+    ["curvature", "torus_constC", "--points", "3", "--seed", "7"],
+    ["fourdim", "fourd_ezero", "--points", "2", "--tol-shallow", "1e-12",
+     "--tol-deep", "1e-9"],
+    # the four options of normal-form
+    ["normal-form", "tan(z)", "--points", "3", "--eps", "-1"],
+    ["normal-form", "z^2", "--points", "3", "--z0", "0.3", "--span=-1:1"],
+    ["normal-form", "tan(z)", "--points", "3", "--h", "1,0,x^2/2+y,1"],
+    ["normal-form", "tan(z)", "--points", "3", "--h", "1,0,x^2/2+z,1"],
+    # a usage error (exit 2) and the version
+    ["normal-form", "tan(z)", "--span", "nan:1"],
+    ["--version"],
+]
 
 
 def sweep_argvs(commands, examples):
@@ -56,10 +83,13 @@ def run_sweep() -> dict:
 
     commands = sorted({command for command, _ in cli.ORDER_NEEDED})
     out = {}
-    for argv in sweep_argvs(commands, sorted(EXAMPLES)):
+    for argv in [*sweep_argvs(commands, sorted(EXAMPLES)), *OPTION_ARGVS]:
         buf = io.StringIO()
         with redirect_stdout(buf):
-            status = cli.main(argv)
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:      # --version exits from argparse
+                status = exc.code
         out[" ".join(argv)] = digest(buf.getvalue(), status)
     return out
 
