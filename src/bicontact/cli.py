@@ -243,8 +243,8 @@ def _tally(rep: Report, key: str):
 def _cmd_check(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
-        for p in pts:
-            rec = fourdim.symp_structure(fld.at(p, cfg.order))
+        for p, frame in zip(pts, fld.frames(pts, cfg.order)):
+            rec = fourdim.symp_structure(frame)
             rep.records.append({
                 "point": list(p), "eps": rec.eps, "C": rec.C.value,
                 "E": rec.E.value,
@@ -327,8 +327,8 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld, spec, pts):
 def _cmd_curvature(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
-        for p in pts:
-            out = fourdim.curvature4(fourdim.symp_structure(fld.at(p, cfg.order)))
+        for p, frame in zip(pts, fld.frames(pts, cfg.order)):
+            out = fourdim.curvature4(fourdim.symp_structure(frame))
             rep.records.append({
                 "point": list(p), "S": out.S.value,
                 "pfaffian": out.pfaffian.value,
@@ -370,8 +370,7 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld, spec, pts):
     if fld.chart.dim != 4:
         raise BicontactError(
             "the fourdim command needs a chart with 4 coordinates")
-    for p in pts:
-        frame = fld.at(p, cfg.order)
+    for p, frame in zip(pts, fld.frames(pts, cfg.order)):
         rec = fourdim.symp_structure(frame)
         resid = dict(sorted(rec.residuals.items()))
         e_direct = fourdim.compute_E(frame)
@@ -435,8 +434,8 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
     expected = spec.expected
     if fld.chart.dim == 4:
         worst = {"C": 0.0, "E": 0.0, "pattern": 0.0}
-        for p in pts:
-            rec = fourdim.symp_structure(fld.at(p, cfg.order))
+        for p, frame in zip(pts, fld.frames(pts, cfg.order)):
+            rec = fourdim.symp_structure(frame)
             worst["pattern"] = nan_max(worst["pattern"], rec.max_residual)
             row = {"point": list(p), "eps": rec.eps, "C": rec.C.value,
                    "E": rec.E.value}

@@ -17,12 +17,13 @@ parameter table, so a well-formed AST has no free names.
 Evaluation to jets runs on a :class:`Tape`: a sequence of ASTs compiled once
 into an ordered list of operations over slots, in which structurally
 identical subtrees share one slot (a ``Num`` by its bit pattern).  A run
-computes each distinct subexpression once and returns one jet per root.
-Jet operations are pure, so a shared slot's jet is bit-identical to
-computing the subtree again, and since slots follow the depth-first
-post-order of the recursive evaluation, the first error raised is the same.
-Deduplication is the only transformation.  :func:`eval_jet` is a one-root
-tape; :func:`eval_number` evaluates to a plain float.
+computes each distinct subexpression once, at all of its sample points in
+one pass, and returns one jet per root and point.  Jet operations are pure,
+so a shared slot's jet is bit-identical to computing the subtree again, and
+since slots follow the depth-first post-order of the recursive evaluation,
+the first error raised is the same.  Deduplication is the only
+transformation.  :func:`eval_jet` is a one-root tape at one point;
+:func:`eval_number` evaluates to a plain float.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import struct
 from dataclasses import dataclass
 
 from . import jets
-from .errors import DomainError, ParseError, UnknownIdentifier
+from .errors import (BicontactError, DomainError, ParseError,
+                     UnknownIdentifier)
 from .jets import Jet
 
 __all__ = ["parse", "to_text", "Tape", "eval_jet", "eval_number",
@@ -300,12 +302,24 @@ class Tape:
     order of the recursive evaluation, so the first op to raise is the one
     the recursive evaluation would raise at, with the same inputs.  Nothing
     is folded or rewritten: ``x*0`` stays a product, as inf*0 is NaN.
+
+    A run over several points carries each slot as one many-point jet, an
+    (ncoeffs, N) array through the same jet functions, and frees a slot
+    after its last use; each point's jets are bit-equal to a run at that
+    point alone.
     """
 
     def __init__(self, roots):
         self.code = []
         slots = {}
         self.roots = tuple(self._intern(node, slots) for node in roots)
+        # the slots to free after each instruction, their last reader
+        last = {i: pos for pos, (op, arg) in enumerate(self.code)
+                if op is not _NUM and op is not _VAR for i in arg}
+        self._free = [[] for _ in self.code]
+        for slot, pos in last.items():
+            if slot not in self.roots:
+                self._free[pos].append(slot)
 
     def _intern(self, node, slots) -> int:
         if isinstance(node, Num):
@@ -329,19 +343,47 @@ class Tape:
             self.code.append(instr)
         return slot
 
-    def run(self, point, order, coords, params=None) -> list:
-        """One jet per root at ``point``, seeding coordinate i with slot i."""
+    def run(self, points, order, coords, params=None) -> list:
+        """The root jets at each of ``points``, one list per point, seeding
+        coordinate i with slot i.
+
+        Several points run as one pass over the tape.  Where that pass
+        raises, the points run one at a time, so a failing run raises what
+        its first failing point raises."""
+        points = [tuple(float(x) for x in p) for p in points]
+        if len(points) > 1:
+            try:
+                roots = self._run(tuple(zip(*points)), order, coords, params)
+            except (BicontactError, ArithmeticError, ValueError,
+                    jets._MixedBranches):
+                pass
+            else:
+                rows = [j.c.T.copy() for j in roots]
+                return [[Jet._of(j.dim, order, r[k])
+                         for j, r in zip(roots, rows)]
+                        for k in range(len(points))]
+        return [self._run(p, order, coords, params) for p in points]
+
+    def _run(self, x, order, coords, params) -> list:
+        """The root jets at coordinate values ``x``: a float per coordinate
+        for one point, or a tuple of N values per coordinate for N points."""
         dim = len(coords)
-        env = {name: Jet.variable(float(point[i]), i, dim, order)
+        count = len(x[0]) if isinstance(x[0], tuple) else None
+
+        def constant(value):
+            return Jet.constant(value if count is None else (value,) * count,
+                                dim, order)
+
+        env = {name: Jet.variable(x[i], i, dim, order)
                for i, name in enumerate(coords)}
         for name, value in (params or {}).items():
-            env[name] = Jet.constant(float(value), dim, order)
+            env[name] = constant(float(value))
         for name, value in CONSTANTS.items():
-            env.setdefault(name, Jet.constant(value, dim, order))
+            env.setdefault(name, constant(value))
         vals = []
-        for op, arg in self.code:
+        for (op, arg), free in zip(self.code, self._free):
             if op is _NUM:
-                vals.append(Jet.constant(arg, dim, order))
+                vals.append(constant(arg))
             elif op is _VAR:
                 try:
                     vals.append(env[arg])
@@ -349,12 +391,14 @@ class Tape:
                     raise UnknownIdentifier(arg) from None
             else:
                 vals.append(op(*[vals[i] for i in arg]))
+            for i in free:
+                vals[i] = None
         return [vals[i] for i in self.roots]
 
 
 def eval_jet(node, point, order, coords, params=None):
     """Evaluate to a jet at `point`, seeding coordinate i with slot i."""
-    return Tape([node]).run(point, order, coords, params)[0]
+    return Tape([node]).run([point], order, coords, params)[0][0]
 
 
 def eval_number(node, scope):

@@ -8,9 +8,10 @@ for repeated exterior differentiation.  Building a form from a {key: Jet}
 dict truncates every coefficient to the lowest order among them.  Forms are
 immutable; ``PForm.coeffs`` is a read-only {key: Jet} view of the rows,
 built on first read.  A :class:`CoframeField` is the chart-level family
-of raw coframes: it builds a point-local :class:`Coframe` on demand from
-closed-form coefficient expressions.  The pipeline drivers hand back the
-frames they adapt as tuples in sample order.
+of raw coframes: it builds the point-local :class:`Coframe` at one point
+or at a whole sample list from closed-form coefficient expressions, whose
+tape runs once per list.  The pipeline drivers hand back the frames they
+adapt as tuples in sample order.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -57,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expressions, jets
-from .errors import BudgetError, SingularVolumeError
+from .errors import BicontactError, BudgetError, SingularVolumeError
 from .jets import Jet
 
 __all__ = [
@@ -501,15 +502,37 @@ class Coframe:
 
 
 class CoframeField:
-    """A chart-level family of raw coframes: ``at(point, order)`` builds the
-    :class:`Coframe` at any point with ``builder(point, order)``."""
+    """A chart-level family of raw coframes.  ``builder(points, order)``
+    builds the :class:`Coframe` at each of a list of points in one go;
+    ``at(point, order)`` is the frame at one point, and ``frames(points,
+    order)`` yields the frames at a sample list, in sample order."""
 
     def __init__(self, chart, builder):
         self.chart = chart
         self._builder = builder
 
     def at(self, point, order) -> Coframe:
-        return self._builder(tuple(float(x) for x in point), int(order))
+        return self._builder([tuple(float(x) for x in point)], int(order))[0]
+
+    def frames(self, points, order):
+        """An iterator over the frames at ``points`` in sample order, from
+        one build for all of them, made at the first step.  Where that
+        build raises, each point's frame is built with ``at`` as it is
+        reached, so the caller meets the error at the point and stage the
+        one-point builds give."""
+        return self._frames([tuple(float(x) for x in p) for p in points],
+                            int(order))
+
+    def _frames(self, points, order):
+        # the generator of ``frames``, which stays a plain call: a profiler
+        # counts every step of a generator as one more call
+        try:
+            built = self._builder(points, order)[::-1]
+        except (BicontactError, ArithmeticError, ValueError):
+            built = None
+        for p in points:
+            # pop hands a frame over without keeping it alive here
+            yield self.at(p, order) if built is None else built.pop()
 
 
 def coframe_field_from_expressions(chart: Chart, rows, params=None):
@@ -517,7 +540,8 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None):
 
     ``rows`` is a sequence (one per coframe covector) of mappings
     {coordinate name or "d"+name: expression string or AST}; missing
-    coordinates mean a zero coefficient.
+    coordinates mean a zero coefficient.  Every coefficient is a root of
+    one tape, which a build runs once over all its points.
     """
     params = params or {}
     names = list(chart.coords)
@@ -537,14 +561,18 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None):
     tape = expressions.Tape([crow[axis] for crow in compiled
                              for axis in sorted(crow)])
 
-    def build(point, order):
+    def build(points, order):
         zero = Jet.constant(0.0, chart.dim, order)
-        values = iter(tape.run(point, order, names, params))
-        forms = tuple(
-            PForm(chart, 1, {(axis,): next(values) if axis in crow else zero
-                             for axis in range(chart.dim)})
-            for crow in compiled)
-        return Coframe(chart, point, forms)
+        out = []
+        for point, roots in zip(points,
+                                tape.run(points, order, names, params)):
+            values = iter(roots)
+            forms = tuple(
+                PForm(chart, 1, {(axis,): next(values) if axis in crow
+                                 else zero for axis in range(chart.dim)})
+                for crow in compiled)
+            out.append(Coframe(chart, point, forms))
+        return out
 
     return CoframeField(chart, build)
 

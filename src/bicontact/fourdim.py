@@ -282,7 +282,7 @@ class QOde:
 
     def c_jet(self, z: float, order: int) -> Jet:
         """C as a univariate jet at z."""
-        return self._tape.run((z,), order, ("z",))[0]
+        return self._tape.run([(z,)], order, ("z",))[0][0]
 
     def u_jet(self, c: Jet) -> Jet:
         """The coefficient C^2 + eps + C' as a univariate jet, one order
@@ -418,7 +418,7 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
         x, y, z, w = point
         if w <= 0.0:
             raise DomainError(f"normal form needs w > 0, got {w!r}")
-        entries = htape.run(point, order, _CHART4)
+        entries = htape.run([point], order, _CHART4)[0]
         hj = [entries[:2], entries[2:]]
         det_h = hj[0][0] * hj[1][1] - hj[0][1] * hj[1][0]
         if abs(det_h.value) <= DEGENERATE_H:
@@ -446,7 +446,8 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
         })
         return Coframe(chart, point, (w1, w2, w3, w4), stage="normal_form_4d")
 
-    return CoframeField(chart, build)
+    return CoframeField(chart, lambda points, order: [build(p, order)
+                                                      for p in points])
 
 
 def verify_normal_form(fld: CoframeField, ode: QOde, points,

@@ -154,8 +154,8 @@ def one_adapt(fld: CoframeField, points, order) -> tuple:
             "the 3D pipeline needs a chart with 3 coordinates; this one "
             f"has {fld.chart.dim}")
     eps_seen, frames = {}, []
-    for p in points:
-        out = _one_adapt_point(fld.at(p, order))
+    for p, raw in zip(points, fld.frames(points, order)):
+        out = _one_adapt_point(raw)
         eps_seen.setdefault(out.eps, []).append(tuple(p))
         frames.append(out)
     if len(eps_seen) != 1:

@@ -209,26 +209,64 @@ def _dag(draw):
 
 
 def _outcome(evaluate):
+    """The coefficient bytes of each jet ``evaluate`` returns, in nested
+    lists as returned, or the type and text of what it raises."""
+    def as_bytes(out):
+        return [as_bytes(x) if isinstance(x, list) else x.c.tobytes()
+                for x in out]
     try:
-        return [j.c.tobytes() for j in evaluate()]
+        return as_bytes(evaluate())
     except Exception as exc:
         return type(exc), str(exc)
 
 
-@given(_dag(), st.tuples(st.sampled_from([0.0, -0.0, 0.7, -1.3, 2.0]),
-                         st.sampled_from([0.0, 0.4, -2.5])),
+_XS, _YS = [0.0, -0.0, 0.7, -1.3, 2.0], [0.0, 0.4, -2.5]
+
+
+@given(_dag(), st.lists(st.tuples(st.sampled_from(_XS), st.sampled_from(_YS)),
+                        min_size=1, max_size=5),
        st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
-def test_tape_matches_the_recursive_evaluator(roots, point, order):
-    """Each root's coefficients are bit-equal to the recursive evaluation;
-    where that raises, the tape raises the same type with the same text."""
+def test_tape_matches_the_recursive_evaluator(roots, points, order):
+    """Each root's coefficients at each point are bit-equal to the recursive
+    evaluation there, whether the tape runs at that point alone or at all
+    the points at once; where the recursive evaluation raises, the one-point
+    run raises the same type with the same text, and a run over all the
+    points raises what its first failing point raises."""
     coords, params = ("x", "y"), {"a": -0.25}
+    tape = ex.Tape(roots)
     with np.errstate(all="ignore"):
-        want = _outcome(lambda: [_oracle(r, point, order, coords, params)
-                                 for r in roots])
-        got = _outcome(lambda: ex.Tape(roots).run(point, order, coords,
-                                                  params))
-    assert got == want
+        want = [_outcome(lambda: [_oracle(r, p, order, coords, params)
+                                  for r in roots]) for p in points]
+        alone = [_outcome(lambda: tape.run([p], order, coords, params)[0])
+                 for p in points]
+        together = _outcome(lambda: tape.run(points, order, coords, params))
+    assert alone == want
+    failed = [w for w in want if isinstance(w, tuple)]
+    assert together == (failed[0] if failed else want)
+
+
+def test_tape_runs_many_points_in_one_pass(monkeypatch):
+    """A run over N points is one pass over the tape, unless a point fails;
+    then the points run one by one up to the first that fails."""
+    texts = ["ln(y) * sin(x) + x^2", "atan2(y, x) / y", "sqrt(y) + 1"]
+    roots = [ex.parse(t, coords=("x", "y")) for t in texts]
+    passes = []
+    run = ex.Tape._run
+
+    def counted(self, x, *args):
+        passes.append(len(x[0]) if isinstance(x[0], tuple) else None)
+        return run(self, x, *args)
+
+    monkeypatch.setattr(ex.Tape, "_run", counted)
+    tape = ex.Tape(roots)
+    good = [(0.5, 1.0), (0.4, 2.0), (0.3, 0.5), (0.6, 1.5)]
+    assert len(tape.run(good, 4, ("x", "y"))) == 4
+    assert passes == [4]
+    del passes[:]
+    with pytest.raises(DomainError, match="ln"):
+        tape.run(good[:2] + [(0.1, -1.0)] + good[2:], 4, ("x", "y"))
+    assert passes == [5, None, None, None]
 
 
 def test_tape_keeps_signed_zeros_apart():
@@ -236,7 +274,7 @@ def test_tape_keeps_signed_zeros_apart():
                                                  ex.Var("x"))]
     tape = ex.Tape(roots)
     assert len(tape.code) == 4
-    pos, neg, prod = tape.run((3.0,), 2, ("x",))
+    pos, neg, prod = tape.run([(3.0,)], 2, ("x",))[0]
     assert not np.signbit(pos.c[0]) and np.signbit(neg.c[0])
     assert prod.c.tobytes() == \
         _oracle(roots[2], (3.0,), 2, ("x",)).c.tobytes()
@@ -262,6 +300,6 @@ def test_tape_raises_where_the_recursive_evaluation_does(texts, fn):
         for r in roots:
             _oracle(r, (1.0,), 2, ("x",))
     with pytest.raises(DomainError) as got:
-        ex.Tape(roots).run((1.0,), 2, ("x",))
+        ex.Tape(roots).run([(1.0,)], 2, ("x",))
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(fn)

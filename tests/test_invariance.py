@@ -14,13 +14,15 @@ phi^j = y_j + delta_j * f_j(y_(j+1)) * y_(j+2), |delta_j| <= 0.05, on built-in
 examples and on the case-1 definition file ``tests/data/case1_frame.txt``.  Jet
 arithmetic on the pulled-back coefficients shares no intermediate value with
 the original, so agreement to 1e-9 relative holds whatever way the forms
-layer rounds.
+layer rounds, except for the curvature of ``normal_form_3d`` (see
+``CURVATURE_TOL``).  The draws are derandomized, so every run checks the
+same maps.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bicontact import cli
 from bicontact.examples import build_example
@@ -36,6 +38,20 @@ from conftest import DATA, box_points
 
 TOL = 1e-9
 FUNCS = ("sin", "cos", "tanh")
+# The curvature of normal_form_3d comes at the end of an order-6 chain (raw
+# frame, one_adapt, C, dC, the omega3 frame, case2_adapt, the connection and
+# its d), whose rounding noise exceeds TOL there.  Shifting the evaluation
+# point by a few ulps moves the exact values by about 1e-15, so the spread
+# of the computed values over such shifts is rounding noise: over +-2 ulps,
+# summed over the pulled-back and the original evaluation, it reached
+# 4.1e-9 relative (theta13) in 80 random draws, and over +-4 ulps 2.8e-9 at
+# the pinned draw of test_adapted_frame_curvature_pulls_back, where the two
+# sides differ by 1.3e-9.  The differences stayed within twice the noise
+# (median 0.28 of it) in those draws, as rounding would give.  The case-1
+# fixture's noise is 2.5e-13.  So the curvature of normal_form_3d is held
+# to five times the largest noise measured, the case-1 curvature and every
+# other quantity to TOL.
+CURVATURE_TOL = {"normal_form_3d": 2e-8}
 
 
 def _substitute(node, env):
@@ -116,9 +132,9 @@ def _fields(name, deltas, funcs, seed, shrink):
     return orig, pulled, qs, images
 
 
-def _assert_close(got, want, what):
+def _assert_close(got, want, what, tol=TOL):
     assert math.isfinite(got) and math.isfinite(want), what
-    assert abs(got - want) <= TOL * max(1.0, abs(want)), (what, got, want)
+    assert abs(got - want) <= tol * max(1.0, abs(want)), (what, got, want)
 
 
 def _maps(dim):
@@ -136,7 +152,7 @@ CASE1_FILE = "case1_frame.txt"
 
 
 @given(_maps(3))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, derandomize=True)
 def test_normal_form_3d_invariants_pull_back(drawn):
     deltas, funcs, seed = drawn
     orig, pulled, qs, images = _fields("normal_form_3d", deltas, funcs, seed,
@@ -153,7 +169,7 @@ def test_normal_form_3d_invariants_pull_back(drawn):
 
 
 @given(_maps(3))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, derandomize=True)
 def test_case1_fixture_invariants_pull_back(drawn):
     deltas, funcs, seed = drawn
     orig, pulled, qs, images = _fields(CASE1_FILE, deltas, funcs, seed, 0.1)
@@ -183,7 +199,8 @@ def _adapted_curvature(fld, points, order):
 
 
 @given(_maps(3))
-@settings(max_examples=4, deadline=None)
+@example(([0.046875, 0.0, 0.0], ["sin", "sin", "sin"], 0))
+@settings(max_examples=4, deadline=None, derandomize=True)
 @pytest.mark.parametrize("name", ["normal_form_3d", CASE1_FILE])
 def test_adapted_frame_curvature_pulls_back(name, drawn):
     deltas, funcs, seed = drawn
@@ -192,13 +209,14 @@ def test_adapted_frame_curvature_pulls_back(name, drawn):
     got_case, got = _adapted_curvature(pulled, qs, order)
     want_case, want = _adapted_curvature(orig, images, order)
     assert got_case == want_case
+    tol = CURVATURE_TOL.get(name, TOL)
     for g, w in zip(got, want):
         for key in ("theta12", "theta13", "theta23", "scalar"):
-            _assert_close(g[key], w[key], key)
+            _assert_close(g[key], w[key], key, tol)
 
 
 @given(_maps(4))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, derandomize=True)
 def test_fourd_enonzero_pattern_and_curvature_pull_back(drawn):
     deltas, funcs, seed = drawn
     orig, pulled, qs, images = _fields("fourd_enonzero", deltas, funcs, seed,

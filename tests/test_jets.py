@@ -238,3 +238,101 @@ def test_float_division_keeps_the_reciprocal_path():
 def test_out_of_range_series_is_a_domain_error(fn, value):
     with pytest.raises(DomainError):
         fn(Jet.variable(value, 0, 2, 3))
+
+
+# -- graded Horner against Horner at full order ------------------------------
+
+def _full_horner(f, outer):
+    """sum_k outer[k] * (f - f0)^k by Horner with every step at f's full
+    order, on one-point jets: the oracle of the graded ``jets._compose``."""
+    u = f - f.value
+    acc = Jet.constant(outer[-1], f.dim, f.order)
+    for k in range(len(outer) - 2, -1, -1):
+        acc = acc * u + outer[k]
+    return acc
+
+
+_ELEMENTARY = {
+    "exp": jets.exp, "ln": jets.ln, "sqrt": jets.sqrt,
+    "reciprocal": jets.reciprocal,
+    "powf 2.5": lambda f: jets.powf(f, 2.5),
+    "powf -3": lambda f: jets.powf(f, -3.0),
+    "power": lambda f: jets.power(f, f),
+    "sin": jets.sin, "cos": jets.cos, "tan": jets.tan, "csc": jets.csc,
+    "cot": jets.cot, "sinh": jets.sinh, "cosh": jets.cosh,
+    "tanh": jets.tanh, "sech": jets.sech, "asinh": jets.asinh,
+    "atan": jets.atan,
+    "atan2 y/x": lambda f: jets.atan2(f, f * f + 1.0),
+    "atan2 x/y": lambda f: jets.atan2(f * f + 1.0, f),
+}
+_POINTS = 4
+
+
+def _random_jets(rng, dim, order):
+    """Finite jets with values in [0.3, 1.5], inside every domain above."""
+    out = []
+    for _ in range(_POINTS):
+        c = 0.5 * rng.standard_normal(jets.ncoeffs(dim, order))
+        c[0] = rng.uniform(0.3, 1.5)
+        out.append(Jet(dim, order, c))
+    return out
+
+
+def _many(fs):
+    """The many-point jet whose column p is the jet fs[p]."""
+    return Jet._of(fs[0].dim, fs[0].order,
+                   np.stack([f.c for f in fs], axis=1))
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTARY))
+def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
+    """Each function's jet, at one point and at several at once, is
+    bit-equal to what Horner at full order gives, and an order-p result
+    truncated to p - 1 is bit-equal to the order-(p - 1) result."""
+    fn = _ELEMENTARY[name]
+    rng = np.random.default_rng(sorted(_ELEMENTARY).index(name))
+    for dim in (1, 3, 4):
+        for order in range(8):
+            fs = _random_jets(rng, dim, order)
+            got = [fn(f) for f in fs]
+            with monkeypatch.context() as m:
+                m.setattr(jets, "_compose", _full_horner)
+                want = [fn(f) for f in fs]
+            assert all(np.isfinite(w.c).all() for w in want)
+            assert [g.c.tobytes() for g in got] == \
+                [w.c.tobytes() for w in want], (dim, order)
+            if name == "power" and order == 0:
+                # exponents without a derivative part that differ between
+                # points: the caller runs the points one by one
+                with pytest.raises(jets._MixedBranches):
+                    fn(_many(fs))
+            else:
+                many = fn(_many(fs))
+                assert [many.c[:, p].tobytes() for p in range(_POINTS)] == \
+                    [g.c.tobytes() for g in got], (dim, order)
+            # at order 0 the exponent f of power has no derivative part,
+            # so power takes the direct series there, not exp(f ln f)
+            if order > (name == "power"):
+                lower = [fn(f.truncate(order - 1)) for f in fs]
+                assert [g.truncate(order - 1).c.tobytes() for g in got] == \
+                    [w.c.tobytes() for w in lower], (dim, order)
+
+
+def test_many_point_product_is_bitwise_the_one_point_product():
+    """Columns with a constant factor, inf and NaN coefficients included,
+    follow ``Jet.__mul__`` at each point: the scaling path where the
+    convolution would leave a NaN."""
+    rng = np.random.default_rng(7)
+    dim, order = 3, 3
+    n = jets.ncoeffs(dim, order)
+    a = [Jet(dim, order, rng.standard_normal(n)) for _ in range(5)]
+    b = [Jet(dim, order, rng.standard_normal(n)) for _ in range(5)]
+    a[1] = Jet.constant(2.0, dim, order)              # constant left factor
+    b[2] = Jet.constant(-0.0, dim, order)             # constant right factor
+    a[3].c[4] = np.inf                                # inf times a live jet
+    b[4] = Jet.constant(3.0, dim, order)
+    a[4].c[7] = np.inf                                # inf, scaling path
+    with np.errstate(invalid="ignore"):
+        want = [(x * y).c.tobytes() for x, y in zip(a, b)]
+        many = _many(a) * _many(b)
+    assert [many.c[:, p].tobytes() for p in range(5)] == want

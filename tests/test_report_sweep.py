@@ -51,7 +51,8 @@ def _flags(parser) -> set:
 def test_option_argvs_pass_every_flag_but_out():
     commands = sorted({command for command, _ in cli.ORDER_NEEDED})
     grid = list(report_sweep.sweep_argvs(commands, sorted(EXAMPLES)))
-    options = [" ".join(argv) for argv in report_sweep.OPTION_ARGVS]
+    options = [" ".join(argv) for argv in report_sweep.OPTION_ARGVS
+               + report_sweep.MANY_POINT_ARGVS]
     assert len(set(options)) == len(options)
     assert not {" ".join(argv) for argv in grid} & set(options)
     # --order comes from the grid, every other flag from OPTION_ARGVS
@@ -85,3 +86,20 @@ def test_digest_folds_in_the_exit_status():
     # same status, each give another digest
     assert report_sweep.digest(report, 1) != kept
     assert report_sweep.digest(report.replace("true", "false"), 0) != kept
+
+
+def test_digest_folds_in_stderr():
+    # a usage error prints nothing on stdout; its message goes to stderr
+    quiet = report_sweep.digest("", 2)
+    assert report_sweep.digest("", 2, "") == quiet
+    assert report_sweep.digest("", 2, "bicontact: bad --span\n") != quiet
+
+
+def test_many_point_argvs_match_the_benchmark_sizes():
+    sizes = {tuple(argv[:2]): argv[argv.index("--points") + 1]
+             for argv in report_sweep.MANY_POINT_ARGVS if "--points" in argv}
+    assert sizes == {("curvature", "normal_form_3d"): "60",
+                     ("invariants", "tests/data/case1_frame.txt"): "60",
+                     ("fourdim", "fourd_enonzero"): "18"}
+    assert all((ROOT / argv[1]).is_file() or argv[1] in EXAMPLES
+               for argv in report_sweep.MANY_POINT_ARGVS)

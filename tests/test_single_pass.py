@@ -1,15 +1,15 @@
 """Drivers return the frames they build at their sample points.
 
 Each driver hands back its frames as a tuple in sample order, and every
-later stage reads them from it, so expression evaluation, adaptation and
-curvature run once per point.  The returned frames agree bit for bit with a
-fresh build, whatever the order of the sample list, and each frame's
-structure table ``d_coeffs`` is computed once and shared by every later
-stage, so coefficient extraction runs a fixed number of times per point.
-So do C, the omega3 = dC/C3 frame of case 2 and the dE expansion
+later stage reads them from it, so adaptation and curvature run once per
+point, and the coefficient tape once per sample list.  The returned frames
+agree bit for bit with a fresh build, whatever the order of the sample list,
+and each frame's structure table ``d_coeffs`` is computed once and shared by
+every later stage, so coefficient extraction runs a fixed number of times
+per point.  So do C, the omega3 = dC/C3 frame of case 2 and the dE expansion
 of a 4D frame, which each frame memoizes.  Each frame takes d of its own
-covectors once, and ``ext_d`` is the only differentiation kernel of the forms
-layer.
+covectors once, and ``ext_d`` is the only differentiation kernel of the
+forms layer.
 """
 
 import io
@@ -19,7 +19,9 @@ import pytest
 
 from bicontact import (cli, curvature, expressions, forms, fourdim, jets,
                        pipeline)
+from bicontact.errors import ContactFailure, DomainError
 from bicontact.examples import build_example
+from bicontact.forms import Chart, coframe_field_from_expressions
 from bicontact.pipeline import Tolerances, _one_adapt_point, analyze
 
 from conftest import DATA, box_points
@@ -63,14 +65,38 @@ def _normal_form_points(n):
 
 
 def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
+    # one tape run over the sample list, one case-2 adaptation per point
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(5)
     runs = _counting(monkeypatch, expressions.Tape, "run")
     adapts = _counting(monkeypatch, pipeline, "case2_adapt")
     result = analyze(spec.coframes(), pts, 6, TOL)
     assert result["case"] == "case2"
-    assert len(runs) == 5
+    assert len(runs) == 1
     assert len(adapts) == 5
+
+
+# omega1 ^ d omega1 = x dx^dy^dz vanishes at x = 0; ln(z) leaves its domain
+# at z <= 0
+_FAILING_ROWS = [{"dx": "-x*y", "dz": "1"}, {"dy": "x", "dz": "1"},
+                 {"dx": "1", "dy": "ln(z)"}]
+
+
+@pytest.mark.parametrize("points,error,text", [
+    ([(0.0, 1.0, 1.0), (1.0, 1.0, -1.0)], ContactFailure,
+     r"omega1 \^ d\(omega1\) = 0.0 at \(0.0, 1.0, 1.0\)"),
+    ([(1.0, 1.0, -1.0), (0.0, 1.0, 1.0)], DomainError,
+     r"ln: argument value -1.0 outside domain"),
+], ids=["contact first", "tape first"])
+def test_one_adapt_meets_the_first_failure_in_sample_order(points, error,
+                                                           text):
+    # the tape over both points fails, at the point with z < 0, yet
+    # one_adapt raises what the one-point builds raise at the first point
+    # that fails
+    fld = coframe_field_from_expressions(Chart(("x", "y", "z")),
+                                         _FAILING_ROWS)
+    with pytest.raises(error, match=f"^{text}$"):
+        pipeline.one_adapt(fld, points, 3)
 
 
 def test_normal_form_runs_the_profile_tape_once_per_point(monkeypatch):
@@ -83,17 +109,18 @@ def test_normal_form_runs_the_profile_tape_once_per_point(monkeypatch):
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 31 * 5),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 7 * 2),
+    (["curvature", "normal_form_3d", "--points", "5"], 15 + 16 * 5),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 5 + 2 * 2),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
 def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
                                                       calls):
-    # per point in 3D: the raw frame's tape 15, one_adapt 3, the omega3
-    # frame 1, case2_adapt 4, top_ratio 2 and volume reciprocals 6; in 4D:
-    # the tape 5 and volume reciprocals 2.  1-form coefficients divide by
-    # the cached volume reciprocal, so they take no series of their own.
-    # Evaluating each coefficient's AST on its own took 39 (3D) and 15 (4D)
-    # series on the raw frame.
+    # the raw frames' tape runs once over all points: 15 series in 3D and 5
+    # in 4D.  Per point in 3D: one_adapt 3, the omega3 frame 1, case2_adapt
+    # 4, top_ratio 2 and volume reciprocals 6; in 4D: volume reciprocals 2.
+    # 1-form coefficients divide by the cached volume reciprocal, so they
+    # take no series of their own.  A tape run per point took 15 (3D) and 5
+    # (4D) series per point; evaluating each coefficient's AST on its own
+    # took 39 and 15.
     series = _counting(monkeypatch, jets, "_compose")
     _run(args)
     assert len(series) == calls

@@ -3,20 +3,22 @@
     python tools/report_sweep.py SWEEP.json            # write {argv: sha256}
     python tools/report_sweep.py --compare A.json B.json
 
-The sweep runs each command on the built-in examples and both
-``tests/data`` definition files, and ``normal-form`` on its profiles, at
-``--points 3``, once at the command's default order and once at each of the
-orders 2 to 6.  Then it runs the fixed argvs of ``OPTION_ARGVS``, which
-between them pass every option of the command line but ``--out``.  Every run
-goes through ``bicontact.cli.main`` in this process, from the checkout that
-holds this script (its ``src/`` comes first on the path), with the checkout
-as the working directory, since a report echoes its source path.  A key is
-the argv joined by spaces; a value is the SHA-256 of the bytes the command
-printed on stdout followed by its exit status (``digest``), so a changed
-status shows even where the report does not.  ``--compare`` prints each key
-whose digest differs or that only one file has, and exits 1 when there is
-any.  Digests of two checkouts compare only when the same version of
-this script made both.
+The sweep runs each command on the built-in examples and both ``tests/data``
+definition files, and ``normal-form`` on its profiles, at ``--points 3``,
+once at the command's default order and once at each of the orders 2 to 6.
+Then it runs the fixed argvs of ``OPTION_ARGVS``, which between them pass
+every option of the command line but ``--out``, and the argvs of
+``MANY_POINT_ARGVS``, which run at the sample counts of the benchmark's
+workloads and through a point where an expression leaves its domain.  Every
+run goes through ``bicontact.cli.main`` in this process, from the checkout
+that holds this script (its ``src/`` comes first on the path), with the
+checkout as the working directory, since a report echoes its source path.  A
+key is the argv joined by spaces; a value is the SHA-256 of the bytes the
+command printed on stdout, its exit status and what it printed on stderr
+(``digest``), so a changed status or usage message shows even where the
+report does not.  ``--compare`` prints each key whose digest differs or that
+only one file has, and exits 1 when there is any.  Digests of two checkouts
+compare only when the same version of this script made both.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import os
 import pathlib
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = ["tests/data/case1_frame.txt", "tests/data/hyp_ex.txt"]
@@ -59,6 +61,15 @@ OPTION_ARGVS = [
     ["normal-form", "tan(z)", "--span", "nan:1"],
     ["--version"],
 ]
+MANY_POINT_ARGVS = [
+    # the sample counts of the benchmark's workloads
+    ["curvature", "normal_form_3d", "--points", "60"],
+    ["invariants", FILES[0], "--points", "60"],
+    ["fourdim", "fourd_enonzero", "--points", "18"],
+    # ln(y) leaves its domain at the second point only (exit 1)
+    ["invariants", "normal_form_3d", "--at", "0.5,1.0,0.1",
+     "--at", "0.5,-1.0,0.1", "--at", "0.5,1.2,0.2"],
+]
 
 
 def sweep_argvs(commands, examples):
@@ -70,9 +81,11 @@ def sweep_argvs(commands, examples):
                 yield [command, source, "--points", "3", *extra]
 
 
-def digest(stdout: str, status: int) -> str:
-    """SHA-256 of what a command printed, then a line with its exit status."""
-    return hashlib.sha256(f"{stdout}\nexit {status}\n".encode()).hexdigest()
+def digest(stdout: str, status: int, stderr: str = "") -> str:
+    """SHA-256 of what a command printed on stdout, then a line with its exit
+    status, then what it printed on stderr."""
+    return hashlib.sha256(
+        f"{stdout}\nexit {status}\n{stderr}".encode()).hexdigest()
 
 
 def run_sweep() -> dict:
@@ -83,14 +96,15 @@ def run_sweep() -> dict:
 
     commands = sorted({command for command, _ in cli.ORDER_NEEDED})
     out = {}
-    for argv in [*sweep_argvs(commands, sorted(EXAMPLES)), *OPTION_ARGVS]:
-        buf = io.StringIO()
-        with redirect_stdout(buf):
+    for argv in [*sweep_argvs(commands, sorted(EXAMPLES)), *OPTION_ARGVS,
+                 *MANY_POINT_ARGVS]:
+        buf, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(buf), redirect_stderr(err):
             try:
                 status = cli.main(argv)
             except SystemExit as exc:      # --version exits from argparse
                 status = exc.code
-        out[" ".join(argv)] = digest(buf.getvalue(), status)
+        out[" ".join(argv)] = digest(buf.getvalue(), status, err.getvalue())
     return out
 
 
