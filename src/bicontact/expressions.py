@@ -34,8 +34,7 @@ import struct
 from dataclasses import dataclass
 
 from . import jets
-from .errors import (BicontactError, DomainError, ParseError,
-                     UnknownIdentifier)
+from .errors import DomainError, ParseError, UnknownIdentifier
 from .jets import Jet
 
 __all__ = ["parse", "to_text", "Tape", "eval_jet", "eval_number",
@@ -347,22 +346,18 @@ class Tape:
         """The root jets at each of ``points``, one list per point, seeding
         coordinate i with slot i.
 
-        Several points run as one pass over the tape.  Where that pass
-        raises, the points run one at a time, so a failing run raises what
-        its first failing point raises."""
+        Several points run as one pass over the tape.  Where some point
+        fails, the pass raises at the first op that fails at any point,
+        which need not be what the first failing point raises on its own,
+        or ``jets._MixedBranches`` where the points would branch
+        differently; ``CoframeField.frames`` then builds point by point."""
         points = [tuple(float(x) for x in p) for p in points]
-        if len(points) > 1:
-            try:
-                roots = self._run(tuple(zip(*points)), order, coords, params)
-            except (BicontactError, ArithmeticError, ValueError,
-                    jets._MixedBranches):
-                pass
-            else:
-                rows = [j.c.T.copy() for j in roots]
-                return [[Jet._of(j.dim, order, r[k])
-                         for j, r in zip(roots, rows)]
-                        for k in range(len(points))]
-        return [self._run(p, order, coords, params) for p in points]
+        if len(points) < 2:
+            return [self._run(p, order, coords, params) for p in points]
+        roots = self._run(tuple(zip(*points)), order, coords, params)
+        rows = [j.c.T.copy() for j in roots]
+        return [[Jet._of(j.dim, order, r[k]) for j, r in zip(roots, rows)]
+                for k in range(len(points))]
 
     def _run(self, x, order, coords, params) -> list:
         """The root jets at coordinate values ``x``: a float per coordinate

@@ -113,6 +113,28 @@ def _rank_groups(dim: int, order: int) -> tuple:
     return np.asarray(pos, dtype=np.intp), groups
 
 
+def _scaling_where_nan(out, factors, axis):
+    """``out``, the convolution of two coefficient arrays along ``axis``,
+    with ``Jet.__mul__``'s scaling path taken where a factor has no
+    derivative part and ``out`` holds a NaN.
+
+    There the convolution gives what the scaling path gives unless one of
+    its products is NaN: its other products are then +-0, and the
+    zero-started sums add them to the one scaled term, as the scaling
+    path's "+ 0.0" does.  A NaN product leaves a NaN in the sums (as do
+    +inf and -inf both), so only then is ``factors()`` called, for the two
+    factor arrays aligned with ``out``."""
+    if not np.isnan(out.sum()):
+        return out
+    a, b = factors()
+    lead = (slice(None),) * axis
+    first, rest = lead + (slice(0, 1),), lead + (slice(1, None),)
+    live_a = a[rest].any(axis=axis, keepdims=True)
+    live_b = b[rest].any(axis=axis, keepdims=True)
+    return np.where(live_b, np.where(live_a, out, b * a[first] + 0.0),
+                    a * b[first] + 0.0)
+
+
 def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
     """The product of two coefficient arrays of one order, as
     ``Jet.__mul__`` takes it: (ncoeffs,) for one point, (ncoeffs, N) for N.
@@ -121,10 +143,8 @@ def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
     one point sums its pairs with ``np.bincount``, and many points sum them
     group by group of ``_rank_groups``, so each target adds its pairs in
     the same order, from +0.0, and every column is bit-equal to the
-    one-point product.  Where some columns have a factor without a
-    derivative part, the convolution gives what the scaling path gives
-    unless a product is NaN, so the scaling path is applied only where the
-    result holds a NaN, as ``forms._multiply`` does."""
+    one-point product; columns with a factor without a derivative part
+    take the scaling path through ``_scaling_where_nan``."""
     # count_nonzero is several times cheaper than .any() on these sizes
     if not np.count_nonzero(b[1:]):
         return a * b[0] + 0.0
@@ -138,12 +158,7 @@ def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
     acc = np.zeros(a.shape)
     for I, J in groups:
         acc[:len(I)] += np.take(a, I, axis=0) * np.take(b, J, axis=0)
-    out = acc[pos]
-    if np.isnan(out.sum()):
-        live_a, live_b = a[1:].any(axis=0), b[1:].any(axis=0)
-        out = np.where(live_b, np.where(live_a, out, b * a[:1] + 0.0),
-                       a * b[:1] + 0.0)
-    return out
+    return _scaling_where_nan(acc[pos], lambda: (a, b), 0)
 
 
 @lru_cache(maxsize=None)

@@ -2,13 +2,15 @@
 
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicontact import expressions as ex, jets
+from bicontact import expressions as ex, forms, jets
 from bicontact.errors import DomainError, ParseError, UnknownIdentifier
+from bicontact.forms import Chart, coframe_field_from_expressions
 from bicontact.jets import Jet
 
 
@@ -231,24 +233,34 @@ def test_tape_matches_the_recursive_evaluator(roots, points, order):
     """Each root's coefficients at each point are bit-equal to the recursive
     evaluation there, whether the tape runs at that point alone or at all
     the points at once; where the recursive evaluation raises, the one-point
-    run raises the same type with the same text, and a run over all the
-    points raises what its first failing point raises."""
+    run raises the same type with the same text.  A run over all the points
+    raises where any point fails, and the frames of a field over the same
+    roots, built in one go, raise what the first failing point raises."""
     coords, params = ("x", "y"), {"a": -0.25}
     tape = ex.Tape(roots)
-    with np.errstate(all="ignore"):
+    fld = coframe_field_from_expressions(Chart(coords),
+                                         [{"x": r} for r in roots], params)
+    with np.errstate(all="ignore"), \
+            mock.patch.object(forms, "BATCH_MIN", 2):
         want = [_outcome(lambda: [_oracle(r, p, order, coords, params)
                                   for r in roots]) for p in points]
         alone = [_outcome(lambda: tape.run([p], order, coords, params)[0])
                  for p in points]
         together = _outcome(lambda: tape.run(points, order, coords, params))
+        frames = _outcome(lambda: [[f.coeffs[(0,)] for f in cf.forms]
+                                   for cf in fld.frames(points, order)])
     assert alone == want
     failed = [w for w in want if isinstance(w, tuple)]
-    assert together == (failed[0] if failed else want)
+    assert frames == (failed[0] if failed else want)
+    if failed:
+        assert isinstance(together, tuple)
+    else:
+        assert together == want
 
 
 def test_tape_runs_many_points_in_one_pass(monkeypatch):
-    """A run over N points is one pass over the tape, unless a point fails;
-    then the points run one by one up to the first that fails."""
+    """A run over N points is one pass over the tape, which raises where
+    any point fails."""
     texts = ["ln(y) * sin(x) + x^2", "atan2(y, x) / y", "sqrt(y) + 1"]
     roots = [ex.parse(t, coords=("x", "y")) for t in texts]
     passes = []
@@ -266,7 +278,7 @@ def test_tape_runs_many_points_in_one_pass(monkeypatch):
     del passes[:]
     with pytest.raises(DomainError, match="ln"):
         tape.run(good[:2] + [(0.1, -1.0)] + good[2:], 4, ("x", "y"))
-    assert passes == [5, None, None, None]
+    assert passes == [5]
 
 
 def test_tape_keeps_signed_zeros_apart():

@@ -2,7 +2,8 @@
 
 Each driver hands back its frames as a tuple in sample order, and every
 later stage reads them from it, so adaptation and curvature run once per
-point, and the coefficient tape once per sample list.  The returned frames
+point, and the coefficient tape once per sample list of ``forms.BATCH_MIN``
+points or more (once per point below).  The returned frames
 agree bit for bit with a fresh build, whatever the order of the sample list,
 and each frame's structure table ``d_coeffs`` is computed once and shared by
 every later stage, so coefficient extraction runs a fixed number of times
@@ -65,15 +66,17 @@ def _normal_form_points(n):
 
 
 def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
-    # one tape run over the sample list, one case-2 adaptation per point
+    # one tape run per point on a short sample list and one over a list of
+    # BATCH_MIN points; one case-2 adaptation per point
     spec = build_example("normal_form_3d")
-    pts = _normal_form_points(5)
-    runs = _counting(monkeypatch, expressions.Tape, "run")
-    adapts = _counting(monkeypatch, pipeline, "case2_adapt")
-    result = analyze(spec.coframes(), pts, 6, TOL)
-    assert result["case"] == "case2"
-    assert len(runs) == 1
-    assert len(adapts) == 5
+    for n, tape_runs in ((5, 5), (forms.BATCH_MIN, 1)):
+        pts = _normal_form_points(n)
+        runs = _counting(monkeypatch, expressions.Tape, "run")
+        adapts = _counting(monkeypatch, pipeline, "case2_adapt")
+        result = analyze(spec.coframes(), pts, 6, TOL)
+        assert result["case"] == "case2"
+        assert len(runs) == tape_runs
+        assert len(adapts) == n
 
 
 # omega1 ^ d omega1 = x dx^dy^dz vanishes at x = 0; ln(z) leaves its domain
@@ -88,11 +91,13 @@ _FAILING_ROWS = [{"dx": "-x*y", "dz": "1"}, {"dy": "x", "dz": "1"},
     ([(1.0, 1.0, -1.0), (0.0, 1.0, 1.0)], DomainError,
      r"ln: argument value -1.0 outside domain"),
 ], ids=["contact first", "tape first"])
-def test_one_adapt_meets_the_first_failure_in_sample_order(points, error,
+def test_one_adapt_meets_the_first_failure_in_sample_order(monkeypatch,
+                                                           points, error,
                                                            text):
-    # the tape over both points fails, at the point with z < 0, yet
-    # one_adapt raises what the one-point builds raise at the first point
-    # that fails
+    # the tape over both points, run as one batch, fails at the point with
+    # z < 0, yet one_adapt raises what the one-point builds raise at the
+    # first point that fails
+    monkeypatch.setattr(forms, "BATCH_MIN", 2)
     fld = coframe_field_from_expressions(Chart(("x", "y", "z")),
                                          _FAILING_ROWS)
     with pytest.raises(error, match=f"^{text}$"):
@@ -108,19 +113,27 @@ def test_normal_form_runs_the_profile_tape_once_per_point(monkeypatch):
     assert len(runs) == 16 + 2 * 5
 
 
+_BATCHED = str(forms.BATCH_MIN)
+
+
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 15 + 16 * 5),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 5 + 2 * 2),
-], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
+    (["curvature", "normal_form_3d", "--points", "5"], 31 * 5),
+    (["curvature", "normal_form_3d", "--points", _BATCHED],
+     15 + 16 * forms.BATCH_MIN),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 7 * 2),
+    (["fourdim", "fourd_enonzero", "--points", _BATCHED],
+     5 + 2 * forms.BATCH_MIN),
+], ids=["curvature normal_form_3d", "curvature normal_form_3d batched",
+        "fourdim fourd_enonzero", "fourdim fourd_enonzero batched"])
 def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
                                                       calls):
-    # the raw frames' tape runs once over all points: 15 series in 3D and 5
-    # in 4D.  Per point in 3D: one_adapt 3, the omega3 frame 1, case2_adapt
+    # the raw frames' tape runs once per point on a short sample list and
+    # once over a list of BATCH_MIN points: 15 series in 3D and 5 in 4D.
+    # Per point in 3D: one_adapt 3, the omega3 frame 1, case2_adapt
     # 4, top_ratio 2 and volume reciprocals 6; in 4D: volume reciprocals 2.
     # 1-form coefficients divide by the cached volume reciprocal, so they
-    # take no series of their own.  A tape run per point took 15 (3D) and 5
-    # (4D) series per point; evaluating each coefficient's AST on its own
-    # took 39 and 15.
+    # take no series of their own.  Evaluating each coefficient's AST on
+    # its own took 39 (3D) and 15 (4D) series per point.
     series = _counting(monkeypatch, jets, "_compose")
     _run(args)
     assert len(series) == calls
@@ -237,7 +250,10 @@ def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
     assert not ratios
 
 
-def test_kept_frames_match_a_fresh_build():
+def test_kept_frames_match_a_fresh_build(monkeypatch):
+    # the raw frames come from one batched tape run, the fresh ones from
+    # one-point runs
+    monkeypatch.setattr(forms, "BATCH_MIN", 2)
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
     result = analyze(spec.coframes(), pts, 6, TOL)
