@@ -354,10 +354,19 @@ class Tape:
         points = [tuple(float(x) for x in p) for p in points]
         if len(points) < 2:
             return [self._run(p, order, coords, params) for p in points]
-        roots = self._run(tuple(zip(*points)), order, coords, params)
+        roots = self.columns(points, order, coords, params)
         rows = [j.c.T.copy() for j in roots]
         return [[Jet._of(j.dim, order, r[k]) for j, r in zip(roots, rows)]
                 for k in range(len(points))]
+
+    def columns(self, points, order, coords, params=None) -> list:
+        """The root jets over all of ``points`` in one pass, unsplit: the
+        one-point jets of ``run`` for one point, and for N points many-point
+        jets whose column k is point k's jet.  It raises as ``run`` does."""
+        if len(points) == 1:
+            return self.run(points, order, coords, params)[0]
+        return self._run(tuple(zip(*((float(x) for x in p) for p in points))),
+                         order, coords, params)
 
     def _run(self, x, order, coords, params) -> list:
         """The root jets at coordinate values ``x``: a float per coordinate

@@ -1,7 +1,7 @@
 """Point-local exterior calculus on a coordinate chart.
 
-A :class:`PForm` is a p-form *at one base point*: one float array ``c`` with
-a row per coefficient (per strictly increasing coordinate index tuple, in
+A :class:`PForm` is a p-form at a base point: one float array ``c`` with a
+row per coefficient (per strictly increasing coordinate index tuple, in
 ``combinations`` order) holding that coefficient's Taylor coefficients, all
 at one truncation order, so the form carries enough derivative information
 for repeated exterior differentiation.  Building a form from a {key: Jet}
@@ -12,6 +12,13 @@ of raw coframes: it builds the point-local :class:`Coframe` at one point
 or at a whole sample list from closed-form coefficient expressions, whose
 tape runs once per list.  The pipeline drivers hand back the frames they
 adapt as tuples in sample order.
+
+Like a jet, a form can hold N points at once: ``c`` then has a trailing
+point axis, shape (keys, ncoeffs, N), and its coefficient jets are
+many-point jets.  Every kernel below takes such forms as they are, and
+:func:`per_point` splits a form, a jet or a table of jets into its
+points.  :func:`with_structure_tables` uses this to fill the structure
+tables of a block of frames in one pass.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -44,11 +51,15 @@ order, so every sum runs in the loop's order, and a factor without a
 derivative part gets ``Jet.__mul__``'s scaling path.  This holds for finite,
 inf and NaN coefficients alike, with one exception: which of two NaNs a
 product or sum keeps (its sign and payload bits), since NumPy's own choice
-depends on array length and position.
+depends on array length and position.  Over many points, each (target,
+point) pair is binned on its own (``_sum_into``), so every column adds its
+terms in the one-point order and is bit-equal to the one-point kernel, with
+the same exception.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -65,7 +76,7 @@ __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
     "wedge", "wedge_all", "ext_d", "top_ratio",
     "two_form_coeffs", "one_form_coeffs", "scalar_d",
-    "coframe_field_from_expressions",
+    "coframe_field_from_expressions", "per_point", "with_structure_tables",
 ]
 
 
@@ -99,7 +110,9 @@ class PForm:
     """A p-form at a point: one float array ``c`` of shape (number of keys,
     ``jets.ncoeffs(dim, order)``), whose row r holds the Taylor coefficients
     of the r-th key in ``combinations`` order, all at one truncation
-    ``order``.  Forms are immutable, ``c`` included."""
+    ``order``; or at N points, with a trailing point axis, shape (keys,
+    ncoeffs, N), built from many-point jets.  Forms are immutable, ``c``
+    included."""
 
     __slots__ = ("chart", "degree", "order", "c", "_coeffs")
 
@@ -218,6 +231,32 @@ class _Products(NamedTuple):
     n: int
 
 
+def _flat(a):
+    """Coefficient rows ``a`` as one flat axis of (row, coefficient), with
+    the point axis of a many-point array kept after it."""
+    return a.ravel() if a.ndim == 2 else a.reshape(-1, a.shape[2])
+
+
+def _per_row(col, like):
+    """``col``, one value per leading index of ``like`` (shape (rows,) or
+    (rows, 1)), shaped to broadcast over ``like`` and its point axis."""
+    return col if col.ndim == like.ndim else col[..., None]
+
+
+def _sum_into(bins, weights, rows, n):
+    """``np.bincount`` of ``weights`` by their flat (row, coefficient)
+    targets ``bins``, as a (rows, n) array.  Weights with a point axis,
+    (len(bins), N), give (rows, n, N): each (target, point) is binned as
+    bins * N + p, so each column adds its terms in the one-point order."""
+    if weights.ndim == 1:
+        return np.bincount(bins, weights=weights,
+                           minlength=rows * n).reshape(rows, n)
+    count = weights.shape[1]
+    flat = (bins[:, None] * count + np.arange(count)).ravel()
+    return np.bincount(flat, weights=weights.ravel(),
+                       minlength=rows * n * count).reshape(rows, n, count)
+
+
 def _products(dim, order, rx, ry) -> _Products:
     n = jets.ncoeffs(dim, order)
     I, J, T = jets._mul_table(dim, order)
@@ -233,14 +272,14 @@ def _multiply(x, y, plan: _Products) -> np.ndarray:
 
     All terms run as one convolution, binned by one ``np.bincount``: each
     term sums its pairs in ``_mul_table`` order into its own output row, as
-    one ``Jet.__mul__`` does.  Where a factor has no derivative part,
+    one ``Jet.__mul__`` does, and at each point where x and y carry a point
+    axis.  Where a factor has no derivative part,
     ``jets._scaling_where_nan`` takes ``Jet.__mul__``'s scaling path
     instead."""
     rx, ry, gx, gy, bins, n = plan
-    w = x.ravel()[gx]
-    w *= y.ravel()[gy]
-    out = np.bincount(bins, weights=w, minlength=len(rx) * n).reshape(
-        len(rx), n)
+    w = _flat(x)[gx]
+    w *= _flat(y)[gy]
+    out = _sum_into(bins, w, len(rx), n)
     return jets._scaling_where_nan(out, lambda: (x[rx], y[ry]), 1)
 
 
@@ -298,10 +337,9 @@ def wedge(a: PForm, b: PForm) -> PForm:
     prod = _multiply(a.c[:, :n], b.c[:, :n], products)
     # np.bincount starts each sum from +0.0 and adds in input order, as the
     # loop adds its terms into zero jets
-    rows = len(_keys(dim, deg))
-    out = np.bincount(out_bins, weights=(prod * sign).ravel(),
-                      minlength=rows * n)
-    return PForm._of(a.chart, deg, order, out.reshape(rows, n))
+    out = _sum_into(out_bins, _flat(prod * _per_row(sign, prod)),
+                    len(_keys(dim, deg)), n)
+    return PForm._of(a.chart, deg, order, out)
 
 
 def wedge_all(*forms):
@@ -348,11 +386,11 @@ def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
     order = a.order
     dim = a.chart.dim
     src, fac, dst = _ext_d_plan(dim, order, a.degree)
+    terms = _flat(a.c)[src]
     rows = len(_keys(dim, a.degree + 1))
-    n = jets.ncoeffs(dim, order - 1)
-    out = np.bincount(dst, weights=a.c.ravel()[src] * fac,
-                      minlength=rows * n)
-    return PForm._of(a.chart, a.degree + 1, order - 1, out.reshape(rows, n))
+    out = _sum_into(dst, terms * _per_row(fac, terms), rows,
+                    jets.ncoeffs(dim, order - 1))
+    return PForm._of(a.chart, a.degree + 1, order - 1, out)
 
 
 def top_ratio(a: PForm, b: PForm) -> Jet:
@@ -367,9 +405,15 @@ def top_ratio(a: PForm, b: PForm) -> Jet:
 
 
 def _check_denominator(denom: Jet):
-    if denom.value == 0.0 or not np.isfinite(denom.value):
-        raise SingularVolumeError(
-            f"volume-form denominator {denom.value!r} is numerically zero")
+    """SingularVolumeError at the first point where the volume coefficient
+    is not finite or is zero."""
+    for value in jets._values(denom):
+        if not math.isfinite(value):
+            raise SingularVolumeError(
+                f"volume-form denominator {value!r} is non-finite")
+        if value == 0.0:
+            raise SingularVolumeError(
+                f"volume-form denominator {value!r} is numerically zero")
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +538,12 @@ class Coframe:
 # the shortest sample list whose raw frames come from one tape run (see
 # ``CoframeField.frames``)
 BATCH_MIN = 12
+# the frames per many-point pass of ``with_structure_tables``
+STRUCTURE_BLOCK = 32
+# what a many-point build or pass may raise where some point fails; the
+# caller then goes point by point
+_POINT_ERRORS = (BicontactError, ArithmeticError, ValueError,
+                 jets._MixedBranches)
 
 
 class CoframeField:
@@ -528,12 +578,84 @@ class CoframeField:
         if len(points) >= BATCH_MIN:
             try:
                 built = self._builder(points, order)[::-1]
-            except (BicontactError, ArithmeticError, ValueError,
-                    jets._MixedBranches):
+            except _POINT_ERRORS:
                 pass
         for p in points:
             # pop hands a frame over without keeping it alive here
             yield self.at(p, order) if built is None else built.pop()
+
+
+def per_point(value) -> list:
+    """The one-point values of a :class:`PForm`, a :class:`Jet` or a
+    {key: Jet} table, in point order: its columns where it carries a point
+    axis, else ``[value]``."""
+    if isinstance(value, dict):
+        return [dict(zip(value, row))
+                for row in zip(*map(per_point, value.values()))]
+    if value.c.ndim == (1 if isinstance(value, Jet) else 2):
+        return [value]
+    cols = np.moveaxis(value.c, -1, 0).copy()
+    if isinstance(value, Jet):
+        return [Jet._of(value.dim, value.order, c) for c in cols]
+    return [PForm._of(value.chart, value.degree, value.order, c)
+            for c in cols]
+
+
+# the memo entries ``with_structure_tables`` fills
+_STRUCTURE_KEYS = ("d", "d coeffs", "wedge", "reciprocal")
+
+
+def with_structure_tables(frames):
+    """Yield ``frames`` in order, each with the structure table of every
+    covector in its memo: ``d`` and ``d_coeffs``, with the wedges and
+    volume reciprocals they take.  The frames of one field at one order go
+    ``STRUCTURE_BLOCK`` at a time, as they are reached, through one
+    many-point pass whose columns are bit-equal to each frame's own tables.
+    Where that pass raises, the block's frames fill their memos on first
+    use, so an error meets the caller at the frame and stage where it
+    would without this pass.  Where ``frames`` raises, the frames before
+    the failing one are yielded first."""
+    return _with_structure_tables(iter(frames))
+
+
+def _with_structure_tables(frames):
+    # the generator of ``with_structure_tables``, which stays a plain call,
+    # as ``CoframeField.frames`` does
+    while True:
+        block, error = [], None
+        try:
+            for frame in frames:
+                block.append(frame)
+                if len(block) == STRUCTURE_BLOCK:
+                    break
+        except _POINT_ERRORS as exc:
+            error = exc
+        if block:
+            _fill_structure_tables(block)
+        yield from block
+        if error is not None:
+            raise error
+        if len(block) < STRUCTURE_BLOCK:
+            return
+
+
+def _fill_structure_tables(block):
+    """One many-point pass of the structure tables of the frames ``block``,
+    whose covectors have equal orders, split into their memos."""
+    chart = block[0].chart
+    try:
+        stacked = Coframe(chart, None, tuple(
+            PForm._of(chart, f.degree, f.order,
+                      np.stack([frame.forms[i].c for frame in block], -1))
+            for i, f in enumerate(block[0].forms)))
+        for i in range(stacked.dim):
+            stacked.d_coeffs(i)
+    except _POINT_ERRORS:
+        return
+    for key, value in stacked._memo.items():
+        if key[0] in _STRUCTURE_KEYS:
+            for frame, one in zip(block, per_point(value)):
+                frame._memo.setdefault(key, one)
 
 
 def coframe_field_from_expressions(chart: Chart, rows, params=None):
@@ -597,13 +719,13 @@ def _frame_coeffs(beta: PForm, frame: Coframe, p: int) -> dict:
         n = jets.ncoeffs(dim, order)
         products, term_sign, bins = _coeffs_plan(dim, p, order, len(keys))
         prod = _multiply(beta.c[:, :n], rests, products)
-        top = np.bincount(bins, weights=(prod * term_sign).ravel(),
-                          minlength=len(keys) * n).reshape(len(keys), n)
+        top = _sum_into(bins, _flat(prod * _per_row(term_sign, prod)),
+                        len(keys), n)
         recip = frame._volume_reciprocal(order)
         m = jets.ncoeffs(dim, recip.order)
         coeffs = _multiply(top[:, :m], recip.c[None],
                            _scale_plan(dim, recip.order, len(keys)))
-        coeffs = coeffs * signs + 0.0
+        coeffs = coeffs * _per_row(signs, coeffs) + 0.0
         out.update((key, Jet._of(dim, recip.order, row))
                    for key, row in zip(keys, coeffs))
     return {key: out[key] for key in _keys(dim, p)}

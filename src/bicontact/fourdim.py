@@ -28,7 +28,8 @@ from .jets import Jet
 from .errors import DegenerateH, DomainError, OdeStepFailure
 from . import expressions
 from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
-                    one_form_coeffs, scalar_d, wedge)
+                    one_form_coeffs, per_point, scalar_d, wedge,
+                    with_structure_tables)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
 from .report import nan_max
@@ -36,7 +37,8 @@ from .report import nan_max
 __all__ = ["Coframe4", "symp_structure", "compute_E", "e_expansion",
            "symplectic_quadratic", "symplectic_quadratic_check",
            "Curvature4Report", "curvature4", "QOde", "QSolution", "solve_q",
-           "q_jets", "normal_form_4d", "verify_normal_form"]
+           "q_jets", "normal_form_4d", "normal_form_residuals",
+           "verify_normal_form"]
 
 DEGENERATE_H = 1e-10   # |det h| at or below this = degenerate mixing matrix
 _TAYLOR_ORDER = 20     # degree of each Taylor step of solve_q
@@ -280,9 +282,11 @@ class QOde:
         self._node = expressions.parse(self.c_text, ("z",))
         self._tape = expressions.Tape([self._node])
 
-    def c_jet(self, z: float, order: int) -> Jet:
-        """C as a univariate jet at z."""
-        return self._tape.run([(z,)], order, ("z",))[0][0]
+    def c_jet(self, z, order: int) -> Jet:
+        """C as a univariate jet at z, a float, or as a many-point jet at a
+        sequence of z values, from one run of C's tape."""
+        points = [(z,)] if np.ndim(z) == 0 else [(v,) for v in z]
+        return self._tape.columns(points, order, ("z",))[0]
 
     def u_jet(self, c: Jet) -> Jet:
         """The coefficient C^2 + eps + C' as a univariate jet, one order
@@ -290,13 +294,18 @@ class QOde:
         return c * c + float(self.eps) + jets.partial(c, 0)
 
 
-def _q_taylor(u, q: float, dq: float) -> list:
+def _q_taylor(u, q, dq) -> list:
     """Q's Taylor coefficients at z from u's and (Q, Q'): Q'' = u Q gives
-    Q_{n+2} = sum_k u_k Q_{n-k} / ((n+1)(n+2)), up to degree len(u) + 1."""
+    Q_{n+2} = sum_k u_k Q_{n-k} / ((n+1)(n+2)), up to degree len(u) + 1.
+    Each value is a float, or an array of one value per point."""
     out = [q, dq]
     for n in range(len(u)):
-        out.append(sum(u[k] * out[n - k] for k in range(n + 1))
-                   / ((n + 1) * (n + 2)))
+        # a plain left-to-right sum for floats and arrays alike (sum() of
+        # floats is compensated from Python 3.12 on)
+        acc = 0.0
+        for k in range(n + 1):
+            acc = acc + u[k] * out[n - k]
+        out.append(acc / ((n + 1) * (n + 2)))
     return out
 
 
@@ -366,9 +375,17 @@ def solve_q(ode: QOde, z_span) -> QSolution:
     return QSolution(ode=ode, lo=lo, hi=hi, steps=steps)
 
 
-def q_jets(sol: QSolution, z: float, c: Jet):
+def _taylor_rows(c: np.ndarray) -> list:
+    """The coefficients of a jet's array ``c`` as a list: floats for one
+    point, and for N points one array of N values per coefficient."""
+    return c.tolist() if c.ndim == 1 else list(c)
+
+
+def q_jets(sol: QSolution, z, c: Jet):
     """Lift (Q1, Q2) at z into jets on the z axis of the 4D chart, at the
     order of ``c``, C's univariate jet at z (``sol.ode.c_jet(z, order)``).
+    With a sequence of z values and their many-point ``c``, the jets are
+    many-point jets, each column bit-equal to the lift at that z alone.
 
     Values and first derivatives come from the integrated state; all higher
     Taylor coefficients follow from the ODE by ``_q_taylor``, so the jets
@@ -377,11 +394,13 @@ def q_jets(sol: QSolution, z: float, c: Jet):
     bit-equal to C's jet at that order, so C's tape runs once per point.
     """
     order = c.order
-    u = sol.ode.u_jet(c.truncate(order - 1)).c.tolist() if order > 1 else []
-    q1, dq1, q2, dq2 = sol.state(z)
+    u = (_taylor_rows(sol.ode.u_jet(c.truncate(order - 1)).c)
+         if order > 1 else [])
+    state = (sol.state(z) if c.c.ndim == 1
+             else np.array([sol.state(v) for v in z]).T)
     x = Jet.variable(z, 2, 4, order)
     return tuple(jets._compose(x, _q_taylor(u, q, dq)[:order + 1])
-                 for q, dq in ((q1, dq1), (q2, dq2)))
+                 for q, dq in (state[:2], state[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -408,68 +427,80 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
     d/dy(K f_z - f K_z) - d/dx(L f_z - f L_z) = -W0 det h, a constraint on
     h alone that the verification report surfaces when violated (the
     identity matrix violates it: the left side is 0).
+
+    A list of points is built in one go: h's tape and C's tape run once
+    over all of them, and K, L, f and the covectors are many-point jets and
+    forms, split into one frame per point at the end.  Each guard checks
+    every point, so the build raises where any point fails, and
+    ``CoframeField.frames`` then builds point by point.
     """
     chart = Chart(_CHART4)
     htape = expressions.Tape([expressions.parse(str(e), ("x", "y"))
                               for row in h for e in row])
     ode = sol.ode
 
-    def build(point, order):
-        x, y, z, w = point
-        if w <= 0.0:
-            raise DomainError(f"normal form needs w > 0, got {w!r}")
-        entries = htape.run([point], order, _CHART4)[0]
+    def build(points, order):
+        for p in points:
+            if p[3] <= 0.0:
+                raise DomainError(f"normal form needs w > 0, got {p[3]!r}")
+        # a float per coordinate at one point, one value per point at many
+        _, _, z, w = points[0] if len(points) == 1 else tuple(zip(*points))
+        entries = htape.columns(points, order, _CHART4)
         hj = [entries[:2], entries[2:]]
         det_h = hj[0][0] * hj[1][1] - hj[0][1] * hj[1][0]
-        if abs(det_h.value) <= DEGENERATE_H:
-            raise DegenerateH(f"det h = {det_h.value!r} at {point!r}")
+        for p, det in zip(points, jets._values(det_h)):
+            # a NaN or infinite det h fails this test too
+            if not DEGENERATE_H < abs(det) < math.inf:
+                raise DegenerateH(f"det h = {det!r} at {p!r}")
         c = ode.c_jet(z, order)
         q1, q2 = q_jets(sol, z, c)
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
         K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
         L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
-        Cj = jets._compose(Jet.variable(z, 2, 4, order), c.c.tolist())
+        Cj = jets._compose(Jet.variable(z, 2, 4, order), _taylor_rows(c.c))
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
         f = (Jet.variable(w, 3, 4, order) / (det_h * QOde.W0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))
         fz = jets.partial(f, 2)
-        zero = Jet.constant(0.0, 4, order)
+        zero = Jet.constant(np.zeros(np.shape(w)), 4, order)
         w1 = PForm(chart, 1, {(0,): K, (1,): L, (2,): zero, (3,): zero})
         w2 = w1.scaled(Cj) - PForm(chart, 1, {(0,): Kz, (1,): Lz,
                                               (2,): zero, (3,): zero})
-        w3 = PForm.d_coord(chart, 2, order)
         w4 = PForm(chart, 1, {
             (0,): -(K * fz - f * Kz),
             (1,): -(L * fz - f * Lz),
             (2,): zero,
             (3,): jets.reciprocal(Jet.variable(w, 3, 4, order) * 2.0),
         })
-        return Coframe(chart, point, (w1, w2, w3, w4), stage="normal_form_4d")
+        return [Coframe(chart, p, (a, b, PForm.d_coord(chart, 2, order), d),
+                        stage="normal_form_4d")
+                for p, a, b, d in zip(points, *map(per_point, (w1, w2, w4)))]
 
-    return CoframeField(chart, lambda points, order: [build(p, order)
-                                                      for p in points])
+    return CoframeField(chart, build)
+
+
+def normal_form_residuals(frame: Coframe, ode: QOde) -> dict:
+    """Structure-equation and round-trip residuals of one constructed frame:
+    the deviation of the four structure equations from the declared
+    (eps, C), and of compute_E from the w coordinate."""
+    s4 = symp_structure(frame)
+    z, w = frame.point[2:]
+    out = {key: s4.residuals[key]
+           for key in ("domega1", "domega2", "domega3", "domega4")}
+    out["C"] = abs(s4.C.value - expressions.eval_number(ode._node, {"z": z}))
+    out["eps"] = abs(s4.eps - ode.eps) + s4.residuals["eps_integer"]
+    out["E_vs_w"] = abs(compute_E(frame).value - w)
+    return out
 
 
 def verify_normal_form(fld: CoframeField, ode: QOde, points,
                        order: int) -> dict:
-    """Structure-equation and round-trip residuals of a constructed field.
-
-    Reports the worst deviation over ``points`` of: the four structure
-    equations against the declared (eps, C), compute_E against the w
-    coordinate, and the cross-term coefficient K L_z - L K_z against
-    -W0 det(h) / w (extracted from omega^1 ^ omega^2).
-    """
-    worst = {"domega1": 0.0, "domega2": 0.0, "domega3": 0.0, "domega4": 0.0,
-             "C": 0.0, "eps": 0.0, "E_vs_w": 0.0}
-    for p in points:
-        cf = fld.at(p, order)
-        s4 = symp_structure(cf)
-        for key in ("domega1", "domega2", "domega3", "domega4"):
-            worst[key] = nan_max(worst[key], s4.residuals[key])
-        c_here = expressions.eval_number(ode._node, {"z": p[2]})
-        worst["C"] = nan_max(worst["C"], abs(s4.C.value - c_here))
-        worst["eps"] = nan_max(worst["eps"], abs(s4.eps - ode.eps)
-                               + s4.residuals["eps_integer"])
-        worst["E_vs_w"] = nan_max(worst["E_vs_w"],
-                                  abs(compute_E(cf).value - p[3]))
+    """The worst ``normal_form_residuals`` over the frames of ``fld`` at
+    ``points``, whose structure tables are filled block by block
+    (``forms.with_structure_tables``)."""
+    worst = dict.fromkeys(("domega1", "domega2", "domega3", "domega4", "C",
+                           "eps", "E_vs_w"), 0.0)
+    for frame in with_structure_tables(fld.frames(points, order)):
+        for key, value in normal_form_residuals(frame, ode).items():
+            worst[key] = nan_max(worst[key], value)
     return worst

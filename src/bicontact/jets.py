@@ -19,9 +19,11 @@ coefficients as an (ncoeffs, N) array whose column p is point p's jet.  The
 operations and elementary functions take such jets as they are: products run
 as one kernel over all columns (``_product``), series coefficients come per
 point from the same ``math`` laws, and each domain check looks at every
-point's value.  Every column is bit-equal to the one-point jet.  Where the
-points would take different branches (``power``, ``atan2``), the operation
-raises ``_MixedBranches`` and the caller runs the points one by one.
+point's value.  Every column is bit-equal to the one-point jet, except for
+which of two NaNs a sum or product keeps (its sign and payload bits), which
+NumPy chooses by array length and position.  Where the points would take
+different branches (``power``, ``atan2``), the operation raises
+``_MixedBranches`` and the caller runs the points one by one.
 """
 
 from __future__ import annotations
@@ -333,8 +335,11 @@ def partial(j: Jet, axis: int) -> Jet:
     if j.order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
     src, dst, fac = _diff_table(j.dim, j.order, axis)
-    c = np.zeros(ncoeffs(j.dim, j.order - 1))
-    np.add.at(c, dst, j.c[src] * fac)
+    # a many-point jet keeps its point axis, and each column adds its terms
+    # in the one-point order
+    points = j.c.shape[1:]
+    c = np.zeros((ncoeffs(j.dim, j.order - 1),) + points)
+    np.add.at(c, dst, j.c[src] * fac.reshape(fac.shape + (1,) * len(points)))
     return Jet._of(j.dim, j.order - 1, c)
 
 

@@ -600,3 +600,141 @@ def test_two_form_coeffs_is_bit_equal_to_the_pair_loop(kind):
     if kind == "normal_form_4d":
         # the frame's covectors have three orders, so its complements do too
         assert max(groups) > 1
+
+
+# ---------------------------------------------------------------------------
+# the kernels over a trailing point axis: each column bit-equal to the
+# one-point kernel, and the structure tables of a block of frames
+
+@st.composite
+def _at_points(draw, degrees, least_order):
+    """Forms as ``_forms`` draws them at 1-4 points: one list of one-point
+    forms per point, the many-point forms that stack them, and whether
+    every value is finite."""
+    first, finite = draw(_forms(degrees, least_order))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = [first] + [
+        [PForm._of(f.chart, f.degree, f.order, np.array([
+            _coefficients(rng, draw(st.sampled_from(KINDS)), len(row), finite)
+            for row in f.c])) for f in first]
+        for _ in range(draw(st.integers(0, 3)))]
+    stacked = [PForm._of(f.chart, f.degree, f.order,
+                         np.stack([p[i].c for p in points], -1))
+               for i, f in enumerate(first)]
+    return points, stacked, finite
+
+
+@given(_at_points(_wedge_degrees, 0))
+@settings(max_examples=200, deadline=None)
+def test_kernels_over_a_point_axis_are_bit_equal_per_point(drawn):
+    points, (a, b), finite = drawn
+    with np.errstate(all="ignore"):
+        cases = [(wedge(a, b), [wedge(*p) for p in points])]
+        if a.order >= 1 and a.degree < a.chart.dim:
+            cases.append((ext_d(a), [ext_d(p[0]) for p in points]))
+        if b.degree == 0:
+            cases.append((a.scaled(b.coeffs[()]),
+                          [p[0].scaled(p[1].coeffs[()]) for p in points]))
+    for got, want in cases:
+        assert got.c.shape[-1] == len(points)
+        split = forms.per_point(got)
+        assert len(split) == len(want)
+        for g, w in zip(split, want):
+            _assert_bit_equal(g, w, finite)
+
+
+def test_per_point_splits_forms_jets_and_tables():
+    one = PForm.d_coord(CH3, 0, 2)
+    assert forms.per_point(one) == [one]
+    jet = Jet.constant([1.0, -0.0, 2.0], 3, 2)
+    cols = forms.per_point({"a": jet, "b": jet * 2.0})
+    assert [list(t) for t in cols] == [["a", "b"]] * 3
+    assert [t["a"].c.tobytes() for t in cols] == \
+        [Jet.constant(v, 3, 2).c.tobytes() for v in (1.0, -0.0, 2.0)]
+
+
+def _structure_fields():
+    """(field, points, order) triples whose frames go through one block."""
+    nf = normal_form_4d(solve_q(QOde("tan(z)", -1), (-1.2, 1.2)),
+                        h=(("1", "0"), ("x^2/2", "1")))
+    e4, n3 = build_example("fourd_enonzero"), build_example("normal_form_3d")
+    return [(nf, box_points(BOX4, 7, seed=6), 3),
+            (nf, box_points(BOX4, 5, seed=7), 6),
+            (e4.coframes(), box_points(e4.box, 7, seed=8), 2),
+            (n3.coframes(), box_points(n3.box, 5, seed=9), 6)]
+
+
+@pytest.mark.parametrize("index", range(4), ids=[
+    "normal_form_4d order 3", "normal_form_4d order 6",
+    "fourd_enonzero order 2", "normal_form_3d order 6"])
+def test_structure_tables_of_a_block_equal_each_frames_own(monkeypatch,
+                                                           index):
+    # blocks of 3 frames: two full ones and a last one of 1 (7 points) or 2
+    # (5 points)
+    monkeypatch.setattr(forms, "STRUCTURE_BLOCK", 3)
+    fld, pts, order = _structure_fields()[index]
+    got = list(forms.with_structure_tables(fld.frames(pts, order)))
+    assert [f.point for f in got] == pts
+    for p, frame in zip(pts, got):
+        seeded = set(frame._memo)
+        fresh = fld.at(p, order)
+        for i in range(fresh.dim):
+            fresh.d_coeffs(i)
+        assert seeded == {key for key in fresh._memo
+                          if key[0] in ("d", "d coeffs", "wedge", "reciprocal")}
+        for key in seeded:
+            want, have = fresh._memo[key], frame._memo[key]
+            if isinstance(want, dict):
+                assert list(have) == list(want)
+                want, have = list(want.values()), list(have.values())
+            else:
+                want, have = [want], [have]
+            assert [(h.order, h.c.tobytes()) for h in have] == \
+                [(w.order, w.c.tobytes()) for w in want], key
+
+
+# omega3 = x dz: the volume x dx^dy^dz vanishes at x = 0
+_FLAT_AT_X0 = [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "x"}]
+
+
+def _outcome(frame):
+    try:
+        return [frame.d_coeffs(i)[(0, 1)].c.tobytes() for i in range(3)]
+    except SingularVolumeError as exc:
+        return str(exc)
+
+
+def test_structure_tables_keep_each_frames_error():
+    fld = coframe_field_from_expressions(CH3, _FLAT_AT_X0)
+    pts = [(0.5, 0.2, 0.1), (0.0, 0.3, 0.2), (0.7, 0.4, 0.3)]
+    got = [_outcome(f) for f in forms.with_structure_tables(
+        fld.frames(pts, 3))]
+    assert got == [_outcome(fld.at(p, 3)) for p in pts]
+    assert got[1] == "volume-form denominator 0.0 is numerically zero"
+    assert isinstance(got[0], list) and isinstance(got[2], list)
+
+    def failing():
+        yield fld.at(pts[0], 3)
+        yield fld.at(pts[2], 3)
+        raise BudgetError("unit-test")
+
+    frames = forms.with_structure_tables(failing())
+    first, second = next(frames), next(frames)
+    assert ("d coeffs", 2) in first._memo and ("d coeffs", 2) in second._memo
+    with pytest.raises(BudgetError, match="unit-test"):
+        next(frames)
+
+
+@pytest.mark.parametrize("value,text", [
+    (math.nan, "nan is non-finite"), (math.inf, "inf is non-finite"),
+    (-math.inf, "-inf is non-finite"), (0.0, "0.0 is numerically zero")])
+def test_a_singular_volume_names_its_value(value, text):
+    omega = wedge_all(*(PForm.d_coord(CH3, i, 2) for i in range(3)))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SingularVolumeError,
+                           match=f"^volume-form denominator {text}$"):
+            top_ratio(omega, omega.scaled(value))
+        # over many points, the first bad column raises
+        with pytest.raises(SingularVolumeError,
+                           match=f"^volume-form denominator {text}$"):
+            forms._check_denominator(Jet.constant([1.0, value, 0.0], 3, 2))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bicontact import cli, forms
 from bicontact.errors import DegenerateH, DomainError
 from bicontact.examples import build_example
 from bicontact.forms import Chart, coframe_field_from_expressions
@@ -236,3 +237,54 @@ def test_normal_form_guards():
     sol = solve_q(ode, (0.0, 1.0))
     with pytest.raises(DomainError):
         sol.state(1.5)
+
+
+def _form_bytes(frame):
+    return [(f.order, f.c.tobytes()) for f in frame.forms]
+
+
+@pytest.mark.parametrize("profile,eps,h,order", [
+    ("tan(z)", -1, GOOD_H, 3),
+    ("tan(z)", -1, GOOD_H, 6),
+    ("0.3*z", 1, (("1", "x*y"), ("sin(x)", "2+y")), 4),
+])
+def test_normal_form_builds_many_points_in_one_go(monkeypatch, profile, eps,
+                                                  h, order):
+    # one build over all the points, whose frames are bit-equal to the
+    # one-point builds; at() is never called
+    fld = normal_form_4d(solve_q(QOde(profile, eps), (-1.2, 1.2)), h=h)
+    pts = box_points(BOX4, forms.BATCH_MIN, seed=50 + order)
+    want = [_form_bytes(fld.at(p, order)) for p in pts]
+    monkeypatch.setattr(forms.CoframeField, "at", None)
+    got = list(fld.frames(pts, order))
+    assert [f.point for f in got] == pts
+    assert [_form_bytes(f) for f in got] == want
+    assert {f.stage for f in got} == {"normal_form_4d"}
+
+
+@pytest.mark.parametrize("entry,det", [("1e200*1e200", "inf"),
+                                       ("-1e200*1e200", "-inf"),
+                                       ("0*(1e200*1e200)", "nan")])
+def test_a_non_finite_det_h_is_degenerate(entry, det):
+    fld = normal_form_4d(solve_q(QOde("tan(z)", -1), (-1.2, 1.2)),
+                         h=((entry, "0"), ("0", "1")))
+    p = (0.1, 0.2, 0.3, 0.5)
+    text = rf"^det h = {det} at \(0.1, 0.2, 0.3, 0.5\)$"
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateH, match=text):
+            fld.at(p, 3)
+        # the one build over many points raises too, and the frames are
+        # then built point by point
+        with pytest.raises(DegenerateH, match=text):
+            list(fld.frames([p] * forms.BATCH_MIN, 3))
+
+
+def test_normal_form_command_reports_a_non_finite_det_h():
+    with np.errstate(all="ignore"):
+        rep = cli.run(cli.RunConfig(
+            "normal-form", "tan(z)", points=3,
+            extra={"eps": 1, "z0": 0.0, "span": (-1.2, 1.2),
+                   "h": (("1e200*1e200", "0"), ("0", "1"))}))
+    assert rep.records == []
+    assert [(e["type"], e["message"].split(" at ")[0]) for e in rep.errors] \
+        == [("DegenerateH", "det h = inf")]

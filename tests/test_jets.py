@@ -336,3 +336,24 @@ def test_many_point_product_is_bitwise_the_one_point_product():
         want = [(x * y).c.tobytes() for x, y in zip(a, b)]
         many = _many(a) * _many(b)
     assert [many.c[:, p].tobytes() for p in range(5)] == want
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_many_point_partial_is_bitwise_the_one_point_partial(dim):
+    """Each column of the derivative of a many-point jet is bit-equal to the
+    derivative of that column's jet, signed zeros and non-finite
+    coefficients included."""
+    rng = np.random.default_rng(40 + dim)
+    for order in range(1, 7):
+        fs = _random_jets(rng, dim, order)
+        fs[1].c[rng.integers(1, len(fs[1].c))] = -0.0
+        fs[2].c[-1] = np.inf
+        fs[3].c[-1] = np.nan
+        many = _many(fs)
+        for axis in range(dim):
+            with np.errstate(invalid="ignore"):
+                got = jets.partial(many, axis)
+                want = [jets.partial(f, axis) for f in fs]
+            assert got.order == order - 1 and got.c.shape[1] == _POINTS
+            assert [got.c[:, p].tobytes() for p in range(_POINTS)] == \
+                [w.c.tobytes() for w in want], (order, axis)

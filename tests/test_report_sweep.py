@@ -7,7 +7,7 @@ import json
 import pathlib
 from collections import Counter
 
-from bicontact import cli
+from bicontact import cli, forms
 from bicontact.examples import EXAMPLES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -100,6 +100,13 @@ def test_many_point_argvs_match_the_benchmark_sizes():
              for argv in report_sweep.MANY_POINT_ARGVS if "--points" in argv}
     assert sizes == {("curvature", "normal_form_3d"): "60",
                      ("invariants", "tests/data/case1_frame.txt"): "60",
-                     ("fourdim", "fourd_enonzero"): "18"}
+                     ("fourdim", "fourd_enonzero"): "18",
+                     ("normal-form", "tan(z)"): "200"}
     assert all((ROOT / argv[1]).is_file() or argv[1] in EXAMPLES
+               or argv[1] in report_sweep.PROFILES
                for argv in report_sweep.MANY_POINT_ARGVS)
+    # the failing --at lists: one below forms.BATCH_MIN, built point by
+    # point, and two at it, whose one many-point build fails
+    sizes = sorted(argv.count("--at")
+                   for argv in report_sweep.MANY_POINT_ARGVS)
+    assert sizes == [0, 0, 0, 0, 3, forms.BATCH_MIN, forms.BATCH_MIN]

@@ -14,6 +14,7 @@ forms layer.
 """
 
 import io
+import json
 from contextlib import redirect_stdout
 
 import pytest
@@ -111,6 +112,58 @@ def test_normal_form_runs_the_profile_tape_once_per_point(monkeypatch):
     runs = _counting(monkeypatch, expressions.Tape, "run")
     _run(["normal-form", "tan(z)", "--order", "3", "--points", "5"])
     assert len(runs) == 16 + 2 * 5
+
+
+def test_normal_form_runs_each_tape_once_over_a_batched_list(monkeypatch):
+    # solve_q's 16 one-point runs, then one pass of the h tape and one of
+    # C's tape over all BATCH_MIN points, which Tape.columns makes without
+    # a per-point Tape.run; no frame is built on its own
+    runs = _counting(monkeypatch, expressions.Tape, "run")
+    passes = _counting(monkeypatch, expressions.Tape, "_run")
+    at = _counting(monkeypatch, forms.CoframeField, "at")
+    _run(["normal-form", "tan(z)", "--order", "3", "--points",
+          str(forms.BATCH_MIN)])
+    assert (len(runs), len(passes), len(at)) == (16, 16 + 2, 0)
+
+
+# det h = x is 0 at the seventh point only; ln(y) leaves its domain at the
+# second point only
+_FAILING_LISTS = {
+    "normal-form": ["normal-form", "tan(z)", "--h", "x,0,0,1"] + [
+        f"--at={p}" for p in (
+            "0.3,0.1,0.2,1.1", "-0.2,0.4,-0.3,0.6", "0.4,-0.5,0.5,1.4",
+            "-0.5,0.2,-0.6,0.3", "0.6,-0.3,0.7,1.7", "0.1,0.6,-0.1,0.9",
+            "0,0.5,0.5,0.5", "-0.3,-0.1,0.3,1.2", "0.2,0.3,-0.4,0.8",
+            "0.5,-0.6,0.1,1.5", "-0.6,0.7,-0.7,0.4", "0.7,-0.2,0.6,1.6")],
+    "invariants": ["invariants", "normal_form_3d"] + [
+        f"--at={p}" for p in (
+            "0.5,1.0,0.1", "0.5,-1.0,0.1", "0.3,0.6,0.3", "0.4,0.7,-0.4",
+            "0.6,0.8,0.5", "0.7,0.9,-0.6", "0.3,1.3,0.7", "0.4,1.5,-0.8",
+            "0.6,1.7,0.2", "0.5,1.8,-0.1", "0.3,1.1,0.0", "0.45,1.2,0.4")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FAILING_LISTS))
+def test_a_failing_batched_list_reports_as_point_by_point_builds(
+        monkeypatch, command):
+    argv = _FAILING_LISTS[command]
+    assert sum(w.startswith("--at=") for w in argv) == forms.BATCH_MIN
+
+    def report():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv) == 1
+        return out.getvalue()
+
+    batched = report()
+    # the reference builds and fills each frame on its own
+    monkeypatch.setattr(forms, "BATCH_MIN", forms.BATCH_MIN + 1)
+    monkeypatch.setattr(cli, "with_structure_tables", iter)
+    assert report() == batched
+    rep = json.loads(batched)
+    want = (6, "DegenerateH") if command == "normal-form" else \
+        (0, "DomainError")
+    assert [(len(rep["records"]), e["type"]) for e in rep["errors"]] == [want]
 
 
 _BATCHED = str(forms.BATCH_MIN)

@@ -9,9 +9,10 @@ once at the command's default order and once at each of the orders 2 to 6.
 Then it runs the fixed argvs of ``OPTION_ARGVS``, which between them pass
 every option of the command line but ``--out``, and the argvs of
 ``MANY_POINT_ARGVS``, which run at the sample counts of the benchmark's
-workloads and through a point where an expression leaves its domain.  Every
-run goes through ``bicontact.cli.main`` in this process, from the checkout
-that holds this script (its ``src/`` comes first on the path), with the
+workloads and through a point where a frame cannot be built, in lists of 3
+and of 12 points (below and at ``forms.BATCH_MIN``).  Every run goes
+through ``bicontact.cli.main`` in this process, from the checkout that
+holds this script (its ``src/`` comes first on the path), with the
 checkout as the working directory, since a report echoes its source path.  A
 key is the argv joined by spaces; a value is the SHA-256 of the bytes the
 command printed on stdout, its exit status and what it printed on stderr
@@ -61,14 +62,32 @@ OPTION_ARGVS = [
     ["normal-form", "tan(z)", "--span", "nan:1"],
     ["--version"],
 ]
+
+
 MANY_POINT_ARGVS = [
     # the sample counts of the benchmark's workloads
     ["curvature", "normal_form_3d", "--points", "60"],
     ["invariants", FILES[0], "--points", "60"],
     ["fourdim", "fourd_enonzero", "--points", "18"],
-    # ln(y) leaves its domain at the second point only (exit 1)
+    ["normal-form", "tan(z)", "--order", "3", "--points", "200"],
+    # ln(y) leaves its domain at the second point only (exit 1), on a list
+    # built point by point and on one of 12 points, whose one many-point
+    # build fails
     ["invariants", "normal_form_3d", "--at", "0.5,1.0,0.1",
      "--at", "0.5,-1.0,0.1", "--at", "0.5,1.2,0.2"],
+    ["invariants", "normal_form_3d", "--at", "0.5,1.0,0.1",
+     "--at", "0.5,-1.0,0.1", "--at", "0.5,1.2,0.2", "--at", "0.3,0.6,0.3",
+     "--at", "0.4,0.7,-0.4", "--at", "0.6,0.8,0.5", "--at", "0.7,0.9,-0.6",
+     "--at", "0.3,1.3,0.7", "--at", "0.4,1.5,-0.8", "--at", "0.6,1.7,0.2",
+     "--at", "0.5,1.8,-0.1", "--at", "0.3,1.1,0.0"],
+    # det h = x is 0 at the seventh of 12 points only (exit 1)
+    ["normal-form", "tan(z)", "--h", "x,0,0,1", "--at", "0.1,0.2,0.3,1.1",
+     "--at", "0.2,-0.3,0.4,1.2", "--at", "0.3,0.4,-0.5,1.3",
+     "--at", "0.4,-0.5,0.6,1.4", "--at", "0.5,0.6,-0.7,1.5",
+     "--at", "0.6,-0.7,0.8,1.6", "--at", "0,0.5,0.5,0.5",
+     "--at", "0.3,0.1,-0.3,0.3", "--at", "0.4,-0.2,0.4,0.4",
+     "--at", "0.5,0.3,-0.5,0.5", "--at", "0.6,-0.4,0.6,0.6",
+     "--at", "0.7,0.5,-0.7,0.7"],
 ]
 
 
