@@ -37,7 +37,7 @@ from .curvature import leaf_geometry, levi_civita, scalar_curvature
 from .errors import BicontactError, BudgetError, NotIntegrable
 from .examples import EXAMPLES, build_example
 from .expressions import eval_number, parse as parse_expr
-from .forms import ext_d, wedge, with_structure_tables
+from .forms import ext_d, wedge
 from .inputfile import load_definition
 from .pipeline import (Tolerances, analyze, cached_C,
                        cartan_structure_check,
@@ -405,9 +405,8 @@ def _cmd_normal_form(cfg: RunConfig, rep: Report, fld, spec, pts):
     rep.checks.append(check("wronskian_drift", drift, tol.deep))
 
     fld = fourdim.normal_form_4d(sol, h=cfg.extra["h"])
-    frames = with_structure_tables(fld.frames(pts, cfg.order))
-    for p, frame in zip(pts, frames):
-        resid = fourdim.normal_form_residuals(frame, ode)
+    for p, resid in fourdim.normal_form_residual_rows(fld, ode, pts,
+                                                      cfg.order):
         rep.records.append({"point": list(p),
                             "residuals": dict(sorted(resid.items()))})
     structural = _summarize(rep, ("domega1", "domega2", "domega3", "domega4",

@@ -38,7 +38,7 @@ __all__ = ["Coframe4", "symp_structure", "compute_E", "e_expansion",
            "symplectic_quadratic", "symplectic_quadratic_check",
            "Curvature4Report", "curvature4", "QOde", "QSolution", "solve_q",
            "q_jets", "normal_form_4d", "normal_form_residuals",
-           "verify_normal_form"]
+           "normal_form_residual_rows", "verify_normal_form"]
 
 DEGENERATE_H = 1e-10   # |det h| at or below this = degenerate mixing matrix
 _TAYLOR_ORDER = 20     # degree of each Taylor step of solve_q
@@ -493,14 +493,26 @@ def normal_form_residuals(frame: Coframe, ode: QOde) -> dict:
     return out
 
 
+def normal_form_residual_rows(fld: CoframeField, ode: QOde, points,
+                              order: int):
+    """An iterator over ``points`` in order, each paired with the
+    ``normal_form_residuals`` of its frame of ``fld``.  The frames' structure
+    tables are filled block by block (``forms.with_structure_tables``);
+    where a frame fails, the rows before it come first."""
+    # a plain call returning a generator, as ``CoframeField.frames`` is, so
+    # profilers count it once
+    frames = with_structure_tables(fld.frames(points, order))
+    return ((p, normal_form_residuals(frame, ode))
+            for p, frame in zip(points, frames))
+
+
 def verify_normal_form(fld: CoframeField, ode: QOde, points,
                        order: int) -> dict:
     """The worst ``normal_form_residuals`` over the frames of ``fld`` at
-    ``points``, whose structure tables are filled block by block
-    (``forms.with_structure_tables``)."""
+    ``points``."""
     worst = dict.fromkeys(("domega1", "domega2", "domega3", "domega4", "C",
                            "eps", "E_vs_w"), 0.0)
-    for frame in with_structure_tables(fld.frames(points, order)):
-        for key, value in normal_form_residuals(frame, ode).items():
+    for _, resid in normal_form_residual_rows(fld, ode, points, order):
+        for key, value in resid.items():
             worst[key] = nan_max(worst[key], value)
     return worst

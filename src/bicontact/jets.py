@@ -19,11 +19,9 @@ coefficients as an (ncoeffs, N) array whose column p is point p's jet.  The
 operations and elementary functions take such jets as they are: products run
 as one kernel over all columns (``_product``), series coefficients come per
 point from the same ``math`` laws, and each domain check looks at every
-point's value.  Every column is bit-equal to the one-point jet, except for
-which of two NaNs a sum or product keeps (its sign and payload bits), which
-NumPy chooses by array length and position.  Where the points would take
-different branches (``power``, ``atan2``), the operation raises
-``_MixedBranches`` and the caller runs the points one by one.
+point's value.  Every column is bit-equal to the one-point jet.  Where the
+points would take different branches (``power``, ``atan2``), the operation
+raises ``_MixedBranches`` and the caller runs the points one by one.
 """
 
 from __future__ import annotations

@@ -158,7 +158,7 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
     batched = report()
     # the reference builds and fills each frame on its own
     monkeypatch.setattr(forms, "BATCH_MIN", forms.BATCH_MIN + 1)
-    monkeypatch.setattr(cli, "with_structure_tables", iter)
+    monkeypatch.setattr(fourdim, "with_structure_tables", iter)
     assert report() == batched
     rep = json.loads(batched)
     want = (6, "DegenerateH") if command == "normal-form" else \
