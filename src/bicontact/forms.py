@@ -16,9 +16,9 @@ adapt as tuples in sample order.
 Like a jet, a form can hold N points at once: ``c`` then has a trailing
 point axis, shape (keys, ncoeffs, N), and its coefficient jets are
 many-point jets.  Every kernel below takes such forms as they are, and
-:func:`per_point` splits a form, a jet or a table of jets into its
-points.  :func:`with_structure_tables` uses this to fill the structure
-tables of a block of frames in one pass.
+:func:`per_point` splits a form into its points.  :func:`stack_frames`
+joins one-point frames into one frame whose forms carry a point axis, so
+a block of frames goes through a check in one pass.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -76,7 +76,7 @@ __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
     "wedge", "wedge_all", "ext_d", "top_ratio",
     "two_form_coeffs", "one_form_coeffs", "scalar_d",
-    "coframe_field_from_expressions", "per_point", "with_structure_tables",
+    "coframe_field_from_expressions", "per_point", "stack_frames",
 ]
 
 
@@ -538,8 +538,6 @@ class Coframe:
 # the shortest sample list whose raw frames come from one tape run (see
 # ``CoframeField.frames``)
 BATCH_MIN = 12
-# the frames per many-point pass of ``with_structure_tables``
-STRUCTURE_BLOCK = 32
 # what a many-point build or pass may raise where some point fails; the
 # caller then goes point by point
 _POINT_ERRORS = (BicontactError, ArithmeticError, ValueError,
@@ -585,77 +583,28 @@ class CoframeField:
             yield self.at(p, order) if built is None else built.pop()
 
 
-def per_point(value) -> list:
-    """The one-point values of a :class:`PForm`, a :class:`Jet` or a
-    {key: Jet} table, in point order: its columns where it carries a point
-    axis, else ``[value]``."""
-    if isinstance(value, dict):
-        return [dict(zip(value, row))
-                for row in zip(*map(per_point, value.values()))]
-    if value.c.ndim == (1 if isinstance(value, Jet) else 2):
-        return [value]
-    cols = np.moveaxis(value.c, -1, 0).copy()
-    if isinstance(value, Jet):
-        return [Jet._of(value.dim, value.order, c) for c in cols]
-    return [PForm._of(value.chart, value.degree, value.order, c)
-            for c in cols]
+def per_point(form: PForm) -> list:
+    """The one-point forms of ``form``, in point order: its columns where it
+    carries a point axis, else ``[form]``."""
+    if form.c.ndim == 2:
+        return [form]
+    return [PForm._of(form.chart, form.degree, form.order, c)
+            for c in np.moveaxis(form.c, -1, 0).copy()]
 
 
-# the memo entries ``with_structure_tables`` fills
-_STRUCTURE_KEYS = ("d", "d coeffs", "wedge", "reciprocal")
-
-
-def with_structure_tables(frames):
-    """Yield ``frames`` in order, each with the structure table of every
-    covector in its memo: ``d`` and ``d_coeffs``, with the wedges and
-    volume reciprocals they take.  The frames of one field at one order go
-    ``STRUCTURE_BLOCK`` at a time, as they are reached, through one
-    many-point pass whose columns are bit-equal to each frame's own tables.
-    Where that pass raises, the block's frames fill their memos on first
-    use, so an error meets the caller at the frame and stage where it
-    would without this pass.  Where ``frames`` raises, the frames before
-    the failing one are yielded first."""
-    return _with_structure_tables(iter(frames))
-
-
-def _with_structure_tables(frames):
-    # the generator of ``with_structure_tables``, which stays a plain call,
-    # as ``CoframeField.frames`` does
-    while True:
-        block, error = [], None
-        try:
-            for frame in frames:
-                block.append(frame)
-                if len(block) == STRUCTURE_BLOCK:
-                    break
-        except _POINT_ERRORS as exc:
-            error = exc
-        if block:
-            _fill_structure_tables(block)
-        yield from block
-        if error is not None:
-            raise error
-        if len(block) < STRUCTURE_BLOCK:
-            return
-
-
-def _fill_structure_tables(block):
-    """One many-point pass of the structure tables of the frames ``block``,
-    whose covectors have equal orders, split into their memos."""
-    chart = block[0].chart
-    try:
-        stacked = Coframe(chart, None, tuple(
-            PForm._of(chart, f.degree, f.order,
-                      np.stack([frame.forms[i].c for frame in block], -1))
-            for i, f in enumerate(block[0].forms)))
-        for i in range(stacked.dim):
-            stacked.d_coeffs(i)
-    except _POINT_ERRORS:
-        return
-    for key, value in stacked._memo.items():
-        if key[0] in _STRUCTURE_KEYS:
-            for frame, one in zip(block, per_point(value)):
-                frame._memo.setdefault(key, one)
+def stack_frames(frames) -> Coframe:
+    """The one-point ``frames`` of one chart, whose covectors have equal
+    orders, as one :class:`Coframe` whose forms carry a point axis: column
+    k of each form is frame k's, so :func:`per_point` gives the frames'
+    forms back.  Its ``point`` holds one (N,) array per coordinate."""
+    first = frames[0]
+    return Coframe(
+        first.chart,
+        tuple(np.array(x) for x in zip(*(frame.point for frame in frames))),
+        tuple(PForm._of(first.chart, f.degree, f.order,
+                        np.stack([frame.forms[i].c for frame in frames], -1))
+              for i, f in enumerate(first.forms)),
+        stage=first.stage)
 
 
 def coframe_field_from_expressions(chart: Chart, rows, params=None):

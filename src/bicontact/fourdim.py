@@ -27,9 +27,9 @@ from . import jets
 from .jets import Jet
 from .errors import DegenerateH, DomainError, OdeStepFailure
 from . import expressions
-from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
-                    one_form_coeffs, per_point, scalar_d, wedge,
-                    with_structure_tables)
+from .forms import (_POINT_ERRORS, Chart, Coframe, CoframeField, PForm,
+                    ext_d, one_form_coeffs, per_point, scalar_d,
+                    stack_frames, wedge)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
 from .report import nan_max
@@ -41,6 +41,9 @@ __all__ = ["Coframe4", "symp_structure", "compute_E", "e_expansion",
            "normal_form_residual_rows", "verify_normal_form"]
 
 DEGENERATE_H = 1e-10   # |det h| at or below this = degenerate mixing matrix
+# frames per stacked pass of ``normal_form_residual_rows``: at order 3,
+# one pass over 200 points took 9.4 MB more peak memory, passes of 32 2.8 MB
+NORMAL_FORM_BLOCK = 32
 _TAYLOR_ORDER = 20     # degree of each Taylor step of solve_q
 _TAYLOR_TOL = 1e-14    # bound on a step's last two terms, relative to |Q| >= 1
 
@@ -54,7 +57,9 @@ class Coframe4:
 
     ``residuals`` holds the deviation of every structure-equation coefficient
     from the pattern above, keyed by equation; ``eps`` is rounded from the
-    extracted coefficient and ``C``/``E`` keep their jets.
+    extracted coefficient and ``C``/``E`` keep their jets.  Of a stacked
+    frame (``forms.stack_frames``), ``eps`` and each residual are (N,)
+    arrays, one value per column.
     """
 
     frame: Coframe
@@ -74,28 +79,37 @@ class Coframe4:
         return frame._cached("dE", lambda: e_expansion(frame, self.E))
 
 
+def _value(j: Jet):
+    """The base value of j: a float for one point, an (N,) array for N."""
+    return j.value if j.c.ndim == 1 else j.c[0]
+
+
 def symp_structure(frame: Coframe) -> Coframe4:
-    """Extract (eps, C, E) and the full residual table of the 4D pattern."""
+    """Extract (eps, C, E) and the full residual table of the 4D pattern,
+    of a one-point frame or, column by column, of a stacked one."""
     if frame.dim != 4:
         raise ValueError("symp_structure needs a 4D coframe")
     d = [frame.d_coeffs(i) for i in range(4)]
     C = -d[0][(0, 2)]
-    eps_raw = d[1][(0, 2)].value
-    eps = int(round(eps_raw))
+    eps_raw = _value(d[1][(0, 2)])
+    # round raises at a NaN or an infinity, at each point as at one
+    eps = (int(round(eps_raw)) if np.ndim(eps_raw) == 0
+           else np.array([round(v) for v in eps_raw.tolist()]))
     E = d[3][(0, 1)]
+    c, e = _value(C), _value(E)
 
     def dev(table, expected):
-        worst = 0.0
-        for pair, coeff in table.items():
-            worst = nan_max(worst, abs(coeff.value - expected.get(pair, 0.0)))
-        return worst
+        # nan_max at each point: np.max keeps a NaN too
+        worst = np.max([abs(_value(coeff) - expected.get(pair, 0.0))
+                        for pair, coeff in table.items()], axis=0)
+        return float(worst) if worst.ndim == 0 else worst
 
     res = {
-        "domega1": dev(d[0], {(0, 3): 1.0, (0, 2): -C.value, (1, 2): 1.0}),
-        "domega2": dev(d[1], {(1, 3): 1.0, (1, 2): C.value, (0, 2): eps_raw}),
+        "domega1": dev(d[0], {(0, 3): 1.0, (0, 2): -c, (1, 2): 1.0}),
+        "domega2": dev(d[1], {(1, 3): 1.0, (1, 2): c, (0, 2): eps_raw}),
         "domega3": dev(d[2], {}),
-        "domega4": dev(d[3], {(0, 1): E.value}),
-        "C_match": abs(d[1][(1, 2)].value - C.value),
+        "domega4": dev(d[3], {(0, 1): e}),
+        "C_match": abs(_value(d[1][(1, 2)]) - c),
         "eps_integer": abs(eps_raw - eps),
     }
     return Coframe4(frame=frame, eps=eps, C=C, E=E, residuals=res)
@@ -106,7 +120,7 @@ def compute_E(frame: Coframe) -> Jet:
 
     E = (d(omega^4) ^ omega^3 ^ omega^4) / (omega^1 ^ ... ^ omega^4); the
     wedge with omega^3 ^ omega^4 kills every d(omega^4) component except the
-    omega^1 ^ omega^2 one.
+    omega^1 ^ omega^2 one.  Of a stacked frame, a many-point jet.
     """
     num = wedge(wedge(frame.d(3), frame.omega(3)), frame.omega(4))
     return frame.ratio(num)
@@ -480,30 +494,64 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
 
 
 def normal_form_residuals(frame: Coframe, ode: QOde) -> dict:
-    """Structure-equation and round-trip residuals of one constructed frame:
+    """Structure-equation and round-trip residuals of a constructed frame:
     the deviation of the four structure equations from the declared
-    (eps, C), and of compute_E from the w coordinate."""
+    (eps, C), and of compute_E from the w coordinate.  Each is a float for
+    a one-point frame, and an (N,) array, one value per column, for a
+    stacked one."""
     s4 = symp_structure(frame)
     z, w = frame.point[2:]
+    want_c = (expressions.eval_number(ode._node, {"z": z}) if np.ndim(z) == 0
+              else np.array([expressions.eval_number(ode._node, {"z": v})
+                             for v in z.tolist()]))
     out = {key: s4.residuals[key]
            for key in ("domega1", "domega2", "domega3", "domega4")}
-    out["C"] = abs(s4.C.value - expressions.eval_number(ode._node, {"z": z}))
+    out["C"] = abs(_value(s4.C) - want_c)
     out["eps"] = abs(s4.eps - ode.eps) + s4.residuals["eps_integer"]
-    out["E_vs_w"] = abs(compute_E(frame).value - w)
+    out["E_vs_w"] = abs(_value(compute_E(frame)) - w)
     return out
 
 
 def normal_form_residual_rows(fld: CoframeField, ode: QOde, points,
                               order: int):
     """An iterator over ``points`` in order, each paired with the
-    ``normal_form_residuals`` of its frame of ``fld``.  The frames' structure
-    tables are filled block by block (``forms.with_structure_tables``);
-    where a frame fails, the rows before it come first."""
+    ``normal_form_residuals`` of its frame of ``fld``.  The frames go
+    ``NORMAL_FORM_BLOCK`` at a time, as they are reached, through one pass
+    on their stacked frame (``forms.stack_frames``), whose columns are
+    bit-equal to each frame's own residuals.  Where that pass raises, the
+    block goes frame by frame, so the first failing point raises its own
+    type and text; where a frame fails to build, the rows before it come
+    first."""
     # a plain call returning a generator, as ``CoframeField.frames`` is, so
     # profilers count it once
-    frames = with_structure_tables(fld.frames(points, order))
-    return ((p, normal_form_residuals(frame, ode))
-            for p, frame in zip(points, frames))
+    return _residual_rows(iter(points), fld.frames(points, order), ode)
+
+
+def _residual_rows(points, frames, ode):
+    while True:
+        block, error = [], None
+        try:
+            for frame in frames:
+                block.append(frame)
+                if len(block) == NORMAL_FORM_BLOCK:
+                    break
+        except _POINT_ERRORS as exc:
+            error = exc
+        try:
+            table = (normal_form_residuals(stack_frames(block), ode)
+                     if block else {})
+            rows = (dict(zip(table, row))
+                    for row in zip(*(v.tolist() for v in table.values())))
+        except _POINT_ERRORS:
+            # frame by frame, so the first failing point raises its own
+            # type and text
+            rows = (normal_form_residuals(frame, ode) for frame in block)
+        for resid in rows:
+            yield next(points), resid
+        if error is not None:
+            raise error
+        if len(block) < NORMAL_FORM_BLOCK:
+            return
 
 
 def verify_normal_form(fld: CoframeField, ode: QOde, points,

@@ -643,18 +643,27 @@ def test_kernels_over_a_point_axis_are_bit_equal_per_point(drawn):
             _assert_bit_equal(g, w, finite)
 
 
-def test_per_point_splits_forms_jets_and_tables():
+# omega3 = x dz: the volume x dx^dy^dz vanishes at x = 0
+_FLAT_AT_X0 = [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "x"}]
+
+
+def test_per_point_splits_a_form_and_stack_frames_joins_frames():
     one = PForm.d_coord(CH3, 0, 2)
     assert forms.per_point(one) == [one]
-    jet = Jet.constant([1.0, -0.0, 2.0], 3, 2)
-    cols = forms.per_point({"a": jet, "b": jet * 2.0})
-    assert [list(t) for t in cols] == [["a", "b"]] * 3
-    assert [t["a"].c.tobytes() for t in cols] == \
-        [Jet.constant(v, 3, 2).c.tobytes() for v in (1.0, -0.0, 2.0)]
+    fld = coframe_field_from_expressions(CH3, _FLAT_AT_X0)
+    pts = [(0.5, 0.2, 0.1), (0.6, 0.3, 0.2), (0.7, 0.4, 0.3)]
+    frames = [fld.at(p, 3) for p in pts]
+    stacked = forms.stack_frames(frames)
+    assert [list(x) for x in stacked.point] == [list(x) for x in zip(*pts)]
+    assert stacked.stage == frames[0].stage
+    for i, form in enumerate(stacked.forms):
+        assert form.c.shape == frames[0].forms[i].c.shape + (3,)
+        assert [f.c.tobytes() for f in forms.per_point(form)] == \
+            [frame.forms[i].c.tobytes() for frame in frames]
 
 
 def _structure_fields():
-    """(field, points, order) triples whose frames go through one block."""
+    """(field, points, order) triples of one stacked block each."""
     nf = normal_form_4d(solve_q(QOde("tan(z)", -1), (-1.2, 1.2)),
                         h=(("1", "0"), ("x^2/2", "1")))
     e4, n3 = build_example("fourd_enonzero"), build_example("normal_form_3d")
@@ -664,37 +673,27 @@ def _structure_fields():
             (n3.coframes(), box_points(n3.box, 5, seed=9), 6)]
 
 
+def _columns(table) -> list:
+    """A {key: Jet} table of a stacked frame as one (key, order, bytes)
+    list per column."""
+    return [[(key, jet.order, np.ascontiguousarray(jet.c[:, k]).tobytes())
+             for key, jet in table.items()]
+            for k in range(next(iter(table.values())).c.shape[1])]
+
+
 @pytest.mark.parametrize("index", range(4), ids=[
     "normal_form_4d order 3", "normal_form_4d order 6",
     "fourd_enonzero order 2", "normal_form_3d order 6"])
-def test_structure_tables_of_a_block_equal_each_frames_own(monkeypatch,
-                                                           index):
-    # blocks of 3 frames: two full ones and a last one of 1 (7 points) or 2
-    # (5 points)
-    monkeypatch.setattr(forms, "STRUCTURE_BLOCK", 3)
+def test_structure_tables_of_a_block_equal_each_frames_own(index):
     fld, pts, order = _structure_fields()[index]
-    got = list(forms.with_structure_tables(fld.frames(pts, order)))
-    assert [f.point for f in got] == pts
-    for p, frame in zip(pts, got):
-        seeded = set(frame._memo)
-        fresh = fld.at(p, order)
-        for i in range(fresh.dim):
-            fresh.d_coeffs(i)
-        assert seeded == {key for key in fresh._memo
-                          if key[0] in ("d", "d coeffs", "wedge", "reciprocal")}
-        for key in seeded:
-            want, have = fresh._memo[key], frame._memo[key]
-            if isinstance(want, dict):
-                assert list(have) == list(want)
-                want, have = list(want.values()), list(have.values())
-            else:
-                want, have = [want], [have]
-            assert [(h.order, h.c.tobytes()) for h in have] == \
-                [(w.order, w.c.tobytes()) for w in want], key
-
-
-# omega3 = x dz: the volume x dx^dy^dz vanishes at x = 0
-_FLAT_AT_X0 = [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "x"}]
+    stacked = forms.stack_frames(list(fld.frames(pts, order)))
+    for i in range(stacked.dim):
+        want = []
+        for p in pts:
+            own = fld.at(p, order).d_coeffs(i)
+            want.append([(key, jet.order, jet.c.tobytes())
+                         for key, jet in own.items()])
+        assert _columns(stacked.d_coeffs(i)) == want, i
 
 
 def _outcome(frame):
@@ -705,24 +704,14 @@ def _outcome(frame):
 
 
 def test_structure_tables_keep_each_frames_error():
+    # the stacked tables raise the first failing frame's own error, so a
+    # caller that then goes frame by frame meets it at that frame
     fld = coframe_field_from_expressions(CH3, _FLAT_AT_X0)
     pts = [(0.5, 0.2, 0.1), (0.0, 0.3, 0.2), (0.7, 0.4, 0.3)]
-    got = [_outcome(f) for f in forms.with_structure_tables(
-        fld.frames(pts, 3))]
-    assert got == [_outcome(fld.at(p, 3)) for p in pts]
+    got = [_outcome(fld.at(p, 3)) for p in pts]
     assert got[1] == "volume-form denominator 0.0 is numerically zero"
     assert isinstance(got[0], list) and isinstance(got[2], list)
-
-    def failing():
-        yield fld.at(pts[0], 3)
-        yield fld.at(pts[2], 3)
-        raise BudgetError("unit-test")
-
-    frames = forms.with_structure_tables(failing())
-    first, second = next(frames), next(frames)
-    assert ("d coeffs", 2) in first._memo and ("d coeffs", 2) in second._memo
-    with pytest.raises(BudgetError, match="unit-test"):
-        next(frames)
+    assert _outcome(forms.stack_frames([fld.at(p, 3) for p in pts])) == got[1]
 
 
 @pytest.mark.parametrize("value,text", [

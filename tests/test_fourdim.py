@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from bicontact import cli, forms
-from bicontact.errors import DegenerateH, DomainError
+from bicontact.errors import DegenerateH, DomainError, SingularVolumeError
 from bicontact.examples import build_example
 from bicontact.forms import Chart, coframe_field_from_expressions
-from bicontact.fourdim import (QOde, compute_E, curvature4, e_expansion,
-                               normal_form_4d, q_jets, solve_q,
+from bicontact.fourdim import (NORMAL_FORM_BLOCK, QOde, compute_E,
+                               curvature4, e_expansion, normal_form_4d,
+                               normal_form_residual_rows,
+                               normal_form_residuals, q_jets, solve_q,
                                symp_structure, symplectic_quadratic,
                                symplectic_quadratic_check, verify_normal_form)
 from bicontact.jets import partial
@@ -260,6 +262,63 @@ def test_normal_form_builds_many_points_in_one_go(monkeypatch, profile, eps,
     assert [f.point for f in got] == pts
     assert [_form_bytes(f) for f in got] == want
     assert {f.stage for f in got} == {"normal_form_4d"}
+
+
+def _rows_then_error(rows):
+    """The (point, residuals) rows an iterator yields, and the type and text
+    of the error it then raises, or None."""
+    out = []
+    try:
+        for row in rows:
+            out.append(row)
+    except (DegenerateH, SingularVolumeError) as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+def _frame_by_frame(fld, ode, pts, order):
+    """The rows of ``normal_form_residual_rows``, each frame built and
+    checked on its own."""
+    return _rows_then_error((p, normal_form_residuals(fld.at(p, order), ode))
+                            for p in pts)
+
+
+@pytest.mark.parametrize("count,bad", [(40, 34), (33, None)],
+                         ids=["fails at point 35 of 40", "33 points"])
+def test_residual_rows_over_blocks_equal_each_frames_own(count, bad):
+    # det h = x vanishes at the bad point only: 32 rows of a full block and
+    # 2 of the next come before its DegenerateH.  33 points end in a block
+    # of one column.
+    assert NORMAL_FORM_BLOCK == 32
+    ode = QOde("tan(z)", -1)
+    fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)),
+                         h=(("x", "0"), ("0", "1")))
+    pts = box_points(BOX4, count, seed=61)
+    if bad is not None:
+        pts[bad] = (0.0, *pts[bad][1:])
+    got = _rows_then_error(normal_form_residual_rows(fld, ode, pts, 3))
+    # repr tells the values' bits and types apart, and shows a NaN equal
+    assert repr(got) == repr(_frame_by_frame(fld, ode, pts, 3))
+    rows, error = got
+    assert len(rows) == (count if bad is None else bad)
+    if bad is not None:
+        assert error == (DegenerateH, f"det h = 0.0 at {pts[bad]!r}")
+
+
+def test_a_failing_stacked_pass_goes_frame_by_frame():
+    # omega4 = x dw: the volume vanishes at the third point, so the stacked
+    # pass raises, and the block's frames are checked one by one up to it
+    ode = QOde("tan(z)", -1)
+    fld = coframe_field_from_expressions(
+        Chart(("x", "y", "z", "w")),
+        [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "1"}, {"dw": "x"}])
+    pts = box_points(BOX4, 5, seed=62)
+    pts[2] = (0.0, *pts[2][1:])
+    got = _rows_then_error(normal_form_residual_rows(fld, ode, pts, 3))
+    assert repr(got) == repr(_frame_by_frame(fld, ode, pts, 3))
+    assert [p for p, _ in got[0]] == pts[:2]
+    assert got[1] == (SingularVolumeError,
+                      "volume-form denominator 0.0 is numerically zero")
 
 
 @pytest.mark.parametrize("entry,det", [("1e200*1e200", "inf"),

@@ -7,7 +7,7 @@ import json
 import pathlib
 from collections import Counter
 
-from bicontact import cli, forms
+from bicontact import cli, forms, fourdim
 from bicontact.examples import EXAMPLES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -96,17 +96,22 @@ def test_digest_folds_in_stderr():
 
 
 def test_many_point_argvs_match_the_benchmark_sizes():
-    sizes = {tuple(argv[:2]): argv[argv.index("--points") + 1]
-             for argv in report_sweep.MANY_POINT_ARGVS if "--points" in argv}
-    assert sizes == {("curvature", "normal_form_3d"): "60",
-                     ("invariants", "tests/data/case1_frame.txt"): "60",
-                     ("fourdim", "fourd_enonzero"): "18",
-                     ("normal-form", "tan(z)"): "200"}
+    # the benchmark's sample counts, and 33 normal-form points, whose last
+    # block of fourdim.NORMAL_FORM_BLOCK has one column
+    sizes = [(*argv[:2], argv[argv.index("--points") + 1])
+             for argv in report_sweep.MANY_POINT_ARGVS if "--points" in argv]
+    assert sizes == [("curvature", "normal_form_3d", "60"),
+                     ("invariants", "tests/data/case1_frame.txt", "60"),
+                     ("fourdim", "fourd_enonzero", "18"),
+                     ("normal-form", "tan(z)", "200"),
+                     ("normal-form", "tan(z)", "33")]
     assert all((ROOT / argv[1]).is_file() or argv[1] in EXAMPLES
                or argv[1] in report_sweep.PROFILES
                for argv in report_sweep.MANY_POINT_ARGVS)
     # the failing --at lists: one below forms.BATCH_MIN, built point by
-    # point, and two at it, whose one many-point build fails
-    sizes = sorted(argv.count("--at")
+    # point, two at it, whose one many-point build fails, and one past the
+    # first block of fourdim.NORMAL_FORM_BLOCK
+    sizes = sorted(sum(word.split("=")[0] == "--at" for word in argv)
                    for argv in report_sweep.MANY_POINT_ARGVS)
-    assert sizes == [0, 0, 0, 0, 3, forms.BATCH_MIN, forms.BATCH_MIN]
+    assert sizes == [0] * 5 + [3, forms.BATCH_MIN, forms.BATCH_MIN, 40]
+    assert fourdim.NORMAL_FORM_BLOCK < 40

@@ -156,9 +156,14 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
         return out.getvalue()
 
     batched = report()
-    # the reference builds and fills each frame on its own
+
+    def frame_by_frame(fld, ode, points, order):
+        return ((p, fourdim.normal_form_residuals(frame, ode))
+                for p, frame in zip(points, fld.frames(points, order)))
+
+    # the reference builds and checks each frame on its own
     monkeypatch.setattr(forms, "BATCH_MIN", forms.BATCH_MIN + 1)
-    monkeypatch.setattr(fourdim, "with_structure_tables", iter)
+    monkeypatch.setattr(fourdim, "normal_form_residual_rows", frame_by_frame)
     assert report() == batched
     rep = json.loads(batched)
     want = (6, "DegenerateH") if command == "normal-form" else \

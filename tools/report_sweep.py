@@ -10,7 +10,8 @@ Then it runs the fixed argvs of ``OPTION_ARGVS``, which between them pass
 every option of the command line but ``--out``, and the argvs of
 ``MANY_POINT_ARGVS``, which run at the sample counts of the benchmark's
 workloads and through a point where a frame cannot be built, in lists of 3
-and of 12 points (below and at ``forms.BATCH_MIN``).  Every run goes
+and of 12 points (below and at ``forms.BATCH_MIN``) and of 40 (past the
+first block of ``fourdim.NORMAL_FORM_BLOCK``).  Every run goes
 through ``bicontact.cli.main`` in this process, from the checkout that
 holds this script (its ``src/`` comes first on the path), with the
 checkout as the working directory, since a report echoes its source path.  A
@@ -88,6 +89,12 @@ MANY_POINT_ARGVS = [
      "--at", "0.3,0.1,-0.3,0.3", "--at", "0.4,-0.2,0.4,0.4",
      "--at", "0.5,0.3,-0.5,0.5", "--at", "0.6,-0.4,0.6,0.6",
      "--at", "0.7,0.5,-0.7,0.7"],
+    # 33 points end in a block of one column; det h = x is 0 at the 35th
+    # of 40 points only (exit 1), after a full block and 2 rows
+    ["normal-form", "tan(z)", "--order", "3", "--points", "33"],
+    ["normal-form", "tan(z)", "--h", "x,0,0,1", *(
+        f"--at={0 if k == 34 else 0.02 * (k + 1):g},0.3,{0.05 * k - 1:g},1.2"
+        for k in range(40))],
 ]
 
 
