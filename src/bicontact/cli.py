@@ -34,11 +34,12 @@ import numpy as np
 from . import __version__, fourdim
 from .curvature import curvature as curvature_of
 from .curvature import leaf_geometry, levi_civita, scalar_curvature
-from .errors import BicontactError, BudgetError, NotIntegrable
+from .errors import BicontactError, BudgetError
 from .examples import EXAMPLES, build_example
 from .expressions import eval_number, parse as parse_expr
-from .forms import ext_d, wedge
+from .forms import ext_d, stacked_rows, wedge
 from .inputfile import load_definition
+from .jets import _value
 from .pipeline import (Tolerances, analyze, cached_C,
                        cartan_structure_check,
                        circle_volume_coefficient, classify,
@@ -227,7 +228,10 @@ _UNIT_CIRCLE = [(float(np.cos(t)), float(np.sin(t)))
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each takes (cfg, rep, fld, spec, pts) and fills ``rep``
+# command bodies: each takes (cfg, rep, fld, spec, pts) and fills ``rep``.
+# The 4D bodies, and the curvature of 3D frames, run their stages once per
+# stacked block of frames (``forms.stacked_rows``), and a record is split off
+# per point only here.
 
 def _summarize(rep: Report, keys=None) -> float:
     """Set ``rep.summary`` from the records' residuals and return the worst
@@ -240,15 +244,19 @@ def _tally(rep: Report, key: str):
     rep.histogram[key] = rep.histogram.get(key, 0) + 1
 
 
+def _pattern(frame) -> dict:
+    """The fields of a 4D ``check`` record: eps, C, E and the residual
+    table, in key order, of ``symp_structure``."""
+    rec = fourdim.symp_structure(frame)
+    return {"eps": rec.eps, "C": _value(rec.C), "E": _value(rec.E),
+            "residuals": dict(sorted(rec.residuals.items()))}
+
+
 def _cmd_check(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
-        for p, frame in zip(pts, fld.frames(pts, cfg.order)):
-            rec = fourdim.symp_structure(frame)
-            rep.records.append({
-                "point": list(p), "eps": rec.eps, "C": rec.C.value,
-                "E": rec.E.value,
-                "residuals": dict(sorted(rec.residuals.items()))})
+        for p, row in stacked_rows(pts, fld.frames(pts, cfg.order), _pattern):
+            rep.records.append({"point": list(p), **row})
         rep.checks.append(check("four_covector_pattern", _summarize(rep),
                                 tol.shallow))
         return
@@ -324,45 +332,73 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld, spec, pts):
                             cfg.tol_deep))
 
 
+def _curvature4(frame) -> dict:
+    """The fields of a 4D ``curvature`` record."""
+    out = fourdim.curvature4(fourdim.symp_structure(frame))
+    return {"S": _value(out.S), "pfaffian": _value(out.pfaffian),
+            "leaf_mean_curvature": out.leaf.H,
+            "residuals": dict(sorted(out.residuals.items()))}
+
+
+def _masked(values, mask) -> list:
+    """The columns of ``values``, None where ``mask`` is set."""
+    return [None if m else v for v, m in zip(values.tolist(), mask.tolist())]
+
+
+def _curvature3(cf) -> dict:
+    """The fields of a 3D ``curvature`` record."""
+    conn = levi_civita(cf)
+    curv = curvature_of(conn)
+    leaf = leaf_geometry(cf, conn, curv)
+    # a frame without leaves has no leaf geometry; that is data about the
+    # frame, not a failure of the run
+    leafless = leaf.not_integrable
+    return {"theta12": _value(curv.coefficient(0, 1, 0, 1)),
+            "theta13": _value(curv.coefficient(0, 2, 0, 2)),
+            "theta23": _value(curv.coefficient(1, 2, 1, 2)),
+            "scalar": _value(scalar_curvature(curv)),
+            "residuals": {"connection": conn.structure_residual,
+                          "leaf_integrability": leaf.defect},
+            "mean_curvature": _masked(leaf.H, leafless),
+            "leaf_curvature": _masked(leaf.K_leaf, leafless)}
+
+
 def _cmd_curvature(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
-        for p, frame in zip(pts, fld.frames(pts, cfg.order)):
-            out = fourdim.curvature4(fourdim.symp_structure(frame))
-            rep.records.append({
-                "point": list(p), "S": out.S.value,
-                "pfaffian": out.pfaffian.value,
-                "leaf_mean_curvature": out.leaf.H,
-                "residuals": dict(sorted(out.residuals.items()))})
+        for p, row in stacked_rows(pts, fld.frames(pts, cfg.order),
+                                   _curvature4):
+            rep.records.append({"point": list(p), **row})
         rep.checks.append(check("curvature_displays", _summarize(rep),
                                 tol.deep))
         return
     result = analyze(fld, pts, cfg.order, tol)
     frames = result.get("adapted_frames", result["frames"])
     rep.histogram[f"case:{result['case']}"] = len(pts)
-    for p, cf in zip(pts, frames):
-        conn = levi_civita(cf)
-        curv = curvature_of(conn)
-        row = {"point": list(p),
-               "theta12": curv.coefficient(0, 1, 0, 1).value,
-               "theta13": curv.coefficient(0, 2, 0, 2).value,
-               "theta23": curv.coefficient(1, 2, 1, 2).value,
-               "scalar": scalar_curvature(curv).value,
-               "residuals": {"connection": conn.structure_residual}}
-        try:
-            leaf = leaf_geometry(cf, conn, curv)
-            row["mean_curvature"] = leaf.H
-            row["leaf_curvature"] = leaf.K_leaf
-            row["residuals"]["leaf_integrability"] = leaf.defect
-        except NotIntegrable as exc:
-            # a frame without leaves has no leaf geometry; that is data about
-            # the frame, not a failure of the run
-            row["mean_curvature"] = None
-            row["leaf_curvature"] = None
-            row["residuals"]["leaf_integrability"] = exc.defect
-        rep.records.append(row)
+    for p, row in stacked_rows(pts, frames, _curvature3):
+        rep.records.append({"point": list(p), **row})
     rep.checks.append(check("connection_consistency",
                             _summarize(rep, ("connection",)), tol.deep))
+
+
+def _fourdim(frame) -> dict:
+    """The fields of a ``fourdim`` record."""
+    rec = fourdim.symp_structure(frame)
+    resid = dict(sorted(rec.residuals.items()))
+    e_direct = fourdim.compute_E(frame)
+    resid["E_ratio_vs_pattern"] = abs(_value(e_direct) - _value(rec.E))
+    exp = rec.expansion
+    resid["E_expansion"] = exp["residual"]
+    quad = fourdim.symplectic_quadratic_check(rec, _UNIT_CIRCLE)
+    resid.update({"quad_closed": quad["closed"],
+                  "quad_11": quad["quad11"], "quad_22": quad["quad22"],
+                  "quad_12": quad["quad12"],
+                  "quad_sampled": quad["sampled"]})
+    curv = fourdim.curvature4(rec)
+    return {"eps": rec.eps, "C": _value(rec.C), "E": _value(rec.E),
+            "E1": _value(exp["E1"]), "E2": _value(exp["E2"]),
+            "S": _value(curv.S), "pfaffian": _value(curv.pfaffian),
+            "curvature_residual": curv.max_residual, "residuals": resid}
 
 
 def _cmd_fourdim(cfg: RunConfig, rep: Report, fld, spec, pts):
@@ -370,25 +406,8 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld, spec, pts):
     if fld.chart.dim != 4:
         raise BicontactError(
             "the fourdim command needs a chart with 4 coordinates")
-    for p, frame in zip(pts, fld.frames(pts, cfg.order)):
-        rec = fourdim.symp_structure(frame)
-        resid = dict(sorted(rec.residuals.items()))
-        e_direct = fourdim.compute_E(frame)
-        resid["E_ratio_vs_pattern"] = abs(e_direct.value - rec.E.value)
-        exp = rec.expansion
-        resid["E_expansion"] = exp["residual"]
-        quad = fourdim.symplectic_quadratic_check(rec, _UNIT_CIRCLE)
-        resid.update({"quad_closed": quad["closed"],
-                      "quad_11": quad["quad11"], "quad_22": quad["quad22"],
-                      "quad_12": quad["quad12"],
-                      "quad_sampled": quad["sampled"]})
-        curv = fourdim.curvature4(rec)
-        rep.records.append({
-            "point": list(p), "eps": rec.eps, "C": rec.C.value,
-            "E": rec.E.value, "E1": exp["E1"].value, "E2": exp["E2"].value,
-            "S": curv.S.value, "pfaffian": curv.pfaffian.value,
-            "curvature_residual": curv.max_residual,
-            "residuals": resid})
+    for p, row in stacked_rows(pts, fld.frames(pts, cfg.order), _fourdim):
+        rep.records.append({"point": list(p), **row})
     rep.checks.append(check("pattern_and_pairings", _summarize(rep),
                             tol.shallow))
     rep.checks.append(check(
@@ -434,11 +453,10 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
     expected = spec.expected
     if fld.chart.dim == 4:
         worst = {"C": 0.0, "E": 0.0, "pattern": 0.0}
-        for p, frame in zip(pts, fld.frames(pts, cfg.order)):
-            rec = fourdim.symp_structure(frame)
-            worst["pattern"] = nan_max(worst["pattern"], rec.max_residual)
-            row = {"point": list(p), "eps": rec.eps, "C": rec.C.value,
-                   "E": rec.E.value}
+        for p, row in stacked_rows(pts, fld.frames(pts, cfg.order), _pattern):
+            worst["pattern"] = nan_max(worst["pattern"],
+                                       *row.pop("residuals").values())
+            row = {"point": list(p), **row}
             for key in ("C", "E"):
                 if key in expected:
                     want = _expected_value(expected[key], spec.chart, p,
@@ -472,10 +490,11 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
             rep.checks.append(check(f"expected_{key}", dev, tol.deep))
     if "curvature_12" in expected:
         dev = 0.0
-        for cf in result.get("adapted_frames", result["frames"]):
-            curv = curvature_of(levi_civita(cf))
-            dev = nan_max(dev, abs(curv.coefficient(0, 1, 0, 1).value
-                                   - expected["curvature_12"]))
+        for _, row in stacked_rows(
+                pts, result.get("adapted_frames", result["frames"]),
+                lambda cf: {"theta12": _value(curvature_of(
+                    levi_civita(cf)).coefficient(0, 1, 0, 1))}):
+            dev = nan_max(dev, abs(row["theta12"] - expected["curvature_12"]))
         rep.checks.append(check("expected_curvature_12", dev, tol.deep))
     if "K" in expected:
         cart = cartan_structure_check(result["frames"], tol)

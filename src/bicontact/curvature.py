@@ -7,14 +7,18 @@ Both tables are built once, on construction, and are frozen and skew: the
 connection builds omega^i_j for i < j and sets omega^j_i = -omega^i_j, the
 curvature holds Theta^i_j for i < j and gives the lower half by sign, and
 neither builds the zero diagonal.  Everything works in any chart dimension
-(used here for 3 and 4).
+(used here for 3 and 4), on a one-point frame or, column by column, on a
+stacked one (``forms.stack_frames``), whose values and residuals are then
+(N,) arrays, one value per column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .jets import Jet
+import numpy as np
+
+from .jets import Jet, _value
 from .errors import NotIntegrable
 from .report import nan_max
 from .forms import Coframe, PForm, wedge, ext_d, two_form_coeffs
@@ -30,7 +34,9 @@ def _structure_coeffs(frame: Coframe):
     """D[i][j][k] with d(omega^i) = sum_{j<k} D[i][j][k] omega^j ^ omega^k,
     stored fully antisymmetric in (j, k)."""
     dim = frame.chart.dim
-    zero = Jet.constant(0.0, dim, max(frame.forms[0].order - 1, 0))
+    # one zero per column of a stacked frame
+    zero = Jet.constant(np.zeros(frame.forms[0].c.shape[2:]), dim,
+                        max(frame.forms[0].order - 1, 0))
     D = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         coeffs = frame.d_coeffs(i, stage="levi_civita(structure coeffs)")
@@ -51,7 +57,7 @@ class ConnectionMatrix:
     frame: Coframe
     gamma: tuple
     omega: dict = field(init=False, repr=False, compare=False)
-    structure_residual: float = field(init=False)
+    structure_residual: float = field(init=False)   # or one per column
 
     def __post_init__(self):
         dim = self.frame.chart.dim
@@ -72,8 +78,9 @@ class ConnectionMatrix:
         """The connection 1-form omega^i_j (0-based indices, i != j)."""
         return self.omega[i, j]
 
-    def residual(self) -> float:
-        """Max coefficient of d(omega^i) + omega^i_j ^ omega^j over i."""
+    def residual(self):
+        """Max coefficient of d(omega^i) + omega^i_j ^ omega^j over i, per
+        column of a stacked frame."""
         worst = 0.0
         dim = self.frame.chart.dim
         for i in range(dim):
@@ -164,7 +171,11 @@ def pfaffian_coefficient(curv: CurvatureMatrix) -> Jet:
 
 @dataclass
 class LeafGeometry:
-    """Second fundamental form data of the foliation ker(omega^normal)."""
+    """Second fundamental form data of the foliation ker(omega^normal).
+
+    Of a stacked 3D frame, every value is an (N,) array, one per column,
+    and ``not_integrable`` marks the columns without leaves, whose other
+    values mean nothing."""
 
     shape: list            # tangential values Gamma^normal_{i j}; det(shape)
                            # is the extrinsic Gauss-Kronecker curvature
@@ -174,10 +185,16 @@ class LeafGeometry:
                            # only): ambient sectional curvature + det(shape)
     defect: float          # integrability defect of the normal covector
 
+    @property
+    def not_integrable(self):
+        """Whether ``defect`` is above ``INTEGRABLE``: a bool, or one per
+        column.  Always False of a one-point frame, which raises instead."""
+        return self.defect > INTEGRABLE
 
-def _integrability_defect(frame: Coframe, normal: int) -> float:
-    """Max |coefficient| of alpha ^ d(alpha): zero iff ker(alpha) is
-    integrable (Frobenius), in any dimension."""
+
+def _integrability_defect(frame: Coframe, normal: int):
+    """Max |coefficient| of alpha ^ d(alpha), per column of a stacked frame:
+    zero iff ker(alpha) is integrable (Frobenius), in any dimension."""
     prod = wedge(frame.omega(normal + 1),
                  frame.d(normal, stage="leaf_geometry(defect)"))
     return prod.max_abs_value()
@@ -193,19 +210,27 @@ def leaf_geometry(frame: Coframe, conn: ConnectionMatrix | None = None,
     induced metric of the remaining covectors.  The leaf curvature solves the
     pullback of the ambient curvature identity: tangential curvature pairing
     plus the shape-operator determinant.
+
+    A one-point frame whose covector is not integrable raises
+    ``NotIntegrable``, and so does a stacked 4D frame at its first such
+    column.  A stacked 3D frame marks those columns in ``not_integrable``
+    instead, since a leafless point is data to the 3D report.
     """
     dim = frame.chart.dim
     if normal is None:
         normal = dim - 1
     tangent = [i for i in range(dim) if i != normal]
     dval = _integrability_defect(frame, normal)
-    if dval > INTEGRABLE:
-        raise NotIntegrable(
-            f"omega^{normal + 1} is not integrable: defect {dval!r}",
-            defect=dval)
+    if np.ndim(dval) == 0 or dim != 3:
+        for value in np.atleast_1d(dval).tolist():
+            if value > INTEGRABLE:
+                raise NotIntegrable(
+                    f"omega^{normal + 1} is not integrable: defect {value!r}",
+                    defect=value)
     if conn is None:
         conn = levi_civita(frame)
-    shape = [[conn.gamma[normal][i][j].value for j in tangent] for i in tangent]
+    shape = [[_value(conn.gamma[normal][i][j]) for j in tangent]
+             for i in tangent]
     m = len(tangent)
     trace = sum(shape[i][i] for i in range(m))
     H = trace / m
@@ -215,6 +240,6 @@ def leaf_geometry(frame: Coframe, conn: ConnectionMatrix | None = None,
             curv = curvature(conn)
         i, j = tangent
         det = shape[0][0] * shape[1][1] - shape[0][1] * shape[1][0]
-        K_leaf = curv.coefficient(i, j, i, j).value + det
+        K_leaf = _value(curv.coefficient(i, j, i, j)) + det
     return LeafGeometry(shape=shape, H=H, trace=trace, K_leaf=K_leaf,
                         defect=dval)

@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .jets import Jet
+from .jets import Jet, _value
 from .errors import DegenerateH, DomainError, OdeStepFailure
 from . import expressions
-from .forms import (_POINT_ERRORS, Chart, Coframe, CoframeField, PForm,
-                    ext_d, one_form_coeffs, per_point, scalar_d,
-                    stack_frames, wedge)
+from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
+                    one_form_coeffs, per_point, scalar_d, stacked_rows, wedge)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
 from .report import nan_max
@@ -41,9 +40,6 @@ __all__ = ["Coframe4", "symp_structure", "compute_E", "e_expansion",
            "normal_form_residual_rows", "verify_normal_form"]
 
 DEGENERATE_H = 1e-10   # |det h| at or below this = degenerate mixing matrix
-# frames per stacked pass of ``normal_form_residual_rows``: at order 3,
-# one pass over 200 points took 9.4 MB more peak memory, passes of 32 2.8 MB
-NORMAL_FORM_BLOCK = 32
 _TAYLOR_ORDER = 20     # degree of each Taylor step of solve_q
 _TAYLOR_TOL = 1e-14    # bound on a step's last two terms, relative to |Q| >= 1
 
@@ -77,11 +73,6 @@ class Coframe4:
         """``e_expansion(frame, E)``, computed on first use, once per frame."""
         frame = self.frame
         return frame._cached("dE", lambda: e_expansion(frame, self.E))
-
-
-def _value(j: Jet):
-    """The base value of j: a float for one point, an (N,) array for N."""
-    return j.value if j.c.ndim == 1 else j.c[0]
 
 
 def symp_structure(frame: Coframe) -> Coframe4:
@@ -131,13 +122,14 @@ def e_expansion(frame: Coframe, E: Jet | None = None) -> dict:
 
     Returns E1, E2 and the deviation of the omega^3 / omega^4 slots from
     (0, 2E).  A declared constant nonzero E shows up here: its differential
-    vanishes, so the omega^4 slot misses 2E by |2E|.
+    vanishes, so the omega^4 slot misses 2E by |2E|.  Of a stacked frame,
+    the residual is an (N,) array, one value per column.
     """
     if E is None:
         E = compute_E(frame)
     coeffs = one_form_coeffs(scalar_d(frame.chart, E), frame)
-    residual = nan_max(abs(coeffs[2].value),
-                       abs(coeffs[3].value - 2.0 * E.value))
+    residual = nan_max(abs(_value(coeffs[2])),
+                       abs(_value(coeffs[3]) - 2.0 * _value(E)))
     return {"E1": coeffs[0], "E2": coeffs[1], "residual": residual}
 
 
@@ -159,18 +151,20 @@ def symplectic_quadratic_check(F: Coframe4, a_samples=()) -> dict:
     theta^1 ^ theta^1 = 2 Omega, theta^2 ^ theta^2 = -2 eps Omega and
     theta^1 ^ theta^2 = 2 C Omega; arbitrary combinations follow the
     quadratic above and are spot-checked for each pair in ``a_samples``.
+    Of a stacked frame, each residual is an (N,) array, one per column.
     """
     frame = F.frame
     th1, th2 = frame.d(0), frame.d(1)
     closed = nan_max(ext_d(th1).max_abs_value(), ext_d(th2).max_abs_value())
-    r11 = frame.ratio(wedge(th1, th1)).value - 2.0
-    r22 = frame.ratio(wedge(th2, th2)).value + 2.0 * F.eps
-    r12 = frame.ratio(wedge(th1, th2)).value - 2.0 * F.C.value
+    C = _value(F.C)
+    r11 = _value(frame.ratio(wedge(th1, th1))) - 2.0
+    r22 = _value(frame.ratio(wedge(th2, th2))) + 2.0 * F.eps
+    r12 = _value(frame.ratio(wedge(th1, th2))) - 2.0 * C
     worst_a = 0.0
     for a1, a2 in a_samples:
         th = th1.scaled(float(a1)) + th2.scaled(float(a2))
-        got = frame.ratio(wedge(th, th)).value
-        want = symplectic_quadratic(a1, a2, F.C.value, F.eps)
+        got = _value(frame.ratio(wedge(th, th)))
+        want = symplectic_quadratic(a1, a2, C, F.eps)
         worst_a = nan_max(worst_a, abs(got - want))
     return {"closed": closed, "quad11": abs(r11), "quad22": abs(r22),
             "quad12": abs(r12), "sampled": worst_a}
@@ -182,7 +176,8 @@ def symplectic_quadratic_check(F: Coframe4, a_samples=()) -> dict:
 @dataclass
 class Curvature4Report:
     """Curvature scalars, leaf data and closed-form deviations of the
-    orthonormal metric on a 4D pattern frame."""
+    orthonormal metric on a 4D pattern frame; of a stacked frame, each
+    residual is an (N,) array, one value per column."""
 
     S: Jet
     pfaffian: Jet
@@ -195,7 +190,8 @@ class Curvature4Report:
 
 
 def _matrix_dev(got_rows, want_rows):
-    return nan_max(*(abs(g.value - w) for grow, wrow in zip(got_rows, want_rows)
+    return nan_max(*(abs(_value(g) - w)
+                     for grow, wrow in zip(got_rows, want_rows)
                      for g, w in zip(grow, wrow)))
 
 
@@ -208,11 +204,12 @@ def curvature4(F: Coframe4) -> Curvature4Report:
     report carries the deviation of each.
     """
     frame = F.frame
-    eps, C, E = float(F.eps), F.C.value, F.E.value
+    # eps as a float, or as one float per column
+    eps, C, E = F.eps * 1.0, _value(F.C), _value(F.E)
     conn = levi_civita(frame)
     curv = curvature(conn)
-    C3 = one_form_coeffs(scalar_d(frame.chart, F.C), frame)[2].value
-    E1, E2 = F.expansion["E1"].value, F.expansion["E2"].value
+    C3 = _value(one_form_coeffs(scalar_d(frame.chart, F.C), frame)[2])
+    E1, E2 = _value(F.expansion["E1"]), _value(F.expansion["E2"])
 
     G = conn.gamma
     conn_dev = nan_max(
@@ -245,10 +242,10 @@ def curvature4(F: Coframe4) -> Curvature4Report:
     for (i, j), want in want_theta.items():
         table = curv.coeffs[i, j]
         for pair, coeff in table.items():
-            dev = abs(coeff.value - want.get(pair, 0.0))
+            dev = abs(_value(coeff) - want.get(pair, 0.0))
             curv_dev = nan_max(curv_dev, dev)
             if (i, j) == (2, 3):
-                theta34 = nan_max(theta34, abs(coeff.value))
+                theta34 = nan_max(theta34, abs(_value(coeff)))
 
     S = scalar_curvature(curv)
     pf = pfaffian_coefficient(curv)
@@ -262,8 +259,8 @@ def curvature4(F: Coframe4) -> Curvature4Report:
         "structure": conn.structure_residual,
         "curvature": curv_dev,
         "theta34": theta34,
-        "scalar": abs(S.value + (0.5 * E * E + 2.0 * C * C + 7.0 + eps)),
-        "pfaffian": abs(pf.value - 2.0 * ((1 + eps) + 2.0 * C * C)),
+        "scalar": abs(_value(S) + (0.5 * E * E + 2.0 * C * C + 7.0 + eps)),
+        "pfaffian": abs(_value(pf) - 2.0 * ((1 + eps) + 2.0 * C * C)),
         "leaf_trace": abs(leaf.trace),
         "leaf_shape": shape_dev,
     }
@@ -515,43 +512,13 @@ def normal_form_residuals(frame: Coframe, ode: QOde) -> dict:
 def normal_form_residual_rows(fld: CoframeField, ode: QOde, points,
                               order: int):
     """An iterator over ``points`` in order, each paired with the
-    ``normal_form_residuals`` of its frame of ``fld``.  The frames go
-    ``NORMAL_FORM_BLOCK`` at a time, as they are reached, through one pass
-    on their stacked frame (``forms.stack_frames``), whose columns are
-    bit-equal to each frame's own residuals.  Where that pass raises, the
-    block goes frame by frame, so the first failing point raises its own
-    type and text; where a frame fails to build, the rows before it come
-    first."""
-    # a plain call returning a generator, as ``CoframeField.frames`` is, so
-    # profilers count it once
-    return _residual_rows(iter(points), fld.frames(points, order), ode)
-
-
-def _residual_rows(points, frames, ode):
-    while True:
-        block, error = [], None
-        try:
-            for frame in frames:
-                block.append(frame)
-                if len(block) == NORMAL_FORM_BLOCK:
-                    break
-        except _POINT_ERRORS as exc:
-            error = exc
-        try:
-            table = (normal_form_residuals(stack_frames(block), ode)
-                     if block else {})
-            rows = (dict(zip(table, row))
-                    for row in zip(*(v.tolist() for v in table.values())))
-        except _POINT_ERRORS:
-            # frame by frame, so the first failing point raises its own
-            # type and text
-            rows = (normal_form_residuals(frame, ode) for frame in block)
-        for resid in rows:
-            yield next(points), resid
-        if error is not None:
-            raise error
-        if len(block) < NORMAL_FORM_BLOCK:
-            return
+    ``normal_form_residuals`` of its frame of ``fld``, from one pass per
+    stacked block of frames (``forms.stacked_rows``), whose columns are
+    bit-equal to each frame's own residuals.  The first point whose frame
+    fails to build or to check raises its own type and text, after the
+    rows before it."""
+    return stacked_rows(points, fld.frames(points, order),
+                        lambda frame: normal_form_residuals(frame, ode))
 
 
 def verify_normal_form(fld: CoframeField, ode: QOde, points,

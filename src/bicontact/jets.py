@@ -344,6 +344,11 @@ def partial(j: Jet, axis: int) -> Jet:
 # ---------------------------------------------------------------------------
 # elementary functions via Horner composition on the nilpotent part
 
+def _value(f: Jet):
+    """The base value of f: a float for one point, an (N,) array for N."""
+    return f.value if f.c.ndim == 1 else f.c[0]
+
+
 def _values(f: Jet) -> list:
     """The base value of f at each of its points, as floats."""
     v = f.c[0].tolist()

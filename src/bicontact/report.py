@@ -8,9 +8,12 @@ identity, invariant, or check so nothing in the file is anonymous.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from . import __version__
 
@@ -104,11 +107,26 @@ def nan_max(*values):
 
     The built-in max keeps its running maximum when compared with NaN, so a
     NaN residual after the first value would vanish and its check pass.
+    Where a value is an array of one value per point, the maximum is taken
+    per point, with the first NaN and the first of equal values (0.0 and
+    -0.0) kept at each point as here.
     """
+    if any(isinstance(value, np.ndarray) for value in values):
+        return functools.reduce(_column_max, values)
+    return _float_max(*values)
+
+
+def _float_max(*values):
+    """``nan_max`` of floats alone."""
     for value in values:
         if math.isnan(value):
             return value
     return max(values)
+
+
+def _column_max(worst, value):
+    take = ~np.isnan(worst) & (np.isnan(value) | (value > worst))
+    return np.where(take, value, worst)
 
 
 def summarize_residuals(rows) -> dict:
@@ -118,7 +136,7 @@ def summarize_residuals(rows) -> dict:
         for name, value in row.items():
             value = abs(float(value))
             slot = acc.setdefault(name, [0.0, 0.0, 0])
-            slot[0] = nan_max(slot[0], value)
+            slot[0] = _float_max(slot[0], value)
             slot[1] += value
             slot[2] += 1
     return {name: {"max": mx, "mean": total / n, "count": n}

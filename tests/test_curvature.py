@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from bicontact.curvature import (ConnectionMatrix, curvature, leaf_geometry,
-                                 levi_civita, scalar_curvature)
+                                 levi_civita, pfaffian_coefficient,
+                                 scalar_curvature)
 from bicontact.errors import NotIntegrable
 from bicontact.examples import build_example
-from bicontact.forms import Coframe, one_form_coeffs, wedge
+from bicontact.forms import (Chart, Coframe, coframe_field_from_expressions,
+                             one_form_coeffs, stack_frames, wedge)
 from bicontact.fourdim import symp_structure
 from bicontact.inputfile import load_coframe
-from bicontact.pipeline import Tolerances, case1_adapt, case2_adapt, one_adapt
+from bicontact.pipeline import (Tolerances, analyze, case1_adapt, case2_adapt,
+                                one_adapt)
 from conftest import DATA, box_points
 
 TOL = Tolerances()
@@ -207,3 +210,85 @@ def test_4d_leaf_shape_matrix():
         assert abs(leaf.trace) < 1e-10
         assert abs(leaf.H) < 1e-10
         assert leaf.K_leaf is None
+
+
+def _geometry(frame) -> dict:
+    """Every table the curvature module computes on ``frame``, by name: the
+    coefficient arrays of the jets and forms, and the values.  Where the
+    leaf normal is not integrable, only its defect and the mask."""
+    conn = levi_civita(frame)
+    curv = curvature(conn)
+    dim = frame.dim
+    out = {"structure_residual": conn.structure_residual,
+           "scalar": scalar_curvature(curv).c}
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                out[f"gamma {i}{j}{k}"] = conn.gamma[i][j][k].c
+            if i != j:
+                out[f"omega {i}{j}"] = conn.form(i, j).c
+            if i < j:
+                out[f"theta {i}{j}"] = curv.entry(i, j).c
+                for pair, c in curv.coeffs[i, j].items():
+                    out[f"theta {i}{j} {pair}"] = c.c
+    if dim == 4:
+        out["pfaffian"] = pfaffian_coefficient(curv).c
+    try:
+        leaf = leaf_geometry(frame, conn, curv,
+                             normal=2 if dim == 4 else None)
+    except NotIntegrable as exc:
+        out.update(defect=exc.defect, not_integrable=True)
+        return out
+    out.update(defect=leaf.defect, not_integrable=leaf.not_integrable,
+               shape=leaf.shape, H=leaf.H, trace=leaf.trace)
+    if dim == 3:
+        out["K_leaf"] = leaf.K_leaf
+    return out
+
+
+def _bits(value) -> bytes:
+    return np.ascontiguousarray(value, dtype=float).tobytes()
+
+
+# omega3 = dz + x^2 dy: omega3 ^ d(omega3) = 2x dz^dx^dy, integrable at
+# x = 0 only
+_MIXED_ROWS = [{"dx": "1"}, {"dy": "1"}, {"dz": "1", "dy": "x^2"}]
+
+
+def _frames(name):
+    if name.startswith("fourd"):
+        spec = build_example(name)
+        return [spec.coframes().at(p, 3)
+                for p in box_points(spec.box, 5, seed=38)]
+    if name == "mixed":
+        fld = coframe_field_from_expressions(Chart(("x", "y", "z")),
+                                             _MIXED_ROWS)
+        return [fld.at(p, 3) for p in [(0.5, 0.2, 0.1), (0.0, -0.3, 0.4),
+                                       (-0.7, 0.6, -0.2), (0.0, 0.8, 0.9)]]
+    spec = build_example(name)
+    result = analyze(spec.coframes(), box_points(spec.box, 5, seed=38), 6,
+                     TOL)
+    return result.get("adapted_frames", result["frames"])
+
+
+@pytest.mark.parametrize("name,leafless", [
+    ("fourd_enonzero", [False] * 5),
+    ("fourd_ezero", [False] * 5),
+    ("normal_form_3d", [False] * 5),
+    ("sphere_frame", [True] * 5),
+    ("mixed", [True, False, True, False]),
+])
+def test_a_stacked_frame_gives_each_frames_own_geometry(name, leafless):
+    # connection, structure residual, curvature, scalar curvature, the
+    # Pfaffian (4D) and the leaf data of each column are bit-equal to the
+    # frame's own; where the frame's leaf_geometry raises NotIntegrable,
+    # the stacked 3D frame marks the column and keeps its defect
+    frames = _frames(name)
+    stacked = _geometry(stack_frames(frames))
+    assert stacked["not_integrable"].tolist() == leafless
+    for k, frame in enumerate(frames):
+        own = _geometry(frame)
+        assert own["not_integrable"] == leafless[k]
+        for key, value in own.items():
+            column = np.asarray(stacked[key], dtype=float)[..., k]
+            assert _bits(column) == _bits(value), (k, key)

@@ -9,8 +9,9 @@ import pytest
 from bicontact import cli, forms
 from bicontact.errors import DegenerateH, DomainError, SingularVolumeError
 from bicontact.examples import build_example
-from bicontact.forms import Chart, coframe_field_from_expressions
-from bicontact.fourdim import (NORMAL_FORM_BLOCK, QOde, compute_E,
+from bicontact.forms import (STACK_BLOCK, Chart,
+                             coframe_field_from_expressions)
+from bicontact.fourdim import (QOde, compute_E,
                                curvature4, e_expansion, normal_form_4d,
                                normal_form_residual_rows,
                                normal_form_residuals, q_jets, solve_q,
@@ -289,7 +290,7 @@ def test_residual_rows_over_blocks_equal_each_frames_own(count, bad):
     # det h = x vanishes at the bad point only: 32 rows of a full block and
     # 2 of the next come before its DegenerateH.  33 points end in a block
     # of one column.
-    assert NORMAL_FORM_BLOCK == 32
+    assert STACK_BLOCK == 32
     ode = QOde("tan(z)", -1)
     fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)),
                          h=(("x", "0"), ("0", "1")))
@@ -316,6 +317,26 @@ def test_a_failing_stacked_pass_goes_frame_by_frame():
     pts[2] = (0.0, *pts[2][1:])
     got = _rows_then_error(normal_form_residual_rows(fld, ode, pts, 3))
     assert repr(got) == repr(_frame_by_frame(fld, ode, pts, 3))
+    assert [p for p, _ in got[0]] == pts[:2]
+    assert got[1] == (SingularVolumeError,
+                      "volume-form denominator 0.0 is numerically zero")
+
+
+@pytest.mark.parametrize("body", [cli._fourdim, cli._curvature4],
+                         ids=["fourdim", "curvature"])
+def test_a_failing_stacked_block_of_4d_rows_goes_frame_by_frame(body):
+    # the rows of the fourdim and 4D curvature commands: omega4 = x dw, so
+    # the volume vanishes at the third point, the stacked pass raises, and
+    # the block's frames run one by one up to it, each as its own frame
+    # would
+    fld = coframe_field_from_expressions(
+        Chart(("x", "y", "z", "w")),
+        [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "1"}, {"dw": "x"}])
+    pts = box_points(BOX4, 5, seed=63)
+    pts[2] = (0.0, *pts[2][1:])
+    got = _rows_then_error(forms.stacked_rows(pts, fld.frames(pts, 2), body))
+    want = _rows_then_error((p, body(fld.at(p, 2))) for p in pts)
+    assert repr(got) == repr(want)
     assert [p for p, _ in got[0]] == pts[:2]
     assert got[1] == (SingularVolumeError,
                       "volume-form denominator 0.0 is numerically zero")

@@ -7,7 +7,7 @@ import json
 import pathlib
 from collections import Counter
 
-from bicontact import cli, forms, fourdim
+from bicontact import cli, forms
 from bicontact.examples import EXAMPLES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -96,22 +96,27 @@ def test_digest_folds_in_stderr():
 
 
 def test_many_point_argvs_match_the_benchmark_sizes():
-    # the benchmark's sample counts, and 33 normal-form points, whose last
-    # block of fourdim.NORMAL_FORM_BLOCK has one column
+    # the benchmark's sample counts; 33 normal-form and 4D curvature points,
+    # whose last block of forms.STACK_BLOCK has one column, and 40 3D
+    # curvature points, which span two blocks
     sizes = [(*argv[:2], argv[argv.index("--points") + 1])
              for argv in report_sweep.MANY_POINT_ARGVS if "--points" in argv]
     assert sizes == [("curvature", "normal_form_3d", "60"),
                      ("invariants", "tests/data/case1_frame.txt", "60"),
                      ("fourdim", "fourd_enonzero", "18"),
                      ("normal-form", "tan(z)", "200"),
-                     ("normal-form", "tan(z)", "33")]
+                     ("normal-form", "tan(z)", "33"),
+                     ("curvature", "fourd_enonzero", "33"),
+                     ("curvature", "normal_form_3d", "40")]
+    assert forms.STACK_BLOCK == 32
     assert all((ROOT / argv[1]).is_file() or argv[1] in EXAMPLES
                or argv[1] in report_sweep.PROFILES
                for argv in report_sweep.MANY_POINT_ARGVS)
     # the failing --at lists: one below forms.BATCH_MIN, built point by
-    # point, two at it, whose one many-point build fails, and one past the
-    # first block of fourdim.NORMAL_FORM_BLOCK
+    # point, two at it, whose one many-point build fails, and two past the
+    # first block of forms.STACK_BLOCK, a normal-form and a fourdim one
     sizes = sorted(sum(word.split("=")[0] == "--at" for word in argv)
                    for argv in report_sweep.MANY_POINT_ARGVS)
-    assert sizes == [0] * 5 + [3, forms.BATCH_MIN, forms.BATCH_MIN, 40]
-    assert fourdim.NORMAL_FORM_BLOCK < 40
+    assert sizes == [0] * 7 + [3, forms.BATCH_MIN, forms.BATCH_MIN, 40, 40]
+    assert [argv[0] for argv in report_sweep.MANY_POINT_ARGVS
+            if len(argv) > 40] == ["normal-form", "fourdim"]

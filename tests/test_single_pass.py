@@ -1,9 +1,11 @@
 """Drivers return the frames they build at their sample points.
 
 Each driver hands back its frames as a tuple in sample order, and every
-later stage reads them from it, so adaptation and curvature run once per
-point, and the coefficient tape once per sample list of ``forms.BATCH_MIN``
-points or more (once per point below).  The returned frames
+later stage reads them from it, so adaptation runs once per point, the
+curvature and 4D stages once per stacked block of ``forms.STACK_BLOCK``
+frames, and the coefficient tape once per sample list of
+``forms.BATCH_MIN`` points or more (once per point below).  The returned
+frames
 agree bit for bit with a fresh build, whatever the order of the sample list,
 and each frame's structure table ``d_coeffs`` is computed once and shared by
 every later stage, so coefficient extraction runs a fixed number of times
@@ -175,47 +177,51 @@ _BATCHED = str(forms.BATCH_MIN)
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 31 * 5),
+    (["curvature", "normal_form_3d", "--points", "5"], 30 * 5 + 3),
     (["curvature", "normal_form_3d", "--points", _BATCHED],
-     15 + 16 * forms.BATCH_MIN),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 7 * 2),
-    (["fourdim", "fourd_enonzero", "--points", _BATCHED],
-     5 + 2 * forms.BATCH_MIN),
+     15 + 15 * forms.BATCH_MIN + 3),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 5 * 2 + 2),
+    (["fourdim", "fourd_enonzero", "--points", _BATCHED], 5 + 2),
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d batched",
         "fourdim fourd_enonzero", "fourdim fourd_enonzero batched"])
 def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
                                                       calls):
-    # the raw frames' tape runs once per point on a short sample list and
-    # once over a list of BATCH_MIN points: 15 series in 3D and 5 in 4D.
-    # Per point in 3D: one_adapt 3, the omega3 frame 1, case2_adapt
-    # 4, top_ratio 2 and volume reciprocals 6; in 4D: volume reciprocals 2.
-    # 1-form coefficients divide by the cached volume reciprocal, so they
-    # take no series of their own.  Evaluating each coefficient's AST on
-    # its own took 39 (3D) and 15 (4D) series per point.
+    # the raw frames' tape runs once per point on a short sample list and once
+    # over a list of BATCH_MIN points: 15 series in 3D and 5 in 4D.  Per point
+    # in 3D: one_adapt 3, the omega3 frame 1, case2_adapt 4, top_ratio 2 and
+    # volume reciprocals 5.  Per stacked block of frames (one here), the volume
+    # reciprocals of the curvature stages: 3 in 3D and 2 in 4D.  1-form
+    # coefficients divide by the cached volume reciprocal, so they take no
+    # series of their own.  Evaluating each coefficient's AST on its own took
+    # 39 (3D) and 15 (4D) series per point.
     series = _counting(monkeypatch, jets, "_compose")
     _run(args)
     assert len(series) == calls
 
 
 def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
+    # once per stacked block of forms.STACK_BLOCK frames, so once for each
+    # point's column: 40 points take two blocks
+    assert forms.STACK_BLOCK == 32
     calls = _counting(monkeypatch, curvature, "curvature",
                       (cli, "curvature_of"))
-    _run(["curvature", "normal_form_3d", "--points", "5"])
-    assert len(calls) == 5
+    _run(["curvature", "normal_form_3d", "--points", "40"])
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 7 * 5),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 10 * 2),
+    (["curvature", "normal_form_3d", "--points", "5"], 4 * 5 + 6),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 10),
     (CASE1_ARGS, 5 * 5),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero",
         "invariants case1_frame"])
 def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
                                                       calls):
     # per point in 3D: case_detect 1, case2_adapt 3, reading the B-table
-    # that case_detect built, curvature 3, with levi_civita reading
-    # case2_adapt's table; in 4D: symp_structure 4, curvature 6, with
-    # levi_civita reading symp_structure's table.  In case 1: the base
+    # that case_detect built; per stacked block of the adapted frames (one
+    # here): levi_civita 3 and curvature 3.  In 4D, per stacked block:
+    # symp_structure 4, curvature 6, with levi_civita reading
+    # symp_structure's table.  In case 1: the base
     # frame's d omega1 and d omega2 tables 2, which give the omega3
     # translation in closed form, and the final frame's 3
     counted = _counting(monkeypatch, forms, "two_form_coeffs",
@@ -225,8 +231,8 @@ def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 11 * 5),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 14 * 2),
+    (["curvature", "normal_form_3d", "--points", "5"], 8 * 5 + 6),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 14),
     (CASE1_ARGS, 8 * 5),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero",
         "invariants case1_frame"])
@@ -235,14 +241,15 @@ def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
     # per point in 3D: one_adapt 2 on the raw frame, C 1 on the one-adapted
     # frame (d omega1 carries over from the raw frame), dC 1, d omega3 of the
     # omega3 frame 1, case2_adapt 2 on its final frame (d omega3 carries over
-    # from the omega3 frame), d zeta 1, the connection forms 3; the
-    # connection residual and the leaf defect read the final frame's memo.  In 4D:
-    # symp_structure 4, dE 1, d theta^1 and d theta^2 2, the connection
-    # forms 6, dC 1; compute_E, the pairings, the connection residual and
-    # the leaf defect read the memo.  In case 1: one_adapt 2, C 1, dC 1,
-    # d omega1 and d omega2 of the base frame 2, which carry over to the
-    # final frame, its d omega3 1 and d xi 1.  scalar_d runs through ext_d,
-    # so jets.partial never runs.
+    # from the omega3 frame), d zeta 1; per stacked block of the final frames
+    # (one here): its covectors 3 and the connection forms 3, and the
+    # connection residual and the leaf defect read the block's memo.  In 4D,
+    # per stacked block: symp_structure 4, dE 1, d theta^1 and d theta^2 2, the
+    # connection forms 6, dC 1; compute_E, the pairings, the connection
+    # residual and the leaf defect read the memo.  In case 1: one_adapt 2, C 1,
+    # dC 1, d omega1 and d omega2 of the base frame 2, which carry over to the
+    # final frame, its d omega3 1 and d xi 1.  scalar_d runs through ext_d, so
+    # jets.partial never runs.
     ext_d = _counting(monkeypatch, forms, "ext_d", *_aliases(forms, "ext_d"))
     partial = _counting(monkeypatch, jets, "partial",
                         *_aliases(jets, "partial"))
@@ -251,31 +258,32 @@ def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 14 * 5),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 40 * 2),
+    (["curvature", "normal_form_3d", "--points", "5"], 5 * 5 + 9),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 40),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
 def test_each_connection_form_is_built_once_above_the_diagonal(monkeypatch,
                                                                args, calls):
-    # per point in 3D: one_adapt 2, the omega3 frame 1, case2_adapt 2 and
-    # the connection forms omega^i_j, i < j, 3 x 3; in 4D: the sampled
-    # pairings 16 and the connection forms 6 x 4.  omega^j_i is the negated
-    # omega^i_j, and the zero diagonal is never built.
+    # per point in 3D: one_adapt 2, the omega3 frame 1, case2_adapt 2; per
+    # stacked block of frames (one here), the connection forms omega^i_j,
+    # i < j, 3 x 3 in 3D, and in 4D the sampled pairings 16 and the
+    # connection forms 6 x 4.  omega^j_i is the negated omega^i_j, and the
+    # zero diagonal is never built.
     scaled = _counting(monkeypatch, forms.PForm, "scaled")
     _run(args)
     assert len(scaled) == calls
 
 
 def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
-    # per point: 3 for the frame's volume, 5 for its 2-form complements
-    # (one wedge each; omega1^omega2 is the volume's first), 3 for its
-    # 1-form complements (one each on a kept 2-form prefix; omega1^omega2^
-    # omega3 is the volume's second) and 41 in the E, pairing, connection,
-    # curvature and leaf stages, which skip the zero diagonal connection
-    # forms; the 10 two_form_coeffs and the one_form_coeffs calls of a point
-    # run as batched products and take none
+    # per stacked block of frames (one here): 3 for the frame's volume, 5 for
+    # its 2-form complements (one wedge each; omega1^omega2 is the volume's
+    # first), 3 for its 1-form complements (one each on a kept 2-form prefix;
+    # omega1^omega2^omega3 is the volume's second) and 41 in the E, pairing,
+    # connection, curvature and leaf stages, which skip the zero diagonal
+    # connection forms; the 10 two_form_coeffs and the one_form_coeffs calls of
+    # a block run as batched products and take none
     wedges = _counting(monkeypatch, forms, "wedge", *_aliases(forms, "wedge"))
     _run(["fourdim", "fourd_enonzero", "--points", "2"])
-    assert len(wedges) == 52 * 2
+    assert len(wedges) == 52
 
     frame = build_example("fourd_enonzero").coframes().at((0.5, 1.0, 0.0, 0.1),
                                                           2)
@@ -303,8 +311,9 @@ def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
     expansions = _counting(monkeypatch, fourdim, "e_expansion")
     ratios = _counting(monkeypatch, forms, "top_ratio",
                        *_aliases(forms, "top_ratio"))
+    # one expansion per stacked block of frames, here one for both points
     _run(["fourdim", "fourd_enonzero", "--points", "2"])
-    assert len(expansions) == 2
+    assert len(expansions) == 1
     assert not ratios
 
 

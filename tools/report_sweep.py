@@ -9,18 +9,18 @@ once at the command's default order and once at each of the orders 2 to 6.
 Then it runs the fixed argvs of ``OPTION_ARGVS``, which between them pass
 every option of the command line but ``--out``, and the argvs of
 ``MANY_POINT_ARGVS``, which run at the sample counts of the benchmark's
-workloads and through a point where a frame cannot be built, in lists of 3
-and of 12 points (below and at ``forms.BATCH_MIN``) and of 40 (past the
-first block of ``fourdim.NORMAL_FORM_BLOCK``).  Every run goes
-through ``bicontact.cli.main`` in this process, from the checkout that
-holds this script (its ``src/`` comes first on the path), with the
-checkout as the working directory, since a report echoes its source path.  A
-key is the argv joined by spaces; a value is the SHA-256 of the bytes the
-command printed on stdout, its exit status and what it printed on stderr
-(``digest``), so a changed status or usage message shows even where the
-report does not.  ``--compare`` prints each key whose digest differs or that
-only one file has, and exits 1 when there is any.  Digests of two checkouts
-compare only when the same version of this script made both.
+workloads, across the blocks of ``forms.STACK_BLOCK`` frames, and through a
+point where a frame cannot be built or checked, in lists of 3 and of 12
+points (below and at ``forms.BATCH_MIN``) and of 40 (past the first block).
+Every run goes through ``bicontact.cli.main`` in this process, from the
+checkout that holds this script (its ``src/`` comes first on the path), with
+the checkout as the working directory, since a report echoes its source
+path.  A key is the argv joined by spaces; a value is the SHA-256 of the
+bytes the command printed on stdout, its exit status and what it printed on
+stderr (``digest``), so a changed status or usage message shows even where
+the report does not.  ``--compare`` prints each key whose digest differs or
+that only one file has, and exits 1 when there is any.  Digests of two
+checkouts compare only when the same version of this script made both.
 """
 
 from __future__ import annotations
@@ -95,6 +95,14 @@ MANY_POINT_ARGVS = [
     ["normal-form", "tan(z)", "--h", "x,0,0,1", *(
         f"--at={0 if k == 34 else 0.02 * (k + 1):g},0.3,{0.05 * k - 1:g},1.2"
         for k in range(40))],
+    # the stacked 4D and 3D curvature tails: 33 points end in a block of one
+    # column, 40 span two blocks; the volume is 0 at y = 0, the 35th of 40
+    # fourdim points only (exit 1), after a full block and 2 rows
+    ["curvature", "fourd_enonzero", "--points", "33"],
+    ["curvature", "normal_form_3d", "--points", "40"],
+    ["fourdim", "fourd_enonzero", *(
+        f"--at={0.3 + 0.02 * k:g},{0 if k == 34 else 0.5 + 0.02 * k:g},"
+        f"{0.04 * k - 0.8:g},0.1" for k in range(40))],
 ]
 
 
