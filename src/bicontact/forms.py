@@ -43,7 +43,7 @@ the coefficient kernel are array kernels that read ``c`` directly, with
 gather/scatter plans cached per (dim, order, degrees): every jet product
 goes through one capped, batched convolution from ``jets._mul_table``
 (``_multiply``), every derivative through one gather from
-``jets._diff_table``, and every sum through ``np.bincount``.  The
+``jets._diff_table``, and every sum through ``jets._sum_into``.  The
 coefficient kernel runs the wedges of beta with all complements of a frame
 as one such product per truncation order, and divides by the frame's volume
 in one more.  Their results are bit-equal to the per-term ``Jet`` loops they
@@ -52,10 +52,8 @@ order, so every sum runs in the loop's order, and a factor without a
 derivative part gets ``Jet.__mul__``'s scaling path.  This holds for finite,
 inf and NaN coefficients alike, with one exception: which of two NaNs a
 product or sum keeps (its sign and payload bits), since NumPy's own choice
-depends on array length and position.  Over many points, each (target,
-point) pair is binned on its own (``_sum_into``), so every column adds its
-terms in the one-point order and is bit-equal to the one-point kernel, with
-the same exception.
+depends on array length and position.  Over many points every column is
+bit-equal to the one-point kernel, with the same exception.
 """
 
 from __future__ import annotations
@@ -248,20 +246,6 @@ def _per_row(col, like):
     return col if col.ndim == like.ndim else col[..., None]
 
 
-def _sum_into(bins, weights, rows, n):
-    """``np.bincount`` of ``weights`` by their flat (row, coefficient)
-    targets ``bins``, as a (rows, n) array.  Weights with a point axis,
-    (len(bins), N), give (rows, n, N): each (target, point) is binned as
-    bins * N + p, so each column adds its terms in the one-point order."""
-    if weights.ndim == 1:
-        return np.bincount(bins, weights=weights,
-                           minlength=rows * n).reshape(rows, n)
-    count = weights.shape[1]
-    flat = (bins[:, None] * count + np.arange(count)).ravel()
-    return np.bincount(flat, weights=weights.ravel(),
-                       minlength=rows * n * count).reshape(rows, n, count)
-
-
 def _products(dim, order, rx, ry) -> _Products:
     n = jets.ncoeffs(dim, order)
     I, J, T = jets._mul_table(dim, order)
@@ -284,7 +268,7 @@ def _multiply(x, y, plan: _Products) -> np.ndarray:
     rx, ry, gx, gy, bins, n = plan
     w = _flat(x)[gx]
     w *= _flat(y)[gy]
-    out = _sum_into(bins, w, len(rx), n)
+    out = jets._sum_into(bins, w, (len(rx), n))
     return jets._scaling_where_nan(out, lambda: (x[rx], y[ry]), 1)
 
 
@@ -340,10 +324,8 @@ def wedge(a: PForm, b: PForm) -> PForm:
     n = jets.ncoeffs(dim, order)
     products, sign, out_bins = _wedge_plan(dim, order, a.degree, b.degree)
     prod = _multiply(a.c[:, :n], b.c[:, :n], products)
-    # np.bincount starts each sum from +0.0 and adds in input order, as the
-    # loop adds its terms into zero jets
-    out = _sum_into(out_bins, _flat(prod * _per_row(sign, prod)),
-                    len(_keys(dim, deg)), n)
+    out = jets._sum_into(out_bins, _flat(prod * _per_row(sign, prod)),
+                         (len(_keys(dim, deg)), n))
     return PForm._of(a.chart, deg, order, out)
 
 
@@ -393,8 +375,8 @@ def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
     src, fac, dst = _ext_d_plan(dim, order, a.degree)
     terms = _flat(a.c)[src]
     rows = len(_keys(dim, a.degree + 1))
-    out = _sum_into(dst, terms * _per_row(fac, terms), rows,
-                    jets.ncoeffs(dim, order - 1))
+    out = jets._sum_into(dst, terms * _per_row(fac, terms),
+                         (rows, jets.ncoeffs(dim, order - 1)))
     return PForm._of(a.chart, a.degree + 1, order - 1, out)
 
 
@@ -540,9 +522,6 @@ class Coframe:
         return self._cached(("complements", p), build)
 
 
-# the shortest sample list whose raw frames come from one tape run (see
-# ``CoframeField.frames``)
-BATCH_MIN = 12
 # frames per stacked pass of ``stacked_rows``: at order 3, one pass over 200
 # normal-form points took 9.4 MB more peak memory, passes of 32 2.8 MB
 STACK_BLOCK = 32
@@ -566,26 +545,22 @@ class CoframeField:
         return self._builder([tuple(float(x) for x in point)], int(order))[0]
 
     def frames(self, points, order):
-        """An iterator over the frames at ``points`` in sample order.  A
-        list of ``BATCH_MIN`` points or more is built in one go, at the
-        first step: a many-point product has a fixed cost of about 15
-        one-point products, so timed cold runs of ``curvature
-        normal_form_3d`` go faster that way from about 12 points and slower
-        below.  A shorter list, or one whose one build raises, has each
-        point's frame built with ``at`` as it is reached, so the caller
-        meets an error at the point and stage the one-point builds give."""
+        """An iterator over the frames at ``points`` in sample order, all
+        built in one go at the first step: below ``jets.FLAT_PRODUCT_MAX``
+        a many-point product bins its pairs as a one-point one does, so
+        that pays from two points.  Where it raises on two points or more,
+        each frame is built with ``at`` as it is reached, so the caller
+        meets the error at the point and stage the one-point builds give."""
         return self._frames([tuple(float(x) for x in p) for p in points],
                             int(order))
 
     def _frames(self, points, order):
         # the generator of ``frames``, which stays a plain call: a profiler
         # counts every step of a generator as one more call
-        built = None
-        if len(points) >= BATCH_MIN:
-            try:
-                built = self._builder(points, order)[::-1]
-            except _POINT_ERRORS:
-                pass
+        try:
+            built = self._builder(points, order)[::-1]
+        except _POINT_ERRORS if len(points) > 1 else ():
+            built = None
         for p in points:
             # pop hands a frame over without keeping it alive here
             yield self.at(p, order) if built is None else built.pop()
@@ -722,8 +697,8 @@ def _frame_coeffs(beta: PForm, frame: Coframe, p: int) -> dict:
         n = jets.ncoeffs(dim, order)
         products, term_sign, bins = _coeffs_plan(dim, p, order, len(keys))
         prod = _multiply(beta.c[:, :n], rests, products)
-        top = _sum_into(bins, _flat(prod * _per_row(term_sign, prod)),
-                        len(keys), n)
+        top = jets._sum_into(bins, _flat(prod * _per_row(term_sign, prod)),
+                             (len(keys), n))
         recip = frame._volume_reciprocal(order)
         m = jets.ncoeffs(dim, recip.order)
         coeffs = _multiply(top[:, :m], recip.c[None],

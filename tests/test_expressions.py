@@ -2,13 +2,12 @@
 
 import copy
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bicontact import expressions as ex, forms, jets
+from bicontact import expressions as ex, jets
 from bicontact.errors import DomainError, ParseError, UnknownIdentifier
 from bicontact.forms import Chart, coframe_field_from_expressions
 from bicontact.jets import Jet
@@ -240,8 +239,7 @@ def test_tape_matches_the_recursive_evaluator(roots, points, order):
     tape = ex.Tape(roots)
     fld = coframe_field_from_expressions(Chart(coords),
                                          [{"x": r} for r in roots], params)
-    with np.errstate(all="ignore"), \
-            mock.patch.object(forms, "BATCH_MIN", 2):
+    with np.errstate(all="ignore"):
         want = [_outcome(lambda: [_oracle(r, p, order, coords, params)
                                   for r in roots]) for p in points]
         alone = [_outcome(lambda: tape.run([p], order, coords, params)[0])

@@ -256,7 +256,7 @@ def test_normal_form_builds_many_points_in_one_go(monkeypatch, profile, eps,
     # one build over all the points, whose frames are bit-equal to the
     # one-point builds; at() is never called
     fld = normal_form_4d(solve_q(QOde(profile, eps), (-1.2, 1.2)), h=h)
-    pts = box_points(BOX4, forms.BATCH_MIN, seed=50 + order)
+    pts = box_points(BOX4, 12, seed=50 + order)
     want = [_form_bytes(fld.at(p, order)) for p in pts]
     monkeypatch.setattr(forms.CoframeField, "at", None)
     got = list(fld.frames(pts, order))
@@ -356,7 +356,7 @@ def test_a_non_finite_det_h_is_degenerate(entry, det):
         # the one build over many points raises too, and the frames are
         # then built point by point
         with pytest.raises(DegenerateH, match=text):
-            list(fld.frames([p] * forms.BATCH_MIN, 3))
+            list(fld.frames([p] * 2, 3))
 
 
 def test_normal_form_command_reports_a_non_finite_det_h():

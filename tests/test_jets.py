@@ -318,24 +318,51 @@ def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
                     [w.c.tobytes() for w in lower], (dim, order)
 
 
-def test_many_point_product_is_bitwise_the_one_point_product():
-    """Columns with a constant factor, inf and NaN coefficients included,
-    follow ``Jet.__mul__`` at each point: the scaling path where the
-    convolution would leave a NaN."""
+# (dim, order, points) of many-point products on both sides of
+# jets.FLAT_PRODUCT_MAX pairs x points
+_PRODUCT_SIZES = [(3, 3, 5), (3, 6, 2), (3, 6, 12), (3, 6, 60), (4, 2, 18),
+                  (4, 3, 32), (4, 3, 200)]
+
+
+def _ranked(dim, order, count):
+    """Whether a product over ``count`` points sums through
+    ``jets._rank_groups`` rather than the flat bins."""
+    pairs = len(jets._mul_table(dim, order)[0])
+    return pairs * count > jets.FLAT_PRODUCT_MAX
+
+
+def test_the_product_sizes_reach_both_kernels():
+    assert {_ranked(*size) for size in _PRODUCT_SIZES} == {False, True}
+
+
+@pytest.mark.parametrize("dim,order,count", _PRODUCT_SIZES)
+def test_many_point_product_is_bitwise_the_one_point_product(monkeypatch, dim,
+                                                             order, count):
+    """Columns with a constant factor or a -0.0 coefficient, and at
+    (3, 3, 5) inf and NaN coefficients, follow ``Jet.__mul__`` at each
+    point: the scaling path where the convolution would leave a NaN.  Each
+    size sums through the kernel its pairs x points choose."""
     rng = np.random.default_rng(7)
-    dim, order = 3, 3
     n = jets.ncoeffs(dim, order)
-    a = [Jet(dim, order, rng.standard_normal(n)) for _ in range(5)]
-    b = [Jet(dim, order, rng.standard_normal(n)) for _ in range(5)]
-    a[1] = Jet.constant(2.0, dim, order)              # constant left factor
-    b[2] = Jet.constant(-0.0, dim, order)             # constant right factor
-    a[3].c[4] = np.inf                                # inf times a live jet
-    b[4] = Jet.constant(3.0, dim, order)
-    a[4].c[7] = np.inf                                # inf, scaling path
+    a = [Jet(dim, order, rng.standard_normal(n)) for _ in range(count)]
+    b = [Jet(dim, order, rng.standard_normal(n)) for _ in range(count)]
+    if (dim, order, count) == (3, 3, 5):
+        a[1] = Jet.constant(2.0, dim, order)          # constant left factor
+        b[2] = Jet.constant(-0.0, dim, order)         # constant right factor
+        a[3].c[4] = np.inf                            # inf times a live jet
+        b[4] = Jet.constant(3.0, dim, order)
+        a[4].c[7] = np.inf                            # inf, scaling path
+    else:
+        a[0].c[rng.integers(1, n)] = -0.0
+        b[-1] = Jet.constant(rng.standard_normal(), dim, order)
+    ranked, rank_groups = [], jets._rank_groups
+    monkeypatch.setattr(jets, "_rank_groups",
+                        lambda *key: ranked.append(key) or rank_groups(*key))
     with np.errstate(invalid="ignore"):
         want = [(x * y).c.tobytes() for x, y in zip(a, b)]
         many = _many(a) * _many(b)
-    assert [many.c[:, p].tobytes() for p in range(5)] == want
+    assert [many.c[:, p].tobytes() for p in range(count)] == want
+    assert bool(ranked) == _ranked(dim, order, count)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 4])

@@ -96,15 +96,18 @@ def test_digest_folds_in_stderr():
 
 
 def test_many_point_argvs_match_the_benchmark_sizes():
-    # the benchmark's sample counts; 33 normal-form and 4D curvature points,
-    # whose last block of forms.STACK_BLOCK has one column, and 40 3D
-    # curvature points, which span two blocks
+    # the benchmark's sample counts; 2 points, the shortest list built in
+    # one pass, on the case-2 and case-1 paths; 33 normal-form and 4D
+    # curvature points, whose last block of forms.STACK_BLOCK has one
+    # column, and 40 3D curvature points, which span two blocks
     sizes = [(*argv[:2], argv[argv.index("--points") + 1])
              for argv in report_sweep.MANY_POINT_ARGVS if "--points" in argv]
     assert sizes == [("curvature", "normal_form_3d", "60"),
                      ("invariants", "tests/data/case1_frame.txt", "60"),
                      ("fourdim", "fourd_enonzero", "18"),
                      ("normal-form", "tan(z)", "200"),
+                     ("curvature", "normal_form_3d", "2"),
+                     ("invariants", "tests/data/case1_frame.txt", "2"),
                      ("normal-form", "tan(z)", "33"),
                      ("curvature", "fourd_enonzero", "33"),
                      ("curvature", "normal_form_3d", "40")]
@@ -112,11 +115,12 @@ def test_many_point_argvs_match_the_benchmark_sizes():
     assert all((ROOT / argv[1]).is_file() or argv[1] in EXAMPLES
                or argv[1] in report_sweep.PROFILES
                for argv in report_sweep.MANY_POINT_ARGVS)
-    # the failing --at lists: one below forms.BATCH_MIN, built point by
-    # point, two at it, whose one many-point build fails, and two past the
-    # first block of forms.STACK_BLOCK, a normal-form and a fourdim one
+    # the failing --at lists: one point, whose build raises its own error,
+    # and lists whose one many-point build fails, of 3 and 12 points and two
+    # past the first block of forms.STACK_BLOCK, a normal-form and a fourdim
+    # one
     sizes = sorted(sum(word.split("=")[0] == "--at" for word in argv)
                    for argv in report_sweep.MANY_POINT_ARGVS)
-    assert sizes == [0] * 7 + [3, forms.BATCH_MIN, forms.BATCH_MIN, 40, 40]
+    assert sizes == [0] * 9 + [1, 3, 12, 12, 40, 40]
     assert [argv[0] for argv in report_sweep.MANY_POINT_ARGVS
             if len(argv) > 40] == ["normal-form", "fourdim"]

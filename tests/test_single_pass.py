@@ -3,9 +3,7 @@
 Each driver hands back its frames as a tuple in sample order, and every
 later stage reads them from it, so adaptation runs once per point, the
 curvature and 4D stages once per stacked block of ``forms.STACK_BLOCK``
-frames, and the coefficient tape once per sample list of
-``forms.BATCH_MIN`` points or more (once per point below).  The returned
-frames
+frames, and the coefficient tape once per sample list.  The returned frames
 agree bit for bit with a fresh build, whatever the order of the sample list,
 and each frame's structure table ``d_coeffs`` is computed once and shared by
 every later stage, so coefficient extraction runs a fixed number of times
@@ -69,16 +67,16 @@ def _normal_form_points(n):
 
 
 def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
-    # one tape run per point on a short sample list and one over a list of
-    # BATCH_MIN points; one case-2 adaptation per point
+    # one tape run over the sample list, from two points up; one case-2
+    # adaptation per point
     spec = build_example("normal_form_3d")
-    for n, tape_runs in ((5, 5), (forms.BATCH_MIN, 1)):
+    for n in (2, 12):
         pts = _normal_form_points(n)
         runs = _counting(monkeypatch, expressions.Tape, "run")
         adapts = _counting(monkeypatch, pipeline, "case2_adapt")
         result = analyze(spec.coframes(), pts, 6, TOL)
         assert result["case"] == "case2"
-        assert len(runs) == tape_runs
+        assert len(runs) == 1
         assert len(adapts) == n
 
 
@@ -88,44 +86,41 @@ _FAILING_ROWS = [{"dx": "-x*y", "dz": "1"}, {"dy": "x", "dz": "1"},
                  {"dx": "1", "dy": "ln(z)"}]
 
 
-@pytest.mark.parametrize("points,error,text", [
+@pytest.mark.parametrize("points,error,text,runs", [
     ([(0.0, 1.0, 1.0), (1.0, 1.0, -1.0)], ContactFailure,
-     r"omega1 \^ d\(omega1\) = 0.0 at \(0.0, 1.0, 1.0\)"),
+     r"omega1 \^ d\(omega1\) = 0.0 at \(0.0, 1.0, 1.0\)", 2),
     ([(1.0, 1.0, -1.0), (0.0, 1.0, 1.0)], DomainError,
-     r"ln: argument value -1.0 outside domain"),
-], ids=["contact first", "tape first"])
+     r"ln: argument value -1.0 outside domain", 2),
+    ([(1.0, 1.0, -1.0)], DomainError,
+     r"ln: argument value -1.0 outside domain", 1),
+], ids=["contact first", "tape first", "one point"])
 def test_one_adapt_meets_the_first_failure_in_sample_order(monkeypatch,
                                                            points, error,
-                                                           text):
+                                                           text, runs):
     # the tape over both points, run as one batch, fails at the point with
     # z < 0, yet one_adapt raises what the one-point builds raise at the
-    # first point that fails
-    monkeypatch.setattr(forms, "BATCH_MIN", 2)
+    # first point that fails: one failing run over the list, then one per
+    # point reached; a one-point list raises its one run's error
+    tape_runs = _counting(monkeypatch, expressions.Tape, "run")
     fld = coframe_field_from_expressions(Chart(("x", "y", "z")),
                                          _FAILING_ROWS)
     with pytest.raises(error, match=f"^{text}$"):
         pipeline.one_adapt(fld, points, 3)
-
-
-def test_normal_form_runs_the_profile_tape_once_per_point(monkeypatch):
-    # solve_q 16 runs over the span; per point the h tape 1 and C's tape 1,
-    # whose jet both the Q lift (truncated one order lower for u) and the C
-    # lift read
-    runs = _counting(monkeypatch, expressions.Tape, "run")
-    _run(["normal-form", "tan(z)", "--order", "3", "--points", "5"])
-    assert len(runs) == 16 + 2 * 5
+    assert len(tape_runs) == runs
 
 
 def test_normal_form_runs_each_tape_once_over_a_batched_list(monkeypatch):
-    # solve_q's 16 one-point runs, then one pass of the h tape and one of
-    # C's tape over all BATCH_MIN points, which Tape.columns makes without
-    # a per-point Tape.run; no frame is built on its own
-    runs = _counting(monkeypatch, expressions.Tape, "run")
-    passes = _counting(monkeypatch, expressions.Tape, "_run")
-    at = _counting(monkeypatch, forms.CoframeField, "at")
-    _run(["normal-form", "tan(z)", "--order", "3", "--points",
-          str(forms.BATCH_MIN)])
-    assert (len(runs), len(passes), len(at)) == (16, 16 + 2, 0)
+    # solve_q's 16 one-point runs over the span, then one pass of the h
+    # tape and one of C's tape over all the points, from two points up,
+    # which Tape.columns makes without a per-point Tape.run; C's jet feeds
+    # both the Q lift (truncated one order lower for u) and the C lift, and
+    # no frame is built on its own
+    for points in ("2", "12"):
+        runs = _counting(monkeypatch, expressions.Tape, "run")
+        passes = _counting(monkeypatch, expressions.Tape, "_run")
+        at = _counting(monkeypatch, forms.CoframeField, "at")
+        _run(["normal-form", "tan(z)", "--order", "3", "--points", points])
+        assert (len(runs), len(passes), len(at)) == (16, 16 + 2, 0)
 
 
 # det h = x is 0 at the seventh point only; ln(y) leaves its domain at the
@@ -149,7 +144,7 @@ _FAILING_LISTS = {
 def test_a_failing_batched_list_reports_as_point_by_point_builds(
         monkeypatch, command):
     argv = _FAILING_LISTS[command]
-    assert sum(w.startswith("--at=") for w in argv) == forms.BATCH_MIN
+    assert sum(w.startswith("--at=") for w in argv) == 12
 
     def report():
         out = io.StringIO()
@@ -163,8 +158,11 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
         return ((p, fourdim.normal_form_residuals(frame, ode))
                 for p, frame in zip(points, fld.frames(points, order)))
 
+    def point_by_point(fld, points, order):
+        return (fld.at(p, order) for p in points)
+
     # the reference builds and checks each frame on its own
-    monkeypatch.setattr(forms, "BATCH_MIN", forms.BATCH_MIN + 1)
+    monkeypatch.setattr(forms.CoframeField, "frames", point_by_point)
     monkeypatch.setattr(fourdim, "normal_form_residual_rows", frame_by_frame)
     assert report() == batched
     rep = json.loads(batched)
@@ -173,24 +171,20 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
     assert [(len(rep["records"]), e["type"]) for e in rep["errors"]] == [want]
 
 
-_BATCHED = str(forms.BATCH_MIN)
-
-
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 30 * 5 + 3),
-    (["curvature", "normal_form_3d", "--points", _BATCHED],
-     15 + 15 * forms.BATCH_MIN + 3),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 5 * 2 + 2),
-    (["fourdim", "fourd_enonzero", "--points", _BATCHED], 5 + 2),
+    (["curvature", "normal_form_3d", "--points", "5"], 15 + 15 * 5 + 3),
+    (["curvature", "normal_form_3d", "--points", "12"], 15 + 15 * 12 + 3),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 5 + 2),
+    (["fourdim", "fourd_enonzero", "--points", "12"], 5 + 2),
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d batched",
         "fourdim fourd_enonzero", "fourdim fourd_enonzero batched"])
 def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
                                                       calls):
-    # the raw frames' tape runs once per point on a short sample list and once
-    # over a list of BATCH_MIN points: 15 series in 3D and 5 in 4D.  Per point
-    # in 3D: one_adapt 3, the omega3 frame 1, case2_adapt 4, top_ratio 2 and
-    # volume reciprocals 5.  Per stacked block of frames (one here), the volume
-    # reciprocals of the curvature stages: 3 in 3D and 2 in 4D.  1-form
+    # the raw frames' tape runs once over the sample list, however short:
+    # 15 series in 3D and 5 in 4D.  Per point in 3D: one_adapt 3, the omega3
+    # frame 1, case2_adapt 4, top_ratio 2 and volume reciprocals 5.  Per
+    # stacked block of frames (one here), the volume reciprocals of the
+    # curvature stages: 3 in 3D and 2 in 4D.  1-form
     # coefficients divide by the cached volume reciprocal, so they take no
     # series of their own.  Evaluating each coefficient's AST on its own took
     # 39 (3D) and 15 (4D) series per point.
@@ -317,10 +311,9 @@ def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
     assert not ratios
 
 
-def test_kept_frames_match_a_fresh_build(monkeypatch):
+def test_kept_frames_match_a_fresh_build():
     # the raw frames come from one batched tape run, the fresh ones from
     # one-point runs
-    monkeypatch.setattr(forms, "BATCH_MIN", 2)
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
     result = analyze(spec.coframes(), pts, 6, TOL)
