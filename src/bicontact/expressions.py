@@ -346,15 +346,18 @@ class Tape:
         """The root jets at each of ``points``, one list per point, seeding
         coordinate i with slot i.
 
-        Several points run as one pass over the tape.  Where some point
-        fails, the pass raises at the first op that fails at any point,
-        which need not be what the first failing point raises on its own,
-        or ``jets._MixedBranches`` where the points would branch
-        differently; ``CoframeField.frames`` then builds point by point."""
+        Several points run as one pass over the tape, or one by one where
+        they would branch differently (``jets._MixedBranches``).  Where some
+        point fails, the pass raises at the first op that fails at any
+        point, which need not be what the first failing point raises on its
+        own; ``CoframeField.frames`` then builds point by point."""
         points = [tuple(float(x) for x in p) for p in points]
         if len(points) < 2:
             return [self._run(p, order, coords, params) for p in points]
-        roots = self.columns(points, order, coords, params)
+        try:
+            roots = self.columns(points, order, coords, params)
+        except jets._MixedBranches:
+            return [self._run(p, order, coords, params) for p in points]
         rows = [j.c.T.copy() for j in roots]
         return [[Jet._of(j.dim, order, r[k]) for j, r in zip(roots, rows)]
                 for k in range(len(points))]
@@ -362,7 +365,8 @@ class Tape:
     def columns(self, points, order, coords, params=None) -> list:
         """The root jets over all of ``points`` in one pass, unsplit: the
         one-point jets of ``run`` for one point, and for N points many-point
-        jets whose column k is point k's jet.  It raises as ``run`` does."""
+        jets whose column k is point k's jet.  It raises as ``run``'s one pass
+        does, ``jets._MixedBranches`` included."""
         if len(points) == 1:
             return self.run(points, order, coords, params)[0]
         return self._run(tuple(zip(*((float(x) for x in p) for p in points))),

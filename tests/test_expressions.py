@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bicontact import expressions as ex, jets
 from bicontact.errors import DomainError, ParseError, UnknownIdentifier
@@ -227,6 +227,9 @@ _XS, _YS = [0.0, -0.0, 0.7, -1.3, 2.0], [0.0, 0.4, -2.5]
 @given(_dag(), st.lists(st.tuples(st.sampled_from(_XS), st.sampled_from(_YS)),
                         min_size=1, max_size=5),
        st.integers(0, 3))
+# x^x takes different power branches at these points, though neither fails
+@example(roots=[ex.parse("x^x", ["x", "y"], ["a"])],
+         points=[(0.0, 0.0), (0.7, 0.0)], order=0)
 @settings(max_examples=300, deadline=None)
 def test_tape_matches_the_recursive_evaluator(roots, points, order):
     """Each root's coefficients at each point are bit-equal to the recursive

@@ -109,6 +109,22 @@ def test_one_adapt_meets_the_first_failure_in_sample_order(monkeypatch,
     assert len(tape_runs) == runs
 
 
+def test_normal_form_runs_the_profile_tape_once_per_point(monkeypatch):
+    # solve_q 16 one-point runs over the span; the h tape and C's tape each
+    # evaluate every sample point once, all points in one pass, whose jet
+    # both the Q lift (truncated one order lower for u) and the C lift read
+    evaluated = []
+    original = expressions.Tape._run
+
+    def counting(self, x, order, coords, params):
+        evaluated.append(len(x[0]) if isinstance(x[0], tuple) else 1)
+        return original(self, x, order, coords, params)
+
+    monkeypatch.setattr(expressions.Tape, "_run", counting)
+    _run(["normal-form", "tan(z)", "--order", "3", "--points", "5"])
+    assert evaluated == [1] * 16 + [5, 5]
+
+
 def test_normal_form_runs_each_tape_once_over_a_batched_list(monkeypatch):
     # solve_q's 16 one-point runs over the span, then one pass of the h
     # tape and one of C's tape over all the points, from two points up,
