@@ -37,7 +37,7 @@ from .curvature import leaf_geometry, levi_civita, scalar_curvature
 from .errors import BicontactError, BudgetError
 from .examples import EXAMPLES, build_example
 from .expressions import eval_number, parse as parse_expr
-from .forms import ext_d, stacked_rows, wedge
+from .forms import block_rows, ext_d, stacked_rows, unstack, wedge
 from .inputfile import load_definition
 from .jets import _value
 from .pipeline import (Tolerances, analyze, cached_C,
@@ -229,9 +229,10 @@ _UNIT_CIRCLE = [(float(np.cos(t)), float(np.sin(t)))
 
 # ---------------------------------------------------------------------------
 # command bodies: each takes (cfg, rep, fld, spec, pts) and fills ``rep``.
-# The 4D bodies, and the curvature of 3D frames, run their stages once per
-# stacked block of frames (``forms.stacked_rows``), and a record is split off
-# per point only here.
+# The 4D bodies, the 3D pipeline (``analyze``) and the curvature of its
+# frames run their stages once per stacked block of frames
+# (``forms.stacked_rows``, ``forms.block_rows``), and a record is split off
+# per point only at the end.
 
 def _summarize(rep: Report, keys=None) -> float:
     """Set ``rep.summary`` from the records' residuals and return the worst
@@ -363,6 +364,12 @@ def _curvature3(cf) -> dict:
             "leaf_curvature": _masked(leaf.K_leaf, leafless)}
 
 
+def _final_blocks(result) -> tuple:
+    """The stacked frames of ``analyze``'s last stage, memo included: the
+    adapted blocks in cases 1 and 2, else the one-adapted ones."""
+    return result.get("adapted_blocks", result["blocks"])
+
+
 def _cmd_curvature(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
@@ -373,9 +380,8 @@ def _cmd_curvature(cfg: RunConfig, rep: Report, fld, spec, pts):
                                 tol.deep))
         return
     result = analyze(fld, pts, cfg.order, tol)
-    frames = result.get("adapted_frames", result["frames"])
     rep.histogram[f"case:{result['case']}"] = len(pts)
-    for p, row in stacked_rows(pts, frames, _curvature3):
+    for p, row in block_rows(pts, _final_blocks(result), _curvature3):
         rep.records.append({"point": list(p), **row})
     rep.checks.append(check("connection_consistency",
                             _summarize(rep, ("connection",)), tol.deep))
@@ -490,14 +496,15 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
             rep.checks.append(check(f"expected_{key}", dev, tol.deep))
     if "curvature_12" in expected:
         dev = 0.0
-        for _, row in stacked_rows(
-                pts, result.get("adapted_frames", result["frames"]),
+        for _, row in block_rows(
+                pts, _final_blocks(result),
                 lambda cf: {"theta12": _value(curvature_of(
                     levi_civita(cf)).coefficient(0, 1, 0, 1))}):
             dev = nan_max(dev, abs(row["theta12"] - expected["curvature_12"]))
         rep.checks.append(check("expected_curvature_12", dev, tol.deep))
     if "K" in expected:
-        cart = cartan_structure_check(result["frames"], tol)
+        cart = cartan_structure_check(
+            [cf for block in result["blocks"] for cf in unstack(block)], tol)
         if cart is None:
             rep.checks.append(check("expected_K", 0, passed=False))
         else:

@@ -18,8 +18,11 @@ point axis, shape (keys, ncoeffs, N), and its coefficient jets are
 many-point jets.  Every kernel below takes such forms as they are, and
 :func:`per_point` splits a form into its points.  :func:`stack_frames`
 joins one-point frames into one frame whose forms carry a point axis, so
-a block of frames goes through a check in one pass; :func:`stacked_rows`
-runs a check over a sample list that way, ``STACK_BLOCK`` frames at a time.
+a block of frames goes through a stage in one pass, and :func:`unstack`
+splits it again.  :func:`stacked_blocks` stacks a sample list's frames
+``STACK_BLOCK`` at a time, :func:`by_block` runs a stage once per block,
+going column by column where a block's pass raises, and :func:`block_rows`
+and :func:`stacked_rows` split a check's table into one row per point.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -76,6 +79,7 @@ __all__ = [
     "wedge", "wedge_all", "ext_d", "top_ratio",
     "two_form_coeffs", "one_form_coeffs", "scalar_d",
     "coframe_field_from_expressions", "per_point", "stack_frames",
+    "columns", "unstack", "stacked_blocks", "by_block", "block_rows",
     "stacked_rows",
 ]
 
@@ -216,7 +220,7 @@ class PForm:
         return float(worst) if worst.ndim == 0 else worst
 
     def __repr__(self):
-        vals = {k: round(v.value, 6) for k, v in self.coeffs.items()}
+        vals = {k: round(jets._value(v), 6) for k, v in self.coeffs.items()}
         return f"PForm(degree={self.degree}, values={vals})"
 
 
@@ -590,22 +594,46 @@ def stack_frames(frames) -> Coframe:
         stage=first.stage)
 
 
-def stacked_rows(points, frames, body):
-    """An iterator over ``points`` in order, each paired with its row of
-    ``body``'s table.  The one-point ``frames``, one per point, are taken
-    ``STACK_BLOCK`` at a time, as they are reached, and ``body`` runs once
-    per block on their stacked frame (:func:`stack_frames`).  It returns a
-    dict whose values are (N,) arrays, lists of N values or such dicts; a
-    point's row holds its column of each, arrays read as Python scalars.
-    Where that pass raises, the block goes frame by frame, each frame as a
-    stack of one, so the first failing point raises its own type and text;
-    where a frame fails to build, the rows before it come first."""
+def columns(frame) -> list:
+    """The columns of a stacked frame, each as a stack of one with its
+    point, eps and stage; they share no memo."""
+    def column(x, k):
+        return x[..., k:k + 1] if isinstance(x, np.ndarray) else x
+    return [Coframe(frame.chart, tuple(column(x, k) for x in frame.point),
+                    tuple(PForm._of(f.chart, f.degree, f.order, column(f.c, k))
+                          for f in frame.forms),
+                    eps=column(frame.eps, k), stage=frame.stage)
+            for k in range(len(frame.point[0]))]
+
+
+def unstack(frame) -> list:
+    """The one-point frames of a stacked frame, in column order, as
+    :func:`stack_frames` took them: each with its eps and stage, and with
+    its column of every d(omega^i) the stacked memo holds."""
+    split = [per_point(f) for f in frame.forms]
+    kept = {key: per_point(frame._memo[key])
+            for key in (("d", i) for i in range(frame.dim))
+            if key in frame._memo}
+    out = []
+    for k, point in enumerate(zip(*(x.tolist() for x in frame.point))):
+        one = Coframe(frame.chart, point, tuple(f[k] for f in split),
+                      eps=frame.eps, stage=frame.stage)
+        one._memo.update((key, d[k]) for key, d in kept.items())
+        out.append(one)
+    return out
+
+
+def stacked_blocks(frames):
+    """An iterator over the stacked frames (:func:`stack_frames`) of the
+    one-point ``frames``, ``STACK_BLOCK`` at a time, as they are reached;
+    where a frame fails to build, the frames before it come first, as one
+    more block, then its error."""
     # a plain call returning a generator, as ``CoframeField.frames`` is, so
     # profilers count it once
-    return _stacked_rows(iter(points), iter(frames), body)
+    return _stacked_blocks(iter(frames))
 
 
-def _stacked_rows(points, frames, body):
+def _stacked_blocks(frames):
     while True:
         block, error = [], None
         try:
@@ -615,17 +643,55 @@ def _stacked_rows(points, frames, body):
                     break
         except _POINT_ERRORS as exc:
             error = exc
-        try:
-            rows = _rows(body(stack_frames(block))) if block else []
-        except _POINT_ERRORS:
-            rows = (row for frame in block
-                    for row in _rows(body(stack_frames([frame]))))
-        for row in rows:
-            yield next(points), row
+        if block:
+            yield stack_frames(block)
         if error is not None:
             raise error
         if len(block) < STACK_BLOCK:
             return
+
+
+def by_block(blocks, stage):
+    """An iterator over (frame, ``stage(frame)``) for the stacked frames
+    ``blocks``, in order, each stage run once per block.  Where a block's
+    pass raises, it goes column by column, each column a stack of one
+    (:func:`columns`), so the first failing point raises its own type and
+    text; a one-point frame raises as it is."""
+    return _by_block(iter(blocks), stage)
+
+
+def _by_block(blocks, stage):
+    for block in blocks:
+        try:
+            results = [(block, stage(block))]
+        except _POINT_ERRORS:
+            if block.forms[0].c.ndim == 2:
+                raise
+            results = ((column, stage(column)) for column in columns(block))
+        yield from results
+
+
+def block_rows(points, blocks, body):
+    """An iterator over ``points`` in order, each paired with its row of
+    ``body``'s table, which runs once per stacked frame of ``blocks``
+    (:func:`by_block`).  It returns a dict whose values are (N,) arrays,
+    lists of N values or such dicts; a point's row holds its column of
+    each, arrays read as Python scalars.  Where a pass raises, the rows
+    before the failing point come first."""
+    return _block_rows(iter(points), by_block(blocks, body))
+
+
+def _block_rows(points, tables):
+    for _, table in tables:
+        for row in _rows(table):
+            yield next(points), row
+
+
+def stacked_rows(points, frames, body):
+    """:func:`block_rows` over the :func:`stacked_blocks` of the one-point
+    ``frames``, one per point; where a frame fails to build, the rows
+    before it come first."""
+    return block_rows(points, stacked_blocks(frames), body)
 
 
 def _rows(table: dict) -> list:

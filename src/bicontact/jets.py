@@ -19,9 +19,10 @@ coefficients as an (ncoeffs, N) array whose column p is point p's jet.  The
 operations and elementary functions take such jets as they are: products run
 as one kernel over all columns (``_product``), series coefficients come per
 point from the same ``math`` laws, and each domain check looks at every
-point's value.  Every column is bit-equal to the one-point jet.  Where the
-points would take different branches (``power``, ``atan2``), the operation
-raises ``_MixedBranches`` and the caller runs the points one by one.
+point's value.  Every column is bit-equal to the one-point jet.  ``atan2``
+runs each of its two branches on the columns that take it.  Where the points
+of ``power`` would take different branches, it raises ``_MixedBranches`` and
+the caller runs the points one by one.
 
 Every sum goes through ``_sum_into``, one ``np.bincount`` over (target,
 point) bins, shared with ``forms``; a product past ``FLAT_PRODUCT_MAX``
@@ -582,17 +583,33 @@ def atan2(y, x) -> Jet:
 
     The larger-magnitude coordinate is used as the divisor, so the result is
     smooth across both axes; the branch constant only shifts the value part.
+    Over many points each branch runs on its own columns, which are then put
+    back in order, so every column is bit-equal to its one-point jet.
     """
     if not isinstance(y, Jet):
         y = _as_jet(y, x)
-    x = _as_jet(x, y)
+    y, x = y._align(x)
     points = list(zip(_values(y), _values(x)))
     if any(y0 == 0.0 and x0 == 0.0 for y0, x0 in points):
         raise DomainError("atan2", 0.0)
-    wide = {abs(x0) >= abs(y0) for y0, x0 in points}
-    if len(wide) > 1:
-        raise _MixedBranches("atan2")
-    if wide.pop():
+    wide = [abs(x0) >= abs(y0) for y0, x0 in points]
+    if all(wide) or not any(wide):
+        return _atan2_branch(y, x, points, wide[0])
+    out = np.empty(y.c.shape)
+    for branch in (True, False):
+        cols = [k for k, w in enumerate(wide) if w == branch]
+        part = _atan2_branch(Jet._of(y.dim, y.order, y.c[:, cols]),
+                             Jet._of(x.dim, x.order, x.c[:, cols]),
+                             [points[k] for k in cols], branch)
+        out[:, cols] = part.c
+    return Jet._of(y.dim, y.order, out)
+
+
+def _atan2_branch(y, x, points, wide) -> Jet:
+    """``atan2`` at points that all take one branch: atan(y/x) plus the
+    branch constant where |x| >= |y| (``wide``), else the constant minus
+    atan(x/y)."""
+    if wide:
         t = atan(y / x)
         return t + _per_point([math.atan2(y0, x0) - math.atan(y0 / x0)
                                for y0, x0 in points], y)

@@ -9,37 +9,49 @@ Stages:
 3. ``case_detect`` decides between constant C, the C3 = 0 case (case 1), the
    generic nonconstant case (case 2), and its degenerate subcase (case 3).
 4. ``case1_adapt`` / ``case2_adapt`` finish the adaptation and produce an
-   :class:`InvariantRecord` per point.  Case 1 kills the torsions A1, A2 by
-   absorption, omega3 -> omega3 + b1 omega1 + b2 omega2, with b solved in
-   closed form from the base frame's d omega1 and d omega2 tables; both
-   cases read A1-A3 and B1-B3 off their final frame's tables alike.
+   :class:`InvariantRecord` per frame, one value per column when stacked.
+   Case 1 kills the torsions A1, A2 by absorption, omega3 -> omega3 +
+   b1 omega1 + b2 omega2, with b solved in closed form from the base
+   frame's d omega1 and d omega2 tables; both cases read A1-A3 and B1-B3
+   off their final frame's tables alike.
 5. ``taut_circle_transform`` / ``taut_hyperbola_transform`` build the rotated
    frames whose contact volumes are simultaneously controlled.
 6. ``cartan_structure_check`` detects the fully symmetric reduction and its
    curvature function K.
 7. ``invariant_coords`` validates the coordinates built from (C, C3, C33).
 
-Point-local functions act on a :class:`~bicontact.forms.Coframe`; drivers act
-on the frames of a sample set and fix the global signs (epsilon, branch
-choices) that must be constant per region.  ``one_adapt`` builds the frames
-from a raw :class:`~bicontact.forms.CoframeField` at a sample-point list and
-order; every later driver takes the previous stage's frames and returns its
-own as a tuple in sample order, so a stage's i-th frame belongs to the i-th
-sample point.  Every adapted frame is derived from its input frame by
+Point-local functions act on a :class:`~bicontact.forms.Coframe`, at one
+point or stacked (:func:`~bicontact.forms.stack_frames`): on a stacked frame
+every value they read (through ``jets._value``) is an (N,) array, each guard
+checks every column and raises the first failing column's own error, and a
+record holds one value per column.  The drivers act on stacked blocks of
+``forms.STACK_BLOCK`` frames: ``analyze`` builds them from a raw
+:class:`~bicontact.forms.CoframeField` at a sample-point list and order,
+runs every stage once per block through :func:`~bicontact.forms.by_block`,
+where a block whose pass raises goes frame by frame, each frame a stack of
+one, so the first failing point raises its own type and text, and splits
+the records per point only at the end.  The global signs that must be
+constant per region, epsilon and the case, are decided over all columns of
+all blocks.  ``one_adapt`` hands the one-adapted frames back one per point
+(:func:`~bicontact.forms.unstack`) for the stages that stay per frame.
+Every adapted frame is derived from its input frame by
 :meth:`~bicontact.forms.Coframe.replace`, which keeps the d of each covector
 that stays the same object.  Each d(omega^i) of a frame's own covector comes
 from its cached :meth:`~bicontact.forms.Coframe.d`, and its structure
 functions, the coefficients of d(omega^i) in the frame itself, from
 :meth:`~bicontact.forms.Coframe.d_coeffs`.  C, dC (built once per frame), the
-dC data and the (omega1, omega2, dC/C3) frame are memoized per frame, so
-``compute_C3``, ``case_detect``, ``case1_adapt`` and ``case2_adapt`` share
-them.
+dC data and the (omega1, omega2, dC/C3) frame are memoized per frame, one
+memo per stacked block, so ``compute_C3``, ``case_detect``, ``case1_adapt``
+and ``case2_adapt`` share them, and ``analyze`` hands its blocks, memo
+included, to the curvature stage.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
 
 from . import jets
 from .errors import (
@@ -48,10 +60,10 @@ from .errors import (
     StructureMismatch,
 )
 from .forms import (
-    Coframe, CoframeField, PForm, ext_d, one_form_coeffs, scalar_d,
-    top_ratio, two_form_coeffs, wedge, wedge_all,
+    Coframe, CoframeField, PForm, by_block, ext_d, one_form_coeffs, scalar_d,
+    stacked_blocks, top_ratio, two_form_coeffs, unstack, wedge, wedge_all,
 )
-from .jets import Jet
+from .jets import Jet, _value
 
 __all__ = [
     "Tolerances", "InvariantRecord", "QuadraticClassification",
@@ -128,16 +140,15 @@ def _one_adapt_point(cf: Coframe):
     vol1 = wedge(w1, dw1)
     vol2 = wedge(w2, dw2)
     top = (0, 1, 2)
-    if abs(vol1.coeffs[top].value) <= CONTACT:
-        raise ContactFailure(
-            f"omega1 ^ d(omega1) = {vol1.coeffs[top].value!r} at {cf.point}")
-    if abs(vol2.coeffs[top].value) <= CONTACT:
-        raise ContactFailure(
-            f"omega2 ^ d(omega2) = {vol2.coeffs[top].value!r} at {cf.point}")
+    v1, v2 = _value(vol1.coeffs[top]), _value(vol2.coeffs[top])
+    _check(cf, abs(v1) <= CONTACT, lambda p, v: ContactFailure(
+        f"omega1 ^ d(omega1) = {v!r} at {p}"), v1)
+    _check(cf, abs(v2) <= CONTACT, lambda p, v: ContactFailure(
+        f"omega2 ^ d(omega2) = {v!r} at {p}"), v2)
     r = top_ratio(vol2, vol1)
-    eps = -1 if r.value > 0 else 1
+    eps = _per_column(lambda v: -1 if v > 0 else 1, _value(r))
     # |r| with the branch fixed by the point value, kept smooth as a jet
-    scale = jets.reciprocal(jets.sqrt(r * float(-eps)))
+    scale = jets.reciprocal(jets.sqrt(r * -eps))
     w2h = w2.scaled(scale)
     Omega = vol1
     lam = top_ratio(wedge_all(w1, w2h, w3_seed), Omega)
@@ -145,22 +156,34 @@ def _one_adapt_point(cf: Coframe):
     return cf.replace(forms=(w1, w2h, w3h), eps=eps, stage="one-adapted")
 
 
-def one_adapt(fld: CoframeField, points, order) -> tuple:
-    """Driver: the one-adapted frames of the raw field at ``points`` and
-    ``order``, in sample order, once epsilon is constant over them.  This is
-    the entry of the 3D pipeline, so it rejects other charts."""
+def _one_adapted(fld: CoframeField, points, order) -> tuple:
+    """The one-adapted stacked blocks of the raw field at ``points`` and
+    ``order``, in sample order, once epsilon is constant over all their
+    columns; each block's eps is then that int."""
     if fld.chart.dim != 3:
         raise BicontactError(
             "the 3D pipeline needs a chart with 3 coordinates; this one "
             f"has {fld.chart.dim}")
-    eps_seen, frames = {}, []
-    for p, raw in zip(points, fld.frames(points, order)):
-        out = _one_adapt_point(raw)
-        eps_seen.setdefault(out.eps, []).append(tuple(p))
-        frames.append(out)
+    blocks = tuple(out for _, out in by_block(
+        stacked_blocks(fld.frames(points, order)), _one_adapt_point))
+    eps_seen = {}
+    for p, eps in zip(points, (e for cf in blocks for e in _each(cf.eps))):
+        eps_seen.setdefault(eps, []).append(tuple(p))
     if len(eps_seen) != 1:
         raise MixedEpsilon(f"epsilon not constant over samples: {eps_seen}")
-    return tuple(frames)
+    (eps,) = eps_seen
+    for cf in blocks:
+        cf.eps = eps
+    return blocks
+
+
+def one_adapt(fld: CoframeField, points, order) -> tuple:
+    """Driver: the one-adapted frames of the raw field at ``points`` and
+    ``order``, in sample order, once epsilon is constant over them.  This is
+    the entry of the 3D pipeline, so it rejects other charts.  The frames
+    are adapted once per stacked block and split per point at the end."""
+    return tuple(cf for block in _one_adapted(fld, points, order)
+                 for cf in unstack(block))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +229,12 @@ def classify(C: float, eps: int):
 # case detection
 
 def _dC_data(cf: Coframe):
-    """(C, C3, C1, C2, |dC|) of a frame, computed once per frame."""
+    """(C, C3, C1, C2, |dC|) of a frame, computed once per frame; |dC| is
+    a float, or an (N,) array for a stacked frame."""
     def build():
         C3, c1, c2 = compute_C3(cf)
-        norm = math.sqrt(c1.value ** 2 + c2.value ** 2 + C3.value ** 2)
+        norm = _per_column(lambda a, b, c: math.sqrt(a ** 2 + b ** 2 + c ** 2),
+                           _value(c1), _value(c2), _value(C3))
         return cached_C(cf), C3, c1, c2, norm
     return cf._cached("dC data", build)
 
@@ -237,21 +262,24 @@ def _everywhere(flags, points, what) -> bool:
 
 
 def case_detect(frames) -> str:
-    """Classify the region of the one-adapted ``frames`` as constantC /
-    case1 / case2 / case3."""
-    pts = [cf.point for cf in frames]
-    flat, c3zero = [], []
-    for cf in frames:
-        _, C3, _, _, norm = _dC_data(cf)
-        flat.append(norm <= FLAT_DC)
-        c3zero.append(abs(C3.value) <= C3_BAND * (1.0 + norm))
-    if _everywhere(flat, pts, "dC vanishes"):
+    """Classify the region of the one-adapted ``frames``, one-point or
+    stacked, as constantC / case1 / case2 / case3, each decision taken over
+    every column of every frame."""
+    data = list(by_block(frames, _dC_data))
+    pts = [p for cf, _ in data for p in _points(cf)]
+    norms = [n for _, d in data for n in _each(d[4])]
+    c3 = [v for _, d in data for v in _each(_value(d[1]))]
+    if _everywhere([n <= FLAT_DC for n in norms], pts, "dC vanishes"):
         return "constantC"
-    if _everywhere(c3zero, pts, "C3 = 0"):
+    if _everywhere([abs(v) <= C3_BAND * (1.0 + n) for v, n in zip(c3, norms)],
+                   pts, "C3 = 0"):
         return "case1"
-    tables = [_omega3_frame(cf, "case_detect")[2] for cf in frames]
-    small_B = [b[(1, 2)].value ** 2 + b[(0, 2)].value ** 2 <= CASE3_BAND
-               for b in tables]
+    small_B = [v <= CASE3_BAND
+               for _, b in by_block(frames, lambda cf: _omega3_frame(
+                   cf, "case_detect")[2])
+               for v in _each(_per_column(lambda u, w: u ** 2 + w ** 2,
+                                          _value(b[(1, 2)]),
+                                          _value(b[(0, 2)])))]
     return "case3" if _everywhere(small_B, pts, "B1 = B2 = 0") else "case2"
 
 
@@ -268,9 +296,10 @@ def _torsions(out: Coframe, C: Jet, stage: str):
                  for i in range(3)]
     A3 = k1[(0, 2)] + C
     residuals = {
-        "domega1_23_minus_1": abs(k1[(1, 2)].value - 1.0),
-        "domega2_13_minus_eps": abs(k2[(0, 2)].value - out.eps),
-        "A3_cross_check": abs((k2[(1, 2)].value - C.value) - A3.value),
+        "domega1_23_minus_1": abs(_value(k1[(1, 2)]) - 1.0),
+        "domega2_13_minus_eps": abs(_value(k2[(0, 2)]) - out.eps),
+        "A3_cross_check": abs((_value(k2[(1, 2)]) - _value(C))
+                              - _value(A3)),
     }
     return {"A1": -k2[(0, 1)], "A2": k1[(0, 1)], "A3": A3,
             "B1": b[(1, 2)], "B2": b[(0, 2)], "B3": b[(0, 1)]}, residuals
@@ -282,37 +311,36 @@ def _torsions(out: Coframe, C: Jet, stage: str):
 def case2_adapt(cf: Coframe):
     """Point-local full adaptation for the generic nonconstant-C case.
 
-    Returns (adapted coframe, record).  The input must be one-adapted.
+    Returns (adapted coframe, record, jets).  The input must be one-adapted;
+    of a stacked frame, the record's values are (N,) arrays, one per column
+    (:func:`_split_record` splits it).
     """
     if cf.eps is None:
         raise ValueError("case2_adapt needs a one-adapted coframe")
     eps = cf.eps
     C, C3_pre, _, _, norm = _dC_data(cf)
-    if norm <= CRITICAL:
-        raise CriticalPoint(f"dC = 0 at {cf.point}")
-    if abs(C3_pre.value) <= C3_BAND * (1.0 + norm):
-        raise CriticalPoint(
-            f"C3 = {C3_pre.value!r} vanishes at {cf.point}; not a case-2 point")
+    _check(cf, norm <= CRITICAL, lambda p: CriticalPoint(f"dC = 0 at {p}"))
+    c3 = _value(C3_pre)
+    _check(cf, abs(c3) <= C3_BAND * (1.0 + norm), lambda p, v: CriticalPoint(
+        f"C3 = {v!r} vanishes at {p}; not a case-2 point"), c3)
 
     # canonical third covector: omega3 := dC / C3
     frame0, dC, b0 = _omega3_frame(cf, "case2_adapt")
     w1, w2, new3 = frame0.forms
     B1_0, B2_0 = b0[(1, 2)], b0[(0, 2)]
     s2 = B1_0 * B1_0 + B2_0 * B2_0
-    if s2.value <= CASE3_BAND:
-        raise DegenerateB(
-            f"B1^2+B2^2 = {s2.value!r} at {cf.point}: case-3 data, no rescale")
+    _check(cf, _value(s2) <= CASE3_BAND, lambda p, v: DegenerateB(
+        f"B1^2+B2^2 = {v!r} at {p}: case-3 data, no rescale"), _value(s2))
     s = jets.sqrt(s2)
 
     w1h, w2h = w1.scaled(s), w2.scaled(s)
     out = frame0.replace(forms=(w1h, w2h, new3))
     t, shared = _torsions(out, C, "case2_adapt")
-    B1, B2, B3 = t["B1"], t["B2"], t["B3"]
-    if abs(B3.value) > 1e-8 * (1.0 + abs(B1.value) + abs(B2.value)):
-        raise StructureMismatch(
-            f"B3 = {B3.value!r} should vanish (forced by d^2 C = 0)")
-    A1, A2 = t["A1"], t["A2"]
-    zeta = jets.atan2(B2, B1)
+    b1, b2, b3 = (_value(t[key]) for key in ("B1", "B2", "B3"))
+    _check(cf, abs(b3) > 1e-8 * (1.0 + abs(b1) + abs(b2)),
+           lambda p, v: StructureMismatch(
+               f"B3 = {v!r} should vanish (forced by d^2 C = 0)"), b3)
+    zeta = jets.atan2(t["B2"], t["B1"])
 
     # C-derivative data relative to the final frame
     C1f, C2f, C3f = one_form_coeffs(dC, out)
@@ -321,25 +349,27 @@ def case2_adapt(cf: Coframe):
 
     rec = InvariantRecord(
         point=cf.point, eps=eps, case="case2",
-        C=C.value, C1=C1f.value, C2=C2f.value, C3=C3f.value,
-        zeta=zeta.value, zeta3=zeta3.value, residuals=shared,
-        **{key: x.value for key, x in t.items()},
+        C=_value(C), C1=_value(C1f), C2=_value(C2f), C3=_value(C3f),
+        zeta=_value(zeta), zeta3=_value(zeta3), residuals=shared,
+        **{key: _value(x) for key, x in t.items()},
     )
-    rec.klass, _ = classify(C.value, eps)
+    rec.klass = _klass(rec.C, eps)
 
     res = rec.residuals
-    res["B3"] = abs(B3.value)
-    res["B_unit"] = abs(B1.value ** 2 + B2.value ** 2 - 1.0)
-    res["C1"] = abs(C1f.value)
-    res["C2"] = abs(C2f.value)
+    res["B3"] = abs(b3)
+    res["B_unit"] = _per_column(lambda u, v: abs(u ** 2 + v ** 2 - 1.0),
+                                b1, b2)
+    res["C1"] = abs(rec.C1)
+    res["C2"] = abs(rec.C2)
 
     # fitted W of the zeta-derivative display (least squares over 2
     # equations): zeta1 = W cos(zeta) + A2, zeta2 = -W sin(zeta) - A1
-    z1, z2 = z1.value, z2.value
-    cz, sz = math.cos(zeta.value), math.sin(zeta.value)
-    W = cz * (z1 - A2.value) - sz * (z2 + A1.value)
+    z1, z2 = _value(z1), _value(z2)
+    cz, sz = _per_column(math.cos, rec.zeta), _per_column(math.sin, rec.zeta)
+    W = cz * (z1 - rec.A2) - sz * (z2 + rec.A1)
     rec.W = W
-    res["W_fit"] = math.hypot(z1 - (W * cz + A2.value), z2 - (-W * sz - A1.value))
+    res["W_fit"] = _per_column(math.hypot, z1 - (W * cz + rec.A2),
+                               z2 - (-W * sz - rec.A1))
     return out, rec, {"C": C, "C3": C3f, "zeta": zeta, "zeta3": zeta3, **t}
 
 
@@ -348,22 +378,23 @@ def case2_adapt(cf: Coframe):
 
 def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     """Point-local adaptation for the C3 = 0, dC != 0 case.  The returned
-    jets include ``det`` = d(A1, A2)/d(b1, b2) = A3^2 - C^2 - eps."""
+    jets include ``det`` = d(A1, A2)/d(b1, b2) = A3^2 - C^2 - eps.  Of a
+    stacked frame, the record's values are (N,) arrays, one per column."""
     tol = tol or Tolerances()
     if cf.eps is None:
         raise ValueError("case1_adapt needs a one-adapted coframe")
     eps = cf.eps
     C, C3_pre, c1_pre, c2_pre, norm = _dC_data(cf)
-    if norm <= CRITICAL:
-        raise CriticalPoint(f"dC = 0 at {cf.point}")
-    if abs(C3_pre.value) > C3_BAND * (1.0 + norm):
-        raise StructureMismatch(
-            f"C3 = {C3_pre.value!r} is not zero at {cf.point}; not case-1 data")
+    _check(cf, norm <= CRITICAL, lambda p: CriticalPoint(f"dC = 0 at {p}"))
+    c3 = _value(C3_pre)
+    _check(cf, abs(c3) > C3_BAND * (1.0 + norm),
+           lambda p, v: StructureMismatch(
+               f"C3 = {v!r} is not zero at {p}; not case-1 data"), c3)
 
     # rescale so C1^2 + C2^2 = 1
     s2 = c1_pre * c1_pre + c2_pre * c2_pre
-    if s2.value <= CRITICAL:
-        raise CriticalPoint(f"C1 = C2 = 0 at {cf.point}")
+    _check(cf, _value(s2) <= CRITICAL,
+           lambda p: CriticalPoint(f"C1 = C2 = 0 at {p}"))
     s = jets.sqrt(s2)
     w1h, w2h = cf.forms[0].scaled(s), cf.forms[1].scaled(s)
     base = cf.replace(forms=(w1h, w2h, cf.forms[2]), stage="case1-adapted")
@@ -380,10 +411,10 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     m11, m12 = -k2[(1, 2)], k2[(0, 2)]
     m21, m22 = k1[(1, 2)], -k1[(0, 2)]
     det = m11 * m22 - m12 * m21
-    if abs(det.value) <= tol.deep:
-        raise DegenerateTranslation(
-            f"translation system is singular at {cf.point}: "
-            f"|A3^2 - C^2 - eps| = {abs(det.value)!r}")
+    size = abs(_value(det))
+    _check(cf, size <= tol.deep, lambda p, v: DegenerateTranslation(
+        f"translation system is singular at {p}: "
+        f"|A3^2 - C^2 - eps| = {v!r}"), size)
     b1 = (m12 * a20 - m22 * a10) / det
     b2 = (m21 * a10 - m11 * a20) / det
 
@@ -393,34 +424,44 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
 
     x1, x2, xi3 = one_form_coeffs(
         scalar_d(cf.chart, xi, stage="case1_adapt(xi3)"), out)
-    x1, x2 = x1.value, x2.value
-    cx, sx = math.cos(xi.value), math.sin(xi.value)
+    x1, x2, xv = _value(x1), _value(x2), _value(xi)
+    cx, sx = _per_column(math.cos, xv), _per_column(math.sin, xv)
     rho = -x1 * sx + x2 * cx        # least squares of xi1 = -rho sin, xi2 = rho cos
     rec = InvariantRecord(
         point=cf.point, eps=eps, case="case1",
-        C=C.value, C1=C1h.value, C2=C2h.value, C3=C3_pre.value,
-        xi=xi.value, rho=rho, residuals=shared,
-        **{key: x.value for key, x in t.items()},
+        C=_value(C), C1=_value(C1h), C2=_value(C2h), C3=c3,
+        xi=xv, rho=rho, residuals=shared,
+        **{key: _value(x) for key, x in t.items()},
     )
-    rec.klass, _ = classify(C.value, eps)
+    rec.klass = _klass(rec.C, eps)
     res = rec.residuals
     res["A1"] = abs(rec.A1)
     res["A2"] = abs(rec.A2)
-    res["C_unit"] = abs(C1h.value ** 2 + C2h.value ** 2 - 1.0)
-    res["rho_fit"] = math.hypot(x1 + rho * sx, x2 - rho * cx)
-
-    # closed forms available when B3 vanishes
-    if abs(rec.B3) <= 1e-7:
-        xi3_closed = 0.5 * (eps + 1) * math.cos(2 * xi.value) \
-            + C.value * math.sin(2 * xi.value) + 0.5 * (1 - eps)
-        res["xi3_closed_form"] = abs(xi3.value - xi3_closed)
-        A3_closed = C.value * math.cos(2 * xi.value) \
-            - 0.5 * (eps + 1) * math.sin(2 * xi.value)
-        res["A3_closed_form"] = abs(rec.A3 - A3_closed)
-        den = xi3.value + eps - 1
-        if abs(den) > 1e-8:
-            res["rho_closed_form"] = abs(rho - math.sin(2 * xi.value) / den)
+    res["C_unit"] = _per_column(lambda u, v: abs(u ** 2 + v ** 2 - 1.0),
+                                rec.C1, rec.C2)
+    res["rho_fit"] = _per_column(math.hypot, x1 + rho * sx, x2 - rho * cx)
+    closed = [_closed_forms(eps, *v) for v in zip(*map(_each, (
+        rec.B3, xv, _value(xi3), rec.C, rec.A3, rho)))]
+    for key in dict.fromkeys(k for row in closed for k in row):
+        column = [row.get(key) for row in closed]
+        res[key] = column if _stacked(cf) else column[0]
     return out, rec, {"C": C, "xi": xi, "xi3": xi3, **t, "det": det}
+
+
+def _closed_forms(eps, B3, xi, xi3, C, A3, rho) -> dict:
+    """The closed-form residuals of one case-1 point, available where B3
+    vanishes: {} elsewhere."""
+    res = {}
+    if abs(B3) <= 1e-7:
+        xi3_closed = 0.5 * (eps + 1) * math.cos(2 * xi) \
+            + C * math.sin(2 * xi) + 0.5 * (1 - eps)
+        res["xi3_closed_form"] = abs(xi3 - xi3_closed)
+        A3_closed = C * math.cos(2 * xi) - 0.5 * (eps + 1) * math.sin(2 * xi)
+        res["A3_closed_form"] = abs(A3 - A3_closed)
+        den = xi3 + eps - 1
+        if abs(den) > 1e-8:
+            res["rho_closed_form"] = abs(rho - math.sin(2 * xi) / den)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -630,29 +671,101 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
 # ---------------------------------------------------------------------------
 # umbrella driver
 
-def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
-    """Run the full pipeline over a sample set.
+def _dC_record(cf: Coframe, case: str) -> InvariantRecord:
+    """The record of a constantC or case-3 frame: C and its derivatives."""
+    C, C3, c1, c2, _ = _dC_data(cf)
+    rec = InvariantRecord(point=cf.point, eps=cf.eps, case=case,
+                          C=_value(C), C1=_value(c1), C2=_value(c2),
+                          C3=_value(C3))
+    rec.klass = _klass(rec.C, cf.eps)
+    return rec
 
-    Returns a dict: eps, case, the per-point records, the one-adapted
-    ``frames`` and, in cases 1 and 2, the fully ``adapted_frames``, each in
-    sample order.  Case-specific adaptation failures propagate.
+
+def _split_record(rec: InvariantRecord) -> list:
+    """The one-point records of a record, in column order: its columns where
+    its values carry a point axis, else ``[rec]``.  A residual that is a
+    list holds None where a column has no such entry."""
+    if not isinstance(rec.point[0], np.ndarray):
+        return [rec]
+    values = {f.name: getattr(rec, f.name).tolist() for f in fields(rec)
+              if isinstance(getattr(rec, f.name), np.ndarray)}
+    residuals = {key: _each(v) for key, v in rec.residuals.items()}
+    return [replace(rec, point=point,
+                    residuals={key: v[k] for key, v in residuals.items()
+                               if v[k] is not None},
+                    **{name: v[k] for name, v in values.items()})
+            for k, point in enumerate(zip(*(x.tolist() for x in rec.point)))]
+
+
+def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
+    """Run the full pipeline over a sample set, each stage once per stacked
+    block of ``forms.STACK_BLOCK`` frames.
+
+    Returns a dict: eps, case, the per-point records in sample order, the
+    one-adapted ``blocks`` and, in cases 1 and 2, the fully
+    ``adapted_blocks``: stacked frames whose columns are the sample points
+    in order, each with the memo its stages filled (``forms.unstack``
+    splits one into its frames).  Case-specific adaptation failures
+    propagate.
     """
     tol = tol or Tolerances()
-    frames = one_adapt(fld, points, order)
-    eps = frames[0].eps
-    case = case_detect(frames)
-    result = {"eps": eps, "case": case, "records": [], "frames": frames}
+    blocks = _one_adapted(fld, points, order)
+    case = case_detect(blocks)
+    result = {"eps": blocks[0].eps, "case": case, "blocks": blocks}
     if case in ("constantC", "case3"):
-        for p, cf in zip(points, frames):
-            C, C3, c1, c2, _ = _dC_data(cf)
-            rec = InvariantRecord(point=tuple(p), eps=eps, case=case,
-                                  C=C.value, C1=c1.value, C2=c2.value,
-                                  C3=C3.value)
-            rec.klass, _ = classify(C.value, eps)
-            result["records"].append(rec)
+        records = [rec for _, rec in by_block(
+            blocks, lambda cf: _dC_record(cf, case))]
     else:
-        outs = [case1_adapt(cf, tol) if case == "case1" else case2_adapt(cf)
-                for cf in frames]
-        result["adapted_frames"] = tuple(o[0] for o in outs)
-        result["records"] = [o[1] for o in outs]
+        outs = [out for _, out in by_block(
+            blocks, (lambda cf: case1_adapt(cf, tol)) if case == "case1"
+            else case2_adapt)]
+        result["adapted_blocks"] = tuple(o[0] for o in outs)
+        records = [o[1] for o in outs]
+    result["records"] = [one for rec in records for one in _split_record(rec)]
     return result
+
+
+# ---------------------------------------------------------------------------
+# values of one-point and stacked frames
+
+def _stacked(cf: Coframe) -> bool:
+    return cf.forms[0].c.ndim == 3
+
+
+def _each(x) -> list:
+    """The values of ``x`` per column, as Python numbers: [x] for a float,
+    the entries of an (N,) array or a list."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    return x if isinstance(x, list) else [x]
+
+
+def _points(cf: Coframe) -> list:
+    """The sample point of each column of a frame, as tuples of floats."""
+    if not _stacked(cf):
+        return [cf.point]
+    return list(zip(*(x.tolist() for x in cf.point)))
+
+
+def _per_column(fn, *values):
+    """``fn`` of floats, or of each column's floats where the values are
+    (N,) arrays, as an array: the one-point arithmetic at every point,
+    for the functions (``math``, ``**``) whose NumPy form may round
+    otherwise."""
+    if not isinstance(values[0], np.ndarray):
+        return fn(*values)
+    return np.array([fn(*v) for v in zip(*(x.tolist() for x in values))])
+
+
+def _klass(C, eps):
+    """The ``classify`` tag of C, per column for an (N,) array."""
+    return _per_column(lambda c: classify(c, eps)[0], C)
+
+
+def _check(cf: Coframe, fails, error, *values):
+    """Raise ``error(point, *values)``, at the first column of ``cf`` where
+    ``fails`` holds, with that column's point and values as Python floats,
+    so its text is the one-point path's."""
+    if np.any(fails):
+        k = int(np.argmax(fails))
+        raise error(_points(cf)[k], *(_each(v)[k] for v in values))

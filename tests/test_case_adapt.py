@@ -8,6 +8,7 @@ import pytest
 from bicontact import jets
 from bicontact.errors import CriticalPoint, DegenerateB, StructureMismatch
 from bicontact.examples import build_example
+from bicontact.forms import unstack
 from bicontact.inputfile import load_coframe
 from bicontact.jets import Jet
 from bicontact.pipeline import (Tolerances, _dC_data, analyze, case1_adapt,
@@ -145,9 +146,10 @@ def test_analyze_routes_case1():
     assert out["case"] == "case1"
     assert out["eps"] == -1
     assert len(out["records"]) == 2
-    assert "adapted_frames" in out
-    cf = out["adapted_frames"][0]
-    assert cf.stage == "case1-adapted"
+    assert "adapted_blocks" in out
+    (block,) = out["adapted_blocks"]
+    assert block.stage == "case1-adapted"
+    assert [cf.point for cf in unstack(block)] == pts
 
 
 def test_case1_on_case2_data_raises():

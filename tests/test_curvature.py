@@ -11,7 +11,7 @@ from bicontact.curvature import (ConnectionMatrix, curvature, leaf_geometry,
 from bicontact.errors import NotIntegrable
 from bicontact.examples import build_example
 from bicontact.forms import (Chart, Coframe, coframe_field_from_expressions,
-                             one_form_coeffs, stack_frames, wedge)
+                             one_form_coeffs, stack_frames, unstack, wedge)
 from bicontact.fourdim import symp_structure
 from bicontact.inputfile import load_coframe
 from bicontact.pipeline import (Tolerances, analyze, case1_adapt, case2_adapt,
@@ -268,7 +268,8 @@ def _frames(name):
     spec = build_example(name)
     result = analyze(spec.coframes(), box_points(spec.box, 5, seed=38), 6,
                      TOL)
-    return result.get("adapted_frames", result["frames"])
+    return [cf for block in result.get("adapted_blocks", result["blocks"])
+            for cf in unstack(block)]
 
 
 @pytest.mark.parametrize("name,leafless", [

@@ -455,7 +455,8 @@ def _kept_case_frames(case):
         fld, pts = spec.coframes(), box_points(spec.box, 2, seed=5)
     out = analyze(fld, pts, 6)
     assert out["case"] == case
-    return list(out["adapted_frames"])
+    return [cf for block in out["adapted_blocks"]
+            for cf in forms.unstack(block)]
 
 
 @pytest.mark.parametrize("case", ["case1", "case2"])

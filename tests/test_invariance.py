@@ -29,7 +29,7 @@ from bicontact.examples import build_example
 from bicontact.expressions import (BinOp, Call, Neg, Num, Var, differentiate,
                                    eval_number, parse)
 from bicontact.curvature import curvature, levi_civita, scalar_curvature
-from bicontact.forms import coframe_field_from_expressions
+from bicontact.forms import coframe_field_from_expressions, unstack
 from bicontact.fourdim import curvature4, symp_structure
 from bicontact.inputfile import load_definition
 from bicontact.pipeline import analyze
@@ -190,7 +190,8 @@ def _adapted_curvature(fld, points, order):
     as the ``curvature`` command reports them."""
     result = analyze(fld, points, order)
     rows = []
-    for cf in result["adapted_frames"]:
+    for cf in (cf for block in result["adapted_blocks"]
+               for cf in unstack(block)):
         curv = curvature(levi_civita(cf))
         rows.append({"theta12": curv.coefficient(0, 1, 0, 1).value,
                      "theta13": curv.coefficient(0, 2, 0, 2).value,

@@ -121,6 +121,30 @@ def test_atan2_left_half_plane():
     assert angle.value == pytest.approx(2.9, abs=1e-12)
 
 
+def test_many_point_atan2_takes_each_columns_own_branch():
+    # (y0, x0) in both branches and on both diagonals |x0| = |y0|, which
+    # take the atan(y/x) branch; each column is bit-equal to its own jet
+    values = [(0.3, 1.0), (1.0, 0.3), (-0.7, 0.7), (0.5, -2.0), (2.0, 0.5),
+              (-1.5, -1.5), (-0.2, -0.1), (0.0, -1.0), (1.0, 0.0)]
+    rng = np.random.default_rng(17)
+    for dim, order in ((1, 0), (2, 3), (3, 5)):
+        ys, xs = [], []
+        for y0, x0 in values:
+            y, x = (_rand_jet(rng, dim, order) for _ in range(2))
+            y.c[0], x.c[0] = y0, x0
+            ys.append(y)
+            xs.append(x)
+        many = jets.atan2(*(Jet._of(dim, order, np.stack([f.c for f in fs],
+                                                         axis=1))
+                            for fs in (ys, xs)))
+        own = [jets.atan2(y, x) for y, x in zip(ys, xs)]
+        assert [np.ascontiguousarray(many.c[:, k]).tobytes()
+                for k in range(len(values))] == [j.c.tobytes() for j in own]
+    with pytest.raises(DomainError, match="^atan2: argument value 0.0"):
+        jets.atan2(Jet.constant([1.0, 0.0], 2, 2),
+                   Jet.constant([1.0, 0.0], 2, 2))
+
+
 def test_sqrt_squares_back():
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -97,9 +97,10 @@ def test_digest_folds_in_stderr():
 
 def test_many_point_argvs_match_the_benchmark_sizes():
     # the benchmark's sample counts; 2 points, the shortest list built in
-    # one pass, on the case-2 and case-1 paths; 33 normal-form and 4D
-    # curvature points, whose last block of forms.STACK_BLOCK has one
-    # column, and 40 3D curvature points, which span two blocks
+    # one pass, on the case-2 and case-1 paths; 33 normal-form, 4D
+    # curvature and case-2 invariants points, whose last block of
+    # forms.STACK_BLOCK has one column, and 40 3D curvature and case-1
+    # invariants points, which span two blocks
     sizes = [(*argv[:2], argv[argv.index("--points") + 1])
              for argv in report_sweep.MANY_POINT_ARGVS if "--points" in argv]
     assert sizes == [("curvature", "normal_form_3d", "60"),
@@ -110,17 +111,22 @@ def test_many_point_argvs_match_the_benchmark_sizes():
                      ("invariants", "tests/data/case1_frame.txt", "2"),
                      ("normal-form", "tan(z)", "33"),
                      ("curvature", "fourd_enonzero", "33"),
-                     ("curvature", "normal_form_3d", "40")]
+                     ("curvature", "normal_form_3d", "40"),
+                     ("invariants", "tests/data/case1_frame.txt", "40"),
+                     ("invariants", "eta_frame", "33")]
     assert forms.STACK_BLOCK == 32
     assert all((ROOT / argv[1]).is_file() or argv[1] in EXAMPLES
                or argv[1] in report_sweep.PROFILES
                for argv in report_sweep.MANY_POINT_ARGVS)
     # the failing --at lists: one point, whose build raises its own error,
-    # and lists whose one many-point build fails, of 3 and 12 points and two
-    # past the first block of forms.STACK_BLOCK, a normal-form and a fourdim
-    # one
+    # and lists whose one many-point build fails, of 3 and 12 points, and
+    # three past the first block of forms.STACK_BLOCK, a normal-form, a
+    # fourdim and a 3D invariants one, whose 35th frame builds but fails
+    # its one-adaptation
     sizes = sorted(sum(word.split("=")[0] == "--at" for word in argv)
                    for argv in report_sweep.MANY_POINT_ARGVS)
-    assert sizes == [0] * 9 + [1, 3, 12, 12, 40, 40]
-    assert [argv[0] for argv in report_sweep.MANY_POINT_ARGVS
-            if len(argv) > 40] == ["normal-form", "fourdim"]
+    assert sizes == [0] * 11 + [1, 3, 12, 12, 40, 40, 40]
+    assert [argv[:2] for argv in report_sweep.MANY_POINT_ARGVS
+            if len(argv) > 40] == [["normal-form", "tan(z)"],
+                                   ["fourdim", "fourd_enonzero"],
+                                   ["invariants", "sphere_frame"]]

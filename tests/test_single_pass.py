@@ -1,16 +1,19 @@
 """Drivers return the frames they build at their sample points.
 
-Each driver hands back its frames as a tuple in sample order, and every
-later stage reads them from it, so adaptation runs once per point, the
-curvature and 4D stages once per stacked block of ``forms.STACK_BLOCK``
-frames, and the coefficient tape once per sample list.  The returned frames
-agree bit for bit with a fresh build, whatever the order of the sample list,
-and each frame's structure table ``d_coeffs`` is computed once and shared by
+Each driver hands back its frames in sample order, and every later stage
+reads them from it, so the 3D adaptation, the curvature and the 4D stages
+run once per stacked block of ``forms.STACK_BLOCK`` frames, and the
+coefficient tape once per sample list.  ``analyze`` hands its stacked
+blocks, memo included, to the curvature stage.  The returned frames agree
+bit for bit with a fresh build, whatever the order of the sample list, and
+each frame's structure table ``d_coeffs`` is computed once and shared by
 every later stage, so coefficient extraction runs a fixed number of times
-per point.  So do C, the omega3 = dC/C3 frame of case 2 and the dE expansion
-of a 4D frame, which each frame memoizes.  Each frame takes d of its own
-covectors once, and ``ext_d`` is the only differentiation kernel of the
-forms layer.
+per block.  So do C, the omega3 = dC/C3 frame of case 2 and the dE
+expansion of a 4D frame, which each frame memoizes.  Each frame takes d of
+its own covectors once, and ``ext_d`` is the only differentiation kernel of
+the forms layer.  The counts below are per block where the stage runs on
+stacked frames (every 3D pipeline and 4D stage) and per point where it runs
+frame by frame (``taut``).
 """
 
 import io
@@ -23,7 +26,7 @@ from bicontact import (cli, curvature, expressions, forms, fourdim, jets,
                        pipeline)
 from bicontact.errors import ContactFailure, DomainError
 from bicontact.examples import build_example
-from bicontact.forms import Chart, coframe_field_from_expressions
+from bicontact.forms import Chart, coframe_field_from_expressions, unstack
 from bicontact.pipeline import Tolerances, _one_adapt_point, analyze
 
 from conftest import DATA, box_points
@@ -62,22 +65,30 @@ def _frame_bytes(cf):
     return [f.coeffs[k].c.tobytes() for f in cf.forms for k in sorted(f.coeffs)]
 
 
+def _unstacked(blocks):
+    return [cf for block in blocks for cf in unstack(block)]
+
+
 def _normal_form_points(n):
     return box_points(build_example("normal_form_3d").box, n, seed=11)
 
 
 def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
-    # one tape run over the sample list, from two points up; one case-2
-    # adaptation per point
+    # one tape run, of one pass, over the sample list, from two points up;
+    # one case-2 adaptation per stacked block of forms.STACK_BLOCK frames,
+    # whose columns are the points: one for 2 and 12 points, two for 40
     spec = build_example("normal_form_3d")
-    for n in (2, 12):
+    for n, blocks in ((2, 1), (12, 1), (40, 2)):
         pts = _normal_form_points(n)
         runs = _counting(monkeypatch, expressions.Tape, "run")
+        passes = _counting(monkeypatch, expressions.Tape, "_run")
         adapts = _counting(monkeypatch, pipeline, "case2_adapt")
         result = analyze(spec.coframes(), pts, 6, TOL)
         assert result["case"] == "case2"
-        assert len(runs) == 1
-        assert len(adapts) == n
+        assert (len(runs), len(passes)) == (1, 1)
+        assert len(adapts) == blocks
+        assert [len(b.point[0]) for b in result["adapted_blocks"]] == \
+            [min(n, 32), n - 32][:blocks]
 
 
 # omega1 ^ d omega1 = x dx^dy^dz vanishes at x = 0; ln(z) leaves its domain
@@ -88,7 +99,7 @@ _FAILING_ROWS = [{"dx": "-x*y", "dz": "1"}, {"dy": "x", "dz": "1"},
 
 @pytest.mark.parametrize("points,error,text,runs", [
     ([(0.0, 1.0, 1.0), (1.0, 1.0, -1.0)], ContactFailure,
-     r"omega1 \^ d\(omega1\) = 0.0 at \(0.0, 1.0, 1.0\)", 2),
+     r"omega1 \^ d\(omega1\) = 0.0 at \(0.0, 1.0, 1.0\)", 3),
     ([(1.0, 1.0, -1.0), (0.0, 1.0, 1.0)], DomainError,
      r"ln: argument value -1.0 outside domain", 2),
     ([(1.0, 1.0, -1.0)], DomainError,
@@ -100,7 +111,9 @@ def test_one_adapt_meets_the_first_failure_in_sample_order(monkeypatch,
     # the tape over both points, run as one batch, fails at the point with
     # z < 0, yet one_adapt raises what the one-point builds raise at the
     # first point that fails: one failing run over the list, then one per
-    # point reached; a one-point list raises its one run's error
+    # point of the block, which ends at the first frame that fails to
+    # build, before the block is adapted; a one-point list raises its one
+    # run's error
     tape_runs = _counting(monkeypatch, expressions.Tape, "run")
     fld = coframe_field_from_expressions(Chart(("x", "y", "z")),
                                          _FAILING_ROWS)
@@ -188,22 +201,26 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 15 + 15 * 5 + 3),
-    (["curvature", "normal_form_3d", "--points", "12"], 15 + 15 * 12 + 3),
+    (["curvature", "normal_form_3d", "--points", "5"], 15 + 16),
+    (["curvature", "normal_form_3d", "--points", "12"], 15 + 16),
+    (["curvature", "normal_form_3d", "--points", "40"], 15 + 16 * 2),
     (["fourdim", "fourd_enonzero", "--points", "2"], 5 + 2),
     (["fourdim", "fourd_enonzero", "--points", "12"], 5 + 2),
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d batched",
+        "curvature normal_form_3d two blocks",
         "fourdim fourd_enonzero", "fourdim fourd_enonzero batched"])
 def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
                                                       calls):
     # the raw frames' tape runs once over the sample list, however short:
-    # 15 series in 3D and 5 in 4D.  Per point in 3D: one_adapt 3, the omega3
-    # frame 1, case2_adapt 4, top_ratio 2 and volume reciprocals 5.  Per
-    # stacked block of frames (one here), the volume reciprocals of the
-    # curvature stages: 3 in 3D and 2 in 4D.  1-form
-    # coefficients divide by the cached volume reciprocal, so they take no
-    # series of their own.  Evaluating each coefficient's AST on its own took
-    # 39 (3D) and 15 (4D) series per point.
+    # 15 series in 3D and 5 in 4D.  Per stacked block of frames (one, or
+    # two for 40 points), in 3D: one_adapt 3, the omega3 frame 1,
+    # case2_adapt 4, top_ratio 2 and volume reciprocals 5, and the one
+    # volume reciprocal of the curvature stages that the adapted block's
+    # memo lacks; in 4D, the volume reciprocals of the curvature stages 2.
+    # 1-form coefficients divide by the cached volume reciprocal, so they
+    # take no series of their own.  Evaluating each coefficient's AST on its
+    # own took 39 (3D) and 15 (4D) series per point; adapting frame by
+    # frame took 15 per point and 3 per block in 3D.
     series = _counting(monkeypatch, jets, "_compose")
     _run(args)
     assert len(series) == calls
@@ -220,20 +237,23 @@ def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 4 * 5 + 6),
+    (["curvature", "normal_form_3d", "--points", "5"], 7),
+    (["curvature", "normal_form_3d", "--points", "40"], 7 * 2),
     (["fourdim", "fourd_enonzero", "--points", "2"], 10),
-    (CASE1_ARGS, 5 * 5),
-], ids=["curvature normal_form_3d", "fourdim fourd_enonzero",
-        "invariants case1_frame"])
+    (CASE1_ARGS, 5),
+], ids=["curvature normal_form_3d", "curvature normal_form_3d two blocks",
+        "fourdim fourd_enonzero", "invariants case1_frame"])
 def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
                                                       calls):
-    # per point in 3D: case_detect 1, case2_adapt 3, reading the B-table
-    # that case_detect built; per stacked block of the adapted frames (one
-    # here): levi_civita 3 and curvature 3.  In 4D, per stacked block:
+    # per stacked block of frames (one, or two for 40 points), in 3D:
+    # case_detect 1, case2_adapt 3, reading the B-table that case_detect
+    # built, and curvature 3, with levi_civita reading case2_adapt's tables
+    # from the adapted block's memo.  In 4D, per stacked block:
     # symp_structure 4, curvature 6, with levi_civita reading
-    # symp_structure's table.  In case 1: the base
-    # frame's d omega1 and d omega2 tables 2, which give the omega3
-    # translation in closed form, and the final frame's 3
+    # symp_structure's table.  In case 1, per block: the base frame's
+    # d omega1 and d omega2 tables 2, which give the omega3 translation in
+    # closed form, and the final frame's 3.  Frame by frame, 3D took 4 per
+    # point and 6 per block, case 1 5 per point
     counted = _counting(monkeypatch, forms, "two_form_coeffs",
                         *_aliases(forms, "two_form_coeffs"))
     _run(args)
@@ -241,25 +261,27 @@ def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 8 * 5 + 6),
+    (["curvature", "normal_form_3d", "--points", "5"], 8 + 3),
+    (["curvature", "normal_form_3d", "--points", "40"], (8 + 3) * 2),
     (["fourdim", "fourd_enonzero", "--points", "2"], 14),
-    (CASE1_ARGS, 8 * 5),
-], ids=["curvature normal_form_3d", "fourdim fourd_enonzero",
-        "invariants case1_frame"])
+    (CASE1_ARGS, 8),
+], ids=["curvature normal_form_3d", "curvature normal_form_3d two blocks",
+        "fourdim fourd_enonzero", "invariants case1_frame"])
 def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
                                                       calls):
-    # per point in 3D: one_adapt 2 on the raw frame, C 1 on the one-adapted
-    # frame (d omega1 carries over from the raw frame), dC 1, d omega3 of the
-    # omega3 frame 1, case2_adapt 2 on its final frame (d omega3 carries over
-    # from the omega3 frame), d zeta 1; per stacked block of the final frames
-    # (one here): its covectors 3 and the connection forms 3, and the
-    # connection residual and the leaf defect read the block's memo.  In 4D,
-    # per stacked block: symp_structure 4, dE 1, d theta^1 and d theta^2 2, the
-    # connection forms 6, dC 1; compute_E, the pairings, the connection
-    # residual and the leaf defect read the memo.  In case 1: one_adapt 2, C 1,
-    # dC 1, d omega1 and d omega2 of the base frame 2, which carry over to the
-    # final frame, its d omega3 1 and d xi 1.  scalar_d runs through ext_d, so
-    # jets.partial never runs.
+    # per stacked block of frames (one, or two for 40 points), in 3D:
+    # one_adapt 2 on the raw block, C 1 on the one-adapted block (d omega1
+    # carries over from the raw block), dC 1, d omega3 of the omega3 frame 1,
+    # case2_adapt 2 on its final frame (d omega3 carries over from the
+    # omega3 frame), d zeta 1; then the connection forms 3, with the final
+    # block's covectors, the connection residual and the leaf defect read
+    # from its memo.  In 4D, per stacked block: symp_structure 4, dE 1,
+    # d theta^1 and d theta^2 2, the connection forms 6, dC 1; compute_E, the
+    # pairings, the connection residual and the leaf defect read the memo.
+    # In case 1, per block: one_adapt 2, C 1, dC 1, d omega1 and d omega2 of
+    # the base frame 2, which carry over to the final frame, its d omega3 1
+    # and d xi 1.  Frame by frame, 3D took 8 per point and 6 per block.
+    # scalar_d runs through ext_d, so jets.partial never runs.
     ext_d = _counting(monkeypatch, forms, "ext_d", *_aliases(forms, "ext_d"))
     partial = _counting(monkeypatch, jets, "partial",
                         *_aliases(jets, "partial"))
@@ -268,16 +290,16 @@ def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 5 * 5 + 9),
+    (["curvature", "normal_form_3d", "--points", "5"], 5 + 9),
     (["fourdim", "fourd_enonzero", "--points", "2"], 40),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
 def test_each_connection_form_is_built_once_above_the_diagonal(monkeypatch,
                                                                args, calls):
-    # per point in 3D: one_adapt 2, the omega3 frame 1, case2_adapt 2; per
-    # stacked block of frames (one here), the connection forms omega^i_j,
-    # i < j, 3 x 3 in 3D, and in 4D the sampled pairings 16 and the
-    # connection forms 6 x 4.  omega^j_i is the negated omega^i_j, and the
-    # zero diagonal is never built.
+    # per stacked block of frames (one here), in 3D: one_adapt 2, the omega3
+    # frame 1, case2_adapt 2, and the connection forms omega^i_j, i < j,
+    # 3 x 3; in 4D the sampled pairings 16 and the connection forms 6 x 4.
+    # omega^j_i is the negated omega^i_j, and the zero diagonal is never
+    # built.
     scaled = _counting(monkeypatch, forms.PForm, "scaled")
     _run(args)
     assert len(scaled) == calls
@@ -305,15 +327,17 @@ def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
     assert not wedges
 
 
-@pytest.mark.parametrize("args", [
-    ["invariants", "normal_form_3d", "--points", "5"],
-    ["taut", "sphere_frame", "--points", "5"],
-], ids=lambda args: " ".join(args[:2]))
-def test_each_frame_computes_C_once(monkeypatch, args):
-    calls = _counting(monkeypatch, pipeline, "compute_C",
+@pytest.mark.parametrize("args,calls", [
+    (["invariants", "normal_form_3d", "--points", "5"], 1),
+    (["taut", "sphere_frame", "--points", "5"], 5),
+], ids=["invariants normal_form_3d", "taut sphere_frame"])
+def test_each_frame_computes_C_once(monkeypatch, args, calls):
+    # once per stacked block in the pipeline (one here), once per point in
+    # taut, which runs frame by frame
+    found = _counting(monkeypatch, pipeline, "compute_C",
                       *_aliases(pipeline, "compute_C"))
     _run(args)
-    assert len(calls) == 5
+    assert len(found) == calls
 
 
 def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
@@ -333,7 +357,8 @@ def test_kept_frames_match_a_fresh_build():
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
     result = analyze(spec.coframes(), pts, 6, TOL)
-    adapted, frames2 = result["frames"], result["adapted_frames"]
+    adapted, frames2 = (_unstacked(result[key])
+                        for key in ("blocks", "adapted_blocks"))
     assert len(adapted) == len(frames2) == len(pts)
     for p, kept1, kept2 in zip(pts, adapted, frames2):
         one = _one_adapt_point(spec.coframes().at(p, 6))
@@ -349,7 +374,8 @@ def test_frames_follow_the_sample_order():
     backward = analyze(spec.coframes(), pts[::-1], 6, TOL)
     assert [r.point for r in forward["records"]] == pts
     assert backward["records"] == forward["records"][::-1]
-    for key in ("frames", "adapted_frames"):
-        assert [cf.point for cf in backward[key]] == pts[::-1]
-        assert [_frame_bytes(cf) for cf in backward[key]] == \
-            [_frame_bytes(cf) for cf in forward[key][::-1]]
+    for key in ("blocks", "adapted_blocks"):
+        back, fore = _unstacked(backward[key]), _unstacked(forward[key])
+        assert [cf.point for cf in back] == pts[::-1]
+        assert [_frame_bytes(cf) for cf in back] == \
+            [_frame_bytes(cf) for cf in fore[::-1]]

@@ -11,9 +11,9 @@ every option of the command line but ``--out``, and the argvs of
 ``MANY_POINT_ARGVS``, which run at the sample counts of the benchmark's
 workloads, on lists of 2 points (the shortest list built in one pass),
 across the blocks of ``forms.STACK_BLOCK`` frames, and through a point where
-a frame cannot be built or checked, alone and in lists of 3, 12 and 40
-points (past the first block); each list takes one failing build, then goes
-point by point.
+a frame cannot be built, adapted or checked, alone and in lists of 3, 12 and
+40 points (past the first block); each list takes one failing build or
+stacked pass, then goes point by point.
 Every run goes through ``bicontact.cli.main`` in this process, from the
 checkout that holds this script (its ``src/`` comes first on the path), with
 the checkout as the working directory, since a report echoes its source
@@ -109,6 +109,15 @@ MANY_POINT_ARGVS = [
     ["fourdim", "fourd_enonzero", *(
         f"--at={0.3 + 0.02 * k:g},{0 if k == 34 else 0.5 + 0.02 * k:g},"
         f"{0.04 * k - 0.8:g},0.1" for k in range(40))],
+    # the stacked 3D pipeline: the case-1 path across two blocks, and the
+    # case-2 path ending in a block of one column; omega1 ^ d omega1 =
+    # sin(theta) vanishes at the 35th of 40 sphere_frame points only, whose
+    # raw frame builds, so one_adapt fails there (exit 1)
+    ["invariants", FILES[0], "--points", "40"],
+    ["invariants", "eta_frame", "--points", "33"],
+    ["invariants", "sphere_frame", *(
+        f"--at={0 if k == 34 else 0.3 + 0.06 * k:g},{0.15 * k - 3:g},"
+        f"{0.1 * k - 2:g}" for k in range(40))],
 ]
 
 
