@@ -37,7 +37,7 @@ from .curvature import leaf_geometry, levi_civita, scalar_curvature
 from .errors import BicontactError, BudgetError
 from .examples import EXAMPLES, build_example
 from .expressions import eval_number, parse as parse_expr
-from .forms import block_rows, ext_d, stacked_rows, unstack, wedge
+from .forms import block_rows, ext_d, unstack, wedge
 from .inputfile import load_definition
 from .jets import _value
 from .pipeline import (Tolerances, analyze, cached_C,
@@ -229,10 +229,16 @@ _UNIT_CIRCLE = [(float(np.cos(t)), float(np.sin(t)))
 
 # ---------------------------------------------------------------------------
 # command bodies: each takes (cfg, rep, fld, spec, pts) and fills ``rep``.
-# The 4D bodies, the 3D pipeline (``analyze``) and the curvature of its
-# frames run their stages once per stacked block of frames
-# (``forms.stacked_rows``, ``forms.block_rows``), and a record is split off
-# per point only at the end.
+# The 4D bodies, the 3D pipeline (``analyze``, ``one_adapt``) and the
+# curvature of its frames run their stages once per stacked block of frames
+# (``forms.block_rows``), and a record is split off per point only at the
+# end; ``check``, ``classify`` and ``taut`` split the one-adapted blocks
+# into their frames (``_frames_of``).
+
+def _frames_of(blocks) -> list:
+    """The one-point frames of stacked ``blocks``, in sample order."""
+    return [cf for block in blocks for cf in unstack(block)]
+
 
 def _summarize(rep: Report, keys=None) -> float:
     """Set ``rep.summary`` from the records' residuals and return the worst
@@ -256,12 +262,12 @@ def _pattern(frame) -> dict:
 def _cmd_check(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
-        for p, row in stacked_rows(pts, fld.frames(pts, cfg.order), _pattern):
+        for p, row in block_rows(pts, fld.blocks(pts, cfg.order), _pattern):
             rep.records.append({"point": list(p), **row})
         rep.checks.append(check("four_covector_pattern", _summarize(rep),
                                 tol.shallow))
         return
-    for p, cf in zip(pts, one_adapt(fld, pts, cfg.order)):
+    for p, cf in zip(pts, _frames_of(one_adapt(fld, pts, cfg.order))):
         Omega = cf.volume()
         n1 = cf.ratio(wedge(cf.omega(1), cf.d(0)) - Omega)
         n2 = cf.ratio(wedge(cf.omega(2), cf.d(1))
@@ -289,7 +295,7 @@ def _cmd_invariants(cfg: RunConfig, rep: Report, fld, spec, pts):
 
 
 def _cmd_classify(cfg: RunConfig, rep: Report, fld, spec, pts):
-    for p, cf in zip(pts, one_adapt(fld, pts, cfg.order)):
+    for p, cf in zip(pts, _frames_of(one_adapt(fld, pts, cfg.order))):
         C = cached_C(cf).value
         tag, quad = classify(C, cf.eps)
         _tally(rep, "excluded_band" if tag == "linear" else tag)
@@ -301,7 +307,7 @@ def _cmd_classify(cfg: RunConfig, rep: Report, fld, spec, pts):
 
 
 def _cmd_taut(cfg: RunConfig, rep: Report, fld, spec, pts):
-    adapted = one_adapt(fld, pts, cfg.order)
+    adapted = _frames_of(one_adapt(fld, pts, cfg.order))
     if adapted[0].eps == -1:
         tauts, branch = taut_circle_field(adapted)
         for p, cf, taut in zip(pts, adapted, tauts):
@@ -373,8 +379,8 @@ def _final_blocks(result) -> tuple:
 def _cmd_curvature(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
-        for p, row in stacked_rows(pts, fld.frames(pts, cfg.order),
-                                   _curvature4):
+        for p, row in block_rows(pts, fld.blocks(pts, cfg.order),
+                                 _curvature4):
             rep.records.append({"point": list(p), **row})
         rep.checks.append(check("curvature_displays", _summarize(rep),
                                 tol.deep))
@@ -412,7 +418,7 @@ def _cmd_fourdim(cfg: RunConfig, rep: Report, fld, spec, pts):
     if fld.chart.dim != 4:
         raise BicontactError(
             "the fourdim command needs a chart with 4 coordinates")
-    for p, row in stacked_rows(pts, fld.frames(pts, cfg.order), _fourdim):
+    for p, row in block_rows(pts, fld.blocks(pts, cfg.order), _fourdim):
         rep.records.append({"point": list(p), **row})
     rep.checks.append(check("pattern_and_pairings", _summarize(rep),
                             tol.shallow))
@@ -459,7 +465,7 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
     expected = spec.expected
     if fld.chart.dim == 4:
         worst = {"C": 0.0, "E": 0.0, "pattern": 0.0}
-        for p, row in stacked_rows(pts, fld.frames(pts, cfg.order), _pattern):
+        for p, row in block_rows(pts, fld.blocks(pts, cfg.order), _pattern):
             worst["pattern"] = nan_max(worst["pattern"],
                                        *row.pop("residuals").values())
             row = {"point": list(p), **row}
@@ -503,8 +509,7 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
             dev = nan_max(dev, abs(row["theta12"] - expected["curvature_12"]))
         rep.checks.append(check("expected_curvature_12", dev, tol.deep))
     if "K" in expected:
-        cart = cartan_structure_check(
-            [cf for block in result["blocks"] for cf in unstack(block)], tol)
+        cart = cartan_structure_check(_frames_of(result["blocks"]), tol)
         if cart is None:
             rep.checks.append(check("expected_K", 0, passed=False))
         else:

@@ -11,7 +11,7 @@ built on first read.  A :class:`CoframeField` is the chart-level family
 of raw coframes: it builds the point-local :class:`Coframe` at one point
 or at a whole sample list from closed-form coefficient expressions, whose
 tape runs once per list.  The pipeline drivers hand back the frames they
-adapt as tuples in sample order.
+adapt as stacked blocks in sample order.
 
 Like a jet, a form can hold N points at once: ``c`` then has a trailing
 point axis, shape (keys, ncoeffs, N), and its coefficient jets are
@@ -19,10 +19,10 @@ many-point jets.  Every kernel below takes such forms as they are, and
 :func:`per_point` splits a form into its points.  :func:`stack_frames`
 joins one-point frames into one frame whose forms carry a point axis, so
 a block of frames goes through a stage in one pass, and :func:`unstack`
-splits it again.  :func:`stacked_blocks` stacks a sample list's frames
-``STACK_BLOCK`` at a time, :func:`by_block` runs a stage once per block,
-going column by column where a block's pass raises, and :func:`block_rows`
-and :func:`stacked_rows` split a check's table into one row per point.
+splits it again.  :meth:`CoframeField.blocks` builds a sample list's frames
+stacked ``STACK_BLOCK`` at a time, :func:`by_block` runs a stage once per
+block, going column by column where a block's pass raises, and
+:func:`block_rows` splits a check's table into one row per point.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -79,8 +79,7 @@ __all__ = [
     "wedge", "wedge_all", "ext_d", "top_ratio",
     "two_form_coeffs", "one_form_coeffs", "scalar_d",
     "coframe_field_from_expressions", "per_point", "stack_frames",
-    "columns", "unstack", "stacked_blocks", "by_block", "block_rows",
-    "stacked_rows",
+    "unstack", "by_block", "block_rows",
 ]
 
 
@@ -526,7 +525,7 @@ class Coframe:
         return self._cached(("complements", p), build)
 
 
-# frames per stacked pass of ``stacked_rows``: at order 3, one pass over 200
+# columns per block of ``CoframeField.blocks``: at order 3, one pass over 200
 # normal-form points took 9.4 MB more peak memory, passes of 32 2.8 MB
 STACK_BLOCK = 32
 # what a many-point build or pass may raise where some point fails; the
@@ -538,8 +537,9 @@ _POINT_ERRORS = (BicontactError, ArithmeticError, ValueError,
 class CoframeField:
     """A chart-level family of raw coframes.  ``builder(points, order)``
     builds the :class:`Coframe` at each of a list of points in one go;
-    ``at(point, order)`` is the frame at one point, and ``frames(points,
-    order)`` yields the frames at a sample list, in sample order."""
+    ``at(point, order)`` is the frame at one point, ``frames(points,
+    order)`` yields the frames at a sample list, in sample order, and
+    ``blocks(points, order)`` yields them stacked."""
 
     def __init__(self, chart, builder):
         self.chart = chart
@@ -561,13 +561,39 @@ class CoframeField:
     def _frames(self, points, order):
         # the generator of ``frames``, which stays a plain call: a profiler
         # counts every step of a generator as one more call
-        try:
-            built = self._builder(points, order)[::-1]
-        except _POINT_ERRORS if len(points) > 1 else ():
-            built = None
+        built = self._built(points, order)
         for p in points:
             # pop hands a frame over without keeping it alive here
             yield self.at(p, order) if built is None else built.pop()
+
+    def blocks(self, points, order):
+        """An iterator over the frames at ``points``, built as ``frames``
+        builds them, as stacked frames (:func:`stack_frames`) of
+        ``STACK_BLOCK`` columns in sample order, the last one shorter.
+        Where the one build raises, each frame comes as a stack of one as
+        it is reached, so a caller that runs a stage on each block meets
+        the first failing point's error before a later frame is built."""
+        return self._blocks([tuple(float(x) for x in p) for p in points],
+                            int(order))
+
+    def _blocks(self, points, order):
+        built = self._built(points, order)
+        if built is None:
+            for p in points:
+                yield stack_frames([self.at(p, order)])
+            return
+        while built:
+            block = built[:-STACK_BLOCK - 1:-1]
+            del built[-STACK_BLOCK:]
+            yield stack_frames(block)
+
+    def _built(self, points, order):
+        """The frames at ``points`` from one build, last point first (for
+        popping), or None where it raises on two points or more."""
+        try:
+            return self._builder(points, order)[::-1]
+        except _POINT_ERRORS if len(points) > 1 else ():
+            return None
 
 
 def per_point(form: PForm) -> list:
@@ -591,19 +617,7 @@ def stack_frames(frames) -> Coframe:
         tuple(PForm._of(first.chart, f.degree, f.order,
                         np.stack([frame.forms[i].c for frame in frames], -1))
               for i, f in enumerate(first.forms)),
-        stage=first.stage)
-
-
-def columns(frame) -> list:
-    """The columns of a stacked frame, each as a stack of one with its
-    point, eps and stage; they share no memo."""
-    def column(x, k):
-        return x[..., k:k + 1] if isinstance(x, np.ndarray) else x
-    return [Coframe(frame.chart, tuple(column(x, k) for x in frame.point),
-                    tuple(PForm._of(f.chart, f.degree, f.order, column(f.c, k))
-                          for f in frame.forms),
-                    eps=column(frame.eps, k), stage=frame.stage)
-            for k in range(len(frame.point[0]))]
+        eps=first.eps, stage=first.stage)
 
 
 def unstack(frame) -> list:
@@ -623,40 +637,12 @@ def unstack(frame) -> list:
     return out
 
 
-def stacked_blocks(frames):
-    """An iterator over the stacked frames (:func:`stack_frames`) of the
-    one-point ``frames``, ``STACK_BLOCK`` at a time, as they are reached;
-    where a frame fails to build, the frames before it come first, as one
-    more block, then its error."""
-    # a plain call returning a generator, as ``CoframeField.frames`` is, so
-    # profilers count it once
-    return _stacked_blocks(iter(frames))
-
-
-def _stacked_blocks(frames):
-    while True:
-        block, error = [], None
-        try:
-            for frame in frames:
-                block.append(frame)
-                if len(block) == STACK_BLOCK:
-                    break
-        except _POINT_ERRORS as exc:
-            error = exc
-        if block:
-            yield stack_frames(block)
-        if error is not None:
-            raise error
-        if len(block) < STACK_BLOCK:
-            return
-
-
 def by_block(blocks, stage):
     """An iterator over (frame, ``stage(frame)``) for the stacked frames
     ``blocks``, in order, each stage run once per block.  Where a block's
     pass raises, it goes column by column, each column a stack of one
-    (:func:`columns`), so the first failing point raises its own type and
-    text; a one-point frame raises as it is."""
+    (:func:`unstack`), so the first failing point raises its own type and
+    text; a one-point frame or a stack of one raises as it is."""
     return _by_block(iter(blocks), stage)
 
 
@@ -665,10 +651,16 @@ def _by_block(blocks, stage):
         try:
             results = [(block, stage(block))]
         except _POINT_ERRORS:
-            if block.forms[0].c.ndim == 2:
+            if not _stacked(block) or len(block.point[0]) == 1:
                 raise
-            results = ((column, stage(column)) for column in columns(block))
+            results = ((one, stage(one)) for one in
+                       (stack_frames([cf]) for cf in unstack(block)))
         yield from results
+
+
+def _stacked(frame) -> bool:
+    """Whether ``frame``'s forms carry a point axis."""
+    return frame.forms[0].c.ndim == 3
 
 
 def block_rows(points, blocks, body):
@@ -685,13 +677,6 @@ def _block_rows(points, tables):
     for _, table in tables:
         for row in _rows(table):
             yield next(points), row
-
-
-def stacked_rows(points, frames, body):
-    """:func:`block_rows` over the :func:`stacked_blocks` of the one-point
-    ``frames``, one per point; where a frame fails to build, the rows
-    before it come first."""
-    return block_rows(points, stacked_blocks(frames), body)
 
 
 def _rows(table: dict) -> list:

@@ -28,7 +28,7 @@ from .jets import Jet, _value
 from .errors import DegenerateH, DomainError, OdeStepFailure
 from . import expressions
 from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
-                    one_form_coeffs, per_point, scalar_d, stacked_rows, wedge)
+                    block_rows, one_form_coeffs, per_point, scalar_d, wedge)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
 from .report import nan_max
@@ -513,12 +513,12 @@ def normal_form_residual_rows(fld: CoframeField, ode: QOde, points,
                               order: int):
     """An iterator over ``points`` in order, each paired with the
     ``normal_form_residuals`` of its frame of ``fld``, from one pass per
-    stacked block of frames (``forms.stacked_rows``), whose columns are
+    stacked block of frames (``forms.block_rows``), whose columns are
     bit-equal to each frame's own residuals.  The first point whose frame
     fails to build or to check raises its own type and text, after the
     rows before it."""
-    return stacked_rows(points, fld.frames(points, order),
-                        lambda frame: normal_form_residuals(frame, ode))
+    return block_rows(points, fld.blocks(points, order),
+                      lambda frame: normal_form_residuals(frame, ode))
 
 
 def verify_normal_form(fld: CoframeField, ode: QOde, points,

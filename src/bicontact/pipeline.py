@@ -32,8 +32,8 @@ where a block whose pass raises goes frame by frame, each frame a stack of
 one, so the first failing point raises its own type and text, and splits
 the records per point only at the end.  The global signs that must be
 constant per region, epsilon and the case, are decided over all columns of
-all blocks.  ``one_adapt`` hands the one-adapted frames back one per point
-(:func:`~bicontact.forms.unstack`) for the stages that stay per frame.
+all blocks.  ``one_adapt`` hands back its stacked blocks too; the stages
+that stay per frame split them (:func:`~bicontact.forms.unstack`).
 Every adapted frame is derived from its input frame by
 :meth:`~bicontact.forms.Coframe.replace`, which keeps the d of each covector
 that stays the same object.  Each d(omega^i) of a frame's own covector comes
@@ -60,8 +60,8 @@ from .errors import (
     StructureMismatch,
 )
 from .forms import (
-    Coframe, CoframeField, PForm, by_block, ext_d, one_form_coeffs, scalar_d,
-    stacked_blocks, top_ratio, two_form_coeffs, unstack, wedge, wedge_all,
+    Coframe, CoframeField, PForm, _stacked, by_block, ext_d, one_form_coeffs,
+    scalar_d, top_ratio, two_form_coeffs, wedge, wedge_all,
 )
 from .jets import Jet, _value
 
@@ -156,16 +156,19 @@ def _one_adapt_point(cf: Coframe):
     return cf.replace(forms=(w1, w2h, w3h), eps=eps, stage="one-adapted")
 
 
-def _one_adapted(fld: CoframeField, points, order) -> tuple:
-    """The one-adapted stacked blocks of the raw field at ``points`` and
-    ``order``, in sample order, once epsilon is constant over all their
-    columns; each block's eps is then that int."""
+def one_adapt(fld: CoframeField, points, order) -> tuple:
+    """Driver: the one-adapted frames of the raw field at ``points`` and
+    ``order``, once epsilon is constant over them, as stacked blocks of
+    ``forms.STACK_BLOCK`` columns in sample order
+    (:meth:`~bicontact.forms.CoframeField.blocks`), each adapted in one
+    pass; each block's eps is then that int.  This is the entry of the 3D
+    pipeline, so it rejects other charts."""
     if fld.chart.dim != 3:
         raise BicontactError(
             "the 3D pipeline needs a chart with 3 coordinates; this one "
             f"has {fld.chart.dim}")
-    blocks = tuple(out for _, out in by_block(
-        stacked_blocks(fld.frames(points, order)), _one_adapt_point))
+    blocks = tuple(out for _, out in by_block(fld.blocks(points, order),
+                                              _one_adapt_point))
     eps_seen = {}
     for p, eps in zip(points, (e for cf in blocks for e in _each(cf.eps))):
         eps_seen.setdefault(eps, []).append(tuple(p))
@@ -175,15 +178,6 @@ def _one_adapted(fld: CoframeField, points, order) -> tuple:
     for cf in blocks:
         cf.eps = eps
     return blocks
-
-
-def one_adapt(fld: CoframeField, points, order) -> tuple:
-    """Driver: the one-adapted frames of the raw field at ``points`` and
-    ``order``, in sample order, once epsilon is constant over them.  This is
-    the entry of the 3D pipeline, so it rejects other charts.  The frames
-    are adapted once per stacked block and split per point at the end."""
-    return tuple(cf for block in _one_adapted(fld, points, order)
-                 for cf in unstack(block))
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +676,9 @@ def _dC_record(cf: Coframe, case: str) -> InvariantRecord:
 
 
 def _split_record(rec: InvariantRecord) -> list:
-    """The one-point records of a record, in column order: its columns where
-    its values carry a point axis, else ``[rec]``.  A residual that is a
-    list holds None where a column has no such entry."""
-    if not isinstance(rec.point[0], np.ndarray):
-        return [rec]
+    """The one-point records of a stacked frame's record, in column order.
+    A residual that is a list holds None where a column has no such
+    entry."""
     values = {f.name: getattr(rec, f.name).tolist() for f in fields(rec)
               if isinstance(getattr(rec, f.name), np.ndarray)}
     residuals = {key: _each(v) for key, v in rec.residuals.items()}
@@ -709,7 +701,7 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
     propagate.
     """
     tol = tol or Tolerances()
-    blocks = _one_adapted(fld, points, order)
+    blocks = one_adapt(fld, points, order)
     case = case_detect(blocks)
     result = {"eps": blocks[0].eps, "case": case, "blocks": blocks}
     if case in ("constantC", "case3"):
@@ -727,10 +719,6 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
 
 # ---------------------------------------------------------------------------
 # values of one-point and stacked frames
-
-def _stacked(cf: Coframe) -> bool:
-    return cf.forms[0].c.ndim == 3
-
 
 def _each(x) -> list:
     """The values of ``x`` per column, as Python numbers: [x] for a float,

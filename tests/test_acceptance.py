@@ -27,9 +27,9 @@ from bicontact.pipeline import (Tolerances, analyze, case2_adapt,
                                 cartan_structure_check, circle_volume_coefficient,
                                 compute_C, hyperbola_residuals,
                                 invariant_coords, mixed_circle_coefficient,
-                                one_adapt, predicted_circle_coefficient,
+                                predicted_circle_coefficient,
                                 taut_circle_field, taut_hyperbola_transform)
-from conftest import box_points
+from conftest import box_points, one_adapted_frames
 
 TOL = Tolerances()
 THREE_D = ("hyp_c3", "torus_constC", "normal_form_3d", "eta_frame",
@@ -55,7 +55,7 @@ def test_criterion_01_invariant_equals_z():
         for c3 in ("1", "1+z^2"):
             spec = build_example("hyp_c3", eps=eps, c3=c3)
             pts = box_points(spec.box, 5, seed=101)
-            frames = one_adapt(spec.coframes(), pts, 6)
+            frames = one_adapted_frames(spec.coframes(), pts, 6)
             for p, cf in zip(pts, frames):
                 worst = max(worst, abs(compute_C(cf).value - p[2]))
     _finish(1, "mixed-family invariant", worst <= 1e-9,
@@ -68,7 +68,7 @@ def test_criterion_02_one_adaptation_volumes():
     for name in THREE_D:
         spec = build_example(name)
         pts = box_points(spec.box, 4, seed=102)
-        for cf in one_adapt(spec.coframes(), pts, 6):
+        for cf in one_adapted_frames(spec.coframes(), pts, 6):
             vol = cf.volume()
             r1 = top_ratio(wedge(cf.forms[0], ext_d(cf.forms[0])) - vol, vol)
             r2 = top_ratio(wedge(cf.forms[1], ext_d(cf.forms[1]))
@@ -86,7 +86,7 @@ def test_criterion_03_taut_circle_both_regions():
                (((-0.8, 0.8), (-0.8, 0.8), (1.1, 1.6)), -1)]
     for box, sign in regions:
         pts = box_points(box, 3, seed=103)
-        frames = one_adapt(spec.coframes(), pts, 7)
+        frames = one_adapted_frames(spec.coframes(), pts, 7)
         tauts, _ = taut_circle_field(frames)
         for p, cf, taut in zip(pts, frames, tauts):
             z = p[2]
@@ -109,7 +109,7 @@ def test_criterion_04_taut_hyperbola_identities():
     for name, params in (("hyp_c3", {"eps": 1}), ("torus_constC", {})):
         spec = build_example(name, **params)
         pts = box_points(spec.box, 4, seed=104)
-        for cf in one_adapt(spec.coframes(), pts, 7):
+        for cf in one_adapted_frames(spec.coframes(), pts, 7):
             taut, C, theta = taut_hyperbola_transform(cf)
             r1, r2, defect = hyperbola_residuals(cf, taut, theta)
             worst = max(worst, r1, r2, abs(defect.value))
@@ -125,7 +125,7 @@ def test_criterion_05_normal_form_family():
             for g in ("0", "exp(x)"):
                 spec = build_example("normal_form_3d", eps=eps, f=f, g=g)
                 pts = box_points(spec.box, 3, seed=105)
-                frames = one_adapt(spec.coframes(), pts, 8)
+                frames = one_adapted_frames(spec.coframes(), pts, 8)
                 for p, cf in zip(pts, frames):
                     _, rec, _ = case2_adapt(cf)
                     worst_res = max(worst_res,
@@ -146,7 +146,7 @@ def test_criterion_06_eta_frame_invariants():
     t0 = time.perf_counter()
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=106)
-    frames = one_adapt(spec.coframes(), pts, 8)
+    frames = one_adapted_frames(spec.coframes(), pts, 8)
     worst_B, worst_res, worst_C, worst_id = 0.0, 0.0, 0.0, 0.0
     for p, cf in zip(pts, frames):
         out, rec, _ = case2_adapt(cf)
@@ -168,7 +168,7 @@ def test_criterion_07_constant_invariant_curvature():
     psi = 0.3
     spec = build_example("torus_constC", psi=psi)
     pts = box_points(spec.box, 10, seed=107)
-    frames = one_adapt(spec.coframes(), pts, 7)
+    frames = one_adapted_frames(spec.coframes(), pts, 7)
     cs = np.array([compute_C(cf).value for cf in frames])
     cosh2 = math.cosh(2 * psi) ** 2
     worst_curv, worst_leaf = 0.0, 0.0
@@ -202,7 +202,7 @@ def test_criterion_08_leaf_curvature_oracles():
     for name, eps in (("eta_frame", -1), ("normal_form_3d", 1)):
         spec = build_example(name)
         pts = box_points(spec.box, 3, seed=108)
-        for cf in one_adapt(spec.coframes(), pts, 8):
+        for cf in one_adapted_frames(spec.coframes(), pts, 8):
             out, rec, _ = case2_adapt(cf)
             conn = levi_civita(out)
             curv = curvature(conn)
@@ -347,7 +347,7 @@ def test_criterion_12_sphere_reduction():
     t0 = time.perf_counter()
     spec = build_example("sphere_frame")
     pts = box_points(spec.box, 4, seed=113)
-    frames = one_adapt(spec.coframes(), pts, 7)
+    frames = one_adapted_frames(spec.coframes(), pts, 7)
     out = cartan_structure_check(frames, TOL)
     assert out is not None
     worst_K = max(abs(k - 1.0) for k in out["K"])

@@ -12,8 +12,8 @@ from bicontact.forms import unstack
 from bicontact.inputfile import load_coframe
 from bicontact.jets import Jet
 from bicontact.pipeline import (Tolerances, _dC_data, analyze, case1_adapt,
-                                case2_adapt, case_detect, one_adapt)
-from conftest import DATA, box_points
+                                case2_adapt, case_detect)
+from conftest import DATA, box_points, one_adapted_frames
 
 TOL = Tolerances()
 
@@ -31,7 +31,7 @@ def _beta(x, y):
 def test_case2_on_normal_form(eps):
     spec = build_example("normal_form_3d", eps=eps, f="sin(x)", g="exp(x)")
     pts = box_points(spec.box, 4, seed=21)
-    frames = one_adapt(spec.coframes(), pts, 8)
+    frames = one_adapted_frames(spec.coframes(), pts, 8)
     for p, cf in zip(pts, frames):
         out, rec, extras = case2_adapt(cf)
         x = p[0]
@@ -47,7 +47,7 @@ def test_case2_on_normal_form(eps):
 def test_case2_on_eta_frame():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=22)
-    frames = one_adapt(spec.coframes(), pts, 8)
+    frames = one_adapted_frames(spec.coframes(), pts, 8)
     for p, cf in zip(pts, frames):
         _, rec, extras = case2_adapt(cf)
         x, y, _ = p
@@ -67,7 +67,7 @@ def test_case1_fixture_closed_form_invariant():
     fld = load_coframe(DATA / "case1_frame.txt")
     pts = [(0.3, -0.4, 0.2), (-0.5, 0.6, -0.3), (0.1, 0.7, 0.5),
            (-0.2, -0.6, -0.7)]
-    adapted = one_adapt(fld, pts, 8)
+    adapted = one_adapted_frames(fld, pts, 8)
     assert all(cf.eps == -1 for cf in adapted)
     assert case_detect(adapted) == "case1"
     for p, cf in zip(pts, adapted):
@@ -130,7 +130,7 @@ def test_case1_closed_form_translation_matches_the_probe_solve(order):
     fld = load_coframe(DATA / "case1_frame.txt")
     pts = [(0.3, -0.4, 0.2), (-0.5, 0.6, -0.3), (0.1, 0.7, 0.5),
            (-0.2, -0.6, -0.7)]
-    for cf in one_adapt(fld, pts, order):
+    for cf in one_adapted_frames(fld, pts, order):
         out, _, extras = case1_adapt(cf, TOL)
         w3, det = _probe_translation(cf)
         assert _rel_dev(extras["det"], det) <= 1e-12
@@ -155,7 +155,7 @@ def test_analyze_routes_case1():
 def test_case1_on_case2_data_raises():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 2, seed=23)
-    frames = one_adapt(spec.coframes(), pts, 8)
+    frames = one_adapted_frames(spec.coframes(), pts, 8)
     with pytest.raises(StructureMismatch):
         case1_adapt(frames[0], TOL)
 
@@ -163,7 +163,7 @@ def test_case1_on_case2_data_raises():
 def test_case2_on_case1_data_raises():
     fld = load_coframe(DATA / "case1_frame.txt")
     pts = [(0.3, -0.4, 0.2)]
-    adapted = one_adapt(fld, pts, 8)
+    adapted = one_adapted_frames(fld, pts, 8)
     with pytest.raises(CriticalPoint):
         case2_adapt(adapted[0])
 
@@ -171,7 +171,7 @@ def test_case2_on_case1_data_raises():
 def test_case2_on_case3_data_raises():
     spec = build_example("hyp_c3")
     pts = [(0.1, 0.2, 0.4)]
-    frames = one_adapt(spec.coframes(), pts, 7)
+    frames = one_adapted_frames(spec.coframes(), pts, 7)
     with pytest.raises(DegenerateB):
         case2_adapt(frames[0])
 
@@ -179,6 +179,6 @@ def test_case2_on_case3_data_raises():
 def test_case2_at_critical_point_raises():
     spec = build_example("torus_constC")
     pts = [(0.3, 0.1, 0.2)]
-    frames = one_adapt(spec.coframes(), pts, 7)
+    frames = one_adapted_frames(spec.coframes(), pts, 7)
     with pytest.raises(CriticalPoint):
         case2_adapt(frames[0])

@@ -14,9 +14,8 @@ from bicontact.forms import (Chart, Coframe, coframe_field_from_expressions,
                              one_form_coeffs, stack_frames, unstack, wedge)
 from bicontact.fourdim import symp_structure
 from bicontact.inputfile import load_coframe
-from bicontact.pipeline import (Tolerances, analyze, case1_adapt, case2_adapt,
-                                one_adapt)
-from conftest import DATA, box_points
+from bicontact.pipeline import (Tolerances, analyze, case1_adapt, case2_adapt)
+from conftest import DATA, box_points, one_adapted_frames
 
 TOL = Tolerances()
 
@@ -30,7 +29,7 @@ def test_torus_curvature_constants():
     want = math.cosh(2 * psi) ** 2
     spec = build_example("torus_constC", psi=psi)
     pts = box_points(spec.box, 4, seed=31)
-    for cf in one_adapt(spec.coframes(), pts, 7):
+    for cf in one_adapted_frames(spec.coframes(), pts, 7):
         conn = levi_civita(cf)
         assert conn.structure_residual < 1e-10
         curv = curvature(conn)
@@ -44,7 +43,7 @@ def test_torus_leaves_minimal_and_flat():
     psi = 0.3
     spec = build_example("torus_constC", psi=psi)
     pts = box_points(spec.box, 4, seed=32)
-    for cf in one_adapt(spec.coframes(), pts, 7):
+    for cf in one_adapted_frames(spec.coframes(), pts, 7):
         leaf = leaf_geometry(cf)
         assert abs(leaf.H) < 1e-8
         assert abs(leaf.K_leaf) < 1e-8
@@ -56,7 +55,7 @@ def test_torus_leaves_minimal_and_flat():
 def test_sphere_constant_sectional_curvature():
     spec = build_example("sphere_frame")
     pts = box_points(spec.box, 4, seed=33)
-    for cf in one_adapt(spec.coframes(), pts, 7):
+    for cf in one_adapted_frames(spec.coframes(), pts, 7):
         conn = levi_civita(cf)
         curv = curvature(conn)
         for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -71,7 +70,7 @@ def test_case2_connection_displays():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 3, seed=34)
     eps = -1
-    for cf in one_adapt(spec.coframes(), pts, 8):
+    for cf in one_adapted_frames(spec.coframes(), pts, 8):
         out, rec, _ = case2_adapt(cf)
         conn = levi_civita(out)
         np.testing.assert_allclose(
@@ -89,7 +88,7 @@ def test_case1_connection_displays():
     fld = load_coframe(DATA / "case1_frame.txt")
     pts = [(0.3, -0.4, 0.2), (-0.5, 0.6, -0.3)]
     eps = -1
-    for cf in one_adapt(fld, pts, 8):
+    for cf in one_adapted_frames(fld, pts, 8):
         out, rec, _ = case1_adapt(cf, TOL)
         conn = levi_civita(out)
         np.testing.assert_allclose(
@@ -109,7 +108,7 @@ def test_case2_leaf_shape_and_mean_curvature():
     for name, eps in (("eta_frame", -1), ("normal_form_3d", 1)):
         spec = build_example(name)
         pts = box_points(spec.box, 3, seed=35)
-        for cf in one_adapt(spec.coframes(), pts, 8):
+        for cf in one_adapted_frames(spec.coframes(), pts, 8):
             out, rec, _ = case2_adapt(cf)
             leaf = leaf_geometry(out)
             assert leaf.H == pytest.approx(rec.A3, abs=1e-10)
@@ -126,7 +125,7 @@ def test_eta_leaf_curvature_regression():
     frozen = {(0.5, 1.2, 0.3): -2.417232713187019,
               (0.6, 0.9, -0.2): -3.457840160272326}
     for p, want in frozen.items():
-        (cf,) = one_adapt(spec.coframes(), [p], 8)
+        (cf,) = one_adapted_frames(spec.coframes(), [p], 8)
         out, _, _ = case2_adapt(cf)
         leaf = leaf_geometry(out)
         assert leaf.K_leaf == pytest.approx(want, abs=1e-9)
@@ -136,7 +135,7 @@ def test_first_bianchi_identity():
     for name in ("torus_constC", "eta_frame"):
         spec = build_example(name)
         p = box_points(spec.box, 1, seed=36)[0]
-        (cf,) = one_adapt(spec.coframes(), [p], 8)
+        (cf,) = one_adapted_frames(spec.coframes(), [p], 8)
         conn = levi_civita(cf)
         curv = curvature(conn)
         for i in range(3):
@@ -165,7 +164,7 @@ def test_diagonal_christoffel_symbols_are_positive_zero(name, point):
 def test_structure_residual_detects_perturbation():
     spec = build_example("torus_constC")
     p = (0.4, 0.2, 0.1)
-    (cf,) = one_adapt(spec.coframes(), [p], 7)
+    (cf,) = one_adapted_frames(spec.coframes(), [p], 7)
     conn = levi_civita(cf)
     base = conn.residual()
     assert base < 1e-12
@@ -184,7 +183,7 @@ def test_sectional_curvature_is_rotation_invariant():
     psi = 0.3
     spec = build_example("torus_constC", psi=psi)
     p = (0.5, -0.3, 0.2)
-    (cf,) = one_adapt(spec.coframes(), [p], 7)
+    (cf,) = one_adapted_frames(spec.coframes(), [p], 7)
     alpha = 0.3
     c, s = math.cos(alpha), math.sin(alpha)
     w1, w2, w3 = cf.forms

@@ -8,8 +8,8 @@ import pytest
 from bicontact.examples import EXAMPLES, build_example
 from bicontact.inputfile import CoframeSpec, parse_coframe_text
 from bicontact.pipeline import (Tolerances, analyze, cartan_structure_check,
-                                compute_C, compute_C3, one_adapt)
-from conftest import box_points
+                                compute_C, compute_C3)
+from conftest import box_points, one_adapted_frames
 
 TOL = Tolerances()
 ALL_NAMES = {"hyp_c3", "torus_constC", "normal_form_3d", "eta_frame",
@@ -58,7 +58,7 @@ def test_parameters_change_the_rows():
 def test_hyp_c3_third_derivative_table():
     spec = build_example("hyp_c3", c3="1+z^2")
     pts = box_points(spec.box, 4, seed=51)
-    for p, cf in zip(pts, one_adapt(spec.coframes(), pts, 7)):
+    for p, cf in zip(pts, one_adapted_frames(spec.coframes(), pts, 7)):
         C = compute_C(cf)
         C3, _, _ = compute_C3(cf)
         assert C3.value == pytest.approx(1.0 + p[2] ** 2, abs=1e-9)
@@ -67,7 +67,7 @@ def test_hyp_c3_third_derivative_table():
 def test_sphere_frame_reduces_with_unit_K():
     spec = build_example("sphere_frame")
     pts = box_points(spec.box, 4, seed=52)
-    frames = one_adapt(spec.coframes(), pts, 7)
+    frames = one_adapted_frames(spec.coframes(), pts, 7)
     out = cartan_structure_check(frames, TOL)
     assert out is not None
     assert out["eps"] == -1
@@ -79,7 +79,7 @@ def test_sphere_frame_reduces_with_unit_K():
 def test_generic_frames_do_not_reduce():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 3, seed=53)
-    frames = one_adapt(spec.coframes(), pts, 7)
+    frames = one_adapted_frames(spec.coframes(), pts, 7)
     assert cartan_structure_check(frames, TOL) is None
 
 

@@ -334,7 +334,7 @@ def test_a_failing_stacked_block_of_4d_rows_goes_frame_by_frame(body):
         [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "1"}, {"dw": "x"}])
     pts = box_points(BOX4, 5, seed=63)
     pts[2] = (0.0, *pts[2][1:])
-    got = _rows_then_error(forms.stacked_rows(pts, fld.frames(pts, 2), body))
+    got = _rows_then_error(forms.block_rows(pts, fld.blocks(pts, 2), body))
     want = _rows_then_error((p, body(fld.at(p, 2))) for p in pts)
     assert repr(got) == repr(want)
     assert [p for p, _ in got[0]] == pts[:2]

@@ -8,9 +8,8 @@ from bicontact.errors import AmbiguousCase, ContactFailure, MixedEpsilon
 from bicontact.examples import build_example
 from bicontact.forms import Chart, coframe_field_from_expressions
 from bicontact.pipeline import (Tolerances, analyze, case2_adapt, case_detect,
-                                classify, compute_C, invariant_coords,
-                                one_adapt)
-from conftest import box_points
+                                classify, compute_C, invariant_coords)
+from conftest import box_points, one_adapted_frames
 
 TOL = Tolerances()
 
@@ -83,7 +82,7 @@ def test_constant_invariant_has_zero_spread():
 def test_compute_C_on_adapted_frame():
     spec = build_example("hyp_c3", eps=1, c3="1+z^2")
     pts = _points(spec, n=3)
-    for p, cf in zip(pts, one_adapt(spec.coframes(), pts, 6)):
+    for p, cf in zip(pts, one_adapted_frames(spec.coframes(), pts, 6)):
         assert compute_C(cf).value == pytest.approx(p[2], abs=1e-10)
 
 
@@ -109,7 +108,7 @@ def test_homothety_invariance():
 def test_invariant_coordinate_identity():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=7)
-    for cf in one_adapt(spec.coframes(), pts, 8):
+    for cf in one_adapted_frames(spec.coframes(), pts, 8):
         adapted, rec, extras = case2_adapt(cf)
         info = invariant_coords(adapted, TOL)
         assert not info["degenerate"]
@@ -143,7 +142,7 @@ def test_case_detect_names_the_samples_that_disagree(monkeypatch, band,
     # a band between the samples' own values flags some of them only
     spec = build_example("normal_form_3d")
     pts = _points(spec, 4)
-    adapted = one_adapt(spec.coframes(), pts, 6)
+    adapted = one_adapted_frames(spec.coframes(), pts, 6)
     values = [measure(cf) for cf in adapted]
     low, high = sorted(values)[1:3]
     monkeypatch.setattr(pipeline, band, 0.5 * (low + high))
@@ -168,7 +167,7 @@ def test_contact_failure_raises():
     rows = [{"dx": "1"}, {"dy": "1", "dx": "z^2/2"}, {"dz": "1"}]
     fld = coframe_field_from_expressions(ch, rows)
     with pytest.raises(ContactFailure):
-        one_adapt(fld, [(0.1, 0.2, 0.5)], 5)
+        one_adapted_frames(fld, [(0.1, 0.2, 0.5)], 5)
 
 
 def test_analyze_record_contents():

@@ -99,7 +99,7 @@ _FAILING_ROWS = [{"dx": "-x*y", "dz": "1"}, {"dy": "x", "dz": "1"},
 
 @pytest.mark.parametrize("points,error,text,runs", [
     ([(0.0, 1.0, 1.0), (1.0, 1.0, -1.0)], ContactFailure,
-     r"omega1 \^ d\(omega1\) = 0.0 at \(0.0, 1.0, 1.0\)", 3),
+     r"omega1 \^ d\(omega1\) = 0.0 at \(0.0, 1.0, 1.0\)", 2),
     ([(1.0, 1.0, -1.0), (0.0, 1.0, 1.0)], DomainError,
      r"ln: argument value -1.0 outside domain", 2),
     ([(1.0, 1.0, -1.0)], DomainError,
@@ -111,9 +111,8 @@ def test_one_adapt_meets_the_first_failure_in_sample_order(monkeypatch,
     # the tape over both points, run as one batch, fails at the point with
     # z < 0, yet one_adapt raises what the one-point builds raise at the
     # first point that fails: one failing run over the list, then one per
-    # point of the block, which ends at the first frame that fails to
-    # build, before the block is adapted; a one-point list raises its one
-    # run's error
+    # point reached, each frame adapted as a stack of one before the next
+    # is built; a one-point list raises its one run's error
     tape_runs = _counting(monkeypatch, expressions.Tape, "run")
     fld = coframe_field_from_expressions(Chart(("x", "y", "z")),
                                          _FAILING_ROWS)
@@ -184,14 +183,14 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
     batched = report()
 
     def frame_by_frame(fld, ode, points, order):
-        return ((p, fourdim.normal_form_residuals(frame, ode))
-                for p, frame in zip(points, fld.frames(points, order)))
+        return ((p, fourdim.normal_form_residuals(fld.at(p, order), ode))
+                for p in points)
 
     def point_by_point(fld, points, order):
-        return (fld.at(p, order) for p in points)
+        return (forms.stack_frames([fld.at(p, order)]) for p in points)
 
     # the reference builds and checks each frame on its own
-    monkeypatch.setattr(forms.CoframeField, "frames", point_by_point)
+    monkeypatch.setattr(forms.CoframeField, "blocks", point_by_point)
     monkeypatch.setattr(fourdim, "normal_form_residual_rows", frame_by_frame)
     assert report() == batched
     rep = json.loads(batched)

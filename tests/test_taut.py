@@ -7,11 +7,11 @@ from bicontact.errors import BranchError, EpsilonMismatch
 from bicontact.examples import build_example
 from bicontact.pipeline import (circle_volume_coefficient, compute_C3,
                                 hyperbola_residuals,
-                                mixed_circle_coefficient, one_adapt,
+                                mixed_circle_coefficient,
                                 predicted_circle_coefficient,
                                 taut_circle_field, taut_circle_transform,
                                 taut_hyperbola_transform)
-from conftest import box_points
+from conftest import box_points, one_adapted_frames
 
 INSIDE = ((-0.8, 0.8), (-0.8, 0.8), (-0.85, 0.85))
 OUTSIDE = ((-0.8, 0.8), (-0.8, 0.8), (1.1, 1.7))
@@ -21,7 +21,7 @@ UNIT_AS = [(float(np.cos(t)), float(np.sin(t)))
 
 
 def _adapted(spec, pts, order=7):
-    return one_adapt(spec.coframes(), pts, order)
+    return one_adapted_frames(spec.coframes(), pts, order)
 
 
 def test_circle_inside_branch_matches_prediction():
