@@ -8,7 +8,7 @@ connection builds omega^i_j for i < j and sets omega^j_i = -omega^i_j, the
 curvature holds Theta^i_j for i < j and gives the lower half by sign, and
 neither builds the zero diagonal.  Everything works in any chart dimension
 (used here for 3 and 4), on a one-point frame or, column by column, on a
-stacked one (``forms.stack_frames``), whose values and residuals are then
+stacked one (``CoframeField.blocks``), whose values and residuals are then
 (N,) arrays, one value per column.
 """
 

@@ -18,12 +18,12 @@ Evaluation to jets runs on a :class:`Tape`: a sequence of ASTs compiled once
 into an ordered list of operations over slots, in which structurally
 identical subtrees share one slot (a ``Num`` by its bit pattern).  A run
 computes each distinct subexpression once, at all of its sample points in
-one pass, and returns one jet per root and point.  Jet operations are pure,
-so a shared slot's jet is bit-identical to computing the subtree again, and
-since slots follow the depth-first post-order of the recursive evaluation,
-the first error raised is the same.  Deduplication is the only
-transformation.  :func:`eval_jet` is a one-root tape at one point;
-:func:`eval_number` evaluates to a plain float.
+one pass, and returns one jet per root, a many-point jet over many points.
+Jet operations are pure, so a shared slot's jet is bit-identical to
+computing the subtree again, and since slots follow the depth-first
+post-order of the recursive evaluation, the first error raised is the
+same.  Deduplication is the only transformation.  :func:`eval_jet` is a
+one-root tape at one point; :func:`eval_number` evaluates to a plain float.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import jets
 from .errors import DomainError, ParseError, UnknownIdentifier
@@ -342,45 +344,22 @@ class Tape:
             self.code.append(instr)
         return slot
 
-    def run(self, points, order, coords, params=None) -> list:
-        """The root jets at each of ``points``, one list per point, seeding
-        coordinate i with slot i.
+    def run(self, x, order, coords, params=None) -> list:
+        """The root jets at coordinate values ``x``, seeding coordinate i
+        with slot i: a float per coordinate for one point, or an (N,) array
+        per coordinate for N points, whose jets are many-point jets, column
+        k point k's.
 
-        Several points run as one pass over the tape, or one by one where
-        they would branch differently (``jets._MixedBranches``).  Where some
-        point fails, the pass raises at the first op that fails at any
-        point, which need not be what the first failing point raises on its
-        own; ``CoframeField.frames`` then builds point by point."""
-        points = [tuple(float(x) for x in p) for p in points]
-        if len(points) < 2:
-            return [self._run(p, order, coords, params) for p in points]
-        try:
-            roots = self.columns(points, order, coords, params)
-        except jets._MixedBranches:
-            return [self._run(p, order, coords, params) for p in points]
-        rows = [j.c.T.copy() for j in roots]
-        return [[Jet._of(j.dim, order, r[k]) for j, r in zip(roots, rows)]
-                for k in range(len(points))]
-
-    def columns(self, points, order, coords, params=None) -> list:
-        """The root jets over all of ``points`` in one pass, unsplit: the
-        one-point jets of ``run`` for one point, and for N points many-point
-        jets whose column k is point k's jet.  It raises as ``run``'s one pass
-        does, ``jets._MixedBranches`` included."""
-        if len(points) == 1:
-            return self.run(points, order, coords, params)[0]
-        return self._run(tuple(zip(*((float(x) for x in p) for p in points))),
-                         order, coords, params)
-
-    def _run(self, x, order, coords, params) -> list:
-        """The root jets at coordinate values ``x``: a float per coordinate
-        for one point, or a tuple of N values per coordinate for N points."""
+        N points run as one pass over the tape.  Where some point fails, or
+        the points would branch differently (``jets._MixedBranches``), the
+        pass raises at the first op that fails at any point, which need not
+        be what the first failing point raises on its own;
+        ``CoframeField.blocks`` then builds point by point."""
         dim = len(coords)
-        count = len(x[0]) if isinstance(x[0], tuple) else None
+        shape = np.shape(x[0])
 
         def constant(value):
-            return Jet.constant(value if count is None else (value,) * count,
-                                dim, order)
+            return Jet.constant(np.full(shape, value), dim, order)
 
         env = {name: Jet.variable(x[i], i, dim, order)
                for i, name in enumerate(coords)}
@@ -406,7 +385,8 @@ class Tape:
 
 def eval_jet(node, point, order, coords, params=None):
     """Evaluate to a jet at `point`, seeding coordinate i with slot i."""
-    return Tape([node]).run([point], order, coords, params)[0][0]
+    return Tape([node]).run(tuple(float(v) for v in point), order, coords,
+                            params)[0]
 
 
 def eval_number(node, scope):

@@ -8,21 +8,21 @@ for repeated exterior differentiation.  Building a form from a {key: Jet}
 dict truncates every coefficient to the lowest order among them.  Forms are
 immutable; ``PForm.coeffs`` is a read-only {key: Jet} view of the rows,
 built on first read.  A :class:`CoframeField` is the chart-level family
-of raw coframes: it builds the point-local :class:`Coframe` at one point
-or at a whole sample list from closed-form coefficient expressions, whose
-tape runs once per list.  The pipeline drivers hand back the frames they
-adapt as stacked blocks in sample order.
+of raw coframes: it builds the point-local :class:`Coframe` at one point,
+or one stacked frame at a whole sample list, from closed-form coefficient
+expressions, whose tape runs once per list.  The pipeline drivers hand
+back the frames they adapt as stacked blocks in sample order.
 
 Like a jet, a form can hold N points at once: ``c`` then has a trailing
 point axis, shape (keys, ncoeffs, N), and its coefficient jets are
 many-point jets.  Every kernel below takes such forms as they are, and
-:func:`per_point` splits a form into its points.  :func:`stack_frames`
-joins one-point frames into one frame whose forms carry a point axis, so
-a block of frames goes through a stage in one pass, and :func:`unstack`
-splits it again.  :meth:`CoframeField.blocks` builds a sample list's frames
-stacked ``STACK_BLOCK`` at a time, :func:`by_block` runs a stage once per
-block, going column by column where a block's pass raises, and
-:func:`block_rows` splits a check's table into one row per point.
+:func:`per_point` splits a form into its points.  A stacked frame's forms
+carry a point axis, so a block of frames goes through a stage in one pass,
+and :func:`unstack` splits it into its one-point frames.
+:meth:`CoframeField.blocks` builds a sample list as one stacked frame and
+hands it out ``STACK_BLOCK`` columns at a time, :func:`by_block` runs a
+stage once per block, going column by column where a block's pass raises,
+and :func:`block_rows` splits a check's table into one row per point.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -78,8 +78,8 @@ __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
     "wedge", "wedge_all", "ext_d", "top_ratio",
     "two_form_coeffs", "one_form_coeffs", "scalar_d",
-    "coframe_field_from_expressions", "per_point", "stack_frames",
-    "unstack", "by_block", "block_rows",
+    "coframe_field_from_expressions", "per_point", "unstack", "by_block",
+    "block_rows",
 ]
 
 
@@ -535,65 +535,47 @@ _POINT_ERRORS = (BicontactError, ArithmeticError, ValueError,
 
 
 class CoframeField:
-    """A chart-level family of raw coframes.  ``builder(points, order)``
-    builds the :class:`Coframe` at each of a list of points in one go;
-    ``at(point, order)`` is the frame at one point, ``frames(points,
-    order)`` yields the frames at a sample list, in sample order, and
-    ``blocks(points, order)`` yields them stacked."""
+    """A chart-level family of raw coframes.  ``builder(x, order)`` builds
+    the :class:`Coframe` at coordinate values ``x``: a float per coordinate
+    for one point, or an (N,) array per coordinate for N points, whose frame
+    is stacked, with ``x`` as its ``point``.  ``at(point, order)`` is the
+    frame at one point, and ``blocks(points, order)`` yields the frames at
+    a sample list stacked."""
 
     def __init__(self, chart, builder):
         self.chart = chart
         self._builder = builder
 
     def at(self, point, order) -> Coframe:
-        return self._builder([tuple(float(x) for x in point)], int(order))[0]
-
-    def frames(self, points, order):
-        """An iterator over the frames at ``points`` in sample order, all
-        built in one go at the first step: below ``jets.FLAT_PRODUCT_MAX``
-        a many-point product bins its pairs as a one-point one does, so
-        that pays from two points.  Where it raises on two points or more,
-        each frame is built with ``at`` as it is reached, so the caller
-        meets the error at the point and stage the one-point builds give."""
-        return self._frames([tuple(float(x) for x in p) for p in points],
-                            int(order))
-
-    def _frames(self, points, order):
-        # the generator of ``frames``, which stays a plain call: a profiler
-        # counts every step of a generator as one more call
-        built = self._built(points, order)
-        for p in points:
-            # pop hands a frame over without keeping it alive here
-            yield self.at(p, order) if built is None else built.pop()
+        return self._builder(tuple(float(x) for x in point), int(order))
 
     def blocks(self, points, order):
-        """An iterator over the frames at ``points``, built as ``frames``
-        builds them, as stacked frames (:func:`stack_frames`) of
-        ``STACK_BLOCK`` columns in sample order, the last one shorter.
-        Where the one build raises, each frame comes as a stack of one as
-        it is reached, so a caller that runs a stage on each block meets
+        """An iterator over the frames at ``points`` in sample order, built
+        as one stacked frame at the first step and handed out as slices of
+        ``STACK_BLOCK`` columns, the last one shorter.  Where that build
+        raises on two points or more, each point is built as a stack of one
+        as it is reached, so a caller that runs a stage on each block meets
         the first failing point's error before a later frame is built."""
         return self._blocks([tuple(float(x) for x in p) for p in points],
                             int(order))
 
     def _blocks(self, points, order):
-        built = self._built(points, order)
-        if built is None:
-            for p in points:
-                yield stack_frames([self.at(p, order)])
-            return
-        while built:
-            block = built[:-STACK_BLOCK - 1:-1]
-            del built[-STACK_BLOCK:]
-            yield stack_frames(block)
-
-    def _built(self, points, order):
-        """The frames at ``points`` from one build, last point first (for
-        popping), or None where it raises on two points or more."""
+        # the generator of ``blocks``, which stays a plain call: a profiler
+        # counts every step of a generator as one more call
         try:
-            return self._builder(points, order)[::-1]
+            frame = self._builder(_coordinates(points), order)
         except _POINT_ERRORS if len(points) > 1 else ():
-            return None
+            for p in points:
+                yield self._builder(_coordinates([p]), order)
+            return
+        for start in range(0, len(points), STACK_BLOCK):
+            yield _columns(frame, start, start + STACK_BLOCK)
+
+
+def _coordinates(points) -> tuple:
+    """The coordinate values of a list of points: one (N,) array per
+    coordinate."""
+    return tuple(np.array(x) for x in zip(*points))
 
 
 def per_point(form: PForm) -> list:
@@ -605,25 +587,21 @@ def per_point(form: PForm) -> list:
             for c in np.moveaxis(form.c, -1, 0).copy()]
 
 
-def stack_frames(frames) -> Coframe:
-    """The one-point ``frames`` of one chart, whose covectors have equal
-    orders, as one :class:`Coframe` whose forms carry a point axis: column
-    k of each form is frame k's, so :func:`per_point` gives the frames'
-    forms back.  Its ``point`` holds one (N,) array per coordinate."""
-    first = frames[0]
+def _columns(frame, start, stop) -> Coframe:
+    """Columns ``start`` to ``stop`` of a stacked frame as a stacked frame of
+    its own, with its eps and stage and an empty memo."""
+    cols = slice(start, stop)
     return Coframe(
-        first.chart,
-        tuple(np.array(x) for x in zip(*(frame.point for frame in frames))),
-        tuple(PForm._of(first.chart, f.degree, f.order,
-                        np.stack([frame.forms[i].c for frame in frames], -1))
-              for i, f in enumerate(first.forms)),
-        eps=first.eps, stage=first.stage)
+        frame.chart, tuple(x[cols] for x in frame.point),
+        tuple(PForm._of(f.chart, f.degree, f.order, f.c[..., cols].copy())
+              for f in frame.forms),
+        eps=frame.eps, stage=frame.stage)
 
 
 def unstack(frame) -> list:
-    """The one-point frames of a stacked frame, in column order, as
-    :func:`stack_frames` took them: each with its eps and stage, and with
-    its column of every d(omega^i) the stacked memo holds."""
+    """The one-point frames of a stacked frame, in column order: each with
+    its eps and stage, and with its column of every d(omega^i) the stacked
+    memo holds."""
     split = [per_point(f) for f in frame.forms]
     kept = {key: per_point(frame._memo[key])
             for key in (("d", i) for i in range(frame.dim))
@@ -640,9 +618,9 @@ def unstack(frame) -> list:
 def by_block(blocks, stage):
     """An iterator over (frame, ``stage(frame)``) for the stacked frames
     ``blocks``, in order, each stage run once per block.  Where a block's
-    pass raises, it goes column by column, each column a stack of one
-    (:func:`unstack`), so the first failing point raises its own type and
-    text; a one-point frame or a stack of one raises as it is."""
+    pass raises, it goes column by column, each column a stack of one, so
+    the first failing point raises its own type and text; a one-point frame
+    or a stack of one raises as it is."""
     return _by_block(iter(blocks), stage)
 
 
@@ -653,8 +631,9 @@ def _by_block(blocks, stage):
         except _POINT_ERRORS:
             if not _stacked(block) or len(block.point[0]) == 1:
                 raise
-            results = ((one, stage(one)) for one in
-                       (stack_frames([cf]) for cf in unstack(block)))
+            columns = (_columns(block, k, k + 1)
+                       for k in range(len(block.point[0])))
+            results = ((one, stage(one)) for one in columns)
         yield from results
 
 
@@ -713,18 +692,13 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None):
     tape = expressions.Tape([crow[axis] for crow in compiled
                              for axis in sorted(crow)])
 
-    def build(points, order):
-        zero = Jet.constant(0.0, chart.dim, order)
-        out = []
-        for point, roots in zip(points,
-                                tape.run(points, order, names, params)):
-            values = iter(roots)
-            forms = tuple(
-                PForm(chart, 1, {(axis,): next(values) if axis in crow
-                                 else zero for axis in range(chart.dim)})
-                for crow in compiled)
-            out.append(Coframe(chart, point, forms))
-        return out
+    def build(x, order):
+        zero = Jet.constant(np.zeros(np.shape(x[0])), chart.dim, order)
+        values = iter(tape.run(x, order, names, params))
+        return Coframe(chart, x, tuple(
+            PForm(chart, 1, {(axis,): next(values) if axis in crow else zero
+                             for axis in range(chart.dim)})
+            for crow in compiled))
 
     return CoframeField(chart, build)
 

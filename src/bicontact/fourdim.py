@@ -28,7 +28,7 @@ from .jets import Jet, _value
 from .errors import DegenerateH, DomainError, OdeStepFailure
 from . import expressions
 from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
-                    block_rows, one_form_coeffs, per_point, scalar_d, wedge)
+                    block_rows, one_form_coeffs, scalar_d, wedge)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
 from .report import nan_max
@@ -54,7 +54,7 @@ class Coframe4:
     ``residuals`` holds the deviation of every structure-equation coefficient
     from the pattern above, keyed by equation; ``eps`` is rounded from the
     extracted coefficient and ``C``/``E`` keep their jets.  Of a stacked
-    frame (``forms.stack_frames``), ``eps`` and each residual are (N,)
+    frame (``CoframeField.blocks``), ``eps`` and each residual are (N,)
     arrays, one value per column.
     """
 
@@ -294,10 +294,9 @@ class QOde:
         self._tape = expressions.Tape([self._node])
 
     def c_jet(self, z, order: int) -> Jet:
-        """C as a univariate jet at z, a float, or as a many-point jet at a
-        sequence of z values, from one run of C's tape."""
-        points = [(z,)] if np.ndim(z) == 0 else [(v,) for v in z]
-        return self._tape.columns(points, order, ("z",))[0]
+        """C as a univariate jet at z, a float, or as a many-point jet at an
+        (N,) array of z values, from one run of C's tape."""
+        return self._tape.run((z,), order, ("z",))[0]
 
     def u_jet(self, c: Jet) -> Jet:
         """The coefficient C^2 + eps + C' as a univariate jet, one order
@@ -395,7 +394,7 @@ def _taylor_rows(c: np.ndarray) -> list:
 def q_jets(sol: QSolution, z, c: Jet):
     """Lift (Q1, Q2) at z into jets on the z axis of the 4D chart, at the
     order of ``c``, C's univariate jet at z (``sol.ode.c_jet(z, order)``).
-    With a sequence of z values and their many-point ``c``, the jets are
+    With an (N,) array of z values and their many-point ``c``, the jets are
     many-point jets, each column bit-equal to the lift at that z alone.
 
     Values and first derivatives come from the integrated state; all higher
@@ -408,7 +407,7 @@ def q_jets(sol: QSolution, z, c: Jet):
     u = (_taylor_rows(sol.ode.u_jet(c.truncate(order - 1)).c)
          if order > 1 else [])
     state = (sol.state(z) if c.c.ndim == 1
-             else np.array([sol.state(v) for v in z]).T)
+             else np.array([sol.state(v) for v in z.tolist()]).T)
     x = Jet.variable(z, 2, 4, order)
     return tuple(jets._compose(x, _q_taylor(u, q, dq)[:order + 1])
                  for q, dq in (state[:2], state[2:]))
@@ -439,24 +438,25 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
     h alone that the verification report surfaces when violated (the
     identity matrix violates it: the left side is 0).
 
-    A list of points is built in one go: h's tape and C's tape run once
-    over all of them, and K, L, f and the covectors are many-point jets and
-    forms, split into one frame per point at the end.  Each guard checks
+    At an (N,) array of values per coordinate the build makes one stacked
+    frame: h's tape and C's tape run once over all the points, and K, L, f
+    and the covectors are many-point jets and forms.  Each guard checks
     every point, so the build raises where any point fails, and
-    ``CoframeField.frames`` then builds point by point.
+    ``CoframeField.blocks`` then builds point by point.
     """
     chart = Chart(_CHART4)
     htape = expressions.Tape([expressions.parse(str(e), ("x", "y"))
                               for row in h for e in row])
     ode = sol.ode
 
-    def build(points, order):
+    def build(x, order):
+        # each point as a tuple of floats, for the guards' texts
+        points = list(zip(*(np.atleast_1d(v).tolist() for v in x)))
         for p in points:
             if p[3] <= 0.0:
                 raise DomainError(f"normal form needs w > 0, got {p[3]!r}")
-        # a float per coordinate at one point, one value per point at many
-        _, _, z, w = points[0] if len(points) == 1 else tuple(zip(*points))
-        entries = htape.columns(points, order, _CHART4)
+        _, _, z, w = x
+        entries = htape.run(x, order, _CHART4)
         hj = [entries[:2], entries[2:]]
         det_h = hj[0][0] * hj[1][1] - hj[0][1] * hj[1][0]
         for p, det in zip(points, jets._values(det_h)):
@@ -474,18 +474,18 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
             * (jets.partial(L, 0) - jets.partial(K, 1))
         fz = jets.partial(f, 2)
         zero = Jet.constant(np.zeros(np.shape(w)), 4, order)
+        one = Jet.constant(np.ones(np.shape(w)), 4, order)
         w1 = PForm(chart, 1, {(0,): K, (1,): L, (2,): zero, (3,): zero})
         w2 = w1.scaled(Cj) - PForm(chart, 1, {(0,): Kz, (1,): Lz,
                                               (2,): zero, (3,): zero})
+        dz = PForm(chart, 1, {(0,): zero, (1,): zero, (2,): one, (3,): zero})
         w4 = PForm(chart, 1, {
             (0,): -(K * fz - f * Kz),
             (1,): -(L * fz - f * Lz),
             (2,): zero,
             (3,): jets.reciprocal(Jet.variable(w, 3, 4, order) * 2.0),
         })
-        return [Coframe(chart, p, (a, b, PForm.d_coord(chart, 2, order), d),
-                        stage="normal_form_4d")
-                for p, a, b, d in zip(points, *map(per_point, (w1, w2, w4)))]
+        return Coframe(chart, x, (w1, w2, dz, w4), stage="normal_form_4d")
 
     return CoframeField(chart, build)
 

@@ -21,10 +21,10 @@ Stages:
 7. ``invariant_coords`` validates the coordinates built from (C, C3, C33).
 
 Point-local functions act on a :class:`~bicontact.forms.Coframe`, at one
-point or stacked (:func:`~bicontact.forms.stack_frames`): on a stacked frame
-every value they read (through ``jets._value``) is an (N,) array, each guard
-checks every column and raises the first failing column's own error, and a
-record holds one value per column.  The drivers act on stacked blocks of
+point or stacked (:meth:`~bicontact.forms.CoframeField.blocks`): on a
+stacked frame every value they read (through ``jets._value``) is an (N,)
+array, each guard checks every column and raises the first failing
+column's own error, and a record holds one value per column.  The drivers act on stacked blocks of
 ``forms.STACK_BLOCK`` frames: ``analyze`` builds them from a raw
 :class:`~bicontact.forms.CoframeField` at a sample-point list and order,
 runs every stage once per block through :func:`~bicontact.forms.by_block`,

@@ -11,7 +11,7 @@ from bicontact.curvature import (ConnectionMatrix, curvature, leaf_geometry,
 from bicontact.errors import NotIntegrable
 from bicontact.examples import build_example
 from bicontact.forms import (Chart, Coframe, coframe_field_from_expressions,
-                             one_form_coeffs, stack_frames, unstack, wedge)
+                             one_form_coeffs, unstack, wedge)
 from bicontact.fourdim import symp_structure
 from bicontact.inputfile import load_coframe
 from bicontact.pipeline import (Tolerances, analyze, case1_adapt, case2_adapt)
@@ -254,21 +254,24 @@ def _bits(value) -> bytes:
 _MIXED_ROWS = [{"dx": "1"}, {"dy": "1"}, {"dz": "1", "dy": "x^2"}]
 
 
-def _frames(name):
-    if name.startswith("fourd"):
-        spec = build_example(name)
-        return [spec.coframes().at(p, 3)
-                for p in box_points(spec.box, 5, seed=38)]
+def _stacked_and_frames(name):
+    """A stacked frame of four or five points and its one-point frames:
+    the raw block of a field and the frames ``at`` builds, or the one
+    adapted block of ``analyze`` with a fresh memo and its columns."""
     if name == "mixed":
         fld = coframe_field_from_expressions(Chart(("x", "y", "z")),
                                              _MIXED_ROWS)
-        return [fld.at(p, 3) for p in [(0.5, 0.2, 0.1), (0.0, -0.3, 0.4),
-                                       (-0.7, 0.6, -0.2), (0.0, 0.8, 0.9)]]
-    spec = build_example(name)
-    result = analyze(spec.coframes(), box_points(spec.box, 5, seed=38), 6,
-                     TOL)
-    return [cf for block in result.get("adapted_blocks", result["blocks"])
-            for cf in unstack(block)]
+        pts = [(0.5, 0.2, 0.1), (0.0, -0.3, 0.4), (-0.7, 0.6, -0.2),
+               (0.0, 0.8, 0.9)]
+    else:
+        spec = build_example(name)
+        fld, pts = spec.coframes(), box_points(spec.box, 5, seed=38)
+    if name == "mixed" or name.startswith("fourd"):
+        return next(fld.blocks(pts, 3)), [fld.at(p, 3) for p in pts]
+    result = analyze(fld, pts, 6, TOL)
+    (block,) = result.get("adapted_blocks", result["blocks"])
+    return (Coframe(block.chart, block.point, block.forms, block.eps,
+                    block.stage), unstack(block))
 
 
 @pytest.mark.parametrize("name,leafless", [
@@ -283,8 +286,8 @@ def test_a_stacked_frame_gives_each_frames_own_geometry(name, leafless):
     # Pfaffian (4D) and the leaf data of each column are bit-equal to the
     # frame's own; where the frame's leaf_geometry raises NotIntegrable,
     # the stacked 3D frame marks the column and keeps its defect
-    frames = _frames(name)
-    stacked = _geometry(stack_frames(frames))
+    block, frames = _stacked_and_frames(name)
+    stacked = _geometry(block)
     assert stacked["not_integrable"].tolist() == leafless
     for k, frame in enumerate(frames):
         own = _geometry(frame)

@@ -648,19 +648,28 @@ def test_kernels_over_a_point_axis_are_bit_equal_per_point(drawn):
 _FLAT_AT_X0 = [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "x"}]
 
 
-def test_per_point_splits_a_form_and_stack_frames_joins_frames():
+@pytest.mark.parametrize("count", [3, 1, 33, 40])
+def test_per_point_splits_a_form_and_blocks_stack_the_frames(count):
+    # the blocks of forms.STACK_BLOCK columns, the last one shorter, whose
+    # columns are bit-equal to the frames at() builds
+    assert forms.STACK_BLOCK == 32
     one = PForm.d_coord(CH3, 0, 2)
     assert forms.per_point(one) == [one]
     fld = coframe_field_from_expressions(CH3, _FLAT_AT_X0)
-    pts = [(0.5, 0.2, 0.1), (0.6, 0.3, 0.2), (0.7, 0.4, 0.3)]
+    pts = box_points(((0.1, 0.9), (-0.5, 0.5), (-0.5, 0.5)), count, seed=4)
     frames = [fld.at(p, 3) for p in pts]
-    stacked = forms.stack_frames(frames)
-    assert [list(x) for x in stacked.point] == [list(x) for x in zip(*pts)]
-    assert stacked.stage == frames[0].stage
-    for i, form in enumerate(stacked.forms):
-        assert form.c.shape == frames[0].forms[i].c.shape + (3,)
-        assert [f.c.tobytes() for f in forms.per_point(form)] == \
-            [frame.forms[i].c.tobytes() for frame in frames]
+    blocks = list(fld.blocks(pts, 3))
+    assert [len(b.point[0]) for b in blocks] == \
+        [min(32, count - start) for start in range(0, count, 32)]
+    for start, block in zip(range(0, count, 32), blocks):
+        chunk = frames[start:start + 32]
+        assert [list(x) for x in block.point] == \
+            [list(x) for x in zip(*pts[start:start + 32])]
+        assert block.stage == frames[0].stage
+        for i, form in enumerate(block.forms):
+            assert form.c.shape == frames[0].forms[i].c.shape + (len(chunk),)
+            assert [f.c.tobytes() for f in forms.per_point(form)] == \
+                [frame.forms[i].c.tobytes() for frame in chunk]
 
 
 def _structure_fields():
@@ -687,7 +696,7 @@ def _columns(table) -> list:
     "fourd_enonzero order 2", "normal_form_3d order 6"])
 def test_structure_tables_of_a_block_equal_each_frames_own(index):
     fld, pts, order = _structure_fields()[index]
-    stacked = forms.stack_frames(list(fld.frames(pts, order)))
+    (stacked,) = fld.blocks(pts, order)
     for i in range(stacked.dim):
         want = []
         for p in pts:
@@ -712,7 +721,8 @@ def test_structure_tables_keep_each_frames_error():
     got = [_outcome(fld.at(p, 3)) for p in pts]
     assert got[1] == "volume-form denominator 0.0 is numerically zero"
     assert isinstance(got[0], list) and isinstance(got[2], list)
-    assert _outcome(forms.stack_frames([fld.at(p, 3) for p in pts])) == got[1]
+    (stacked,) = fld.blocks(pts, 3)
+    assert _outcome(stacked) == got[1]
 
 
 @pytest.mark.parametrize("value,text", [

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from bicontact import cli, forms
+from bicontact import cli, expressions, forms
 from bicontact.errors import DegenerateH, DomainError, SingularVolumeError
 from bicontact.examples import build_example
 from bicontact.forms import (STACK_BLOCK, Chart,
-                             coframe_field_from_expressions)
+                             coframe_field_from_expressions, unstack)
 from bicontact.fourdim import (QOde, compute_E,
                                curvature4, e_expansion, normal_form_4d,
                                normal_form_residual_rows,
@@ -246,20 +246,35 @@ def _form_bytes(frame):
     return [(f.order, f.c.tobytes()) for f in frame.forms]
 
 
-@pytest.mark.parametrize("profile,eps,h,order", [
-    ("tan(z)", -1, GOOD_H, 3),
-    ("tan(z)", -1, GOOD_H, 6),
-    ("0.3*z", 1, (("1", "x*y"), ("sin(x)", "2+y")), 4),
-])
+@pytest.mark.parametrize("profile,eps,h,order,count", [
+    ("tan(z)", -1, GOOD_H, 3, 12),
+    ("tan(z)", -1, GOOD_H, 6, 12),
+    ("0.3*z", 1, (("1", "x*y"), ("sin(x)", "2+y")), 4, 12),
+    ("tan(z)", -1, GOOD_H, 3, 1),
+    ("tan(z)", -1, GOOD_H, 3, 33),
+    ("tan(z)", -1, GOOD_H, 3, 40),
+], ids=["tan(z)--1-h0-3", "tan(z)--1-h1-6", "0.3*z-1-h2-4",
+        "1 point", "33 points", "40 points"])
 def test_normal_form_builds_many_points_in_one_go(monkeypatch, profile, eps,
-                                                  h, order):
-    # one build over all the points, whose frames are bit-equal to the
-    # one-point builds; at() is never called
+                                                  h, order, count):
+    # one build over all the points, handed out in blocks of
+    # forms.STACK_BLOCK columns, the last one shorter, whose columns are
+    # bit-equal to the one-point builds: h's tape and C's tape run once
+    # each, and at() is never called
+    assert STACK_BLOCK == 32
     fld = normal_form_4d(solve_q(QOde(profile, eps), (-1.2, 1.2)), h=h)
-    pts = box_points(BOX4, 12, seed=50 + order)
+    pts = box_points(BOX4, count, seed=50 + order)
     want = [_form_bytes(fld.at(p, order)) for p in pts]
     monkeypatch.setattr(forms.CoframeField, "at", None)
-    got = list(fld.frames(pts, order))
+    runs = []
+    run = expressions.Tape.run
+    monkeypatch.setattr(expressions.Tape, "run",
+                        lambda *args: runs.append(1) or run(*args))
+    blocks = list(fld.blocks(pts, order))
+    assert len(runs) == 2
+    assert [len(b.point[0]) for b in blocks] == \
+        [min(32, count - start) for start in range(0, count, 32)]
+    got = [cf for block in blocks for cf in unstack(block)]
     assert [f.point for f in got] == pts
     assert [_form_bytes(f) for f in got] == want
     assert {f.stage for f in got} == {"normal_form_4d"}
@@ -356,7 +371,7 @@ def test_a_non_finite_det_h_is_degenerate(entry, det):
         # the one build over many points raises too, and the frames are
         # then built point by point
         with pytest.raises(DegenerateH, match=text):
-            list(fld.frames([p] * 2, 3))
+            list(fld.blocks([p] * 2, 3))
 
 
 def test_normal_form_command_reports_a_non_finite_det_h():

@@ -96,8 +96,9 @@ def test_digest_folds_in_stderr():
 
 
 def test_many_point_argvs_match_the_benchmark_sizes():
-    # the benchmark's sample counts; 2 points, the shortest list built in
-    # one pass, on the case-2 and case-1 paths; 33 normal-form, 4D
+    # the benchmark's sample counts; 2 points, the shortest many-point
+    # list, on the case-2 and case-1 paths; one-point lists of each
+    # workload's command, built by a one-column pass; 33 normal-form, 4D
     # curvature and case-2 invariants points, whose last block of
     # forms.STACK_BLOCK has one column, and 40 3D curvature and case-1
     # invariants points, which span two blocks
@@ -109,6 +110,10 @@ def test_many_point_argvs_match_the_benchmark_sizes():
                      ("normal-form", "tan(z)", "200"),
                      ("curvature", "normal_form_3d", "2"),
                      ("invariants", "tests/data/case1_frame.txt", "2"),
+                     ("curvature", "normal_form_3d", "1"),
+                     ("invariants", "tests/data/case1_frame.txt", "1"),
+                     ("fourdim", "fourd_enonzero", "1"),
+                     ("normal-form", "tan(z)", "1"),
                      ("normal-form", "tan(z)", "33"),
                      ("curvature", "fourd_enonzero", "33"),
                      ("curvature", "normal_form_3d", "40"),
@@ -125,7 +130,7 @@ def test_many_point_argvs_match_the_benchmark_sizes():
     # its one-adaptation
     sizes = sorted(sum(word.split("=")[0] == "--at" for word in argv)
                    for argv in report_sweep.MANY_POINT_ARGVS)
-    assert sizes == [0] * 11 + [1, 3, 12, 12, 40, 40, 40]
+    assert sizes == [0] * 15 + [1, 3, 12, 12, 40, 40, 40]
     assert [argv[:2] for argv in report_sweep.MANY_POINT_ARGVS
             if len(argv) > 40] == [["normal-form", "tan(z)"],
                                    ["fourdim", "fourd_enonzero"],

@@ -20,6 +20,7 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from bicontact import (cli, curvature, expressions, forms, fourdim, jets,
@@ -74,18 +75,17 @@ def _normal_form_points(n):
 
 
 def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
-    # one tape run, of one pass, over the sample list, from two points up;
-    # one case-2 adaptation per stacked block of forms.STACK_BLOCK frames,
-    # whose columns are the points: one for 2 and 12 points, two for 40
+    # one tape run, of one pass, over the sample list; one case-2
+    # adaptation per stacked block of forms.STACK_BLOCK frames, whose
+    # columns are the points: one for 2 and 12 points, two for 40
     spec = build_example("normal_form_3d")
     for n, blocks in ((2, 1), (12, 1), (40, 2)):
         pts = _normal_form_points(n)
         runs = _counting(monkeypatch, expressions.Tape, "run")
-        passes = _counting(monkeypatch, expressions.Tape, "_run")
         adapts = _counting(monkeypatch, pipeline, "case2_adapt")
         result = analyze(spec.coframes(), pts, 6, TOL)
         assert result["case"] == "case2"
-        assert (len(runs), len(passes)) == (1, 1)
+        assert len(runs) == 1
         assert len(adapts) == blocks
         assert [len(b.point[0]) for b in result["adapted_blocks"]] == \
             [min(n, 32), n - 32][:blocks]
@@ -126,29 +126,27 @@ def test_normal_form_runs_the_profile_tape_once_per_point(monkeypatch):
     # evaluate every sample point once, all points in one pass, whose jet
     # both the Q lift (truncated one order lower for u) and the C lift read
     evaluated = []
-    original = expressions.Tape._run
+    original = expressions.Tape.run
 
-    def counting(self, x, order, coords, params):
-        evaluated.append(len(x[0]) if isinstance(x[0], tuple) else 1)
+    def counting(self, x, order, coords, params=None):
+        evaluated.append(np.size(x[0]))
         return original(self, x, order, coords, params)
 
-    monkeypatch.setattr(expressions.Tape, "_run", counting)
+    monkeypatch.setattr(expressions.Tape, "run", counting)
     _run(["normal-form", "tan(z)", "--order", "3", "--points", "5"])
     assert evaluated == [1] * 16 + [5, 5]
 
 
 def test_normal_form_runs_each_tape_once_over_a_batched_list(monkeypatch):
     # solve_q's 16 one-point runs over the span, then one pass of the h
-    # tape and one of C's tape over all the points, from two points up,
-    # which Tape.columns makes without a per-point Tape.run; C's jet feeds
-    # both the Q lift (truncated one order lower for u) and the C lift, and
-    # no frame is built on its own
+    # tape and one of C's tape over all the points; C's jet feeds both the
+    # Q lift (truncated one order lower for u) and the C lift, and no frame
+    # is built on its own
     for points in ("2", "12"):
         runs = _counting(monkeypatch, expressions.Tape, "run")
-        passes = _counting(monkeypatch, expressions.Tape, "_run")
         at = _counting(monkeypatch, forms.CoframeField, "at")
         _run(["normal-form", "tan(z)", "--order", "3", "--points", points])
-        assert (len(runs), len(passes), len(at)) == (16, 16 + 2, 0)
+        assert (len(runs), len(at)) == (16 + 2, 0)
 
 
 # det h = x is 0 at the seventh point only; ln(y) leaves its domain at the
@@ -186,8 +184,10 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
         return ((p, fourdim.normal_form_residuals(fld.at(p, order), ode))
                 for p in points)
 
+    blocks = forms.CoframeField.blocks
+
     def point_by_point(fld, points, order):
-        return (forms.stack_frames([fld.at(p, order)]) for p in points)
+        return (next(blocks(fld, [p], order)) for p in points)
 
     # the reference builds and checks each frame on its own
     monkeypatch.setattr(forms.CoframeField, "blocks", point_by_point)
@@ -223,6 +223,18 @@ def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
     series = _counting(monkeypatch, jets, "_compose")
     _run(args)
     assert len(series) == calls
+
+
+def test_a_stacked_build_makes_each_covector_once(monkeypatch):
+    # the tape's many-point jets go straight into one stacked frame: one
+    # PForm per covector for the whole list, which the blocks slice; one
+    # per covector per point when each point was a frame of its own
+    pts = _normal_form_points(40)
+    fld = build_example("normal_form_3d").coframes()
+    made = _counting(monkeypatch, forms.PForm, "__init__")
+    blocks = list(fld.blocks(pts, 6))
+    assert len(made) == 3
+    assert [len(b.point[0]) for b in blocks] == [32, 8]
 
 
 def test_curvature_command_computes_curvature_once_per_point(monkeypatch):

@@ -18,8 +18,7 @@ from bicontact.errors import (AmbiguousCase, ContactFailure, CriticalPoint,
                               MixedEpsilon)
 from bicontact.examples import build_example
 from bicontact.forms import (STACK_BLOCK, Chart,
-                             coframe_field_from_expressions, stack_frames,
-                             unstack)
+                             coframe_field_from_expressions, unstack)
 from bicontact.inputfile import load_coframe
 from bicontact.pipeline import (Tolerances, _dC_data, _one_adapt_point,
                                 analyze, case1_adapt, case2_adapt, one_adapt)
@@ -144,7 +143,7 @@ def test_a_block_failing_at_two_points_raises_the_first_points_own_error():
            for k in range(40)]
     pts[34], pts[37] = (0.5, 0.3, 0.3), (0.0, 0.2, 0.5)
     with pytest.raises(ContactFailure):
-        _one_adapt_point(stack_frames([fld.at(p, 5) for p in pts[32:]]))
+        _one_adapt_point(next(fld.blocks(pts[32:], 5)))
     want = _first_error(lambda p: _one_adapt_point(fld.at(p, 5)), pts)
     assert want == (DomainError,
                     "reciprocal: argument value 0.0 outside domain")

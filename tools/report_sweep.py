@@ -9,9 +9,9 @@ once at the command's default order and once at each of the orders 2 to 6.
 Then it runs the fixed argvs of ``OPTION_ARGVS``, which between them pass
 every option of the command line but ``--out``, and the argvs of
 ``MANY_POINT_ARGVS``, which run at the sample counts of the benchmark's
-workloads, on lists of 2 points (the shortest list built in one pass),
-across the blocks of ``forms.STACK_BLOCK`` frames, and through a point where
-a frame cannot be built, adapted or checked, alone and in lists of 3, 12 and
+workloads, on lists of 1 point (built by a one-column pass) and of 2, across
+the blocks of ``forms.STACK_BLOCK`` frames, and through a point where a
+frame cannot be built, adapted or checked, alone and in lists of 3, 12 and
 40 points (past the first block); each list takes one failing build or
 stacked pass, then goes point by point.
 Every run goes through ``bicontact.cli.main`` in this process, from the
@@ -73,10 +73,15 @@ MANY_POINT_ARGVS = [
     ["invariants", FILES[0], "--points", "60"],
     ["fourdim", "fourd_enonzero", "--points", "18"],
     ["normal-form", "tan(z)", "--order", "3", "--points", "200"],
-    # the shortest list built in one pass, on the case-2 path (order 6) and
-    # the case-1 path (order 5)
+    # the shortest many-point list, on the case-2 path (order 6) and the
+    # case-1 path (order 5)
     ["curvature", "normal_form_3d", "--points", "2"],
     ["invariants", FILES[0], "--points", "2"],
+    # one-point lists, each built by a one-column pass as a stack of one
+    ["curvature", "normal_form_3d", "--points", "1"],
+    ["invariants", FILES[0], "--points", "1"],
+    ["fourdim", "fourd_enonzero", "--points", "1"],
+    ["normal-form", "tan(z)", "--points", "1"],
     # ln(y) leaves its domain at the second point only (exit 1): alone, and
     # on lists of 3 and 12 points, whose one many-point build fails
     ["invariants", "normal_form_3d", "--at", "0.5,-1.0,0.1"],
