@@ -203,7 +203,13 @@ def _resolve(cfg: RunConfig):
 
 def _sample(cfg: RunConfig, dim: int, box: tuple):
     """The --at points, or cfg.points seeded draws from --box, else from the
-    source's ``box``, else from the default cube."""
+    source's ``box``, else from the default cube.
+
+    Point p's coordinate k is ``lo + (hi - lo) * u`` with u the (p * dim +
+    k)-th draw of ``_uniforms(cfg.seed)``, the stream of NumPy's
+    ``default_rng(cfg.seed).random``, so the points are bit-equal to
+    ``lo + (hi - lo) * default_rng(cfg.seed).random((cfg.points, dim))``
+    without importing ``numpy.random``."""
     if cfg.at:
         bad = [p for p in cfg.at if len(p) != dim]
         if bad:
@@ -214,11 +220,75 @@ def _sample(cfg: RunConfig, dim: int, box: tuple):
     if len(box) != dim:
         raise argparse.ArgumentTypeError(
             f"--box has {len(box)} components for a {dim}-coordinate chart")
-    rng = np.random.default_rng(cfg.seed)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    pts = lo + (hi - lo) * rng.random((cfg.points, dim))
-    return [tuple(float(x) for x in row) for row in pts]
+    draws = iter(_uniforms(cfg.seed, cfg.points * dim))
+    spans = [(lo, hi - lo) for lo, hi in box]
+    return [tuple(lo + width * next(draws) for lo, width in spans)
+            for _ in range(cfg.points)]
+
+
+# NumPy's SeedSequence (NEP 19) and PCG64 (O'Neill, HMC-CS-2014-0905,
+# XSL-RR 128/64), on Python integers
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> list:
+    """The four 64-bit words of ``SeedSequence(seed).generate_state(4,
+    np.uint64)``: the seed's 32-bit words, least significant first, hashed
+    into a pool of 4 and mixed, then hashed out as 8 words, paired low word
+    first."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniforms(seed: int, n: int) -> list:
+    """The first ``n`` floats of ``np.random.default_rng(seed).random``:
+    PCG64 seeded from ``_seed_state``, each draw (next64 >> 11) * 2**-53."""
+    s0, s1, i0, i1 = _seed_state(seed)
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    out = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        out.append((word >> 11) * 2.0 ** -53)
+    return out
 
 
 # eight evenly spaced (a1, a2) on the unit circle, the sampled combinations

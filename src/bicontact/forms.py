@@ -98,10 +98,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def coordinate_jets(self, point, order):
-        return [Jet.variable(float(point[i]), i, self.dim, order)
-                for i in range(self.dim)]
-
 
 @lru_cache(maxsize=None)
 def _keys(dim: int, degree: int) -> tuple:
@@ -159,13 +155,6 @@ class PForm:
         dim = chart.dim
         return cls._of(chart, degree, order, np.zeros(
             (len(_keys(dim, degree)), jets.ncoeffs(dim, order))))
-
-    @classmethod
-    def d_coord(cls, chart, axis, order):
-        """The coordinate 1-form dx_axis (constant coefficients)."""
-        c = np.zeros((chart.dim, jets.ncoeffs(chart.dim, order)))
-        c[axis, 0] = 1.0
-        return cls._of(chart, 1, order, c)
 
     @property
     def coeffs(self):

@@ -27,6 +27,14 @@ the caller runs the points one by one.
 Every sum goes through ``_sum_into``, one ``np.bincount`` over (target,
 point) bins, shared with ``forms``; a product past ``FLAT_PRODUCT_MAX``
 pairs x points, whose bins outgrow the cache, sums by ``_rank_groups``.
+
+The product tables are built once per (dim, order) by NumPy array
+operations, not loops over index pairs: ``_mul_table`` takes the pairs of
+monomials from ``np.nonzero`` of the degree-sum mask (i outer, j inner) and
+finds each product's rank through a mixed-radix code of its exponents;
+``_rank_groups`` counts each target's pairs with ``np.bincount`` and deals
+them out by a stable ``np.argsort``.  ``tests/test_jets.py`` keeps the loops
+as the reference the tables must equal.
 """
 
 from __future__ import annotations
@@ -80,20 +88,18 @@ def _rank(dim: int, order: int):
 
 @lru_cache(maxsize=None)
 def _mul_table(dim: int, order: int):
-    # Precomputed gather/scatter triples: product coefficient T gets a[I]*b[J].
-    idx = multi_indices(dim, order)
-    rank = _rank(dim, order)
-    degs = [sum(a) for a in idx]
-    I, J, T = [], [], []
-    for i, a in enumerate(idx):
-        for j, b in enumerate(idx):
-            if degs[i] + degs[j] <= order:
-                I.append(i)
-                J.append(j)
-                T.append(rank[tuple(x + y for x, y in zip(a, b))])
-    return (np.asarray(I, dtype=np.intp),
-            np.asarray(J, dtype=np.intp),
-            np.asarray(T, dtype=np.intp))
+    """Gather/scatter triples (I, J, T): product coefficient T gets
+    a[I] * b[J], for every pair of monomials of total degree <= order, i
+    outer and j inner.  T is looked up by the mixed-radix code of the
+    exponents in base order + 1, which adds without carry since every
+    exponent of the product is at most order."""
+    idx = np.array(multi_indices(dim, order), dtype=np.intp)
+    deg = idx.sum(axis=1)
+    I, J = np.nonzero(deg[:, None] + deg[None, :] <= order)
+    code = idx @ (order + 1) ** np.arange(dim)
+    rank = np.empty((order + 1) ** dim, dtype=np.intp)
+    rank[code] = np.arange(len(idx))
+    return I, J, rank[code[I] + code[J]]
 
 
 @lru_cache(maxsize=None)
@@ -101,18 +107,22 @@ def _rank_groups(dim: int, order: int) -> tuple:
     """The pairs of ``_mul_table`` grouped by their rank within their
     target, for sums over many points: ``(pos, groups)``, where group s
     holds (I, J) of every target's s-th pair.  Targets are ranked by their
-    number of pairs, most first, and row ``pos[t]`` of the accumulator
-    holds target t, so the targets of group s are its first ``len(I)``
-    rows, in order."""
-    pairs = {}
-    for i, j, t in zip(*(a.tolist() for a in _mul_table(dim, order))):
-        pairs.setdefault(t, []).append((i, j))
-    targets = sorted(pairs, key=lambda t: -len(pairs[t]))
-    groups = tuple(
-        tuple(np.asarray(col, dtype=np.intp) for col in
-              zip(*(pairs[t][s] for t in targets if len(pairs[t]) > s)))
-        for s in range(len(pairs[targets[0]])))
-    return np.argsort(targets), groups
+    number of pairs, most first, ties in target order (the order in which
+    the pairs of the constant monomial, i = 0, name them), and row
+    ``pos[t]`` of the accumulator holds target t, so the targets of group s
+    are its first ``len(I)`` rows, in order."""
+    I, J, T = _mul_table(dim, order)
+    counts = np.bincount(T)
+    pos = np.argsort(np.argsort(-counts, kind="stable"))
+    # each pair's rank within its target, from the pairs sorted by target
+    by_target = np.argsort(T, kind="stable")
+    rank = np.empty_like(T)
+    rank[by_target] = (np.arange(len(T))
+                       - np.repeat(np.cumsum(counts) - counts, counts))
+    grouped = np.lexsort((pos[T], rank))
+    cuts = np.cumsum(np.bincount(rank))[:-1]
+    return pos, tuple(zip(np.split(I[grouped], cuts),
+                          np.split(J[grouped], cuts)))
 
 
 def _scaling_where_nan(out, factors, axis):

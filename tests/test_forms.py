@@ -36,6 +36,13 @@ def _one_form(texts, point, order=5, chart=CH3):
     return PForm(chart, 1, coeffs)
 
 
+def _d_coord(chart, axis, order):
+    """The coordinate 1-form dx_axis, with constant coefficients."""
+    return PForm(chart, 1, {(k,): Jet.constant(float(k == axis), chart.dim,
+                                               order)
+                            for k in range(chart.dim)})
+
+
 POINT = (0.4, -0.3, 0.8)
 
 
@@ -119,8 +126,8 @@ def test_budget_error_when_order_exhausted():
 
 def test_top_ratio_and_singular_volume():
     f = _scalar("2+x^2", POINT)
-    omega = wedge_all(PForm.d_coord(CH3, 0, 5), PForm.d_coord(CH3, 1, 5),
-                      PForm.d_coord(CH3, 2, 5))
+    omega = wedge_all(_d_coord(CH3, 0, 5), _d_coord(CH3, 1, 5),
+                      _d_coord(CH3, 2, 5))
     ratio = top_ratio(omega.scaled(f), omega)
     assert ratio.value == pytest.approx(2 + POINT[0] ** 2, abs=1e-14)
     with pytest.raises(SingularVolumeError):
@@ -161,12 +168,12 @@ def test_coefficient_reconstruction_round_trip():
 
 
 def test_frobenius_defect():
-    dx, dy = PForm.d_coord(CH3, 0, 5), PForm.d_coord(CH3, 1, 5)
+    dx, dy = _d_coord(CH3, 0, 5), _d_coord(CH3, 1, 5)
 
     def defect(alpha):
         return _integrability_defect(Coframe(CH3, POINT, (dx, dy, alpha)), 2)
 
-    dz = PForm.d_coord(CH3, 2, 5)
+    dz = _d_coord(CH3, 2, 5)
     assert defect(dz) < 1e-15
     # dz + x dy is a contact form: defect is the unit volume coefficient
     contact = PForm(CH3, 1, {(0,): Jet.constant(0.0, 3, 5),
@@ -218,7 +225,7 @@ def test_coframe_volume_and_dual():
     assert np.allclose(prod, np.eye(3), atol=1e-12)
     # dx^j = sum_i dual[j][i] omega^i
     for j in range(3):
-        for i, c in enumerate(one_form_coeffs(PForm.d_coord(CH3, j, 5),
+        for i, c in enumerate(one_form_coeffs(_d_coord(CH3, j, 5),
                                               frame)):
             _assert_close(c, dual[j][i])
 
@@ -402,19 +409,18 @@ def test_kernels_keep_their_errors():
     a = _one_form(("y", "x", "0"), POINT, order=0)
     with pytest.raises(BudgetError):
         ext_d(a, stage="unit-test")
-    top = wedge_all(*(PForm.d_coord(CH3, i, 2) for i in range(3)))
+    top = wedge_all(*(_d_coord(CH3, i, 2) for i in range(3)))
     with pytest.raises(ValueError, match="top-degree"):
         ext_d(top)
     with pytest.raises(ValueError, match="exceeds chart dimension"):
-        wedge(top, PForm.d_coord(CH3, 0, 2))
+        wedge(top, _d_coord(CH3, 0, 2))
     with pytest.raises(ValueError, match="different charts"):
-        wedge(PForm.d_coord(CH3, 0, 2),
-              PForm.d_coord(CHARTS[4], 0, 2))
+        wedge(_d_coord(CH3, 0, 2), _d_coord(CHARTS[4], 0, 2))
     frame = _random_frame(POINT, order=2)
     with pytest.raises(ValueError, match="expected a 2-form"):
-        two_form_coeffs(PForm.d_coord(CH3, 0, 2), frame)
+        two_form_coeffs(_d_coord(CH3, 0, 2), frame)
     with pytest.raises(ValueError, match="expected a 1-form"):
-        one_form_coeffs(ext_d(PForm.d_coord(CH3, 0, 2)), frame)
+        one_form_coeffs(ext_d(_d_coord(CH3, 0, 2)), frame)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +495,7 @@ def test_form_from_mixed_orders_takes_the_lowest_order():
 
 
 def test_coefficients_are_read_only():
-    f = PForm.d_coord(CH3, 0, 2)
+    f = _d_coord(CH3, 0, 2)
     with pytest.raises(TypeError):
         f.coeffs[(0,)] = Jet.constant(0.0, 3, 2)
     with pytest.raises(ValueError):
@@ -653,7 +659,7 @@ def test_per_point_splits_a_form_and_blocks_stack_the_frames(count):
     # the blocks of forms.STACK_BLOCK columns, the last one shorter, whose
     # columns are bit-equal to the frames at() builds
     assert forms.STACK_BLOCK == 32
-    one = PForm.d_coord(CH3, 0, 2)
+    one = _d_coord(CH3, 0, 2)
     assert forms.per_point(one) == [one]
     fld = coframe_field_from_expressions(CH3, _FLAT_AT_X0)
     pts = box_points(((0.1, 0.9), (-0.5, 0.5), (-0.5, 0.5)), count, seed=4)
@@ -729,7 +735,7 @@ def test_structure_tables_keep_each_frames_error():
     (math.nan, "nan is non-finite"), (math.inf, "inf is non-finite"),
     (-math.inf, "-inf is non-finite"), (0.0, "0.0 is numerically zero")])
 def test_a_singular_volume_names_its_value(value, text):
-    omega = wedge_all(*(PForm.d_coord(CH3, i, 2) for i in range(3)))
+    omega = wedge_all(*(_d_coord(CH3, i, 2) for i in range(3)))
     with np.errstate(invalid="ignore"):
         with pytest.raises(SingularVolumeError,
                            match=f"^volume-form denominator {text}$"):

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 import bicontact
-from bicontact.cli import (COMMANDS, ORDER_NEEDED, RunConfig, build_parser,
-                           main, run)
+from bicontact.cli import (COMMANDS, ORDER_NEEDED, RunConfig, _sample,
+                           _uniforms, build_parser, main, run)
 from bicontact.errors import ArityError, ParseError, UnknownIdentifier
 from bicontact.examples import build_example
 from bicontact.inputfile import load_coframe, load_definition, parse_coframe_text
 from bicontact.report import (check, dumps_canonical, format_float, nan_max,
                               summarize_residuals)
-from conftest import DATA
+from conftest import DATA, box_points
 
 GOOD = ("[chart]\ncoords = x y z\n[omega1]\ndx = 1\n"
         "[omega2]\ndy = 1\n[omega3]\ndz = 1\n")
@@ -259,6 +259,47 @@ def test_cli_import_leaves_scipy_out():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_cli_commands_leave_numpy_random_out():
+    """The sample draws run without ``numpy.random``; a subprocess, since
+    this test process imports it."""
+    src = pathlib.Path(bicontact.__file__).resolve().parents[1]
+    code = ("import contextlib, io, sys\n"
+            "from bicontact.cli import main\n"
+            "for argv in (['fourdim', 'fourd_enonzero', '--points', '2'],\n"
+            "             ['curvature', 'normal_form_3d', '--points', '2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 32 - 1, 2 ** 32,
+                                  2 ** 64 + 1, 2 ** 128 + 5])
+def test_sample_draws_are_numpy_default_rng_streams(seed):
+    """``_uniforms`` is the stream of ``np.random.default_rng(seed).random``
+    for seeds of 1 to 5 words, and the sampled points are bit-equal to the
+    NumPy expression of ``conftest.box_points``."""
+    for n in (1, 7, 800):
+        assert _uniforms(seed, n) == \
+            np.random.default_rng(seed).random(n).tolist(), n
+    box = ((-0.9, 0.9), (0.55, 1.9), (-3.0, 3.0))
+    cfg = RunConfig(command="check", source="x", points=7, seed=seed)
+    assert _sample(cfg, 3, box) == box_points(box, 7, seed)
+
+
+def test_cli_rejects_a_negative_seed(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["check", "normal_form_3d", "--points", "2", "--seed", "-1",
+                 "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["records"] == []
+    assert rep["errors"] == [{"stage": "check", "type": "ValueError",
+                              "message": "expected non-negative integer"}]
 
 
 @pytest.mark.parametrize("args,message", [

@@ -359,6 +359,60 @@ def test_the_product_sizes_reach_both_kernels():
     assert {_ranked(*size) for size in _PRODUCT_SIZES} == {False, True}
 
 
+# -- the product tables against loops over index pairs -----------------------
+
+def _loop_mul_table(dim, order):
+    """(I, J, T) of every pair with degree sum <= order, i outer and j
+    inner, T the rank of the summed exponents."""
+    idx = jets.multi_indices(dim, order)
+    rank = {a: i for i, a in enumerate(idx)}
+    I, J, T = [], [], []
+    for i, a in enumerate(idx):
+        for j, b in enumerate(idx):
+            if sum(a) + sum(b) <= order:
+                I.append(i)
+                J.append(j)
+                T.append(rank[tuple(x + y for x, y in zip(a, b))])
+    return tuple(np.asarray(v, dtype=np.intp) for v in (I, J, T))
+
+
+def _loop_rank_groups(dim, order):
+    """(pos, groups) of the pairs of ``_loop_mul_table`` dealt out per
+    target, targets sorted by pair count, most first."""
+    pairs = {}
+    for i, j, t in zip(*(a.tolist() for a in _loop_mul_table(dim, order))):
+        pairs.setdefault(t, []).append((i, j))
+    targets = sorted(pairs, key=lambda t: -len(pairs[t]))
+    groups = tuple(
+        tuple(np.asarray(col, dtype=np.intp) for col in
+              zip(*(pairs[t][s] for t in targets if len(pairs[t]) > s)))
+        for s in range(len(pairs[targets[0]])))
+    return np.argsort(targets), groups
+
+
+def _same_arrays(got, want):
+    return (len(got) == len(want)
+            and all(g.dtype == w.dtype and np.array_equal(g, w)
+                    for g, w in zip(got, want)))
+
+
+@pytest.mark.parametrize("dim,orders", [(1, range(24)), (2, range(9)),
+                                        (3, range(9)), (4, range(9))])
+def test_product_tables_equal_the_pair_loops(dim, orders):
+    """``_mul_table`` and ``_rank_groups`` hold the arrays of the loops, in
+    the same order and dtype, up to the order 22 that ``normal-form``'s
+    profile lift builds in one variable."""
+    for order in orders:
+        assert _same_arrays(jets._mul_table(dim, order),
+                            _loop_mul_table(dim, order)), order
+        pos, groups = jets._rank_groups(dim, order)
+        want_pos, want_groups = _loop_rank_groups(dim, order)
+        assert _same_arrays((pos,), (want_pos,)), order
+        assert len(groups) == len(want_groups), order
+        assert all(_same_arrays(g, w)
+                   for g, w in zip(groups, want_groups)), order
+
+
 @pytest.mark.parametrize("dim,order,count", _PRODUCT_SIZES)
 def test_many_point_product_is_bitwise_the_one_point_product(monkeypatch, dim,
                                                              order, count):

@@ -54,6 +54,14 @@ OPTION_ARGVS = [
     ["check", "sphere_frame", "--at", "1,0.5,0.2", "--at", "2,-1,1"],
     ["taut", "hyp_c3", "--points", "3", "--box=-0.5:0.5,-0.5:0.5,-0.5:0.5"],
     ["curvature", "torus_constC", "--points", "3", "--seed", "7"],
+    # seeds of 1, 2, 3 and 5 32-bit words, and a negative one (exit 1)
+    ["classify", "eta_frame", "--points", "3", "--seed", "0"],
+    ["fourdim", "fourd_enonzero", "--points", "2", "--seed", "4294967296"],
+    ["invariants", "normal_form_3d", "--points", "3",
+     "--seed", "18446744073709551617"],
+    ["taut", "hyp_c3", "--points", "3",
+     "--seed", "340282366920938463463374607431768211461"],
+    ["check", "normal_form_3d", "--points", "3", "--seed", "-1"],
     ["fourdim", "fourd_ezero", "--points", "2", "--tol-shallow", "1e-12",
      "--tol-deep", "1e-9"],
     # the four options of normal-form
