@@ -37,16 +37,16 @@ from .curvature import leaf_geometry, levi_civita, scalar_curvature
 from .errors import BicontactError, BudgetError
 from .examples import EXAMPLES, build_example
 from .expressions import eval_number, parse as parse_expr
-from .forms import block_rows, ext_d, unstack, wedge
+from .forms import block_rows, ext_d, wedge
 from .inputfile import load_definition
 from .jets import _value
-from .pipeline import (Tolerances, analyze, cached_C,
+from .pipeline import (Tolerances, _per_column, analyze, cached_C,
                        cartan_structure_check,
                        circle_volume_coefficient, classify,
                        compute_C3, hyperbola_residuals,
                        mixed_circle_coefficient, one_adapt,
                        predicted_circle_coefficient, taut_circle_field,
-                       taut_hyperbola_transform)
+                       taut_circle_transform, taut_hyperbola_transform)
 from .report import (Report, check, nan_max, record_to_dict,
                      summarize_residuals)
 
@@ -299,16 +299,9 @@ _UNIT_CIRCLE = [(float(np.cos(t)), float(np.sin(t)))
 
 # ---------------------------------------------------------------------------
 # command bodies: each takes (cfg, rep, fld, spec, pts) and fills ``rep``.
-# The 4D bodies, the 3D pipeline (``analyze``, ``one_adapt``) and the
-# curvature of its frames run their stages once per stacked block of frames
-# (``forms.block_rows``), and a record is split off per point only at the
-# end; ``check``, ``classify`` and ``taut`` split the one-adapted blocks
-# into their frames (``_frames_of``).
-
-def _frames_of(blocks) -> list:
-    """The one-point frames of stacked ``blocks``, in sample order."""
-    return [cf for block in blocks for cf in unstack(block)]
-
+# Every stage runs once per stacked block of frames, the 3D pipeline
+# (``analyze``, ``one_adapt``) and the stages after it too, and a record is
+# split off per point only at the end (``forms.block_rows``).
 
 def _summarize(rep: Report, keys=None) -> float:
     """Set ``rep.summary`` from the records' residuals and return the worst
@@ -329,6 +322,17 @@ def _pattern(frame) -> dict:
             "residuals": dict(sorted(rec.residuals.items()))}
 
 
+def _self_volumes(cf) -> dict:
+    """The residuals of a 3D ``check`` record."""
+    Omega = cf.volume()
+    n1 = cf.ratio(wedge(cf.omega(1), cf.d(0)) - Omega)
+    n2 = cf.ratio(wedge(cf.omega(2), cf.d(1)) + Omega.scaled(float(cf.eps)))
+    return {"self_volume_1": abs(_value(n1)),
+            "self_volume_2": abs(_value(n2)),
+            "d_after_d": nan_max(*(ext_d(cf.d(i)).max_abs_value()
+                                   for i in range(3)))}
+
+
 def _cmd_check(cfg: RunConfig, rep: Report, fld, spec, pts):
     tol = cfg.tolerances
     if fld.chart.dim == 4:
@@ -337,17 +341,10 @@ def _cmd_check(cfg: RunConfig, rep: Report, fld, spec, pts):
         rep.checks.append(check("four_covector_pattern", _summarize(rep),
                                 tol.shallow))
         return
-    for p, cf in zip(pts, _frames_of(one_adapt(fld, pts, cfg.order))):
-        Omega = cf.volume()
-        n1 = cf.ratio(wedge(cf.omega(1), cf.d(0)) - Omega)
-        n2 = cf.ratio(wedge(cf.omega(2), cf.d(1))
-                      + Omega.scaled(float(cf.eps)))
-        dd = nan_max(*(ext_d(cf.d(i)).max_abs_value() for i in range(3)))
-        row = {"point": list(p), "eps": cf.eps,
-               "residuals": {"self_volume_1": abs(n1.value),
-                             "self_volume_2": abs(n2.value),
-                             "d_after_d": dd}}
-        rep.records.append(row)
+    blocks = one_adapt(fld, pts, cfg.order)
+    for p, row in block_rows(pts, blocks, _self_volumes):
+        rep.records.append({"point": list(p), "eps": blocks[0].eps,
+                            "residuals": row})
     worst = _summarize(rep, ("self_volume_1", "self_volume_2"))
     rep.checks.append(check("self_volume_normalizations", worst, tol.shallow))
     rep.checks.append(check("d_after_d", rep.summary["d_after_d"]["max"],
@@ -365,46 +362,64 @@ def _cmd_invariants(cfg: RunConfig, rep: Report, fld, spec, pts):
 
 
 def _cmd_classify(cfg: RunConfig, rep: Report, fld, spec, pts):
-    for p, cf in zip(pts, _frames_of(one_adapt(fld, pts, cfg.order))):
-        C = cached_C(cf).value
-        tag, quad = classify(C, cf.eps)
+    blocks = one_adapt(fld, pts, cfg.order)
+    eps = blocks[0].eps
+    for p, row in block_rows(pts, blocks,
+                             lambda cf: {"C": _value(cached_C(cf))}):
+        C = row["C"]
+        tag, quad = classify(C, eps)
         _tally(rep, "excluded_band" if tag == "linear" else tag)
-        rep.records.append({"point": list(p), "eps": cf.eps, "C": C,
+        rep.records.append({"point": list(p), "eps": eps, "C": C,
                             "klass": tag,
                             "quadratic": list(quad.coefficients)})
     rep.checks.append(check("classified_all_points",
                             len(rep.records), passed=True))
 
 
+def _mixed_want(C, C3) -> float:
+    """The mixed pairing of the taut circle at one point:
+    sgn(1-C^2) C3 / |1-C^2|^(3/2)."""
+    sp = 1.0 if 1.0 + C > 0 else -1.0
+    sm = 1.0 if 1.0 - C > 0 else -1.0
+    return sp * sm * C3 / abs(1.0 - C ** 2) ** 1.5
+
+
+def _circle_row(cf, branch) -> dict:
+    """The fields of a ``taut`` record on the circle branch."""
+    taut, C, _ = taut_circle_transform(cf, branch)
+    C, C3 = _value(C), _value(compute_C3(cf)[0])
+    worst = 0.0
+    for a1, a2 in _UNIT_CIRCLE:
+        got = _value(circle_volume_coefficient(cf, taut, a1, a2))
+        want = _per_column(lambda c, c3: predicted_circle_coefficient(
+            c, c3, a1, a2), C, C3)
+        worst = nan_max(worst, abs(got - want))
+    mixed = _value(mixed_circle_coefficient(cf, taut))
+    return {"C": C, "C3": C3, "branch": [list(branch)] * len(C),
+            "residuals": {"volume_coefficient": worst,
+                          "mixed_pairing": abs(
+                              mixed - _per_column(_mixed_want, C, C3))}}
+
+
+def _hyperbola_row(cf) -> dict:
+    """The fields of a ``taut`` record on the hyperbola branch."""
+    taut, C, theta = taut_hyperbola_transform(cf)
+    r1, r2, defect = hyperbola_residuals(cf, taut, theta)
+    return {"C": _value(C), "theta": _value(theta),
+            "mixed_defect": _value(defect),
+            "residuals": {"self_volume_1": r1, "self_volume_2": r2}}
+
+
 def _cmd_taut(cfg: RunConfig, rep: Report, fld, spec, pts):
-    adapted = _frames_of(one_adapt(fld, pts, cfg.order))
-    if adapted[0].eps == -1:
-        tauts, branch = taut_circle_field(adapted)
-        for p, cf, taut in zip(pts, adapted, tauts):
-            C = cached_C(cf)
-            C3, _c1, _c2 = compute_C3(cf)
-            worst = 0.0
-            for a1, a2 in _UNIT_CIRCLE:
-                got = circle_volume_coefficient(cf, taut, a1, a2).value
-                want = predicted_circle_coefficient(C.value, C3.value, a1, a2)
-                worst = nan_max(worst, abs(got - want))
-            mixed = mixed_circle_coefficient(cf, taut).value
-            sp = 1.0 if 1.0 + C.value > 0 else -1.0
-            sm = 1.0 if 1.0 - C.value > 0 else -1.0
-            mixed_want = sp * sm * C3.value / abs(1.0 - C.value ** 2) ** 1.5
-            rep.records.append({
-                "point": list(p), "C": C.value, "C3": C3.value,
-                "branch": list(branch),
-                "residuals": {"volume_coefficient": worst,
-                              "mixed_pairing": abs(mixed - mixed_want)}})
+    blocks = one_adapt(fld, pts, cfg.order)
+    if blocks[0].eps == -1:
+        # the branch is fixed over every point before any record is made
+        frames, branch = taut_circle_field(blocks)
+        rows = block_rows(pts, frames, lambda cf: _circle_row(cf, branch))
     else:
-        for p, cf in zip(pts, adapted):
-            taut, C, theta = taut_hyperbola_transform(cf)
-            r1, r2, defect = hyperbola_residuals(cf, taut, theta)
-            rep.records.append({
-                "point": list(p), "C": C.value, "theta": theta.value,
-                "mixed_defect": defect.value,
-                "residuals": {"self_volume_1": r1, "self_volume_2": r2}})
+        rows = block_rows(pts, blocks, _hyperbola_row)
+    for p, row in rows:
+        rep.records.append({"point": list(p), **row})
     rep.checks.append(check("taut_rotation_identities", _summarize(rep),
                             cfg.tol_deep))
 
@@ -579,7 +594,7 @@ def _cmd_example(cfg: RunConfig, rep: Report, fld, spec, pts):
             dev = nan_max(dev, abs(row["theta12"] - expected["curvature_12"]))
         rep.checks.append(check("expected_curvature_12", dev, tol.deep))
     if "K" in expected:
-        cart = cartan_structure_check(_frames_of(result["blocks"]), tol)
+        cart = cartan_structure_check(result["blocks"], tol)
         if cart is None:
             rep.checks.append(check("expected_K", 0, passed=False))
         else:

@@ -7,9 +7,9 @@ Both tables are built once, on construction, and are frozen and skew: the
 connection builds omega^i_j for i < j and sets omega^j_i = -omega^i_j, the
 curvature holds Theta^i_j for i < j and gives the lower half by sign, and
 neither builds the zero diagonal.  Everything works in any chart dimension
-(used here for 3 and 4), on a one-point frame or, column by column, on a
-stacked one (``CoframeField.blocks``), whose values and residuals are then
-(N,) arrays, one value per column.
+(used here for 3 and 4), column by column on a stacked frame
+(``CoframeField.blocks``), whose values and residuals are (N,) arrays, one
+value per column.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class ConnectionMatrix:
     frame: Coframe
     gamma: tuple
     omega: dict = field(init=False, repr=False, compare=False)
-    structure_residual: float = field(init=False)   # or one per column
+    structure_residual: np.ndarray = field(init=False)   # one per column
 
     def __post_init__(self):
         dim = self.frame.chart.dim
@@ -80,7 +80,7 @@ class ConnectionMatrix:
 
     def residual(self):
         """Max coefficient of d(omega^i) + omega^i_j ^ omega^j over i, per
-        column of a stacked frame."""
+        column."""
         worst = 0.0
         dim = self.frame.chart.dim
         for i in range(dim):
@@ -173,8 +173,8 @@ def pfaffian_coefficient(curv: CurvatureMatrix) -> Jet:
 class LeafGeometry:
     """Second fundamental form data of the foliation ker(omega^normal).
 
-    Of a stacked 3D frame, every value is an (N,) array, one per column,
-    and ``not_integrable`` marks the columns without leaves, whose other
+    Every value is an (N,) array, one per column of the frame, and of a 3D
+    frame ``not_integrable`` marks the columns without leaves, whose other
     values mean nothing."""
 
     shape: list            # tangential values Gamma^normal_{i j}; det(shape)
@@ -187,14 +187,14 @@ class LeafGeometry:
 
     @property
     def not_integrable(self):
-        """Whether ``defect`` is above ``INTEGRABLE``: a bool, or one per
-        column.  Always False of a one-point frame, which raises instead."""
+        """Whether ``defect`` is above ``INTEGRABLE``, one bool per column.
+        All False of a 4D frame, which raises instead."""
         return self.defect > INTEGRABLE
 
 
 def _integrability_defect(frame: Coframe, normal: int):
-    """Max |coefficient| of alpha ^ d(alpha), per column of a stacked frame:
-    zero iff ker(alpha) is integrable (Frobenius), in any dimension."""
+    """Max |coefficient| of alpha ^ d(alpha), per column: zero iff
+    ker(alpha) is integrable (Frobenius), in any dimension."""
     prod = wedge(frame.omega(normal + 1),
                  frame.d(normal, stage="leaf_geometry(defect)"))
     return prod.max_abs_value()
@@ -211,18 +211,18 @@ def leaf_geometry(frame: Coframe, conn: ConnectionMatrix | None = None,
     pullback of the ambient curvature identity: tangential curvature pairing
     plus the shape-operator determinant.
 
-    A one-point frame whose covector is not integrable raises
-    ``NotIntegrable``, and so does a stacked 4D frame at its first such
-    column.  A stacked 3D frame marks those columns in ``not_integrable``
-    instead, since a leafless point is data to the 3D report.
+    A 4D frame whose covector is not integrable raises ``NotIntegrable``
+    at its first such column.  A 3D frame marks those columns in
+    ``not_integrable`` instead, since a leafless point is data to the 3D
+    report.
     """
     dim = frame.chart.dim
     if normal is None:
         normal = dim - 1
     tangent = [i for i in range(dim) if i != normal]
     dval = _integrability_defect(frame, normal)
-    if np.ndim(dval) == 0 or dim != 3:
-        for value in np.atleast_1d(dval).tolist():
+    if dim != 3:
+        for value in dval.tolist():
             if value > INTEGRABLE:
                 raise NotIntegrable(
                     f"omega^{normal + 1} is not integrable: defect {value!r}",

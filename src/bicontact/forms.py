@@ -8,17 +8,17 @@ for repeated exterior differentiation.  Building a form from a {key: Jet}
 dict truncates every coefficient to the lowest order among them.  Forms are
 immutable; ``PForm.coeffs`` is a read-only {key: Jet} view of the rows,
 built on first read.  A :class:`CoframeField` is the chart-level family
-of raw coframes: it builds the point-local :class:`Coframe` at one point,
-or one stacked frame at a whole sample list, from closed-form coefficient
-expressions, whose tape runs once per list.  The pipeline drivers hand
-back the frames they adapt as stacked blocks in sample order.
+of raw coframes: it builds one stacked :class:`Coframe` at a whole sample
+list from closed-form coefficient expressions, whose tape runs once per
+list.  The pipeline drivers hand back the frames they adapt as stacked
+blocks in sample order.
 
 Like a jet, a form can hold N points at once: ``c`` then has a trailing
 point axis, shape (keys, ncoeffs, N), and its coefficient jets are
-many-point jets.  Every kernel below takes such forms as they are, and
-:func:`per_point` splits a form into its points.  A stacked frame's forms
-carry a point axis, so a block of frames goes through a stage in one pass,
-and :func:`unstack` splits it into its one-point frames.
+many-point jets.  Every kernel below takes such forms as they are.  Every
+:class:`Coframe` a :class:`CoframeField` builds carries a point axis, so a
+block of frames goes through a stage in one pass, and the frame at one
+point (:meth:`CoframeField.at`) is a stack of one.
 :meth:`CoframeField.blocks` builds a sample list as one stacked frame and
 hands it out ``STACK_BLOCK`` columns at a time, :func:`by_block` runs a
 stage once per block, going column by column where a block's pass raises,
@@ -78,8 +78,7 @@ __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
     "wedge", "wedge_all", "ext_d", "top_ratio",
     "two_form_coeffs", "one_form_coeffs", "scalar_d",
-    "coframe_field_from_expressions", "per_point", "unstack", "by_block",
-    "block_rows",
+    "coframe_field_from_expressions", "by_block", "block_rows",
 ]
 
 
@@ -150,12 +149,6 @@ class PForm:
         f._fill(chart, degree, order, c)
         return f
 
-    @classmethod
-    def zero(cls, chart, degree, order):
-        dim = chart.dim
-        return cls._of(chart, degree, order, np.zeros(
-            (len(_keys(dim, degree)), jets.ncoeffs(dim, order))))
-
     @property
     def coeffs(self):
         """Read-only {key: Jet} view of the rows, built on first read."""
@@ -201,14 +194,14 @@ class PForm:
         return PForm._of(self.chart, self.degree, order, prod)
 
     def max_abs_value(self):
-        """The largest |value| over the coefficients: a float, or for a form
-        with a point axis an (N,) array, one per point."""
+        """The largest |value| over the coefficients, one per point: an (N,)
+        array for a form with a point axis."""
         # np.max, unlike the built-in max, lets a NaN coefficient through
-        worst = np.max(np.abs(self.c[:, 0]), axis=0)
-        return float(worst) if worst.ndim == 0 else worst
+        return np.max(np.abs(self.c[:, 0]), axis=0)
 
     def __repr__(self):
-        vals = {k: round(jets._value(v), 6) for k, v in self.coeffs.items()}
+        vals = {k: np.round(jets._value(v), 6).tolist()
+                for k, v in self.coeffs.items()}
         return f"PForm(degree={self.degree}, values={vals})"
 
 
@@ -400,7 +393,8 @@ def _check_denominator(denom: Jet):
 
 @dataclass
 class Coframe:
-    """A point-local coframe: dim independent 1-forms at one base point."""
+    """dim independent 1-forms at each of N base points: ``point`` holds
+    one (N,) array per coordinate, and every form a point axis."""
 
     chart: Chart
     point: tuple
@@ -525,26 +519,27 @@ _POINT_ERRORS = (BicontactError, ArithmeticError, ValueError,
 
 class CoframeField:
     """A chart-level family of raw coframes.  ``builder(x, order)`` builds
-    the :class:`Coframe` at coordinate values ``x``: a float per coordinate
-    for one point, or an (N,) array per coordinate for N points, whose frame
-    is stacked, with ``x`` as its ``point``.  ``at(point, order)`` is the
-    frame at one point, and ``blocks(points, order)`` yields the frames at
-    a sample list stacked."""
+    the stacked :class:`Coframe` at coordinate values ``x``, an (N,) array
+    per coordinate for N points, with ``x`` as its ``point``.
+    ``at(point, order)`` is the frame at one point, a stack of one, and
+    ``blocks(points, order)`` yields the frames at a sample list stacked."""
 
     def __init__(self, chart, builder):
         self.chart = chart
         self._builder = builder
 
     def at(self, point, order) -> Coframe:
-        return self._builder(tuple(float(x) for x in point), int(order))
+        return self._builder(_coordinates([tuple(float(x) for x in point)]),
+                             int(order))
 
     def blocks(self, points, order):
         """An iterator over the frames at ``points`` in sample order, built
         as one stacked frame at the first step and handed out as slices of
         ``STACK_BLOCK`` columns, the last one shorter.  Where that build
         raises on two points or more, each point is built as a stack of one
-        as it is reached, so a caller that runs a stage on each block meets
-        the first failing point's error before a later frame is built."""
+        (``at``) as it is reached, so a caller that runs a stage on each
+        block meets the first failing point's error before a later frame is
+        built."""
         return self._blocks([tuple(float(x) for x in p) for p in points],
                             int(order))
 
@@ -555,7 +550,7 @@ class CoframeField:
             frame = self._builder(_coordinates(points), order)
         except _POINT_ERRORS if len(points) > 1 else ():
             for p in points:
-                yield self._builder(_coordinates([p]), order)
+                yield self.at(p, order)
             return
         for start in range(0, len(points), STACK_BLOCK):
             yield _columns(frame, start, start + STACK_BLOCK)
@@ -565,15 +560,6 @@ def _coordinates(points) -> tuple:
     """The coordinate values of a list of points: one (N,) array per
     coordinate."""
     return tuple(np.array(x) for x in zip(*points))
-
-
-def per_point(form: PForm) -> list:
-    """The one-point forms of ``form``, in point order: its columns where it
-    carries a point axis, else ``[form]``."""
-    if form.c.ndim == 2:
-        return [form]
-    return [PForm._of(form.chart, form.degree, form.order, c)
-            for c in np.moveaxis(form.c, -1, 0).copy()]
 
 
 def _columns(frame, start, stop) -> Coframe:
@@ -587,29 +573,12 @@ def _columns(frame, start, stop) -> Coframe:
         eps=frame.eps, stage=frame.stage)
 
 
-def unstack(frame) -> list:
-    """The one-point frames of a stacked frame, in column order: each with
-    its eps and stage, and with its column of every d(omega^i) the stacked
-    memo holds."""
-    split = [per_point(f) for f in frame.forms]
-    kept = {key: per_point(frame._memo[key])
-            for key in (("d", i) for i in range(frame.dim))
-            if key in frame._memo}
-    out = []
-    for k, point in enumerate(zip(*(x.tolist() for x in frame.point))):
-        one = Coframe(frame.chart, point, tuple(f[k] for f in split),
-                      eps=frame.eps, stage=frame.stage)
-        one._memo.update((key, d[k]) for key, d in kept.items())
-        out.append(one)
-    return out
-
-
 def by_block(blocks, stage):
     """An iterator over (frame, ``stage(frame)``) for the stacked frames
     ``blocks``, in order, each stage run once per block.  Where a block's
     pass raises, it goes column by column, each column a stack of one, so
-    the first failing point raises its own type and text; a one-point frame
-    or a stack of one raises as it is."""
+    the first failing point raises its own type and text; a stack of one
+    raises as it is."""
     return _by_block(iter(blocks), stage)
 
 
@@ -618,17 +587,12 @@ def _by_block(blocks, stage):
         try:
             results = [(block, stage(block))]
         except _POINT_ERRORS:
-            if not _stacked(block) or len(block.point[0]) == 1:
+            if len(block.point[0]) == 1:
                 raise
             columns = (_columns(block, k, k + 1)
                        for k in range(len(block.point[0])))
             results = ((one, stage(one)) for one in columns)
         yield from results
-
-
-def _stacked(frame) -> bool:
-    """Whether ``frame``'s forms carry a point axis."""
-    return frame.forms[0].c.ndim == 3
 
 
 def block_rows(points, blocks, body):

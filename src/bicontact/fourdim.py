@@ -77,23 +77,21 @@ class Coframe4:
 
 def symp_structure(frame: Coframe) -> Coframe4:
     """Extract (eps, C, E) and the full residual table of the 4D pattern,
-    of a one-point frame or, column by column, of a stacked one."""
+    column by column of a stacked frame."""
     if frame.dim != 4:
         raise ValueError("symp_structure needs a 4D coframe")
     d = [frame.d_coeffs(i) for i in range(4)]
     C = -d[0][(0, 2)]
     eps_raw = _value(d[1][(0, 2)])
     # round raises at a NaN or an infinity, at each point as at one
-    eps = (int(round(eps_raw)) if np.ndim(eps_raw) == 0
-           else np.array([round(v) for v in eps_raw.tolist()]))
+    eps = np.array([round(v) for v in eps_raw.tolist()])
     E = d[3][(0, 1)]
     c, e = _value(C), _value(E)
 
     def dev(table, expected):
         # nan_max at each point: np.max keeps a NaN too
-        worst = np.max([abs(_value(coeff) - expected.get(pair, 0.0))
-                        for pair, coeff in table.items()], axis=0)
-        return float(worst) if worst.ndim == 0 else worst
+        return np.max([abs(_value(coeff) - expected.get(pair, 0.0))
+                       for pair, coeff in table.items()], axis=0)
 
     res = {
         "domega1": dev(d[0], {(0, 3): 1.0, (0, 2): -c, (1, 2): 1.0}),
@@ -385,17 +383,11 @@ def solve_q(ode: QOde, z_span) -> QSolution:
     return QSolution(ode=ode, lo=lo, hi=hi, steps=steps)
 
 
-def _taylor_rows(c: np.ndarray) -> list:
-    """The coefficients of a jet's array ``c`` as a list: floats for one
-    point, and for N points one array of N values per coefficient."""
-    return c.tolist() if c.ndim == 1 else list(c)
-
-
 def q_jets(sol: QSolution, z, c: Jet):
-    """Lift (Q1, Q2) at z into jets on the z axis of the 4D chart, at the
-    order of ``c``, C's univariate jet at z (``sol.ode.c_jet(z, order)``).
-    With an (N,) array of z values and their many-point ``c``, the jets are
-    many-point jets, each column bit-equal to the lift at that z alone.
+    """Lift (Q1, Q2) at an (N,) array of z values into many-point jets on
+    the z axis of the 4D chart, at the order of ``c``, C's many-point
+    univariate jet there (``sol.ode.c_jet(z, order)``); each column is
+    bit-equal to the lift at that z alone.
 
     Values and first derivatives come from the integrated state; all higher
     Taylor coefficients follow from the ODE by ``_q_taylor``, so the jets
@@ -404,10 +396,8 @@ def q_jets(sol: QSolution, z, c: Jet):
     bit-equal to C's jet at that order, so C's tape runs once per point.
     """
     order = c.order
-    u = (_taylor_rows(sol.ode.u_jet(c.truncate(order - 1)).c)
-         if order > 1 else [])
-    state = (sol.state(z) if c.c.ndim == 1
-             else np.array([sol.state(v) for v in z.tolist()]).T)
+    u = list(sol.ode.u_jet(c.truncate(order - 1)).c) if order > 1 else []
+    state = np.array([sol.state(v) for v in z.tolist()]).T
     x = Jet.variable(z, 2, 4, order)
     return tuple(jets._compose(x, _q_taylor(u, q, dq)[:order + 1])
                  for q, dq in (state[:2], state[2:]))
@@ -451,7 +441,7 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
 
     def build(x, order):
         # each point as a tuple of floats, for the guards' texts
-        points = list(zip(*(np.atleast_1d(v).tolist() for v in x)))
+        points = list(zip(*(v.tolist() for v in x)))
         for p in points:
             if p[3] <= 0.0:
                 raise DomainError(f"normal form needs w > 0, got {p[3]!r}")
@@ -468,7 +458,7 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
         K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
         L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
-        Cj = jets._compose(Jet.variable(z, 2, 4, order), _taylor_rows(c.c))
+        Cj = jets._compose(Jet.variable(z, 2, 4, order), list(c.c))
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
         f = (Jet.variable(w, 3, 4, order) / (det_h * QOde.W0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))
@@ -493,14 +483,12 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
 def normal_form_residuals(frame: Coframe, ode: QOde) -> dict:
     """Structure-equation and round-trip residuals of a constructed frame:
     the deviation of the four structure equations from the declared
-    (eps, C), and of compute_E from the w coordinate.  Each is a float for
-    a one-point frame, and an (N,) array, one value per column, for a
-    stacked one."""
+    (eps, C), and of compute_E from the w coordinate, each an (N,) array,
+    one value per column."""
     s4 = symp_structure(frame)
     z, w = frame.point[2:]
-    want_c = (expressions.eval_number(ode._node, {"z": z}) if np.ndim(z) == 0
-              else np.array([expressions.eval_number(ode._node, {"z": v})
-                             for v in z.tolist()]))
+    want_c = np.array([expressions.eval_number(ode._node, {"z": v})
+                       for v in z.tolist()])
     out = {key: s4.residuals[key]
            for key in ("domega1", "domega2", "domega3", "domega4")}
     out["C"] = abs(_value(s4.C) - want_c)

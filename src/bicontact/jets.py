@@ -300,7 +300,10 @@ class Jet:
         return Jet._of(self.dim, order, self.c[:ncoeffs(self.dim, order)])
 
     def __repr__(self):
-        return f"Jet(dim={self.dim}, order={self.order}, value={self.value:.6g})"
+        shown = ", ".join(f"{v:.6g}" for v in _values(self))
+        if self.c.ndim > 1:
+            shown = f"[{shown}]"
+        return f"Jet(dim={self.dim}, order={self.order}, value={shown})"
 
     # -- ring operations ----------------------------------------------------
 

@@ -20,20 +20,21 @@ Stages:
    curvature function K.
 7. ``invariant_coords`` validates the coordinates built from (C, C3, C33).
 
-Point-local functions act on a :class:`~bicontact.forms.Coframe`, at one
-point or stacked (:meth:`~bicontact.forms.CoframeField.blocks`): on a
-stacked frame every value they read (through ``jets._value``) is an (N,)
-array, each guard checks every column and raises the first failing
-column's own error, and a record holds one value per column.  The drivers act on stacked blocks of
-``forms.STACK_BLOCK`` frames: ``analyze`` builds them from a raw
-:class:`~bicontact.forms.CoframeField` at a sample-point list and order,
-runs every stage once per block through :func:`~bicontact.forms.by_block`,
-where a block whose pass raises goes frame by frame, each frame a stack of
-one, so the first failing point raises its own type and text, and splits
-the records per point only at the end.  The global signs that must be
-constant per region, epsilon and the case, are decided over all columns of
-all blocks.  ``one_adapt`` hands back its stacked blocks too; the stages
-that stay per frame split them (:func:`~bicontact.forms.unstack`).
+Point-local functions act on a stacked :class:`~bicontact.forms.Coframe`
+(:meth:`~bicontact.forms.CoframeField.blocks`): every value they read
+(through ``jets._value``) is an (N,) array, every ``math`` function or
+``**`` of a value goes through ``_per_column``, so it rounds as Python
+does, each guard checks every column and raises the first failing column's
+own error, and a record or table holds one value per column.  The drivers
+act on stacked blocks of ``forms.STACK_BLOCK`` frames: ``analyze`` builds
+them from a raw :class:`~bicontact.forms.CoframeField` at a sample-point
+list and order, runs every stage once per block through
+:func:`~bicontact.forms.by_block`, where a block whose pass raises goes
+column by column, each column a stack of one, so the first failing point
+raises its own type and text, and splits the records per point only at the
+end.  The decisions that hold per region, epsilon, the case, the taut
+branch and the fully symmetric reduction, are taken over all columns of
+all blocks.
 Every adapted frame is derived from its input frame by
 :meth:`~bicontact.forms.Coframe.replace`, which keeps the d of each covector
 that stays the same object.  Each d(omega^i) of a frame's own covector comes
@@ -60,8 +61,8 @@ from .errors import (
     StructureMismatch,
 )
 from .forms import (
-    Coframe, CoframeField, PForm, _stacked, by_block, ext_d, one_form_coeffs,
-    scalar_d, top_ratio, two_form_coeffs, wedge, wedge_all,
+    Coframe, CoframeField, PForm, block_rows, by_block, ext_d,
+    one_form_coeffs, scalar_d, top_ratio, two_form_coeffs, wedge, wedge_all,
 )
 from .jets import Jet, _value
 
@@ -224,7 +225,7 @@ def classify(C: float, eps: int):
 
 def _dC_data(cf: Coframe):
     """(C, C3, C1, C2, |dC|) of a frame, computed once per frame; |dC| is
-    a float, or an (N,) array for a stacked frame."""
+    an (N,) array, one value per column."""
     def build():
         C3, c1, c2 = compute_C3(cf)
         norm = _per_column(lambda a, b, c: math.sqrt(a ** 2 + b ** 2 + c ** 2),
@@ -256,9 +257,9 @@ def _everywhere(flags, points, what) -> bool:
 
 
 def case_detect(frames) -> str:
-    """Classify the region of the one-adapted ``frames``, one-point or
-    stacked, as constantC / case1 / case2 / case3, each decision taken over
-    every column of every frame."""
+    """Classify the region of the one-adapted stacked ``frames`` as
+    constantC / case1 / case2 / case3, each decision taken over every column
+    of every frame."""
     data = list(by_block(frames, _dC_data))
     pts = [p for cf, _ in data for p in _points(cf)]
     norms = [n for _, d in data for n in _each(d[4])]
@@ -306,7 +307,7 @@ def case2_adapt(cf: Coframe):
     """Point-local full adaptation for the generic nonconstant-C case.
 
     Returns (adapted coframe, record, jets).  The input must be one-adapted;
-    of a stacked frame, the record's values are (N,) arrays, one per column
+    the record's values are (N,) arrays, one per column
     (:func:`_split_record` splits it).
     """
     if cf.eps is None:
@@ -372,8 +373,8 @@ def case2_adapt(cf: Coframe):
 
 def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     """Point-local adaptation for the C3 = 0, dC != 0 case.  The returned
-    jets include ``det`` = d(A1, A2)/d(b1, b2) = A3^2 - C^2 - eps.  Of a
-    stacked frame, the record's values are (N,) arrays, one per column."""
+    jets include ``det`` = d(A1, A2)/d(b1, b2) = A3^2 - C^2 - eps.  The
+    record's values are (N,) arrays, one per column."""
     tol = tol or Tolerances()
     if cf.eps is None:
         raise ValueError("case1_adapt needs a one-adapted coframe")
@@ -437,8 +438,7 @@ def case1_adapt(cf: Coframe, tol: Tolerances | None = None):
     closed = [_closed_forms(eps, *v) for v in zip(*map(_each, (
         rec.B3, xv, _value(xi3), rec.C, rec.A3, rho)))]
     for key in dict.fromkeys(k for row in closed for k in row):
-        column = [row.get(key) for row in closed]
-        res[key] = column if _stacked(cf) else column[0]
+        res[key] = [row.get(key) for row in closed]
     return out, rec, {"C": C, "xi": xi, "xi3": xi3, **t, "det": det}
 
 
@@ -461,47 +461,66 @@ def _closed_forms(eps, B3, xi, xi3, C, A3, rho) -> dict:
 # ---------------------------------------------------------------------------
 # taut transforms
 
-def taut_circle_transform(cf: Coframe):
+def _taut_circle(cf: Coframe):
+    """(frame, C jet, (sign(1+C), sign(1-C)) as int arrays, one per column)
+    of ``taut_circle_transform``, built once per frame.  Raises BranchError
+    at the first column where |C| = 1."""
+    def build():
+        if cf.eps != -1:
+            raise EpsilonMismatch("taut_circle_transform needs eps = -1")
+        C = cached_C(cf)
+        sp = C + 1.0
+        sm = 1.0 - C
+        vp, vm = _value(sp), _value(sm)
+        _check(cf, (vp == 0.0) | (vm == 0.0), lambda p: BranchError(
+            f"|C| = 1 at {p}: transform undefined"))
+        here = np.where(vp > 0, 1, -1), np.where(vm > 0, 1, -1)
+        w1, w2, w3 = cf.forms
+        root2 = math.sqrt(2.0)
+        f1 = jets.reciprocal(jets.sqrt(sp * here[0]) * root2)
+        f2 = jets.reciprocal(jets.sqrt(sm * here[1]) * root2)
+        eta1 = (w1 + w2).scaled(f1)
+        eta2 = (w1 - w2).scaled(f2)
+        one_minus_C2 = sp * sm * (here[0] * here[1])
+        eta3 = w3.scaled(-jets.sqrt(one_minus_C2))
+        out = cf.replace(forms=(eta1, eta2, eta3), stage="taut-circle")
+        return out, C, here
+    return cf._cached("taut circle", build)
+
+
+def taut_circle_transform(cf: Coframe, branch: tuple | None = None):
     """Rotate an eps = -1 adapted frame into the taut-circle normal frame.
 
-    Returns (frame, C jet, branch), where branch is the point's
-    (sign(1+C), sign(1-C)); ``taut_circle_field`` holds it fixed over a
-    region.
+    Returns (frame, C jet, branch), the rotation built once per frame.  The
+    sign branch (sign(1+C), sign(1-C)) must be ``branch`` at every column,
+    by default the first column's; ``taut_circle_field`` holds it fixed over
+    a region.  Raises BranchError at the first column where |C| = 1 or
+    where the branch is another.
     """
-    if cf.eps != -1:
-        raise EpsilonMismatch("taut_circle_transform needs eps = -1")
-    C = cached_C(cf)
-    sp = C + 1.0
-    sm = 1.0 - C
-    here = (1 if sp.value > 0 else -1, 1 if sm.value > 0 else -1)
-    if sp.value == 0.0 or sm.value == 0.0:
-        raise BranchError(f"|C| = 1 at {cf.point}: transform undefined")
-    w1, w2, w3 = cf.forms
-    root2 = math.sqrt(2.0)
-    f1 = jets.reciprocal(jets.sqrt(sp * float(here[0])) * root2)
-    f2 = jets.reciprocal(jets.sqrt(sm * float(here[1])) * root2)
-    eta1 = (w1 + w2).scaled(f1)
-    eta2 = (w1 - w2).scaled(f2)
-    one_minus_C2 = sp * sm * float(here[0] * here[1])
-    eta3 = w3.scaled(-jets.sqrt(one_minus_C2))
-    out = cf.replace(forms=(eta1, eta2, eta3), stage="taut-circle")
-    return out, C, here
+    out, C, here = _taut_circle(cf)
+    if branch is None:
+        branch = (int(here[0][0]), int(here[1][0]))
+    _check(cf, (here[0] != branch[0]) | (here[1] != branch[1]),
+           lambda p, a, b: BranchError(
+               f"sign branch of (1+C, 1-C) is {(a, b)} at {p}, "
+               f"{branch} elsewhere in the region"), *here)
+    return out, C, branch
 
 
-def taut_circle_field(frames):
-    """Driver: the taut-circle frames of ``frames``, with the (1+C, 1-C) sign
-    branch fixed over the region; returns (frames, branch)."""
-    branch, outs = None, []
-    for cf in frames:
-        out, _, here = taut_circle_transform(cf)
-        outs.append(out)
-        if branch is None:
-            branch = here
-        elif here != branch:
-            raise BranchError(
-                f"sign branch of (1+C, 1-C) is {here} at {cf.point}, "
-                f"{branch} elsewhere in the region")
-    return tuple(outs), branch
+def taut_circle_field(blocks):
+    """Driver: the (1+C, 1-C) sign branch of the one-adapted stacked
+    ``blocks``, held fixed over the region.  Returns (frames, branch): the
+    frames ``forms.by_block`` ran the rotation on, in sample order, each
+    holding its taut-circle frame, which ``taut_circle_transform(frame,
+    branch)`` reads back.  A block whose pass raises goes column by column,
+    so BranchError names the first column in sample order where |C| = 1 or
+    where the branch is not the first column's."""
+    frames, branch = [], None
+    # each pass reads the branch that the passes before it fixed
+    for cf, (_, _, branch) in by_block(
+            blocks, lambda cf: taut_circle_transform(cf, branch)):
+        frames.append(cf)
+    return tuple(frames), branch
 
 
 def circle_volume_coefficient(cf: Coframe, taut: Coframe, a1: float, a2: float):
@@ -548,7 +567,7 @@ def taut_hyperbola_transform(cf: Coframe):
 
 def hyperbola_residuals(cf: Coframe, taut: Coframe, theta: Jet):
     """Residuals of the two displayed volume identities of the hyperbolic
-    rotation, plus the mixed-volume defect, the jet
+    rotation, one per column, plus the mixed-volume defect, the jet
     (eta1 ^ d eta2 + eta2 ^ d eta1) / volume."""
     Omega = cf.volume()
     w12 = wedge(cf.forms[0], cf.forms[1])
@@ -562,64 +581,76 @@ def hyperbola_residuals(cf: Coframe, taut: Coframe, theta: Jet):
     r2 = cf.ratio(wedge(eta2, d2) - (Omega.scaled(-1.0) - corr))
     mixed = wedge(eta1, d2) + wedge(eta2, d1)
     defect = cf.ratio(mixed)
-    return abs(r1.value), abs(r2.value), defect
+    return abs(_value(r1)), abs(_value(r2)), defect
 
 
 # ---------------------------------------------------------------------------
 # fully symmetric reduction
 
-def cartan_structure_check(frames, tol: Tolerances | None = None):
-    """Detect the reduction with d omega1 = omega2^omega3, d omega2 =
-    eps omega1^omega3, d omega3 = K omega1^omega2 on one-adapted ``frames``.
+def _cartan_asymmetric(cf: Coframe, tol: Tolerances):
+    """Per column, whether the frame fails the symmetry test |omega1 ^
+    d omega2| <= tol.shallow and |omega2 ^ d omega1| <= tol.shallow (over
+    the volume); a NaN fails it."""
+    w1, w2, _ = cf.forms
+    s1 = _value(cf.ratio(wedge(w1, cf.d(1, stage="cartan_check"))))
+    s2 = _value(cf.ratio(wedge(w2, cf.d(0, stage="cartan_check"))))
+    return ~(abs(s1) <= tol.shallow) | ~(abs(s2) <= tol.shallow)
 
-    Returns None when the region fails the symmetry test; otherwise a dict
-    with K values and residuals per point.
+
+def _cartan_row(cf: Coframe) -> dict:
+    """K and the residuals of the reduction, one value per column."""
+    w1, w2, w3 = cf.forms
+    k1 = cf.d_coeffs(0, stage="cartan_check(torsion)")
+    k2 = cf.d_coeffs(1, stage="cartan_check(torsion)")
+    A1, A2 = -k2[(0, 1)], k1[(0, 1)]
+    w3h = w3 + w1.scaled(-A2) + w2.scaled(A1 * (-float(cf.eps)))
+    frame = cf.replace(forms=(w1, w2, w3h), stage="cartan")
+    c = frame.d_coeffs(2, stage="cartan_check(d omega3)")
+    c23, c13, K = c[(1, 2)], c[(0, 2)], c[(0, 1)]
+    t1 = cf.d(0, stage="cartan_check(res)") - wedge(w2, w3h)
+    t2 = cf.d(1, stage="cartan_check(res)") - \
+        wedge(w1, w3h).scaled(float(cf.eps))
+    dK = scalar_d(cf.chart, K, stage="cartan_check(dK)")
+    return {"K": _value(K), "residuals": {
+        "domega1": t1.max_abs_value(),
+        "domega2": t2.max_abs_value(),
+        "domega3_13": abs(_value(c13)),
+        "domega3_23": abs(_value(c23)),
+        "dK_wedge_12": abs(_value(frame.ratio(wedge_all(dK, w1, w2)))),
+    }}
+
+
+def cartan_structure_check(blocks, tol: Tolerances | None = None):
+    """Detect the reduction with d omega1 = omega2^omega3, d omega2 =
+    eps omega1^omega3, d omega3 = K omega1^omega2 on the one-adapted
+    stacked ``blocks``.
+
+    Returns None when any column of any block fails the symmetry test,
+    before K is taken anywhere; otherwise a dict with the points, K values
+    and residuals per point, in sample order.
     """
     tol = tol or Tolerances()
-    eps = frames[0].eps
-    out = {"eps": eps, "points": [], "K": [], "residuals": []}
-    for cf in frames:
-        w1, w2, w3 = cf.forms
-        s1 = cf.ratio(wedge(w1, cf.d(1, stage="cartan_check")))
-        s2 = cf.ratio(wedge(w2, cf.d(0, stage="cartan_check")))
-        if abs(s1.value) > tol.shallow or abs(s2.value) > tol.shallow:
+    for _, asymmetric in by_block(blocks,
+                                  lambda cf: _cartan_asymmetric(cf, tol)):
+        if asymmetric.any():
             return None
-
-    for cf in frames:
-        w1, w2, w3 = cf.forms
-        k1 = cf.d_coeffs(0, stage="cartan_check(torsion)")
-        k2 = cf.d_coeffs(1, stage="cartan_check(torsion)")
-        A1, A2 = -k2[(0, 1)], k1[(0, 1)]
-        w3h = w3 + w1.scaled(-A2) + w2.scaled(A1 * (-float(eps)))
-        frame = cf.replace(forms=(w1, w2, w3h), stage="cartan")
-        c = frame.d_coeffs(2, stage="cartan_check(d omega3)")
-        c23, c13, K = c[(1, 2)], c[(0, 2)], c[(0, 1)]
-        t1 = cf.d(0, stage="cartan_check(res)") - wedge(w2, w3h)
-        t2 = cf.d(1, stage="cartan_check(res)") - \
-            wedge(w1, w3h).scaled(float(eps))
-        res = {
-            "domega1": t1.max_abs_value(),
-            "domega2": t2.max_abs_value(),
-            "domega3_13": abs(c13.value),
-            "domega3_23": abs(c23.value),
-        }
-        dK = scalar_d(cf.chart, K, stage="cartan_check(dK)")
-        res["dK_wedge_12"] = abs(frame.ratio(wedge_all(dK, w1, w2)).value)
-        out["points"].append(cf.point)
-        out["K"].append(K.value)
-        out["residuals"].append(res)
-    return out
+    rows = list(block_rows([p for cf in blocks for p in _points(cf)], blocks,
+                           _cartan_row))
+    return {"eps": blocks[0].eps, "points": [p for p, _ in rows],
+            "K": [row["K"] for _, row in rows],
+            "residuals": [row["residuals"] for _, row in rows]}
 
 
 # ---------------------------------------------------------------------------
 # invariant coordinates from (C, C3, C33)
 
 def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
-    """On a case-2 adapted frame: the C-coordinate volume identity.
+    """On a stacked case-2 adapted frame: the C-coordinate volume identity.
 
     Returns a dict with C, C3, C33, C333, the honest ratio
     (dC ^ dC3 ^ dC33)/Omega, its closed-form prediction, and the comparison
-    of dC ^ dC3 against its displayed coframe expansion.
+    of dC ^ dC3 against its displayed coframe expansion, each an (N,) array,
+    one value per column.
     """
     tol = tol or Tolerances()
     if cf2.stage != "case2-adapted":
@@ -639,24 +670,27 @@ def invariant_coords(cf2: Coframe, tol: Tolerances | None = None):
     zeta = jets.atan2(B2, B1)
     zeta3 = one_form_coeffs(
         scalar_d(cf2.chart, zeta, stage="invariant_coords(zeta3)"), cf2)[2]
-    cz = math.cos(zeta.value)
-    sz = math.sin(zeta.value)
-    predicted = -C3.value ** 3 * (
-        1.0 - (1 + eps) * cz * cz + 2.0 * C.value * sz * cz + zeta3.value)
+    C, C3, lhs = _value(C), _value(C3), _value(lhs)
+    z = _value(zeta)
+    cz, sz = _per_column(math.cos, z), _per_column(math.sin, z)
+    predicted = _per_column(lambda v: -v ** 3, C3) * (
+        1.0 - (1 + eps) * cz * cz + 2.0 * C * sz * cz + _value(zeta3))
 
     pair = wedge(dC, dC3)
     pc = two_form_coeffs(pair, cf2)
+    C3sq = _per_column(lambda v: v ** 2, C3)
     pair_res = {
-        "coeff_13_minus_C3sq_sin": abs(pc[(0, 2)].value - C3.value ** 2 * sz),
-        "coeff_23_minus_delta_C3sq_cos": abs(pc[(1, 2)].value - C3.value ** 2 * cz),
-        "coeff_12": abs(pc[(0, 1)].value),
+        "coeff_13_minus_C3sq_sin": abs(_value(pc[(0, 2)]) - C3sq * sz),
+        "coeff_23_minus_delta_C3sq_cos": abs(_value(pc[(1, 2)]) - C3sq * cz),
+        "coeff_12": abs(_value(pc[(0, 1)])),
     }
-    degenerate = abs(lhs.value) <= tol.deep * max(1.0, abs(C3.value) ** 3)
+    degenerate = abs(lhs) <= tol.deep * _per_column(
+        lambda v: max(1.0, abs(v) ** 3), C3)
     return {
-        "C": C.value, "C3": C3.value, "C33": C33.value, "C333": C333.value,
-        "zeta": zeta.value, "zeta3": zeta3.value,
-        "volume_ratio": lhs.value, "predicted": predicted,
-        "identity_residual": abs(lhs.value - predicted),
+        "C": C, "C3": C3, "C33": _value(C33), "C333": _value(C333),
+        "zeta": z, "zeta3": _value(zeta3),
+        "volume_ratio": lhs, "predicted": predicted,
+        "identity_residual": abs(lhs - predicted),
         "pair_expansion_residuals": pair_res,
         "degenerate": degenerate,
     }
@@ -676,7 +710,7 @@ def _dC_record(cf: Coframe, case: str) -> InvariantRecord:
 
 
 def _split_record(rec: InvariantRecord) -> list:
-    """The one-point records of a stacked frame's record, in column order.
+    """The per-point records of a stacked frame's record, in column order.
     A residual that is a list holds None where a column has no such
     entry."""
     values = {f.name: getattr(rec, f.name).tolist() for f in fields(rec)
@@ -696,9 +730,8 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
     Returns a dict: eps, case, the per-point records in sample order, the
     one-adapted ``blocks`` and, in cases 1 and 2, the fully
     ``adapted_blocks``: stacked frames whose columns are the sample points
-    in order, each with the memo its stages filled (``forms.unstack``
-    splits one into its frames).  Case-specific adaptation failures
-    propagate.
+    in order, each with the memo its stages filled.  Case-specific
+    adaptation failures propagate.
     """
     tol = tol or Tolerances()
     blocks = one_adapt(fld, points, order)
@@ -718,42 +751,35 @@ def analyze(fld: CoframeField, points, order, tol: Tolerances | None = None):
 
 
 # ---------------------------------------------------------------------------
-# values of one-point and stacked frames
+# values of stacked frames
 
 def _each(x) -> list:
-    """The values of ``x`` per column, as Python numbers: [x] for a float,
-    the entries of an (N,) array or a list."""
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    return x if isinstance(x, list) else [x]
+    """The values of ``x`` per column, as Python numbers: the entries of an
+    (N,) array or a list."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
 
 
 def _points(cf: Coframe) -> list:
     """The sample point of each column of a frame, as tuples of floats."""
-    if not _stacked(cf):
-        return [cf.point]
     return list(zip(*(x.tolist() for x in cf.point)))
 
 
 def _per_column(fn, *values):
-    """``fn`` of floats, or of each column's floats where the values are
-    (N,) arrays, as an array: the one-point arithmetic at every point,
-    for the functions (``math``, ``**``) whose NumPy form may round
-    otherwise."""
-    if not isinstance(values[0], np.ndarray):
-        return fn(*values)
+    """``fn`` of each column's floats of the (N,) arrays ``values``, as an
+    array: the one-point arithmetic at every point, for the functions
+    (``math``, ``**``) whose NumPy form may round otherwise."""
     return np.array([fn(*v) for v in zip(*(x.tolist() for x in values))])
 
 
 def _klass(C, eps):
-    """The ``classify`` tag of C, per column for an (N,) array."""
+    """The ``classify`` tag of each column of C."""
     return _per_column(lambda c: classify(c, eps)[0], C)
 
 
 def _check(cf: Coframe, fails, error, *values):
     """Raise ``error(point, *values)``, at the first column of ``cf`` where
-    ``fails`` holds, with that column's point and values as Python floats,
-    so its text is the one-point path's."""
+    ``fails`` holds, with that column's point and values as Python numbers,
+    so its text does not depend on the block the column is in."""
     if np.any(fails):
         k = int(np.argmax(fails))
         raise error(_points(cf)[k], *(_each(v)[k] for v in values))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from bicontact.forms import unstack
+from bicontact import jets
+from bicontact.forms import PForm, _keys
 from bicontact.pipeline import one_adapt
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -24,11 +25,19 @@ def box_points(box, n, seed=0):
     return [tuple(float(x) for x in row) for row in pts]
 
 
-def one_adapted_frames(fld, points, order):
-    """The one-adapted frames of ``pipeline.one_adapt``'s stacked blocks,
-    one per point, in sample order."""
-    return [cf for block in one_adapt(fld, points, order)
-            for cf in unstack(block)]
+def one_adapted_block(fld, points, order):
+    """The one-adapted frames at ``points``, at most ``forms.STACK_BLOCK``
+    of them, as the one stacked block of ``pipeline.one_adapt``."""
+    (block,) = one_adapt(fld, points, order)
+    return block
+
+
+def zero_form(chart, degree, order, points=()):
+    """The zero degree-form at truncation ``order``, with a point axis of
+    shape ``points`` after its coefficient axis where one is given."""
+    return PForm._of(chart, degree, order, np.zeros(
+        (len(_keys(chart.dim, degree)), jets.ncoeffs(chart.dim, order),
+         *points)))
 
 
 @pytest.fixture

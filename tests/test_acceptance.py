@@ -22,14 +22,15 @@ from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressio
 from bicontact.fourdim import (QOde, compute_E, curvature4, normal_form_4d,
                                solve_q, symp_structure,
                                symplectic_quadratic_check, verify_normal_form)
-from bicontact.jets import Jet
+from bicontact.jets import Jet, _value
 from bicontact.pipeline import (Tolerances, analyze, case2_adapt,
                                 cartan_structure_check, circle_volume_coefficient,
                                 compute_C, hyperbola_residuals,
                                 invariant_coords, mixed_circle_coefficient,
                                 predicted_circle_coefficient,
-                                taut_circle_field, taut_hyperbola_transform)
-from conftest import box_points, one_adapted_frames
+                                taut_circle_field, taut_circle_transform,
+                                taut_hyperbola_transform)
+from conftest import box_points, one_adapted_block, zero_form
 
 TOL = Tolerances()
 THREE_D = ("hyp_c3", "torus_constC", "normal_form_3d", "eta_frame",
@@ -55,9 +56,9 @@ def test_criterion_01_invariant_equals_z():
         for c3 in ("1", "1+z^2"):
             spec = build_example("hyp_c3", eps=eps, c3=c3)
             pts = box_points(spec.box, 5, seed=101)
-            frames = one_adapted_frames(spec.coframes(), pts, 6)
-            for p, cf in zip(pts, frames):
-                worst = max(worst, abs(compute_C(cf).value - p[2]))
+            cf = one_adapted_block(spec.coframes(), pts, 6)
+            for p, C in zip(pts, _value(compute_C(cf)).tolist()):
+                worst = max(worst, abs(C - p[2]))
     _finish(1, "mixed-family invariant", worst <= 1e-9,
             f"max |C - z| = {worst:.2e}", time.perf_counter() - t0, 1.0)
 
@@ -68,12 +69,13 @@ def test_criterion_02_one_adaptation_volumes():
     for name in THREE_D:
         spec = build_example(name)
         pts = box_points(spec.box, 4, seed=102)
-        for cf in one_adapted_frames(spec.coframes(), pts, 6):
-            vol = cf.volume()
-            r1 = top_ratio(wedge(cf.forms[0], ext_d(cf.forms[0])) - vol, vol)
-            r2 = top_ratio(wedge(cf.forms[1], ext_d(cf.forms[1]))
-                           + vol.scaled(float(cf.eps)), vol)
-            worst = max(worst, abs(r1.value), abs(r2.value))
+        cf = one_adapted_block(spec.coframes(), pts, 6)
+        vol = cf.volume()
+        r1 = top_ratio(wedge(cf.forms[0], ext_d(cf.forms[0])) - vol, vol)
+        r2 = top_ratio(wedge(cf.forms[1], ext_d(cf.forms[1]))
+                       + vol.scaled(float(cf.eps)), vol)
+        worst = max(worst, *abs(_value(r1)).tolist(),
+                    *abs(_value(r2)).tolist())
     _finish(2, "unit self-volumes", worst <= 1e-9,
             f"max residual = {worst:.2e}", time.perf_counter() - t0, 1.0)
 
@@ -86,17 +88,19 @@ def test_criterion_03_taut_circle_both_regions():
                (((-0.8, 0.8), (-0.8, 0.8), (1.1, 1.6)), -1)]
     for box, sign in regions:
         pts = box_points(box, 3, seed=103)
-        frames = one_adapted_frames(spec.coframes(), pts, 7)
-        tauts, _ = taut_circle_field(frames)
-        for p, cf, taut in zip(pts, frames, tauts):
+        (cf,), branch = taut_circle_field(
+            [one_adapted_block(spec.coframes(), pts, 7)])
+        taut = taut_circle_transform(cf, branch)[0]
+        got = [_value(circle_volume_coefficient(cf, taut, a1, a2)).tolist()
+               for a1, a2 in UNIT_AS]
+        mixed = _value(mixed_circle_coefficient(cf, taut)).tolist()
+        for k, p in enumerate(pts):
             z = p[2]
-            for a1, a2 in UNIT_AS:
-                got = circle_volume_coefficient(cf, taut, a1, a2).value
+            for (a1, a2), column in zip(UNIT_AS, got):
                 want = predicted_circle_coefficient(z, 1.0, a1, a2)
-                worst_a = max(worst_a, abs(got - want))
-            mixed = mixed_circle_coefficient(cf, taut).value
+                worst_a = max(worst_a, abs(column[k] - want))
             want_mixed = sign / abs(1.0 - z * z) ** 1.5
-            worst_mixed = max(worst_mixed, abs(mixed - want_mixed))
+            worst_mixed = max(worst_mixed, abs(mixed[k] - want_mixed))
     ok = worst_a <= 1e-8 and worst_mixed <= 1e-8
     _finish(3, "taut circle volumes", ok,
             f"per-a {worst_a:.2e}, mixed {worst_mixed:.2e}",
@@ -109,10 +113,11 @@ def test_criterion_04_taut_hyperbola_identities():
     for name, params in (("hyp_c3", {"eps": 1}), ("torus_constC", {})):
         spec = build_example(name, **params)
         pts = box_points(spec.box, 4, seed=104)
-        for cf in one_adapted_frames(spec.coframes(), pts, 7):
-            taut, C, theta = taut_hyperbola_transform(cf)
-            r1, r2, defect = hyperbola_residuals(cf, taut, theta)
-            worst = max(worst, r1, r2, abs(defect.value))
+        cf = one_adapted_block(spec.coframes(), pts, 7)
+        taut, C, theta = taut_hyperbola_transform(cf)
+        r1, r2, defect = hyperbola_residuals(cf, taut, theta)
+        worst = max(worst, *r1.tolist(), *r2.tolist(),
+                    *abs(_value(defect)).tolist())
     _finish(4, "taut hyperbola volumes", worst <= 1e-8,
             f"max residual = {worst:.2e}", time.perf_counter() - t0, 2.0)
 
@@ -125,17 +130,19 @@ def test_criterion_05_normal_form_family():
             for g in ("0", "exp(x)"):
                 spec = build_example("normal_form_3d", eps=eps, f=f, g=g)
                 pts = box_points(spec.box, 3, seed=105)
-                frames = one_adapted_frames(spec.coframes(), pts, 8)
-                for p, cf in zip(pts, frames):
-                    _, rec, _ = case2_adapt(cf)
-                    worst_res = max(worst_res,
-                                    rec.residuals["domega1_23_minus_1"],
-                                    rec.residuals["domega2_13_minus_eps"])
-                    worst_A = max(worst_A, abs(rec.A1), abs(rec.A2))
+                cf = one_adapted_block(spec.coframes(), pts, 8)
+                _, rec, _ = case2_adapt(cf)
+                res = rec.residuals
+                worst_res = max(worst_res,
+                                *res["domega1_23_minus_1"].tolist(),
+                                *res["domega2_13_minus_eps"].tolist())
+                worst_A = max(worst_A, *abs(rec.A1).tolist(),
+                              *abs(rec.A2).tolist())
+                for p, C in zip(pts, rec.C.tolist()):
                     x = p[0]
                     want = (1.0 / math.tan(2 * x) if eps == 1
                             else -1.0 / math.sin(2 * x))
-                    worst_C = max(worst_C, abs(rec.C - want))
+                    worst_C = max(worst_C, abs(C - want))
     ok = worst_res <= 1e-7 and worst_A <= 1e-7 and worst_C <= 1e-7
     _finish(5, "adapted normal-form family", ok,
             f"struct {worst_res:.2e}, torsion {worst_A:.2e}, C {worst_C:.2e}",
@@ -146,16 +153,14 @@ def test_criterion_06_eta_frame_invariants():
     t0 = time.perf_counter()
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=106)
-    frames = one_adapted_frames(spec.coframes(), pts, 8)
-    worst_B, worst_res, worst_C, worst_id = 0.0, 0.0, 0.0, 0.0
-    for p, cf in zip(pts, frames):
-        out, rec, _ = case2_adapt(cf)
-        worst_B = max(worst_B, rec.residuals["B_unit"])
-        worst_res = max(worst_res, rec.residuals["domega1_23_minus_1"],
-                        rec.residuals["domega2_13_minus_eps"])
-        x, y, _z = p
-        worst_C = max(worst_C, abs(rec.C - 1.0 / (math.sin(2 * x) * y)))
-        worst_id = max(worst_id, invariant_coords(out, TOL)["identity_residual"])
+    out, rec, _ = case2_adapt(one_adapted_block(spec.coframes(), pts, 8))
+    res = rec.residuals
+    worst_B = max(res["B_unit"].tolist())
+    worst_res = max(*res["domega1_23_minus_1"].tolist(),
+                    *res["domega2_13_minus_eps"].tolist())
+    worst_C = max(abs(C - 1.0 / (math.sin(2 * x) * y))
+                  for (x, y, _z), C in zip(pts, rec.C.tolist()))
+    worst_id = max(invariant_coords(out, TOL)["identity_residual"].tolist())
     ok = (worst_B <= 1e-8 and worst_res <= 1e-7 and worst_C <= 1e-8
           and worst_id <= 1e-6)
     _finish(6, "eta-frame invariants", ok,
@@ -168,19 +173,17 @@ def test_criterion_07_constant_invariant_curvature():
     psi = 0.3
     spec = build_example("torus_constC", psi=psi)
     pts = box_points(spec.box, 10, seed=107)
-    frames = one_adapted_frames(spec.coframes(), pts, 7)
-    cs = np.array([compute_C(cf).value for cf in frames])
+    cf = one_adapted_block(spec.coframes(), pts, 7)
+    cs = _value(compute_C(cf))
     cosh2 = math.cosh(2 * psi) ** 2
-    worst_curv, worst_leaf = 0.0, 0.0
-    for cf in frames[:4]:
-        curv = curvature(levi_civita(cf))
-        worst_curv = max(
-            worst_curv,
-            abs(curv.coefficient(0, 1, 0, 1).value - cosh2),
-            abs(curv.coefficient(0, 2, 0, 2).value + cosh2),
-            abs(curv.coefficient(1, 2, 1, 2).value + cosh2))
-        leaf = leaf_geometry(cf)
-        worst_leaf = max(worst_leaf, abs(leaf.H), abs(leaf.K_leaf))
+    # the first four points
+    curv = curvature(levi_civita(cf))
+    worst_curv = max(
+        *abs(_value(curv.coefficient(0, 1, 0, 1))[:4] - cosh2).tolist(),
+        *abs(_value(curv.coefficient(0, 2, 0, 2))[:4] + cosh2).tolist(),
+        *abs(_value(curv.coefficient(1, 2, 1, 2))[:4] + cosh2).tolist())
+    leaf = leaf_geometry(cf)
+    worst_leaf = max(*abs(leaf.H[:4]).tolist(), *abs(leaf.K_leaf[:4]).tolist())
     ok = (cs.std() <= 1e-10 and abs(cs.mean() - math.sinh(2 * psi)) <= 1e-10
           and worst_curv <= 1e-7 and worst_leaf <= 1e-8)
     _finish(7, "constant-C curvature", ok,
@@ -202,17 +205,18 @@ def test_criterion_08_leaf_curvature_oracles():
     for name, eps in (("eta_frame", -1), ("normal_form_3d", 1)):
         spec = build_example(name)
         pts = box_points(spec.box, 3, seed=108)
-        for cf in one_adapted_frames(spec.coframes(), pts, 8):
-            out, rec, _ = case2_adapt(cf)
-            conn = levi_civita(out)
-            curv = curvature(conn)
-            leaf = leaf_geometry(out, conn, curv)
-            want = rec.A3 ** 2 - rec.C ** 2 - 0.5 * (1 + eps)
-            (s11, s12), (s21, s22) = leaf.shape
-            theta = curv.coefficient(0, 1, 0, 1).value
-            worst_H = max(worst_H, abs(leaf.H - rec.A3))
-            worst_det = max(worst_det, abs(s11 * s22 - s12 * s21 - want))
-            worst_gauss = max(worst_gauss, abs(leaf.K_leaf - theta - want))
+        out, rec, _ = case2_adapt(one_adapted_block(spec.coframes(), pts, 8))
+        conn = levi_civita(out)
+        curv = curvature(conn)
+        leaf = leaf_geometry(out, conn, curv)
+        want = rec.A3 ** 2 - rec.C ** 2 - 0.5 * (1 + eps)
+        (s11, s12), (s21, s22) = leaf.shape
+        theta = _value(curv.coefficient(0, 1, 0, 1))
+        worst_H = max(worst_H, *abs(leaf.H - rec.A3).tolist())
+        worst_det = max(worst_det,
+                        *abs(s11 * s22 - s12 * s21 - want).tolist())
+        worst_gauss = max(worst_gauss,
+                          *abs(leaf.K_leaf - theta - want).tolist())
     ok = worst_H <= 1e-6 and worst_det <= 1e-6 and worst_gauss <= 1e-6
     _finish(8, "case-2 leaf oracles", ok,
             f"|H - A3| {worst_H:.2e}, |detS - formula| {worst_det:.2e}, "
@@ -226,24 +230,22 @@ def test_criterion_09_fourdim_pattern():
     for name in ("fourd_ezero", "fourd_enonzero"):
         spec = build_example(name)
         pts = box_points(spec.box, 3, seed=109)
-        for p in pts:
-            cf = spec.coframes().at(p, 6)
-            F = symp_structure(cf)
-            E = compute_E(cf).value
+        (cf,) = spec.coframes().blocks(pts, 6)
+        F = symp_structure(cf)
+        for p, E in zip(pts, _value(compute_E(cf)).tolist()):
             if name == "fourd_ezero":
                 worst_E0 = max(worst_E0, abs(E))
             else:
                 x, y, z, w = p
                 want = math.exp(2 * w - y * (x + z)) / y
                 worst_E = max(worst_E, abs(E - want) / abs(want))
-            quad = symplectic_quadratic_check(F, [(1.0, 0.0), (0.3, -0.7)])
-            worst_quad = max(worst_quad, quad["quad11"], quad["quad22"],
-                             quad["quad12"])
-            rep = curvature4(F)
-            worst_curv = max(worst_curv, rep.residuals["scalar"],
-                             rep.residuals["pfaffian"],
-                             rep.residuals["theta34"],
-                             rep.residuals["leaf_trace"])
+        quad = symplectic_quadratic_check(F, [(1.0, 0.0), (0.3, -0.7)])
+        worst_quad = max(worst_quad, *quad["quad11"].tolist(),
+                         *quad["quad22"].tolist(), *quad["quad12"].tolist())
+        res = curvature4(F).residuals
+        worst_curv = max(worst_curv, *(v for key in ("scalar", "pfaffian",
+                                                     "theta34", "leaf_trace")
+                                       for v in res[key].tolist()))
     ok = (worst_E0 <= 1e-10 and worst_E <= 1e-9 and worst_quad <= 1e-9
           and worst_curv <= 1e-6)
     _finish(9, "4D pattern identities", ok,
@@ -316,7 +318,7 @@ def test_criterion_11_calculus_infrastructure():
                            for j in range(3)}) for i in range(3)]
     frame = Coframe(ch, point, tuple(forms))
     cs = one_form_coeffs(a, frame)
-    rebuilt = PForm.zero(ch, 1, a.order)
+    rebuilt = zero_form(ch, 1, a.order)
     for c, w in zip(cs, frame.forms):
         rebuilt = rebuilt + w.scaled(c)
     recon = (rebuilt - a).max_abs_value()
@@ -347,12 +349,12 @@ def test_criterion_12_sphere_reduction():
     t0 = time.perf_counter()
     spec = build_example("sphere_frame")
     pts = box_points(spec.box, 4, seed=113)
-    frames = one_adapted_frames(spec.coframes(), pts, 7)
-    out = cartan_structure_check(frames, TOL)
+    cf = one_adapted_block(spec.coframes(), pts, 7)
+    out = cartan_structure_check([cf], TOL)
     assert out is not None
     worst_K = max(abs(k - 1.0) for k in out["K"])
     worst_dK = max(r["dK_wedge_12"] for r in out["residuals"])
-    worst_C = max(abs(compute_C(cf).value) for cf in frames)
+    worst_C = max(abs(_value(compute_C(cf))).tolist())
     ok = worst_K <= 1e-8 and worst_C <= 1e-10 and worst_dK <= 1e-10
     _finish(12, "sphere-frame reduction", ok,
             f"K {worst_K:.2e}, C {worst_C:.2e}, dK {worst_dK:.2e}",

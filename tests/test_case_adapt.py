@@ -8,12 +8,12 @@ import pytest
 from bicontact import jets
 from bicontact.errors import CriticalPoint, DegenerateB, StructureMismatch
 from bicontact.examples import build_example
-from bicontact.forms import unstack
 from bicontact.inputfile import load_coframe
-from bicontact.jets import Jet
-from bicontact.pipeline import (Tolerances, _dC_data, analyze, case1_adapt,
-                                case2_adapt, case_detect)
-from conftest import DATA, box_points, one_adapted_frames
+from bicontact.jets import Jet, _value
+from bicontact.pipeline import (Tolerances, _dC_data, _points, _split_record,
+                                analyze, case1_adapt, case2_adapt,
+                                case_detect)
+from conftest import DATA, box_points, one_adapted_block
 
 TOL = Tolerances()
 
@@ -31,25 +31,27 @@ def _beta(x, y):
 def test_case2_on_normal_form(eps):
     spec = build_example("normal_form_3d", eps=eps, f="sin(x)", g="exp(x)")
     pts = box_points(spec.box, 4, seed=21)
-    frames = one_adapted_frames(spec.coframes(), pts, 8)
-    for p, cf in zip(pts, frames):
-        out, rec, extras = case2_adapt(cf)
+    out, stacked, extras = case2_adapt(
+        one_adapted_block(spec.coframes(), pts, 8))
+    assert out.stage == "case2-adapted"
+    A3 = _value(extras["A3"]).tolist()
+    for k, (p, rec) in enumerate(zip(pts, _split_record(stacked))):
         x = p[0]
         want_C = 1.0 / math.tan(2 * x) if eps == 1 else -1.0 / math.sin(2 * x)
         assert rec.C == pytest.approx(want_C, abs=1e-9)
         assert abs(rec.A1) < 1e-8 and abs(rec.A2) < 1e-8
         assert set(rec.residuals) == CASE2_KEYS
         assert max(rec.residuals.values()) < 1e-7
-        assert out.stage == "case2-adapted"
-        assert extras["A3"].value == pytest.approx(rec.A3)
+        assert A3[k] == pytest.approx(rec.A3)
 
 
 def test_case2_on_eta_frame():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 4, seed=22)
-    frames = one_adapted_frames(spec.coframes(), pts, 8)
-    for p, cf in zip(pts, frames):
-        _, rec, extras = case2_adapt(cf)
+    _, stacked, extras = case2_adapt(
+        one_adapted_block(spec.coframes(), pts, 8))
+    B1, B2 = (_value(extras[key]).tolist() for key in ("B1", "B2"))
+    for k, (p, rec) in enumerate(zip(pts, _split_record(stacked))):
         x, y, _ = p
         assert rec.C == pytest.approx(1.0 / (math.sin(2 * x) * y), abs=1e-9)
         assert rec.residuals["B_unit"] < 1e-8
@@ -59,19 +61,21 @@ def test_case2_on_eta_frame():
         want = "elliptic" if abs(rec.C) < 1 else "hyperbolic"
         assert rec.klass == want
         # B-phase consistency: (B1, B2) = (cos zeta, sin zeta)
-        assert extras["B1"].value == pytest.approx(math.cos(rec.zeta), abs=1e-9)
-        assert extras["B2"].value == pytest.approx(math.sin(rec.zeta), abs=1e-9)
+        assert B1[k] == pytest.approx(math.cos(rec.zeta), abs=1e-9)
+        assert B2[k] == pytest.approx(math.sin(rec.zeta), abs=1e-9)
 
 
 def test_case1_fixture_closed_form_invariant():
     fld = load_coframe(DATA / "case1_frame.txt")
     pts = [(0.3, -0.4, 0.2), (-0.5, 0.6, -0.3), (0.1, 0.7, 0.5),
            (-0.2, -0.6, -0.7)]
-    adapted = one_adapted_frames(fld, pts, 8)
-    assert all(cf.eps == -1 for cf in adapted)
-    assert case_detect(adapted) == "case1"
-    for p, cf in zip(pts, adapted):
-        out, rec, extras = case1_adapt(cf, TOL)
+    adapted = one_adapted_block(fld, pts, 8)
+    assert adapted.eps == -1
+    assert case_detect([adapted]) == "case1"
+    out, stacked, extras = case1_adapt(adapted, TOL)
+    assert out.stage == "case1-adapted"
+    det = _value(extras["det"]).tolist()
+    for k, (p, rec) in enumerate(zip(pts, _split_record(stacked))):
         assert rec.C == pytest.approx(math.cos(_beta(p[0], p[1])), abs=1e-12)
         assert abs(rec.A1) < 1e-12 and abs(rec.A2) < 1e-12
         assert set(rec.residuals) == CASE1_KEYS  # B3 large: no closed forms
@@ -80,11 +84,10 @@ def test_case1_fixture_closed_form_invariant():
         assert rec.residuals["A3_cross_check"] < 1e-11
         assert rec.residuals["C_unit"] < 1e-12
         assert rec.residuals["rho_fit"] < 1e-11
-        assert abs(extras["det"].value) > 0.1
+        assert abs(det[k]) > 0.1
         assert abs(rec.B3) > 1.0
         assert rec.klass == "elliptic"
-        assert out.stage == "case1-adapted"
-        assert extras["det"].value == pytest.approx(
+        assert det[k] == pytest.approx(
             rec.A3 ** 2 - rec.C ** 2 + 1.0, abs=1e-9)
 
 
@@ -105,7 +108,8 @@ def _probe_translation(cf):
         return -k2[(0, 1)], k1[(0, 1)]
 
     order = min(f.order for f in (w1h, w2h, w3))
-    zero, one = (Jet.constant(v, cf.dim, order) for v in (0.0, 1.0))
+    zero, one = (Jet.constant([v] * len(cf.point[0]), cf.dim, order)
+                 for v in (0.0, 1.0))
     a10, a20 = probe(zero, zero)
     a11, a21 = probe(one, zero)
     a12, a22 = probe(zero, one)
@@ -118,7 +122,8 @@ def _probe_translation(cf):
 
 
 def _rel_dev(got: Jet, want: Jet) -> float:
-    """Largest coefficient deviation over the jet's max-norm (at least 1)."""
+    """Largest coefficient deviation over the jet's max-norm (at least 1),
+    over all its points."""
     return float(abs(got.c - want.c).max() / max(1.0, abs(want.c).max()))
 
 
@@ -130,13 +135,13 @@ def test_case1_closed_form_translation_matches_the_probe_solve(order):
     fld = load_coframe(DATA / "case1_frame.txt")
     pts = [(0.3, -0.4, 0.2), (-0.5, 0.6, -0.3), (0.1, 0.7, 0.5),
            (-0.2, -0.6, -0.7)]
-    for cf in one_adapted_frames(fld, pts, order):
-        out, _, extras = case1_adapt(cf, TOL)
-        w3, det = _probe_translation(cf)
-        assert _rel_dev(extras["det"], det) <= 1e-12
-        assert sorted(out.forms[2].coeffs) == sorted(w3.coeffs)
-        for key, coeff in w3.coeffs.items():
-            assert _rel_dev(out.forms[2].coeffs[key], coeff) <= 1e-12
+    cf = one_adapted_block(fld, pts, order)
+    out, _, extras = case1_adapt(cf, TOL)
+    w3, det = _probe_translation(cf)
+    assert _rel_dev(extras["det"], det) <= 1e-12
+    assert sorted(out.forms[2].coeffs) == sorted(w3.coeffs)
+    for key, coeff in w3.coeffs.items():
+        assert _rel_dev(out.forms[2].coeffs[key], coeff) <= 1e-12
 
 
 def test_analyze_routes_case1():
@@ -149,36 +154,32 @@ def test_analyze_routes_case1():
     assert "adapted_blocks" in out
     (block,) = out["adapted_blocks"]
     assert block.stage == "case1-adapted"
-    assert [cf.point for cf in unstack(block)] == pts
+    assert _points(block) == pts
 
 
 def test_case1_on_case2_data_raises():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 2, seed=23)
-    frames = one_adapted_frames(spec.coframes(), pts, 8)
     with pytest.raises(StructureMismatch):
-        case1_adapt(frames[0], TOL)
+        case1_adapt(one_adapted_block(spec.coframes(), pts, 8), TOL)
 
 
 def test_case2_on_case1_data_raises():
     fld = load_coframe(DATA / "case1_frame.txt")
     pts = [(0.3, -0.4, 0.2)]
-    adapted = one_adapted_frames(fld, pts, 8)
     with pytest.raises(CriticalPoint):
-        case2_adapt(adapted[0])
+        case2_adapt(one_adapted_block(fld, pts, 8))
 
 
 def test_case2_on_case3_data_raises():
     spec = build_example("hyp_c3")
     pts = [(0.1, 0.2, 0.4)]
-    frames = one_adapted_frames(spec.coframes(), pts, 7)
     with pytest.raises(DegenerateB):
-        case2_adapt(frames[0])
+        case2_adapt(one_adapted_block(spec.coframes(), pts, 7))
 
 
 def test_case2_at_critical_point_raises():
     spec = build_example("torus_constC")
     pts = [(0.3, 0.1, 0.2)]
-    frames = one_adapted_frames(spec.coframes(), pts, 7)
     with pytest.raises(CriticalPoint):
-        case2_adapt(frames[0])
+        case2_adapt(one_adapted_block(spec.coframes(), pts, 7))

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from bicontact.examples import EXAMPLES, build_example
+from bicontact.forms import PForm
 from bicontact.inputfile import CoframeSpec, parse_coframe_text
+from bicontact.jets import _value
 from bicontact.pipeline import (Tolerances, analyze, cartan_structure_check,
-                                compute_C, compute_C3)
-from conftest import box_points, one_adapted_frames
+                                compute_C3, one_adapt)
+from conftest import box_points, one_adapted_block
 
 TOL = Tolerances()
 ALL_NAMES = {"hyp_c3", "torus_constC", "normal_form_3d", "eta_frame",
@@ -58,29 +60,60 @@ def test_parameters_change_the_rows():
 def test_hyp_c3_third_derivative_table():
     spec = build_example("hyp_c3", c3="1+z^2")
     pts = box_points(spec.box, 4, seed=51)
-    for p, cf in zip(pts, one_adapted_frames(spec.coframes(), pts, 7)):
-        C = compute_C(cf)
-        C3, _, _ = compute_C3(cf)
-        assert C3.value == pytest.approx(1.0 + p[2] ** 2, abs=1e-9)
+    C3, _, _ = compute_C3(one_adapted_block(spec.coframes(), pts, 7))
+    assert _value(C3) == pytest.approx([1.0 + p[2] ** 2 for p in pts],
+                                       abs=1e-9)
 
 
 def test_sphere_frame_reduces_with_unit_K():
     spec = build_example("sphere_frame")
     pts = box_points(spec.box, 4, seed=52)
-    frames = one_adapted_frames(spec.coframes(), pts, 7)
-    out = cartan_structure_check(frames, TOL)
+    out = cartan_structure_check(
+        [one_adapted_block(spec.coframes(), pts, 7)], TOL)
     assert out is not None
     assert out["eps"] == -1
+    assert out["points"] == pts
     for K, res in zip(out["K"], out["residuals"]):
         assert K == pytest.approx(1.0, abs=1e-8)
         assert max(res.values()) < 1e-8
 
 
+def test_sphere_frame_reduction_over_two_blocks_is_each_points_own():
+    # 40 points span two blocks of forms.STACK_BLOCK; every point's K and
+    # residuals are bit-equal to those of the point's stack of one
+    spec = build_example("sphere_frame")
+    pts = box_points(spec.box, 40, seed=56)
+    blocks = one_adapt(spec.coframes(), pts, 7)
+    assert len(blocks) == 2
+    out = cartan_structure_check(blocks, TOL)
+    ones = cartan_structure_check(
+        [one_adapted_block(spec.coframes(), [p], 7) for p in pts], TOL)
+    assert out["points"] == ones["points"] == pts
+    assert np.array(out["K"]).tobytes() == np.array(ones["K"]).tobytes()
+    assert out["residuals"] == ones["residuals"]
+
+
 def test_generic_frames_do_not_reduce():
     spec = build_example("eta_frame")
     pts = box_points(spec.box, 3, seed=53)
-    frames = one_adapted_frames(spec.coframes(), pts, 7)
-    assert cartan_structure_check(frames, TOL) is None
+    assert cartan_structure_check(
+        [one_adapted_block(spec.coframes(), pts, 7)], TOL) is None
+
+
+def test_a_nan_column_fails_the_symmetry_test():
+    # omega1 ^ d omega2 is NaN at the 35th of 40 sphere_frame points only,
+    # whose volume stays finite: that point is not symmetric, so the region
+    # does not reduce
+    spec = build_example("sphere_frame")
+    pts = box_points(spec.box, 40, seed=57)
+    first, second = one_adapt(spec.coframes(), pts, 7)
+    assert cartan_structure_check((first, second), TOL) is not None
+    w1, w2, w3 = second.forms
+    c = w2.c.copy()
+    c[:, 1:, 2] = np.nan        # every derivative of omega2 there
+    nan_w2 = PForm._of(w2.chart, w2.degree, w2.order, c)
+    second = second.replace(forms=(w1, nan_w2, w3))
+    assert cartan_structure_check((first, second), TOL) is None
 
 
 def test_expected_epsilon_matches_analysis():

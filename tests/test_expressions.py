@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bicontact import expressions as ex, jets
 from bicontact.errors import DomainError, ParseError, UnknownIdentifier
-from bicontact.forms import Chart, coframe_field_from_expressions, unstack
+from bicontact.forms import Chart, coframe_field_from_expressions
 from bicontact.jets import Jet
 
 
@@ -263,9 +263,10 @@ def test_tape_matches_the_recursive_evaluator(roots, points, order):
         together = _outcome(lambda: _columns(
             tape.run(_coordinates(points), order, coords, params),
             len(points)))
-        frames = _outcome(lambda: [[f.coeffs[(0,)] for f in cf.forms]
-                                   for block in fld.blocks(points, order)
-                                   for cf in unstack(block)])
+        frames = _outcome(lambda: [
+            column for block in fld.blocks(points, order)
+            for column in _columns([f.coeffs[(0,)] for f in block.forms],
+                                   len(block.point[0]))])
     assert alone == want
     failed = [w for w in want if isinstance(w, tuple)]
     assert frames == (failed[0] if failed else want)

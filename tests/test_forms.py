@@ -17,10 +17,10 @@ from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressio
                              two_form_coeffs, wedge, wedge_all)
 from bicontact.fourdim import QOde, normal_form_4d, solve_q
 from bicontact.inputfile import load_coframe
-from bicontact.jets import Jet, ncoeffs, partial, reciprocal
+from bicontact.jets import Jet, _value, ncoeffs, partial, reciprocal
 from bicontact.pipeline import analyze, cached_C
 
-from conftest import DATA, box_points
+from conftest import DATA, box_points, zero_form
 
 CH3 = Chart(("x", "y", "z"))
 
@@ -153,7 +153,7 @@ def test_coefficient_reconstruction_round_trip():
     frame = _random_frame(POINT, seed=3)
     a = _one_form(("y*z", "exp(x)", "cos(y)"), POINT)
     cs = one_form_coeffs(a, frame)
-    rebuilt = PForm.zero(CH3, 1, a.order)
+    rebuilt = zero_form(CH3, 1, a.order)
     for c, w in zip(cs, frame.forms):
         rebuilt = rebuilt + w.scaled(c)
     assert (rebuilt - a).max_abs_value() < 1e-10
@@ -161,7 +161,7 @@ def test_coefficient_reconstruction_round_trip():
     beta = wedge(_one_form(("z", "x", "1"), POINT),
                  _one_form(("1", "y", "x*z"), POINT))
     bc = two_form_coeffs(beta, frame)
-    rebuilt2 = PForm.zero(CH3, 2, beta.order)
+    rebuilt2 = zero_form(CH3, 2, beta.order)
     for (i, j), c in bc.items():
         rebuilt2 = rebuilt2 + wedge(frame.forms[i], frame.forms[j]).scaled(c)
     assert (rebuilt2 - beta).max_abs_value() < 1e-10
@@ -232,7 +232,7 @@ def test_coframe_volume_and_dual():
 
 def test_one_form_coeffs_on_a_flat_frame_raise_singular_volume():
     frame = _random_frame(POINT, seed=9)
-    flat = frame.replace(forms=frame.forms[:2] + (PForm.zero(CH3, 1, 5),))
+    flat = frame.replace(forms=frame.forms[:2] + (zero_form(CH3, 1, 5),))
     a = _one_form(("y*z", "exp(x)", "cos(y)"), POINT)
     with pytest.raises(SingularVolumeError):
         one_form_coeffs(a, flat)
@@ -244,8 +244,9 @@ def test_coframe_field_from_expressions_evaluates():
     rows = [{"dx": "1", "dz": "y"}, {"dy": "1"}, {"dz": "1"}]
     fld = coframe_field_from_expressions(CH3, rows)
     cf = fld.at(POINT, 4)
-    assert cf.omega(1).coeffs[(2,)].value == pytest.approx(POINT[1])
-    assert cf.omega(2).coeffs[(1,)].value == 1.0
+    assert _value(cf.omega(1).coeffs[(2,)]).tolist() == \
+        pytest.approx([POINT[1]])
+    assert _value(cf.omega(2).coeffs[(1,)]).tolist() == [1.0]
     assert cf.dim == 3
 
 
@@ -452,6 +453,22 @@ def test_scalar_d_is_bit_equal_to_per_axis_partials(drawn):
                           True)
 
 
+def _split(form: PForm) -> list:
+    """The columns of a form with a point axis as one-point forms."""
+    return [PForm._of(form.chart, form.degree, form.order, c)
+            for c in np.moveaxis(form.c, -1, 0).copy()]
+
+
+def _one_point_frames(block) -> list:
+    """The columns of a stacked frame as one-point frames, whose forms carry
+    no point axis: the input of the one-point oracles."""
+    split = [_split(f) for f in block.forms]
+    return [Coframe(block.chart, tuple(float(x[k]) for x in block.point),
+                    tuple(f[k] for f in split), eps=block.eps,
+                    stage=block.stage)
+            for k in range(len(block.point[0]))]
+
+
 def _kept_case_frames(case):
     if case == "case1":
         fld = load_coframe(DATA / "case1_frame.txt")
@@ -462,7 +479,7 @@ def _kept_case_frames(case):
     out = analyze(fld, pts, 6)
     assert out["case"] == case
     return [cf for block in out["adapted_blocks"]
-            for cf in forms.unstack(block)]
+            for cf in _one_point_frames(block)]
 
 
 @pytest.mark.parametrize("case", ["case1", "case2"])
@@ -644,7 +661,7 @@ def test_kernels_over_a_point_axis_are_bit_equal_per_point(drawn):
                           [p[0].scaled(p[1].coeffs[()]) for p in points]))
     for got, want in cases:
         assert got.c.shape[-1] == len(points)
-        split = forms.per_point(got)
+        split = _split(got)
         assert len(split) == len(want)
         for g, w in zip(split, want):
             _assert_bit_equal(g, w, finite)
@@ -657,10 +674,9 @@ _FLAT_AT_X0 = [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "x"}]
 @pytest.mark.parametrize("count", [3, 1, 33, 40])
 def test_per_point_splits_a_form_and_blocks_stack_the_frames(count):
     # the blocks of forms.STACK_BLOCK columns, the last one shorter, whose
-    # columns are bit-equal to the frames at() builds
+    # columns, split per point, are bit-equal to the stacks of one at()
+    # builds
     assert forms.STACK_BLOCK == 32
-    one = _d_coord(CH3, 0, 2)
-    assert forms.per_point(one) == [one]
     fld = coframe_field_from_expressions(CH3, _FLAT_AT_X0)
     pts = box_points(((0.1, 0.9), (-0.5, 0.5), (-0.5, 0.5)), count, seed=4)
     frames = [fld.at(p, 3) for p in pts]
@@ -673,8 +689,9 @@ def test_per_point_splits_a_form_and_blocks_stack_the_frames(count):
             [list(x) for x in zip(*pts[start:start + 32])]
         assert block.stage == frames[0].stage
         for i, form in enumerate(block.forms):
-            assert form.c.shape == frames[0].forms[i].c.shape + (len(chunk),)
-            assert [f.c.tobytes() for f in forms.per_point(form)] == \
+            assert form.c.shape == \
+                frames[0].forms[i].c.shape[:-1] + (len(chunk),)
+            assert [f.c.tobytes() for f in _split(form)] == \
                 [frame.forms[i].c.tobytes() for frame in chunk]
 
 
@@ -744,3 +761,13 @@ def test_a_singular_volume_names_its_value(value, text):
         with pytest.raises(SingularVolumeError,
                            match=f"^volume-form denominator {text}$"):
             forms._check_denominator(Jet.constant([1.0, value, 0.0], 3, 2))
+
+
+def test_repr_shows_the_values_of_one_point_and_of_many():
+    jet = Jet.constant(2.0, 3, 1)
+    assert repr(jet) == "Jet(dim=3, order=1, value=2)"
+    many = Jet.constant([2.0, -0.5], 3, 1)
+    assert repr(many) == "Jet(dim=3, order=1, value=[2, -0.5])"
+    form = PForm(CH3, 1, {(0,): many, (1,): many * 0.0, (2,): many})
+    assert repr(form) == ("PForm(degree=1, values={(0,): [2.0, -0.5], "
+                          "(1,): [0.0, 0.0], (2,): [2.0, -0.5]})")

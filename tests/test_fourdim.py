@@ -9,15 +9,15 @@ import pytest
 from bicontact import cli, expressions, forms
 from bicontact.errors import DegenerateH, DomainError, SingularVolumeError
 from bicontact.examples import build_example
-from bicontact.forms import (STACK_BLOCK, Chart,
-                             coframe_field_from_expressions, unstack)
+from bicontact.forms import (STACK_BLOCK, Chart, _columns,
+                             coframe_field_from_expressions)
 from bicontact.fourdim import (QOde, compute_E,
                                curvature4, e_expansion, normal_form_4d,
                                normal_form_residual_rows,
                                normal_form_residuals, q_jets, solve_q,
                                symp_structure, symplectic_quadratic,
                                symplectic_quadratic_check, verify_normal_form)
-from bicontact.jets import partial
+from bicontact.jets import Jet, _value, partial
 from conftest import box_points
 
 GOOD_H = (("1", "0"), ("x^2/2", "1"))
@@ -29,29 +29,35 @@ def _expected_E(p):
     return math.exp(2 * w - y * (x + z)) / y
 
 
-def test_symp_structure_closed_forms():
-    ez = build_example("fourd_ezero")
-    for p in box_points(ez.box, 4, seed=41):
-        rec = symp_structure(ez.coframes().at(p, 6))
-        assert rec.eps == -1
-        assert rec.max_residual < 1e-9
-        assert rec.C.value == pytest.approx(p[2], abs=1e-10)
-        assert abs(rec.E.value) < 1e-10
+def _block(spec, count, seed):
+    """``count`` points of the example's box and their one stacked frame."""
+    pts = box_points(spec.box, count, seed=seed)
+    (cf,) = spec.coframes().blocks(pts, 6)
+    return pts, cf
 
-    en = build_example("fourd_enonzero")
-    for p in box_points(en.box, 4, seed=42):
-        rec = symp_structure(en.coframes().at(p, 6))
-        assert rec.eps == 1
-        assert rec.max_residual < 1e-9
-        assert rec.C.value == pytest.approx(-math.tan(p[2]), abs=1e-9)
-        assert rec.E.value == pytest.approx(_expected_E(p), rel=1e-9)
+
+def test_symp_structure_closed_forms():
+    pts, cf = _block(build_example("fourd_ezero"), 4, 41)
+    rec = symp_structure(cf)
+    assert rec.eps.tolist() == [-1] * 4
+    assert np.all(rec.max_residual < 1e-9)
+    assert _value(rec.C) == pytest.approx([p[2] for p in pts], abs=1e-10)
+    assert np.all(abs(_value(rec.E)) < 1e-10)
+
+    pts, cf = _block(build_example("fourd_enonzero"), 4, 42)
+    rec = symp_structure(cf)
+    assert rec.eps.tolist() == [1] * 4
+    assert np.all(rec.max_residual < 1e-9)
+    assert _value(rec.C) == pytest.approx([-math.tan(p[2]) for p in pts],
+                                          abs=1e-9)
+    assert _value(rec.E) == pytest.approx([_expected_E(p) for p in pts],
+                                          rel=1e-9)
 
 
 def test_compute_E_directly():
-    en = build_example("fourd_enonzero")
-    for p in box_points(en.box, 3, seed=43):
-        cf = en.coframes().at(p, 6)
-        assert compute_E(cf).value == pytest.approx(_expected_E(p), rel=1e-9)
+    pts, cf = _block(build_example("fourd_enonzero"), 3, 43)
+    assert _value(compute_E(cf)) == pytest.approx(
+        [_expected_E(p) for p in pts], rel=1e-9)
 
 
 def test_e_expansion_flags_constant_nonzero_E():
@@ -59,51 +65,45 @@ def test_e_expansion_flags_constant_nonzero_E():
     rows = [{"dx": "1"}, {"dy": "1"}, {"dz": "1"}, {"dw": "1", "dy": "x"}]
     fld = coframe_field_from_expressions(ch, rows)
     cf = fld.at((0.2, 0.4, 0.1, 0.6), 5)
-    assert compute_E(cf).value == pytest.approx(1.0, abs=1e-12)
+    assert _value(compute_E(cf)) == pytest.approx([1.0], abs=1e-12)
     out = e_expansion(cf)
-    assert abs(out["E1"].value) < 1e-12 and abs(out["E2"].value) < 1e-12
+    assert abs(_value(out["E1"])) < 1e-12 and abs(_value(out["E2"])) < 1e-12
     # dE = 0 misses the required 2E slot by exactly 2
-    assert out["residual"] == pytest.approx(2.0, abs=1e-12)
+    assert out["residual"] == pytest.approx([2.0], abs=1e-12)
 
 
 def test_e_expansion_consistent_on_pattern_frame():
-    en = build_example("fourd_enonzero")
-    for p in box_points(en.box, 3, seed=44):
-        cf = en.coframes().at(p, 6)
-        out = e_expansion(cf)
-        assert out["residual"] < 1e-9
+    _, cf = _block(build_example("fourd_enonzero"), 3, 44)
+    assert np.all(e_expansion(cf)["residual"] < 1e-9)
 
 
 def test_symplectic_quadratic_identities():
     samples = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7), (2.0, 0.5)]
     for name in ("fourd_ezero", "fourd_enonzero"):
-        spec = build_example(name)
-        for p in box_points(spec.box, 3, seed=45):
-            F = symp_structure(spec.coframes().at(p, 6))
-            out = symplectic_quadratic_check(F, samples)
-            assert out["closed"] < 1e-9
-            assert out["quad11"] < 1e-9
-            assert out["quad22"] < 1e-9
-            assert out["quad12"] < 1e-9
-            assert out["sampled"] < 1e-8
+        _, cf = _block(build_example(name), 3, 45)
+        out = symplectic_quadratic_check(symp_structure(cf), samples)
+        assert np.all(out["closed"] < 1e-9)
+        assert np.all(out["quad11"] < 1e-9)
+        assert np.all(out["quad22"] < 1e-9)
+        assert np.all(out["quad12"] < 1e-9)
+        assert np.all(out["sampled"] < 1e-8)
     assert symplectic_quadratic(1.0, 0.0, 0.7, 1) == 2.0
     assert symplectic_quadratic(0.0, 1.0, 0.7, -1) == 2.0
     assert symplectic_quadratic(1.0, 1.0, 0.5, 1) == pytest.approx(2.0 * 1.0)
 
 
 def test_curvature4_report_closed_forms():
-    en = build_example("fourd_enonzero")
-    for p in box_points(en.box, 3, seed=46):
-        F = symp_structure(en.coframes().at(p, 6))
-        rep = curvature4(F)
-        assert rep.max_residual < 1e-8
-        eps, C, E = 1.0, F.C.value, F.E.value
-        assert rep.S.value == pytest.approx(
-            -(0.5 * E * E + 2.0 * C * C + 7.0 + eps), abs=1e-7)
-        assert rep.pfaffian.value == pytest.approx(
-            2.0 * ((1 + eps) + 2.0 * C * C), abs=1e-7)
-        assert rep.residuals["theta34"] < 1e-7
-        assert rep.residuals["leaf_trace"] < 1e-8
+    _, cf = _block(build_example("fourd_enonzero"), 3, 46)
+    F = symp_structure(cf)
+    rep = curvature4(F)
+    assert np.all(rep.max_residual < 1e-8)
+    eps, C, E = 1.0, _value(F.C), _value(F.E)
+    assert _value(rep.S) == pytest.approx(
+        -(0.5 * E * E + 2.0 * C * C + 7.0 + eps), abs=1e-7)
+    assert _value(rep.pfaffian) == pytest.approx(
+        2.0 * ((1 + eps) + 2.0 * C * C), abs=1e-7)
+    assert np.all(rep.residuals["theta34"] < 1e-7)
+    assert np.all(rep.residuals["leaf_trace"] < 1e-8)
 
 
 def test_curvature4_flat_E_values():
@@ -111,12 +111,12 @@ def test_curvature4_flat_E_values():
     # eps = -1, E = 0, C = z
     at_zero = (0.3, -0.2, 0.0, 0.4)
     rep0 = curvature4(symp_structure(ez.coframes().at(at_zero, 6)))
-    assert rep0.S.value == pytest.approx(-6.0, abs=1e-8)
-    assert rep0.pfaffian.value == pytest.approx(0.0, abs=1e-8)
+    assert _value(rep0.S) == pytest.approx([-6.0], abs=1e-8)
+    assert _value(rep0.pfaffian) == pytest.approx([0.0], abs=1e-8)
     at_half = (0.1, 0.5, 0.5, -0.3)
     rep5 = curvature4(symp_structure(ez.coframes().at(at_half, 6)))
-    assert rep5.S.value == pytest.approx(-6.5, abs=1e-8)
-    assert rep5.pfaffian.value == pytest.approx(1.0, abs=1e-8)
+    assert _value(rep5.S) == pytest.approx([-6.5], abs=1e-8)
+    assert _value(rep5.pfaffian) == pytest.approx([1.0], abs=1e-8)
 
 
 @pytest.mark.parametrize("c_text,eps,f1,f2,lo", [
@@ -146,15 +146,16 @@ def test_qode_matches_analytic_solutions(c_text, eps, f1, f2, lo):
 def test_q_jets_satisfy_the_equation():
     ode = QOde("tan(z)", -1)
     sol = solve_q(ode, (-1.2, 1.2))
-    for z in (-0.7, 0.0, 0.45):
-        j1, j2 = q_jets(sol, z, ode.c_jet(z, 6))
+    zs = np.array([-0.7, 0.0, 0.45])
+    j1, j2 = q_jets(sol, zs, ode.c_jet(zs, 6))
+    for k, z in enumerate(zs.tolist()):
         u = ode.u_jet(ode.c_jet(z, 1)).value
         s = sol.state(z)
         for j, (q, dq) in ((j1, s[0:2]), (j2, s[2:4])):
-            assert j.value == pytest.approx(q, abs=1e-12)
-            assert partial(j, 2).value == pytest.approx(dq, abs=1e-12)
+            assert _value(j)[k] == pytest.approx(q, abs=1e-12)
+            assert _value(partial(j, 2))[k] == pytest.approx(dq, abs=1e-12)
             # second derivative reproduces u * Q coefficient-for-coefficient
-            assert partial(partial(j, 2), 2).value == pytest.approx(
+            assert _value(partial(partial(j, 2), 2))[k] == pytest.approx(
                 u * q, abs=1e-10)
 
 
@@ -163,18 +164,20 @@ def test_q_jets_match_the_leibniz_recursion():
     # Taylor coefficients Q^(m) / m!
     ode = QOde("tan(z)", -1)
     sol = solve_q(ode, (-1.2, 1.2))
-    for z in (-0.7, 0.0, 0.45):
+    zs = np.array([-0.7, 0.0, 0.45])
+    lifts = q_jets(sol, zs, ode.c_jet(zs, 8))
+    for col, z in enumerate(zs.tolist()):
         u = ode.u_jet(ode.c_jet(z, 7))
         uder = [u.coeff((k,)) * math.factorial(k) for k in range(7)]
-        jets_ = q_jets(sol, z, ode.c_jet(z, 8))
         state = sol.state(z)
-        for j, der in zip(jets_, ([state[0], state[1]], [state[2], state[3]])):
+        for j, der in zip(lifts, ([state[0], state[1]], [state[2], state[3]])):
+            one = Jet._of(j.dim, j.order, j.c[:, col])
             for n in range(7):
                 der.append(sum(math.comb(n, k) * uder[k] * der[n - k]
                                for k in range(n + 1)))
             for m in range(9):
                 want = der[m] / math.factorial(m)
-                assert j.coeff((0, 0, m, 0)) == pytest.approx(
+                assert one.coeff((0, 0, m, 0)) == pytest.approx(
                     want, rel=1e-12, abs=1e-14)
 
 
@@ -259,8 +262,8 @@ def test_normal_form_builds_many_points_in_one_go(monkeypatch, profile, eps,
                                                   h, order, count):
     # one build over all the points, handed out in blocks of
     # forms.STACK_BLOCK columns, the last one shorter, whose columns are
-    # bit-equal to the one-point builds: h's tape and C's tape run once
-    # each, and at() is never called
+    # bit-equal to each point's stack of one: h's tape and C's tape run
+    # once each, and at() is never called
     assert STACK_BLOCK == 32
     fld = normal_form_4d(solve_q(QOde(profile, eps), (-1.2, 1.2)), h=h)
     pts = box_points(BOX4, count, seed=50 + order)
@@ -274,8 +277,9 @@ def test_normal_form_builds_many_points_in_one_go(monkeypatch, profile, eps,
     assert len(runs) == 2
     assert [len(b.point[0]) for b in blocks] == \
         [min(32, count - start) for start in range(0, count, 32)]
-    got = [cf for block in blocks for cf in unstack(block)]
-    assert [f.point for f in got] == pts
+    got = [_columns(block, k, k + 1) for block in blocks
+           for k in range(len(block.point[0]))]
+    assert [tuple(float(x[0]) for x in f.point) for f in got] == pts
     assert [_form_bytes(f) for f in got] == want
     assert {f.stage for f in got} == {"normal_form_4d"}
 
@@ -292,11 +296,18 @@ def _rows_then_error(rows):
     return out, None
 
 
+def _one_by_one(fld, pts, order, body):
+    """The rows of ``body`` over the frames of ``fld`` at ``pts``, each
+    point's frame built and checked on its own, as a stack of one."""
+    return _rows_then_error(row for p in pts for row in forms.block_rows(
+        [p], [fld.at(p, order)], body))
+
+
 def _frame_by_frame(fld, ode, pts, order):
     """The rows of ``normal_form_residual_rows``, each frame built and
     checked on its own."""
-    return _rows_then_error((p, normal_form_residuals(fld.at(p, order), ode))
-                            for p in pts)
+    return _one_by_one(fld, pts, order,
+                       lambda frame: normal_form_residuals(frame, ode))
 
 
 @pytest.mark.parametrize("count,bad", [(40, 34), (33, None)],
@@ -350,7 +361,7 @@ def test_a_failing_stacked_block_of_4d_rows_goes_frame_by_frame(body):
     pts = box_points(BOX4, 5, seed=63)
     pts[2] = (0.0, *pts[2][1:])
     got = _rows_then_error(forms.block_rows(pts, fld.blocks(pts, 2), body))
-    want = _rows_then_error((p, body(fld.at(p, 2))) for p in pts)
+    want = _one_by_one(fld, pts, 2, body)
     assert repr(got) == repr(want)
     assert [p for p, _ in got[0]] == pts[:2]
     assert got[1] == (SingularVolumeError,

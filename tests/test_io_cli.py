@@ -31,7 +31,7 @@ def test_parse_minimal_definition():
     assert d.rows == [{"dx": "1"}, {"dy": "1"}, {"dz": "1"}]
     fld = d.coframes()
     cf = fld.at((0.1, 0.2, 0.3), 4)
-    assert cf.omega(1).coeffs[(0,)].value == 1.0
+    assert cf.omega(1).coeffs[(0,)].c[0].tolist() == [1.0]
 
 
 def test_parse_quoted_values_and_comments():

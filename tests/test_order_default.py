@@ -24,7 +24,7 @@ from bicontact.examples import EXAMPLES, build_example
 from bicontact.forms import (Chart, Coframe, PForm, ext_d, top_ratio,
                              two_form_coeffs, wedge, wedge_all)
 from bicontact.jets import Jet, reciprocal
-from conftest import DATA
+from conftest import DATA, zero_form
 
 FILES = [str(DATA / "case1_frame.txt"), str(DATA / "hyp_ex.txt")]
 PROFILES = ["tan(z)", "z^2"]
@@ -193,7 +193,8 @@ def test_cached_volume_reciprocal_equals_a_fresh_reciprocal():
 
 def test_cached_volume_reciprocal_raises_like_top_ratio():
     chart, point, frame = _frame4(3)
-    flat = frame.replace(forms=frame.forms[:3] + (PForm.zero(chart, 1, 3),))
+    flat = frame.replace(forms=frame.forms[:3] + (
+        zero_form(chart, 1, 3, frame.forms[0].c.shape[2:]),))
     beta = ext_d(frame.forms[1])
     with pytest.raises(SingularVolumeError) as direct:
         top_ratio(wedge(beta, wedge(flat.forms[2], flat.forms[3])),
@@ -222,7 +223,8 @@ def test_ratio_is_bit_equal_to_top_ratio(dim):
             assert got.order == want.order
             assert got.c.tobytes() == want.c.tobytes()
         flat = frame.replace(
-            forms=frame.forms[:-1] + (PForm.zero(chart, 1, order),))
+            forms=frame.forms[:-1] + (
+                zero_form(chart, 1, order, frame.forms[0].c.shape[2:]),))
         with pytest.raises(SingularVolumeError) as direct:
             top_ratio(top, flat.volume())
         with pytest.raises(SingularVolumeError) as cached:

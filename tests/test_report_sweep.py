@@ -118,20 +118,30 @@ def test_many_point_argvs_match_the_benchmark_sizes():
                      ("curvature", "fourd_enonzero", "33"),
                      ("curvature", "normal_form_3d", "40"),
                      ("invariants", "tests/data/case1_frame.txt", "40"),
-                     ("invariants", "eta_frame", "33")]
+                     ("invariants", "eta_frame", "33"),
+                     *((command, source, count) for count in ("33", "40")
+                       for command, source in (
+                           ("taut", "hyp_c3"), ("taut", "hyp_c3"),
+                           ("check", "normal_form_3d"),
+                           ("classify", "normal_form_3d"),
+                           ("example", "sphere_frame")))]
+    assert [argv[2:4] for argv in report_sweep.MANY_POINT_ARGVS
+            if "--param" in argv] == [["--param", "eps=1"]] * 2
     assert forms.STACK_BLOCK == 32
     assert all((ROOT / argv[1]).is_file() or argv[1] in EXAMPLES
                or argv[1] in report_sweep.PROFILES
                for argv in report_sweep.MANY_POINT_ARGVS)
     # the failing --at lists: one point, whose build raises its own error,
     # and lists whose one many-point build fails, of 3 and 12 points, and
-    # three past the first block of forms.STACK_BLOCK, a normal-form, a
+    # five past the first block of forms.STACK_BLOCK, a normal-form, a
     # fourdim and a 3D invariants one, whose 35th frame builds but fails
-    # its one-adaptation
+    # its one-adaptation, and two taut ones, whose 35th point has |C| = 1
+    # or flips the branch of the region
     sizes = sorted(sum(word.split("=")[0] == "--at" for word in argv)
                    for argv in report_sweep.MANY_POINT_ARGVS)
-    assert sizes == [0] * 15 + [1, 3, 12, 12, 40, 40, 40]
+    assert sizes == [0] * 25 + [1, 3, 12, 12, 40, 40, 40, 40, 40]
     assert [argv[:2] for argv in report_sweep.MANY_POINT_ARGVS
             if len(argv) > 40] == [["normal-form", "tan(z)"],
                                    ["fourdim", "fourd_enonzero"],
-                                   ["invariants", "sphere_frame"]]
+                                   ["invariants", "sphere_frame"],
+                                   ["taut", "hyp_c3"], ["taut", "hyp_c3"]]

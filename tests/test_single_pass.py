@@ -11,9 +11,8 @@ every later stage, so coefficient extraction runs a fixed number of times
 per block.  So do C, the omega3 = dC/C3 frame of case 2 and the dE
 expansion of a 4D frame, which each frame memoizes.  Each frame takes d of
 its own covectors once, and ``ext_d`` is the only differentiation kernel of
-the forms layer.  The counts below are per block where the stage runs on
-stacked frames (every 3D pipeline and 4D stage) and per point where it runs
-frame by frame (``taut``).
+the forms layer.  Every stage runs on stacked frames, so the counts below
+are per block.
 """
 
 import io
@@ -27,8 +26,8 @@ from bicontact import (cli, curvature, expressions, forms, fourdim, jets,
                        pipeline)
 from bicontact.errors import ContactFailure, DomainError
 from bicontact.examples import build_example
-from bicontact.forms import Chart, coframe_field_from_expressions, unstack
-from bicontact.pipeline import Tolerances, _one_adapt_point, analyze
+from bicontact.forms import Chart, _columns, coframe_field_from_expressions
+from bicontact.pipeline import Tolerances, analyze
 
 from conftest import DATA, box_points
 
@@ -67,7 +66,9 @@ def _frame_bytes(cf):
 
 
 def _unstacked(blocks):
-    return [cf for block in blocks for cf in unstack(block)]
+    """Each column of stacked ``blocks`` as a stack of one, in order."""
+    return [_columns(block, k, k + 1) for block in blocks
+            for k in range(len(block.point[0]))]
 
 
 def _normal_form_points(n):
@@ -181,8 +182,9 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
     batched = report()
 
     def frame_by_frame(fld, ode, points, order):
-        return ((p, fourdim.normal_form_residuals(fld.at(p, order), ode))
-                for p in points)
+        return (row for p in points for row in forms.block_rows(
+            [p], [fld.at(p, order)],
+            lambda frame: fourdim.normal_form_residuals(frame, ode)))
 
     blocks = forms.CoframeField.blocks
 
@@ -340,11 +342,17 @@ def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
 
 @pytest.mark.parametrize("args,calls", [
     (["invariants", "normal_form_3d", "--points", "5"], 1),
-    (["taut", "sphere_frame", "--points", "5"], 5),
-], ids=["invariants normal_form_3d", "taut sphere_frame"])
+    (["taut", "sphere_frame", "--points", "5"], 1),
+    (["taut", "sphere_frame", "--points", "40"], 2),
+    (["check", "normal_form_3d", "--points", "40"], 0),
+    (["classify", "normal_form_3d", "--points", "40"], 2),
+], ids=["invariants normal_form_3d", "taut sphere_frame",
+        "taut sphere_frame two blocks", "check normal_form_3d",
+        "classify normal_form_3d"])
 def test_each_frame_computes_C_once(monkeypatch, args, calls):
-    # once per stacked block in the pipeline (one here), once per point in
-    # taut, which runs frame by frame
+    # once per stacked block of forms.STACK_BLOCK frames (one, or two for
+    # 40 points), in the pipeline and in taut and classify; check takes no
+    # C
     found = _counting(monkeypatch, pipeline, "compute_C",
                       *_aliases(pipeline, "compute_C"))
     _run(args)
@@ -364,7 +372,7 @@ def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
 
 def test_kept_frames_match_a_fresh_build():
     # the raw frames come from one batched tape run, the fresh ones from
-    # one-point runs
+    # one-point runs, each a stack of one
     spec = build_example("normal_form_3d")
     pts = _normal_form_points(3)
     result = analyze(spec.coframes(), pts, 6, TOL)
@@ -372,7 +380,7 @@ def test_kept_frames_match_a_fresh_build():
                         for key in ("blocks", "adapted_blocks"))
     assert len(adapted) == len(frames2) == len(pts)
     for p, kept1, kept2 in zip(pts, adapted, frames2):
-        one = _one_adapt_point(spec.coframes().at(p, 6))
+        (one,) = pipeline.one_adapt(spec.coframes(), [p], 6)
         two, _, _ = pipeline.case2_adapt(one)
         assert _frame_bytes(kept1) == _frame_bytes(one)
         assert _frame_bytes(kept2) == _frame_bytes(two)
@@ -387,6 +395,6 @@ def test_frames_follow_the_sample_order():
     assert backward["records"] == forward["records"][::-1]
     for key in ("blocks", "adapted_blocks"):
         back, fore = _unstacked(backward[key]), _unstacked(forward[key])
-        assert [cf.point for cf in back] == pts[::-1]
+        assert [p for cf in back for p in pipeline._points(cf)] == pts[::-1]
         assert [_frame_bytes(cf) for cf in back] == \
             [_frame_bytes(cf) for cf in fore[::-1]]

@@ -1,27 +1,31 @@
 """The 3D pipeline on stacked blocks of frames.
 
 ``analyze`` runs every stage once per block of ``forms.STACK_BLOCK`` frames.
-Each column of its records and adapted frames is bit-equal to its frame's
-own one-point path, a failure in the second block raises what the frames
-raise one by one, and epsilon and the case are decided over all columns of
-all blocks.  33 points end in a block of one column; 40 span two blocks.
+Each column of its records and adapted frames is bit-equal to the path of
+the point's own one-point list, a stack of one, a failure in the second
+block raises what the points raise one by one, and epsilon and the case are
+decided over all columns of all blocks.  33 points end in a block of one column; 40 span two blocks.
 """
 
+import io
 import struct
+from contextlib import redirect_stdout
 from dataclasses import fields
 
 import pytest
 
-from bicontact import cli, pipeline
+from bicontact import cli, forms, pipeline
 from bicontact.errors import (AmbiguousCase, ContactFailure, CriticalPoint,
                               DegenerateTranslation, DomainError,
                               MixedEpsilon)
 from bicontact.examples import build_example
-from bicontact.forms import (STACK_BLOCK, Chart,
-                             coframe_field_from_expressions, unstack)
+from bicontact.forms import (STACK_BLOCK, Chart, _columns,
+                             coframe_field_from_expressions)
 from bicontact.inputfile import load_coframe
+from bicontact.jets import _value
 from bicontact.pipeline import (Tolerances, _dC_data, _one_adapt_point,
-                                analyze, case1_adapt, case2_adapt, one_adapt)
+                                _split_record, analyze, case1_adapt,
+                                case2_adapt, one_adapt)
 from conftest import DATA, box_points
 
 ORDER = cli.ORDER_NEEDED["invariants", 3]
@@ -57,12 +61,26 @@ def _frame_bytes(cf):
     return [f.c.tobytes() for f in cf.forms]
 
 
+def _one(fld, p, order=ORDER):
+    """The one-adapted frame of the point's own one-point list, a stack of
+    one."""
+    (one,) = one_adapt(fld, [p], order)
+    return one
+
+
+def _columns_of(blocks):
+    """Each column of stacked ``blocks`` as a stack of one, in order."""
+    return [_columns(b, k, k + 1) for b in blocks
+            for k in range(len(b.point[0]))]
+
+
 def _own(fld, p, case, tol=TOL):
     """(one-adapted frame, adapted frame, record) of the point's own
-    one-point path."""
-    one = _one_adapt_point(fld.at(p, ORDER))
+    one-point list."""
+    one = _one(fld, p)
     out, rec, _ = (case1_adapt(one, tol) if case == "case1"
                    else case2_adapt(one))
+    (rec,) = _split_record(rec)
     return one, out, rec
 
 
@@ -77,8 +95,8 @@ def test_each_column_is_its_frames_own_path(name, case, n):
     result = analyze(fld, pts, ORDER, TOL)
     assert result["case"] == case
     assert [len(b.point[0]) for b in result["adapted_blocks"]] == [32, n - 32]
-    ones = [cf for b in result["blocks"] for cf in unstack(b)]
-    outs = [cf for b in result["adapted_blocks"] for cf in unstack(b)]
+    ones = _columns_of(result["blocks"])
+    outs = _columns_of(result["adapted_blocks"])
     for k, p in enumerate(pts):
         one, out, rec = _own(fld, p, case)
         assert one.eps == result["eps"]
@@ -122,7 +140,7 @@ def test_a_failing_one_adaptation_in_the_second_block_is_frame_by_frame():
     pts = [(0.0 if k == 34 else 0.3 + 0.06 * k, 0.15 * k - 3, 0.1 * k - 2)
            for k in range(40)]
     fld.at(pts[34], ORDER)
-    want = _first_error(lambda p: _one_adapt_point(fld.at(p, ORDER)), pts)
+    want = _first_error(lambda p: _one(fld, p), pts)
     assert want == (ContactFailure,
                     f"omega1 ^ d(omega1) = 0.0 at {pts[34]}")
     assert _raised(lambda: analyze(fld, pts, ORDER, TOL)) == want
@@ -144,7 +162,7 @@ def test_a_block_failing_at_two_points_raises_the_first_points_own_error():
     pts[34], pts[37] = (0.5, 0.3, 0.3), (0.0, 0.2, 0.5)
     with pytest.raises(ContactFailure):
         _one_adapt_point(next(fld.blocks(pts[32:], 5)))
-    want = _first_error(lambda p: _one_adapt_point(fld.at(p, 5)), pts)
+    want = _first_error(lambda p: _one(fld, p, 5), pts)
     assert want == (DomainError,
                     "reciprocal: argument value 0.0 outside domain")
     assert _raised(lambda: analyze(fld, pts, 5, TOL)) == want
@@ -156,9 +174,9 @@ def test_a_failing_case_adaptation_in_the_second_block_is_frame_by_frame(
     # the 35th point has the least |dC|, and the critical band is moved up
     # to it; case_detect's own bands do not flag it
     fld, box = _source("normal_form_3d")
-    pts = _last_at(box_points(box, 40, seed=25), lambda p: _dC_data(
-        _one_adapt_point(fld.at(p, ORDER)))[4])
-    band = _dC_data(_one_adapt_point(fld.at(pts[34], ORDER)))[4]
+    pts = _last_at(box_points(box, 40, seed=25),
+                   lambda p: _dC_data(_one(fld, p))[4][0])
+    band = _dC_data(_one(fld, pts[34]))[4][0]
     monkeypatch.setattr(pipeline, "CRITICAL", band)
     want = _first_error(lambda p: _own(fld, p, "case2"), pts)
     assert want == (CriticalPoint, f"dC = 0 at {pts[34]}")
@@ -171,8 +189,8 @@ def test_a_singular_case1_translation_in_the_second_block_is_frame_by_frame():
     fld, box = _source("case1_frame")
 
     def size(p):
-        one = _one_adapt_point(fld.at(p, ORDER))
-        return abs(case1_adapt(one, TOL)[2]["det"].value)
+        (det,) = _value(case1_adapt(_one(fld, p), TOL)[2]["det"])
+        return abs(det)
 
     pts = _last_at(box_points(box, 40, seed=26), size)
     tol = Tolerances(deep=size(pts[34]))
@@ -192,7 +210,7 @@ def test_a_mixed_epsilon_in_the_second_block_lists_every_sample():
             -0.5 if k in (35, 38) else 0.5) for k in range(40)]
     seen = {}
     for p in pts:
-        seen.setdefault(_one_adapt_point(fld.at(p, 5)).eps, []).append(p)
+        seen.setdefault(_one(fld, p, 5).eps, []).append(p)
     assert [len(v) for v in seen.values()] == [38, 2]
     with pytest.raises(MixedEpsilon) as err:
         analyze(fld, pts, 5, TOL)
@@ -205,12 +223,12 @@ def _norm(cf):
 
 def _C3_ratio(cf):
     _, C3, _, _, norm = _dC_data(cf)
-    return abs(C3.value) / (1.0 + norm)
+    return abs(_value(C3)) / (1.0 + norm)
 
 
 def _B_square(cf):
     b = pipeline._omega3_frame(cf, "test")[2]
-    return b[(1, 2)].value ** 2 + b[(0, 2)].value ** 2
+    return _value(b[(1, 2)]) ** 2 + _value(b[(0, 2)]) ** 2
 
 
 @pytest.mark.parametrize("band,measure,what", [
@@ -224,7 +242,7 @@ def test_a_case_that_flips_in_the_second_block_names_its_points(
     # between them and the rest
     fld, box = _source("normal_form_3d")
     pts = box_points(box, 40, seed=27)
-    values = [measure(_one_adapt_point(fld.at(p, ORDER))) for p in pts]
+    values = [measure(_one(fld, p))[0] for p in pts]
     order = sorted(range(40), key=lambda k: -values[k])
     pts, values = [pts[k] for k in order], [values[k] for k in order]
     monkeypatch.setattr(pipeline, band, 0.5 * (values[35] + values[36]))
@@ -234,3 +252,38 @@ def test_a_case_that_flips_in_the_second_block_names_its_points(
     assert err.value.points == flagged
     assert str(err.value) == (f"{what} at some sampled points only "
                               f"(offending points: {flagged})")
+
+
+# every command, on each kind of source it takes: both chart dimensions, both
+# taut branches, the case-1 file and the Cartan check of sphere_frame
+_EVERY_COMMAND = [
+    ["check", "normal_form_3d"], ["check", "fourd_enonzero"],
+    ["invariants", "normal_form_3d"],
+    ["invariants", str(DATA / "case1_frame.txt")],
+    ["classify", "normal_form_3d"],
+    ["taut", "hyp_c3"], ["taut", "hyp_c3", "--param", "eps=1"],
+    ["curvature", "normal_form_3d"], ["curvature", "fourd_enonzero"],
+    ["fourdim", "fourd_enonzero"],
+    ["example", "sphere_frame"], ["example", "fourd_enonzero"],
+    ["normal-form", "tan(z)"],
+]
+
+
+@pytest.mark.parametrize("points", ["1", "3"])
+def test_every_command_builds_only_forms_with_a_point_axis(monkeypatch,
+                                                           points):
+    # one frame shape: every form a command builds, raw, adapted, rotated or
+    # derived, carries a point axis, a one-point list's too
+    assert {argv[0] for argv in _EVERY_COMMAND} == set(cli.COMMANDS)
+    ndims = []
+    fill = forms.PForm._fill
+
+    def recording(self, chart, degree, order, c):
+        ndims.append(c.ndim)
+        return fill(self, chart, degree, order, c)
+
+    monkeypatch.setattr(forms.PForm, "_fill", recording)
+    for argv in _EVERY_COMMAND:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--points", points]) == 0, argv
+    assert ndims and set(ndims) == {3}

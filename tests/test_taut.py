@@ -1,17 +1,18 @@
-"""Taut rotations: circle frame for eps=-1, hyperbola frame for eps=+1."""
+"""Taut rotations: circle frame for eps=-1, hyperbola frame for eps=+1, on
+stacked blocks of one-adapted frames."""
 
 import numpy as np
 import pytest
 
 from bicontact.errors import BranchError, EpsilonMismatch
 from bicontact.examples import build_example
+from bicontact.jets import _value
 from bicontact.pipeline import (circle_volume_coefficient, compute_C3,
-                                hyperbola_residuals,
-                                mixed_circle_coefficient,
-                                predicted_circle_coefficient,
+                                hyperbola_residuals, mixed_circle_coefficient,
+                                one_adapt, predicted_circle_coefficient,
                                 taut_circle_field, taut_circle_transform,
                                 taut_hyperbola_transform)
-from conftest import box_points, one_adapted_frames
+from conftest import box_points, one_adapted_block
 
 INSIDE = ((-0.8, 0.8), (-0.8, 0.8), (-0.85, 0.85))
 OUTSIDE = ((-0.8, 0.8), (-0.8, 0.8), (1.1, 1.7))
@@ -21,103 +22,145 @@ UNIT_AS = [(float(np.cos(t)), float(np.sin(t)))
 
 
 def _adapted(spec, pts, order=7):
-    return one_adapted_frames(spec.coframes(), pts, order)
+    return one_adapted_block(spec.coframes(), pts, order)
+
+
+def _circle(spec, pts, order=7):
+    """The one block of the taut-circle field at ``pts``, its taut frame
+    and its branch."""
+    (cf,), branch = taut_circle_field([_adapted(spec, pts, order)])
+    return cf, taut_circle_transform(cf, branch)[0], branch
 
 
 def test_circle_inside_branch_matches_prediction():
     spec = build_example("hyp_c3")  # C = z, C3 = 1
     pts = box_points(INSIDE, 4, seed=3)
-    frames = _adapted(spec, pts)
-    tauts, branch = taut_circle_field(frames)
+    cf, taut, branch = _circle(spec, pts)
     assert branch == (1, 1)
-    for p, cf, taut in zip(pts, frames, tauts):
-        for a1, a2 in UNIT_AS:
-            got = circle_volume_coefficient(cf, taut, a1, a2).value
+    for a1, a2 in UNIT_AS:
+        got = _value(circle_volume_coefficient(cf, taut, a1, a2)).tolist()
+        for p, g in zip(pts, got):
             want = predicted_circle_coefficient(p[2], 1.0, a1, a2)
-            assert abs(got - want) < 1e-8
+            assert abs(g - want) < 1e-8
 
 
 def test_circle_outside_branch():
     spec = build_example("hyp_c3", c3="1+z^2")
     pts = box_points(OUTSIDE, 4, seed=4)
-    frames = _adapted(spec, pts)
-    tauts, branch = taut_circle_field(frames)
+    cf, taut, branch = _circle(spec, pts)
     assert branch == (1, -1)
-    for p, cf, taut in zip(pts, frames, tauts):
+    # mixed coefficient flips sign outside the unit band
+    mixed = _value(mixed_circle_coefficient(cf, taut)).tolist()
+    for k, p in enumerate(pts):
         z = p[2]
         c3 = 1.0 + z * z
         for a1, a2 in UNIT_AS[::4]:
-            got = circle_volume_coefficient(cf, taut, a1, a2).value
+            got = _value(circle_volume_coefficient(cf, taut, a1, a2))[k]
             want = predicted_circle_coefficient(z, c3, a1, a2)
             assert abs(got - want) < 1e-8
-        # mixed coefficient flips sign outside the unit band
-        mixed = mixed_circle_coefficient(cf, taut).value
-        assert mixed == pytest.approx(-c3 / (z * z - 1.0) ** 1.5, abs=1e-8)
+        assert mixed[k] == pytest.approx(-c3 / (z * z - 1.0) ** 1.5,
+                                         abs=1e-8)
 
 
 def test_circle_mixed_coefficient_inside():
     spec = build_example("hyp_c3", c3="1+z^2")
     pts = box_points(INSIDE, 5, seed=5)
-    frames = _adapted(spec, pts)
-    tauts, _ = taut_circle_field(frames)
-    for p, cf, taut in zip(pts, frames, tauts):
+    cf, taut, _ = _circle(spec, pts)
+    mixed = _value(mixed_circle_coefficient(cf, taut)).tolist()
+    for p, got in zip(pts, mixed):
         z = p[2]
-        mixed = mixed_circle_coefficient(cf, taut).value
         want = (1.0 + z * z) / (1.0 - z * z) ** 1.5
-        assert mixed == pytest.approx(want, abs=1e-8)
+        assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_circle_on_eta_frame_spot_check():
     spec = build_example("eta_frame")  # C = csc(2x)/y
     pts = [(0.68, 1.5, 0.1), (0.65, 1.7, -0.4)]
-    for cf in _adapted(spec, pts, order=8):
-        taut, C, here = taut_circle_transform(cf)
-        assert abs(C.value) < 1.0 and here == (1, 1)
-        C3, _, _ = compute_C3(cf)
-        for a1, a2 in UNIT_AS[::5]:
-            got = circle_volume_coefficient(cf, taut, a1, a2).value
-            want = predicted_circle_coefficient(C.value, C3.value, a1, a2)
-            assert abs(got - want) < 1e-8
+    cf = _adapted(spec, pts, order=8)
+    taut, C, branch = taut_circle_transform(cf)
+    C = _value(C)
+    assert np.all(abs(C) < 1.0) and branch == (1, 1)
+    C3 = _value(compute_C3(cf)[0])
+    for a1, a2 in UNIT_AS[::5]:
+        got = _value(circle_volume_coefficient(cf, taut, a1, a2))
+        for k in range(len(pts)):
+            want = predicted_circle_coefficient(C[k], C3[k], a1, a2)
+            assert abs(got[k] - want) < 1e-8
 
 
 def test_branch_error_across_unit_invariant():
     spec = build_example("hyp_c3")
     pts = [(0.1, 0.2, 0.5), (0.1, 0.2, 1.5)]
-    frames = _adapted(spec, pts)
     with pytest.raises(BranchError):
-        taut_circle_field(frames)
+        taut_circle_field([_adapted(spec, pts)])
+
+
+def _forty(z):
+    """40 hyp_c3 points whose k-th has z = z(k), as in the sweep."""
+    return [(round(0.02 * k - 0.4, 2), 0.3, z(k)) for k in range(40)]
+
+
+@pytest.mark.parametrize("z, text", [
+    (lambda k: 1.0 if k == 34 else round(0.02 * k, 2),
+     "|C| = 1 at (0.28, 0.3, 1.0): transform undefined"),
+    (lambda k: round(0.02 * k + 0.33, 2),
+     "sign branch of (1+C, 1-C) is (1, -1) at (0.28, 0.3, 1.01), (1, 1) "
+     "elsewhere in the region"),
+])
+def test_branch_error_names_column_35_of_40(z, text):
+    # the 35th point lies in the second block of forms.STACK_BLOCK
+    spec = build_example("hyp_c3")
+    blocks = one_adapt(spec.coframes(), _forty(z), 3)
+    assert [len(b.point[0]) for b in blocks] == [32, 8]
+    with pytest.raises(BranchError) as err:
+        taut_circle_field(blocks)
+    assert str(err.value) == text
+
+
+def test_branch_error_names_the_first_failing_column_of_a_block():
+    # the branch flips at the 4th point and |C| = 1 at the 11th: the
+    # block's pass raises at the 11th, and its columns, one by one, at the
+    # 4th
+    spec = build_example("hyp_c3")
+    pts = [(0.1, 0.2, 1.0 if k == 10 else 1.5 if k == 3 else 0.1 * k - 0.5)
+           for k in range(12)]
+    with pytest.raises(BranchError) as err:
+        taut_circle_field([_adapted(spec, pts, 3)])
+    assert str(err.value) == ("sign branch of (1+C, 1-C) is (1, -1) at "
+                              "(0.1, 0.2, 1.5), (1, 1) elsewhere in the "
+                              "region")
 
 
 def test_epsilon_guards():
     plus = build_example("hyp_c3", eps=1)
     pts = box_points(INSIDE, 2, seed=6)
-    frames_plus = _adapted(plus, pts)
     with pytest.raises(EpsilonMismatch):
-        taut_circle_transform(frames_plus[0])
+        taut_circle_transform(_adapted(plus, pts))
     minus = build_example("hyp_c3", eps=-1)
-    frames_minus = _adapted(minus, pts)
     with pytest.raises(EpsilonMismatch):
-        taut_hyperbola_transform(frames_minus[0])
+        taut_hyperbola_transform(_adapted(minus, pts))
 
 
 def test_hyperbola_identities_constant_invariant():
     spec = build_example("torus_constC", psi=0.4)
     pts = box_points(spec.box, 5, seed=8)
-    for cf in _adapted(spec, pts):
-        taut, C, theta = taut_hyperbola_transform(cf)
-        assert C.value == pytest.approx(np.sinh(0.8), abs=1e-10)
-        r1, r2, defect = hyperbola_residuals(cf, taut, theta)
-        assert r1 < 1e-8 and r2 < 1e-8
-        assert abs(defect.value) < 1e-8
+    cf = _adapted(spec, pts)
+    taut, C, theta = taut_hyperbola_transform(cf)
+    assert _value(C) == pytest.approx([np.sinh(0.8)] * 5, abs=1e-10)
+    r1, r2, defect = hyperbola_residuals(cf, taut, theta)
+    assert np.all(r1 < 1e-8) and np.all(r2 < 1e-8)
+    assert np.all(abs(_value(defect)) < 1e-8)
 
 
 def test_hyperbola_identities_variable_invariant():
     spec = build_example("normal_form_3d", eps=1, f="sin(x)", g="0")
     pts = box_points(spec.box, 4, seed=9)
-    for p, cf in zip(pts, _adapted(spec, pts, order=8)):
-        taut, C, theta = taut_hyperbola_transform(cf)
-        assert C.value == pytest.approx(1.0 / np.tan(2 * p[0]), abs=1e-9)
-        assert theta.value == pytest.approx(np.arcsinh(C.value), abs=1e-12)
-        r1, r2, defect = hyperbola_residuals(cf, taut, theta)
-        assert r1 < 1e-8 and r2 < 1e-8
-        assert abs(defect.value) < 1e-8
+    cf = _adapted(spec, pts, order=8)
+    taut, C, theta = taut_hyperbola_transform(cf)
+    C = _value(C)
+    assert C == pytest.approx([1.0 / np.tan(2 * p[0]) for p in pts],
+                              abs=1e-9)
+    assert _value(theta) == pytest.approx(np.arcsinh(C), abs=1e-12)
+    r1, r2, defect = hyperbola_residuals(cf, taut, theta)
+    assert np.all(r1 < 1e-8) and np.all(r2 < 1e-8)
+    assert np.all(abs(_value(defect)) < 1e-8)

@@ -13,7 +13,11 @@ workloads, on lists of 1 point (built by a one-column pass) and of 2, across
 the blocks of ``forms.STACK_BLOCK`` frames, and through a point where a
 frame cannot be built, adapted or checked, alone and in lists of 3, 12 and
 40 points (past the first block); each list takes one failing build or
-stacked pass, then goes point by point.
+stacked pass, then goes point by point.  The stages that decide over the
+whole region, ``taut`` on both branches, ``check``, ``classify`` and the
+Cartan check of ``example sphere_frame``, run on 33 and 40 points, and
+``taut`` on two 40-point lists whose 35th point has |C| = 1 or flips the
+sign branch.
 Every run goes through ``bicontact.cli.main`` in this process, from the
 checkout that holds this script (its ``src/`` comes first on the path), with
 the checkout as the working directory, since a report echoes its source
@@ -131,6 +135,24 @@ MANY_POINT_ARGVS = [
     ["invariants", "sphere_frame", *(
         f"--at={0 if k == 34 else 0.3 + 0.06 * k:g},{0.15 * k - 3:g},"
         f"{0.1 * k - 2:g}" for k in range(40))],
+    # the region-wide stages on stacked blocks: taut (circle and hyperbola
+    # branches), the 3D check, classify and the Cartan check of
+    # sphere_frame, on 33 points (a last block of one column) and on 40
+    *([command, source, *extra, "--points", count]
+      for count in ("33", "40")
+      for command, source, *extra in (
+          ("taut", "hyp_c3"), ("taut", "hyp_c3", "--param", "eps=1"),
+          ("check", "normal_form_3d"), ("classify", "normal_form_3d"),
+          ("example", "sphere_frame"))),
+    # C = z is 1 at the 35th of 40 taut points only, where the circle
+    # transform is undefined (exit 1); z crosses 1 at the 35th of 40, so
+    # the (1+C, 1-C) branch flips there (exit 1)
+    ["taut", "hyp_c3", *(
+        f"--at={0.02 * k - 0.4:g},0.3,{1 if k == 34 else 0.02 * k:g}"
+        for k in range(40))],
+    ["taut", "hyp_c3", *(
+        f"--at={0.02 * k - 0.4:g},0.3,{0.02 * k + 0.33:g}"
+        for k in range(40))],
 ]
 
 
