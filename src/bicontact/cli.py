@@ -414,8 +414,8 @@ def _cmd_taut(cfg: RunConfig, rep: Report, fld, spec, pts):
     blocks = one_adapt(fld, pts, cfg.order)
     if blocks[0].eps == -1:
         # the branch is fixed over every point before any record is made
-        frames, branch = taut_circle_field(blocks)
-        rows = block_rows(pts, frames, lambda cf: _circle_row(cf, branch))
+        branch = taut_circle_field(blocks)
+        rows = block_rows(pts, blocks, lambda cf: _circle_row(cf, branch))
     else:
         rows = block_rows(pts, blocks, _hyperbola_row)
     for p, row in rows:

@@ -507,20 +507,20 @@ def taut_circle_transform(cf: Coframe, branch: tuple | None = None):
     return out, C, branch
 
 
-def taut_circle_field(blocks):
+def taut_circle_field(blocks) -> tuple:
     """Driver: the (1+C, 1-C) sign branch of the one-adapted stacked
-    ``blocks``, held fixed over the region.  Returns (frames, branch): the
-    frames ``forms.by_block`` ran the rotation on, in sample order, each
-    holding its taut-circle frame, which ``taut_circle_transform(frame,
-    branch)`` reads back.  A block whose pass raises goes column by column,
-    so BranchError names the first column in sample order where |C| = 1 or
-    where the branch is not the first column's."""
-    frames, branch = [], None
-    # each pass reads the branch that the passes before it fixed
-    for cf, (_, _, branch) in by_block(
+    ``blocks``, held fixed over the region.  Each block's frame memoizes
+    its taut-circle frame, which ``taut_circle_transform(frame, branch)``
+    reads back.  A block whose pass raises goes column by column
+    (``forms.by_block``), so BranchError names the first column in sample
+    order where |C| = 1 or where the branch is not the first column's."""
+    branch = None
+    # by_block runs each pass as the loop reaches it, so a pass compares
+    # against the branch that the passes before it fixed
+    for _, (_, _, branch) in by_block(
             blocks, lambda cf: taut_circle_transform(cf, branch)):
-        frames.append(cf)
-    return tuple(frames), branch
+        pass
+    return branch
 
 
 def circle_volume_coefficient(cf: Coframe, taut: Coframe, a1: float, a2: float):

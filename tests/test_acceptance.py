@@ -88,8 +88,8 @@ def test_criterion_03_taut_circle_both_regions():
                (((-0.8, 0.8), (-0.8, 0.8), (1.1, 1.6)), -1)]
     for box, sign in regions:
         pts = box_points(box, 3, seed=103)
-        (cf,), branch = taut_circle_field(
-            [one_adapted_block(spec.coframes(), pts, 7)])
+        cf = one_adapted_block(spec.coframes(), pts, 7)
+        branch = taut_circle_field([cf])
         taut = taut_circle_transform(cf, branch)[0]
         got = [_value(circle_volume_coefficient(cf, taut, a1, a2)).tolist()
                for a1, a2 in UNIT_AS]

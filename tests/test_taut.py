@@ -28,7 +28,8 @@ def _adapted(spec, pts, order=7):
 def _circle(spec, pts, order=7):
     """The one block of the taut-circle field at ``pts``, its taut frame
     and its branch."""
-    (cf,), branch = taut_circle_field([_adapted(spec, pts, order)])
+    cf = _adapted(spec, pts, order)
+    branch = taut_circle_field([cf])
     return cf, taut_circle_transform(cf, branch)[0], branch
 
 
