@@ -44,19 +44,23 @@ Sums, differences and float multiples of forms are single array operations
 on ``c``.  :func:`wedge`, :func:`ext_d`, :meth:`PForm.scaled` by a jet and
 the coefficient kernel are array kernels that read ``c`` directly, with
 gather/scatter plans cached per (dim, order, degrees): every jet product
-goes through one capped, batched convolution from ``jets._mul_table``
-(``_multiply``), every derivative through one gather from
-``jets._diff_table``, and every sum through ``jets._sum_into``.  The
-coefficient kernel runs the wedges of beta with all complements of a frame
-as one such product per truncation order, and divides by the frame's volume
-in one more.  Their results are bit-equal to the per-term ``Jet`` loops they
-replaced, which the tests keep as the oracle: ``np.bincount`` adds in input
-order, so every sum runs in the loop's order, and a factor without a
-derivative part gets ``Jet.__mul__``'s scaling path.  This holds for finite,
-inf and NaN coefficients alike, with one exception: which of two NaNs a
-product or sum keeps (its sign and payload bits), since NumPy's own choice
-depends on array length and position.  Over many points every column is
-bit-equal to the one-point kernel, with the same exception.
+goes through one batched convolution of all its terms from
+``jets._mul_table`` (``_multiply``), every derivative through one gather
+from ``jets._diff_table``, and every other sum through ``jets._sum_into``.
+A convolution bins its pairs with one ``np.bincount`` at one point and up
+to ``jets.FLAT_PRODUCT_MAX`` weights x points; past that it sums them by
+rank groups (``jets._rank_sums``), whose indices a plan builds the first
+time it needs them.  The coefficient kernel runs the wedges of beta with
+all complements of a frame as one such product per truncation order, and
+divides by the frame's volume in one more.  Their results are bit-equal to
+the per-term ``Jet`` loops they replaced, which the tests keep as the
+oracle: both paths add each target's pairs in the loop's order from +0.0,
+and a factor without a derivative part gets ``Jet.__mul__``'s scaling
+path.  This holds for finite, inf and NaN coefficients alike, with one
+exception: which of two NaNs a product or sum keeps (its sign and payload
+bits), since NumPy's own choice depends on array length and position.
+Over many points every column is bit-equal to the one-point kernel, with
+the same exception.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -205,18 +208,48 @@ class PForm:
         return f"PForm(degree={self.degree}, values={vals})"
 
 
-class _Products(NamedTuple):
+class _Products:
     """Plan of ``_multiply``: term t multiplies row ``rx[t]`` of x by row
-    ``ry[t]`` of y, both of ``n`` coefficients.  ``gx`` and ``gy`` index the
-    flattened x and y with the pairs of ``jets._mul_table``, term by term,
-    and ``bins`` holds the flat (term, coefficient) target of each pair."""
+    ``ry[t]`` of y, both of ``n`` coefficients, at truncation ``order`` in
+    ``dim`` variables.  ``gx`` and ``gy`` index the flattened x and y with
+    the pairs of ``jets._mul_table``, term by term, and ``bins`` holds the
+    flat (term, coefficient) target of each pair.  ``ranked()`` gives the
+    rank groups of the same pairs, built the first time the plan sums by
+    them (``_term_groups``)."""
 
-    rx: np.ndarray
-    ry: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-    bins: np.ndarray
-    n: int
+    __slots__ = ("dim", "order", "rx", "ry", "gx", "gy", "bins", "n",
+                 "_ranked")
+
+    def __init__(self, dim, order, rx, ry):
+        n = jets.ncoeffs(dim, order)
+        I, J, T = jets._mul_table(dim, order)
+        self.dim, self.order, self.n = dim, order, n
+        self.rx = np.asarray(rx, dtype=np.intp)
+        self.ry = np.asarray(ry, dtype=np.intp)
+        self.gx = (self.rx[:, None] * n + I).ravel()
+        self.gy = (self.ry[:, None] * n + J).ravel()
+        self.bins = (np.arange(len(self.rx))[:, None] * n + T).ravel()
+        self._ranked = None
+
+    def ranked(self):
+        """``_term_groups(self)``, built on first call."""
+        if self._ranked is None:
+            self._ranked = _term_groups(self)
+        return self._ranked
+
+
+def _term_groups(plan: _Products):
+    """``jets._rank_groups`` of the plan's pairs for all its terms at once,
+    as ``jets._rank_sums`` takes them: accumulator row r * terms + t holds
+    the target of rank r of term t, so group s gathers, for every term, the
+    s-th pair of each target, and its rows are a prefix of the accumulator.
+    ``pos`` takes the rows back to (term, coefficient) order."""
+    pos, groups = jets._rank_groups(plan.dim, plan.order)
+    terms = len(plan.rx)
+    bx, by = plan.rx * plan.n, plan.ry * plan.n
+    return ((pos * terms + np.arange(terms)[:, None]).ravel(),
+            tuple(((I[:, None] + bx).ravel(), (J[:, None] + by).ravel())
+                  for I, J in groups))
 
 
 def _flat(a):
@@ -231,36 +264,34 @@ def _per_row(col, like):
     return col if col.ndim == like.ndim else col[..., None]
 
 
-def _products(dim, order, rx, ry) -> _Products:
-    n = jets.ncoeffs(dim, order)
-    I, J, T = jets._mul_table(dim, order)
-    rx, ry = np.asarray(rx, dtype=np.intp), np.asarray(ry, dtype=np.intp)
-    return _Products(rx, ry, (rx[:, None] * n + I).ravel(),
-                     (ry[:, None] * n + J).ravel(),
-                     (np.arange(len(rx))[:, None] * n + T).ravel(), n)
-
-
 def _multiply(x, y, plan: _Products) -> np.ndarray:
     """The products of the rows of x and y that ``plan`` pairs, one row per
     term, each bit-equal to ``Jet.__mul__`` of the two rows as jets.
 
-    All terms run as one convolution, binned by one ``np.bincount``: each
-    term sums its pairs in ``_mul_table`` order into its own output row, as
-    one ``Jet.__mul__`` does, and at each point where x and y carry a point
-    axis.  Where a factor has no derivative part,
-    ``jets._scaling_where_nan`` takes ``Jet.__mul__``'s scaling path
-    instead."""
-    rx, ry, gx, gy, bins, n = plan
-    w = _flat(x)[gx]
-    w *= _flat(y)[gy]
-    out = jets._sum_into(bins, w, (len(rx), n))
-    return jets._scaling_where_nan(out, lambda: (x[rx], y[ry]), 1)
+    All terms run as one convolution, in which each term sums its pairs in
+    ``_mul_table`` order from +0.0 into its own output row, as one
+    ``Jet.__mul__`` does, and at each point where x and y carry a point
+    axis.  At one point, and while its weights (terms x pairs) x points
+    stay at or below ``jets.FLAT_PRODUCT_MAX``, one ``np.bincount`` bins
+    them (``jets._sum_into``); past it, where those bins outgrow the cache,
+    ``jets._rank_sums`` sums them by the rank groups of ``plan.ranked()``.
+    Where a factor has no derivative part, ``jets._scaling_where_nan``
+    takes ``Jet.__mul__``'s scaling path instead."""
+    n, terms = plan.n, len(plan.rx)
+    if x.ndim == 3 and len(plan.gx) * x.shape[2] > jets.FLAT_PRODUCT_MAX:
+        out = jets._rank_sums(_flat(x), _flat(y), *plan.ranked())
+        out = out.reshape(terms, n, x.shape[2])
+    else:
+        w = _flat(x)[plan.gx]
+        w *= _flat(y)[plan.gy]
+        out = jets._sum_into(plan.bins, w, (terms, n))
+    return jets._scaling_where_nan(out, lambda: (x[plan.rx], y[plan.ry]), 1)
 
 
 @lru_cache(maxsize=None)
 def _scale_plan(dim, order, rows) -> _Products:
     """Products of each of ``rows`` rows with one jet (row 0 of y)."""
-    return _products(dim, order, range(rows), [0] * rows)
+    return _Products(dim, order, range(rows), [0] * rows)
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +323,7 @@ def _wedge_plan(dim, order, p, q):
     ``order``: the products of its terms, their signs as a column, and the
     flat (output key, coefficient) target of every term coefficient."""
     ra, rb, ro, sign = _wedge_terms(dim, p, q)
-    return (_products(dim, order, ra, rb), np.asarray(sign)[:, None],
+    return (_Products(dim, order, ra, rb), np.asarray(sign)[:, None],
             _scatter(ro, jets.ncoeffs(dim, order)))
 
 
@@ -696,7 +727,7 @@ def _coeffs_plan(dim, p, order, count):
     coefficient."""
     ra, rb, _, sign = _wedge_terms(dim, p, dim - p)
     size = len(_keys(dim, dim - p))
-    return (_products(dim, order, ra * count,
+    return (_Products(dim, order, ra * count,
                       [r + size * k for k in range(count) for r in rb]),
             np.tile(sign, count)[:, None],
             _scatter(np.repeat(np.arange(count), len(ra)),

@@ -25,8 +25,11 @@ of ``power`` would take different branches, it raises ``_MixedBranches`` and
 the caller runs the points one by one.
 
 Every sum goes through ``_sum_into``, one ``np.bincount`` over (target,
-point) bins, shared with ``forms``; a product past ``FLAT_PRODUCT_MAX``
-pairs x points, whose bins outgrow the cache, sums by ``_rank_groups``.
+point) bins, shared with ``forms``, except a many-point product past
+``FLAT_PRODUCT_MAX`` weights x points, whose bins outgrow the cache:
+``_rank_sums`` sums it group by group of ``_rank_groups``.  That is the one
+grouped loop; a jet product is its one-term case, and ``forms._multiply``
+runs it on all the terms of a plan at once.
 
 The product tables are built once per (dim, order) by NumPy array
 operations, not loops over index pairs: ``_mul_table`` takes the pairs of
@@ -147,10 +150,18 @@ def _scaling_where_nan(out, factors, axis):
                     a * b[first] + 0.0)
 
 
-# pairs x points up to which a many-point product bins its pairs: on a
-# 2-core Xeon the bins took 22-62 us where the rank groups took 57-83 us at
-# orders 5 and 6 up to 11.1k, the two were within 10 us from 8k to 15.8k,
-# and from 16.8k on, out of cache, the bins took 148-465 against 46-141 us
+# weights x points up to which a many-point product bins its pairs flat,
+# its weights being its pairs (jets._product) or its terms times their
+# pairs (forms._multiply); past it the bins outgrow the cache and
+# _rank_sums sums by rank groups.  On a 2-core Xeon (best of 7, 8 to 200
+# points), jet products summed faster grouped from 2.7-5.3k at orders 2
+# and 3, 12.6k at order 4, 12.9k at 5 and 26k at 6, and 1.2-7x faster from
+# 27k on; plans of 3 to 36 form terms at orders 2 to 4 summed grouped
+# within 3% of the bins or faster at every size from 670 on, and 1.4-2.9x
+# faster past 12k.  One value serves both: 12,000 lies between the jet
+# crossovers of orders 3 and 5, and keeps flat the 4D stage products of
+# the benchmark's 18 points (at most 9.7k), whose rank groups would cost
+# about what grouping them saves
 FLAT_PRODUCT_MAX = 12_000
 
 
@@ -174,10 +185,11 @@ def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
     ``Jet.__mul__`` takes it: (ncoeffs,) for one point, (ncoeffs, N) for N.
 
     A factor without a derivative part only scales the other.  Otherwise
-    ``_sum_into`` bins the pairs of ``_mul_table``, or ``_rank_groups``
-    sums them above ``FLAT_PRODUCT_MAX``, each target in the one-point
-    order from +0.0, so every column is bit-equal to the one-point product;
-    columns with a constant factor take ``_scaling_where_nan``."""
+    ``_sum_into`` bins the pairs of ``_mul_table``, or ``_rank_sums`` sums
+    them by ``_rank_groups`` above ``FLAT_PRODUCT_MAX``, each target in the
+    one-point order from +0.0, so every column is bit-equal to the
+    one-point product; columns with a constant factor take
+    ``_scaling_where_nan``."""
     # count_nonzero is several times cheaper than .any() on these sizes
     if not np.count_nonzero(b[1:]):
         return a * b[0] + 0.0
@@ -191,12 +203,24 @@ def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
     if len(T) * a.shape[1] <= FLAT_PRODUCT_MAX:
         out = _sum_into(T, a.take(I, 0) * b.take(J, 0), (len(a),))
     else:
-        pos, groups = _rank_groups(dim, order)
-        acc = np.zeros(a.shape)
-        for I, J in groups:
-            acc[:len(I)] += a.take(I, 0) * b.take(J, 0)
-        out = acc[pos]
+        out = _rank_sums(a, b, *_rank_groups(dim, order))
     return _scaling_where_nan(out, lambda: (a, b), 0)
+
+
+def _rank_sums(x, y, pos, groups):
+    """The sums of a many-point product by rank groups, for rows ``x`` and
+    ``y`` with a point axis: group s adds ``x[I] * y[J]`` of its pairs, the
+    s-th pair of each target, into the first ``len(I)`` rows of an
+    accumulator started at +0.0, whose row ``pos[t]`` ends as target t.
+    Each target thus adds its pairs in their order from +0.0, as
+    ``_sum_into`` does, and each group is one gather, one multiply and one
+    add, in place of bins that outgrow the cache."""
+    acc = np.zeros((len(pos), x.shape[1]))
+    for I, J in groups:
+        prod = x.take(I, 0)
+        prod *= y.take(J, 0)
+        acc[:len(I)] += prod
+    return acc[pos]
 
 
 @lru_cache(maxsize=None)
@@ -287,10 +311,6 @@ class Jet:
     @property
     def value(self) -> float:
         return float(self.c[0])
-
-    def coeff(self, alpha) -> float:
-        """Taylor coefficient for an exponent multi-index."""
-        return float(self.c[_rank(self.dim, self.order)[tuple(alpha)]])
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:

@@ -25,6 +25,12 @@ def box_points(box, n, seed=0):
     return [tuple(float(x) for x in row) for row in pts]
 
 
+def coeff(jet, alpha) -> float:
+    """The Taylor coefficient of a one-point jet for an exponent
+    multi-index."""
+    return float(jet.c[jets._rank(jet.dim, jet.order)[tuple(alpha)]])
+
+
 def one_adapted_block(fld, points, order):
     """The one-adapted frames at ``points``, at most ``forms.STACK_BLOCK``
     of them, as the one stacked block of ``pipeline.one_adapt``."""

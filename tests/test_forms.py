@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bicontact.curvature import _integrability_defect
 from bicontact.errors import BudgetError, SingularVolumeError
-from bicontact import forms
+from bicontact import forms, jets
 from bicontact.examples import build_example
 from bicontact.expressions import eval_jet, parse
 from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressions,
@@ -665,6 +665,109 @@ def test_kernels_over_a_point_axis_are_bit_equal_per_point(drawn):
         assert len(split) == len(want)
         for g, w in zip(split, want):
             _assert_bit_equal(g, w, finite)
+
+
+# (dim, order, points) of stacked products on both sides of
+# jets.FLAT_PRODUCT_MAX weights x points: the sizes the workloads run, and
+# a 2D 1-form wedged or scaled at order 2 (30 weights) at the crossover and
+# one column past it
+_AT_CROSSOVER = jets.FLAT_PRODUCT_MAX // 30
+_KERNEL_SIZES = [(3, 5, 28), (3, 5, 32), (3, 6, 32), (4, 3, 32), (4, 3, 200),
+                 (2, 2, _AT_CROSSOVER), (2, 2, _AT_CROSSOVER + 1)]
+_KERNEL_CHARTS = {2: Chart(("x", "y")), **CHARTS}
+
+
+def _special_form(rng, dim, degree, order, count, factor):
+    """A random degree-form at ``count`` points with -0.0 coefficients in
+    column 0.  A ``factor`` has no derivative part in column 1; any other
+    form has an inf there, and an inf in column 2 and a NaN in column 3."""
+    c = rng.standard_normal((len(forms._keys(dim, degree)),
+                             ncoeffs(dim, order), count))
+    c[:, [0, 2, -1], 0] = -0.0
+    if factor:
+        c[:, 1:, 1] = 0.0
+    else:
+        c[0, 1, 1] = c[-1, 1, 2] = math.inf
+        c[0, 1, 3] = math.nan
+    return PForm._of(_KERNEL_CHARTS[dim], degree, order, c)
+
+
+def _special_frame(rng, dim, order, count):
+    """A frame at ``count`` points near the coordinate coframe, with -0.0
+    coefficients in column 0 and no derivative part in column 1."""
+    covectors = []
+    for i in range(dim):
+        c = 0.1 * rng.standard_normal((dim, ncoeffs(dim, order), count))
+        c[i, 0] += 1.0
+        c[:, 2, 0] = -0.0
+        c[:, 1:, 1] = 0.0
+        covectors.append(PForm._of(CHARTS[dim], 1, order, c))
+    return Coframe(CHARTS[dim], tuple(np.zeros(count) for _ in range(dim)),
+                   tuple(covectors))
+
+
+def _product_paths(monkeypatch):
+    """A list that gets (weights x points, whether it summed by rank groups)
+    of each stacked ``forms._multiply`` call from here on."""
+    paths, ranked = [], []
+    multiply, rank_sums = forms._multiply, jets._rank_sums
+
+    def spy(x, y, plan):
+        before = len(ranked)
+        out = multiply(x, y, plan)
+        if x.ndim == 3:
+            paths.append((len(plan.gx) * x.shape[2], len(ranked) > before))
+        return out
+
+    monkeypatch.setattr(forms, "_multiply", spy)
+    monkeypatch.setattr(jets, "_rank_sums",
+                        lambda *args: ranked.append(1) or rank_sums(*args))
+    return paths
+
+
+@pytest.mark.parametrize("dim,order,count", _KERNEL_SIZES)
+def test_stacked_products_are_bitwise_the_one_point_products(monkeypatch, dim,
+                                                            order, count):
+    """Stacked ``wedge``, ``PForm.scaled`` and ``two_form_coeffs`` give, in
+    each column of each coefficient, the bits of the one-point result (NaNs
+    made canonical): the term loop of ``Jet`` products for the first two,
+    the one-point kernel for the third.  The columns hold signed zeros, inf
+    and NaN coefficients, and a factor without a derivative part against an
+    inf, where ``Jet.__mul__`` takes its scaling path.  Each product sums by
+    rank groups exactly where its weights x points pass
+    ``FLAT_PRODUCT_MAX``."""
+    rng = np.random.default_rng(1000 * dim + count)
+    a = _special_form(rng, dim, 1, order, count, factor=False)
+    b = _special_form(rng, dim, 1, order, count, factor=True)
+    s = _special_form(rng, dim, 0, order, count, factor=True)
+    paths = _product_paths(monkeypatch)
+    with np.errstate(all="ignore"):
+        cases = [(wedge(a, b), [_loop_wedge(x, y)
+                                for x, y in zip(_split(a), _split(b))]),
+                 (a.scaled(s.coeffs[()]),
+                  [PForm(x.chart, 1, {k: j * y.coeffs[()]
+                                      for k, j in x.coeffs.items()})
+                   for x, y in zip(_split(a), _split(s))])]
+        if dim > 2:
+            frame = _special_frame(rng, dim, order, count)
+            beta = _special_form(rng, dim, 2, order, count, factor=False)
+            table = two_form_coeffs(beta, frame)
+            want = [two_form_coeffs(x, one) for x, one in
+                    zip(_split(beta), _one_point_frames(frame))]
+    for got, one_point in cases:
+        for g, w in zip(_split(got), one_point, strict=True):
+            _assert_bit_equal(g, w, False)
+    if dim > 2:
+        for k, w in enumerate(want):
+            assert list(table) == list(w)
+            for key, jet in w.items():
+                assert table[key].order == jet.order
+                assert _bits(np.ascontiguousarray(table[key].c[:, k]),
+                             False) == _bits(jet.c, False), (k, key)
+    assert paths
+    assert all(grouped == (size > jets.FLAT_PRODUCT_MAX)
+               for size, grouped in paths)
+    assert {grouped for _, grouped in paths} == {count != _AT_CROSSOVER}
 
 
 # omega3 = x dz: the volume x dx^dy^dz vanishes at x = 0

@@ -359,6 +359,27 @@ def test_each_frame_computes_C_once(monkeypatch, args, calls):
     assert len(found) == calls
 
 
+@pytest.mark.parametrize("args,grouped", [
+    (["fourdim", "fourd_enonzero", "--points", "18"], False),
+    (["curvature", "normal_form_3d", "--points", "60"], True),
+], ids=["fourdim fourd_enonzero", "curvature normal_form_3d"])
+def test_each_product_plan_builds_its_rank_groups_at_most_once(monkeypatch,
+                                                               args, grouped):
+    # a product plan of forms._multiply builds its rank groups the first
+    # time it sums past jets.FLAT_PRODUCT_MAX weights x points and keeps
+    # them: every product of the 4D benchmark list stays flat and builds
+    # none, and the 3D list's two blocks build each plan's once; the plan
+    # caches start empty, so no earlier build hides one
+    for plans in (forms._scale_plan, forms._wedge_plan, forms._coeffs_plan):
+        plans.cache_clear()
+    built, term_groups = [], forms._term_groups
+    monkeypatch.setattr(forms, "_term_groups",
+                        lambda plan: built.append(plan) or term_groups(plan))
+    _run(args)
+    assert len({id(plan) for plan in built}) == len(built)
+    assert bool(built) == grouped
+
+
 def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
         monkeypatch):
     expansions = _counting(monkeypatch, fourdim, "e_expansion")
