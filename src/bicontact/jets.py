@@ -159,9 +159,13 @@ def _scaling_where_nan(out, factors, axis):
 # 27k on; plans of 3 to 36 form terms at orders 2 to 4 summed grouped
 # within 3% of the bins or faster at every size from 670 on, and 1.4-2.9x
 # faster past 12k.  One value serves both: 12,000 lies between the jet
-# crossovers of orders 3 and 5, and keeps flat the 4D stage products of
-# the benchmark's 18 points (at most 9.7k), whose rank groups would cost
-# about what grouping them saves
+# crossovers of orders 3 and 5.  Form plans below it keep their flat bins,
+# though warm they sum faster grouped: on the same machine, `fourdim
+# fourd_enonzero --points 18` (16 plans, at most 9.7k) ran at the same
+# points per second with every stacked form product grouped, in 10
+# alternated 35-s runs a side, since each process spends about 1 ms
+# building the plans' rank groups, what grouping saves warm, and it held
+# 0.5 MB more peak memory in every pair
 FLAT_PRODUCT_MAX = 12_000
 
 

@@ -11,7 +11,7 @@ path the kernel chooses), with every product binned flat, and with every
 product summed by rank groups.  A row gives the kernel, its shape (terms,
 dim, order, points), its weights (terms x pairs) times points, the number
 of such calls in the command, and the microseconds per call of each way,
-the best of ``--repeat`` timings of ``--number`` calls.  On a tree whose
+the best of ``REPEAT`` timings of ``NUMBER`` calls.  On a tree whose
 ``forms._multiply`` has no grouped path, its flat and grouped columns both
 time the flat bins.  The calls run on one core, in this process.
 """
@@ -33,6 +33,7 @@ from bicontact import cli, forms, jets  # noqa: E402
 from run import WORKLOADS, cli_args  # noqa: E402
 
 WAYS = {"chosen": None, "flat": float("inf"), "grouped": 0}
+NUMBER, REPEAT = 20, 5
 
 
 def record(argv):
@@ -79,23 +80,21 @@ def dim_order(n, pairs):
                 and jets.ncoeffs(2 * dim, order) == pairs)
 
 
-def time_call(kernel, args, limit, number, repeat):
+def time_call(kernel, args, limit):
     saved = jets.FLAT_PRODUCT_MAX
     if limit is not None:
         jets.FLAT_PRODUCT_MAX = limit
     try:
-        best = min(timeit.repeat(lambda: kernel(*args), number=number,
-                                 repeat=repeat))
+        best = min(timeit.repeat(lambda: kernel(*args), number=NUMBER,
+                                 repeat=REPEAT))
     finally:
         jets.FLAT_PRODUCT_MAX = saved
-    return round(best / number * 1e6, 1)
+    return round(best / NUMBER * 1e6, 1)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--json", help="also write the rows to this file")
-    ap.add_argument("--number", type=int, default=20)
-    ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args(argv)
     rows = []
     for workload in WORKLOADS:
@@ -107,8 +106,7 @@ def main(argv=None) -> int:
         for key in sorted(shapes, key=lambda k: (k[0], k[5] * k[4])):
             calls, kernel, call = shapes[key]
             name, terms, dim, order, points, weights = key
-            us = {way: time_call(kernel, call, limit, args.number,
-                                 args.repeat)
+            us = {way: time_call(kernel, call, limit)
                   for way, limit in WAYS.items()}
             rows.append(dict(workload=workload, kernel=name, terms=terms,
                              dim=dim, order=order, points=points,
