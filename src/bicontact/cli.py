@@ -654,33 +654,45 @@ def _add_common(sp, command, source_help):
                     help="generator parameter (example sources only)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=COMMANDS) -> argparse.ArgumentParser:
+    """The command line with a subparser for each of ``commands`` (names
+    of ``COMMANDS``, all of them by default)."""
     p = argparse.ArgumentParser(
         prog="bicontact",
         description="Numerical workbench for pairs of contact forms on "
                     "3- and 4-dimensional charts.")
     p.add_argument("--version", action="version",
                    version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    # a parser of fewer commands still lists all of them in its usage line,
+    # which an unrecognized argument prints; the full parser renders them
+    # itself, and names the argument "command" in its errors
+    commands = list(commands)
+    listed = (None if len(commands) == len(COMMANDS)
+              else "{" + ",".join(COMMANDS) + "}")
+    sub = p.add_subparsers(dest="command", required=True, metavar=listed)
     names = ", ".join(sorted(EXAMPLES))
     file_help = ("coframe definition file, or a built-in example name "
                  f"({names})")
     source_help = {"example": "built-in example name: " + names,
                    "normal-form": "invariant profile C as an expression in z"}
-    for name, (text, _) in COMMANDS.items():
-        _add_common(sub.add_parser(name, help=text), name,
-                    source_help.get(name, file_help))
-    nf = sub.choices["normal-form"]
-    nf.add_argument("--eps", type=int, choices=(-1, 1), default=1,
+    for name in commands:
+        sp = sub.add_parser(name, help=COMMANDS[name][0])
+        _add_common(sp, name, source_help.get(name, file_help))
+        if name == "normal-form":
+            _add_normal_form(sp)
+    return p
+
+
+def _add_normal_form(sp):
+    sp.add_argument("--eps", type=int, choices=(-1, 1), default=1,
                     help="orientation sign (default +1)")
-    nf.add_argument("--z0", type=float, default=0.0,
+    sp.add_argument("--z0", type=float, default=0.0,
                     help="initial-condition point of the profile equation")
-    nf.add_argument("--span", type=_parse_box, default=((-1.2, 1.2),),
+    sp.add_argument("--span", type=_parse_box, default=((-1.2, 1.2),),
                     metavar="LO:HI", help="z-interval for the profile solve")
-    nf.add_argument("--h", default="1,0,x^2/2,1", metavar="A,B,C,D",
+    sp.add_argument("--h", default="1,0,x^2/2,1", metavar="A,B,C,D",
                     help="row-major 2x2 mixing matrix, expressions in x and y "
                     "(the default satisfies the compatibility constraint)")
-    return p
 
 
 def _config_from_args(args) -> RunConfig:
@@ -736,7 +748,11 @@ def run(cfg: RunConfig, raw_params=()) -> Report:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's subparser is built; help, the version, no
+    # arguments and an unknown command get all of them
+    named = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    args = build_parser(named).parse_args(argv)
     try:
         cfg = _config_from_args(args)
     except (argparse.ArgumentTypeError, ValueError) as exc:

@@ -9,9 +9,9 @@ identity, invariant, or check so nothing in the file is anonymous.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -33,42 +33,54 @@ def format_float(x: float) -> str:
 
 
 def _ser(obj, out, level):
-    pad = "  " * level
-    pad_in = "  " * (level + 1)
-    if obj is None:
+    # the exact types a report is made of come first; None, bools, ints and
+    # subclasses such as np.float64 take the isinstance chain after them
+    kind = type(obj)
+    if kind is float:
+        out.append(format(obj, ".17g") if math.isfinite(obj)
+                   else format_float(obj))
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        pad_in = "  " * (level + 1)
+        sep = "{\n"
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be strings, got {k!r}")
+            out.append(f"{sep}{pad_in}{_quote(k)}: ")
+            _ser(v, out, level + 1)
+            sep = ",\n"
+        out.append("\n" + "  " * level + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        pad_in = "  " * (level + 1)
+        sep = "[\n"
+        for v in obj:
+            out.append(sep + pad_in)
+            _ser(v, out, level + 1)
+            sep = ",\n"
+        out.append("\n" + "  " * level + "]")
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"report keys must be strings, got {k!r}")
-            out.append(pad_in + json.dumps(k) + ": ")
-            _ser(v, out, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
+        _ser(dict(obj), out, level)
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad_in)
-            _ser(v, out, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
+        _ser(list(obj), out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 

@@ -52,7 +52,7 @@ def test_option_argvs_pass_every_flag_but_out():
     commands = sorted({command for command, _ in cli.ORDER_NEEDED})
     grid = list(report_sweep.sweep_argvs(commands, sorted(EXAMPLES)))
     options = [" ".join(argv) for argv in report_sweep.OPTION_ARGVS
-               + report_sweep.MANY_POINT_ARGVS]
+               + report_sweep.MANY_POINT_ARGVS + report_sweep.SURFACE_ARGVS]
     assert len(set(options)) == len(options)
     assert not {" ".join(argv) for argv in grid} & set(options)
     # --order comes from the grid, every other flag from OPTION_ARGVS
@@ -61,6 +61,23 @@ def test_option_argvs_pass_every_flag_but_out():
             for word in argv if word.startswith("--")}
     missing = _flags(cli.build_parser()) - {"--out", "--help"} - used
     assert not missing, f"flags without a sweep entry: {sorted(missing)}"
+
+
+def test_surface_argvs_cover_help_and_usage_errors():
+    argvs = report_sweep.SURFACE_ARGVS
+    assert len(report_sweep.OPTION_ARGVS) == 20
+    assert len(report_sweep.MANY_POINT_ARGVS) == 34
+    assert len(argvs) == 14
+    # the top-level help, each command's help in --help order, no
+    # arguments, an unknown command, a missing source, a bad --points value
+    # and an unknown option
+    assert argvs[0] == ["--help"]
+    assert [argv[0] for argv in argvs[1:9]] == list(cli.COMMANDS)
+    assert all(argv[1:] == ["--help"] for argv in argvs[1:9])
+    assert argvs[9:] == [[], ["nope", "hyp_c3"], ["invariants"],
+                         ["invariants", "eta_frame", "--points", "x"],
+                         ["invariants", "eta_frame", "--bogus"]]
+    assert "nope" not in cli.COMMANDS
 
 
 def test_compare_reports_changed_and_one_sided_keys(tmp_path, capsys):

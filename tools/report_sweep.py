@@ -18,6 +18,11 @@ whole region, ``taut`` on both branches, ``check``, ``classify`` and the
 Cartan check of ``example sphere_frame``, run on 33 and 40 points, and
 ``taut`` on two 40-point lists whose 35th point has |C| = 1 or flips the
 sign branch.
+Last come the argvs of ``SURFACE_ARGVS``: the top-level help, each
+command's help, no arguments, an unknown command and a missing source, a bad
+``--points`` value and an unknown option, each of which ends in argparse;
+``COLUMNS`` is pinned to 80, so the width of help text does not depend on
+the terminal.
 Every run goes through ``bicontact.cli.main`` in this process, from the
 checkout that holds this script (its ``src/`` comes first on the path), with
 the checkout as the working directory, since a report echoes its source
@@ -156,6 +161,21 @@ MANY_POINT_ARGVS = [
 ]
 
 
+# what argparse prints on its own: help, and usage errors (exit 2), from the
+# top level and from a command's subparser
+SURFACE_ARGVS = [
+    ["--help"],
+    *([command, "--help"] for command in (
+        "check", "invariants", "classify", "taut", "curvature", "fourdim",
+        "example", "normal-form")),
+    [],
+    ["nope", "hyp_c3"],
+    ["invariants"],
+    ["invariants", "eta_frame", "--points", "x"],
+    ["invariants", "eta_frame", "--bogus"],
+]
+
+
 def sweep_argvs(commands, examples):
     for command in commands:
         sources = PROFILES if command == "normal-form" else examples + FILES
@@ -175,18 +195,19 @@ def digest(stdout: str, status: int, stderr: str = "") -> str:
 def run_sweep() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
     from bicontact import cli
     from bicontact.examples import EXAMPLES
 
     commands = sorted({command for command, _ in cli.ORDER_NEEDED})
     out = {}
     for argv in [*sweep_argvs(commands, sorted(EXAMPLES)), *OPTION_ARGVS,
-                 *MANY_POINT_ARGVS]:
+                 *MANY_POINT_ARGVS, *SURFACE_ARGVS]:
         buf, err = io.StringIO(), io.StringIO()
         with redirect_stdout(buf), redirect_stderr(err):
             try:
                 status = cli.main(argv)
-            except SystemExit as exc:      # --version exits from argparse
+            except SystemExit as exc:      # argparse exits by itself
                 status = exc.code
         out[" ".join(argv)] = digest(buf.getvalue(), status, err.getvalue())
     return out
