@@ -398,9 +398,20 @@ def q_jets(sol: QSolution, z, c: Jet):
     order = c.order
     u = list(sol.ode.u_jet(c.truncate(order - 1)).c) if order > 1 else []
     state = np.array([sol.state(v) for v in z.tolist()]).T
-    x = Jet.variable(z, 2, 4, order)
-    return tuple(jets._compose(x, _q_taylor(u, q, dq)[:order + 1])
+    return tuple(_on_z(_q_taylor(u, q, dq)[:order + 1], order)
                  for q, dq in (state[:2], state[2:]))
+
+
+def _on_z(coeffs, order: int) -> Jet:
+    """sum_k coeffs[k] (z - z0)^k as a jet of the 4D chart: coefficient k,
+    a float or one value per point, goes straight onto the monomial z^k,
+    and "+ 0.0" turns a -0.0 into +0.0.  For finite coefficients this is
+    bit-equal to the series by Horner in the jet of z."""
+    rank = jets._rank(4, order)
+    c = np.zeros((jets.ncoeffs(4, order),) + np.shape(coeffs[0]))
+    for k in range(order + 1):
+        c[rank[(0, 0, k, 0)]] = coeffs[k] + 0.0
+    return Jet._of(4, order, c)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +469,7 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
         sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
         K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
         L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
-        Cj = jets._compose(Jet.variable(z, 2, 4, order), list(c.c))
+        Cj = _on_z(c.c, order)
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
         f = (Jet.variable(w, 3, 4, order) / (det_h * QOde.W0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))

@@ -14,30 +14,41 @@ A product with a float or a constant jet only scales the coefficients, so
 -0.0 into +0.0, as the convolution's zero-started sum does, which keeps every
 finite coefficient bit-identical to the full product.
 
+The elementary functions run degree recursions (Griewank & Walther,
+*Evaluating Derivatives*, ch. 13): the Euler operator E = sum_i x_i d/dx_i
+turns g = exp f into E g = g E f, whose degree-k part gives g's degree-k
+coefficients from f's and g's lower ones.  Each step ``_series`` takes is
+one gather, multiply and sum over the pairs of ``_step_table(dim, k)``, and
+only the value at the base point comes from ``math``, once per point, with
+the domain and range guards.  sin and cos, and sinh and cosh, run as pairs,
+one sum per step for both.
+
 A jet can also hold the expansions of one function at N points at once, its
 coefficients as an (ncoeffs, N) array whose column p is point p's jet.  The
-operations and elementary functions take such jets as they are: products run
-as one kernel over all columns (``_product``), series coefficients come per
-point from the same ``math`` laws, and each domain check looks at every
-point's value.  Every column is bit-equal to the one-point jet.  ``atan2``
-runs each of its two branches on the columns that take it.  Where the points
-of ``power`` would take different branches, it raises ``_MixedBranches`` and
-the caller runs the points one by one.
+operations and elementary functions take such jets as they are: products
+and series steps run as one kernel over all columns (``_product``,
+``_step_sum``), and each domain check looks at every point's value.  Every
+column is bit-equal to the one-point jet.  ``atan2`` runs each of its two
+branches on the columns that take it.  Where the points of ``power`` would
+take different branches, it raises ``_MixedBranches`` and the caller runs
+the points one by one.
 
 Every sum goes through ``_sum_into``, one ``np.bincount`` over (target,
-point) bins, shared with ``forms``, except a many-point product past
-``FLAT_PRODUCT_MAX`` weights x points, whose bins outgrow the cache:
-``_rank_sums`` sums it group by group of ``_rank_groups``.  That is the one
-grouped loop; a jet product is its one-term case, and ``forms._multiply``
-runs it on all the terms of a plan at once.
+point) bins, shared with ``forms``, except a many-point product or series
+step past ``FLAT_PRODUCT_MAX`` weights x points, whose bins outgrow the
+cache: ``_rank_sums`` sums it group by group of ``_grouped``.  That is the
+one grouped loop; a jet product and a series step are its one-term cases,
+and ``forms._multiply`` runs it on all the terms of a plan at once.
 
-The product tables are built once per (dim, order) by NumPy array
-operations, not loops over index pairs: ``_mul_table`` takes the pairs of
-monomials from ``np.nonzero`` of the degree-sum mask (i outer, j inner) and
-finds each product's rank through a mixed-radix code of its exponents;
-``_rank_groups`` counts each target's pairs with ``np.bincount`` and deals
-them out by a stable ``np.argsort``.  ``tests/test_jets.py`` keeps the loops
-as the reference the tables must equal.
+The product tables are built once per (dim, order), and a series step's
+table once per (dim, degree) from them, by NumPy array operations, not
+loops over index pairs: ``_mul_table`` takes the pairs of monomials from
+``np.nonzero`` of the degree-sum mask (i outer, j inner) and finds each
+product's rank through a mixed-radix code of its exponents; ``_grouped``
+counts each target's pairs with ``np.bincount`` and deals them out by a
+stable ``np.argsort``.  ``tests/test_jets.py`` keeps the loops as the
+reference the tables must equal, and the Horner series of the ``math``
+laws as the reference of the recursions.
 """
 
 from __future__ import annotations
@@ -107,14 +118,18 @@ def _mul_table(dim: int, order: int):
 
 @lru_cache(maxsize=None)
 def _rank_groups(dim: int, order: int) -> tuple:
-    """The pairs of ``_mul_table`` grouped by their rank within their
+    """The pairs of ``_mul_table`` grouped by ``_grouped``."""
+    return _grouped(*_mul_table(dim, order))
+
+
+def _grouped(I, J, T) -> tuple:
+    """Pairs (I, J) of targets T grouped by their rank within their
     target, for sums over many points: ``(pos, groups)``, where group s
     holds (I, J) of every target's s-th pair.  Targets are ranked by their
-    number of pairs, most first, ties in target order (the order in which
-    the pairs of the constant monomial, i = 0, name them), and row
-    ``pos[t]`` of the accumulator holds target t, so the targets of group s
-    are its first ``len(I)`` rows, in order."""
-    I, J, T = _mul_table(dim, order)
+    number of pairs, most first, ties in target order (for a product, the
+    order in which the pairs of the constant monomial, i = 0, name them),
+    and row ``pos[t]`` of the accumulator holds target t, so the targets of
+    group s are its first ``len(I)`` rows, in order."""
     counts = np.bincount(T)
     pos = np.argsort(np.argsort(-counts, kind="stable"))
     # each pair's rank within its target, from the pairs sorted by target
@@ -151,9 +166,9 @@ def _scaling_where_nan(out, factors, axis):
 
 
 # weights x points up to which a many-point product bins its pairs flat,
-# its weights being its pairs (jets._product) or its terms times their
-# pairs (forms._multiply); past it the bins outgrow the cache and
-# _rank_sums sums by rank groups.  On a 2-core Xeon (best of 7, 8 to 200
+# its weights being its pairs (jets._product, and each series step in
+# jets._step_sum) or its terms times their pairs (forms._multiply); past it
+# the bins outgrow the cache and _rank_sums sums by rank groups.  On a 2-core Xeon (best of 7, 8 to 200
 # points), jet products summed faster grouped from 2.7-5.3k at orders 2
 # and 3, 12.6k at order 4, 12.9k at 5 and 26k at 6, and 1.2-7x faster from
 # 27k on; plans of 3 to 36 form terms at orders 2 to 4 summed grouped
@@ -404,7 +419,7 @@ def partial(j: Jet, axis: int) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# elementary functions via Horner composition on the nilpotent part
+# elementary functions by degree recursions
 
 def _value(f: Jet):
     """The base value of f: a float for one point, an (N,) array for N."""
@@ -430,46 +445,90 @@ def _nonzero(fn: str, f: Jet, g: Jet):
             raise DomainError(fn, f0)
 
 
-def _compose(f: Jet, outer) -> Jet:
-    """Evaluate sum_k outer[k] * (f - f0)^k by Horner, for k = 0..order.
-
-    acc_k = outer[k] + u * acc_(k+1) is multiplied by u^k in the result,
-    so only its degrees <= order - k matter, and step k runs at order
-    order - k: an order-6 dim-3 series takes 1,715 pairs where the
-    full-order steps took 5,544.  A target sums the same pairs in the same
-    order at any truncation, so for finite coefficients the result is
-    bit-equal to Horner at full order; where full order meets 0 * inf in a
-    degree no later step reads, it gives NaN where this gives a number.
-    ``outer[k]`` is a float or one value per point."""
-    n, dim = f.order, f.dim
-    u = f.c.copy()
-    u[0] = f.c[0] - f.c[0]
-    acc = np.zeros(f.c.shape)
-    acc[0] = outer[n]
-    for k in range(n - 1, -1, -1):
-        m = ncoeffs(dim, n - k)
-        prod = _product(acc[:m], u[:m], dim, n - k)
-        acc[:m] = prod + 0.0
-        acc[0] = prod[0] + outer[k]
-    return Jet._of(dim, n, acc)
-
-
-def _series(f, fn, law, bad=None):
-    """Compose with the series whose k-th coefficient at a point of value
-    f0 is law(f0, k).
-
-    A value that ``bad`` flags, or a coefficient outside the float range,
-    raises DomainError(fn, f0).
-    """
-    cols = []
+def _at_points(fn: str, f: Jet, law) -> list:
+    """law(f0) at each point of f, in order.  Where it raises, as ``math``
+    does out of its domain or range, DomainError(fn, f0) names the first
+    such point, before any array arithmetic."""
+    out = []
     for f0 in _values(f):
-        if bad is not None and bad(f0):
-            raise DomainError(fn, f0)
         try:
-            cols.append([law(f0, k) for k in range(f.order + 1)])
-        except (OverflowError, ZeroDivisionError):
+            out.append(law(f0))
+        except (ArithmeticError, ValueError):
             raise DomainError(fn, f0) from None
-    return _compose(f, cols[0] if f.c.ndim == 1 else np.array(cols).T)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _degrees(dim: int, order: int) -> np.ndarray:
+    """The total degree of each monomial, as floats, in rank order."""
+    sizes = [ncoeffs(dim, k) for k in range(-1, order + 1)]
+    return np.repeat(np.arange(order + 1.0), np.diff(sizes))
+
+
+def _by_degree(f: Jet, a: float, b: float, k: int) -> np.ndarray:
+    """f's coefficients of degree <= k, each times a * degree + b: with
+    (1, 0), those of E f = sum_i x_i df/dx_i, the Euler operator."""
+    w = a * _degrees(f.dim, k) + b
+    return f.c[:len(w)] * (w if f.c.ndim == 1 else w[:, None])
+
+
+@lru_cache(maxsize=None)
+def _step_table(dim: int, k: int):
+    """(I, J, T) of the pairs of ``_mul_table(dim, k)`` whose target has
+    degree k and whose first monomial has degree >= 1, T counted from the
+    first monomial of degree k.  Ranks are a prefix at every order, so the
+    table serves every order >= k."""
+    I, J, T = _mul_table(dim, k)
+    low = ncoeffs(dim, k - 1)
+    keep = (T >= low) & (I > 0)
+    return I[keep], J[keep], T[keep] - low
+
+
+@lru_cache(maxsize=None)
+def _step_groups(dim: int, k: int) -> tuple:
+    """``_step_table(dim, k)`` by rank groups, built the first time a step
+    sums grouped."""
+    return _grouped(*_step_table(dim, k))
+
+
+def _step_sum(x, y, dim: int, k: int):
+    """sum x[i] * y[j] over the pairs of ``_step_table(dim, k)``, one row
+    per monomial of degree k.  Like ``_product``, it bins the pairs by
+    ``_sum_into``, or sums them by rank groups past ``FLAT_PRODUCT_MAX``,
+    each target adding its pairs in order from +0.0, so each column is
+    bit-equal to the one-point sum."""
+    I, J, T = _step_table(dim, k)
+    shape = (ncoeffs(dim, k) - ncoeffs(dim, k - 1),)
+    if x.ndim == 1:
+        return _sum_into(T, x[I] * y[J], shape)
+    if len(T) * x.shape[1] <= FLAT_PRODUCT_MAX:
+        return _sum_into(T, x.take(I, 0) * y.take(J, 0), shape)
+    return _rank_sums(x, y, *_step_groups(dim, k))
+
+
+def _series(f: Jet, starts: list, step) -> list:
+    """The jets of one function g of f, or of a pair, by a degree recursion
+    (Griewank & Walther, *Evaluating Derivatives*, ch. 13; Neidinger,
+    APL '95).  ``starts`` holds each function's values at the points of f,
+    and ``step(k, g)`` gives the degree-k part of the coefficient array g
+    from its parts below k.  A pair's array holds the first function's
+    columns, then the second's, (ncoeffs, 2) at one point, so that each
+    step takes one sum over both.
+
+    Each step reads the degrees below k only, so a result truncated to a
+    lower order is bit-equal to the result at that order.  Every part ends
+    in "+ 0.0", so an exact zero is never -0.0."""
+    dim, n = f.dim, f.order
+    values = [v for column in starts for v in column]
+    g = np.zeros(f.c.shape if len(starts) == 1 else (len(f.c), len(values)))
+    g[0] = values if g.ndim > 1 else values[0]
+    g[0] += 0.0
+    for k in range(1, n + 1):
+        g[ncoeffs(dim, k - 1):ncoeffs(dim, k)] = step(k, g) + 0.0
+    if len(starts) == 1:
+        return [Jet._of(dim, n, g)]
+    return [Jet._of(dim, n, np.ascontiguousarray(part).reshape(f.c.shape))
+            for part in np.split(g, len(starts), axis=1)]
 
 
 def _as_jet(x, like: Jet) -> Jet:
@@ -481,23 +540,45 @@ def _as_jet(x, like: Jet) -> Jet:
 
 
 def exp(f: Jet) -> Jet:
-    return _series(f, "exp", lambda f0, k: math.exp(f0) / math.factorial(k))
-
-
-def _ln_law(f0, k):
-    if k == 0:
-        return math.log(f0)
-    return ((-1.0) ** (k + 1)) / (k * f0 ** k)
+    # E g = g E f:  k g_k = sum_j j f_j g_(k-j)
+    starts = _at_points("exp", f, math.exp)
+    ef = _by_degree(f, 1.0, 0.0, f.order)
+    return _series(f, [starts],
+                   lambda k, g: _step_sum(ef, g, f.dim, k) / k)[0]
 
 
 def ln(f: Jet) -> Jet:
-    return _series(f, "ln", _ln_law, bad=lambda f0: f0 <= 0.0)
+    # E g = E f / f:  k f0 g_k = k f_k - sum_(j>=1) (k - j) f_j g_(k-j)
+    n, dim, f0 = f.order, f.dim, _value(f)
+
+    def law(f0):
+        if n:
+            # the degree-n coefficient is 1/(n f0^n) in size
+            1.0 / (n * f0 ** n)
+        return math.log(f0)
+
+    starts = _at_points("ln", f, law)
+
+    def step(k, g):
+        x = _by_degree(f, -1.0, k, k)
+        return (f.c[ncoeffs(dim, k - 1):len(x)]
+                - _step_sum(x, g, dim, k) / k) / f0
+
+    return _series(f, [starts], step)[0]
 
 
 def reciprocal(f: Jet) -> Jet:
-    return _series(f, "reciprocal",
-                   lambda f0, k: ((-1.0) ** k) / f0 ** (k + 1),
-                   bad=lambda f0: f0 == 0.0)
+    # f g = 1:  g_k = -(sum_(j>=1) f_j g_(k-j)) / f0
+    n, f0 = f.order, _value(f)
+
+    def law(f0):
+        # the degree-n coefficient is 1/f0^(n+1) in size
+        1.0 / f0 ** (n + 1)
+        return 1.0 / f0
+
+    starts = _at_points("reciprocal", f, law)
+    return _series(f, [starts],
+                   lambda k, g: -_step_sum(f.c, g, f.dim, k) / f0)[0]
 
 
 def _int_power(f: Jet, n: int) -> Jet:
@@ -513,6 +594,27 @@ def _int_power(f: Jet, n: int) -> Jet:
     return result
 
 
+def _real_power(f: Jet, p: float, fn: str, zero_ok: bool) -> Jet:
+    """f**p for a non-integer p, by f E g = p g E f:
+    k f0 g_k = sum_(j>=1) ((p + 1) j - k) f_j g_(k-j).
+
+    The base value must be positive, or zero where ``zero_ok``; the
+    degree-k coefficient is f0^(p-k) in size, largest at k = 0 or at the
+    order, which decides whether the series stays in range."""
+    n, dim, f0 = f.order, f.dim, _value(f)
+
+    def law(f0):
+        if f0 < 0.0 or (f0 == 0.0 and not zero_ok):
+            raise ValueError(fn)
+        if f0 < 1.0:
+            f0 ** (p - n)
+        return f0 ** p
+
+    starts = _at_points(fn, f, law)
+    return _series(f, [starts], lambda k, g: _step_sum(
+        _by_degree(f, p + 1.0, -k, k), g, dim, k) / (k * f0))[0]
+
+
 def powf(f: Jet, p: float) -> Jet:
     """f**p for a real constant exponent.
 
@@ -521,15 +623,7 @@ def powf(f: Jet, p: float) -> Jet:
     """
     if float(p).is_integer():
         return _int_power(f, int(p))
-    return _series(f, "power", lambda f0, k: _binom(p, k) * f0 ** (p - k),
-                   bad=lambda f0: f0 <= 0.0)
-
-
-def _binom(p: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= (p - i) / (i + 1)
-    return out
+    return _real_power(f, float(p), "power", zero_ok=False)
 
 
 def power(f: Jet, g) -> Jet:
@@ -547,25 +641,45 @@ def power(f: Jet, g) -> Jet:
 
 
 def sqrt(f: Jet) -> Jet:
-    # at order 0 the series of a zero value is the constant 0.0
-    return _series(f, "sqrt", lambda f0, k: _binom(0.5, k) * f0 ** (0.5 - k),
-                   bad=lambda f0: f0 < 0.0 or (f0 == 0.0 and f.order >= 1))
+    # at order 0 the root of a zero value is the constant 0.0
+    return _real_power(f, 0.5, "sqrt", zero_ok=True)
+
+
+def _pair(f: Jet, fn: str, law, sign: float) -> list:
+    """[g, h] with E g = h E f and E h = sign g E f, their values at f0
+    ``law(f0)``:  k g_k = sum_j j f_j h_(k-j), k h_k = sign sum_j j f_j
+    g_(k-j).  One sum gives sign sum_j j f_j g_(k-j) in g's columns and
+    sum_j j f_j h_(k-j) in h's, which the step swaps."""
+    starts = list(zip(*_at_points(fn, f, law)))
+    ef = _by_degree(f, 1.0, 0.0, f.order).reshape(len(f.c), -1)
+    both = np.concatenate((sign * ef, ef), axis=1)
+    swap = np.roll(np.arange(both.shape[1]), ef.shape[1])
+
+    def step(k, g):
+        s = _step_sum(both, g, f.dim, k)
+        s /= k
+        return s.take(swap, 1)
+
+    return _series(f, starts, step)
+
+
+def _sin_cos(f: Jet, fn: str) -> list:
+    """[sin f, cos f]: E sin f = cos f E f, E cos f = -sin f E f."""
+    return _pair(f, fn, lambda f0: (math.sin(f0), math.cos(f0)), -1.0)
 
 
 def sin(f: Jet) -> Jet:
-    return _series(f, "sin", lambda f0, k:
-                   math.sin(f0 + k * math.pi / 2) / math.factorial(k))
+    return _sin_cos(f, "sin")[0]
 
 
 def cos(f: Jet) -> Jet:
-    return _series(f, "cos", lambda f0, k:
-                   math.cos(f0 + k * math.pi / 2) / math.factorial(k))
+    return _sin_cos(f, "cos")[1]
 
 
 def tan(f: Jet) -> Jet:
-    c = cos(f)
+    s, c = _sin_cos(f, "tan")
     _nonzero("tan", f, c)
-    return sin(f) / c
+    return s / c
 
 
 def csc(f: Jet) -> Jet:
@@ -575,25 +689,27 @@ def csc(f: Jet) -> Jet:
 
 
 def cot(f: Jet) -> Jet:
-    s = sin(f)
+    s, c = _sin_cos(f, "cot")
     _nonzero("cot", f, s)
-    return cos(f) / s
+    return c / s
+
+
+def _sinh_cosh(f: Jet, fn: str) -> list:
+    """[sinh f, cosh f]: E sinh f = cosh f E f, E cosh f = sinh f E f."""
+    return _pair(f, fn, lambda f0: (math.sinh(f0), math.cosh(f0)), 1.0)
 
 
 def sinh(f: Jet) -> Jet:
-    return _series(f, "sinh", lambda f0, k: (math.sinh(f0) if k % 2 == 0
-                                             else math.cosh(f0))
-                   / math.factorial(k))
+    return _sinh_cosh(f, "sinh")[0]
 
 
 def cosh(f: Jet) -> Jet:
-    return _series(f, "cosh", lambda f0, k: (math.cosh(f0) if k % 2 == 0
-                                             else math.sinh(f0))
-                   / math.factorial(k))
+    return _sinh_cosh(f, "cosh")[1]
 
 
 def tanh(f: Jet) -> Jet:
-    return sinh(f) / cosh(f)
+    s, c = _sinh_cosh(f, "sinh")
+    return s / c
 
 
 def sech(f: Jet) -> Jet:
@@ -605,14 +721,11 @@ def asinh(f: Jet) -> Jet:
 
 
 def atan(f: Jet) -> Jet:
-    # atan(f) = atan(f0) + atan(u) with u = (f-f0)/(1+f*f0) nilpotent.
-    values = _values(f)
-    f0 = _per_point(values, f)
-    u = (f - f0) / (f * f0 + 1.0)
-    outer = [0.0] * (f.order + 1)
-    for k in range(1, f.order + 1, 2):
-        outer[k] = ((-1.0) ** ((k - 1) // 2)) / k
-    return _compose(u, outer) + _per_point([math.atan(v) for v in values], f)
+    # E g = h E f with h = 1/(1 + f^2):  k g_k = sum_j j f_j h_(k-j)
+    h = reciprocal(f * f + 1.0).c
+    ef = _by_degree(f, 1.0, 0.0, f.order)
+    return _series(f, [_at_points("atan", f, math.atan)],
+                   lambda k, g: _step_sum(ef, h, f.dim, k) / k)[0]
 
 
 def atan2(y, x) -> Jet:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bicontact import cli, expressions, forms
+from bicontact import cli, expressions, forms, fourdim
 from bicontact.errors import DegenerateH, DomainError, SingularVolumeError
 from bicontact.examples import build_example
 from bicontact.forms import (STACK_BLOCK, Chart, _columns,
@@ -19,6 +19,7 @@ from bicontact.fourdim import (QOde, compute_E,
                                symplectic_quadratic_check, verify_normal_form)
 from bicontact.jets import Jet, _value, partial
 from conftest import box_points, coeff
+from test_jets import _full_horner
 
 GOOD_H = (("1", "0"), ("x^2/2", "1"))
 BOX4 = ((-0.8, 0.8), (-0.8, 0.8), (-0.9, 0.9), (0.2, 1.8))
@@ -179,6 +180,25 @@ def test_q_jets_match_the_leibniz_recursion():
                 want = der[m] / math.factorial(m)
                 assert coeff(one, (0, 0, m, 0)) == pytest.approx(
                     want, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_z_series_placed_on_its_monomials_is_bitwise_horner(order):
+    # the lift of a univariate series in z writes coefficient k onto z^k;
+    # Horner in the jet of z at each point gives the same bits, at one
+    # point (floats) and at five at once (arrays), and each of its steps
+    # turns a -0.0 into +0.0 (at order 0 it takes none)
+    rng = np.random.default_rng(30 + order)
+    zs = rng.uniform(-1.0, 1.0, 5)
+    coeffs = rng.standard_normal((order + 1, 5))
+    if order:
+        coeffs[order - 1:, 2] = -0.0
+    many = fourdim._on_z(list(coeffs), order)
+    for p, z in enumerate(zs.tolist()):
+        column = coeffs[:, p].tolist()
+        want = _full_horner(Jet.variable(z, 2, 4, order), column).c
+        assert fourdim._on_z(column, order).c.tobytes() == want.tobytes()
+        assert many.c[:, p].tobytes() == want.tobytes(), p
 
 
 @pytest.mark.parametrize("profile", ["tan(z)", "z^2", "sin(z)*exp(z)/(1+z^2)",

@@ -480,3 +480,17 @@ def test_cli_overflow_is_a_typed_error(tmp_path, dz, fn):
     assert rep["passed"] is False
     assert rep["errors"][0]["type"] == "DomainError"
     assert rep["errors"][0]["message"].startswith(fn + ":")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cli_sine_of_infinity_is_a_typed_error(capsys):
+    # math.sin raises a bare ValueError at +-inf; the jet's guard names it.
+    # 1e200*1e200 overflows in a jet product first, which NumPy warns of
+    rc = main(["invariants", "eta_frame", "--points", "3", "--param",
+               "f=sin(1e200*1e200*x)"])
+    assert rc == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["passed"] is False
+    assert [(e["type"], e["message"]) for e in rep["errors"]] == [
+        ("DomainError", "sin: argument value inf outside domain")]

@@ -1,6 +1,8 @@
 """Taylor-jet arithmetic: seeded expansions, calculus rules, domain guards."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -266,16 +268,78 @@ def test_out_of_range_series_is_a_domain_error(fn, value):
         fn(Jet.variable(value, 0, 2, 3))
 
 
-# -- graded Horner against Horner at full order ------------------------------
+# -- the degree recursions against the Horner series of the laws ------------
 
 def _full_horner(f, outer):
     """sum_k outer[k] * (f - f0)^k by Horner with every step at f's full
-    order, on one-point jets: the oracle of the graded ``jets._compose``."""
+    order, on one-point jets: the series the elementary functions were
+    composed by before their degree recursions."""
     u = f - f.value
     acc = Jet.constant(outer[-1], f.dim, f.order)
     for k in range(len(outer) - 2, -1, -1):
         acc = acc * u + outer[k]
     return acc
+
+
+def _binom(p, k):
+    out = 1.0
+    for i in range(k):
+        out *= (p - i) / (i + 1)
+    return out
+
+
+# the k-th series coefficient at a point of value f0
+_LAWS = {
+    "exp": lambda f0, k: math.exp(f0) / math.factorial(k),
+    "ln": lambda f0, k: (math.log(f0) if k == 0
+                         else ((-1.0) ** (k + 1)) / (k * f0 ** k)),
+    "reciprocal": lambda f0, k: ((-1.0) ** k) / f0 ** (k + 1),
+    "sqrt": lambda f0, k: _binom(0.5, k) * f0 ** (0.5 - k),
+    "powf 2.5": lambda f0, k: _binom(2.5, k) * f0 ** (2.5 - k),
+    "sin": lambda f0, k: math.sin(f0 + k * math.pi / 2) / math.factorial(k),
+    "cos": lambda f0, k: math.cos(f0 + k * math.pi / 2) / math.factorial(k),
+    "sinh": lambda f0, k: ((math.sinh(f0) if k % 2 == 0 else math.cosh(f0))
+                           / math.factorial(k)),
+    "cosh": lambda f0, k: ((math.cosh(f0) if k % 2 == 0 else math.sinh(f0))
+                           / math.factorial(k)),
+}
+
+
+def _law(name):
+    law = _LAWS[name]
+    return lambda f: _full_horner(f, [law(f.value, k)
+                                      for k in range(f.order + 1)])
+
+
+def _atan_oracle(f):
+    # atan(f) = atan(f0) + atan(u), u = (f - f0)/(1 + f f0) nilpotent
+    u = (f - f.value) * _law("reciprocal")(f * f.value + 1.0)
+    outer = [0.0 if k % 2 == 0 else (-1.0) ** ((k - 1) // 2) / k
+             for k in range(f.order + 1)]
+    return _full_horner(u, outer) + math.atan(f.value)
+
+
+def _quotient(a, b):
+    return a * _law("reciprocal")(b)
+
+
+# each entry of _ELEMENTARY as it was composed from the Horner series
+_ORACLE = {
+    **{name: _law(name) for name in _LAWS},
+    "powf -3": lambda f: _law("reciprocal")(f * (f * f)),
+    "power": lambda f: _law("exp")(f * _law("ln")(f)),
+    "tan": lambda f: _quotient(_law("sin")(f), _law("cos")(f)),
+    "csc": lambda f: _law("reciprocal")(_law("sin")(f)),
+    "cot": lambda f: _quotient(_law("cos")(f), _law("sin")(f)),
+    "tanh": lambda f: _quotient(_law("sinh")(f), _law("cosh")(f)),
+    "sech": lambda f: _law("reciprocal")(_law("cosh")(f)),
+    "asinh": lambda f: _law("ln")(f + _law("sqrt")(f * f + 1.0)),
+    "atan": _atan_oracle,
+    # f^2 + 1 > |f|: atan(y/x) on the first, pi/2 - atan(x/y) on the second
+    "atan2 y/x": lambda f: _atan_oracle(_quotient(f, f * f + 1.0)),
+    "atan2 x/y": lambda f: math.pi / 2 - _atan_oracle(
+        _quotient(f, f * f + 1.0)),
+}
 
 
 _ELEMENTARY = {
@@ -292,12 +356,15 @@ _ELEMENTARY = {
     "atan2 x/y": lambda f: jets.atan2(f * f + 1.0, f),
 }
 _POINTS = 4
+# many-point jets of 4 and of 16 columns: dim 3 from order 7 and dim 4 from
+# order 6 sum some step by rank groups at 16 columns, dim 4 at order 7 at 4
+_COLUMNS = (_POINTS, 16)
 
 
-def _random_jets(rng, dim, order):
+def _random_jets(rng, dim, order, count=_POINTS):
     """Finite jets with values in [0.3, 1.5], inside every domain above."""
     out = []
-    for _ in range(_POINTS):
+    for _ in range(count):
         c = 0.5 * rng.standard_normal(jets.ncoeffs(dim, order))
         c[0] = rng.uniform(0.3, 1.5)
         out.append(Jet(dim, order, c))
@@ -310,38 +377,148 @@ def _many(fs):
                    np.stack([f.c for f in fs], axis=1))
 
 
+def _no_negative_zero(c):
+    return not np.any((c == 0.0) & np.signbit(c))
+
+
+def test_the_oracle_covers_every_elementary_function():
+    assert _ORACLE.keys() == _ELEMENTARY.keys()
+
+
 @pytest.mark.parametrize("name", sorted(_ELEMENTARY))
 def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
-    """Each function's jet, at one point and at several at once, is
-    bit-equal to what Horner at full order gives, and an order-p result
-    truncated to p - 1 is bit-equal to the order-(p - 1) result."""
-    fn = _ELEMENTARY[name]
+    """Each function's jet, by its degree recursion, lies within 1e-13 of
+    its max-norm of the Horner series of its laws at full order.  (The
+    name is the one this check had while the series were composed by
+    graded Horner and matched full order bit for bit.)  At 4 and at 16
+    points at once, each column is bit-equal to the one-point jet, and an
+    order-p result truncated to p - 1 is bit-equal to the order-(p - 1)
+    result; no exact zero is -0.0."""
+    fn, oracle = _ELEMENTARY[name], _ORACLE[name]
     rng = np.random.default_rng(sorted(_ELEMENTARY).index(name))
+    grouped, step_groups = [], jets._step_groups
+    monkeypatch.setattr(jets, "_step_groups",
+                        lambda *key: grouped.append(key) or step_groups(*key))
     for dim in (1, 3, 4):
         for order in range(8):
-            fs = _random_jets(rng, dim, order)
+            fs = _random_jets(rng, dim, order, max(_COLUMNS))
             got = [fn(f) for f in fs]
-            with monkeypatch.context() as m:
-                m.setattr(jets, "_compose", _full_horner)
-                want = [fn(f) for f in fs]
-            assert all(np.isfinite(w.c).all() for w in want)
-            assert [g.c.tobytes() for g in got] == \
-                [w.c.tobytes() for w in want], (dim, order)
-            if name == "power" and order == 0:
-                # exponents without a derivative part that differ between
-                # points: the caller runs the points one by one
-                with pytest.raises(jets._MixedBranches):
-                    fn(_many(fs))
-            else:
-                many = fn(_many(fs))
-                assert [many.c[:, p].tobytes() for p in range(_POINTS)] == \
-                    [g.c.tobytes() for g in got], (dim, order)
+            for f, g in zip(fs[:_POINTS], got):
+                want = oracle(f).c
+                assert np.isfinite(want).all()
+                assert np.abs(g.c - want).max() <= \
+                    1e-13 * np.abs(want).max(), (dim, order)
+            assert all(_no_negative_zero(g.c) for g in got), (dim, order)
+            for count in _COLUMNS:
+                if name == "power" and order == 0:
+                    # exponents without a derivative part that differ
+                    # between points: the caller runs the points one by one
+                    with pytest.raises(jets._MixedBranches):
+                        fn(_many(fs[:count]))
+                    continue
+                many = fn(_many(fs[:count]))
+                assert [many.c[:, p].tobytes() for p in range(count)] == \
+                    [g.c.tobytes() for g in got[:count]], (dim, order, count)
             # at order 0 the exponent f of power has no derivative part,
             # so power takes the direct series there, not exp(f ln f)
             if order > (name == "power"):
-                lower = [fn(f.truncate(order - 1)) for f in fs]
-                assert [g.truncate(order - 1).c.tobytes() for g in got] == \
+                lower = [fn(f.truncate(order - 1)) for f in fs[:_POINTS]]
+                assert [g.truncate(order - 1).c.tobytes()
+                        for g in got[:_POINTS]] == \
                     [w.c.tobytes() for w in lower], (dim, order)
+    # both step kernels ran: the flat bins and the rank groups
+    assert grouped and (4, 7) in grouped and (3, 7) in grouped
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTARY))
+def test_zero_coefficients_come_out_positive(name):
+    # a constant of value 1 and the jet of x at 1: the odd and even parts
+    # of sin, cos, sinh and cosh vanish by sign cancellation
+    for f in (Jet.constant(1.0, 3, 5), Jet.variable(1.0, 0, 3, 5),
+              Jet.variable(-0.0, 0, 1, 4) + 1.0):
+        assert _no_negative_zero(_ELEMENTARY[name](f).c)
+
+
+# (function, its name in the error, a value out of its domain or range)
+_OUT_OF_DOMAIN = [
+    (jets.exp, "exp", 800.0), (jets.ln, "ln", -2.0), (jets.ln, "ln", 1e200),
+    (jets.reciprocal, "reciprocal", 1e-200), (jets.sqrt, "sqrt", 0.0),
+    (lambda f: jets.powf(f, 2.5), "power", 1e200),
+    (lambda f: jets.powf(f, -0.5), "power", 1e-200),
+    (jets.sin, "sin", math.inf), (jets.cos, "cos", -math.inf),
+    (jets.tan, "tan", math.inf), (jets.cot, "cot", -math.inf),
+    (jets.sinh, "sinh", 800.0), (jets.cosh, "cosh", -800.0),
+    (jets.tanh, "sinh", 800.0),
+]
+
+
+@pytest.mark.parametrize("fn,name,value", _OUT_OF_DOMAIN,
+                         ids=[f"{n} {v!r}" for _, n, v in _OUT_OF_DOMAIN])
+def test_the_out_of_range_column_is_named_without_warnings(fn, name, value):
+    # only column 3 of 5 is out of range; the guard names its value before
+    # any array arithmetic, so no RuntimeWarning comes first
+    values = [0.5, 0.7, 0.9, value, 1.1]
+    message = "^" + re.escape(f"{name}: argument value {value!r} "
+                              "outside domain") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (Jet.variable(values, 1, 2, 3),
+                  Jet.variable(value, 1, 2, 3)):
+            with pytest.raises(DomainError, match=message) as err:
+                fn(f)
+            assert err.value.fn == name and err.value.value == value
+
+
+_GUARDED = ["exp", "ln", "reciprocal", "sqrt", "powf 2.5", "sin", "cos",
+            "sinh", "cosh"]
+# the base values where ln, reciprocal and sqrt must reject a point
+_BAD = {"ln": lambda f0, n: f0 <= 0.0,
+        "reciprocal": lambda f0, n: f0 == 0.0,
+        "sqrt": lambda f0, n: f0 < 0.0 or (f0 == 0.0 and n >= 1),
+        "powf 2.5": lambda f0, n: f0 <= 0.0}
+_EDGE_VALUES = [s * 10.0 ** e for s in (1.0, -1.0)
+                for e in range(-320, 309, 8)]
+_EDGE_VALUES += [0.0, -0.0, 1.0, 709.7, 710.5, -710.5, 5e-324, 1e-310,
+                 math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("name", _GUARDED)
+def test_guards_raise_where_a_law_of_the_series_raised(name):
+    """A function raises DomainError exactly where its old law raised for
+    some degree k <= order, or flagged the value as bad."""
+    law, fn = _LAWS[name], _ELEMENTARY[name]
+    for order in range(8):
+        for f0 in _EDGE_VALUES:
+            try:
+                bad = _BAD.get(name, lambda *_: False)(f0, order)
+                for k in range(order + 1):
+                    law(f0, k)
+            except (ArithmeticError, ValueError):
+                bad = True
+            try:
+                with np.errstate(all="ignore"):
+                    fn(Jet.variable(f0, 0, 1, order))
+            except DomainError:
+                assert bad, (f0, order)
+            else:
+                assert not bad, (f0, order)
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTARY))
+def test_a_nonfinite_column_stays_nonfinite(name):
+    # column 1 holds an inf and column 2 a NaN coefficient; the others
+    # are bit-equal to their one-point jets
+    fn = _ELEMENTARY[name]
+    fs = _random_jets(np.random.default_rng(3), 3, 4)
+    fs[1].c[2], fs[2].c[-1] = np.inf, np.nan
+    with np.errstate(all="ignore"):
+        many = fn(_many(fs)).c
+        own = [fn(f).c for f in fs]
+    for p in (1, 2):
+        assert not np.isfinite(many[:, p]).all()
+        assert not np.isfinite(own[p]).all()
+    assert [many[:, p].tobytes() for p in (0, 3)] == \
+        [own[p].tobytes() for p in (0, 3)]
 
 
 # (dim, order, points) of many-point products on both sides of

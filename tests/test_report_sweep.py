@@ -4,8 +4,11 @@ two sweeps.  No command runs here."""
 import argparse
 import importlib.util
 import json
+import math
 import pathlib
 from collections import Counter
+
+import pytest
 
 from bicontact import cli, forms
 from bicontact.examples import EXAMPLES
@@ -65,7 +68,7 @@ def test_option_argvs_pass_every_flag_but_out():
 
 def test_surface_argvs_cover_help_and_usage_errors():
     argvs = report_sweep.SURFACE_ARGVS
-    assert len(report_sweep.OPTION_ARGVS) == 20
+    assert len(report_sweep.OPTION_ARGVS) == 21
     assert len(report_sweep.MANY_POINT_ARGVS) == 34
     assert len(argvs) == 14
     # the top-level help, each command's help in --help order, no
@@ -92,6 +95,70 @@ def test_compare_reports_changed_and_one_sided_keys(tmp_path, capsys):
     assert "3 of 4 entries differ" in capsys.readouterr().out
     assert report_sweep.main(["--compare", str(fa), str(fa)]) == 0
     assert "0 of 3 entries differ" in capsys.readouterr().out
+
+
+def _dump(stdout, status=0, stderr=""):
+    return {"stdout": stdout, "status": status, "stderr": stderr}
+
+
+def test_deviation_compares_numbers_and_nothing_else():
+    dev = report_sweep.deviation
+    a = {"passed": True, "value": 2.0, "n": 3, "rows": [0.5, "x", None]}
+    assert dev(a, json.loads(json.dumps(a))) == 0.0
+    # relative to max(1, |a|, |b|); a JSON int and a float alike
+    assert dev(a, {**a, "value": 2.0 + 4e-9}) == pytest.approx(2e-9)
+    assert dev({"v": 1e-3}, {"v": 2e-3}) == pytest.approx(1e-3)
+    assert dev({"n": 3}, {"n": 3.0}) == 0.0
+    assert dev([math.nan, math.inf], [math.nan, math.inf]) == 0.0
+    for other in ({**a, "passed": False}, {**a, "passed": 1},
+                  {**a, "rows": [0.5, "y", None]}, {**a, "rows": [0.5, "x"]},
+                  {**a, "rows": [0.5, "x", 0.0]}, {**a, "value": math.nan},
+                  {**a, "value": math.inf}, {**a, "extra": 1}, "text"):
+        assert dev(a, other) is None, other
+
+
+def test_near_fails_on_anything_but_close_numbers(tmp_path, capsys):
+    report = json.dumps({"passed": True, "value": 1.0})
+    a = {"same": _dump(report), "close": _dump(report),
+         "far": _dump(report), "status": _dump(report, 1),
+         "stderr": _dump("", 2, "usage\n"), "text": _dump("bicontact 0.1\n"),
+         "only in a": _dump(report)}
+    b = {**a, "close": _dump(report.replace("1.0", "1.0000000005")),
+         "far": _dump(report.replace("1.0", "1.00000001")),
+         "status": _dump(report, 0), "stderr": _dump("", 2, "usage:\n"),
+         "text": _dump("bicontact 0.2\n")}
+    del b["only in a"]
+    diff = report_sweep.near(a, b)
+    assert diff["close"] == pytest.approx(5e-10)
+    assert diff["far"] == pytest.approx(1e-8)
+    assert [k for k, d in diff.items() if d is None] == [
+        "only in a", "status", "stderr", "text"]
+    assert "same" not in diff
+    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    fa.write_text(json.dumps(a))
+    fb.write_text(json.dumps(b))
+    assert report_sweep.main(["--near", str(fa), str(fb)]) == 1
+    out = capsys.readouterr().out
+    assert "close\n  worst deviation 5e-10\n" in out
+    assert "6 of 7 entries differ, 5 beyond 1e-09" in out
+    fb.write_text(json.dumps({**a, "close": b["close"]}))
+    assert report_sweep.main(["--near", str(fa), str(fb)]) == 0
+    assert "1 of 7 entries differ, 0 beyond 1e-09; worst deviation 5e-10" \
+        in capsys.readouterr().out
+
+
+def test_dump_writes_each_output_in_full(tmp_path, monkeypatch):
+    outputs = {"check x": ('{"passed": true}\n', 0, ""),
+               "nope": ("", 2, "usage\n")}
+    monkeypatch.setattr(report_sweep, "run_sweep", lambda: outputs)
+    path = tmp_path / "dump.json"
+    assert report_sweep.main(["--dump", str(path)]) == 0
+    assert json.loads(path.read_text()) == {
+        key: _dump(*out) for key, out in outputs.items()}
+    digests = tmp_path / "digests.json"
+    assert report_sweep.main([str(digests)]) == 0
+    assert json.loads(digests.read_text()) == {
+        key: report_sweep.digest(*out) for key, out in outputs.items()}
 
 
 def test_digest_folds_in_the_exit_status():

@@ -2,6 +2,8 @@
 
     python tools/report_sweep.py SWEEP.json            # write {argv: sha256}
     python tools/report_sweep.py --compare A.json B.json
+    python tools/report_sweep.py --dump DUMP.json      # write the outputs
+    python tools/report_sweep.py --near A.json B.json  # compare two dumps
 
 The sweep runs each command on the built-in examples and both ``tests/data``
 definition files, and ``normal-form`` on its profiles, at ``--points 3``,
@@ -32,6 +34,15 @@ stderr (``digest``), so a changed status or usage message shows even where
 the report does not.  ``--compare`` prints each key whose digest differs or
 that only one file has, and exits 1 when there is any.  Digests of two
 checkouts compare only when the same version of this script made both.
+
+``--dump`` writes each argv's stdout, exit status and stderr in full in
+place of the digest.  ``--near`` compares two dumps: keys, strings, bools,
+exit statuses and stderr must match exactly, and the numbers of two JSON
+reports within ``NEAR_TOL`` max(1, |a|, |b|), a JSON int and a float alike;
+it prints the worst such deviation of each argv whose output differs, and
+exits 1 when any entry differs otherwise or beyond the tolerance.  A
+pinned report digest moves only with such a comparison listed beside it in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import sys
@@ -59,6 +71,9 @@ OPTION_ARGVS = [
      "--param", "f=sin(x)", "--param", "g=x"],
     ["classify", "eta_frame", "--points", "3", "--param", "f=x"],
     ["invariants", FILES[1], "--points", "3", "--param", "eps=1"],
+    # sin of an infinite argument is a DomainError, not math's ValueError
+    ["invariants", "eta_frame", "--points", "3", "--param",
+     "f=sin(1e200*1e200*x)"],
     # sampling and tolerances
     ["check", "sphere_frame", "--at", "1,0.5,0.2", "--at", "2,-1,1"],
     ["taut", "hyp_c3", "--points", "3", "--box=-0.5:0.5,-0.5:0.5,-0.5:0.5"],
@@ -193,6 +208,7 @@ def digest(stdout: str, status: int, stderr: str = "") -> str:
 
 
 def run_sweep() -> dict:
+    """{argv: (stdout, exit status, stderr)} of every argv of the sweep."""
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     os.environ["COLUMNS"] = "80"
@@ -209,7 +225,7 @@ def run_sweep() -> dict:
                 status = cli.main(argv)
             except SystemExit as exc:      # argparse exits by itself
                 status = exc.code
-        out[" ".join(argv)] = digest(buf.getvalue(), status, err.getvalue())
+        out[" ".join(argv)] = buf.getvalue(), status, err.getvalue()
     return out
 
 
@@ -218,12 +234,90 @@ def compare(a: dict, b: dict) -> list:
     return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
+NEAR_TOL = 1e-9
+
+
+def deviation(a, b):
+    """The largest |x - y| / max(1, |x|, |y|) over the numbers x, y at one
+    place in two JSON values, or None where the values differ otherwise:
+    in keys, lengths, strings, bools or nulls, a number against anything
+    else, or a non-finite number against another value.  A JSON int and a
+    float compare alike."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return 0.0 if a is b else None
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return None
+        return abs(a - b) / max(1.0, abs(a), abs(b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        parts = [deviation(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        parts = [deviation(x, y) for x, y in zip(a, b)]
+    else:
+        return 0.0 if a == b else None
+    return None if None in parts else max(parts, default=0.0)
+
+
+def _json_or_text(text: str):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def near(a: dict, b: dict) -> dict:
+    """{key: worst deviation} of the entries of two dumps whose outputs
+    differ, None where they differ beyond ``deviation``'s numbers or only
+    one dump has the key."""
+    out = {}
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            out[key] = None
+        elif a[key] != b[key]:
+            ea, eb = a[key], b[key]
+            same = (ea["status"] == eb["status"]
+                    and ea["stderr"] == eb["stderr"])
+            out[key] = deviation(_json_or_text(ea["stdout"]),
+                                 _json_or_text(eb["stdout"])) if same else None
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("out", nargs="?", help="write the sweep's digests here")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="print the entries that differ between two sweeps")
+    p.add_argument("--dump", metavar="FILE",
+                   help="write each argv's stdout, exit status and stderr")
+    p.add_argument("--near", nargs=2, metavar=("A", "B"),
+                   help="compare two dumps, numbers within NEAR_TOL")
     args = p.parse_args(argv)
+    if args.near:
+        a, b = (json.loads(pathlib.Path(f).read_text()) for f in args.near)
+        diff = near(a, b)
+        for key, dev in diff.items():
+            print(f"{key}\n  " + ("DIFFERS" if dev is None
+                                  else f"worst deviation {dev:.3g}"))
+        bad = [k for k, dev in diff.items() if dev is None or dev > NEAR_TOL]
+        worst = max((d for d in diff.values() if d is not None), default=0.0)
+        print(f"{len(diff)} of {len(a.keys() | b.keys())} entries differ, "
+              f"{len(bad)} beyond {NEAR_TOL:g}; worst deviation {worst:.3g}")
+        return 1 if bad else 0
+    if args.dump:
+        out = pathlib.Path(args.dump).resolve()
+        outputs = run_sweep()
+        out.write_text(json.dumps(
+            {key: {"stdout": o, "status": s, "stderr": e}
+             for key, (o, s, e) in outputs.items()},
+            indent=1, sort_keys=True) + "\n")
+        print(f"{len(outputs)} outputs dumped into {out}")
+        return 0
     if args.compare:
         a, b = (json.loads(pathlib.Path(f).read_text()) for f in args.compare)
         diff = compare(a, b)
@@ -232,9 +326,10 @@ def main(argv=None) -> int:
         print(f"{len(diff)} of {len(a.keys() | b.keys())} entries differ")
         return 1 if diff else 0
     if not args.out:
-        p.error("give an output file or --compare A B")
+        p.error("give an output file, --dump FILE, --compare A B or "
+                "--near A B")
     out = pathlib.Path(args.out).resolve()
-    digests = run_sweep()
+    digests = {key: digest(*output) for key, output in run_sweep().items()}
     out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} reports hashed into {out}")
     return 0
