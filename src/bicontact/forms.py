@@ -21,8 +21,9 @@ block of frames goes through a stage in one pass, and the frame at one
 point (:meth:`CoframeField.at`) is a stack of one.
 :meth:`CoframeField.blocks` builds a sample list as one stacked frame and
 hands it out ``STACK_BLOCK`` columns at a time, :func:`by_block` runs a
-stage once per block, going column by column where a block's pass raises,
-and :func:`block_rows` splits a check's table into one row per point.
+stage once per block, and where a block's pass raises, runs its first half,
+then its second, into whichever half raises, down to a stack of one, and
+:func:`block_rows` splits a check's table into one row per point.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -58,9 +59,11 @@ oracle: both paths add each target's pairs in the loop's order from +0.0,
 and a factor without a derivative part gets ``Jet.__mul__``'s scaling
 path.  This holds for finite, inf and NaN coefficients alike, with one
 exception: which of two NaNs a product or sum keeps (its sign and payload
-bits), since NumPy's own choice depends on array length and position.
-Over many points every column is bit-equal to the one-point kernel, with
-the same exception.
+bits), since NumPy's own choice depends on array length and position, and
+CPython's float add may keep either NaN depending on how often the line has
+run (``jets._atan2_branch`` adds two NaNs of opposite sign).  Over many
+points every column is bit-equal to the one-point kernel, with the same
+exception, so a block and its halves give the same columns.
 """
 
 from __future__ import annotations
@@ -539,11 +542,16 @@ class Coframe:
         return self._cached(("complements", p), build)
 
 
-# columns per block of ``CoframeField.blocks``: at order 3, one pass over 200
-# normal-form points took 9.4 MB more peak memory, passes of 32 2.8 MB
-STACK_BLOCK = 32
+# columns per block of ``CoframeField.blocks``.  The whole list is built as
+# one frame and sliced, so this caps only the later stages, whose passes cost
+# mostly fixed NumPy call overhead: at 128 in place of 32, cold,
+# ``curvature normal_form_3d`` took 33 ms in place of 45 at 100 points and
+# 219 in place of 305 at 1,000, and ``normal-form tan(z) --order 3`` 153 in
+# place of 201 at 2,000, whose 200-point list peaked at 35.5 MB in place of
+# 33.6 (BENCH_31.json)
+STACK_BLOCK = 128
 # what a many-point build or pass may raise where some point fails; the
-# caller then goes point by point
+# build then goes point by point, and the pass by halves (``by_block``)
 _POINT_ERRORS = (BicontactError, ArithmeticError, ValueError,
                  jets._MixedBranches)
 
@@ -607,23 +615,25 @@ def _columns(frame, start, stop) -> Coframe:
 def by_block(blocks, stage):
     """An iterator over (frame, ``stage(frame)``) for the stacked frames
     ``blocks``, in order, each stage run once per block.  Where a block's
-    pass raises, it goes column by column, each column a stack of one, so
-    the first failing point raises its own type and text; a stack of one
-    raises as it is."""
-    return _by_block(iter(blocks), stage)
+    pass raises, its first half runs, then its second, each the same way,
+    so a part that raises is halved again down to a stack of one, which
+    raises as it is.  The first failing point thus raises its own type and
+    text after about 2 log2(N) passes over a block of N columns, every
+    column before it yielded in order, in parts; a block that raises only
+    as a whole yields every column."""
+    return (out for block in blocks for out in _halving(block, stage))
 
 
-def _by_block(blocks, stage):
-    for block in blocks:
-        try:
-            results = [(block, stage(block))]
-        except _POINT_ERRORS:
-            if len(block.point[0]) == 1:
-                raise
-            columns = (_columns(block, k, k + 1)
-                       for k in range(len(block.point[0])))
-            results = ((one, stage(one)) for one in columns)
-        yield from results
+def _halving(block, stage):
+    try:
+        results = [(block, stage(block))]
+    except _POINT_ERRORS:
+        n = len(block.point[0])
+        if n == 1:
+            raise
+        results = (out for start, stop in ((0, n // 2), (n // 2, n))
+                   for out in _halving(_columns(block, start, stop), stage))
+    yield from results
 
 
 def block_rows(points, blocks, body):

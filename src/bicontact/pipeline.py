@@ -29,12 +29,12 @@ own error, and a record or table holds one value per column.  The drivers
 act on stacked blocks of ``forms.STACK_BLOCK`` frames: ``analyze`` builds
 them from a raw :class:`~bicontact.forms.CoframeField` at a sample-point
 list and order, runs every stage once per block through
-:func:`~bicontact.forms.by_block`, where a block whose pass raises goes
-column by column, each column a stack of one, so the first failing point
-raises its own type and text, and splits the records per point only at the
-end.  The decisions that hold per region, epsilon, the case, the taut
-branch and the fully symmetric reduction, are taken over all columns of
-all blocks.
+:func:`~bicontact.forms.by_block`, where a block whose pass raises runs
+again by halves, into whichever half raises, down to a stack of one, so the
+first failing point raises its own type and text, and splits the records
+per point only at the end.  The decisions that hold per region, epsilon,
+the case, the taut branch and the fully symmetric reduction, are taken over
+all columns of all blocks.
 Every adapted frame is derived from its input frame by
 :meth:`~bicontact.forms.Coframe.replace`, which keeps the d of each covector
 that stays the same object.  Each d(omega^i) of a frame's own covector comes
@@ -511,9 +511,10 @@ def taut_circle_field(blocks) -> tuple:
     """Driver: the (1+C, 1-C) sign branch of the one-adapted stacked
     ``blocks``, held fixed over the region.  Each block's frame memoizes
     its taut-circle frame, which ``taut_circle_transform(frame, branch)``
-    reads back.  A block whose pass raises goes column by column
-    (``forms.by_block``), so BranchError names the first column in sample
-    order where |C| = 1 or where the branch is not the first column's."""
+    reads back.  A block whose pass raises runs again by halves, into
+    whichever half raises (``forms.by_block``), so BranchError names the
+    first column in sample order where |C| = 1 or where the branch is not
+    the first column's."""
     branch = None
     # by_block runs each pass as the loop reaches it, so a pass compares
     # against the branch that the passes before it fixed

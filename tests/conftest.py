@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from bicontact import jets
+from bicontact import forms, jets
 from bicontact.forms import PForm, _keys
 from bicontact.pipeline import one_adapt
 
@@ -14,6 +14,18 @@ DATA = pathlib.Path(__file__).parent / "data"
 # every later run of the tree, so each run draws what its seed gives
 settings.register_profile("no_database", database=None)
 settings.load_profile("no_database")
+
+
+# the block size that the block-structure tests are written for: their lists
+# of 33 points end in a block of one column and of 40 span two blocks, where
+# the shipped forms.STACK_BLOCK makes one block of each
+TEST_BLOCK = 32
+
+
+@pytest.fixture
+def blocks_of_32(monkeypatch):
+    """``forms.STACK_BLOCK`` set to ``TEST_BLOCK`` for one test."""
+    monkeypatch.setattr(forms, "STACK_BLOCK", TEST_BLOCK)
 
 
 def box_points(box, n, seed=0):

@@ -78,6 +78,7 @@ def test_sphere_frame_reduces_with_unit_K():
         assert max(res.values()) < 1e-8
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_sphere_frame_reduction_over_two_blocks_is_each_points_own():
     # 40 points span two blocks of forms.STACK_BLOCK; every point's K and
     # residuals are bit-equal to those of the point's stack of one
@@ -100,6 +101,7 @@ def test_generic_frames_do_not_reduce():
         [one_adapted_block(spec.coframes(), pts, 7)], TOL) is None
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_a_nan_column_fails_the_symmetry_test():
     # omega1 ^ d omega2 is NaN at the 35th of 40 sphere_frame points only,
     # whose volume stays finite: that point is not symmetric, so the region

@@ -213,9 +213,14 @@ def _dag(draw):
 
 def _outcome(evaluate):
     """The coefficient bytes of each jet ``evaluate`` returns, in nested
-    lists as returned, or the type and text of what it raises."""
+    lists as returned, or the type and text of what it raises.  Every NaN
+    is made canonical first: which of two NaNs a sum keeps, its sign and
+    payload bits, is the one exception to bit-equality that the ``forms``
+    docstring names, and CPython's own float add may keep either NaN,
+    depending on how often the line has run."""
     def as_bytes(out):
-        return [as_bytes(x) if isinstance(x, list) else x.c.tobytes()
+        return [as_bytes(x) if isinstance(x, list)
+                else np.where(np.isnan(x.c), np.nan, x.c).tobytes()
                 for x in out]
     try:
         return as_bytes(evaluate())

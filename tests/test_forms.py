@@ -20,7 +20,7 @@ from bicontact.inputfile import load_coframe
 from bicontact.jets import Jet, _value, ncoeffs, partial, reciprocal
 from bicontact.pipeline import analyze, cached_C
 
-from conftest import DATA, box_points, zero_form
+from conftest import DATA, TEST_BLOCK, box_points, zero_form
 
 CH3 = Chart(("x", "y", "z"))
 
@@ -774,22 +774,28 @@ def test_stacked_products_are_bitwise_the_one_point_products(monkeypatch, dim,
 _FLAT_AT_X0 = [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "x"}]
 
 
-@pytest.mark.parametrize("count", [3, 1, 33, 40])
-def test_per_point_splits_a_form_and_blocks_stack_the_frames(count):
+@pytest.mark.parametrize("count", [3, 1, 33, 40, 129])
+def test_per_point_splits_a_form_and_blocks_stack_the_frames(monkeypatch,
+                                                             count):
     # the blocks of forms.STACK_BLOCK columns, the last one shorter, whose
     # columns, split per point, are bit-equal to the stacks of one at()
-    # builds
-    assert forms.STACK_BLOCK == 32
+    # builds: lists of up to 40 points at blocks of TEST_BLOCK, and 129
+    # points at the shipped size, a full block and one column
+    if count == 129:
+        assert forms.STACK_BLOCK == 128
+    else:
+        monkeypatch.setattr(forms, "STACK_BLOCK", TEST_BLOCK)
+    size = forms.STACK_BLOCK
     fld = coframe_field_from_expressions(CH3, _FLAT_AT_X0)
     pts = box_points(((0.1, 0.9), (-0.5, 0.5), (-0.5, 0.5)), count, seed=4)
     frames = [fld.at(p, 3) for p in pts]
     blocks = list(fld.blocks(pts, 3))
     assert [len(b.point[0]) for b in blocks] == \
-        [min(32, count - start) for start in range(0, count, 32)]
-    for start, block in zip(range(0, count, 32), blocks):
-        chunk = frames[start:start + 32]
+        [min(size, count - start) for start in range(0, count, size)]
+    for start, block in zip(range(0, count, size), blocks):
+        chunk = frames[start:start + size]
         assert [list(x) for x in block.point] == \
-            [list(x) for x in zip(*pts[start:start + 32])]
+            [list(x) for x in zip(*pts[start:start + size])]
         assert block.stage == frames[0].stage
         for i, form in enumerate(block.forms):
             assert form.c.shape == \

@@ -9,7 +9,7 @@ import pytest
 from bicontact import cli, expressions, forms, fourdim
 from bicontact.errors import DegenerateH, DomainError, SingularVolumeError
 from bicontact.examples import build_example
-from bicontact.forms import (STACK_BLOCK, Chart, _columns,
+from bicontact.forms import (Chart, _columns,
                              coframe_field_from_expressions)
 from bicontact.fourdim import (QOde, compute_E,
                                curvature4, e_expansion, normal_form_4d,
@@ -278,13 +278,14 @@ def _form_bytes(frame):
     ("tan(z)", -1, GOOD_H, 3, 40),
 ], ids=["tan(z)--1-h0-3", "tan(z)--1-h1-6", "0.3*z-1-h2-4",
         "1 point", "33 points", "40 points"])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_normal_form_builds_many_points_in_one_go(monkeypatch, profile, eps,
                                                   h, order, count):
     # one build over all the points, handed out in blocks of
     # forms.STACK_BLOCK columns, the last one shorter, whose columns are
     # bit-equal to each point's stack of one: h's tape and C's tape run
     # once each, and at() is never called
-    assert STACK_BLOCK == 32
+    size = forms.STACK_BLOCK
     fld = normal_form_4d(solve_q(QOde(profile, eps), (-1.2, 1.2)), h=h)
     pts = box_points(BOX4, count, seed=50 + order)
     want = [_form_bytes(fld.at(p, order)) for p in pts]
@@ -296,7 +297,7 @@ def test_normal_form_builds_many_points_in_one_go(monkeypatch, profile, eps,
     blocks = list(fld.blocks(pts, order))
     assert len(runs) == 2
     assert [len(b.point[0]) for b in blocks] == \
-        [min(32, count - start) for start in range(0, count, 32)]
+        [min(size, count - start) for start in range(0, count, size)]
     got = [_columns(block, k, k + 1) for block in blocks
            for k in range(len(block.point[0]))]
     assert [tuple(float(x[0]) for x in f.point) for f in got] == pts
@@ -332,11 +333,11 @@ def _frame_by_frame(fld, ode, pts, order):
 
 @pytest.mark.parametrize("count,bad", [(40, 34), (33, None)],
                          ids=["fails at point 35 of 40", "33 points"])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_residual_rows_over_blocks_equal_each_frames_own(count, bad):
     # det h = x vanishes at the bad point only: 32 rows of a full block and
     # 2 of the next come before its DegenerateH.  33 points end in a block
     # of one column.
-    assert STACK_BLOCK == 32
     ode = QOde("tan(z)", -1)
     fld = normal_form_4d(solve_q(ode, (-1.2, 1.2)),
                          h=(("x", "0"), ("0", "1")))

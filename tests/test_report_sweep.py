@@ -69,7 +69,7 @@ def test_option_argvs_pass_every_flag_but_out():
 def test_surface_argvs_cover_help_and_usage_errors():
     argvs = report_sweep.SURFACE_ARGVS
     assert len(report_sweep.OPTION_ARGVS) == 21
-    assert len(report_sweep.MANY_POINT_ARGVS) == 34
+    assert len(report_sweep.MANY_POINT_ARGVS) == 39
     assert len(argvs) == 14
     # the top-level help, each command's help in --help order, no
     # arguments, an unknown command, a missing source, a bad --points value
@@ -179,13 +179,36 @@ def test_digest_folds_in_stderr():
     assert report_sweep.digest("", 2, "bicontact: bad --span\n") != quiet
 
 
+def test_each_argv_prints_its_warnings_without_the_checkout_path(
+        monkeypatch):
+    # sin of an infinite argument overflows a jet product first, whose
+    # RuntimeWarning would name the file and line of jets.py; the second
+    # argv raises the same warnings from the same lines, which a filter
+    # state shared with the first would print once only
+    argv = ["invariants", "eta_frame", "--points", "3", "--param",
+            "f=sin(1e200*1e200*x)"]
+    monkeypatch.setattr(report_sweep, "sweep_argvs", lambda *args: [])
+    for name in ("MANY_POINT_ARGVS", "SURFACE_ARGVS"):
+        monkeypatch.setattr(report_sweep, name, [])
+    monkeypatch.setattr(report_sweep, "OPTION_ARGVS",
+                        [argv, [*argv[:3], "4", *argv[4:]]])
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    outputs = report_sweep.run_sweep().values()
+    # the DomainError that follows is a failed check
+    assert [(status, stderr.splitlines()) for _, status, stderr in outputs] \
+        == [(1, ["RuntimeWarning: overflow encountered in multiply",
+                 "RuntimeWarning: invalid value encountered in multiply"])] * 2
+
+
 def test_many_point_argvs_match_the_benchmark_sizes():
     # the benchmark's sample counts; 2 points, the shortest many-point
     # list, on the case-2 and case-1 paths; one-point lists of each
     # workload's command, built by a one-column pass; 33 normal-form, 4D
-    # curvature and case-2 invariants points, whose last block of
-    # forms.STACK_BLOCK has one column, and 40 3D curvature and case-1
-    # invariants points, which span two blocks
+    # curvature and case-2 invariants points and 40 3D curvature and case-1
+    # invariants points, a block and one column and two blocks at blocks of
+    # 32; and 129 points of the region-wide stages and the 3D curvature,
+    # whose last block of forms.STACK_BLOCK has one column
     sizes = [(*argv[:2], argv[argv.index("--points") + 1])
              for argv in report_sweep.MANY_POINT_ARGVS if "--points" in argv]
     assert sizes == [("curvature", "normal_form_3d", "60"),
@@ -208,24 +231,34 @@ def test_many_point_argvs_match_the_benchmark_sizes():
                            ("taut", "hyp_c3"), ("taut", "hyp_c3"),
                            ("check", "normal_form_3d"),
                            ("classify", "normal_form_3d"),
-                           ("example", "sphere_frame")))]
+                           ("example", "sphere_frame"))),
+                     *((command, source, str(forms.STACK_BLOCK + 1))
+                       for command, source in (
+                           ("taut", "hyp_c3"), ("check", "normal_form_3d"),
+                           ("classify", "normal_form_3d"),
+                           ("curvature", "normal_form_3d")))]
     assert [argv[2:4] for argv in report_sweep.MANY_POINT_ARGVS
             if "--param" in argv] == [["--param", "eps=1"]] * 2
-    assert forms.STACK_BLOCK == 32
     assert all((ROOT / argv[1]).is_file() or argv[1] in EXAMPLES
                or argv[1] in report_sweep.PROFILES
                for argv in report_sweep.MANY_POINT_ARGVS)
     # the failing --at lists: one point, whose build raises its own error,
     # and lists whose one many-point build fails, of 3 and 12 points, and
-    # five past the first block of forms.STACK_BLOCK, a normal-form, a
-    # fourdim and a 3D invariants one, whose 35th frame builds but fails
-    # its one-adaptation, and two taut ones, whose 35th point has |C| = 1
-    # or flips the branch of the region
+    # five of 40 points that fail at the 35th, a normal-form, a fourdim and
+    # a 3D invariants one, whose 35th frame builds but fails its
+    # one-adaptation, and two taut ones, whose 35th point has |C| = 1 or
+    # flips the branch of the region; and a taut list of 136 points whose
+    # 131st point, past the first block of forms.STACK_BLOCK, has |C| = 1
     sizes = sorted(sum(word.split("=")[0] == "--at" for word in argv)
                    for argv in report_sweep.MANY_POINT_ARGVS)
-    assert sizes == [0] * 25 + [1, 3, 12, 12, 40, 40, 40, 40, 40]
+    assert sizes == [0] * 29 + [1, 3, 12, 12, 40, 40, 40, 40, 40, 136]
     assert [argv[:2] for argv in report_sweep.MANY_POINT_ARGVS
             if len(argv) > 40] == [["normal-form", "tan(z)"],
                                    ["fourdim", "fourd_enonzero"],
                                    ["invariants", "sphere_frame"],
-                                   ["taut", "hyp_c3"], ["taut", "hyp_c3"]]
+                                   ["taut", "hyp_c3"], ["taut", "hyp_c3"],
+                                   ["taut", "hyp_c3"]]
+    (longest,) = [argv for argv in report_sweep.MANY_POINT_ARGVS
+                  if len(argv) > 136]
+    assert [word.endswith(",1") for word in longest[2:]].index(True) \
+        >= forms.STACK_BLOCK

@@ -12,7 +12,8 @@ per block.  So do C, the omega3 = dC/C3 frame of case 2 and the dE
 expansion of a 4D frame, which each frame memoizes.  Each frame takes d of
 its own covectors once, and ``ext_d`` is the only differentiation kernel of
 the forms layer.  Every stage runs on stacked frames, so the counts below
-are per block.
+are per block; the tests that count blocks run at blocks of
+``conftest.TEST_BLOCK`` columns, so 40 points take two.
 """
 
 import io
@@ -75,6 +76,7 @@ def _normal_form_points(n):
     return box_points(build_example("normal_form_3d").box, n, seed=11)
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
     # one tape run, of one pass, over the sample list; one case-2
     # adaptation per stacked block of forms.STACK_BLOCK frames, whose
@@ -89,7 +91,7 @@ def test_analyze_evaluates_and_adapts_each_point_once(monkeypatch):
         assert len(runs) == 1
         assert len(adapts) == blocks
         assert [len(b.point[0]) for b in result["adapted_blocks"]] == \
-            [min(n, 32), n - 32][:blocks]
+            [min(n, forms.STACK_BLOCK), n - forms.STACK_BLOCK][:blocks]
 
 
 # omega1 ^ d omega1 = x dx^dy^dz vanishes at x = 0; ln(z) leaves its domain
@@ -210,6 +212,7 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d batched",
         "curvature normal_form_3d two blocks",
         "fourdim fourd_enonzero", "fourdim fourd_enonzero batched"])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
                                                       calls):
     # the raw frames' tape runs once over the sample list, however short:
@@ -230,6 +233,7 @@ def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
     assert len(series) == calls
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_a_stacked_build_makes_each_covector_once(monkeypatch):
     # the tape's many-point jets go straight into one stacked frame: one
     # PForm per covector for the whole list, which the blocks slice; one
@@ -239,13 +243,14 @@ def test_a_stacked_build_makes_each_covector_once(monkeypatch):
     made = _counting(monkeypatch, forms.PForm, "__init__")
     blocks = list(fld.blocks(pts, 6))
     assert len(made) == 3
-    assert [len(b.point[0]) for b in blocks] == [32, 8]
+    assert [len(b.point[0]) for b in blocks] == \
+        [forms.STACK_BLOCK, 40 - forms.STACK_BLOCK]
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
     # once per stacked block of forms.STACK_BLOCK frames, so once for each
     # point's column: 40 points take two blocks
-    assert forms.STACK_BLOCK == 32
     calls = _counting(monkeypatch, curvature, "curvature",
                       (cli, "curvature_of"))
     _run(["curvature", "normal_form_3d", "--points", "40"])
@@ -259,6 +264,7 @@ def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
     (CASE1_ARGS, 5),
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d two blocks",
         "fourdim fourd_enonzero", "invariants case1_frame"])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
                                                       calls):
     # per stacked block of frames (one, or two for 40 points), in 3D:
@@ -283,6 +289,7 @@ def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
     (CASE1_ARGS, 8),
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d two blocks",
         "fourdim fourd_enonzero", "invariants case1_frame"])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
                                                       calls):
     # per stacked block of frames (one, or two for 40 points), in 3D:
@@ -352,6 +359,7 @@ def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
 ], ids=["invariants normal_form_3d", "taut sphere_frame",
         "taut sphere_frame two blocks", "check normal_form_3d",
         "classify normal_form_3d"])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_each_frame_computes_C_once(monkeypatch, args, calls):
     # once per stacked block of forms.STACK_BLOCK frames (one, or two for
     # 40 points), in the pipeline and in taut and classify; check takes no
@@ -366,6 +374,7 @@ def test_each_frame_computes_C_once(monkeypatch, args, calls):
     (["fourdim", "fourd_enonzero", "--points", "18"], False),
     (["curvature", "normal_form_3d", "--points", "60"], True),
 ], ids=["fourdim fourd_enonzero", "curvature normal_form_3d"])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_each_product_plan_builds_its_rank_groups_at_most_once(monkeypatch,
                                                                args, grouped):
     # a product plan of forms._multiply builds its rank groups the first

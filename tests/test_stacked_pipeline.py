@@ -4,7 +4,10 @@
 Each column of its records and adapted frames is bit-equal to the path of
 the point's own one-point list, a stack of one, a failure in the second
 block raises what the points raise one by one, and epsilon and the case are
-decided over all columns of all blocks.  33 points end in a block of one column; 40 span two blocks.
+decided over all columns of all blocks.  The tests of block structure run
+at blocks of ``conftest.TEST_BLOCK`` columns, where 33 points end in a block
+of one column and 40 span two blocks; at the shipped ``forms.STACK_BLOCK``
+a list of 40 is one block, whose failing pass is searched by halving.
 """
 
 import io
@@ -19,7 +22,7 @@ from bicontact.errors import (AmbiguousCase, ContactFailure, CriticalPoint,
                               DegenerateTranslation, DomainError,
                               MixedEpsilon)
 from bicontact.examples import build_example
-from bicontact.forms import (STACK_BLOCK, Chart, _columns,
+from bicontact.forms import (Chart, _columns,
                              coframe_field_from_expressions)
 from bicontact.inputfile import load_coframe
 from bicontact.jets import _value
@@ -88,13 +91,15 @@ def _own(fld, p, case, tol=TOL):
 @pytest.mark.parametrize("name,case", [("normal_form_3d", "case2"),
                                        ("eta_frame", "case2"),
                                        ("case1_frame", "case1")])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_each_column_is_its_frames_own_path(name, case, n):
-    assert STACK_BLOCK == 32
+    size = forms.STACK_BLOCK
     fld, box = _source(name)
     pts = box_points(box, n, seed=24)
     result = analyze(fld, pts, ORDER, TOL)
     assert result["case"] == case
-    assert [len(b.point[0]) for b in result["adapted_blocks"]] == [32, n - 32]
+    assert [len(b.point[0]) for b in result["adapted_blocks"]] == \
+        [size, n - size]
     ones = _columns_of(result["blocks"])
     outs = _columns_of(result["adapted_blocks"])
     for k, p in enumerate(pts):
@@ -106,7 +111,7 @@ def test_each_column_is_its_frames_own_path(name, case, n):
     if case == "case1":
         # xi = atan2(C2, C1) takes both branches within the first block
         assert len({abs(r.C1) >= abs(r.C2)
-                    for r in result["records"][:32]}) == 2
+                    for r in result["records"][:size]}) == 2
 
 
 def _first_error(run, pts):
@@ -133,6 +138,7 @@ def _last_at(pts, key, k=34):
     return pts
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_a_failing_one_adaptation_in_the_second_block_is_frame_by_frame():
     # omega1 ^ d omega1 = sin(theta) vanishes at the 35th point only, whose
     # raw frame builds
@@ -147,6 +153,7 @@ def test_a_failing_one_adaptation_in_the_second_block_is_frame_by_frame():
     assert _raised(lambda: one_adapt(fld, pts, ORDER)) == want
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_a_block_failing_at_two_points_raises_the_first_points_own_error():
     # omega1 ^ d omega1 = x vanishes at x = 0, the 38th point; the frame's
     # volume x (y - z) vanishes at y = z, the 35th, whose one-adaptation
@@ -169,6 +176,7 @@ def test_a_block_failing_at_two_points_raises_the_first_points_own_error():
     assert _raised(lambda: one_adapt(fld, pts, 5)) == want
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_a_failing_case_adaptation_in_the_second_block_is_frame_by_frame(
         monkeypatch):
     # the 35th point has the least |dC|, and the critical band is moved up
@@ -183,6 +191,7 @@ def test_a_failing_case_adaptation_in_the_second_block_is_frame_by_frame(
     assert _raised(lambda: analyze(fld, pts, ORDER, TOL)) == want
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_a_singular_case1_translation_in_the_second_block_is_frame_by_frame():
     # the 35th point has the least |A3^2 - C^2 - eps|, and the tolerance is
     # set to it
@@ -200,6 +209,7 @@ def test_a_singular_case1_translation_in_the_second_block_is_frame_by_frame():
     assert _raised(lambda: analyze(fld, pts, ORDER, tol)) == want
 
 
+@pytest.mark.usefixtures("blocks_of_32")
 def test_a_mixed_epsilon_in_the_second_block_lists_every_sample():
     # omega1 = dx + y dz, omega2 = dy + z^2/2 dx: epsilon follows the sign
     # of z, negative at the 36th and 39th of 40 points only
@@ -215,6 +225,35 @@ def test_a_mixed_epsilon_in_the_second_block_lists_every_sample():
     with pytest.raises(MixedEpsilon) as err:
         analyze(fld, pts, 5, TOL)
     assert str(err.value) == f"epsilon not constant over samples: {seen}"
+
+
+def test_a_block_that_fails_only_as_a_whole_yields_every_column():
+    # the 40 points of the mixed-epsilon field above are one raw block at
+    # the shipped forms.STACK_BLOCK.  A stage that one-adapts a block and
+    # then takes one eps for it raises on the whole block, and on each part
+    # of it where both signs meet, but passes on every column alone.
+    # Halving yields every column in sample order, each bit-equal to its
+    # one-column pass
+    fld = coframe_field_from_expressions(
+        Chart(("x", "y", "z")),
+        [{"dx": "1", "dz": "y"}, {"dy": "1", "dx": "z^2/2"}, {"dz": "1"}])
+    pts = [(0.1 + 0.01 * k, 0.2 - 0.01 * k,
+            -0.5 if k in (35, 38) else 0.5) for k in range(40)]
+    (block,) = fld.blocks(pts, 5)
+
+    def record(cf):
+        one = _one_adapt_point(cf)
+        (eps,) = set(one.eps.tolist())   # ValueError where eps is mixed
+        return pipeline._dC_record(one.replace(eps=eps), "case3")
+
+    with pytest.raises(ValueError):
+        record(block)
+    parts = list(forms.by_block([block], record))
+    assert [p for cf, _ in parts for p in pipeline._points(cf)] == pts
+    got = [rec for _, out in parts for rec in _split_record(out)]
+    want = [one for k in range(40) for one in _split_record(
+        record(_columns(block, k, k + 1)))]
+    assert [_record_bits(r) for r in got] == [_record_bits(r) for r in want]
 
 
 def _norm(cf):
@@ -236,6 +275,7 @@ def _B_square(cf):
     ("C3_BAND", _C3_ratio, "C3 = 0"),
     ("CASE3_BAND", _B_square, "B1 = B2 = 0"),
 ], ids=["flat", "C3", "B"])
+@pytest.mark.usefixtures("blocks_of_32")
 def test_a_case_that_flips_in_the_second_block_names_its_points(
         monkeypatch, band, measure, what):
     # the four least values sit in the second block, and the band lies

@@ -1,9 +1,12 @@
 """Taut rotations: circle frame for eps=-1, hyperbola frame for eps=+1, on
 stacked blocks of one-adapted frames."""
 
+import math
+
 import numpy as np
 import pytest
 
+from bicontact import forms, pipeline
 from bicontact.errors import BranchError, EpsilonMismatch
 from bicontact.examples import build_example
 from bicontact.jets import _value
@@ -101,21 +104,48 @@ def _forty(z):
     return [(round(0.02 * k - 0.4, 2), 0.3, z(k)) for k in range(40)]
 
 
-@pytest.mark.parametrize("z, text", [
+# |C| = 1 at the 35th point, and the branch flips there
+_FAILING_AT_35 = [
     (lambda k: 1.0 if k == 34 else round(0.02 * k, 2),
      "|C| = 1 at (0.28, 0.3, 1.0): transform undefined"),
     (lambda k: round(0.02 * k + 0.33, 2),
      "sign branch of (1+C, 1-C) is (1, -1) at (0.28, 0.3, 1.01), (1, 1) "
      "elsewhere in the region"),
-])
+]
+
+
+@pytest.mark.parametrize("z, text", _FAILING_AT_35)
+@pytest.mark.usefixtures("blocks_of_32")
 def test_branch_error_names_column_35_of_40(z, text):
     # the 35th point lies in the second block of forms.STACK_BLOCK
     spec = build_example("hyp_c3")
     blocks = one_adapt(spec.coframes(), _forty(z), 3)
-    assert [len(b.point[0]) for b in blocks] == [32, 8]
+    assert [len(b.point[0]) for b in blocks] == \
+        [forms.STACK_BLOCK, 40 - forms.STACK_BLOCK]
     with pytest.raises(BranchError) as err:
         taut_circle_field(blocks)
     assert str(err.value) == text
+
+
+@pytest.mark.parametrize("z, text", _FAILING_AT_35)
+def test_a_block_failing_at_its_35th_column_is_searched_by_halving(
+        monkeypatch, z, text):
+    # at the shipped forms.STACK_BLOCK the 40 points are one block, whose
+    # failing pass runs again as its first half, then its second, into
+    # whichever half raises: the 35th point raises its own error after at
+    # most 2 ceil(log2 40) + 1 passes, where going column by column took 36
+    spec = build_example("hyp_c3")
+    (block,) = one_adapt(spec.coframes(), _forty(z), 3)
+    passes, transform = [], pipeline.taut_circle_transform
+    monkeypatch.setattr(
+        pipeline, "taut_circle_transform",
+        lambda cf, branch: passes.append(len(cf.point[0]))
+        or transform(cf, branch))
+    with pytest.raises(BranchError) as err:
+        taut_circle_field([block])
+    assert str(err.value) == text
+    assert passes[0] == 40 and passes[-1] == 1
+    assert len(passes) <= 2 * math.ceil(math.log2(40)) + 1
 
 
 def test_branch_error_names_the_first_failing_column_of_a_block():

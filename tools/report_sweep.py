@@ -11,15 +11,19 @@ once at the command's default order and once at each of the orders 2 to 6.
 Then it runs the fixed argvs of ``OPTION_ARGVS``, which between them pass
 every option of the command line but ``--out``, and the argvs of
 ``MANY_POINT_ARGVS``, which run at the sample counts of the benchmark's
-workloads, on lists of 1 point (built by a one-column pass) and of 2, across
-the blocks of ``forms.STACK_BLOCK`` frames, and through a point where a
-frame cannot be built, adapted or checked, alone and in lists of 3, 12 and
-40 points (past the first block); each list takes one failing build or
-stacked pass, then goes point by point.  The stages that decide over the
-whole region, ``taut`` on both branches, ``check``, ``classify`` and the
-Cartan check of ``example sphere_frame``, run on 33 and 40 points, and
-``taut`` on two 40-point lists whose 35th point has |C| = 1 or flips the
-sign branch.
+workloads, on lists of 1 point (built by a one-column pass) and of 2, of 33
+and 40 (a block and one column, and two blocks, at the 32 columns blocks
+once had; one block each at the 128 of ``forms.STACK_BLOCK``), of 129 (a
+full block and one column), and through a point where a frame cannot be
+built, adapted or checked, alone and in lists of 3, 12, 40 and 136 points.
+A list whose one many-point build fails is built point by point; a block
+whose stacked pass fails runs again as its two halves, into whichever half
+raises, down to the failing point.  The stages that decide over the whole
+region, ``taut`` on both branches, ``check``, ``classify`` and the Cartan
+check of ``example sphere_frame``, run on 33 and 40 points, ``taut`` on two
+40-point lists whose 35th point has |C| = 1 or flips the sign branch and on
+a 136-point list whose 131st point, past the first block, has |C| = 1, and
+``taut``, ``check``, ``classify`` and ``curvature`` on 129 points.
 Last come the argvs of ``SURFACE_ARGVS``: the top-level help, each
 command's help, no arguments, an unknown command and a missing source, a bad
 ``--points`` value and an unknown option, each of which ends in argparse;
@@ -31,7 +35,9 @@ the checkout as the working directory, since a report echoes its source
 path.  A key is the argv joined by spaces; a value is the SHA-256 of the
 bytes the command printed on stdout, its exit status and what it printed on
 stderr (``digest``), so a changed status or usage message shows even where
-the report does not.  ``--compare`` prints each key whose digest differs or
+the report does not.  A warning prints there as its category and message,
+without the file and line that name the checkout, and each argv prints the
+warnings it raises whatever ran before it.  ``--compare`` prints each key whose digest differs or
 that only one file has, and exits 1 when there is any.  Digests of two
 checkouts compare only when the same version of this script made both.
 
@@ -55,6 +61,7 @@ import math
 import os
 import pathlib
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -132,24 +139,24 @@ MANY_POINT_ARGVS = [
      "--at", "0.3,0.1,-0.3,0.3", "--at", "0.4,-0.2,0.4,0.4",
      "--at", "0.5,0.3,-0.5,0.5", "--at", "0.6,-0.4,0.6,0.6",
      "--at", "0.7,0.5,-0.7,0.7"],
-    # 33 points end in a block of one column; det h = x is 0 at the 35th
-    # of 40 points only (exit 1), after a full block and 2 rows
+    # 33 points, and det h = x is 0 at the 35th of 40 points only (exit 1),
+    # after 34 rows
     ["normal-form", "tan(z)", "--order", "3", "--points", "33"],
     ["normal-form", "tan(z)", "--h", "x,0,0,1", *(
         f"--at={0 if k == 34 else 0.02 * (k + 1):g},0.3,{0.05 * k - 1:g},1.2"
         for k in range(40))],
-    # the stacked 4D and 3D curvature tails: 33 points end in a block of one
-    # column, 40 span two blocks; the volume is 0 at y = 0, the 35th of 40
-    # fourdim points only (exit 1), after a full block and 2 rows
+    # the stacked 4D and 3D curvature tails on 33 and 40 points; the volume
+    # is 0 at y = 0, the 35th of 40 fourdim points only (exit 1), after 34
+    # rows
     ["curvature", "fourd_enonzero", "--points", "33"],
     ["curvature", "normal_form_3d", "--points", "40"],
     ["fourdim", "fourd_enonzero", *(
         f"--at={0.3 + 0.02 * k:g},{0 if k == 34 else 0.5 + 0.02 * k:g},"
         f"{0.04 * k - 0.8:g},0.1" for k in range(40))],
-    # the stacked 3D pipeline: the case-1 path across two blocks, and the
-    # case-2 path ending in a block of one column; omega1 ^ d omega1 =
-    # sin(theta) vanishes at the 35th of 40 sphere_frame points only, whose
-    # raw frame builds, so one_adapt fails there (exit 1)
+    # the stacked 3D pipeline: the case-1 path on 40 points and the case-2
+    # path on 33; omega1 ^ d omega1 = sin(theta) vanishes at the 35th of 40
+    # sphere_frame points only, whose raw frame builds, so one_adapt fails
+    # there (exit 1)
     ["invariants", FILES[0], "--points", "40"],
     ["invariants", "eta_frame", "--points", "33"],
     ["invariants", "sphere_frame", *(
@@ -157,7 +164,7 @@ MANY_POINT_ARGVS = [
         f"{0.1 * k - 2:g}" for k in range(40))],
     # the region-wide stages on stacked blocks: taut (circle and hyperbola
     # branches), the 3D check, classify and the Cartan check of
-    # sphere_frame, on 33 points (a last block of one column) and on 40
+    # sphere_frame, on 33 points and on 40
     *([command, source, *extra, "--points", count]
       for count in ("33", "40")
       for command, source, *extra in (
@@ -173,6 +180,15 @@ MANY_POINT_ARGVS = [
     ["taut", "hyp_c3", *(
         f"--at={0.02 * k - 0.4:g},0.3,{0.02 * k + 0.33:g}"
         for k in range(40))],
+    # at the block boundary: 129 points end in a block of one column; C = z
+    # is 1 at the 131st of 136 taut points only (exit 1), past the first
+    # block
+    *([command, source, "--points", "129"] for command, source in (
+        ("taut", "hyp_c3"), ("check", "normal_form_3d"),
+        ("classify", "normal_form_3d"), ("curvature", "normal_form_3d"))),
+    ["taut", "hyp_c3", *(
+        f"--at={0.005 * k - 0.3:g},0.3,{1 if k == 130 else 0.005 * k:g}"
+        for k in range(136))],
 ]
 
 
@@ -207,8 +223,18 @@ def digest(stdout: str, status: int, stderr: str = "") -> str:
         f"{stdout}\nexit {status}\n{stderr}".encode()).hexdigest()
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    # category and message only: the file and line name the checkout
+    sys.stderr.write(f"{category.__name__}: {message}\n")
+
+
 def run_sweep() -> dict:
-    """{argv: (stdout, exit status, stderr)} of every argv of the sweep."""
+    """{argv: (stdout, exit status, stderr)} of every argv of the sweep.  A
+    warning prints as its category and message, without the file and line
+    that issued it, so the digests of two checkouts compare, and each argv
+    runs under a fresh warning filter state, so it prints the warnings it
+    raises whatever ran before it."""
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     os.environ["COLUMNS"] = "80"
@@ -220,7 +246,9 @@ def run_sweep() -> dict:
     for argv in [*sweep_argvs(commands, sorted(EXAMPLES)), *OPTION_ARGVS,
                  *MANY_POINT_ARGVS, *SURFACE_ARGVS]:
         buf, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(buf), redirect_stderr(err):
+        with redirect_stdout(buf), redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.showwarning = _show_warning
             try:
                 status = cli.main(argv)
             except SystemExit as exc:      # argparse exits by itself
