@@ -19,11 +19,16 @@ into an ordered list of operations over slots, in which structurally
 identical subtrees share one slot (a ``Num`` by its bit pattern).  A run
 computes each distinct subexpression once, at all of its sample points in
 one pass, and returns one jet per root, a many-point jet over many points.
-Jet operations are pure, so a shared slot's jet is bit-identical to
-computing the subtree again, and since slots follow the depth-first
-post-order of the recursive evaluation, the first error raised is the
-same.  Deduplication is the only transformation.  :func:`eval_jet` is a
-one-root tape at one point; :func:`eval_number` evaluates to a plain float.
+The compiler also lowers each division to a product with one reciprocal per
+divisor, and the circular and hyperbolic functions to one sin/cos or
+sinh/cosh pair series per argument, so that ``cot(2*x)`` and ``csc(2*x)``
+take one pair and one reciprocal between them.  Jet operations are pure
+and the lowered ops are the ones ``Jet.__truediv__`` and ``jets.cot`` and
+the rest run, so a shared slot's jet is bit-identical to computing the
+subtree again; since slots follow the depth-first post-order of the
+recursive evaluation, and a shared series raises under the name of its
+first user, the first error raised is the same.  :func:`eval_number`
+evaluates to a plain float.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,8 +45,8 @@ from . import jets
 from .errors import DomainError, ParseError, UnknownIdentifier
 from .jets import Jet
 
-__all__ = ["parse", "to_text", "Tape", "eval_jet", "eval_number",
-           "differentiate", "Num", "Var", "Neg", "BinOp", "Call", "FUNCTIONS"]
+__all__ = ["parse", "to_text", "Tape", "eval_number", "differentiate",
+           "Num", "Var", "Neg", "BinOp", "Call", "FUNCTIONS"]
 
 # function tag -> (jet implementation, float implementation, arity)
 FUNCTIONS = {
@@ -288,7 +294,24 @@ def to_text(node):
 
 _NUM, _VAR = "num", "var"
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": jets.power}
+           "^": jets.power}
+
+# function -> (the pair whose one series it reads, the name under which
+# that series raises, the name of its nonzero guard, the part it
+# multiplies, the part it takes the reciprocal of), as jets.sin, jets.cot,
+# jets.csc, jets.sech and the rest take them: csc and tanh raise in their
+# pair's series as sin and sinh do, since they call them
+_PAIRED = {
+    "sin": (jets._sin_cos, "sin", None, 0, None),
+    "cos": (jets._sin_cos, "cos", None, 1, None),
+    "tan": (jets._sin_cos, "tan", "tan", 0, 1),
+    "cot": (jets._sin_cos, "cot", "cot", 1, 0),
+    "csc": (jets._sin_cos, "sin", "csc", None, 0),
+    "sinh": (jets._sinh_cosh, "sinh", None, 0, None),
+    "cosh": (jets._sinh_cosh, "cosh", None, 1, None),
+    "tanh": (jets._sinh_cosh, "sinh", None, 0, 1),
+    "sech": (jets._sinh_cosh, "cosh", None, None, 1),
+}
 
 
 class Tape:
@@ -300,9 +323,19 @@ class Tape:
     computes each distinct subexpression once.  A ``Num`` is keyed by its
     bit pattern, since ``Num(0.0) == Num(-0.0)``.  Slots are interned in
     depth-first post-order over the roots in the order given, which is the
-    order of the recursive evaluation, so the first op to raise is the one
-    the recursive evaluation would raise at, with the same inputs.  Nothing
-    is folded or rewritten: ``x*0`` stays a product, as inf*0 is NaN.
+    order of the recursive evaluation.
+
+    Two lowerings let repeated series share a slot too.  ``a / b`` is
+    ``a * reciprocal(b)``, with one reciprocal per divisor, as
+    ``Jet.__truediv__`` takes it.  sin, cos, tan, cot and csc of one
+    argument read one pair slot, ``jets._sin_cos``, and sinh, cosh, tanh
+    and sech one ``jets._sinh_cosh``, followed by the guard, pick,
+    reciprocal and product of ``jets.tan`` and the rest (``_PAIRED``).  A
+    pair's series raises under the name its first user's jet function
+    would give it, and a guard under its first user's name, so the first
+    op to raise is the one the recursive evaluation would raise at, with
+    the same type and text, and every root is bit-equal to it.  Nothing is
+    folded: ``x*0`` stays a product, as inf*0 is NaN.
 
     A run over several points carries each slot as one many-point jet, an
     (ncoeffs, N) array through the same jet functions, and frees a slot
@@ -322,27 +355,61 @@ class Tape:
             if slot not in self.roots:
                 self._free[pos].append(slot)
 
-    def _intern(self, node, slots) -> int:
-        if isinstance(node, Num):
-            key = (_NUM, struct.pack("<d", node.value))
-            instr = (_NUM, node.value)
-        elif isinstance(node, Var):
-            key = instr = (_VAR, node.name)
-        elif isinstance(node, Neg):
-            arg = (self._intern(node.arg, slots),)
-            key, instr = ("neg", arg), (operator.neg, arg)
-        elif isinstance(node, Call):
-            arg = tuple(self._intern(a, slots) for a in node.args)
-            key, instr = (node.name, arg), (FUNCTIONS[node.name][0], arg)
-        else:
-            arg = (self._intern(node.left, slots),
-                   self._intern(node.right, slots))
-            key, instr = (node.op, arg), (_BINARY[node.op], arg)
+    def _slot(self, slots, key, op, arg) -> int:
+        """The slot of ``key``, appending ``(op, arg)`` on first use."""
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = len(self.code)
-            self.code.append(instr)
+            self.code.append((op, arg))
         return slot
+
+    def _intern(self, node, slots) -> int:
+        if isinstance(node, Num):
+            return self._slot(slots, (_NUM, struct.pack("<d", node.value)),
+                              _NUM, node.value)
+        if isinstance(node, Var):
+            return self._slot(slots, (_VAR, node.name), _VAR, node.name)
+        if isinstance(node, Neg):
+            arg = (self._intern(node.arg, slots),)
+            return self._slot(slots, ("neg", arg), operator.neg, arg)
+        if isinstance(node, Call):
+            arg = tuple(self._intern(a, slots) for a in node.args)
+            if node.name in _PAIRED:
+                return self._paired(slots, node.name, *arg)
+            return self._slot(slots, (node.name, arg),
+                              FUNCTIONS[node.name][0], arg)
+        arg = (self._intern(node.left, slots),
+               self._intern(node.right, slots))
+        if node.op == "/":
+            arg = (arg[0], self._reciprocal(slots, arg[1]))
+            return self._slot(slots, ("*", arg), operator.mul, arg)
+        return self._slot(slots, (node.op, arg), _BINARY[node.op], arg)
+
+    def _reciprocal(self, slots, slot) -> int:
+        return self._slot(slots, ("reciprocal", slot), jets.reciprocal,
+                          (slot,))
+
+    def _paired(self, slots, name, u) -> int:
+        """The slot of ``name(u)`` for a function of ``_PAIRED``."""
+        pair, series, guard, num, den = _PAIRED[name]
+        both = self._slot(slots, (pair, u), partial(pair, fn=series), (u,))
+
+        def part(i):
+            return self._slot(slots, ("part", both, i), operator.itemgetter(i),
+                              (both,))
+
+        if den is None:
+            return part(num)
+        den = part(den)
+        if guard is not None:
+            # a check only; its slot holds None
+            self._slot(slots, ("nonzero", u, den),
+                       partial(jets._nonzero, guard), (u, den))
+        out = self._reciprocal(slots, den)
+        if num is None:
+            return out
+        arg = (part(num), out)
+        return self._slot(slots, ("*", arg), operator.mul, arg)
 
     def run(self, x, order, coords, params=None) -> list:
         """The root jets at coordinate values ``x``, seeding coordinate i
@@ -381,12 +448,6 @@ class Tape:
             for i in free:
                 vals[i] = None
         return [vals[i] for i in self.roots]
-
-
-def eval_jet(node, point, order, coords, params=None):
-    """Evaluate to a jet at `point`, seeding coordinate i with slot i."""
-    return Tape([node]).run(tuple(float(v) for v in point), order, coords,
-                            params)[0]
 
 
 def eval_number(node, scope):

@@ -50,10 +50,12 @@ goes through one batched convolution of all its terms from
 from ``jets._diff_table``, and every other sum through ``jets._sum_into``.
 A convolution bins its pairs with one ``np.bincount`` at one point and up
 to ``jets.FLAT_PRODUCT_MAX`` weights x points; past that it sums them by
-rank groups (``jets._rank_sums``), whose indices a plan builds the first
-time it needs them.  The coefficient kernel runs the wedges of beta with
-all complements of a frame as one such product per truncation order, and
-divides by the frame's volume in one more.  Their results are bit-equal to
+rank groups (``jets._rank_sums``), gathered in chunks of at most that many
+weights x points, whose indices, every term's pairs packed group by group,
+a plan builds in one broadcast the first time it needs them.  The
+coefficient kernel runs the wedges of beta with all complements of a frame
+as one such product per truncation order, and divides by the frame's
+volume in one more.  Their results are bit-equal to
 the per-term ``Jet`` loops they replaced, which the tests keep as the
 oracle: both paths add each target's pairs in the loop's order from +0.0,
 and a factor without a derivative part gets ``Jet.__mul__``'s scaling
@@ -82,7 +84,7 @@ from .jets import Jet
 
 __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
-    "wedge", "wedge_all", "ext_d", "top_ratio",
+    "wedge", "wedge_all", "ext_d", "top_ratio", "top_reciprocal",
     "two_form_coeffs", "one_form_coeffs", "scalar_d",
     "coframe_field_from_expressions", "by_block", "block_rows",
 ]
@@ -217,8 +219,9 @@ class _Products:
     ``dim`` variables.  ``gx`` and ``gy`` index the flattened x and y with
     the pairs of ``jets._mul_table``, term by term, and ``bins`` holds the
     flat (term, coefficient) target of each pair.  ``ranked()`` gives the
-    rank groups of the same pairs, built the first time the plan sums by
-    them (``_term_groups``)."""
+    same pairs packed by rank group for ``jets._rank_sums``, every term's
+    in each group, built the first time the plan sums by them
+    (``_term_groups``)."""
 
     __slots__ = ("dim", "order", "rx", "ry", "gx", "gy", "bins", "n",
                  "_ranked")
@@ -243,16 +246,17 @@ class _Products:
 
 def _term_groups(plan: _Products):
     """``jets._rank_groups`` of the plan's pairs for all its terms at once,
-    as ``jets._rank_sums`` takes them: accumulator row r * terms + t holds
-    the target of rank r of term t, so group s gathers, for every term, the
+    as ``jets._rank_sums`` takes them, in one broadcast of each index array
+    over the terms: accumulator row r * terms + t holds the target of rank r
+    of term t, so group s, ``terms`` times as long, holds for every term the
     s-th pair of each target, and its rows are a prefix of the accumulator.
     ``pos`` takes the rows back to (term, coefficient) order."""
-    pos, groups = jets._rank_groups(plan.dim, plan.order)
+    pos, I, J, sizes = jets._rank_groups(plan.dim, plan.order)
     terms = len(plan.rx)
-    bx, by = plan.rx * plan.n, plan.ry * plan.n
     return ((pos * terms + np.arange(terms)[:, None]).ravel(),
-            tuple(((I[:, None] + bx).ravel(), (J[:, None] + by).ravel())
-                  for I, J in groups))
+            (I[:, None] + plan.rx * plan.n).ravel(),
+            (J[:, None] + plan.ry * plan.n).ravel(),
+            tuple(size * terms for size in sizes))
 
 
 def _flat(a):
@@ -404,10 +408,22 @@ def top_ratio(a: PForm, b: PForm) -> Jet:
     dim = a.chart.dim
     if a.degree != dim or b.degree != dim:
         raise ValueError("top_ratio needs top-degree forms")
-    key = tuple(range(dim))
-    denom = b.coeffs[key]
+    num = a.coeffs[tuple(range(dim))]
+    return num * top_reciprocal(b, num.order)
+
+
+def top_reciprocal(b: PForm, order: int) -> Jet:
+    """The reciprocal of a top-degree form's coefficient at ``order``, or at
+    b's own order if that is lower, truncated before inverting, by which
+    ``top_ratio`` multiplies: ratios over one b can share it.  Raises
+    SingularVolumeError at the first point where the coefficient is not
+    finite or is zero."""
+    dim = b.chart.dim
+    if b.degree != dim:
+        raise ValueError("top_reciprocal needs a top-degree form")
+    denom = b.coeffs[tuple(range(dim))]
     _check_denominator(denom)
-    return a.coeffs[key] / denom
+    return jets.reciprocal(denom.truncate(min(order, denom.order)))
 
 
 def _check_denominator(denom: Jet):
@@ -433,7 +449,7 @@ class Coframe:
     chart: Chart
     point: tuple
     forms: tuple
-    eps: int | None = None
+    eps: int | np.ndarray | None = None     # an int, or one per column
     stage: str = "raw"
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -479,15 +495,9 @@ class Coframe:
         return out
 
     def _volume_reciprocal(self, order: int) -> Jet:
-        """Cached reciprocal of the volume coefficient at ``order``, or at the
-        volume's own order if that is lower, truncated before inverting as
-        ``top_ratio`` does.  Raises SingularVolumeError where ``top_ratio``
-        would."""
-        def build():
-            denom = self.volume().coeffs[tuple(range(self.dim))]
-            _check_denominator(denom)
-            return jets.reciprocal(denom.truncate(min(order, denom.order)))
-        return self._cached(("reciprocal", order), build)
+        """Cached ``top_reciprocal`` of the volume at ``order``."""
+        return self._cached(("reciprocal", order),
+                            lambda: top_reciprocal(self.volume(), order))
 
     def ratio(self, top: PForm) -> Jet:
         """The jet r with top = r * volume() for a top-degree form: bit-equal
@@ -603,13 +613,15 @@ def _coordinates(points) -> tuple:
 
 def _columns(frame, start, stop) -> Coframe:
     """Columns ``start`` to ``stop`` of a stacked frame as a stacked frame of
-    its own, with its eps and stage and an empty memo."""
+    its own, with its stage, its eps (the columns' own where it holds one
+    per column) and an empty memo."""
     cols = slice(start, stop)
+    eps = frame.eps[cols] if isinstance(frame.eps, np.ndarray) else frame.eps
     return Coframe(
         frame.chart, tuple(x[cols] for x in frame.point),
         tuple(PForm._of(f.chart, f.degree, f.order, f.c[..., cols].copy())
               for f in frame.forms),
-        eps=frame.eps, stage=frame.stage)
+        eps=eps, stage=frame.stage)
 
 
 def by_block(blocks, stage):

@@ -466,9 +466,9 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
                 raise DegenerateH(f"det h = {det!r} at {p!r}")
         c = ode.c_jet(z, order)
         q1, q2 = q_jets(sol, z, c)
-        sqw = jets.sqrt(Jet.variable(w, 3, 4, order))
-        K = (hj[0][0] * q1 + hj[0][1] * q2) / sqw
-        L = (hj[1][0] * q1 + hj[1][1] * q2) / sqw
+        per_sqw = jets.reciprocal(jets.sqrt(Jet.variable(w, 3, 4, order)))
+        K = (hj[0][0] * q1 + hj[0][1] * q2) * per_sqw
+        L = (hj[1][0] * q1 + hj[1][1] * q2) * per_sqw
         Cj = _on_z(c.c, order)
         Kz, Lz = jets.partial(K, 2), jets.partial(L, 2)
         f = (Jet.variable(w, 3, 4, order) / (det_h * QOde.W0)) \

@@ -31,8 +31,7 @@ from . import expressions
 from .errors import ArityError, ParseError
 from .forms import Chart, CoframeField, coframe_field_from_expressions
 
-__all__ = ["CoframeSpec", "parse_coframe_text", "load_definition",
-           "load_coframe"]
+__all__ = ["CoframeSpec", "parse_coframe_text", "load_definition"]
 
 _SECTIONS = ("chart", "params", "omega1", "omega2", "omega3", "omega4")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -242,8 +241,3 @@ def load_definition(path) -> CoframeSpec:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_coframe_text(text, source=str(path))
-
-
-def load_coframe(path) -> CoframeField:
-    """Read a definition file and compile it to a coframe family."""
-    return load_definition(path).coframes()

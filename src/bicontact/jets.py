@@ -36,7 +36,10 @@ the points one by one.
 Every sum goes through ``_sum_into``, one ``np.bincount`` over (target,
 point) bins, shared with ``forms``, except a many-point product or series
 step past ``FLAT_PRODUCT_MAX`` weights x points, whose bins outgrow the
-cache: ``_rank_sums`` sums it group by group of ``_grouped``.  That is the
+cache: ``_rank_sums`` sums it by the rank groups of ``_grouped``, whose
+pairs follow each other group by group.  It gathers and multiplies them in
+chunks of at most ``FLAT_PRODUCT_MAX`` weights x points (``_chunks``), and
+adds each group's rows of a chunk with one in-place slice add.  That is the
 one grouped loop; a jet product and a series step are its one-term cases,
 and ``forms._multiply`` runs it on all the terms of a plan at once.
 
@@ -124,12 +127,13 @@ def _rank_groups(dim: int, order: int) -> tuple:
 
 def _grouped(I, J, T) -> tuple:
     """Pairs (I, J) of targets T grouped by their rank within their
-    target, for sums over many points: ``(pos, groups)``, where group s
-    holds (I, J) of every target's s-th pair.  Targets are ranked by their
+    target, for sums over many points: ``(pos, I, J, sizes)``, the pairs
+    concatenated group by group, where group s holds every target's s-th
+    pair and ``sizes[s]`` is its length.  Targets are ranked by their
     number of pairs, most first, ties in target order (for a product, the
     order in which the pairs of the constant monomial, i = 0, name them),
     and row ``pos[t]`` of the accumulator holds target t, so the targets of
-    group s are its first ``len(I)`` rows, in order."""
+    group s are its first ``sizes[s]`` rows, in order."""
     counts = np.bincount(T)
     pos = np.argsort(np.argsort(-counts, kind="stable"))
     # each pair's rank within its target, from the pairs sorted by target
@@ -138,9 +142,7 @@ def _grouped(I, J, T) -> tuple:
     rank[by_target] = (np.arange(len(T))
                        - np.repeat(np.cumsum(counts) - counts, counts))
     grouped = np.lexsort((pos[T], rank))
-    cuts = np.cumsum(np.bincount(rank))[:-1]
-    return pos, tuple(zip(np.split(I[grouped], cuts),
-                          np.split(J[grouped], cuts)))
+    return pos, I[grouped], J[grouped], tuple(np.bincount(rank).tolist())
 
 
 def _scaling_where_nan(out, factors, axis):
@@ -165,22 +167,23 @@ def _scaling_where_nan(out, factors, axis):
                     a * b[first] + 0.0)
 
 
-# weights x points up to which a many-point product bins its pairs flat,
-# its weights being its pairs (jets._product, and each series step in
+# weights x points up to which a many-point product bins its pairs flat, its
+# weights being its pairs (jets._product, and each series step in
 # jets._step_sum) or its terms times their pairs (forms._multiply); past it
-# the bins outgrow the cache and _rank_sums sums by rank groups.  On a 2-core Xeon (best of 7, 8 to 200
-# points), jet products summed faster grouped from 2.7-5.3k at orders 2
-# and 3, 12.6k at order 4, 12.9k at 5 and 26k at 6, and 1.2-7x faster from
-# 27k on; plans of 3 to 36 form terms at orders 2 to 4 summed grouped
-# within 3% of the bins or faster at every size from 670 on, and 1.4-2.9x
-# faster past 12k.  One value serves both: 12,000 lies between the jet
-# crossovers of orders 3 and 5.  Form plans below it keep their flat bins,
-# though warm they sum faster grouped: on the same machine, `fourdim
-# fourd_enonzero --points 18` (16 plans, at most 9.7k) ran at the same
-# points per second with every stacked form product grouped, in 10
-# alternated 35-s runs a side, since each process spends about 1 ms
-# building the plans' rank groups, what grouping saves warm, and it held
-# 0.5 MB more peak memory in every pair
+# the bins outgrow the cache and _rank_sums sums by rank groups, in chunks of
+# at most this many weights x points.  On a 2-core Xeon (best of 7, 8 to 200
+# points), before the chunks, jet products summed faster grouped from
+# 2.7-5.3k at orders 2 and 3, 12.6k at order 4, 12.9k at 5 and 26k at 6, and
+# 1.2-7x faster from 27k on; plans of 3 to 36 form terms at orders 2 to 4
+# summed grouped within 3% of the bins or faster at every size from 670 on,
+# and 1.4-2.9x faster past 12k.  One value serves both: 12,000 lies between
+# the jet crossovers of orders 3 and 5.  Form plans below it keep their flat
+# bins, though warm they sum faster grouped: on the same machine, `fourdim
+# fourd_enonzero --points 18` (16 plans, at most 9.7k) ran at the same points
+# per second with every stacked form product grouped, in 10 alternated 35-s
+# runs a side, since each process spends about 1 ms building the plans' rank
+# groups, what grouping saves warm, and it held 0.5 MB more peak memory in
+# every pair
 FLAT_PRODUCT_MAX = 12_000
 
 
@@ -226,20 +229,47 @@ def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
     return _scaling_where_nan(out, lambda: (a, b), 0)
 
 
-def _rank_sums(x, y, pos, groups):
+def _rank_sums(x, y, pos, I, J, sizes):
     """The sums of a many-point product by rank groups, for rows ``x`` and
-    ``y`` with a point axis: group s adds ``x[I] * y[J]`` of its pairs, the
-    s-th pair of each target, into the first ``len(I)`` rows of an
-    accumulator started at +0.0, whose row ``pos[t]`` ends as target t.
-    Each target thus adds its pairs in their order from +0.0, as
-    ``_sum_into`` does, and each group is one gather, one multiply and one
-    add, in place of bins that outgrow the cache."""
+    ``y`` with a point axis and the pairs of ``_grouped``: group s adds
+    ``x[i] * y[j]`` of its pairs, the s-th pair of each target, into the
+    first ``sizes[s]`` rows of an accumulator started at +0.0, whose row
+    ``pos[t]`` ends as target t.  Each target thus adds its pairs in their
+    order from +0.0, as ``_sum_into`` does.  The products are gathered and
+    multiplied in the chunks of ``_chunks``, at most ``FLAT_PRODUCT_MAX``
+    weights x points each, which stay in cache, and a group adds its rows
+    of a chunk with one slice add."""
     acc = np.zeros((len(pos), x.shape[1]))
-    for I, J in groups:
-        prod = x.take(I, 0)
-        prod *= y.take(J, 0)
-        acc[:len(I)] += prod
+    for pairs, adds in _chunks(sizes, max(FLAT_PRODUCT_MAX // x.shape[1], 1)):
+        prod = x.take(I[pairs], 0)
+        prod *= y.take(J[pairs], 0)
+        for rows, part in adds:
+            acc[rows] += prod[part]
     return acc[pos]
+
+
+@lru_cache(maxsize=None)
+def _chunks(sizes: tuple, step: int) -> tuple:
+    """The pairs of rank groups of ``sizes`` in chunks of at most ``step``,
+    in order, each as (the slice of its pairs, and per group it meets, the
+    slices of accumulator rows and of the chunk that the group adds).  A
+    group joins the open chunk whole where it fits, else starts the next
+    one, and a group longer than ``step`` is cut every ``step`` pairs."""
+    cuts, end = [0], 0
+    for size in sizes:
+        if end + size - cuts[-1] > step:
+            if end > cuts[-1]:
+                cuts.append(end)
+            cuts.extend(range(end + step, end + size, step))
+        end += size
+    cuts.append(end)
+    firsts = np.cumsum((0,) + sizes).tolist()
+    return tuple(
+        (slice(lo, hi), tuple(
+            (slice(a - first, b - first), slice(a - lo, b - lo))
+            for first, size in zip(firsts, sizes)
+            for a, b in [(max(lo, first), min(hi, first + size))] if a < b))
+        for lo, hi in zip(cuts, cuts[1:]))
 
 
 @lru_cache(maxsize=None)

@@ -62,7 +62,8 @@ from .errors import (
 )
 from .forms import (
     Coframe, CoframeField, PForm, block_rows, by_block, ext_d,
-    one_form_coeffs, scalar_d, top_ratio, two_form_coeffs, wedge, wedge_all,
+    one_form_coeffs, scalar_d, top_reciprocal, two_form_coeffs, wedge,
+    wedge_all,
 )
 from .jets import Jet, _value
 
@@ -146,13 +147,14 @@ def _one_adapt_point(cf: Coframe):
         f"omega1 ^ d(omega1) = {v!r} at {p}"), v1)
     _check(cf, abs(v2) <= CONTACT, lambda p, v: ContactFailure(
         f"omega2 ^ d(omega2) = {v!r} at {p}"), v2)
-    r = top_ratio(vol2, vol1)
+    # both ratios divide by Omega = vol1, through one reciprocal
+    per_omega = top_reciprocal(vol1, vol2.order)
+    r = vol2.coeffs[top] * per_omega
     eps = _per_column(lambda v: -1 if v > 0 else 1, _value(r))
     # |r| with the branch fixed by the point value, kept smooth as a jet
     scale = jets.reciprocal(jets.sqrt(r * -eps))
     w2h = w2.scaled(scale)
-    Omega = vol1
-    lam = top_ratio(wedge_all(w1, w2h, w3_seed), Omega)
+    lam = wedge_all(w1, w2h, w3_seed).coeffs[top] * per_omega
     w3h = w3_seed.scaled(jets.reciprocal(lam))
     return cf.replace(forms=(w1, w2h, w3h), eps=eps, stage="one-adapted")
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import settings
 
 from bicontact import forms, jets
+from bicontact.expressions import Tape
 from bicontact.forms import PForm, _keys
+from bicontact.inputfile import load_definition
 from bicontact.pipeline import one_adapt
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -41,6 +43,18 @@ def coeff(jet, alpha) -> float:
     """The Taylor coefficient of a one-point jet for an exponent
     multi-index."""
     return float(jet.c[jets._rank(jet.dim, jet.order)[tuple(alpha)]])
+
+
+def eval_jet(node, point, order, coords, params=None):
+    """The jet of the AST ``node`` at one point, seeding coordinate i with
+    slot i: a one-root tape run there."""
+    return Tape([node]).run(tuple(float(v) for v in point), order, coords,
+                            params)[0]
+
+
+def load_coframe(path):
+    """The coframe family of a definition file."""
+    return load_definition(path).coframes()
 
 
 def one_adapted_block(fld, points, order):

@@ -15,7 +15,7 @@ import numpy as np
 
 from bicontact.curvature import curvature, leaf_geometry, levi_civita
 from bicontact.examples import build_example
-from bicontact.expressions import eval_jet, parse
+from bicontact.expressions import parse
 from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressions,
                              ext_d, one_form_coeffs, scalar_d, top_ratio,
                              wedge)
@@ -30,7 +30,7 @@ from bicontact.pipeline import (Tolerances, analyze, case2_adapt,
                                 predicted_circle_coefficient,
                                 taut_circle_field, taut_circle_transform,
                                 taut_hyperbola_transform)
-from conftest import box_points, one_adapted_block, zero_form
+from conftest import box_points, eval_jet, one_adapted_block, zero_form
 
 TOL = Tolerances()
 THREE_D = ("hyp_c3", "torus_constC", "normal_form_3d", "eta_frame",

@@ -8,12 +8,11 @@ import pytest
 from bicontact import jets
 from bicontact.errors import CriticalPoint, DegenerateB, StructureMismatch
 from bicontact.examples import build_example
-from bicontact.inputfile import load_coframe
 from bicontact.jets import Jet, _value
 from bicontact.pipeline import (Tolerances, _dC_data, _points, _split_record,
                                 analyze, case1_adapt, case2_adapt,
                                 case_detect)
-from conftest import DATA, box_points, one_adapted_block
+from conftest import DATA, box_points, load_coframe, one_adapted_block
 
 TOL = Tolerances()
 

@@ -14,11 +14,10 @@ from bicontact.forms import (Chart, Coframe, _columns,
                              coframe_field_from_expressions, one_form_coeffs,
                              wedge)
 from bicontact.fourdim import symp_structure
-from bicontact.inputfile import load_coframe
 from bicontact.jets import _value
 from bicontact.pipeline import (Tolerances, _split_record, analyze,
                                 case1_adapt, case2_adapt)
-from conftest import DATA, box_points, one_adapted_block
+from conftest import DATA, box_points, load_coframe, one_adapted_block
 
 TOL = Tolerances()
 

@@ -12,7 +12,7 @@ from bicontact.errors import DomainError, ParseError, UnknownIdentifier
 from bicontact.forms import Chart, coframe_field_from_expressions
 from bicontact.jets import Jet
 
-from conftest import coeff
+from conftest import coeff, eval_jet
 
 
 @pytest.mark.parametrize("text,value", [
@@ -37,7 +37,7 @@ def test_numeric_evaluation(text, value):
 def test_variables_and_params():
     node = ex.parse("a*x+y^2", coords=("x", "y"), params=("a",))
     assert ex.eval_number(node, {"x": 2.0, "y": 3.0, "a": 10.0}) == 29.0
-    jet = ex.eval_jet(node, (2.0, 3.0), 3, ("x", "y"), {"a": 10.0})
+    jet = eval_jet(node, (2.0, 3.0), 3, ("x", "y"), {"a": 10.0})
     assert jet.value == 29.0
     assert coeff(jet, (1, 0)) == pytest.approx(10.0)
     assert coeff(jet, (0, 1)) == pytest.approx(6.0)
@@ -99,7 +99,7 @@ def test_derivative_matches_jet(node):
     """Symbolic d/dx agrees with the first-order jet coefficient."""
     point = (0.7, -1.3)
     try:
-        jet = ex.eval_jet(node, point, 2, ("x", "y"))
+        jet = eval_jet(node, point, 2, ("x", "y"))
         dnode = ex.differentiate(node, "x")
         dval = ex.eval_number(dnode, {"x": point[0], "y": point[1]})
     except (DomainError, OverflowError, ZeroDivisionError):
@@ -125,7 +125,7 @@ def test_differentiate_constant_folds():
 
 def test_eval_jet_matches_taylor():
     node = ex.parse("exp(x)*y", coords=("x", "y"))
-    jet = ex.eval_jet(node, (0.0, 2.0), 4, ("x", "y"))
+    jet = eval_jet(node, (0.0, 2.0), 4, ("x", "y"))
     # coefficient of x^k y^0 about (0, 2): 2/k!
     for k in range(4):
         assert coeff(jet, (k, 0)) == pytest.approx(2.0 / math.factorial(k))
@@ -248,6 +248,19 @@ def _columns(roots, count):
 # x^x takes different power branches at these points, though neither fails
 @example(roots=[ex.parse("x^x", ["x", "y"], ["a"])],
          points=[(0.0, 0.0), (0.7, 0.0)], order=0)
+# a shared series or guard raises under the name its first user gives it:
+# csc's series as sin's, tanh's as sinh's and sech's as cosh's, cot's guard
+# before csc's, and the reciprocal of a divisor as "reciprocal"
+@example(roots=[ex.parse("csc(x)", ["x", "y"])], points=[(math.inf, 0.4)],
+         order=2)
+@example(roots=[ex.parse(t, ["x", "y"]) for t in ("tanh(x)", "sech(x)")],
+         points=[(1000.0, 0.4)], order=2)
+@example(roots=[ex.parse(t, ["x", "y"]) for t in ("sech(x)", "tanh(x)")],
+         points=[(1000.0, 0.4)], order=2)
+@example(roots=[ex.parse("cot(x) + csc(x)", ["x", "y"])],
+         points=[(0.0, 0.4)], order=2)
+@example(roots=[ex.parse("x/y + 1/y", ["x", "y"])], points=[(0.7, 0.0)],
+         order=2)
 @settings(max_examples=300, deadline=None)
 def test_tape_matches_the_recursive_evaluator(roots, points, order):
     """Each root's coefficients at each point are bit-equal to the recursive
@@ -283,6 +296,19 @@ def test_tape_matches_the_recursive_evaluator(roots, points, order):
         assert together == want
 
 
+def test_a_tape_takes_each_series_once(monkeypatch):
+    """sin(x) and cos(x) read one sin/cos pair series, and the divisions by
+    y one reciprocal of y: two series for the run."""
+    series, run = [], jets._series
+    monkeypatch.setattr(jets, "_series",
+                        lambda *args: series.append(1) or run(*args))
+    root = ex.parse("sin(x)*cos(x) + x/y + 1/y", coords=("x", "y"))
+    (got,) = ex.Tape([root]).run((0.7, 1.3), 3, ("x", "y"))
+    assert len(series) == 2
+    want = _oracle(root, (0.7, 1.3), 3, ("x", "y"))
+    assert got.c.tobytes() == want.c.tobytes()
+
+
 def test_tape_runs_many_points_in_one_pass():
     """A run over N points is one pass over the tape, whose root jets have N
     columns, and which raises where any point fails."""
@@ -312,9 +338,10 @@ def test_tape_interns_structurally_equal_subtrees():
     node = ex.parse("sin(x)*sin(x) + sin(x)/x", coords=("x",))
     again = ex.parse("sin(x)", coords=("x",))
     tape = ex.Tape([node, again])
-    # x, sin(x), the product, the quotient and the sum
-    assert len(tape.code) == 5
-    assert tape.roots[1] == 1
+    # x, the sin/cos pair, sin(x), the product, the reciprocal of x, the
+    # quotient as a product by it, and the sum
+    assert len(tape.code) == 7
+    assert tape.roots[1] == 2
 
 
 @pytest.mark.parametrize("texts,fn", [

@@ -11,16 +11,16 @@ from bicontact.curvature import _integrability_defect
 from bicontact.errors import BudgetError, SingularVolumeError
 from bicontact import forms, jets
 from bicontact.examples import build_example
-from bicontact.expressions import eval_jet, parse
+from bicontact.expressions import parse
 from bicontact.forms import (Chart, Coframe, PForm, coframe_field_from_expressions,
                              ext_d, one_form_coeffs, scalar_d, top_ratio,
                              two_form_coeffs, wedge, wedge_all)
 from bicontact.fourdim import QOde, normal_form_4d, solve_q
-from bicontact.inputfile import load_coframe
 from bicontact.jets import Jet, _value, ncoeffs, partial, reciprocal
 from bicontact.pipeline import analyze, cached_C
 
-from conftest import DATA, TEST_BLOCK, box_points, zero_form
+from conftest import (DATA, TEST_BLOCK, box_points, eval_jet, load_coframe,
+                      zero_form)
 
 CH3 = Chart(("x", "y", "z"))
 
@@ -130,8 +130,17 @@ def test_top_ratio_and_singular_volume():
                       _d_coord(CH3, 2, 5))
     ratio = top_ratio(omega.scaled(f), omega)
     assert ratio.value == pytest.approx(2 + POINT[0] ** 2, abs=1e-14)
+    # several ratios over one volume can share its checked reciprocal
+    per_omega = forms.top_reciprocal(omega, 5)
+    shared = omega.scaled(f).coeffs[(0, 1, 2)] * per_omega
+    assert shared.c.tobytes() == ratio.c.tobytes()
+    assert forms.top_reciprocal(omega, 3).c.tobytes() == \
+        per_omega.truncate(3).c.tobytes()
+    singular = omega.scaled(Jet.constant(0.0, 3, 5))
     with pytest.raises(SingularVolumeError):
-        top_ratio(omega, omega.scaled(Jet.constant(0.0, 3, 5)))
+        top_ratio(omega, singular)
+    with pytest.raises(SingularVolumeError):
+        forms.top_reciprocal(singular, 5)
 
 
 def _random_frame(point, seed=0, order=5):

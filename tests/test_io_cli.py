@@ -15,10 +15,10 @@ from bicontact.cli import (COMMANDS, ORDER_NEEDED, RunConfig, _sample,
                            _uniforms, build_parser, main, run)
 from bicontact.errors import ArityError, ParseError, UnknownIdentifier
 from bicontact.examples import build_example
-from bicontact.inputfile import load_coframe, load_definition, parse_coframe_text
+from bicontact.inputfile import load_definition, parse_coframe_text
 from bicontact.report import (check, dumps_canonical, format_float, nan_max,
                               summarize_residuals)
-from conftest import DATA, box_points
+from conftest import DATA, box_points, load_coframe
 
 GOOD = ("[chart]\ncoords = x y z\n[omega1]\ndx = 1\n"
         "[omega2]\ndy = 1\n[omega3]\ndz = 1\n")

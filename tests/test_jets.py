@@ -538,6 +538,53 @@ def test_the_product_sizes_reach_both_kernels():
     assert {_ranked(*size) for size in _PRODUCT_SIZES} == {False, True}
 
 
+@pytest.mark.parametrize("step", [1, 4, 35, 60, 200, 10_000])
+def test_chunks_add_each_group_once_within_the_step(step):
+    """``_chunks`` tiles the pairs in order with chunks of at most ``step``
+    pairs; each group adds each of its rows once, in order, and a group of
+    at most ``step`` pairs in one slice add."""
+    for dim, order in ((1, 5), (3, 6), (4, 3)):
+        *_, sizes = jets._rank_groups(dim, order)
+        chunks = jets._chunks(sizes, step)
+        pairs = [chunk for chunk, _ in chunks]
+        assert [p.start for p in pairs] == [0] + [p.stop for p in pairs[:-1]]
+        assert pairs[-1].stop == sum(sizes)
+        assert all(p.stop - p.start <= step for p in pairs)
+        adds, first = [], np.cumsum((0,) + sizes)
+        for chunk, parts in chunks:
+            for rows, part in parts:
+                start = chunk.start + part.start
+                group = int(np.searchsorted(first, start, side="right")) - 1
+                assert start - first[group] == rows.start
+                assert part.stop - part.start == rows.stop - rows.start
+                adds.append((group, rows.start, rows.stop))
+        for group, size in enumerate(sizes):
+            mine = [(a, b) for g, a, b in adds if g == group]
+            assert [a for a, _ in mine] == [0] + [b for _, b in mine[:-1]]
+            assert mine[-1][1] == size
+            assert len(mine) == 1 or size > step
+
+
+@pytest.mark.parametrize("limit", [1, 40, 400, 2_000, 12_000])
+def test_rank_sums_are_the_flat_bins_at_every_chunk_size(monkeypatch, limit):
+    """Whatever the chunks, each target adds its pairs in the flat bins'
+    order from +0.0, so the sums are bit-equal, -0.0 and inf included (NaNs
+    made canonical, the one exception the ``forms`` docstring names)."""
+    rng = np.random.default_rng(limit)
+    dim, order, count = 3, 4, 9
+    n = jets.ncoeffs(dim, order)
+    x, y = rng.standard_normal((n, count)), rng.standard_normal((n, count))
+    x[3, 2], y[5, 4], x[0, 6] = -0.0, np.inf, -0.0
+    I, J, T = jets._mul_table(dim, order)
+    with np.errstate(invalid="ignore"):
+        want = jets._sum_into(T, x[I] * y[J], (n,))
+        monkeypatch.setattr(jets, "FLAT_PRODUCT_MAX", limit)
+        got = jets._rank_sums(x, y, *jets._rank_groups(dim, order))
+    got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
+    assert np.isinf(want).any()
+    assert got.tobytes() == want.tobytes()
+
+
 # -- the product tables against loops over index pairs -----------------------
 
 def _loop_mul_table(dim, order):
@@ -556,17 +603,22 @@ def _loop_mul_table(dim, order):
 
 
 def _loop_rank_groups(dim, order):
-    """(pos, groups) of the pairs of ``_loop_mul_table`` dealt out per
-    target, targets sorted by pair count, most first."""
+    """(pos, I, J, sizes) of the pairs of ``_loop_mul_table`` dealt out per
+    target, targets sorted by pair count, most first: group s holds the
+    s-th pair of each target that has one, in target order, and the groups
+    follow each other in I and J."""
     pairs = {}
     for i, j, t in zip(*(a.tolist() for a in _loop_mul_table(dim, order))):
         pairs.setdefault(t, []).append((i, j))
     targets = sorted(pairs, key=lambda t: -len(pairs[t]))
-    groups = tuple(
-        tuple(np.asarray(col, dtype=np.intp) for col in
-              zip(*(pairs[t][s] for t in targets if len(pairs[t]) > s)))
-        for s in range(len(pairs[targets[0]])))
-    return np.argsort(targets), groups
+    I, J, sizes = [], [], []
+    for s in range(len(pairs[targets[0]])):
+        group = [pairs[t][s] for t in targets if len(pairs[t]) > s]
+        I.extend(i for i, _ in group)
+        J.extend(j for _, j in group)
+        sizes.append(len(group))
+    return (np.argsort(targets), np.asarray(I, dtype=np.intp),
+            np.asarray(J, dtype=np.intp), tuple(sizes))
 
 
 def _same_arrays(got, want):
@@ -584,12 +636,10 @@ def test_product_tables_equal_the_pair_loops(dim, orders):
     for order in orders:
         assert _same_arrays(jets._mul_table(dim, order),
                             _loop_mul_table(dim, order)), order
-        pos, groups = jets._rank_groups(dim, order)
-        want_pos, want_groups = _loop_rank_groups(dim, order)
-        assert _same_arrays((pos,), (want_pos,)), order
-        assert len(groups) == len(want_groups), order
-        assert all(_same_arrays(g, w)
-                   for g, w in zip(groups, want_groups)), order
+        *arrays, sizes = jets._rank_groups(dim, order)
+        *want_arrays, want_sizes = _loop_rank_groups(dim, order)
+        assert _same_arrays(arrays, want_arrays), order
+        assert sizes == want_sizes, order
 
 
 @pytest.mark.parametrize("dim,order,count", _PRODUCT_SIZES)

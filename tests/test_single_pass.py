@@ -204,9 +204,9 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 14 + 16),
-    (["curvature", "normal_form_3d", "--points", "12"], 14 + 16),
-    (["curvature", "normal_form_3d", "--points", "40"], 14 + 16 * 2),
+    (["curvature", "normal_form_3d", "--points", "5"], 6 + 15),
+    (["curvature", "normal_form_3d", "--points", "12"], 6 + 15),
+    (["curvature", "normal_form_3d", "--points", "40"], 6 + 15 * 2),
     (["fourdim", "fourd_enonzero", "--points", "2"], 4 + 2),
     (["fourdim", "fourd_enonzero", "--points", "12"], 4 + 2),
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d batched",
@@ -215,19 +215,21 @@ def test_a_failing_batched_list_reports_as_point_by_point_builds(
 @pytest.mark.usefixtures("blocks_of_32")
 def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
                                                       calls):
-    # the raw frames' tape runs once over the sample list, however short:
-    # 14 series in 3D and 4 in 4D.  That was 15 and 5 while sin and cos of
-    # one argument were two series: cot(2x) in 3D and tan(z) in 4D now take
-    # one pass for both (jets._sin_cos), then their reciprocal.  Per
-    # stacked block of frames (one, or two for 40 points), in 3D:
-    # one_adapt 3, the omega3 frame 1, case2_adapt 4, top_ratio 2 and
-    # volume reciprocals 5, and the one
-    # volume reciprocal of the curvature stages that the adapted block's
-    # memo lacks; in 4D, the volume reciprocals of the curvature stages 2.
+    # the raw frames' tape runs once over the sample list, however short,
+    # and takes each series once: in 3D one sin/cos pair for sin(x) and
+    # cos(x), one for cot(2x) and csc(2x) with one reciprocal of sin(2x)
+    # between them, ln(y), and one reciprocal each of y and y^2 for the
+    # seven divisions by them, 6 series; in 4D 4.  Per stacked block of
+    # frames (one, or two for 40 points), in 3D: one_adapt 4 (the one
+    # reciprocal of omega1 ^ d(omega1) that its two ratios share, the root
+    # of the scale and its reciprocal, and that of lambda), the omega3
+    # frame 1, case2_adapt 4, volume reciprocals 5, and the one volume
+    # reciprocal of the curvature stages that the adapted block's memo
+    # lacks, 15; in 4D, the volume reciprocals of the curvature stages 2.
     # 1-form coefficients divide by the cached volume reciprocal, so they
-    # take no series of their own.  Evaluating each coefficient's AST on its
-    # own took 39 (3D) and 15 (4D) series per point; adapting frame by
-    # frame took 15 per point and 3 per block in 3D.
+    # take no series of their own.  The tape took 14 series while each
+    # function and division ran its own, and evaluating each coefficient's
+    # AST on its own took 39 (3D) and 15 (4D) per point.
     series = _counting(monkeypatch, jets, "_series")
     _run(args)
     assert len(series) == calls

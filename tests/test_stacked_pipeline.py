@@ -24,12 +24,11 @@ from bicontact.errors import (AmbiguousCase, ContactFailure, CriticalPoint,
 from bicontact.examples import build_example
 from bicontact.forms import (Chart, _columns,
                              coframe_field_from_expressions)
-from bicontact.inputfile import load_coframe
 from bicontact.jets import _value
 from bicontact.pipeline import (Tolerances, _dC_data, _one_adapt_point,
                                 _split_record, analyze, case1_adapt,
                                 case2_adapt, one_adapt)
-from conftest import DATA, box_points
+from conftest import DATA, box_points, load_coframe
 
 ORDER = cli.ORDER_NEEDED["invariants", 3]
 TOL = Tolerances()
@@ -254,6 +253,20 @@ def test_a_block_that_fails_only_as_a_whole_yields_every_column():
     want = [one for k in range(40) for one in _split_record(
         record(_columns(block, k, k + 1)))]
     assert [_record_bits(r) for r in got] == [_record_bits(r) for r in want]
+
+
+def test_a_slice_of_a_one_adapted_block_keeps_its_columns_eps():
+    # _one_adapt_point gives a block one eps per column, before one_adapt
+    # sets one int; a slice of it holds its own columns' eps, and an int
+    # eps is kept as it is
+    spec = build_example("normal_form_3d")
+    (raw,) = spec.coframes().blocks(box_points(spec.box, 40, seed=3), ORDER)
+    block = _one_adapt_point(raw)
+    assert block.eps.shape == (40,)
+    for start, stop in ((0, 1), (7, 8), (5, 25), (39, 40)):
+        part = _columns(block, start, stop)
+        assert part.eps.tolist() == block.eps[start:stop].tolist()
+    assert _columns(block.replace(eps=1), 3, 4).eps == 1
 
 
 def _norm(cf):

@@ -1,19 +1,21 @@
-"""Time the two product kernels at the shapes the benchmark workloads run.
+"""Time the product and series-step kernels at the shapes the benchmark
+workloads run.
 
     python tools/kernel_timings.py              # a table per workload
     python tools/kernel_timings.py --json OUT   # the same rows as JSON
 
 Each workload of ``perfbench/run.py`` runs once, at its seed-42 argv, with
-``forms._multiply`` and ``jets._product`` wrapped to keep the operands of
-the first many-point call of each shape.  Each kept call is then timed on
-its own operands, three ways: with ``jets.FLAT_PRODUCT_MAX`` as it is (the
-path the kernel chooses), with every product binned flat, and with every
-product summed by rank groups.  A row gives the kernel, its shape (terms,
-dim, order, points), its weights (terms x pairs) times points, the number
-of such calls in the command, and the microseconds per call of each way,
-the best of ``REPEAT`` timings of ``NUMBER`` calls.  On a tree whose
-``forms._multiply`` has no grouped path, its flat and grouped columns both
-time the flat bins.  The calls run on one core, in this process.
+``forms._multiply``, ``jets._product`` and ``jets._step_sum`` wrapped to
+keep the operands of the first many-point call of each shape.  Each kept
+call is then timed on its own operands, three ways: with
+``jets.FLAT_PRODUCT_MAX`` as it is (the path the kernel chooses), with
+every sum binned flat, and with every sum taken by rank groups
+(``jets._rank_sums``, in its chunks of ``FLAT_PRODUCT_MAX`` weights x
+points).  A row gives the kernel, its shape (terms, dim, order, points; a
+series step's order is its degree), its weights (terms x pairs) times
+points, the number of such calls in the command, and the microseconds per
+call of each way, the best of ``REPEAT`` timings of ``NUMBER`` calls.  The
+calls run on one core, in this process.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ NUMBER, REPEAT = 20, 5
 
 
 def record(argv):
-    """{shape: [calls, kernel, args]} of the many-point products that
-    ``argv`` runs, with the arguments of the first call of each shape."""
+    """{shape: [calls, kernel, args]} of the many-point products and series
+    steps that ``argv`` runs, with the arguments of the first call of each
+    shape."""
     shapes = {}
-    multiply, product = forms._multiply, jets._product
+    multiply, product, step_sum = forms._multiply, jets._product, \
+        jets._step_sum
 
     def keep(key, kernel, args):
         entry = shapes.setdefault(key, [0, kernel, args])
@@ -62,12 +66,21 @@ def record(argv):
                  product, (a.copy(), b.copy(), dim, order))
         return product(a, b, dim, order)
 
-    forms._multiply, jets._product = wrapped_multiply, wrapped_product
+    def wrapped_step_sum(x, y, dim, k):
+        if x.ndim == 2:
+            keep(("jets._step_sum", 1, dim, k, x.shape[1],
+                  len(jets._step_table(dim, k)[0])),
+                 step_sum, (x.copy(), y.copy(), dim, k))
+        return step_sum(x, y, dim, k)
+
+    forms._multiply, jets._product, jets._step_sum = \
+        wrapped_multiply, wrapped_product, wrapped_step_sum
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)
     finally:
-        forms._multiply, jets._product = multiply, product
+        forms._multiply, jets._product, jets._step_sum = \
+            multiply, product, step_sum
     return shapes
 
 
@@ -81,14 +94,25 @@ def dim_order(n, pairs):
 
 
 def time_call(kernel, args, limit):
-    saved = jets.FLAT_PRODUCT_MAX
+    """Microseconds per call of ``kernel(*args)`` with the path limit
+    ``limit`` in place of ``FLAT_PRODUCT_MAX``, or as it is for None.  The
+    rank sums still take their chunks from the shipped value."""
+    saved, rank_sums = jets.FLAT_PRODUCT_MAX, jets._rank_sums
+
+    def chunked(*sums):
+        jets.FLAT_PRODUCT_MAX = saved
+        try:
+            return rank_sums(*sums)
+        finally:
+            jets.FLAT_PRODUCT_MAX = limit
+
     if limit is not None:
-        jets.FLAT_PRODUCT_MAX = limit
+        jets.FLAT_PRODUCT_MAX, jets._rank_sums = limit, chunked
     try:
         best = min(timeit.repeat(lambda: kernel(*args), number=NUMBER,
                                  repeat=REPEAT))
     finally:
-        jets.FLAT_PRODUCT_MAX = saved
+        jets.FLAT_PRODUCT_MAX, jets._rank_sums = saved, rank_sums
     return round(best / NUMBER * 1e6, 1)
 
 
