@@ -6,8 +6,15 @@ skew coefficient matrix; curvature is Theta = d(theta) + theta ^ theta.
 Both tables are built once, on construction, and are frozen and skew: the
 connection builds omega^i_j for i < j and sets omega^j_i = -omega^i_j, the
 curvature holds Theta^i_j for i < j and gives the lower half by sign, and
-neither builds the zero diagonal.  Everything works in any chart dimension
-(used here for 3 and 4), column by column on a stacked frame
+neither builds the zero diagonal.  Each table is built whole, as one array
+computation per truncation order, in the way of the structure functions of
+Cartan's method (Olver, *Equivalence, Invariants and Symmetry*, 1995): the
+Gamma entries of one order, every omega^i_j (``Coframe.combine``), the
+structure residual (one stacked wedge, at order 0 since it reads values),
+d of every omega^i_j, every omega^i_k ^ omega^k_j and every coefficient
+table (``forms.ext_d_stack``, ``wedge_stack`` and ``coeffs_stack``), each
+entry bit-equal to building it on its own.  Everything works in any chart
+dimension (used here for 3 and 4), column by column on a stacked frame
 (``CoframeField.blocks``), whose values and residuals are (N,) arrays, one
 value per column.
 """
@@ -18,10 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jets
 from .jets import Jet, _value
 from .errors import NotIntegrable
 from .report import nan_max
-from .forms import Coframe, PForm, wedge, ext_d, two_form_coeffs
+from .forms import (Coframe, PForm, _stacked, _wedge_rows, coeffs_stack,
+                    ext_d_stack, wedge, wedge_stack)
 
 __all__ = ["ConnectionMatrix", "CurvatureMatrix", "levi_civita", "curvature",
            "scalar_curvature", "pfaffian_coefficient", "LeafGeometry",
@@ -50,9 +59,10 @@ def _structure_coeffs(frame: Coframe):
 class ConnectionMatrix:
     """Skew matrix of connection 1-forms omega^i_j = Gamma[i][j][k] omega^k.
 
-    Construction builds each omega^i_j with i < j as the k-sum, sets
-    omega^j_i = -omega^i_j, and stores the structure-equation residual.  The
-    diagonal omega^i_i is zero by skew symmetry and is never built."""
+    Construction builds every omega^i_j with i < j as the k-sum, all in one
+    ``Coframe.combine``, sets omega^j_i = -omega^i_j, and stores the
+    structure-equation residual.  The diagonal omega^i_i is zero by skew
+    symmetry and is never built."""
 
     frame: Coframe
     gamma: tuple
@@ -62,14 +72,11 @@ class ConnectionMatrix:
     def __post_init__(self):
         dim = self.frame.chart.dim
         gamma = tuple(tuple(map(tuple, plane)) for plane in self.gamma)
+        upper = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
         omega = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                out = None
-                for k in range(dim):
-                    term = self.frame.omega(k + 1).scaled(gamma[i][j][k])
-                    out = term if out is None else out + term
-                omega[i, j], omega[j, i] = out, -out
+        for (i, j), out in zip(upper, self.frame.combine(
+                [gamma[i][j] for i, j in upper])):
+            omega[i, j], omega[j, i] = out, -out
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "structure_residual", self.residual())
@@ -80,15 +87,23 @@ class ConnectionMatrix:
 
     def residual(self):
         """Max coefficient of d(omega^i) + omega^i_j ^ omega^j over i, per
-        column."""
+        column.  Only values are read, so every form enters at order 0,
+        which gives each value the full-order sum has, and the wedges run as
+        one stack."""
+        frame = self.frame
+        dim = frame.chart.dim
+        # omega^i_i = 0 by skew symmetry
+        pairs = [(i, j) for i in range(dim) for j in range(dim) if j != i]
+        x = np.concatenate([self.form(i, j).c[:, :1] for i, j in pairs])
+        wedges = _wedge_rows(
+            x, np.concatenate([frame.forms[j].c[:, :1] for _, j in pairs]),
+            dim, 0, 1, 1, len(pairs)).reshape(dim, dim - 1, -1, *x.shape[1:])
         worst = 0.0
-        dim = self.frame.chart.dim
         for i in range(dim):
-            r = self.frame.d(i, stage="connection residual")
-            for j in range(dim):
-                if j != i:   # omega^i_i = 0 by skew symmetry
-                    r = r + wedge(self.form(i, j), self.frame.omega(j + 1))
-            worst = nan_max(worst, r.max_abs_value())
+            r = frame.d(i, stage="connection residual").c[:, :1]
+            for w in wedges[i]:
+                r = r + w
+            worst = nan_max(worst, np.max(np.abs(r[:, 0]), axis=0))
         return worst
 
 
@@ -96,16 +111,30 @@ def levi_civita(frame: Coframe) -> ConnectionMatrix:
     """The unique metric-compatible torsion-free connection of the coframe.
 
     Gamma^i_jk = (D^i_jk + D^j_ki - D^k_ij) / 2 is the closed-form solution
-    of the skew linear system, taken for i != j; Gamma^i_ik is zero by skew
-    symmetry and holds the zero jet of the structure table.  The
-    structure-equation residual is computed on every call as a self-check.
+    of the skew linear system, taken for i != j, the entries of one
+    truncation order as one array expression, bit-equal to the jet sum
+    ``(D[i][j][k] + D[j][k][i] - D[k][i][j]) * 0.5`` of each; Gamma^i_ik is
+    zero by skew symmetry and holds the zero jet of the structure table.
+    The structure-equation residual is computed on every call as a
+    self-check.
     """
     dim = frame.chart.dim
     D = _structure_coeffs(frame)
     zero = D[0][0][0]
-    return ConnectionMatrix(frame, [[[
-        (D[i][j][k] + D[j][k][i] - D[k][i][j]) * 0.5 if i != j else zero
-        for k in range(dim)] for j in range(dim)] for i in range(dim)])
+    terms = [((i, j, k), (j, k, i), (k, i, j)) for i in range(dim)
+             for j in range(dim) if j != i for k in range(dim)]
+
+    def run(order, members):
+        n = jets.ncoeffs(dim, order)
+        a, b, c = (np.array([D[i][j][k].c[:n] for i, j, k in part])
+                   for part in zip(*members))
+        return [Jet._of(dim, order, row) for row in (a + b - c) * 0.5 + 0.0]
+
+    gamma = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for ((i, j, k), _, _), g in zip(terms, _stacked(
+            terms, lambda t: min(D[i][j][k].order for i, j, k in t), run)):
+        gamma[i][j][k] = g
+    return ConnectionMatrix(frame, gamma)
 
 
 @dataclass(frozen=True)
@@ -131,16 +160,24 @@ class CurvatureMatrix:
 
 
 def curvature(conn: ConnectionMatrix) -> CurvatureMatrix:
+    """Theta^i_j and its table for i < j: d of every omega^i_j as one
+    stack, every wedge omega^i_k ^ omega^k_j (k not i or j, where
+    omega^i_i = omega^j_j = 0) as one, added in k order, and every table as
+    one, each one kernel call per truncation order."""
     dim = conn.frame.chart.dim
-    theta, coeffs = {}, {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            t = ext_d(conn.form(i, j), stage="curvature(d connection)")
-            for k in range(dim):
-                if k not in (i, j):   # omega^i_i = omega^j_j = 0
-                    t = t + wedge(conn.form(i, k), conn.form(k, j))
-            theta[i, j] = t
-            coeffs[i, j] = two_form_coeffs(t, conn.frame)
+    upper = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    between = [[k for k in range(dim) if k not in pair] for pair in upper]
+    d_forms = ext_d_stack([conn.form(i, j) for i, j in upper],
+                          stage="curvature(d connection)")
+    wedges = iter(wedge_stack([(conn.form(i, k), conn.form(k, j))
+                               for (i, j), ks in zip(upper, between)
+                               for k in ks]))
+    theta = {}
+    for pair, t, ks in zip(upper, d_forms, between):
+        for _ in ks:
+            t = t + next(wedges)
+        theta[pair] = t
+    coeffs = dict(zip(upper, coeffs_stack(list(theta.values()), conn.frame)))
     return CurvatureMatrix(conn.frame, theta, coeffs)
 
 
@@ -160,10 +197,11 @@ def pfaffian_coefficient(curv: CurvatureMatrix) -> Jet:
     - Theta^1_3^Theta^2_4 + Theta^1_4^Theta^2_3."""
     if curv.frame.chart.dim != 4:
         raise ValueError("Pfaffian needs a 4D frame")
-    pf = wedge(curv.entry(0, 1), curv.entry(2, 3)) \
-        - wedge(curv.entry(0, 2), curv.entry(1, 3)) \
-        + wedge(curv.entry(0, 3), curv.entry(1, 2))
-    return curv.frame.ratio(pf)
+    w12_34, w13_24, w14_23 = wedge_stack(
+        [(curv.entry(0, 1), curv.entry(2, 3)),
+         (curv.entry(0, 2), curv.entry(1, 3)),
+         (curv.entry(0, 3), curv.entry(1, 2))])
+    return curv.frame.ratio(w12_34 - w13_24 + w14_23)
 
 
 # ---------------------------------------------------------------------------

@@ -421,7 +421,8 @@ class Tape:
         the points would branch differently (``jets._MixedBranches``), the
         pass raises at the first op that fails at any point, which need not
         be what the first failing point raises on its own;
-        ``CoframeField.blocks`` then builds point by point."""
+        ``CoframeField.blocks`` then builds the list by halves, down to
+        the failing point."""
         dim = len(coords)
         shape = np.shape(x[0])
 

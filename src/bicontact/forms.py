@@ -20,10 +20,11 @@ many-point jets.  Every kernel below takes such forms as they are.  Every
 block of frames goes through a stage in one pass, and the frame at one
 point (:meth:`CoframeField.at`) is a stack of one.
 :meth:`CoframeField.blocks` builds a sample list as one stacked frame and
-hands it out ``STACK_BLOCK`` columns at a time, :func:`by_block` runs a
-stage once per block, and where a block's pass raises, runs its first half,
-then its second, into whichever half raises, down to a stack of one, and
-:func:`block_rows` splits a check's table into one row per point.
+hands it out ``STACK_BLOCK`` columns at a time, or where that build raises,
+builds its first half, then its second, into whichever half raises, down
+to one point.  :func:`by_block` runs a stage once per block, and where a
+block's pass raises, runs its halves the same way, and :func:`block_rows`
+splits a check's table into one row per point.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -42,9 +43,17 @@ and :func:`two_form_coeffs` are that kernel at p = 1 and p = 2; no dual
 frame or matrix inverse is formed.
 
 Sums, differences and float multiples of forms are single array operations
-on ``c``.  :func:`wedge`, :func:`ext_d`, :meth:`PForm.scaled` by a jet and
-the coefficient kernel are array kernels that read ``c`` directly, with
-gather/scatter plans cached per (dim, order, degrees): every jet product
+on ``c``.  The wedge, ``ext_d`` and coefficient kernels take a stack of
+forms of one degree and one truncation order as the rows of one array,
+form after form, and their plans take the count of forms: :func:`wedge`,
+:func:`ext_d`, :func:`two_form_coeffs` and :func:`one_form_coeffs` are
+stacks of one on the form's own array, and :func:`wedge_stack`,
+:func:`ext_d_stack` and :func:`coeffs_stack` group a list of forms by
+degree and order and make one kernel call per group.  So does
+:meth:`Coframe.combine` for the products of the covectors with rows of
+jets.  These and :meth:`PForm.scaled` by a jet are array kernels that read
+``c`` directly, with gather/scatter plans cached per (dim, order, degrees,
+count): every jet product
 goes through one batched convolution of all its terms from
 ``jets._mul_table`` (``_multiply``), every derivative through one gather
 from ``jets._diff_table``, and every other sum through ``jets._sum_into``.
@@ -57,7 +66,8 @@ coefficient kernel runs the wedges of beta with all complements of a frame
 as one such product per truncation order, and divides by the frame's
 volume in one more.  Their results are bit-equal to
 the per-term ``Jet`` loops they replaced, which the tests keep as the
-oracle: both paths add each target's pairs in the loop's order from +0.0,
+oracle, and each form of a stack to its stack of one: every path adds each
+target's pairs in the loop's order from +0.0,
 and a factor without a derivative part gets ``Jet.__mul__``'s scaling
 path.  This holds for finite, inf and NaN coefficients alike, with one
 exception: which of two NaNs a product or sum keeps (its sign and payload
@@ -84,8 +94,9 @@ from .jets import Jet
 
 __all__ = [
     "Chart", "PForm", "Coframe", "CoframeField",
-    "wedge", "wedge_all", "ext_d", "top_ratio", "top_reciprocal",
-    "two_form_coeffs", "one_form_coeffs", "scalar_d",
+    "wedge", "wedge_all", "wedge_stack", "ext_d", "ext_d_stack",
+    "top_ratio", "top_reciprocal", "two_form_coeffs", "one_form_coeffs",
+    "coeffs_stack", "scalar_d",
     "coframe_field_from_expressions", "by_block", "block_rows",
 ]
 
@@ -201,6 +212,17 @@ class PForm:
                          _scale_plan(dim, order, len(self.c)))
         return PForm._of(self.chart, self.degree, order, prod)
 
+    def truncate(self, order: int) -> "PForm":
+        """The form truncated to ``order``, at most its own, as
+        ``Jet.truncate`` truncates each coefficient."""
+        if order > self.order:
+            raise ValueError(f"cannot extend order {self.order} form to "
+                             f"{order}")
+        if order == self.order:
+            return self
+        return PForm._of(self.chart, self.degree, order,
+                         self.c[:, :jets.ncoeffs(self.chart.dim, order)])
+
     def max_abs_value(self):
         """The largest |value| over the coefficients, one per point: an (N,)
         array for a form with a point axis."""
@@ -302,10 +324,20 @@ def _scale_plan(dim, order, rows) -> _Products:
 
 
 @lru_cache(maxsize=None)
+def _combine_plan(dim, order, covectors) -> _Products:
+    """Products of ``Coframe.combine``: term t multiplies each row of
+    covector ``covectors[t]`` of x, whose covectors have dim rows each, by
+    row t of y."""
+    rx = np.asarray(covectors)[:, None] * dim + np.arange(dim)
+    return _Products(dim, order, rx.ravel(),
+                     np.repeat(np.arange(len(covectors)), dim))
+
+
+@lru_cache(maxsize=None)
 def _wedge_terms(dim, p, q):
     """The terms of the wedge of a p-form a and a q-form b, in the order of
     the loop over the keys of a, then of b: the rows ``ra`` of a and ``rb``
-    of b, the output row ``ro`` and the merge sign of each."""
+    of b, the output row ``ro`` and the merge sign of each, as arrays."""
     slot = {k: r for r, k in enumerate(_keys(dim, p + q))}
     ra, rb, ro, sign = [], [], [], []
     for i, ka in enumerate(_keys(dim, p)):
@@ -316,7 +348,16 @@ def _wedge_terms(dim, p, q):
             rb.append(j)
             ro.append(slot[tuple(sorted(ka + kb))])
             sign.append(_perm_sign(ka + kb))
-    return ra, rb, ro, sign
+    return (np.array(ra, dtype=np.intp), np.array(rb, dtype=np.intp),
+            np.array(ro, dtype=np.intp), np.array(sign))
+
+
+def _tiled(index, count, step):
+    """``index`` once for each of ``count`` stacked items, item s's copy
+    shifted by s * step."""
+    if count == 1:
+        return index
+    return (index + step * np.arange(count)[:, None]).ravel()
 
 
 def _scatter(rows, n):
@@ -325,31 +366,86 @@ def _scatter(rows, n):
 
 
 @lru_cache(maxsize=None)
-def _wedge_plan(dim, order, p, q):
-    """Plan of ``wedge`` of a p-form and a q-form at truncation order
-    ``order``: the products of its terms, their signs as a column, and the
-    flat (output key, coefficient) target of every term coefficient."""
+def _wedge_plan(dim, order, p, q, count):
+    """Plan of ``_wedge_rows`` for ``count`` pairs of a p-form and a q-form at
+    truncation order ``order``: the products of their terms, pair by pair,
+    their signs as a column, and the flat (output row, coefficient) target
+    of every term coefficient.  Pair s takes the rows of its forms, and of
+    its wedge, from s times the keys of their degrees on."""
     ra, rb, ro, sign = _wedge_terms(dim, p, q)
-    return (_Products(dim, order, ra, rb), np.asarray(sign)[:, None],
-            _scatter(ro, jets.ncoeffs(dim, order)))
+    return (_Products(dim, order, _tiled(ra, count, len(_keys(dim, p))),
+                      _tiled(rb, count, len(_keys(dim, q)))),
+            _tiled(sign, count, 0)[:, None],
+            _scatter(_tiled(ro, count, len(_keys(dim, p + q))),
+                     jets.ncoeffs(dim, order)))
 
 
-def wedge(a: PForm, b: PForm) -> PForm:
-    """a ^ b, bit-equal to summing ``(ja * jb) * sign`` term by term, in the
-    order of a's keys and then b's, into zero jets of the common order."""
+def _wedge_rows(x, y, dim, order, p, q, count):
+    """The rows of ``count`` wedges a_s ^ b_s at truncation order ``order``,
+    wedge by wedge, where x holds the rows of the p-forms a_s and y those of
+    the q-forms b_s, form by form, truncated to that order."""
+    products, sign, out_bins = _wedge_plan(dim, order, p, q, count)
+    prod = _multiply(x, y, products)
+    return jets._sum_into(out_bins, _flat(prod * _per_row(sign, prod)),
+                          (count * len(_keys(dim, p + q)),
+                           jets.ncoeffs(dim, order)))
+
+
+def _wedge_order(a: PForm, b: PForm) -> int:
+    """The truncation order of a ^ b, after checking that it exists."""
     if a.chart is not b.chart and a.chart != b.chart:
         raise ValueError("wedge of forms on different charts")
     deg = a.degree + b.degree
     if deg > a.chart.dim:
         raise ValueError(f"wedge degree {deg} exceeds chart dimension")
-    order = min(a.order, b.order)
+    return min(a.order, b.order)
+
+
+def wedge(a: PForm, b: PForm) -> PForm:
+    """a ^ b, bit-equal to summing ``(ja * jb) * sign`` term by term, in the
+    order of a's keys and then b's, into zero jets of the common order: the
+    stacked kernel on a stack of one."""
+    order = _wedge_order(a, b)
     dim = a.chart.dim
     n = jets.ncoeffs(dim, order)
-    products, sign, out_bins = _wedge_plan(dim, order, a.degree, b.degree)
-    prod = _multiply(a.c[:, :n], b.c[:, :n], products)
-    out = jets._sum_into(out_bins, _flat(prod * _per_row(sign, prod)),
-                         (len(_keys(dim, deg)), n))
-    return PForm._of(a.chart, deg, order, out)
+    return PForm._of(a.chart, a.degree + b.degree, order, _wedge_rows(
+        a.c[:, :n], b.c[:, :n], dim, order, a.degree, b.degree, 1))
+
+
+def wedge_stack(pairs) -> list:
+    """``[wedge(a, b) for a, b in pairs]``, each bit-equal, with one kernel
+    call per chart, degrees and truncation order."""
+    def run(key, members):
+        _, p, q, order = key
+        chart = members[0][0].chart
+        n = jets.ncoeffs(chart.dim, order)
+        rows = _wedge_rows(np.concatenate([a.c[:, :n] for a, _ in members]),
+                           np.concatenate([b.c[:, :n] for _, b in members]),
+                           chart.dim, order, p, q, len(members))
+        return _split_rows(chart, p + q, order, rows, len(members))
+
+    return _stacked(pairs, lambda ab: (ab[0].chart.coords, ab[0].degree,
+                                       ab[1].degree, _wedge_order(*ab)), run)
+
+
+def _stacked(items, key, run) -> list:
+    """``run(k, members)`` once per distinct ``key(item)`` k over the items
+    with that key, in order, each call giving one result per member; the
+    results in the order of ``items``."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    out = [None] * len(items)
+    for k, idx in groups.items():
+        for i, result in zip(idx, run(k, [items[i] for i in idx])):
+            out[i] = result
+    return out
+
+
+def _split_rows(chart, degree, order, rows, count) -> list:
+    """The ``count`` degree-forms whose rows ``rows`` holds form by form."""
+    return [PForm._of(chart, degree, order, c)
+            for c in rows.reshape(count, -1, *rows.shape[1:])]
 
 
 def wedge_all(*forms):
@@ -360,13 +456,13 @@ def wedge_all(*forms):
 
 
 @lru_cache(maxsize=None)
-def _ext_d_plan(dim, order, degree):
-    """Gather/scatter plan of ``ext_d`` for a degree-form at truncation order
-    ``order``: per term (key, axis), in the loop's order, the flat source
-    index into the coefficient array, the factor ``jets._diff_table`` gives
-    times the sign, and the flat (output key, coefficient) target.  With the
-    sign s = +-1 on the factor f, x * (f * s) equals the loop's (x * f) * s
-    bit for bit."""
+def _ext_d_plan(dim, order, degree, count):
+    """Gather/scatter plan of ``_ext_d_rows`` for ``count`` degree-forms at
+    truncation order ``order``: per term (form, key, axis), in the loop's
+    order, the flat source index into the stacked coefficient rows, the
+    factor ``jets._diff_table`` gives times the sign, and the flat (output
+    row, coefficient) target.  With the sign s = +-1 on the factor f,
+    x * (f * s) equals the loop's (x * f) * s bit for bit."""
     slot = {k: r for r, k in enumerate(_keys(dim, degree + 1))}
     n_hi, n_lo = jets.ncoeffs(dim, order), jets.ncoeffs(dim, order - 1)
     src, fac, dst = [], [], []
@@ -379,28 +475,57 @@ def _ext_d_plan(dim, order, degree):
             src.append(r * n_hi + s)
             fac.append(f * (-1.0 if pos % 2 else 1.0))
             dst.append(slot[tuple(sorted(key + (axis,)))] * n_lo + d)
-    return np.concatenate(src), np.concatenate(fac), np.concatenate(dst)
+    return (_tiled(np.concatenate(src), count, len(_keys(dim, degree)) * n_hi),
+            _tiled(np.concatenate(fac), count, 0),
+            _tiled(np.concatenate(dst), count, len(slot) * n_lo))
 
 
-def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
-    """Exterior derivative; consumes one derivative-order level.
+def _ext_d_rows(c, dim, order, degree, count):
+    """The rows of d of ``count`` degree-forms at truncation order
+    ``order``, whose rows c holds form by form."""
+    src, fac, dst = _ext_d_plan(dim, order, degree, count)
+    terms = _flat(c)[src]
+    return jets._sum_into(dst, terms * _per_row(fac, terms),
+                          (count * len(_keys(dim, degree + 1)),
+                           jets.ncoeffs(dim, order - 1)))
 
-    Bit-equal to summing ``jets.partial(j, axis) * sign`` term by term into
-    zero jets, in the order of a's keys and then the axes."""
+
+def _ext_d_check(a: PForm, stage: str):
     if a.order < 1:
         raise BudgetError(stage)
     if a.degree == a.chart.dim:
         # top degree: derivative is 0-dimensional, not representable; callers
         # never need it, but guard with a clear message anyway
         raise ValueError("exterior derivative of a top-degree form")
-    order = a.order
-    dim = a.chart.dim
-    src, fac, dst = _ext_d_plan(dim, order, a.degree)
-    terms = _flat(a.c)[src]
-    rows = len(_keys(dim, a.degree + 1))
-    out = jets._sum_into(dst, terms * _per_row(fac, terms),
-                         (rows, jets.ncoeffs(dim, order - 1)))
-    return PForm._of(a.chart, a.degree + 1, order - 1, out)
+
+
+def ext_d(a: PForm, stage: str = "ext_d") -> PForm:
+    """Exterior derivative; consumes one derivative-order level.
+
+    Bit-equal to summing ``jets.partial(j, axis) * sign`` term by term into
+    zero jets, in the order of a's keys and then the axes: the stacked
+    kernel on a stack of one."""
+    _ext_d_check(a, stage)
+    return PForm._of(a.chart, a.degree + 1, a.order - 1, _ext_d_rows(
+        a.c, a.chart.dim, a.order, a.degree, 1))
+
+
+def ext_d_stack(forms, stage: str = "ext_d") -> list:
+    """``[ext_d(a, stage) for a in forms]``, each bit-equal, with one kernel
+    call per chart, degree and truncation order; every form is checked
+    first."""
+    for a in forms:
+        _ext_d_check(a, stage)
+
+    def run(key, members):
+        _, degree, order = key
+        chart = members[0].chart
+        rows = _ext_d_rows(np.concatenate([a.c for a in members]), chart.dim,
+                           order, degree, len(members))
+        return _split_rows(chart, degree + 1, order - 1, rows, len(members))
+
+    return _stacked(forms, lambda a: (a.chart.coords, a.degree, a.order),
+                    run)
 
 
 def top_ratio(a: PForm, b: PForm) -> Jet:
@@ -520,6 +645,40 @@ class Coframe:
         return self._cached(("d coeffs", i), lambda: two_form_coeffs(
             self.d(i, stage), self))
 
+    def combine(self, rows) -> list:
+        """The 1-form sum_k omega^(k+1) * row[k] for each row of dim jets,
+        bit-equal to adding ``omega(k + 1).scaled(row[k])`` in k order: the
+        products of one truncation order run as one kernel call, the
+        covectors' rows as x and the jets as y, as ``scaled`` takes them, and
+        each sum truncates its terms to its order."""
+        dim = self.dim
+        orders = [[min(f.order, jet.order) for f, jet in zip(self.forms, row)]
+                  for row in rows]
+        groups = {}
+        for r, row_orders in enumerate(orders):
+            for k, order in enumerate(row_orders):
+                groups.setdefault(order, []).append((r, k))
+        terms = {}
+        for order, members in groups.items():
+            n = jets.ncoeffs(dim, order)
+            used = sorted({k for _, k in members})
+            prod = _multiply(
+                np.concatenate([self.forms[k].c[:, :n] for k in used]),
+                np.array([rows[r][k].c[:n] for r, k in members]),
+                _combine_plan(dim, order,
+                              tuple(used.index(k) for _, k in members)))
+            terms.update(zip(members,
+                             prod.reshape(len(members), dim, *prod.shape[1:])))
+        out = []
+        for r, row_orders in enumerate(orders):
+            order = min(row_orders)
+            n = jets.ncoeffs(dim, order)
+            acc = terms[r, 0][:, :n]
+            for k in range(1, dim):
+                acc = acc + terms[r, k][:, :n]
+            out.append(PForm._of(self.chart, 1, order, acc))
+        return out
+
     def _complement_rows(self, p: int, order: int):
         """Cached batches of the coefficient kernel for a p-form of truncation
         order ``order``: the keys of ``_complements(p)`` grouped by the order
@@ -561,7 +720,8 @@ class Coframe:
 # 33.6 (BENCH_31.json)
 STACK_BLOCK = 128
 # what a many-point build or pass may raise where some point fails; the
-# build then goes point by point, and the pass by halves (``by_block``)
+# build and the pass then go by halves (``CoframeField.blocks``,
+# ``by_block``)
 _POINT_ERRORS = (BicontactError, ArithmeticError, ValueError,
                  jets._MixedBranches)
 
@@ -585,10 +745,11 @@ class CoframeField:
         """An iterator over the frames at ``points`` in sample order, built
         as one stacked frame at the first step and handed out as slices of
         ``STACK_BLOCK`` columns, the last one shorter.  Where that build
-        raises on two points or more, each point is built as a stack of one
-        (``at``) as it is reached, so a caller that runs a stage on each
-        block meets the first failing point's error before a later frame is
-        built."""
+        raises on two points or more, its first half is built, then its
+        second, each the same way, so a part that raises is halved again
+        down to one point, which raises as it is: a caller that runs a stage
+        on each block meets the first failing point's error, after about
+        2 log2(N) builds, before a later frame is built."""
         return self._blocks([tuple(float(x) for x in p) for p in points],
                             int(order))
 
@@ -598,8 +759,9 @@ class CoframeField:
         try:
             frame = self._builder(_coordinates(points), order)
         except _POINT_ERRORS if len(points) > 1 else ():
-            for p in points:
-                yield self.at(p, order)
+            half = len(points) // 2
+            yield from self._blocks(points[:half], order)
+            yield from self._blocks(points[half:], order)
             return
         for start in range(0, len(points), STACK_BLOCK):
             yield _columns(frame, start, start + STACK_BLOCK)
@@ -712,65 +874,94 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None):
 # ---------------------------------------------------------------------------
 # coefficient extraction against a coframe
 
-def _frame_coeffs(beta: PForm, frame: Coframe, p: int) -> dict:
+def _coeff_rows(c, frame: Coframe, p: int, order: int, count: int) -> list:
     """{key: b_key} with beta = sum_key b_key omega^key over the degree-p
-    keys, for a p-form beta and 1 <= p < dim.  Each coefficient is bit-equal
-    to ``frame.ratio(wedge(beta, rest)) * sign`` over ``frame._complements``:
-    per truncation order of beta ^ rest, the terms of every such wedge run as
-    one batched product, and their top coefficients as one more against the
-    frame's cached volume reciprocal."""
+    keys, for each of ``count`` p-forms beta of truncation order ``order``
+    whose rows c holds form by form.  Each coefficient is bit-equal to
+    ``frame.ratio(wedge(beta, rest)) * sign`` over ``frame._complements``:
+    per truncation order of beta ^ rest, the terms of every such wedge of
+    every beta run as one batched product, and their top coefficients as
+    one more against the frame's cached volume reciprocal."""
+    dim = frame.dim
+    out = [{} for _ in range(count)]
+    for low, keys, rests, signs in frame._complement_rows(p, order):
+        n = jets.ncoeffs(dim, low)
+        rows = count * len(keys)
+        products, term_sign, bins = _coeffs_plan(dim, p, low, len(keys),
+                                                 count)
+        prod = _multiply(c[:, :n], rests, products)
+        top = jets._sum_into(bins, _flat(prod * _per_row(term_sign, prod)),
+                             (rows, n))
+        recip = frame._volume_reciprocal(low)
+        m = jets.ncoeffs(dim, recip.order)
+        coeffs = _multiply(top[:, :m], recip.c[None],
+                           _scale_plan(dim, recip.order, rows))
+        coeffs = coeffs.reshape(count, len(keys), *coeffs.shape[1:])
+        coeffs = coeffs * _per_row(signs, coeffs[0]) + 0.0
+        for table, beta_rows in zip(out, coeffs):
+            table.update((key, Jet._of(dim, recip.order, row))
+                         for key, row in zip(keys, beta_rows))
+    return [{key: table[key] for key in _keys(dim, p)} for table in out]
+
+
+@lru_cache(maxsize=None)
+def _coeffs_plan(dim, p, order, keys, count):
+    """Plan of ``_coeff_rows`` for ``count`` p-forms against ``keys``
+    complements of degree-p keys at truncation order ``order``: the terms of
+    beta ^ rest for each form, then each complement, in turn, with the rests'
+    rows stacked complement by complement, their signs as a column, and the
+    flat (form and complement, coefficient) target of every term
+    coefficient."""
+    ra, rb, _, sign = _wedge_terms(dim, p, dim - p)
+    rests = _tiled(rb, keys, len(_keys(dim, dim - p)))
+    return (_Products(dim, order,
+                      _tiled(_tiled(ra, keys, 0), count, len(_keys(dim, p))),
+                      _tiled(rests, count, 0)),
+            _tiled(sign, count * keys, 0)[:, None],
+            _scatter(np.repeat(np.arange(count * keys), len(ra)),
+                     jets.ncoeffs(dim, order)))
+
+
+def _coeffs_check(beta: PForm, frame: Coframe, p: int):
     dim = frame.dim
     if beta.degree != p or not 0 < p < dim:
         raise ValueError(f"expected a {p}-form on a chart of dim > {p}, "
                          f"got a {beta.degree}-form on a {dim}D chart")
-    out = {}
-    for order, keys, rests, signs in frame._complement_rows(p, beta.order):
-        n = jets.ncoeffs(dim, order)
-        products, term_sign, bins = _coeffs_plan(dim, p, order, len(keys))
-        prod = _multiply(beta.c[:, :n], rests, products)
-        top = jets._sum_into(bins, _flat(prod * _per_row(term_sign, prod)),
-                             (len(keys), n))
-        recip = frame._volume_reciprocal(order)
-        m = jets.ncoeffs(dim, recip.order)
-        coeffs = _multiply(top[:, :m], recip.c[None],
-                           _scale_plan(dim, recip.order, len(keys)))
-        coeffs = coeffs * _per_row(signs, coeffs) + 0.0
-        out.update((key, Jet._of(dim, recip.order, row))
-                   for key, row in zip(keys, coeffs))
-    return {key: out[key] for key in _keys(dim, p)}
-
-
-@lru_cache(maxsize=None)
-def _coeffs_plan(dim, p, order, count):
-    """Plan of ``_frame_coeffs`` for ``count`` complements of degree-p keys at
-    truncation order ``order``: the terms of beta ^ rest for each complement
-    in turn, with the rests' rows stacked in that order, their signs as a
-    column, and the flat (complement, coefficient) target of every term
-    coefficient."""
-    ra, rb, _, sign = _wedge_terms(dim, p, dim - p)
-    size = len(_keys(dim, dim - p))
-    return (_Products(dim, order, ra * count,
-                      [r + size * k for k in range(count) for r in rb]),
-            np.tile(sign, count)[:, None],
-            _scatter(np.repeat(np.arange(count), len(ra)),
-                     jets.ncoeffs(dim, order)))
 
 
 def two_form_coeffs(beta: PForm, frame: Coframe) -> dict:
     """Coefficients b[(a,b)] with beta = sum_{a<b} b[(a,b)] omega^a ^ omega^b.
 
     In 3D, ``c[(1, 2)], c[(0, 2)], c[(0, 1)]`` are (b23, b13, b12).  The
-    complement kernel ``_frame_coeffs`` at degree 2."""
-    return _frame_coeffs(beta, frame, 2)
+    complement kernel ``_coeff_rows`` at degree 2, on a stack of one."""
+    _coeffs_check(beta, frame, 2)
+    return _coeff_rows(beta.c, frame, 2, beta.order, 1)[0]
 
 
 def one_form_coeffs(a: PForm, frame: Coframe) -> list:
     """Coefficients a_i with a = sum_i a_i omega^i (jets), in axis order:
-    the complement kernel ``_frame_coeffs`` at degree 1, so a_i is
-    ``frame.ratio(wedge(a, rest)) * sign`` with rest the wedge of the other
-    covectors."""
-    coeffs = _frame_coeffs(a, frame, 1)
+    the complement kernel ``_coeff_rows`` at degree 1, on a stack of one, so
+    a_i is ``frame.ratio(wedge(a, rest)) * sign`` with rest the wedge of the
+    other covectors."""
+    _coeffs_check(a, frame, 1)
+    coeffs = _coeff_rows(a.c, frame, 1, a.order, 1)[0]
     return [coeffs[(i,)] for i in range(frame.dim)]
+
+
+def coeffs_stack(betas, frame: Coframe) -> list:
+    """The coefficient table {key: b_key} of each p-form in ``betas``, in
+    order, each bit-equal to ``two_form_coeffs`` (p = 2) or, keyed by
+    (i,), ``one_form_coeffs`` (p = 1): one kernel call per degree and
+    truncation order."""
+    for beta in betas:
+        _coeffs_check(beta, frame, beta.degree)
+
+    def run(key, members):
+        p, order = key
+        return _coeff_rows(np.concatenate([b.c for b in members]), frame, p,
+                           order, len(members))
+
+    return _stacked(betas, lambda b: (b.degree, b.order), run)
 
 
 def _perm_sign(perm):

@@ -27,8 +27,9 @@ from . import jets
 from .jets import Jet, _value
 from .errors import DegenerateH, DomainError, OdeStepFailure
 from . import expressions
-from .forms import (Chart, Coframe, CoframeField, PForm, ext_d,
-                    block_rows, one_form_coeffs, scalar_d, wedge)
+from .forms import (Chart, Coframe, CoframeField, PForm, block_rows,
+                    ext_d_stack, one_form_coeffs, scalar_d, wedge,
+                    wedge_stack)
 from .curvature import (curvature, leaf_geometry, levi_civita,
                         pfaffian_coefficient, scalar_curvature)
 from .report import nan_max
@@ -153,15 +154,18 @@ def symplectic_quadratic_check(F: Coframe4, a_samples=()) -> dict:
     """
     frame = F.frame
     th1, th2 = frame.d(0), frame.d(1)
-    closed = nan_max(ext_d(th1).max_abs_value(), ext_d(th2).max_abs_value())
+    closed = nan_max(*(d.max_abs_value() for d in ext_d_stack([th1, th2])))
     C = _value(F.C)
-    r11 = _value(frame.ratio(wedge(th1, th1))) - 2.0
-    r22 = _value(frame.ratio(wedge(th2, th2))) + 2.0 * F.eps
-    r12 = _value(frame.ratio(wedge(th1, th2))) - 2.0 * C
+    # only values are read, and a wedge's values are those of its factors'
+    # values, so every pairing is taken at order 0, all in one stack
+    v1, v2 = th1.truncate(0), th2.truncate(0)
+    combos = [v1.scaled(float(a1)) + v2.scaled(float(a2))
+              for a1, a2 in a_samples]
+    r11, r22, r12, *sampled = (_value(frame.ratio(w)) for w in wedge_stack(
+        [(v1, v1), (v2, v2), (v1, v2)] + [(th, th) for th in combos]))
+    r11, r22, r12 = r11 - 2.0, r22 + 2.0 * F.eps, r12 - 2.0 * C
     worst_a = 0.0
-    for a1, a2 in a_samples:
-        th = th1.scaled(float(a1)) + th2.scaled(float(a2))
-        got = _value(frame.ratio(wedge(th, th)))
+    for (a1, a2), got in zip(a_samples, sampled):
         want = symplectic_quadratic(a1, a2, C, F.eps)
         worst_a = nan_max(worst_a, abs(got - want))
     return {"closed": closed, "quad11": abs(r11), "quad22": abs(r22),
@@ -443,7 +447,8 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
     frame: h's tape and C's tape run once over all the points, and K, L, f
     and the covectors are many-point jets and forms.  Each guard checks
     every point, so the build raises where any point fails, and
-    ``CoframeField.blocks`` then builds point by point.
+    ``CoframeField.blocks`` then builds the list by halves, down to the
+    failing point.
     """
     chart = Chart(_CHART4)
     htape = expressions.Tape([expressions.parse(str(e), ("x", "y"))

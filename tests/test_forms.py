@@ -779,6 +779,102 @@ def test_stacked_products_are_bitwise_the_one_point_products(monkeypatch, dim,
     assert {grouped for _, grouped in paths} == {count != _AT_CROSSOVER}
 
 
+# ---------------------------------------------------------------------------
+# the stacked kernels: each form of a stack equal to its own one-form call
+
+@st.composite
+def _stacks(draw, degrees, least_order, least_points=1):
+    """Items of forms of the given degrees on one chart at ``least_points``
+    to three points, each form at its own order where every value is finite (one
+    order per item otherwise), coefficients of drawn kinds, and whether
+    every value is finite."""
+    dim = draw(st.sampled_from((3, 4)))
+    degs = draw(degrees(dim))
+    finite = draw(st.booleans())
+    count = draw(st.integers(least_points, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        base = draw(st.integers(least_order, 4))
+        item = []
+        for deg in degs:
+            order = draw(st.integers(base, 4)) if finite else base
+            n = ncoeffs(dim, order)
+            item.append(PForm._of(CHARTS[dim], deg, order, np.stack([
+                np.array([_coefficients(rng, draw(st.sampled_from(KINDS)), n,
+                                        finite)
+                          for _ in forms._keys(dim, deg)])
+                for _ in range(count)], -1)))
+        items.append(tuple(item))
+    return items, finite
+
+
+@given(_stacks(_wedge_degrees, 0))
+@settings(max_examples=150, deadline=None)
+def test_each_wedge_of_a_stack_is_its_own_wedge(drawn):
+    items, finite = drawn
+    with np.errstate(all="ignore"):
+        got = forms.wedge_stack(items)
+        want = [wedge(a, b) for a, b in items]
+    for g, w in zip(got, want, strict=True):
+        _assert_bit_equal(g, w, finite)
+
+
+@given(_stacks(lambda dim: st.tuples(st.integers(0, dim - 1)), 1))
+@settings(max_examples=150, deadline=None)
+def test_each_ext_d_of_a_stack_is_its_own_ext_d(drawn):
+    items, finite = drawn
+    with np.errstate(all="ignore"):
+        got = forms.ext_d_stack([a for a, in items])
+        want = [ext_d(a) for a, in items]
+    for g, w in zip(got, want, strict=True):
+        _assert_bit_equal(g, w, finite)
+
+
+@given(_stacks(lambda dim: st.tuples(st.integers(1, 2)), 0, 2),
+       st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_each_table_of_a_stack_is_its_own_table(drawn, order, seed):
+    items, finite = drawn
+    betas = [beta for beta, in items]
+    frame = _special_frame(np.random.default_rng(seed), betas[0].chart.dim,
+                           order, betas[0].c.shape[-1])
+    with np.errstate(all="ignore"):
+        got = forms.coeffs_stack(betas, frame)
+        want = [two_form_coeffs(beta, frame) if beta.degree == 2 else
+                dict(zip(forms._keys(frame.dim, 1),
+                         one_form_coeffs(beta, frame))) for beta in betas]
+    for g, w in zip(got, want, strict=True):
+        assert list(g) == list(w)
+        for key, jet in w.items():
+            assert g[key].order == jet.order
+            assert _bits(g[key].c, finite) == _bits(jet.c, finite), key
+
+
+def test_stacks_keep_the_one_form_errors():
+    a = _one_form(("y", "x", "0"), POINT, order=0)
+    b = _one_form(("y", "x", "z"), POINT, order=2)
+    with pytest.raises(BudgetError, match="'unit-test'"):
+        forms.ext_d_stack([b, a], stage="unit-test")
+    top = wedge_all(*(_d_coord(CH3, i, 2) for i in range(3)))
+    with pytest.raises(ValueError, match="top-degree"):
+        forms.ext_d_stack([b, top])
+    with pytest.raises(ValueError, match="exceeds chart dimension"):
+        forms.wedge_stack([(a, b), (top, b)])
+    with pytest.raises(ValueError, match="different charts"):
+        forms.wedge_stack([(a, b), (b, _d_coord(CHARTS[4], 0, 2))])
+    with pytest.raises(ValueError, match="expected a 3-form on a chart"):
+        forms.coeffs_stack([ext_d(b), wedge_all(b, b, b)],
+                           _random_frame(POINT, order=2))
+    assert forms.wedge_stack([]) == forms.ext_d_stack([]) == []
+    # a stack over two charts of one dimension gives each form its own
+    other = Chart(("u", "v", "w"))
+    c = PForm._of(other, 1, 2, b.c)
+    assert [f.chart for f in forms.wedge_stack([(b, b), (c, c)])] == \
+        [CH3, other]
+    assert [f.chart for f in forms.ext_d_stack([b, c])] == [CH3, other]
+
+
 # omega3 = x dz: the volume x dx^dy^dz vanishes at x = 0
 _FLAT_AT_X0 = [{"dx": "1"}, {"dy": "1", "dz": "y"}, {"dz": "x"}]
 

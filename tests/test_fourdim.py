@@ -9,8 +9,9 @@ import pytest
 from bicontact import cli, expressions, forms, fourdim
 from bicontact.errors import DegenerateH, DomainError, SingularVolumeError
 from bicontact.examples import build_example
-from bicontact.forms import (Chart, _columns,
-                             coframe_field_from_expressions)
+from bicontact.curvature import curvature, levi_civita, pfaffian_coefficient
+from bicontact.forms import (Chart, _columns, coframe_field_from_expressions,
+                             ext_d, wedge)
 from bicontact.fourdim import (QOde, compute_E,
                                curvature4, e_expansion, normal_form_4d,
                                normal_form_residual_rows,
@@ -18,6 +19,7 @@ from bicontact.fourdim import (QOde, compute_E,
                                symp_structure, symplectic_quadratic,
                                symplectic_quadratic_check, verify_normal_form)
 from bicontact.jets import Jet, _value, partial
+from bicontact.report import nan_max
 from conftest import box_points, coeff
 from test_jets import _full_horner
 
@@ -91,6 +93,53 @@ def test_symplectic_quadratic_identities():
     assert symplectic_quadratic(1.0, 0.0, 0.7, 1) == 2.0
     assert symplectic_quadratic(0.0, 1.0, 0.7, -1) == 2.0
     assert symplectic_quadratic(1.0, 1.0, 0.5, 1) == pytest.approx(2.0 * 1.0)
+
+
+def _pairings_loop(F, samples):
+    """``symplectic_quadratic_check`` pairing by pairing, each wedge and
+    ratio at the full order of d(omega^1) and d(omega^2)."""
+    frame = F.frame
+    th1, th2 = frame.d(0), frame.d(1)
+    closed = nan_max(ext_d(th1).max_abs_value(), ext_d(th2).max_abs_value())
+    C = _value(F.C)
+    worst = 0.0
+    for a1, a2 in samples:
+        th = th1.scaled(float(a1)) + th2.scaled(float(a2))
+        got = _value(frame.ratio(wedge(th, th)))
+        worst = nan_max(worst, abs(got - symplectic_quadratic(a1, a2, C,
+                                                              F.eps)))
+    return {"closed": closed,
+            "quad11": abs(_value(frame.ratio(wedge(th1, th1))) - 2.0),
+            "quad22": abs(_value(frame.ratio(wedge(th2, th2)))
+                          + 2.0 * F.eps),
+            "quad12": abs(_value(frame.ratio(wedge(th1, th2))) - 2.0 * C),
+            "sampled": worst}
+
+
+@pytest.mark.parametrize("name,order", [("fourd_enonzero", 2),
+                                        ("fourd_ezero", 4)])
+def test_stacked_pairings_and_pfaffian_equal_the_wedge_loops(name, order):
+    # the pairings run as one stack at order 0, since only their values are
+    # read, and the Pfaffian's three wedges as one stack; each residual is
+    # bit-equal to the loop of full-order wedges and ratios
+    pts = box_points(build_example(name).box, 5, seed=47)
+    (cf,) = build_example(name).coframes().blocks(pts, order)
+    F = symp_structure(cf)
+    samples = [(1.0, 0.0), (0.3, -0.7), (2.0, 0.5), (-1.5, 1e-3)]
+    got = symplectic_quadratic_check(F, samples)
+    want = _pairings_loop(F, samples)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert np.asarray(got[key]).tobytes() == \
+            np.asarray(value).tobytes(), key
+    curv = curvature(levi_civita(cf))
+    pf = curv.entry(0, 1), curv.entry(0, 2), curv.entry(0, 3)
+    loop = cf.ratio(wedge(pf[0], curv.entry(2, 3))
+                    - wedge(pf[1], curv.entry(1, 3))
+                    + wedge(pf[2], curv.entry(1, 2)))
+    stacked = pfaffian_coefficient(curv)
+    assert (stacked.order, stacked.c.tobytes()) == \
+        (loop.order, loop.c.tobytes())
 
 
 def test_curvature4_report_closed_forms():

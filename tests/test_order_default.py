@@ -19,14 +19,17 @@ import pytest
 
 from bicontact import cli
 from bicontact.curvature import curvature, levi_civita
-from bicontact.errors import SingularVolumeError
+from bicontact.errors import BudgetError, SingularVolumeError
 from bicontact.examples import EXAMPLES, build_example
 from bicontact.forms import (Chart, Coframe, PForm, ext_d, top_ratio,
                              two_form_coeffs, wedge, wedge_all)
 from bicontact.jets import Jet, reciprocal
-from conftest import DATA, zero_form
+from bicontact.pipeline import Tolerances, analyze
+from bicontact.report import nan_max
+from conftest import DATA, box_points, load_coframe, zero_form
 
 FILES = [str(DATA / "case1_frame.txt"), str(DATA / "hyp_ex.txt")]
+TOL = Tolerances()
 PROFILES = ["tan(z)", "z^2"]
 
 
@@ -122,21 +125,102 @@ def _eager_tables(curv):
     return table
 
 
-@pytest.mark.parametrize("name,point", [
-    ("normal_form_3d", (0.3, 0.6, 0.1)),
-    ("fourd_enonzero", (0.3, 0.6, 0.1, 0.4)),
-], ids=["normal_form_3d", "fourd_enonzero"])
-def test_skew_tables_equal_entry_by_entry_builds(name, point):
-    frame = build_example(name).coframes().at(point, 4)
+def _residual_loop(conn):
+    """The structure residual form by form: the max |value| of
+    d(omega^i) + omega^i_j ^ omega^j over i, each wedge on its own."""
+    frame, worst = conn.frame, 0.0
+    for i in range(frame.dim):
+        r = frame.d(i)
+        for j in range(frame.dim):
+            if j != i:
+                r = r + wedge(conn.form(i, j), frame.omega(j + 1))
+        worst = nan_max(worst, r.max_abs_value())
+    return worst
+
+
+def _theta_loop(conn, i, j):
+    """Theta^i_j pair by pair: d omega^i_j, then each omega^i_k ^ omega^k_j
+    added in k order."""
+    t = ext_d(conn.form(i, j))
+    for k in range(conn.frame.dim):
+        if k not in (i, j):
+            t = t + wedge(conn.form(i, k), conn.form(k, j))
+    return t
+
+
+def _gamma_loop(frame):
+    """Gamma^i_jk of i != j as jet sums of the structure table, whose
+    entries D^i_jj are zero jets one order below the first covector's."""
+    dim = frame.dim
+    zero = Jet.constant(np.zeros(frame.forms[0].c.shape[2:]), dim,
+                        max(frame.forms[0].order - 1, 0))
+    D = {}
+    for i in range(dim):
+        for (j, k), c in frame.d_coeffs(i).items():
+            D[i, j, k], D[i, k, j] = c, -c
+    D = {(i, j, k): D.get((i, j, k), zero) for i in range(dim)
+         for j in range(dim) for k in range(dim)}
+    return {(i, j, k): (D[i, j, k] + D[j, k, i] - D[k, i, j]) * 0.5
+            for i, j, k in D if i != j}
+
+
+def _oracle_frame(name):
+    """A frame whose connection and curvature the loops check: one point
+    (a stack of one) at order 4, or a stacked block of several columns,
+    whose covectors, Gamma entries or wedge terms have mixed orders."""
+    points = {"normal_form_3d": (0.3, 0.6, 0.1),
+              "fourd_enonzero": (0.3, 0.6, 0.1, 0.4)}
+    if name in points:
+        return build_example(name).coframes().at(points[name], 4)
+    if name == "case1":
+        fld = load_coframe(DATA / "case1_frame.txt")
+        pts = [(0.3, -0.4, 0.2), (-0.5, 0.6, -0.3), (0.1, 0.2, 0.3),
+               (0.4, 0.5, -0.2)]
+    else:
+        spec = build_example(name.split()[0])
+        fld, pts = spec.coframes(), box_points(spec.box, 5, seed=38)
+    if name.startswith("fourd"):
+        block = next(fld.blocks(pts, 4))
+        if name == "fourd_enonzero mixed":
+            block = block.replace(forms=tuple(
+                f.truncate(order) for f, order in zip(block.forms,
+                                                      (4, 3, 2, 4))))
+        return block
+    result = analyze(fld, pts, 6, TOL)
+    return result.get("adapted_blocks", result["blocks"])[0]
+
+
+@pytest.mark.parametrize("name", [
+    "normal_form_3d", "fourd_enonzero", "normal_form_3d adapted", "case1",
+    "torus_constC", "fourd_enonzero block", "fourd_enonzero mixed"])
+def test_skew_tables_equal_entry_by_entry_builds(name):
+    # each table is built as stacks of one kernel call per truncation
+    # order; the loops build every form on its own, so every omega^i_j,
+    # Gamma^i_jk, the structure residual, every Theta^i_j and every
+    # coefficient is compared bit for bit with the one-form kernels
+    frame = _oracle_frame(name)
     conn = levi_civita(frame)
     curv = curvature(conn)
     dim = frame.chart.dim
     pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    for (i, j, k), want in _gamma_loop(frame).items():
+        got = conn.gamma[i][j][k]
+        assert (got.order, got.c.tobytes()) == (want.order, want.c.tobytes())
+    assert np.asarray(conn.structure_residual).tobytes() == \
+        np.asarray(_residual_loop(conn)).tobytes()
     table = _eager_tables(curv)
     for i, j in pairs:
         want = _k_sum(frame, conn.gamma[i][j])
         if i < j:
+            assert conn.form(i, j).order == want.order
             assert _bits(conn.form(i, j)) == _bits(want)
+            theta = _theta_loop(conn, i, j)
+            assert curv.theta[i, j].order == theta.order
+            assert _bits(curv.theta[i, j]) == _bits(theta)
+            loop = two_form_coeffs(theta, frame)
+            assert list(curv.coeffs[i, j]) == list(loop)
+            for key, c in loop.items():
+                assert curv.coeffs[i, j][key].c.tobytes() == c.c.tobytes()
         else:   # -omega^j_i; Gamma is skew up to the sign of a zero
             assert np.array_equal(conn.form(i, j).c, want.c)
         for a, b in pairs:
@@ -149,6 +233,43 @@ def test_skew_tables_equal_entry_by_entry_builds(name, point):
         conn.gamma = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         curv.theta = {}
+
+
+def test_oracle_frames_mix_orders():
+    # the stacked blocks reach the grouping by order: the case-1 final frame
+    # has covectors of orders [3, 3, 2] and Gamma entries of orders {1, 2},
+    # torus_constC [6, 5, 5] and {4, 5}, and the truncated 4D block
+    # [4, 3, 2, 4] and {1, 2, 3}, so the products of the connection forms
+    # run at two or three orders; each connection form has the order of its
+    # lowest term, the lowest covector's or below, the same for every form
+    def orders(name):
+        frame = _oracle_frame(name)
+        conn = levi_civita(frame)
+        return ([f.order for f in frame.forms],
+                sorted({g.order for plane in conn.gamma for row in plane
+                        for g in row}),
+                sorted({f.order for f in conn.omega.values()}))
+
+    assert orders("case1") == ([3, 3, 2], [1, 2], [1])
+    assert orders("torus_constC") == ([6, 5, 5], [4, 5], [4])
+    assert orders("fourd_enonzero mixed") == ([4, 3, 2, 4], [1, 2, 3], [1])
+    assert len(_oracle_frame("case1").point[0]) == 4
+
+
+@pytest.mark.parametrize("name,point", [
+    ("normal_form_3d", (0.3, 0.6, 0.1)),
+    ("fourd_enonzero", (0.3, 0.6, 0.1, 0.4)),
+], ids=["normal_form_3d", "fourd_enonzero"])
+def test_curvature_of_an_order_1_frame_names_its_stage(name, point):
+    # at order 1 the structure table has order 0, and so have Gamma and the
+    # connection forms, so d of the connection, the first derivative the
+    # curvature takes, runs out of derivatives and names that stage
+    frame = build_example(name).coframes().at(point, 1)
+    conn = levi_civita(frame)
+    with pytest.raises(BudgetError) as err:
+        curvature(conn)
+    assert err.value.stage == "curvature(d connection)"
+    assert "'curvature(d connection)'" in str(err.value)
 
 
 def _coordinate_jets(chart, point, order):

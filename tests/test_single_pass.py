@@ -18,6 +18,7 @@ are per block; the tests that count blocks run at blocks of
 
 import io
 import json
+import math
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -235,6 +236,31 @@ def test_each_distinct_series_subexpression_runs_once(monkeypatch, args,
     assert len(series) == calls
 
 
+@pytest.mark.parametrize("count,bad", [(1000, 500), (40, 0), (40, 39),
+                                       (3, 1)])
+def test_a_failing_build_is_searched_by_halving(count, bad):
+    # the one build of the list raises, so its first half is built, then
+    # its second, each the same way, down to the failing point, which raises
+    # its own error after every column before it; point by point took
+    # bad + 2 builds
+    fld = build_example("normal_form_3d").coframes()
+    pts = _normal_form_points(count)
+    pts[bad] = (0.5, -1.0, 0.1)    # ln(y) leaves its domain
+    with pytest.raises(DomainError) as alone:
+        fld.at(pts[bad], 6)
+    built, builder = [], fld._builder
+    fld._builder = lambda x, order: built.append(len(x[0])) or builder(
+        x, order)
+    columns = []
+    with pytest.raises(DomainError) as err:
+        for block in fld.blocks(pts, 6):
+            columns.append(len(block.point[0]))
+    assert str(err.value) == str(alone.value)
+    assert sum(columns) == bad
+    assert built[0] == count and built[-1] == 1
+    assert len(built) <= 2 * math.ceil(math.log2(count)) + 1
+
+
 @pytest.mark.usefixtures("blocks_of_32")
 def test_a_stacked_build_makes_each_covector_once(monkeypatch):
     # the tape's many-point jets go straight into one stacked frame: one
@@ -260,87 +286,110 @@ def test_curvature_command_computes_curvature_once_per_point(monkeypatch):
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 7),
-    (["curvature", "normal_form_3d", "--points", "40"], 7 * 2),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 10),
+    (["curvature", "normal_form_3d", "--points", "5"], 4 + 1),
+    (["curvature", "normal_form_3d", "--points", "40"], (4 + 1) * 2),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 4 + 1),
     (CASE1_ARGS, 5),
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d two blocks",
         "fourdim fourd_enonzero", "invariants case1_frame"])
 @pytest.mark.usefixtures("blocks_of_32")
 def test_each_frame_extracts_its_structure_table_once(monkeypatch, args,
                                                       calls):
-    # per stacked block of frames (one, or two for 40 points), in 3D:
-    # case_detect 1, case2_adapt 3, reading the B-table that case_detect
-    # built, and curvature 3, with levi_civita reading case2_adapt's tables
+    # two_form_coeffs and coeffs_stack calls per stacked block of frames
+    # (one, or two for 40 points), in 3D: case_detect 1, case2_adapt 3,
+    # reading the B-table that case_detect built, and curvature 1 stack of
+    # its three Theta tables, with levi_civita reading case2_adapt's tables
     # from the adapted block's memo.  In 4D, per stacked block:
-    # symp_structure 4, curvature 6, with levi_civita reading
-    # symp_structure's table.  In case 1, per block: the base frame's
-    # d omega1 and d omega2 tables 2, which give the omega3 translation in
-    # closed form, and the final frame's 3.  Frame by frame, 3D took 4 per
-    # point and 6 per block, case 1 5 per point
+    # symp_structure 4, curvature 1 stack of its six tables, with
+    # levi_civita reading symp_structure's table.  In case 1, per block: the
+    # base frame's d omega1 and d omega2 tables 2, which give the omega3
+    # translation in closed form, and the final frame's 3.  Table by table,
+    # curvature took 3 calls per 3D block and 6 per 4D block; frame by
+    # frame, 3D took 4 per point and 6 per block, case 1 5 per point
     counted = _counting(monkeypatch, forms, "two_form_coeffs",
                         *_aliases(forms, "two_form_coeffs"))
+    stacks = _counting(monkeypatch, forms, "coeffs_stack",
+                       *_aliases(forms, "coeffs_stack"))
     _run(args)
-    assert len(counted) == calls
+    assert len(counted) + len(stacks) == calls
 
 
 @pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 8 + 3),
-    (["curvature", "normal_form_3d", "--points", "40"], (8 + 3) * 2),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 14),
+    (["curvature", "normal_form_3d", "--points", "5"], 8 + 1),
+    (["curvature", "normal_form_3d", "--points", "40"], (8 + 1) * 2),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 8),
     (CASE1_ARGS, 8),
 ], ids=["curvature normal_form_3d", "curvature normal_form_3d two blocks",
         "fourdim fourd_enonzero", "invariants case1_frame"])
 @pytest.mark.usefixtures("blocks_of_32")
 def test_each_frame_differentiates_its_covectors_once(monkeypatch, args,
                                                       calls):
-    # per stacked block of frames (one, or two for 40 points), in 3D:
-    # one_adapt 2 on the raw block, C 1 on the one-adapted block (d omega1
-    # carries over from the raw block), dC 1, d omega3 of the omega3 frame 1,
-    # case2_adapt 2 on its final frame (d omega3 carries over from the
-    # omega3 frame), d zeta 1; then the connection forms 3, with the final
-    # block's covectors, the connection residual and the leaf defect read
-    # from its memo.  In 4D, per stacked block: symp_structure 4, dE 1,
-    # d theta^1 and d theta^2 2, the connection forms 6, dC 1; compute_E, the
+    # ext_d and ext_d_stack calls per stacked block of frames (one, or two
+    # for 40 points), in 3D: one_adapt 2 on the raw block, C 1 on the
+    # one-adapted block (d omega1 carries over from the raw block), dC 1,
+    # d omega3 of the omega3 frame 1, case2_adapt 2 on its final frame
+    # (d omega3 carries over from the omega3 frame), d zeta 1; then the
+    # connection forms 1 stack of 3, with the final block's covectors, the
+    # connection residual and the leaf defect read from its memo.  In 4D,
+    # per stacked block: symp_structure 4, dE 1, d theta^1 and d theta^2
+    # 1 stack, the connection forms 1 stack of 6, dC 1; compute_E, the
     # pairings, the connection residual and the leaf defect read the memo.
     # In case 1, per block: one_adapt 2, C 1, dC 1, d omega1 and d omega2 of
     # the base frame 2, which carry over to the final frame, its d omega3 1
-    # and d xi 1.  Frame by frame, 3D took 8 per point and 6 per block.
-    # scalar_d runs through ext_d, so jets.partial never runs.
+    # and d xi 1.  Form by form, the connection forms took 3 calls per 3D
+    # block and 6 per 4D block, and 4D took 14; frame by frame, 3D took 8
+    # per point and 6 per block.  scalar_d runs through ext_d, so
+    # jets.partial never runs.
     ext_d = _counting(monkeypatch, forms, "ext_d", *_aliases(forms, "ext_d"))
+    stacks = _counting(monkeypatch, forms, "ext_d_stack",
+                       *_aliases(forms, "ext_d_stack"))
     partial = _counting(monkeypatch, jets, "partial",
                         *_aliases(jets, "partial"))
     _run(args)
-    assert (len(ext_d), len(partial)) == (calls, 0)
+    assert (len(ext_d) + len(stacks), len(partial)) == (calls, 0)
 
 
-@pytest.mark.parametrize("args,calls", [
-    (["curvature", "normal_form_3d", "--points", "5"], 5 + 9),
-    (["fourdim", "fourd_enonzero", "--points", "2"], 40),
+@pytest.mark.parametrize("args,scaled,rows", [
+    (["curvature", "normal_form_3d", "--points", "5"], 5, [3]),
+    (["fourdim", "fourd_enonzero", "--points", "2"], 16, [6]),
 ], ids=["curvature normal_form_3d", "fourdim fourd_enonzero"])
-def test_each_connection_form_is_built_once_above_the_diagonal(monkeypatch,
-                                                               args, calls):
-    # per stacked block of frames (one here), in 3D: one_adapt 2, the omega3
-    # frame 1, case2_adapt 2, and the connection forms omega^i_j, i < j,
-    # 3 x 3; in 4D the sampled pairings 16 and the connection forms 6 x 4.
-    # omega^j_i is the negated omega^i_j, and the zero diagonal is never
-    # built.
-    scaled = _counting(monkeypatch, forms.PForm, "scaled")
+def test_each_connection_form_is_built_once_above_the_diagonal(
+        monkeypatch, args, scaled, rows):
+    # per stacked block of frames (one here), the connection forms
+    # omega^i_j, i < j, are one Coframe.combine of 3 rows in 3D and 6 in
+    # 4D, which takes no PForm.scaled: the scaled forms are one_adapt 2,
+    # the omega3 frame 1 and case2_adapt 2 in 3D, and the sampled pairings
+    # 16 in 4D.  omega^j_i is the negated omega^i_j, and the zero diagonal
+    # is never built.  Form by form, the connection forms took 3 x 3 and
+    # 6 x 4 scaled products.
+    counted = _counting(monkeypatch, forms.PForm, "scaled")
+    combined, combine = [], forms.Coframe.combine
+    monkeypatch.setattr(forms.Coframe, "combine", lambda frame, jet_rows: (
+        combined.append(len(jet_rows)) or combine(frame, jet_rows)))
     _run(args)
-    assert len(scaled) == calls
+    assert (len(counted), combined) == (scaled, rows)
 
 
 def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
     # per stacked block of frames (one here): 3 for the frame's volume, 5 for
     # its 2-form complements (one wedge each; omega1^omega2 is the volume's
     # first), 3 for its 1-form complements (one each on a kept 2-form prefix;
-    # omega1^omega2^omega3 is the volume's second) and 41 in the E, pairing,
-    # connection, curvature and leaf stages, which skip the zero diagonal
-    # connection forms; the 10 two_form_coeffs and the one_form_coeffs calls of
-    # a block run as batched products and take none
+    # omega1^omega2^omega3 is the volume's second), 2 for E and 1 for the
+    # leaf defect; the pairings, the curvature and the Pfaffian take one
+    # wedge_stack each, and the connection residual one stacked kernel call
+    # of its own, so the wedge kernel runs 14 + 4 times a block where it ran
+    # 52, and forms._multiply 33 times where it ran 100.  The
+    # two_form_coeffs and one_form_coeffs calls and the coeffs_stack of a
+    # block run as batched products and take no wedge
     wedges = _counting(monkeypatch, forms, "wedge", *_aliases(forms, "wedge"))
+    stacks = _counting(monkeypatch, forms, "wedge_stack",
+                       *_aliases(forms, "wedge_stack"))
+    kernels = _counting(monkeypatch, forms, "_wedge_rows",
+                        *_aliases(forms, "_wedge_rows"))
+    products = _counting(monkeypatch, forms, "_multiply")
     _run(["fourdim", "fourd_enonzero", "--points", "2"])
-    assert len(wedges) == 52
+    assert (len(wedges), len(stacks), len(kernels), len(products)) == \
+        (14, 3, 14 + 4, 33)
 
     frame = build_example("fourd_enonzero").coframes().at((0.5, 1.0, 0.0, 0.1),
                                                           2)
@@ -373,25 +422,26 @@ def test_each_frame_computes_C_once(monkeypatch, args, calls):
 
 
 @pytest.mark.parametrize("args,grouped", [
-    (["fourdim", "fourd_enonzero", "--points", "18"], False),
-    (["curvature", "normal_form_3d", "--points", "60"], True),
+    (["fourdim", "fourd_enonzero", "--points", "18"], 2),
+    (["curvature", "normal_form_3d", "--points", "60"], 6),
 ], ids=["fourdim fourd_enonzero", "curvature normal_form_3d"])
 @pytest.mark.usefixtures("blocks_of_32")
 def test_each_product_plan_builds_its_rank_groups_at_most_once(monkeypatch,
                                                                args, grouped):
     # a product plan of forms._multiply builds its rank groups the first
     # time it sums past jets.FLAT_PRODUCT_MAX weights x points and keeps
-    # them: every product of the 4D benchmark list stays flat and builds
-    # none, and the 3D list's two blocks build each plan's once; the plan
-    # caches start empty, so no earlier build hides one
-    for plans in (forms._scale_plan, forms._wedge_plan, forms._coeffs_plan):
+    # them: of the 4D benchmark list, only the connection forms' products
+    # (96 terms of 9 pairs x 18 points) and the curvature's stacked wedge
+    # (144 terms) pass it, and the 3D list's two blocks build six plans'
+    # once each; the plan caches start empty, so no earlier build hides one
+    for plans in (forms._scale_plan, forms._wedge_plan, forms._coeffs_plan,
+                  forms._combine_plan):
         plans.cache_clear()
     built, term_groups = [], forms._term_groups
     monkeypatch.setattr(forms, "_term_groups",
                         lambda plan: built.append(plan) or term_groups(plan))
     _run(args)
-    assert len({id(plan) for plan in built}) == len(built)
-    assert bool(built) == grouped
+    assert len({id(plan) for plan in built}) == len(built) == grouped
 
 
 def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(
