@@ -123,6 +123,9 @@ class RunConfig:
                                  ("--z0", (self.extra["z0"],))):
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"{flag} must be finite")
+            lo, hi = self.extra["span"]
+            if lo > hi:
+                raise ValueError(f"--span LO {lo!r} exceeds HI {hi!r}")
         if self.order is not None and self.order < 2:
             raise ValueError("--order must be at least 2")
         for name in ("tol_shallow", "tol_deep"):

@@ -43,8 +43,8 @@ def _structure_coeffs(frame: Coframe):
     """D[i][j][k] with d(omega^i) = sum_{j<k} D[i][j][k] omega^j ^ omega^k,
     stored fully antisymmetric in (j, k)."""
     dim = frame.chart.dim
-    # one zero per column of a stacked frame
-    zero = Jet.constant(np.zeros(frame.forms[0].c.shape[2:]), dim,
+    # one zero per column of the frame
+    zero = Jet.constant(np.zeros(frame.forms[0].c.shape[2]), dim,
                         max(frame.forms[0].order - 1, 0))
     D = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):

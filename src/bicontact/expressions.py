@@ -18,7 +18,7 @@ Evaluation to jets runs on a :class:`Tape`: a sequence of ASTs compiled once
 into an ordered list of operations over slots, in which structurally
 identical subtrees share one slot (a ``Num`` by its bit pattern).  A run
 computes each distinct subexpression once, at all of its sample points in
-one pass, and returns one jet per root, a many-point jet over many points.
+one pass, and returns one jet per root, a column per point.
 The compiler also lowers each division to a product with one reciprocal per
 divisor, and the circular and hyperbolic functions to one sin/cos or
 sinh/cosh pair series per argument, so that ``cot(2*x)`` and ``csc(2*x)``
@@ -337,10 +337,10 @@ class Tape:
     the same type and text, and every root is bit-equal to it.  Nothing is
     folded: ``x*0`` stays a product, as inf*0 is NaN.
 
-    A run over several points carries each slot as one many-point jet, an
-    (ncoeffs, N) array through the same jet functions, and frees a slot
-    after its last use; each point's jets are bit-equal to a run at that
-    point alone.
+    A run carries each slot as one jet over all its points, an (ncoeffs,
+    N) array through the same jet functions, and frees a slot after its
+    last use; each point's jets are bit-equal to a run on its stack of
+    one.
     """
 
     def __init__(self, roots):
@@ -412,22 +412,20 @@ class Tape:
         return self._slot(slots, ("*", arg), operator.mul, arg)
 
     def run(self, x, order, coords, params=None) -> list:
-        """The root jets at coordinate values ``x``, seeding coordinate i
-        with slot i: a float per coordinate for one point, or an (N,) array
-        per coordinate for N points, whose jets are many-point jets, column
-        k point k's.
+        """The root jets at coordinate values ``x``, an (N,) array per
+        coordinate for N points, seeding coordinate i with slot i; column k
+        of each jet is point k's.
 
-        N points run as one pass over the tape.  Where some point fails, or
+        The N points run as one pass over the tape.  Where some point fails, or
         the points would branch differently (``jets._MixedBranches``), the
         pass raises at the first op that fails at any point, which need not
         be what the first failing point raises on its own;
         ``CoframeField.blocks`` then builds the list by halves, down to
         the failing point."""
-        dim = len(coords)
-        shape = np.shape(x[0])
+        dim, count = len(coords), len(x[0])
 
         def constant(value):
-            return Jet.constant(np.full(shape, value), dim, order)
+            return Jet.constant(np.full(count, value), dim, order)
 
         env = {name: Jet.variable(x[i], i, dim, order)
                for i, name in enumerate(coords)}

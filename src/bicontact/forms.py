@@ -1,24 +1,22 @@
 """Point-local exterior calculus on a coordinate chart.
 
-A :class:`PForm` is a p-form at a base point: one float array ``c`` with a
-row per coefficient (per strictly increasing coordinate index tuple, in
-``combinations`` order) holding that coefficient's Taylor coefficients, all
-at one truncation order, so the form carries enough derivative information
-for repeated exterior differentiation.  Building a form from a {key: Jet}
-dict truncates every coefficient to the lowest order among them.  Forms are
-immutable; ``PForm.coeffs`` is a read-only {key: Jet} view of the rows,
-built on first read.  A :class:`CoframeField` is the chart-level family
-of raw coframes: it builds one stacked :class:`Coframe` at a whole sample
-list from closed-form coefficient expressions, whose tape runs once per
-list.  The pipeline drivers hand back the frames they adapt as stacked
-blocks in sample order.
+A :class:`PForm` is a p-form at N base points: one float array ``c`` of
+shape (keys, ncoeffs, N), with a row per coefficient (per strictly
+increasing coordinate index tuple, in ``combinations`` order) holding that
+coefficient's Taylor coefficients at each point, the jet layout of
+``jets``, all at one truncation order, so the form carries enough
+derivative information for repeated exterior differentiation.  Building a
+form from a {key: Jet} dict truncates every coefficient to the lowest
+order among them.  Forms are immutable; ``PForm.coeffs`` is a read-only
+{key: Jet} view of the rows, built on first read.  A :class:`CoframeField`
+is the chart-level family of raw coframes: it builds one stacked
+:class:`Coframe` at a whole sample list from closed-form coefficient
+expressions, whose tape runs once per list.  The pipeline drivers hand
+back the frames they adapt as stacked blocks in sample order.
 
-Like a jet, a form can hold N points at once: ``c`` then has a trailing
-point axis, shape (keys, ncoeffs, N), and its coefficient jets are
-many-point jets.  Every kernel below takes such forms as they are.  Every
-:class:`Coframe` a :class:`CoframeField` builds carries a point axis, so a
-block of frames goes through a stage in one pass, and the frame at one
-point (:meth:`CoframeField.at`) is a stack of one.
+Every kernel below runs over the point axis, so a block of frames goes
+through a stage in one pass, and the frame at one point
+(:meth:`CoframeField.at`) is a stack of one.
 :meth:`CoframeField.blocks` builds a sample list as one stacked frame and
 hands it out ``STACK_BLOCK`` columns at a time, or where that build raises,
 builds its first half, then its second, into whichever half raises, down
@@ -57,9 +55,9 @@ count): every jet product
 goes through one batched convolution of all its terms from
 ``jets._mul_table`` (``_multiply``), every derivative through one gather
 from ``jets._diff_table``, and every other sum through ``jets._sum_into``.
-A convolution bins its pairs with one ``np.bincount`` at one point and up
-to ``jets.FLAT_PRODUCT_MAX`` weights x points; past that it sums them by
-rank groups (``jets._rank_sums``), gathered in chunks of at most that many
+A convolution bins its pairs with one ``np.bincount`` up to
+``jets.FLAT_PRODUCT_MAX`` weights x points; past that it sums them by rank
+groups (``jets._rank_sums``), gathered in chunks of at most that many
 weights x points, whose indices, every term's pairs packed group by group,
 a plan builds in one broadcast the first time it needs them.  The
 coefficient kernel runs the wedges of beta with all complements of a frame
@@ -73,9 +71,9 @@ path.  This holds for finite, inf and NaN coefficients alike, with one
 exception: which of two NaNs a product or sum keeps (its sign and payload
 bits), since NumPy's own choice depends on array length and position, and
 CPython's float add may keep either NaN depending on how often the line has
-run (``jets._atan2_branch`` adds two NaNs of opposite sign).  Over many
-points every column is bit-equal to the one-point kernel, with the same
-exception, so a block and its halves give the same columns.
+run (``jets._atan2_branch`` adds two NaNs of opposite sign).  Every column
+is bit-equal to the kernel on its stack of one, with the same exception, so
+a block and its halves give the same columns.
 """
 
 from __future__ import annotations
@@ -124,11 +122,10 @@ def _keys(dim: int, degree: int) -> tuple:
 
 
 class PForm:
-    """A p-form at a point: one float array ``c`` of shape (number of keys,
-    ``jets.ncoeffs(dim, order)``), whose row r holds the Taylor coefficients
-    of the r-th key in ``combinations`` order, all at one truncation
-    ``order``; or at N points, with a trailing point axis, shape (keys,
-    ncoeffs, N), built from many-point jets.  Forms are immutable, ``c``
+    """A p-form at N points: one float array ``c`` of shape (number of
+    keys, ``jets.ncoeffs(dim, order)``, N), whose row r holds the Taylor
+    coefficients of the r-th key in ``combinations`` order at each point,
+    all at one truncation ``order``.  Forms are immutable, ``c``
     included."""
 
     __slots__ = ("chart", "degree", "order", "c", "_coeffs")
@@ -224,8 +221,8 @@ class PForm:
                          self.c[:, :jets.ncoeffs(self.chart.dim, order)])
 
     def max_abs_value(self):
-        """The largest |value| over the coefficients, one per point: an (N,)
-        array for a form with a point axis."""
+        """The largest |value| over the coefficients, one per point, an (N,)
+        array."""
         # np.max, unlike the built-in max, lets a NaN coefficient through
         return np.max(np.abs(self.c[:, 0]), axis=0)
 
@@ -283,14 +280,8 @@ def _term_groups(plan: _Products):
 
 def _flat(a):
     """Coefficient rows ``a`` as one flat axis of (row, coefficient), with
-    the point axis of a many-point array kept after it."""
-    return a.ravel() if a.ndim == 2 else a.reshape(-1, a.shape[2])
-
-
-def _per_row(col, like):
-    """``col``, one value per leading index of ``like`` (shape (rows,) or
-    (rows, 1)), shaped to broadcast over ``like`` and its point axis."""
-    return col if col.ndim == like.ndim else col[..., None]
+    the point axis kept after it."""
+    return a.reshape(-1, a.shape[2])
 
 
 def _multiply(x, y, plan: _Products) -> np.ndarray:
@@ -299,15 +290,15 @@ def _multiply(x, y, plan: _Products) -> np.ndarray:
 
     All terms run as one convolution, in which each term sums its pairs in
     ``_mul_table`` order from +0.0 into its own output row, as one
-    ``Jet.__mul__`` does, and at each point where x and y carry a point
-    axis.  At one point, and while its weights (terms x pairs) x points
-    stay at or below ``jets.FLAT_PRODUCT_MAX``, one ``np.bincount`` bins
-    them (``jets._sum_into``); past it, where those bins outgrow the cache,
-    ``jets._rank_sums`` sums them by the rank groups of ``plan.ranked()``.
+    ``Jet.__mul__`` does, at each point.  While its weights (terms x pairs)
+    x points stay at or below ``jets.FLAT_PRODUCT_MAX``, one
+    ``np.bincount`` bins them (``jets._sum_into``); past it, where those
+    bins outgrow the cache, ``jets._rank_sums`` sums them by the rank groups
+    of ``plan.ranked()``.
     Where a factor has no derivative part, ``jets._scaling_where_nan``
     takes ``Jet.__mul__``'s scaling path instead."""
     n, terms = plan.n, len(plan.rx)
-    if x.ndim == 3 and len(plan.gx) * x.shape[2] > jets.FLAT_PRODUCT_MAX:
+    if len(plan.gx) * x.shape[2] > jets.FLAT_PRODUCT_MAX:
         out = jets._rank_sums(_flat(x), _flat(y), *plan.ranked())
         out = out.reshape(terms, n, x.shape[2])
     else:
@@ -369,13 +360,14 @@ def _scatter(rows, n):
 def _wedge_plan(dim, order, p, q, count):
     """Plan of ``_wedge_rows`` for ``count`` pairs of a p-form and a q-form at
     truncation order ``order``: the products of their terms, pair by pair,
-    their signs as a column, and the flat (output row, coefficient) target
-    of every term coefficient.  Pair s takes the rows of its forms, and of
-    its wedge, from s times the keys of their degrees on."""
+    their signs shaped to scale each term's (coefficient, point) rows, and
+    the flat (output row, coefficient) target of every term coefficient.
+    Pair s takes the rows of its forms, and of its wedge, from s times the
+    keys of their degrees on."""
     ra, rb, ro, sign = _wedge_terms(dim, p, q)
     return (_Products(dim, order, _tiled(ra, count, len(_keys(dim, p))),
                       _tiled(rb, count, len(_keys(dim, q)))),
-            _tiled(sign, count, 0)[:, None],
+            _tiled(sign, count, 0)[:, None, None],
             _scatter(_tiled(ro, count, len(_keys(dim, p + q))),
                      jets.ncoeffs(dim, order)))
 
@@ -386,7 +378,7 @@ def _wedge_rows(x, y, dim, order, p, q, count):
     the q-forms b_s, form by form, truncated to that order."""
     products, sign, out_bins = _wedge_plan(dim, order, p, q, count)
     prod = _multiply(x, y, products)
-    return jets._sum_into(out_bins, _flat(prod * _per_row(sign, prod)),
+    return jets._sum_into(out_bins, _flat(prod * sign),
                           (count * len(_keys(dim, p + q)),
                            jets.ncoeffs(dim, order)))
 
@@ -460,9 +452,9 @@ def _ext_d_plan(dim, order, degree, count):
     """Gather/scatter plan of ``_ext_d_rows`` for ``count`` degree-forms at
     truncation order ``order``: per term (form, key, axis), in the loop's
     order, the flat source index into the stacked coefficient rows, the
-    factor ``jets._diff_table`` gives times the sign, and the flat (output
-    row, coefficient) target.  With the sign s = +-1 on the factor f,
-    x * (f * s) equals the loop's (x * f) * s bit for bit."""
+    factor ``jets._diff_table`` gives times the sign, as a column, and the
+    flat (output row, coefficient) target.  With the sign s = +-1 on the
+    factor f, x * (f * s) equals the loop's (x * f) * s bit for bit."""
     slot = {k: r for r, k in enumerate(_keys(dim, degree + 1))}
     n_hi, n_lo = jets.ncoeffs(dim, order), jets.ncoeffs(dim, order - 1)
     src, fac, dst = [], [], []
@@ -476,7 +468,7 @@ def _ext_d_plan(dim, order, degree, count):
             fac.append(f * (-1.0 if pos % 2 else 1.0))
             dst.append(slot[tuple(sorted(key + (axis,)))] * n_lo + d)
     return (_tiled(np.concatenate(src), count, len(_keys(dim, degree)) * n_hi),
-            _tiled(np.concatenate(fac), count, 0),
+            _tiled(np.concatenate(fac), count, 0)[:, None],
             _tiled(np.concatenate(dst), count, len(slot) * n_lo))
 
 
@@ -485,7 +477,7 @@ def _ext_d_rows(c, dim, order, degree, count):
     ``order``, whose rows c holds form by form."""
     src, fac, dst = _ext_d_plan(dim, order, degree, count)
     terms = _flat(c)[src]
-    return jets._sum_into(dst, terms * _per_row(fac, terms),
+    return jets._sum_into(dst, terms * fac,
                           (count * len(_keys(dim, degree + 1)),
                            jets.ncoeffs(dim, order - 1)))
 
@@ -683,7 +675,8 @@ class Coframe:
         """Cached batches of the coefficient kernel for a p-form of truncation
         order ``order``: the keys of ``_complements(p)`` grouped by the order
         of beta ^ rest, with per group that order, its keys, the coefficient
-        rows of its rests stacked key by key, and its signs as a column."""
+        rows of its rests stacked key by key, and its signs shaped (keys, 1,
+        1) to scale each key's rows."""
         def build():
             groups = {}
             for key, (sign, rest) in self._complements(p).items():
@@ -694,7 +687,7 @@ class Coframe:
                 n = jets.ncoeffs(self.dim, low)
                 out.append((low, tuple(m[0] for m in members),
                             np.concatenate([m[2].c[:, :n] for m in members]),
-                            np.array([[m[1]] for m in members])))
+                            np.array([[[m[1]]] for m in members])))
             return out
         return self._cached(("complement rows", p, order), build)
 
@@ -861,7 +854,7 @@ def coframe_field_from_expressions(chart: Chart, rows, params=None):
                              for axis in sorted(crow)])
 
     def build(x, order):
-        zero = Jet.constant(np.zeros(np.shape(x[0])), chart.dim, order)
+        zero = Jet.constant(np.zeros(len(x[0])), chart.dim, order)
         values = iter(tape.run(x, order, names, params))
         return Coframe(chart, x, tuple(
             PForm(chart, 1, {(axis,): next(values) if axis in crow else zero
@@ -890,14 +883,13 @@ def _coeff_rows(c, frame: Coframe, p: int, order: int, count: int) -> list:
         products, term_sign, bins = _coeffs_plan(dim, p, low, len(keys),
                                                  count)
         prod = _multiply(c[:, :n], rests, products)
-        top = jets._sum_into(bins, _flat(prod * _per_row(term_sign, prod)),
-                             (rows, n))
+        top = jets._sum_into(bins, _flat(prod * term_sign), (rows, n))
         recip = frame._volume_reciprocal(low)
         m = jets.ncoeffs(dim, recip.order)
         coeffs = _multiply(top[:, :m], recip.c[None],
                            _scale_plan(dim, recip.order, rows))
         coeffs = coeffs.reshape(count, len(keys), *coeffs.shape[1:])
-        coeffs = coeffs * _per_row(signs, coeffs[0]) + 0.0
+        coeffs = coeffs * signs + 0.0
         for table, beta_rows in zip(out, coeffs):
             table.update((key, Jet._of(dim, recip.order, row))
                          for key, row in zip(keys, beta_rows))
@@ -909,15 +901,15 @@ def _coeffs_plan(dim, p, order, keys, count):
     """Plan of ``_coeff_rows`` for ``count`` p-forms against ``keys``
     complements of degree-p keys at truncation order ``order``: the terms of
     beta ^ rest for each form, then each complement, in turn, with the rests'
-    rows stacked complement by complement, their signs as a column, and the
-    flat (form and complement, coefficient) target of every term
-    coefficient."""
+    rows stacked complement by complement, their signs shaped to scale each
+    term's (coefficient, point) rows, and the flat (form and complement,
+    coefficient) target of every term coefficient."""
     ra, rb, _, sign = _wedge_terms(dim, p, dim - p)
     rests = _tiled(rb, keys, len(_keys(dim, dim - p)))
     return (_Products(dim, order,
                       _tiled(_tiled(ra, keys, 0), count, len(_keys(dim, p))),
                       _tiled(rests, count, 0)),
-            _tiled(sign, count * keys, 0)[:, None],
+            _tiled(sign, count * keys, 0)[:, None, None],
             _scatter(np.repeat(np.arange(count * keys), len(ra)),
                      jets.ncoeffs(dim, order)))
 

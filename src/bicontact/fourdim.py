@@ -110,7 +110,7 @@ def compute_E(frame: Coframe) -> Jet:
 
     E = (d(omega^4) ^ omega^3 ^ omega^4) / (omega^1 ^ ... ^ omega^4); the
     wedge with omega^3 ^ omega^4 kills every d(omega^4) component except the
-    omega^1 ^ omega^2 one.  Of a stacked frame, a many-point jet.
+    omega^1 ^ omega^2 one, a column per column of the frame.
     """
     num = wedge(wedge(frame.d(3), frame.omega(3)), frame.omega(4))
     return frame.ratio(num)
@@ -206,7 +206,7 @@ def curvature4(F: Coframe4) -> Curvature4Report:
     report carries the deviation of each.
     """
     frame = F.frame
-    # eps as a float, or as one float per column
+    # eps as one float per column
     eps, C, E = F.eps * 1.0, _value(F.C), _value(F.E)
     conn = levi_civita(frame)
     curv = curvature(conn)
@@ -296,8 +296,8 @@ class QOde:
         self._tape = expressions.Tape([self._node])
 
     def c_jet(self, z, order: int) -> Jet:
-        """C as a univariate jet at z, a float, or as a many-point jet at an
-        (N,) array of z values, from one run of C's tape."""
+        """C as a univariate jet at an (N,) array of z values, a column
+        per value, from one run of C's tape."""
         return self._tape.run((z,), order, ("z",))[0]
 
     def u_jet(self, c: Jet) -> Jet:
@@ -309,7 +309,9 @@ class QOde:
 def _q_taylor(u, q, dq) -> list:
     """Q's Taylor coefficients at z from u's and (Q, Q'): Q'' = u Q gives
     Q_{n+2} = sum_k u_k Q_{n-k} / ((n+1)(n+2)), up to degree len(u) + 1.
-    Each value is a float, or an array of one value per point."""
+    Each value is a float, where ``solve_q`` reads column 0 of a stack of
+    one, or an (N,) array of one value per point, where ``q_jets`` lifts N
+    points."""
     out = [q, dq]
     for n in range(len(u)):
         # a plain left-to-right sum for floats and arrays alike (sum() of
@@ -372,7 +374,8 @@ def solve_q(ode: QOde, z_span) -> QSolution:
     for end in (lo, hi):
         z, z1, init = float(ode.z0), None, ode.INIT
         while z1 != end:
-            u = ode.u_jet(ode.c_jet(z, _TAYLOR_ORDER - 1)).c.tolist()
+            u = ode.u_jet(ode.c_jet(np.array([z]), _TAYLOR_ORDER - 1))
+            u = u.c[:, 0].tolist()
             cs = tuple(_q_taylor(u, q, dq) for q, dq in init)
             c, room = np.abs(cs), abs(end - z)
             r = np.max((c[:, -2:] / (_TAYLOR_TOL * np.maximum(1.0, c[:, :1])))
@@ -388,10 +391,10 @@ def solve_q(ode: QOde, z_span) -> QSolution:
 
 
 def q_jets(sol: QSolution, z, c: Jet):
-    """Lift (Q1, Q2) at an (N,) array of z values into many-point jets on
-    the z axis of the 4D chart, at the order of ``c``, C's many-point
-    univariate jet there (``sol.ode.c_jet(z, order)``); each column is
-    bit-equal to the lift at that z alone.
+    """Lift (Q1, Q2) at an (N,) array of z values into jets on the z axis
+    of the 4D chart, at the order of ``c``, C's univariate jet there
+    (``sol.ode.c_jet(z, order)``); each column is bit-equal to the lift of
+    its stack of one.
 
     Values and first derivatives come from the integrated state; all higher
     Taylor coefficients follow from the ODE by ``_q_taylor``, so the jets
@@ -408,11 +411,11 @@ def q_jets(sol: QSolution, z, c: Jet):
 
 def _on_z(coeffs, order: int) -> Jet:
     """sum_k coeffs[k] (z - z0)^k as a jet of the 4D chart: coefficient k,
-    a float or one value per point, goes straight onto the monomial z^k,
-    and "+ 0.0" turns a -0.0 into +0.0.  For finite coefficients this is
-    bit-equal to the series by Horner in the jet of z."""
+    an (N,) array of one value per point, goes straight onto the monomial
+    z^k, and "+ 0.0" turns a -0.0 into +0.0.  For finite coefficients this
+    is bit-equal to the series by Horner in the jet of z."""
     rank = jets._rank(4, order)
-    c = np.zeros((jets.ncoeffs(4, order),) + np.shape(coeffs[0]))
+    c = np.zeros((jets.ncoeffs(4, order), len(coeffs[0])))
     for k in range(order + 1):
         c[rank[(0, 0, k, 0)]] = coeffs[k] + 0.0
     return Jet._of(4, order, c)
@@ -445,9 +448,9 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
 
     At an (N,) array of values per coordinate the build makes one stacked
     frame: h's tape and C's tape run once over all the points, and K, L, f
-    and the covectors are many-point jets and forms.  Each guard checks
-    every point, so the build raises where any point fails, and
-    ``CoframeField.blocks`` then builds the list by halves, down to the
+    and the covectors are jets and forms with a column per point.  Each
+    guard checks every point, so the build raises where any point fails,
+    and ``CoframeField.blocks`` then builds the list by halves, down to the
     failing point.
     """
     chart = Chart(_CHART4)
@@ -479,8 +482,8 @@ def normal_form_4d(sol: QSolution, h) -> CoframeField:
         f = (Jet.variable(w, 3, 4, order) / (det_h * QOde.W0)) \
             * (jets.partial(L, 0) - jets.partial(K, 1))
         fz = jets.partial(f, 2)
-        zero = Jet.constant(np.zeros(np.shape(w)), 4, order)
-        one = Jet.constant(np.ones(np.shape(w)), 4, order)
+        zero = Jet.constant(np.zeros(len(w)), 4, order)
+        one = Jet.constant(np.ones(len(w)), 4, order)
         w1 = PForm(chart, 1, {(0,): K, (1,): L, (2,): zero, (3,): zero})
         w2 = w1.scaled(Cj) - PForm(chart, 1, {(0,): Kz, (1,): Lz,
                                               (2,): zero, (3,): zero})

@@ -1,9 +1,11 @@
-"""Truncated Taylor ("jet") arithmetic at a point.
+"""Truncated Taylor ("jet") arithmetic at a list of points.
 
 A :class:`Jet` stores the Taylor coefficients c_alpha = (d^alpha f)(p) / alpha!
-of a scalar function about a fixed base point, densely in graded
-lexicographic order, up to a truncation order.  Because the ordering is
-graded, truncating to a lower order is a prefix slice.
+of a scalar function about each of N base points p, as an (ncoeffs, N)
+array whose column p is point p's expansion, each column densely in graded
+lexicographic order up to a truncation order.  That is the one layout: a
+single point is a stack of one, N = 1.  Because the ordering is graded,
+truncating to a lower order is a prefix slice.
 
 Arithmetic between jets of different orders silently truncates to the lower
 order; every jet therefore knows how many derivative levels it still carries,
@@ -23,20 +25,17 @@ only the value at the base point comes from ``math``, once per point, with
 the domain and range guards.  sin and cos, and sinh and cosh, run as pairs,
 one sum per step for both.
 
-A jet can also hold the expansions of one function at N points at once, its
-coefficients as an (ncoeffs, N) array whose column p is point p's jet.  The
-operations and elementary functions take such jets as they are: products
-and series steps run as one kernel over all columns (``_product``,
+Products and series steps run as one kernel over all columns (``_product``,
 ``_step_sum``), and each domain check looks at every point's value.  Every
-column is bit-equal to the one-point jet.  ``atan2`` runs each of its two
-branches on the columns that take it.  Where the points of ``power`` would
-take different branches, it raises ``_MixedBranches`` and the caller runs
-the points one by one.
+column is bit-equal to the same jet computed as a stack of one.  ``atan2``
+runs each of its two branches on the columns that take it.  Where the
+points of ``power`` would take different branches, it raises
+``_MixedBranches`` and the caller runs the points by halves.
 
 Every sum goes through ``_sum_into``, one ``np.bincount`` over (target,
-point) bins, shared with ``forms``, except a many-point product or series
-step past ``FLAT_PRODUCT_MAX`` weights x points, whose bins outgrow the
-cache: ``_rank_sums`` sums it by the rank groups of ``_grouped``, whose
+point) bins, shared with ``forms``, except a product or series step past
+``FLAT_PRODUCT_MAX`` weights x points, whose bins outgrow the cache:
+``_rank_sums`` sums it by the rank groups of ``_grouped``, whose
 pairs follow each other group by group.  It gathers and multiplies them in
 chunks of at most ``FLAT_PRODUCT_MAX`` weights x points (``_chunks``), and
 adds each group's rows of a chunk with one in-place slice add.  That is the
@@ -167,7 +166,7 @@ def _scaling_where_nan(out, factors, axis):
                     a * b[first] + 0.0)
 
 
-# weights x points up to which a many-point product bins its pairs flat, its
+# weights x points up to which a product bins its pairs flat, its
 # weights being its pairs (jets._product, and each series step in
 # jets._step_sum) or its terms times their pairs (forms._multiply); past it
 # the bins outgrow the cache and _rank_sums sums by rank groups, in chunks of
@@ -188,39 +187,34 @@ FLAT_PRODUCT_MAX = 12_000
 
 
 def _sum_into(bins, weights, shape):
-    """``np.bincount`` of ``weights`` by their flat targets ``bins``, as an
-    array of ``shape``: each target adds its weights in input order, from
-    +0.0.  Weights with a point axis, (len(bins), N), give ``shape + (N,)``,
-    each (target, point) binned as bins * N + p, so each column adds its
-    terms in the one-point order."""
-    if weights.ndim == 2:
-        count = weights.shape[1]
+    """``np.bincount`` of ``weights``, (len(bins), N), by their flat targets
+    ``bins``, as an array of ``shape + (N,)``: each (target, point) is
+    binned as bins * N + p, so each column adds its weights in input order,
+    from +0.0, as a stack of one does.  At N = 1 those bins are ``bins``
+    themselves, and the offsets are skipped."""
+    count = weights.shape[1]
+    if count > 1:
         bins = (bins[:, None] * count + np.arange(count)).ravel()
-        weights = weights.ravel()
-        shape += (count,)
-    out = np.bincount(bins, weights, math.prod(shape))
-    return out if len(shape) == 1 else out.reshape(shape)
+    out = np.bincount(bins, weights.ravel(), math.prod(shape) * count)
+    return out.reshape(shape + (count,))
 
 
 def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
-    """The product of two coefficient arrays of one order, as
-    ``Jet.__mul__`` takes it: (ncoeffs,) for one point, (ncoeffs, N) for N.
+    """The product of two (ncoeffs, N) coefficient arrays of one order, as
+    ``Jet.__mul__`` takes it.
 
     A factor without a derivative part only scales the other.  Otherwise
     ``_sum_into`` bins the pairs of ``_mul_table``, or ``_rank_sums`` sums
-    them by ``_rank_groups`` above ``FLAT_PRODUCT_MAX``, each target in the
-    one-point order from +0.0, so every column is bit-equal to the
-    one-point product; columns with a constant factor take
+    them by ``_rank_groups`` above ``FLAT_PRODUCT_MAX``, each target in
+    ``_mul_table`` order from +0.0, so every column is bit-equal to the
+    product of its stack of one; columns with a constant factor take
     ``_scaling_where_nan``."""
     # count_nonzero is several times cheaper than .any() on these sizes
     if not np.count_nonzero(b[1:]):
         return a * b[0] + 0.0
-    if not np.count_nonzero(a[1:]) and (a.ndim == 1
-                                        or b[1:].any(axis=0).all()):
+    if not np.count_nonzero(a[1:]) and b[1:].any(axis=0).all():
         return b * a[0] + 0.0
     I, J, T = _mul_table(dim, order)
-    if a.ndim == 1:
-        return _sum_into(T, a[I] * b[J], (len(a),))
     # the take method gathers rows faster than a[I] and np.take
     if len(T) * a.shape[1] <= FLAT_PRODUCT_MAX:
         out = _sum_into(T, a.take(I, 0) * b.take(J, 0), (len(a),))
@@ -230,8 +224,8 @@ def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
 
 
 def _rank_sums(x, y, pos, I, J, sizes):
-    """The sums of a many-point product by rank groups, for rows ``x`` and
-    ``y`` with a point axis and the pairs of ``_grouped``: group s adds
+    """The sums of a product by rank groups, for rows ``x`` and ``y`` with
+    a point axis and the pairs of ``_grouped``: group s adds
     ``x[i] * y[j]`` of its pairs, the s-th pair of each target, into the
     first ``sizes[s]`` rows of an accumulator started at +0.0, whose row
     ``pos[t]`` ends as target t.  Each target thus adds its pairs in their
@@ -295,7 +289,7 @@ def _diff_table(dim: int, order: int, axis: int):
 # the jet itself
 
 class _MixedBranches(Exception):
-    """The points of a many-point jet would take different branches."""
+    """The points of a jet would take different branches."""
 
 
 def _num(x):
@@ -304,8 +298,8 @@ def _num(x):
 
 
 class Jet:
-    """A truncated Taylor expansion at a (implicit) base point, or at each of
-    N points when ``c`` is an (ncoeffs, N) array.
+    """Truncated Taylor expansions at N base points: ``c`` is an
+    (ncoeffs, N) array, N >= 1, whose column p is point p's expansion.
 
     Jets are immutable by convention; all operations return fresh instances.
     A float operand may be an array of one value per point.
@@ -319,17 +313,18 @@ class Jet:
         self.dim = dim
         self.order = order
         self.c = np.asarray(c, dtype=float)
-        if self.c.shape != (ncoeffs(dim, order),):
+        n, shape = ncoeffs(dim, order), self.c.shape
+        if len(shape) != 2 or shape[0] != n or shape[1] < 1:
             raise ValueError(
-                f"jet coefficient vector has length {self.c.shape}, "
-                f"expected {ncoeffs(dim, order)} for dim={dim} order={order}"
-            )
+                f"jet coefficients have shape {shape}, expected "
+                f"(ncoeffs, N) = ({n}, N) with N >= 1 for dim={dim} "
+                f"order={order}")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def _of(cls, dim: int, order: int, c: np.ndarray) -> "Jet":
-        """A jet on a float vector ``c`` already of the right length, without
+        """A jet on a float array ``c`` already of the right shape, without
         re-validating it: the constructor of the jet operations and of the
         coefficient views of a form."""
         j = object.__new__(cls)
@@ -339,27 +334,23 @@ class Jet:
         return j
 
     @classmethod
-    def constant(cls, value, dim: int, order: int) -> "Jet":
-        """The constant ``value``, a float, or a sequence of one value per
-        point for a many-point jet."""
-        c = np.zeros((ncoeffs(dim, order),) + np.shape(value))
-        c[0] = value
+    def constant(cls, values, dim: int, order: int) -> "Jet":
+        """The constant function of the given value at each point, from a
+        sequence of one value per point."""
+        c = np.zeros((ncoeffs(dim, order), len(values)))
+        c[0] = values
         return cls._of(dim, order, c)
 
     @classmethod
-    def variable(cls, value, axis: int, dim: int, order: int) -> "Jet":
-        """The coordinate function x_axis seeded at the given value, a
-        float, or a sequence of one value per point."""
-        j = cls.constant(value, dim, order)
+    def variable(cls, values, axis: int, dim: int, order: int) -> "Jet":
+        """The coordinate function x_axis seeded at the given values, one
+        per point."""
+        j = cls.constant(values, dim, order)
         if order >= 1:
             j.c[1 + axis] = 1.0
         return j
 
     # -- basic queries ------------------------------------------------------
-
-    @property
-    def value(self) -> float:
-        return float(self.c[0])
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
@@ -370,9 +361,7 @@ class Jet:
 
     def __repr__(self):
         shown = ", ".join(f"{v:.6g}" for v in _values(self))
-        if self.c.ndim > 1:
-            shown = f"[{shown}]"
-        return f"Jet(dim={self.dim}, order={self.order}, value={shown})"
+        return f"Jet(dim={self.dim}, order={self.order}, value=[{shown}])"
 
     # -- ring operations ----------------------------------------------------
 
@@ -443,7 +432,7 @@ def partial(j: Jet, axis: int) -> Jet:
     if j.order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
     src, dst, fac = _diff_table(j.dim, j.order, axis)
-    terms = j.c[src] * (fac if j.c.ndim == 1 else fac[:, None])
+    terms = j.c[src] * fac[:, None]
     return Jet._of(j.dim, j.order - 1,
                    _sum_into(dst, terms, (ncoeffs(j.dim, j.order - 1),)))
 
@@ -451,21 +440,14 @@ def partial(j: Jet, axis: int) -> Jet:
 # ---------------------------------------------------------------------------
 # elementary functions by degree recursions
 
-def _value(f: Jet):
-    """The base value of f: a float for one point, an (N,) array for N."""
-    return f.value if f.c.ndim == 1 else f.c[0]
+def _value(f: Jet) -> np.ndarray:
+    """The base value of f at each of its points, an (N,) array."""
+    return f.c[0]
 
 
 def _values(f: Jet) -> list:
     """The base value of f at each of its points, as floats."""
-    v = f.c[0].tolist()
-    return v if isinstance(v, list) else [v]
-
-
-def _per_point(values: list, like: Jet):
-    """``values``, one per point of ``like``: a float for one point, an
-    array for many."""
-    return values[0] if like.c.ndim == 1 else np.array(values)
+    return f.c[0].tolist()
 
 
 def _nonzero(fn: str, f: Jet, g: Jet):
@@ -499,7 +481,7 @@ def _by_degree(f: Jet, a: float, b: float, k: int) -> np.ndarray:
     """f's coefficients of degree <= k, each times a * degree + b: with
     (1, 0), those of E f = sum_i x_i df/dx_i, the Euler operator."""
     w = a * _degrees(f.dim, k) + b
-    return f.c[:len(w)] * (w if f.c.ndim == 1 else w[:, None])
+    return f.c[:len(w)] * w[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -526,11 +508,9 @@ def _step_sum(x, y, dim: int, k: int):
     per monomial of degree k.  Like ``_product``, it bins the pairs by
     ``_sum_into``, or sums them by rank groups past ``FLAT_PRODUCT_MAX``,
     each target adding its pairs in order from +0.0, so each column is
-    bit-equal to the one-point sum."""
+    bit-equal to the sum of its stack of one."""
     I, J, T = _step_table(dim, k)
     shape = (ncoeffs(dim, k) - ncoeffs(dim, k - 1),)
-    if x.ndim == 1:
-        return _sum_into(T, x[I] * y[J], shape)
     if len(T) * x.shape[1] <= FLAT_PRODUCT_MAX:
         return _sum_into(T, x.take(I, 0) * y.take(J, 0), shape)
     return _rank_sums(x, y, *_step_groups(dim, k))
@@ -542,22 +522,21 @@ def _series(f: Jet, starts: list, step) -> list:
     APL '95).  ``starts`` holds each function's values at the points of f,
     and ``step(k, g)`` gives the degree-k part of the coefficient array g
     from its parts below k.  A pair's array holds the first function's
-    columns, then the second's, (ncoeffs, 2) at one point, so that each
-    step takes one sum over both.
+    columns, then the second's, (ncoeffs, 2N), so that each step takes one
+    sum over both.
 
     Each step reads the degrees below k only, so a result truncated to a
     lower order is bit-equal to the result at that order.  Every part ends
     in "+ 0.0", so an exact zero is never -0.0."""
     dim, n = f.dim, f.order
-    values = [v for column in starts for v in column]
-    g = np.zeros(f.c.shape if len(starts) == 1 else (len(f.c), len(values)))
-    g[0] = values if g.ndim > 1 else values[0]
+    g = np.zeros((len(f.c), f.c.shape[1] * len(starts)))
+    g[0] = [v for column in starts for v in column]
     g[0] += 0.0
     for k in range(1, n + 1):
         g[ncoeffs(dim, k - 1):ncoeffs(dim, k)] = step(k, g) + 0.0
     if len(starts) == 1:
         return [Jet._of(dim, n, g)]
-    return [Jet._of(dim, n, np.ascontiguousarray(part).reshape(f.c.shape))
+    return [Jet._of(dim, n, np.ascontiguousarray(part))
             for part in np.split(g, len(starts), axis=1)]
 
 
@@ -681,7 +660,7 @@ def _pair(f: Jet, fn: str, law, sign: float) -> list:
     g_(k-j).  One sum gives sign sum_j j f_j g_(k-j) in g's columns and
     sum_j j f_j h_(k-j) in h's, which the step swaps."""
     starts = list(zip(*_at_points(fn, f, law)))
-    ef = _by_degree(f, 1.0, 0.0, f.order).reshape(len(f.c), -1)
+    ef = _by_degree(f, 1.0, 0.0, f.order)
     both = np.concatenate((sign * ef, ef), axis=1)
     swap = np.roll(np.arange(both.shape[1]), ef.shape[1])
 
@@ -763,8 +742,8 @@ def atan2(y, x) -> Jet:
 
     The larger-magnitude coordinate is used as the divisor, so the result is
     smooth across both axes; the branch constant only shifts the value part.
-    Over many points each branch runs on its own columns, which are then put
-    back in order, so every column is bit-equal to its one-point jet.
+    Each branch runs on its own columns, which are then put back in order,
+    so every column is bit-equal to its stack of one.
     """
     if not isinstance(y, Jet):
         y = _as_jet(y, x)
@@ -791,8 +770,8 @@ def _atan2_branch(y, x, points, wide) -> Jet:
     atan(x/y)."""
     if wide:
         t = atan(y / x)
-        return t + _per_point([math.atan2(y0, x0) - math.atan(y0 / x0)
-                               for y0, x0 in points], y)
+        return t + np.array([math.atan2(y0, x0) - math.atan(y0 / x0)
+                             for y0, x0 in points])
     t = atan(x / y)
-    return _per_point([math.atan2(y0, x0) + math.atan(x0 / y0)
-                       for y0, x0 in points], y) - t
+    return np.array([math.atan2(y0, x0) + math.atan(x0 / y0)
+                     for y0, x0 in points]) - t

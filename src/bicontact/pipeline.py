@@ -769,7 +769,7 @@ def _points(cf: Coframe) -> list:
 
 def _per_column(fn, *values):
     """``fn`` of each column's floats of the (N,) arrays ``values``, as an
-    array: the one-point arithmetic at every point, for the functions
+    array: Python float arithmetic at every point, for the functions
     (``math``, ``**``) whose NumPy form may round otherwise."""
     return np.array([fn(*v) for v in zip(*(x.tolist() for x in values))])
 

@@ -40,16 +40,21 @@ def box_points(box, n, seed=0):
 
 
 def coeff(jet, alpha) -> float:
-    """The Taylor coefficient of a one-point jet for an exponent
-    multi-index."""
-    return float(jet.c[jets._rank(jet.dim, jet.order)[tuple(alpha)]])
+    """The Taylor coefficient of a jet at one point, a stack of one, for an
+    exponent multi-index."""
+    return float(jet.c[jets._rank(jet.dim, jet.order)[tuple(alpha)], 0])
+
+
+def value(jet) -> float:
+    """The base value of a jet at one point, a stack of one."""
+    return float(jet.c[0, 0])
 
 
 def eval_jet(node, point, order, coords, params=None):
-    """The jet of the AST ``node`` at one point, seeding coordinate i with
-    slot i: a one-root tape run there."""
-    return Tape([node]).run(tuple(float(v) for v in point), order, coords,
-                            params)[0]
+    """The jet of the AST ``node`` at one point, as a stack of one, seeding
+    coordinate i with slot i: a one-root tape run there."""
+    return Tape([node]).run(tuple(np.array([float(v)]) for v in point),
+                            order, coords, params)[0]
 
 
 def load_coframe(path):
@@ -64,12 +69,11 @@ def one_adapted_block(fld, points, order):
     return block
 
 
-def zero_form(chart, degree, order, points=()):
-    """The zero degree-form at truncation ``order``, with a point axis of
-    shape ``points`` after its coefficient axis where one is given."""
+def zero_form(chart, degree, order, count=1):
+    """The zero degree-form at truncation ``order`` at ``count`` points."""
     return PForm._of(chart, degree, order, np.zeros(
         (len(_keys(chart.dim, degree)), jets.ncoeffs(chart.dim, order),
-         *points)))
+         count)))
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from bicontact.errors import DomainError, ParseError, UnknownIdentifier
 from bicontact.forms import Chart, coframe_field_from_expressions
 from bicontact.jets import Jet
 
-from conftest import coeff, eval_jet
+from conftest import coeff, eval_jet, value
 
 
 @pytest.mark.parametrize("text,value", [
@@ -38,7 +38,7 @@ def test_variables_and_params():
     node = ex.parse("a*x+y^2", coords=("x", "y"), params=("a",))
     assert ex.eval_number(node, {"x": 2.0, "y": 3.0, "a": 10.0}) == 29.0
     jet = eval_jet(node, (2.0, 3.0), 3, ("x", "y"), {"a": 10.0})
-    assert jet.value == 29.0
+    assert value(jet) == 29.0
     assert coeff(jet, (1, 0)) == pytest.approx(10.0)
     assert coeff(jet, (0, 1)) == pytest.approx(6.0)
 
@@ -144,21 +144,22 @@ def test_to_text_parenthesizes_by_precedence():
 # -- the tape against the recursive evaluator --------------------------------
 
 def _oracle(node, point, order, coords, params=None):
-    """The recursive evaluator: each node's jet computed on its own, in
-    depth-first post-order, with the environment ``Tape.run`` builds."""
+    """The recursive evaluator at one point, as a stack of one: each node's
+    jet computed on its own, in depth-first post-order, with the environment
+    ``Tape.run`` builds."""
     dim = len(coords)
-    env = {name: Jet.variable(float(point[i]), i, dim, order)
+    env = {name: Jet.variable([float(point[i])], i, dim, order)
            for i, name in enumerate(coords)}
-    for name, value in (params or {}).items():
-        env[name] = Jet.constant(float(value), dim, order)
-    for name, value in ex.CONSTANTS.items():
-        env.setdefault(name, Jet.constant(value, dim, order))
+    for name, v in (params or {}).items():
+        env[name] = Jet.constant([float(v)], dim, order)
+    for name, v in ex.CONSTANTS.items():
+        env.setdefault(name, Jet.constant([v], dim, order))
     return _eval(node, env, dim, order)
 
 
 def _eval(node, env, dim, order):
     if isinstance(node, ex.Num):
-        return Jet.constant(node.value, dim, order)
+        return Jet.constant([node.value], dim, order)
     if isinstance(node, ex.Var):
         try:
             return env[node.name]
@@ -237,8 +238,9 @@ def _coordinates(points):
 
 
 def _columns(roots, count):
-    """Point k's jets of the many-point jets ``roots``, for k < count."""
-    return [[Jet._of(j.dim, j.order, j.c[:, k]) for j in roots]
+    """Point k's jets of the jets ``roots``, as stacks of one, for
+    k < count."""
+    return [[Jet._of(j.dim, j.order, j.c[:, k:k + 1]) for j in roots]
             for k in range(count)]
 
 
@@ -266,7 +268,8 @@ def test_tape_matches_the_recursive_evaluator(roots, points, order):
     """Each root's coefficients at each point are bit-equal to the recursive
     evaluation there, whether the tape runs at that point alone or at all
     the points at once, unless the points would branch differently there;
-    where the recursive evaluation raises, the one-point run raises the
+    where the recursive evaluation raises, the run at that point alone, a
+    stack of one, raises the
     same type with the same text.  A run over all the points raises where
     any point fails, and the frames of a field over the same roots, from
     its stacked blocks, equal the recursive evaluation, or raise what the
@@ -278,7 +281,8 @@ def test_tape_matches_the_recursive_evaluator(roots, points, order):
     with np.errstate(all="ignore"):
         want = [_outcome(lambda: [_oracle(r, p, order, coords, params)
                                   for r in roots]) for p in points]
-        alone = [_outcome(lambda: tape.run(p, order, coords, params))
+        alone = [_outcome(lambda: tape.run(_coordinates([p]), order, coords,
+                                           params))
                  for p in points]
         together = _outcome(lambda: _columns(
             tape.run(_coordinates(points), order, coords, params),
@@ -303,7 +307,7 @@ def test_a_tape_takes_each_series_once(monkeypatch):
     monkeypatch.setattr(jets, "_series",
                         lambda *args: series.append(1) or run(*args))
     root = ex.parse("sin(x)*cos(x) + x/y + 1/y", coords=("x", "y"))
-    (got,) = ex.Tape([root]).run((0.7, 1.3), 3, ("x", "y"))
+    (got,) = ex.Tape([root]).run(_coordinates([(0.7, 1.3)]), 3, ("x", "y"))
     assert len(series) == 2
     want = _oracle(root, (0.7, 1.3), 3, ("x", "y"))
     assert got.c.tobytes() == want.c.tobytes()
@@ -328,7 +332,7 @@ def test_tape_keeps_signed_zeros_apart():
                                                  ex.Var("x"))]
     tape = ex.Tape(roots)
     assert len(tape.code) == 4
-    pos, neg, prod = tape.run((3.0,), 2, ("x",))
+    pos, neg, prod = tape.run(_coordinates([(3.0,)]), 2, ("x",))
     assert not np.signbit(pos.c[0]) and np.signbit(neg.c[0])
     assert prod.c.tobytes() == \
         _oracle(roots[2], (3.0,), 2, ("x",)).c.tobytes()
@@ -355,6 +359,6 @@ def test_tape_raises_where_the_recursive_evaluation_does(texts, fn):
         for r in roots:
             _oracle(r, (1.0,), 2, ("x",))
     with pytest.raises(DomainError) as got:
-        ex.Tape(roots).run((1.0,), 2, ("x",))
+        ex.Tape(roots).run(_coordinates([(1.0,)]), 2, ("x",))
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(fn)

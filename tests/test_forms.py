@@ -20,9 +20,15 @@ from bicontact.jets import Jet, _value, ncoeffs, partial, reciprocal
 from bicontact.pipeline import analyze, cached_C
 
 from conftest import (DATA, TEST_BLOCK, box_points, eval_jet, load_coframe,
-                      zero_form)
+                      value, zero_form)
 
 CH3 = Chart(("x", "y", "z"))
+
+
+def _at(point):
+    """A point as the base point of a frame, a stack of one: one (1,)
+    array per coordinate."""
+    return forms._coordinates([point])
 
 
 def _scalar(text, point, order=5, chart=CH3):
@@ -38,7 +44,7 @@ def _one_form(texts, point, order=5, chart=CH3):
 
 def _d_coord(chart, axis, order):
     """The coordinate 1-form dx_axis, with constant coefficients."""
-    return PForm(chart, 1, {(k,): Jet.constant(float(k == axis), chart.dim,
+    return PForm(chart, 1, {(k,): Jet.constant([float(k == axis)], chart.dim,
                                                order)
                             for k in range(chart.dim)})
 
@@ -92,9 +98,9 @@ def test_scalar_d_matches_partials():
     f = _scalar("x^2*y+cos(z)", POINT)
     df = scalar_d(CH3, f)
     x, y, z = POINT
-    assert df.coeffs[(0,)].value == pytest.approx(2 * x * y, abs=1e-13)
-    assert df.coeffs[(1,)].value == pytest.approx(x * x, abs=1e-13)
-    assert df.coeffs[(2,)].value == pytest.approx(-math.sin(z), abs=1e-13)
+    assert value(df.coeffs[(0,)]) == pytest.approx(2 * x * y, abs=1e-13)
+    assert value(df.coeffs[(1,)]) == pytest.approx(x * x, abs=1e-13)
+    assert value(df.coeffs[(2,)]) == pytest.approx(-math.sin(z), abs=1e-13)
 
 
 def test_jet_derivative_matches_finite_differences():
@@ -104,7 +110,7 @@ def test_jet_derivative_matches_finite_differences():
     h = 1e-5
 
     def val(p):
-        return eval_jet(node, p, 0, CH3.coords).value
+        return value(eval_jet(node, p, 0, CH3.coords))
 
     f = _scalar(text, POINT, order=3)
     df = scalar_d(CH3, f)
@@ -114,7 +120,7 @@ def test_jet_derivative_matches_finite_differences():
         lo[axis] -= h
         hi[axis] += h
         fd = (val(tuple(hi)) - val(tuple(lo))) / (2 * h)
-        got = df.coeffs[(axis,)].value
+        got = value(df.coeffs[(axis,)])
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -129,14 +135,14 @@ def test_top_ratio_and_singular_volume():
     omega = wedge_all(_d_coord(CH3, 0, 5), _d_coord(CH3, 1, 5),
                       _d_coord(CH3, 2, 5))
     ratio = top_ratio(omega.scaled(f), omega)
-    assert ratio.value == pytest.approx(2 + POINT[0] ** 2, abs=1e-14)
+    assert value(ratio) == pytest.approx(2 + POINT[0] ** 2, abs=1e-14)
     # several ratios over one volume can share its checked reciprocal
     per_omega = forms.top_reciprocal(omega, 5)
     shared = omega.scaled(f).coeffs[(0, 1, 2)] * per_omega
     assert shared.c.tobytes() == ratio.c.tobytes()
     assert forms.top_reciprocal(omega, 3).c.tobytes() == \
         per_omega.truncate(3).c.tobytes()
-    singular = omega.scaled(Jet.constant(0.0, 3, 5))
+    singular = omega.scaled(Jet.constant([0.0], 3, 5))
     with pytest.raises(SingularVolumeError):
         top_ratio(omega, singular)
     with pytest.raises(SingularVolumeError):
@@ -150,11 +156,11 @@ def _random_frame(point, seed=0, order=5):
     for i in range(3):
         coeffs = {}
         for j in range(3):
-            base = Jet.constant(float(mat[i, j]), 3, order)
+            base = Jet.constant([float(mat[i, j])], 3, order)
             wob = _scalar(f"0.1*sin(x+{j}*y)", point, order)
             coeffs[(j,)] = base + wob
         forms.append(PForm(CH3, 1, coeffs))
-    return Coframe(CH3, point, tuple(forms))
+    return Coframe(CH3, _at(point), tuple(forms))
 
 
 def test_coefficient_reconstruction_round_trip():
@@ -180,14 +186,15 @@ def test_frobenius_defect():
     dx, dy = _d_coord(CH3, 0, 5), _d_coord(CH3, 1, 5)
 
     def defect(alpha):
-        return _integrability_defect(Coframe(CH3, POINT, (dx, dy, alpha)), 2)
+        return _integrability_defect(Coframe(CH3, _at(POINT),
+                                             (dx, dy, alpha)), 2)
 
     dz = _d_coord(CH3, 2, 5)
     assert defect(dz) < 1e-15
     # dz + x dy is a contact form: defect is the unit volume coefficient
-    contact = PForm(CH3, 1, {(0,): Jet.constant(0.0, 3, 5),
-                             (1,): Jet.variable(POINT[0], 0, 3, 5),
-                             (2,): Jet.constant(1.0, 3, 5)})
+    contact = PForm(CH3, 1, {(0,): Jet.constant([0.0], 3, 5),
+                             (1,): Jet.variable([POINT[0]], 0, 3, 5),
+                             (2,): Jet.constant([1.0], 3, 5)})
     assert defect(contact) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -203,10 +210,10 @@ def _jet_inverse(m):
     n = len(m)
     dim, order = m[0][0].dim, min(e.order for row in m for e in row)
     a = [[e.truncate(order) for e in row]
-         + [Jet.constant(float(i == j), dim, order) for j in range(n)]
+         + [Jet.constant([float(i == j)], dim, order) for j in range(n)]
          for i, row in enumerate(m)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
+        piv = max(range(col, n), key=lambda r: abs(value(a[r][col])))
         a[col], a[piv] = a[piv], a[col]
         inv = reciprocal(a[col][col])
         a[col] = [e * inv for e in a[col]]
@@ -229,7 +236,7 @@ def test_coframe_volume_and_dual():
     assert (vol - direct).max_abs_value() < 1e-12
     coeff = _coefficient_matrix(frame)
     dual = _jet_inverse(coeff)
-    prod = np.array([[sum((coeff[i][k] * dual[k][j]).value for k in range(3))
+    prod = np.array([[sum(value(coeff[i][k] * dual[k][j]) for k in range(3))
                       for j in range(3)] for i in range(3)])
     assert np.allclose(prod, np.eye(3), atol=1e-12)
     # dx^j = sum_i dual[j][i] omega^i
@@ -265,11 +272,11 @@ def test_two_form_coeffs_with_filled_caches_equal_a_fresh_frame():
     rng = np.random.default_rng(4)
     mat = rng.standard_normal((4, 4)) + 4 * np.eye(4)
     forms = tuple(
-        PForm(chart, 1, {(j,): Jet.constant(float(mat[i, j]), 4, 4)
+        PForm(chart, 1, {(j,): Jet.constant([float(mat[i, j])], 4, 4)
                          + _scalar(f"0.1*sin(x+{j}*w)", point, 4, chart)
                          for j in range(4)})
         for i in range(4))
-    frame = Coframe(chart, point, forms)
+    frame = Coframe(chart, _at(point), forms)
     first = ext_d(_one_form(("y*w", "x^2", "sin(z)", "exp(x)"), point, 5, chart))
     beta = ext_d(_one_form(("z", "cos(w)", "x*y", "1"), point, 5, chart))
     two_form_coeffs(first, frame)           # fills the volume and complements
@@ -285,7 +292,7 @@ def test_d_coeffs_is_the_cached_structure_table_of_each_covector():
     forms = (_one_form(("1", "0", "y"), POINT, 5, chart),
              _one_form(("z", "exp(x)", "0"), POINT, 5, chart),
              _one_form(("sin(y)", "x", "1"), POINT, 5, chart))
-    frame = Coframe(chart, POINT, forms)
+    frame = Coframe(chart, _at(POINT), forms)
     for i in range(3):
         table = frame.d_coeffs(i)
         fresh = two_form_coeffs(ext_d(forms[i]), frame.replace())
@@ -302,7 +309,7 @@ def test_d_coeffs_is_the_cached_structure_table_of_each_covector():
 # loops they replaced
 
 def _zero_coeffs(chart, degree, order):
-    return {k: Jet.constant(0.0, chart.dim, order)
+    return {k: Jet.constant([0.0], chart.dim, order)
             for k in combinations(range(chart.dim), degree)}
 
 
@@ -372,7 +379,7 @@ def _forms(draw, degrees, least_order):
             order = draw(st.integers(base, 6)) if finite else base
             kind = draw(st.sampled_from(KINDS))
             coeffs[key] = Jet(dim, order, _coefficients(
-                rng, kind, ncoeffs(dim, order), finite))
+                rng, kind, ncoeffs(dim, order), finite)[:, None])
         out.append(PForm(CHARTS[dim], deg, coeffs))
     return out, finite
 
@@ -463,18 +470,16 @@ def test_scalar_d_is_bit_equal_to_per_axis_partials(drawn):
 
 
 def _split(form: PForm) -> list:
-    """The columns of a form with a point axis as one-point forms."""
-    return [PForm._of(form.chart, form.degree, form.order, c)
-            for c in np.moveaxis(form.c, -1, 0).copy()]
+    """The columns of a form as forms of their own, stacks of one."""
+    return [PForm._of(form.chart, form.degree, form.order,
+                      form.c[..., k:k + 1].copy())
+            for k in range(form.c.shape[-1])]
 
 
 def _one_point_frames(block) -> list:
-    """The columns of a stacked frame as one-point frames, whose forms carry
-    no point axis: the input of the one-point oracles."""
-    split = [_split(f) for f in block.forms]
-    return [Coframe(block.chart, tuple(float(x[k]) for x in block.point),
-                    tuple(f[k] for f in split), eps=block.eps,
-                    stage=block.stage)
+    """The columns of a stacked frame as frames of their own, stacks of
+    one: the input of the one-point oracles."""
+    return [forms._columns(block, k, k + 1)
             for k in range(len(block.point[0]))]
 
 
@@ -509,12 +514,12 @@ def test_frame_derivatives_match_the_axis_loop(case):
 # per-coefficient Jet operations
 
 def test_form_from_mixed_orders_takes_the_lowest_order():
-    coeffs = {(0,): Jet.variable(0.1, 0, 3, 5),
-              (1,): Jet.constant(2.0, 3, 2),
+    coeffs = {(0,): Jet.variable([0.1], 0, 3, 5),
+              (1,): Jet.constant([2.0], 3, 2),
               (2,): _scalar("sin(x*y)", POINT, order=4)}
     f = PForm(CH3, 1, coeffs)
     assert f.order == 2
-    assert f.c.shape == (3, ncoeffs(3, 2))
+    assert f.c.shape == (3, ncoeffs(3, 2), 1)
     for key, jet in coeffs.items():
         assert f.coeffs[key].order == 2
         assert f.coeffs[key].c.tobytes() == jet.truncate(2).c.tobytes()
@@ -523,22 +528,22 @@ def test_form_from_mixed_orders_takes_the_lowest_order():
 def test_coefficients_are_read_only():
     f = _d_coord(CH3, 0, 2)
     with pytest.raises(TypeError):
-        f.coeffs[(0,)] = Jet.constant(0.0, 3, 2)
+        f.coeffs[(0,)] = Jet.constant([0.0], 3, 2)
     with pytest.raises(ValueError):
         f.coeffs[(1,)].c[0] = 1.0
     with pytest.raises(ValueError):
         f.c[0, 0] = 2.0
-    assert f.coeffs[(0,)].value == 1.0
+    assert value(f.coeffs[(0,)]) == 1.0
 
 
 def test_bad_coefficients_name_every_fault():
-    good = {(i,): Jet.constant(1.0, 3, 2) for i in range(3)}
+    good = {(i,): Jet.constant([1.0], 3, 2) for i in range(3)}
     with pytest.raises(ValueError, match=r"missing keys \[\(2,\)\]"):
         PForm(CH3, 1, {(0,): good[(0,)], (1,): good[(1,)]})
     with pytest.raises(ValueError, match=r"unexpected keys \[\(0, 1\)\]"):
-        PForm(CH3, 1, {**good, (0, 1): Jet.constant(1.0, 3, 2)})
+        PForm(CH3, 1, {**good, (0, 1): Jet.constant([1.0], 3, 2)})
     with pytest.raises(ValueError, match=r"not of dim 3 \[\(1,\)\]"):
-        PForm(CH3, 1, {**good, (1,): Jet.constant(1.0, 4, 2)})
+        PForm(CH3, 1, {**good, (1,): Jet.constant([1.0], 4, 2)})
 
 
 def _same_degree(dim):
@@ -599,7 +604,7 @@ def _two_form_frames(kind):
     point = (0.3, -0.2, 0.5, 0.1)
     rng = np.random.default_rng(8)
     mat = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    return [Coframe(chart, point, tuple(
+    return [Coframe(chart, _at(point), tuple(
         PForm(chart, 1, {(j,): _scalar(f"0.1*sin(x+{j}*w)*exp(y*z)", point,
                                        6, chart) + float(mat[i, j])
                          for j in range(4)})
@@ -641,18 +646,18 @@ def test_two_form_coeffs_is_bit_equal_to_the_pair_loop(kind):
 
 @st.composite
 def _at_points(draw, degrees, least_order):
-    """Forms as ``_forms`` draws them at 1-4 points: one list of one-point
-    forms per point, the many-point forms that stack them, and whether
+    """Forms as ``_forms`` draws them at 1-4 points: one list of forms per
+    point, each a stack of one, the forms that stack them, and whether
     every value is finite."""
     first, finite = draw(_forms(degrees, least_order))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     points = [first] + [
         [PForm._of(f.chart, f.degree, f.order, np.array([
             _coefficients(rng, draw(st.sampled_from(KINDS)), len(row), finite)
-            for row in f.c])) for f in first]
+            for row in f.c])[..., None]) for f in first]
         for _ in range(draw(st.integers(0, 3)))]
     stacked = [PForm._of(f.chart, f.degree, f.order,
-                         np.stack([p[i].c for p in points], -1))
+                         np.concatenate([p[i].c for p in points], -1))
                for i, f in enumerate(first)]
     return points, stacked, finite
 
@@ -715,17 +720,17 @@ def _special_frame(rng, dim, order, count):
                    tuple(covectors))
 
 
-def _product_paths(monkeypatch):
+def _product_paths(monkeypatch, count):
     """A list that gets (weights x points, whether it summed by rank groups)
-    of each stacked ``forms._multiply`` call from here on."""
+    of each ``forms._multiply`` call over ``count`` points from here on."""
     paths, ranked = [], []
     multiply, rank_sums = forms._multiply, jets._rank_sums
 
     def spy(x, y, plan):
         before = len(ranked)
         out = multiply(x, y, plan)
-        if x.ndim == 3:
-            paths.append((len(plan.gx) * x.shape[2], len(ranked) > before))
+        if x.shape[2] == count:
+            paths.append((len(plan.gx) * count, len(ranked) > before))
         return out
 
     monkeypatch.setattr(forms, "_multiply", spy)
@@ -749,7 +754,7 @@ def test_stacked_products_are_bitwise_the_one_point_products(monkeypatch, dim,
     a = _special_form(rng, dim, 1, order, count, factor=False)
     b = _special_form(rng, dim, 1, order, count, factor=True)
     s = _special_form(rng, dim, 0, order, count, factor=True)
-    paths = _product_paths(monkeypatch)
+    paths = _product_paths(monkeypatch, count)
     with np.errstate(all="ignore"):
         cases = [(wedge(a, b), [_loop_wedge(x, y)
                                 for x, y in zip(_split(a), _split(b))]),
@@ -978,8 +983,8 @@ def test_a_singular_volume_names_its_value(value, text):
 
 
 def test_repr_shows_the_values_of_one_point_and_of_many():
-    jet = Jet.constant(2.0, 3, 1)
-    assert repr(jet) == "Jet(dim=3, order=1, value=2)"
+    jet = Jet.constant([2.0], 3, 1)
+    assert repr(jet) == "Jet(dim=3, order=1, value=[2])"
     many = Jet.constant([2.0, -0.5], 3, 1)
     assert repr(many) == "Jet(dim=3, order=1, value=[2, -0.5])"
     form = PForm(CH3, 1, {(0,): many, (1,): many * 0.0, (2,): many})

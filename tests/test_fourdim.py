@@ -20,7 +20,7 @@ from bicontact.fourdim import (QOde, compute_E,
                                symplectic_quadratic_check, verify_normal_form)
 from bicontact.jets import Jet, _value, partial
 from bicontact.report import nan_max
-from conftest import box_points, coeff
+from conftest import box_points, coeff, value
 from test_jets import _full_horner
 
 GOOD_H = (("1", "0"), ("x^2/2", "1"))
@@ -199,7 +199,7 @@ def test_q_jets_satisfy_the_equation():
     zs = np.array([-0.7, 0.0, 0.45])
     j1, j2 = q_jets(sol, zs, ode.c_jet(zs, 6))
     for k, z in enumerate(zs.tolist()):
-        u = ode.u_jet(ode.c_jet(z, 1)).value
+        u = value(ode.u_jet(ode.c_jet(np.array([z]), 1)))
         s = sol.state(z)
         for j, (q, dq) in ((j1, s[0:2]), (j2, s[2:4])):
             assert _value(j)[k] == pytest.approx(q, abs=1e-12)
@@ -217,11 +217,11 @@ def test_q_jets_match_the_leibniz_recursion():
     zs = np.array([-0.7, 0.0, 0.45])
     lifts = q_jets(sol, zs, ode.c_jet(zs, 8))
     for col, z in enumerate(zs.tolist()):
-        u = ode.u_jet(ode.c_jet(z, 7))
+        u = ode.u_jet(ode.c_jet(np.array([z]), 7))
         uder = [coeff(u, (k,)) * math.factorial(k) for k in range(7)]
         state = sol.state(z)
         for j, der in zip(lifts, ([state[0], state[1]], [state[2], state[3]])):
-            one = Jet._of(j.dim, j.order, j.c[:, col])
+            one = Jet._of(j.dim, j.order, j.c[:, col:col + 1])
             for n in range(7):
                 der.append(sum(math.comb(n, k) * uder[k] * der[n - k]
                                for k in range(n + 1)))
@@ -235,7 +235,7 @@ def test_q_jets_match_the_leibniz_recursion():
 def test_z_series_placed_on_its_monomials_is_bitwise_horner(order):
     # the lift of a univariate series in z writes coefficient k onto z^k;
     # Horner in the jet of z at each point gives the same bits, at one
-    # point (floats) and at five at once (arrays), and each of its steps
+    # point (a stack of one) and at five at once, and each of its steps
     # turns a -0.0 into +0.0 (at order 0 it takes none)
     rng = np.random.default_rng(30 + order)
     zs = rng.uniform(-1.0, 1.0, 5)
@@ -244,9 +244,10 @@ def test_z_series_placed_on_its_monomials_is_bitwise_horner(order):
         coeffs[order - 1:, 2] = -0.0
     many = fourdim._on_z(list(coeffs), order)
     for p, z in enumerate(zs.tolist()):
-        column = coeffs[:, p].tolist()
-        want = _full_horner(Jet.variable(z, 2, 4, order), column).c
-        assert fourdim._on_z(column, order).c.tobytes() == want.tobytes()
+        want = _full_horner(Jet.variable([z], 2, 4, order),
+                            coeffs[:, p].tolist()).c
+        assert fourdim._on_z(list(coeffs[:, p:p + 1]), order).c.tobytes() \
+            == want.tobytes()
         assert many.c[:, p].tobytes() == want.tobytes(), p
 
 
@@ -257,11 +258,25 @@ def test_c_jet_truncates_to_the_lower_order_jet_bit_for_bit(profile):
     # that is C's own lower-order jet bit for bit, since each coefficient of
     # a truncated product sums the same pairs in the same order
     ode = QOde(profile, -1)
-    for z in np.linspace(-1.1, 1.1, 23):
+    for z in np.linspace(-1.1, 1.1, 23)[:, None]:
         for p in range(1, 9):
             low = ode.c_jet(z, p).truncate(p - 1).c
             assert low.view(np.int64).tolist() == \
                 ode.c_jet(z, p - 1).c.view(np.int64).tolist(), (z, p)
+
+
+@pytest.mark.parametrize("profile", ["tan(z)", "1/(z+2)"])
+def test_c_jet_over_many_z_is_bitwise_each_stack_of_one(profile):
+    # solve_q steps one z at a time, a stack of one whose sums skip the
+    # per-point bin offsets; at the order of its steps and below, each
+    # column of a run over many z is bit-equal to that run
+    ode = QOde(profile, -1)
+    zs = np.linspace(-1.1, 1.1, 23)
+    for order in (3, fourdim._TAYLOR_ORDER - 1):
+        many = ode.c_jet(zs, order).c
+        for k, z in enumerate(zs):
+            one = ode.c_jet(zs[k:k + 1], order).c
+            assert many[:, k].tobytes() == one.tobytes(), (z, order)
 
 
 def test_normal_form_4d_with_compatible_h():

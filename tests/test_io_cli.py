@@ -372,6 +372,17 @@ def test_cli_rejects_sample_input_that_is_not_finite(capsys, args):
     assert captured.err.rstrip().endswith("must be finite")
 
 
+def test_cli_rejects_a_reversed_span(capsys):
+    # a usage error naming --span, not a DomainError blaming z0
+    assert main(["normal-form", "tan(z)", "--span=1:-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bicontact: --span LO 1.0 exceeds HI -1.0")
+    with pytest.raises(ValueError, match=r"^--span LO 1\.0 exceeds HI -1\.0$"):
+        RunConfig("normal-form", "tan(z)",
+                  extra=dict(NF_EXTRA, span=(1.0, -1.0)))
+
+
 def test_cli_normal_form_rejects_param(tmp_path):
     out = tmp_path / "rep.json"
     assert main(["normal-form", "tan(z)", "--param", "psi=1",

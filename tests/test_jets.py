@@ -12,28 +12,45 @@ from bicontact import jets
 from bicontact.errors import DomainError
 from bicontact.jets import Jet
 
-from conftest import coeff
+from conftest import coeff, value
 
 
 def test_constant_and_variable_seeds():
-    c = Jet.constant(2.5, 3, 4)
-    assert c.value == 2.5
+    c = Jet.constant([2.5], 3, 4)
+    assert value(c) == 2.5
     assert coeff(c, (1, 0, 0)) == 0.0
-    x = Jet.variable(1.5, 0, 3, 4)
-    assert x.value == 1.5
+    x = Jet.variable([1.5], 0, 3, 4)
+    assert value(x) == 1.5
     assert coeff(x, (1, 0, 0)) == 1.0
     assert coeff(x, (0, 1, 0)) == 0.0
 
 
+def test_a_coefficient_vector_without_a_point_axis_is_rejected():
+    n = jets.ncoeffs(3, 2)
+    for c in (np.zeros(n), np.zeros((n, 0)), np.zeros((n + 1, 1)),
+              np.zeros((1, n, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected (ncoeffs, N) = ({n}, N) with N >= 1")):
+            Jet(3, 2, c)
+
+
+def test_a_jet_carries_one_column_per_point():
+    c = np.arange(2.0 * jets.ncoeffs(3, 2)).reshape(-1, 2)
+    j = Jet(3, 2, c)
+    assert j.c.shape == (10, 2)
+    assert jets._value(j).tolist() == [0.0, 1.0]
+    assert jets._values(j) == [0.0, 1.0]
+
+
 def test_exp_coefficients_are_inverse_factorials():
-    x = Jet.variable(0.0, 0, 1, 8)
+    x = Jet.variable([0.0], 0, 1, 8)
     e = jets.exp(x)
     for k in range(9):
         assert coeff(e, (k,)) == pytest.approx(1.0 / math.factorial(k), abs=1e-15)
 
 
 def test_product_matches_double_angle():
-    x = Jet.variable(0.3, 0, 1, 7)
+    x = Jet.variable([0.3], 0, 1, 7)
     lhs = jets.sin(x) * jets.cos(x)
     rhs = jets.sin(x * 2.0) * 0.5
     for k in range(8):
@@ -42,18 +59,18 @@ def test_product_matches_double_angle():
 
 def test_partial_of_monomial():
     # f = x^2 y  ->  df/dx = 2xy with matching higher coefficients
-    x = Jet.variable(1.2, 0, 2, 5)
-    y = Jet.variable(-0.7, 1, 2, 5)
+    x = Jet.variable([1.2], 0, 2, 5)
+    y = Jet.variable([-0.7], 1, 2, 5)
     f = x * x * y
     fx = jets.partial(f, 0)
-    assert fx.value == pytest.approx(2 * 1.2 * -0.7, abs=1e-14)
+    assert value(fx) == pytest.approx(2 * 1.2 * -0.7, abs=1e-14)
     assert coeff(fx, (1, 0)) == pytest.approx(2 * -0.7, abs=1e-14)
     assert coeff(fx, (0, 1)) == pytest.approx(2 * 1.2, abs=1e-14)
     assert fx.order == 4     # one derivative level spent
 
 
 def test_truncate_is_prefix():
-    x = Jet.variable(0.4, 0, 2, 6)
+    x = Jet.variable([0.4], 0, 2, 6)
     f = jets.exp(x * x)
     g = f.truncate(3)
     assert g.order == 3
@@ -62,15 +79,15 @@ def test_truncate_is_prefix():
 
 
 def test_mixed_order_arithmetic_truncates():
-    a = Jet.variable(0.2, 0, 2, 6)
-    b = Jet.variable(0.5, 1, 2, 3)
+    a = Jet.variable([0.2], 0, 2, 6)
+    b = Jet.variable([0.5], 1, 2, 3)
     assert (a * b).order == 3
     assert (a + b).order == 3
 
 
 def _rand_jet(rng, dim=2, order=3):
     n = jets.ncoeffs(dim, order)
-    return Jet(dim, order, rng.standard_normal(n))
+    return Jet(dim, order, rng.standard_normal((n, 1)))
 
 
 def test_ring_axioms_random():
@@ -88,12 +105,12 @@ def test_ring_axioms_random():
 @settings(max_examples=60, deadline=None)
 def test_chain_rule_matches_closed_form(x0, y0):
     """d/dx of sin(x*y) equals y*cos(x*y) at the jet level."""
-    x = Jet.variable(x0, 0, 2, 4)
-    y = Jet.variable(y0, 1, 2, 4)
+    x = Jet.variable([x0], 0, 2, 4)
+    y = Jet.variable([y0], 1, 2, 4)
     f = jets.sin(x * y)
     fx = jets.partial(f, 0)
     want = y * jets.cos(x * y)
-    assert abs(fx.value - want.value) < 1e-12
+    assert abs(value(fx) - value(want)) < 1e-12
     assert abs(coeff(fx, (1, 0)) - coeff(want, (1, 0))) < 1e-10
 
 
@@ -103,16 +120,16 @@ def test_chain_rule_matches_closed_form(x0, y0):
 ])
 def test_domain_errors(fn, bad):
     with pytest.raises(DomainError):
-        fn(Jet.constant(bad, 1, 3))
+        fn(Jet.constant([bad], 1, 3))
 
 
 def test_powf_domain_error():
     with pytest.raises(DomainError):
-        jets.powf(Jet.constant(-1.0, 1, 3), 0.5)
+        jets.powf(Jet.constant([-1.0], 1, 3), 0.5)
 
 
 def test_atan2_recovers_angle():
-    t = Jet.variable(0.7, 0, 1, 5)
+    t = Jet.variable([0.7], 0, 1, 5)
     angle = jets.atan2(jets.sin(t), jets.cos(t))
     for k in range(6):
         assert coeff(angle, (k,)) == pytest.approx(
@@ -120,14 +137,14 @@ def test_atan2_recovers_angle():
 
 
 def test_atan2_left_half_plane():
-    t = Jet.variable(2.9, 0, 1, 4)    # cos < 0 branch
+    t = Jet.variable([2.9], 0, 1, 4)    # cos < 0 branch
     angle = jets.atan2(jets.sin(t), jets.cos(t))
-    assert angle.value == pytest.approx(2.9, abs=1e-12)
+    assert value(angle) == pytest.approx(2.9, abs=1e-12)
 
 
 def test_many_point_atan2_takes_each_columns_own_branch():
     # (y0, x0) in both branches and on both diagonals |x0| = |y0|, which
-    # take the atan(y/x) branch; each column is bit-equal to its own jet
+    # take the atan(y/x) branch; each column is bit-equal to its stack of one
     values = [(0.3, 1.0), (1.0, 0.3), (-0.7, 0.7), (0.5, -2.0), (2.0, 0.5),
               (-1.5, -1.5), (-0.2, -0.1), (0.0, -1.0), (1.0, 0.0)]
     rng = np.random.default_rng(17)
@@ -138,9 +155,7 @@ def test_many_point_atan2_takes_each_columns_own_branch():
             y.c[0], x.c[0] = y0, x0
             ys.append(y)
             xs.append(x)
-        many = jets.atan2(*(Jet._of(dim, order, np.stack([f.c for f in fs],
-                                                         axis=1))
-                            for fs in (ys, xs)))
+        many = jets.atan2(_many(ys), _many(xs))
         own = [jets.atan2(y, x) for y, x in zip(ys, xs)]
         assert [np.ascontiguousarray(many.c[:, k]).tobytes()
                 for k in range(len(values))] == [j.c.tobytes() for j in own]
@@ -161,11 +176,12 @@ def test_sqrt_squares_back():
 # -- the scalar shortcut in Jet.__mul__ against a plain convolution ----------
 
 def _reference_product(a, b):
-    """Full truncated convolution of two coefficient vectors."""
+    """Full truncated convolution of two stacks of one, as a coefficient
+    vector."""
     dim, order = a.dim, min(a.order, b.order)
     n = jets.ncoeffs(dim, order)
     I, J, T = jets._mul_table(dim, order)
-    return np.bincount(T, weights=a.c[:n][I] * b.c[:n][J], minlength=n)
+    return np.bincount(T, weights=a.c[:n, 0][I] * b.c[:n, 0][J], minlength=n)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0])
@@ -176,10 +192,10 @@ _COEFF = st.one_of(_SPECIAL, st.floats(-1e6, 1e6))
 def _jet(draw, dim, constant):
     order = draw(st.integers(0, 4))
     n = jets.ncoeffs(dim, order)
-    c = np.zeros(n)
+    c = np.zeros((n, 1))
     c[0] = draw(_COEFF)
     if not constant:
-        c[1:] = draw(st.lists(_COEFF, min_size=n - 1, max_size=n - 1))
+        c[1:, 0] = draw(st.lists(_COEFF, min_size=n - 1, max_size=n - 1))
     return Jet(dim, order, c)
 
 
@@ -204,20 +220,20 @@ def _operands(draw):
 def test_mul_is_bitwise_the_convolution(ops):
     a, b = ops
     prod = a * b
-    ja = a if isinstance(a, Jet) else Jet.constant(a, b.dim, b.order)
-    jb = b if isinstance(b, Jet) else Jet.constant(b, a.dim, a.order)
+    ja = a if isinstance(a, Jet) else Jet.constant([a], b.dim, b.order)
+    jb = b if isinstance(b, Jet) else Jet.constant([b], a.dim, a.order)
     want = _reference_product(ja, jb)
     assert prod.order == min(ja.order, jb.order)
     assert prod.c.tobytes() == want.tobytes()
 
 
 def test_mul_with_inf_coefficient_stays_nonfinite():
-    a = Jet.variable(0.5, 1, 4, 3)
+    a = Jet.variable([0.5], 1, 4, 3)
     a.c[2] = np.inf
-    full = Jet.variable(0.2, 0, 4, 3)
+    full = Jet.variable([0.2], 0, 4, 3)
     with np.errstate(invalid="ignore"):
-        for other in (2.0, 0.0, Jet.constant(-1.0, 4, 3),
-                      Jet.constant(0.0, 4, 3), full):
+        for other in (2.0, 0.0, Jet.constant([-1.0], 4, 3),
+                      Jet.constant([0.0], 4, 3), full):
             assert not np.isfinite((a * other).c).all()
             assert not np.isfinite((other * a).c).all()
 
@@ -238,9 +254,10 @@ def _canonical(c):
 @settings(max_examples=200, deadline=None)
 def test_float_operands_are_bitwise_the_constant_jet_path(dim, order, data):
     n = jets.ncoeffs(dim, order)
-    j = Jet(dim, order, data.draw(st.lists(_ANY, min_size=n, max_size=n)))
+    j = Jet(dim, order, np.array(
+        data.draw(st.lists(_ANY, min_size=n, max_size=n)))[:, None])
     x = data.draw(_ANY)
-    k = Jet.constant(x, dim, order)
+    k = Jet.constant([x], dim, order)
     with np.errstate(invalid="ignore"):
         pairs = [(j + x, j + k), (x + j, k + j),
                  (j - x, j - k), (x - j, k - j)]
@@ -250,11 +267,11 @@ def test_float_operands_are_bitwise_the_constant_jet_path(dim, order, data):
 
 
 def test_float_division_keeps_the_reciprocal_path():
-    j = Jet.variable(0.5, 0, 3, 3)
+    j = Jet.variable([0.5], 0, 3, 3)
     with pytest.raises(DomainError):
         j / 1e-200
     assert (j / 4.0).c.tobytes() == (j * jets.reciprocal(
-        Jet.constant(4.0, 3, 3))).c.tobytes()
+        Jet.constant([4.0], 3, 3))).c.tobytes()
 
 
 @pytest.mark.parametrize("fn,value", [
@@ -265,17 +282,17 @@ def test_float_division_keeps_the_reciprocal_path():
 ])
 def test_out_of_range_series_is_a_domain_error(fn, value):
     with pytest.raises(DomainError):
-        fn(Jet.variable(value, 0, 2, 3))
+        fn(Jet.variable([value], 0, 2, 3))
 
 
 # -- the degree recursions against the Horner series of the laws ------------
 
 def _full_horner(f, outer):
     """sum_k outer[k] * (f - f0)^k by Horner with every step at f's full
-    order, on one-point jets: the series the elementary functions were
+    order, on a stack of one: the series the elementary functions were
     composed by before their degree recursions."""
-    u = f - f.value
-    acc = Jet.constant(outer[-1], f.dim, f.order)
+    u = f - value(f)
+    acc = Jet.constant([outer[-1]], f.dim, f.order)
     for k in range(len(outer) - 2, -1, -1):
         acc = acc * u + outer[k]
     return acc
@@ -307,16 +324,16 @@ _LAWS = {
 
 def _law(name):
     law = _LAWS[name]
-    return lambda f: _full_horner(f, [law(f.value, k)
+    return lambda f: _full_horner(f, [law(value(f), k)
                                       for k in range(f.order + 1)])
 
 
 def _atan_oracle(f):
     # atan(f) = atan(f0) + atan(u), u = (f - f0)/(1 + f f0) nilpotent
-    u = (f - f.value) * _law("reciprocal")(f * f.value + 1.0)
+    u = (f - value(f)) * _law("reciprocal")(f * value(f) + 1.0)
     outer = [0.0 if k % 2 == 0 else (-1.0) ** ((k - 1) // 2) / k
              for k in range(f.order + 1)]
-    return _full_horner(u, outer) + math.atan(f.value)
+    return _full_horner(u, outer) + math.atan(value(f))
 
 
 def _quotient(a, b):
@@ -362,19 +379,20 @@ _COLUMNS = (_POINTS, 16)
 
 
 def _random_jets(rng, dim, order, count=_POINTS):
-    """Finite jets with values in [0.3, 1.5], inside every domain above."""
+    """Finite stacks of one with values in [0.3, 1.5], inside every domain
+    above."""
     out = []
     for _ in range(count):
-        c = 0.5 * rng.standard_normal(jets.ncoeffs(dim, order))
+        c = 0.5 * rng.standard_normal((jets.ncoeffs(dim, order), 1))
         c[0] = rng.uniform(0.3, 1.5)
         out.append(Jet(dim, order, c))
     return out
 
 
 def _many(fs):
-    """The many-point jet whose column p is the jet fs[p]."""
+    """The jet whose column p is the stack of one fs[p]."""
     return Jet._of(fs[0].dim, fs[0].order,
-                   np.stack([f.c for f in fs], axis=1))
+                   np.concatenate([f.c for f in fs], axis=1))
 
 
 def _no_negative_zero(c):
@@ -391,7 +409,7 @@ def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
     its max-norm of the Horner series of its laws at full order.  (The
     name is the one this check had while the series were composed by
     graded Horner and matched full order bit for bit.)  At 4 and at 16
-    points at once, each column is bit-equal to the one-point jet, and an
+    points at once, each column is bit-equal to its stack of one, and an
     order-p result truncated to p - 1 is bit-equal to the order-(p - 1)
     result; no exact zero is -0.0."""
     fn, oracle = _ELEMENTARY[name], _ORACLE[name]
@@ -412,7 +430,7 @@ def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
             for count in _COLUMNS:
                 if name == "power" and order == 0:
                     # exponents without a derivative part that differ
-                    # between points: the caller runs the points one by one
+                    # between points: the caller runs the points by halves
                     with pytest.raises(jets._MixedBranches):
                         fn(_many(fs[:count]))
                     continue
@@ -434,8 +452,8 @@ def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
 def test_zero_coefficients_come_out_positive(name):
     # a constant of value 1 and the jet of x at 1: the odd and even parts
     # of sin, cos, sinh and cosh vanish by sign cancellation
-    for f in (Jet.constant(1.0, 3, 5), Jet.variable(1.0, 0, 3, 5),
-              Jet.variable(-0.0, 0, 1, 4) + 1.0):
+    for f in (Jet.constant([1.0], 3, 5), Jet.variable([1.0], 0, 3, 5),
+              Jet.variable([-0.0], 0, 1, 4) + 1.0):
         assert _no_negative_zero(_ELEMENTARY[name](f).c)
 
 
@@ -463,7 +481,7 @@ def test_the_out_of_range_column_is_named_without_warnings(fn, name, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for f in (Jet.variable(values, 1, 2, 3),
-                  Jet.variable(value, 1, 2, 3)):
+                  Jet.variable([value], 1, 2, 3)):
             with pytest.raises(DomainError, match=message) as err:
                 fn(f)
             assert err.value.fn == name and err.value.value == value
@@ -497,7 +515,7 @@ def test_guards_raise_where_a_law_of_the_series_raised(name):
                 bad = True
             try:
                 with np.errstate(all="ignore"):
-                    fn(Jet.variable(f0, 0, 1, order))
+                    fn(Jet.variable([f0], 0, 1, order))
             except DomainError:
                 assert bad, (f0, order)
             else:
@@ -507,7 +525,7 @@ def test_guards_raise_where_a_law_of_the_series_raised(name):
 @pytest.mark.parametrize("name", sorted(_ELEMENTARY))
 def test_a_nonfinite_column_stays_nonfinite(name):
     # column 1 holds an inf and column 2 a NaN coefficient; the others
-    # are bit-equal to their one-point jets
+    # are bit-equal to their stacks of one
     fn = _ELEMENTARY[name]
     fs = _random_jets(np.random.default_rng(3), 3, 4)
     fs[1].c[2], fs[2].c[-1] = np.inf, np.nan
@@ -523,8 +541,9 @@ def test_a_nonfinite_column_stays_nonfinite(name):
 
 # (dim, order, points) of many-point products on both sides of
 # jets.FLAT_PRODUCT_MAX pairs x points
+# (1, 19, 3): the univariate jets of C at the Taylor order of solve_q
 _PRODUCT_SIZES = [(3, 3, 5), (3, 6, 2), (3, 6, 12), (3, 6, 60), (4, 2, 18),
-                  (4, 3, 32), (4, 3, 200)]
+                  (4, 3, 32), (4, 3, 200), (1, 19, 3)]
 
 
 def _ranked(dim, order, count):
@@ -651,17 +670,17 @@ def test_many_point_product_is_bitwise_the_one_point_product(monkeypatch, dim,
     size sums through the kernel its pairs x points choose."""
     rng = np.random.default_rng(7)
     n = jets.ncoeffs(dim, order)
-    a = [Jet(dim, order, rng.standard_normal(n)) for _ in range(count)]
-    b = [Jet(dim, order, rng.standard_normal(n)) for _ in range(count)]
+    a = [Jet(dim, order, rng.standard_normal((n, 1))) for _ in range(count)]
+    b = [Jet(dim, order, rng.standard_normal((n, 1))) for _ in range(count)]
     if (dim, order, count) == (3, 3, 5):
-        a[1] = Jet.constant(2.0, dim, order)          # constant left factor
-        b[2] = Jet.constant(-0.0, dim, order)         # constant right factor
+        a[1] = Jet.constant([2.0], dim, order)        # constant left factor
+        b[2] = Jet.constant([-0.0], dim, order)       # constant right factor
         a[3].c[4] = np.inf                            # inf times a live jet
-        b[4] = Jet.constant(3.0, dim, order)
+        b[4] = Jet.constant([3.0], dim, order)
         a[4].c[7] = np.inf                            # inf, scaling path
     else:
         a[0].c[rng.integers(1, n)] = -0.0
-        b[-1] = Jet.constant(rng.standard_normal(), dim, order)
+        b[-1] = Jet.constant([rng.standard_normal()], dim, order)
     ranked, rank_groups = [], jets._rank_groups
     monkeypatch.setattr(jets, "_rank_groups",
                         lambda *key: ranked.append(key) or rank_groups(*key))
@@ -674,9 +693,9 @@ def test_many_point_product_is_bitwise_the_one_point_product(monkeypatch, dim,
 
 @pytest.mark.parametrize("dim", [1, 3, 4])
 def test_many_point_partial_is_bitwise_the_one_point_partial(dim):
-    """Each column of the derivative of a many-point jet is bit-equal to the
-    derivative of that column's jet, signed zeros and non-finite
-    coefficients included."""
+    """Each column of the derivative of a jet over many points is bit-equal
+    to the derivative of that column's stack of one, signed zeros and
+    non-finite coefficients included."""
     rng = np.random.default_rng(40 + dim)
     for order in range(1, 7):
         fs = _random_jets(rng, dim, order)

@@ -21,8 +21,8 @@ from bicontact import cli
 from bicontact.curvature import curvature, levi_civita
 from bicontact.errors import BudgetError, SingularVolumeError
 from bicontact.examples import EXAMPLES, build_example
-from bicontact.forms import (Chart, Coframe, PForm, ext_d, top_ratio,
-                             two_form_coeffs, wedge, wedge_all)
+from bicontact.forms import (Chart, Coframe, PForm, _coordinates, ext_d,
+                             top_ratio, two_form_coeffs, wedge, wedge_all)
 from bicontact.jets import Jet, reciprocal
 from bicontact.pipeline import Tolerances, analyze
 from bicontact.report import nan_max
@@ -152,7 +152,7 @@ def _gamma_loop(frame):
     """Gamma^i_jk of i != j as jet sums of the structure table, whose
     entries D^i_jj are zero jets one order below the first covector's."""
     dim = frame.dim
-    zero = Jet.constant(np.zeros(frame.forms[0].c.shape[2:]), dim,
+    zero = Jet.constant(np.zeros(frame.forms[0].c.shape[2]), dim,
                         max(frame.forms[0].order - 1, 0))
     D = {}
     for i in range(dim):
@@ -273,8 +273,9 @@ def test_curvature_of_an_order_1_frame_names_its_stage(name, point):
 
 
 def _coordinate_jets(chart, point, order):
-    """The coordinate functions of ``chart`` as jets at ``point``."""
-    return [Jet.variable(float(point[i]), i, chart.dim, order)
+    """The coordinate functions of ``chart`` as jets at ``point``, stacks
+    of one."""
+    return [Jet.variable([float(point[i])], i, chart.dim, order)
             for i in range(chart.dim)]
 
 
@@ -288,7 +289,7 @@ def _frame4(order, dim=4):
         PForm(chart, 1, {(j,): coords[(i + j) % dim] * coords[j] * 0.1
                          + float(mat[i, j]) for j in range(dim)})
         for i in range(dim))
-    return chart, point, Coframe(chart, point, forms)
+    return chart, point, Coframe(chart, _coordinates([point]), forms)
 
 
 def test_cached_volume_reciprocal_equals_a_fresh_reciprocal():
@@ -315,7 +316,7 @@ def test_cached_volume_reciprocal_equals_a_fresh_reciprocal():
 def test_cached_volume_reciprocal_raises_like_top_ratio():
     chart, point, frame = _frame4(3)
     flat = frame.replace(forms=frame.forms[:3] + (
-        zero_form(chart, 1, 3, frame.forms[0].c.shape[2:]),))
+        zero_form(chart, 1, 3, frame.forms[0].c.shape[2]),))
     beta = ext_d(frame.forms[1])
     with pytest.raises(SingularVolumeError) as direct:
         top_ratio(wedge(beta, wedge(flat.forms[2], flat.forms[3])),
@@ -345,7 +346,7 @@ def test_ratio_is_bit_equal_to_top_ratio(dim):
             assert got.c.tobytes() == want.c.tobytes()
         flat = frame.replace(
             forms=frame.forms[:-1] + (
-                zero_form(chart, 1, order, frame.forms[0].c.shape[2:]),))
+                zero_form(chart, 1, order, frame.forms[0].c.shape[2]),))
         with pytest.raises(SingularVolumeError) as direct:
             top_ratio(top, flat.volume())
         with pytest.raises(SingularVolumeError) as cached:

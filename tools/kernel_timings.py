@@ -6,16 +6,24 @@ workloads run.
 
 Each workload of ``perfbench/run.py`` runs once, at its seed-42 argv, with
 ``forms._multiply``, ``jets._product`` and ``jets._step_sum`` wrapped to
-keep the operands of the first many-point call of each shape.  Each kept
-call is then timed on its own operands, three ways: with
-``jets.FLAT_PRODUCT_MAX`` as it is (the path the kernel chooses), with
-every sum binned flat, and with every sum taken by rank groups
-(``jets._rank_sums``, in its chunks of ``FLAT_PRODUCT_MAX`` weights x
-points).  A row gives the kernel, its shape (terms, dim, order, points; a
-series step's order is its degree), its weights (terms x pairs) times
-points, the number of such calls in the command, and the microseconds per
-call of each way, the best of ``REPEAT`` timings of ``NUMBER`` calls.  The
-calls run on one core, in this process.
+keep the operands of the first call of each shape, one point (the Taylor
+steps of ``fourdim.solve_q``) or many.  Each kept call is then timed on its
+own operands, three ways: with ``jets.FLAT_PRODUCT_MAX`` as it is (the path
+the kernel chooses), with every sum binned flat, and with every sum taken
+by rank groups (``jets._rank_sums``, in its chunks of ``FLAT_PRODUCT_MAX``
+weights x points).  A row gives the kernel, its shape (terms, dim, order,
+points; a series step's order is its degree), its weights (terms x pairs)
+times points, the number of such calls in the command, and the
+microseconds per call of each way, the best of ``REPEAT`` timings of
+``NUMBER`` calls.  The calls run on one core, in this process.
+
+Each row's times are referred to the speed of the machine, as
+``perfbench/run.py`` refers its command times: ``perfbench/child.py``'s
+reference loop is timed just before and just after the row, and every time
+is scaled by ``REF_NOMINAL_S`` over the mean of the two.  A slow spell of a
+shared machine, which lasts seconds, slows the loop and the row alike, so
+it drops out of the table; a stall shorter than a row's timings can still
+move that row alone.
 """
 
 from __future__ import annotations
@@ -32,15 +40,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from bicontact import cli, forms, jets  # noqa: E402
-from run import WORKLOADS, cli_args  # noqa: E402
+from child import reference_s  # noqa: E402
+from run import REF_NOMINAL_S, WORKLOADS, cli_args  # noqa: E402
 
 WAYS = {"chosen": None, "flat": float("inf"), "grouped": 0}
 NUMBER, REPEAT = 20, 5
 
 
 def record(argv):
-    """{shape: [calls, kernel, args]} of the many-point products and series
-    steps that ``argv`` runs, with the arguments of the first call of each
+    """{shape: [calls, kernel, args]} of the products and series steps
+    that ``argv`` runs, with the arguments of the first call of each
     shape."""
     shapes = {}
     multiply, product, step_sum = forms._multiply, jets._product, \
@@ -51,26 +60,23 @@ def record(argv):
         entry[0] += 1
 
     def wrapped_multiply(x, y, plan):
-        if x.ndim == 3:
-            terms = len(plan.rx)
-            keep(("forms._multiply", terms,
-                  *dim_order(plan.n, len(plan.gx) // terms), x.shape[2],
-                  len(plan.gx)), multiply, (x, y, plan))
+        terms = len(plan.rx)
+        keep(("forms._multiply", terms,
+              *dim_order(plan.n, len(plan.gx) // terms), x.shape[2],
+              len(plan.gx)), multiply, (x, y, plan))
         return multiply(x, y, plan)
 
     def wrapped_product(a, b, dim, order):
-        if a.ndim == 2:
-            keep(("jets._product", 1, dim, order, a.shape[1],
-                  len(jets._mul_table(dim, order)[0])),
-                 # a series step overwrites its operands afterwards
-                 product, (a.copy(), b.copy(), dim, order))
+        keep(("jets._product", 1, dim, order, a.shape[1],
+              len(jets._mul_table(dim, order)[0])),
+             # a series step overwrites its operands afterwards
+             product, (a.copy(), b.copy(), dim, order))
         return product(a, b, dim, order)
 
     def wrapped_step_sum(x, y, dim, k):
-        if x.ndim == 2:
-            keep(("jets._step_sum", 1, dim, k, x.shape[1],
-                  len(jets._step_table(dim, k)[0])),
-                 step_sum, (x.copy(), y.copy(), dim, k))
+        keep(("jets._step_sum", 1, dim, k, x.shape[1],
+              len(jets._step_table(dim, k)[0])),
+             step_sum, (x.copy(), y.copy(), dim, k))
         return step_sum(x, y, dim, k)
 
     forms._multiply, jets._product, jets._step_sum = \
@@ -94,9 +100,9 @@ def dim_order(n, pairs):
 
 
 def time_call(kernel, args, limit):
-    """Microseconds per call of ``kernel(*args)`` with the path limit
-    ``limit`` in place of ``FLAT_PRODUCT_MAX``, or as it is for None.  The
-    rank sums still take their chunks from the shipped value."""
+    """Seconds per call of ``kernel(*args)`` with the path limit ``limit``
+    in place of ``FLAT_PRODUCT_MAX``, or as it is for None.  The rank sums
+    still take their chunks from the shipped value."""
     saved, rank_sums = jets.FLAT_PRODUCT_MAX, jets._rank_sums
 
     def chunked(*sums):
@@ -113,7 +119,17 @@ def time_call(kernel, args, limit):
                                  repeat=REPEAT))
     finally:
         jets.FLAT_PRODUCT_MAX, jets._rank_sums = saved, rank_sums
-    return round(best / NUMBER * 1e6, 1)
+    return best / NUMBER
+
+
+def time_row(kernel, args) -> dict:
+    """Microseconds per call of each way, referred to the reference loop
+    timed around them."""
+    before = reference_s()
+    seconds = {way: time_call(kernel, args, limit)
+               for way, limit in WAYS.items()}
+    scale = REF_NOMINAL_S / ((before + reference_s()) / 2)
+    return {way: round(s * scale * 1e6, 1) for way, s in seconds.items()}
 
 
 def main(argv=None) -> int:
@@ -123,15 +139,15 @@ def main(argv=None) -> int:
     rows = []
     for workload in WORKLOADS:
         shapes = record(cli_args(workload, 42))
-        print(f"{workload}  (FLAT_PRODUCT_MAX {jets.FLAT_PRODUCT_MAX:,})")
+        print(f"{workload}  (FLAT_PRODUCT_MAX {jets.FLAT_PRODUCT_MAX:,}; "
+              f"us referred to a {REF_NOMINAL_S} s reference loop)")
         print(f"  {'kernel':<16}{'terms':>6}{'dim':>4}{'ord':>4}{'N':>5}"
               f"{'weights x N':>13}{'calls':>6}"
               + "".join(f"{w + ' us':>13}" for w in WAYS))
         for key in sorted(shapes, key=lambda k: (k[0], k[5] * k[4])):
             calls, kernel, call = shapes[key]
             name, terms, dim, order, points, weights = key
-            us = {way: time_call(kernel, call, limit)
-                  for way, limit in WAYS.items()}
+            us = time_row(kernel, call)
             rows.append(dict(workload=workload, kernel=name, terms=terms,
                              dim=dim, order=order, points=points,
                              weights_x_points=weights * points, calls=calls,
@@ -145,7 +161,8 @@ def main(argv=None) -> int:
             f"{w} {t:.2f}" for w, t in total.items()))
     if args.json:
         pathlib.Path(args.json).write_text(json.dumps(
-            {"flat_product_max": jets.FLAT_PRODUCT_MAX, "rows": rows},
+            {"flat_product_max": jets.FLAT_PRODUCT_MAX,
+             "ref_nominal_s": REF_NOMINAL_S, "rows": rows},
             indent=1) + "\n")
     return 0
 

@@ -16,9 +16,9 @@ and 40 (a block and one column, and two blocks, at the 32 columns blocks
 once had; one block each at the 128 of ``forms.STACK_BLOCK``), of 129 (a
 full block and one column), and through a point where a frame cannot be
 built, adapted or checked, alone and in lists of 3, 12, 40 and 136 points.
-A list whose one many-point build fails is built point by point; a block
-whose stacked pass fails runs again as its two halves, into whichever half
-raises, down to the failing point.  The stages that decide over the whole
+A list whose one build fails is built by halves, into whichever half
+raises, down to the failing point; a block whose stacked pass fails runs
+again as its two halves the same way.  The stages that decide over the whole
 region, ``taut`` on both branches, ``check``, ``classify`` and the Cartan
 check of ``example sphere_frame``, run on 33 and 40 points, ``taut`` on two
 40-point lists whose 35th point has |C| = 1 or flips the sign branch and on
