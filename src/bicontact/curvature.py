@@ -95,9 +95,11 @@ class ConnectionMatrix:
         # omega^i_i = 0 by skew symmetry
         pairs = [(i, j) for i in range(dim) for j in range(dim) if j != i]
         x = np.concatenate([self.form(i, j).c[:, :1] for i, j in pairs])
+        # wedge s pairs omega^i_j, row s of x, with the covector omega^j
         wedges = _wedge_rows(
-            x, np.concatenate([frame.forms[j].c[:, :1] for _, j in pairs]),
-            dim, 0, 1, 1, len(pairs)).reshape(dim, dim - 1, -1, *x.shape[1:])
+            x, np.concatenate([f.c[:, :1] for f in frame.forms]), dim, 0, 1, 1,
+            tuple(range(len(pairs))), tuple(j for _, j in pairs))
+        wedges = wedges.reshape(dim, dim - 1, -1, *x.shape[1:])
         worst = 0.0
         for i in range(dim):
             r = frame.d(i, stage="connection residual").c[:, :1]

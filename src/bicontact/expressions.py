@@ -416,12 +416,11 @@ class Tape:
         coordinate for N points, seeding coordinate i with slot i; column k
         of each jet is point k's.
 
-        The N points run as one pass over the tape.  Where some point fails, or
-        the points would branch differently (``jets._MixedBranches``), the
-        pass raises at the first op that fails at any point, which need not
-        be what the first failing point raises on its own;
-        ``CoframeField.blocks`` then builds the list by halves, down to
-        the failing point."""
+        The N points run as one pass over the tape.  Where some point fails,
+        the pass raises at the first op that fails at any point, which need
+        not be what the first failing point raises on its own;
+        ``CoframeField.blocks`` then builds the list by halves, down to the
+        failing point."""
         dim, count = len(coords), len(x[0])
 
         def constant(value):

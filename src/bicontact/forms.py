@@ -18,11 +18,10 @@ Every kernel below runs over the point axis, so a block of frames goes
 through a stage in one pass, and the frame at one point
 (:meth:`CoframeField.at`) is a stack of one.
 :meth:`CoframeField.blocks` builds a sample list as one stacked frame and
-hands it out ``STACK_BLOCK`` columns at a time, or where that build raises,
-builds its first half, then its second, into whichever half raises, down
-to one point.  :func:`by_block` runs a stage once per block, and where a
-block's pass raises, runs its halves the same way, and :func:`block_rows`
-splits a check's table into one row per point.
+hands it out ``STACK_BLOCK`` columns at a time, :func:`by_block` runs a
+stage once per block, and where the build or a pass raises, both go by
+halves down to the failing point, in one bisection (``_halving``).
+:func:`block_rows` splits a check's table into one row per point.
 
 Every structure-equation check in the pipeline reduces to wedge products,
 exterior derivatives, and top-form ratios of these objects.  A coframe keeps
@@ -43,37 +42,32 @@ frame or matrix inverse is formed.
 Sums, differences and float multiples of forms are single array operations
 on ``c``.  The wedge, ``ext_d`` and coefficient kernels take a stack of
 forms of one degree and one truncation order as the rows of one array,
-form after form, and their plans take the count of forms: :func:`wedge`,
-:func:`ext_d`, :func:`two_form_coeffs` and :func:`one_form_coeffs` are
-stacks of one on the form's own array, and :func:`wedge_stack`,
-:func:`ext_d_stack` and :func:`coeffs_stack` group a list of forms by
-degree and order and make one kernel call per group.  So does
-:meth:`Coframe.combine` for the products of the covectors with rows of
+form after form: :func:`wedge`, :func:`ext_d`, :func:`two_form_coeffs` and
+:func:`one_form_coeffs` are stacks of one on the form's own array, and
+:func:`wedge_stack`, :func:`ext_d_stack` and :func:`coeffs_stack` group a
+list of forms by degree and order and make one kernel call per group.  So
+does :meth:`Coframe.combine` for the products of the covectors with rows of
 jets.  These and :meth:`PForm.scaled` by a jet are array kernels that read
-``c`` directly, with gather/scatter plans cached per (dim, order, degrees,
-count): every jet product
-goes through one batched convolution of all its terms from
-``jets._mul_table`` (``_multiply``), every derivative through one gather
-from ``jets._diff_table``, and every other sum through ``jets._sum_into``.
-A convolution bins its pairs with one ``np.bincount`` up to
-``jets.FLAT_PRODUCT_MAX`` weights x points; past that it sums them by rank
-groups (``jets._rank_sums``), gathered in chunks of at most that many
-weights x points, whose indices, every term's pairs packed group by group,
-a plan builds in one broadcast the first time it needs them.  The
-coefficient kernel runs the wedges of beta with all complements of a frame
-as one such product per truncation order, and divides by the frame's
-volume in one more.  Their results are bit-equal to
-the per-term ``Jet`` loops they replaced, which the tests keep as the
-oracle, and each form of a stack to its stack of one: every path adds each
-target's pairs in the loop's order from +0.0,
-and a factor without a derivative part gets ``Jet.__mul__``'s scaling
-path.  This holds for finite, inf and NaN coefficients alike, with one
-exception: which of two NaNs a product or sum keeps (its sign and payload
-bits), since NumPy's own choice depends on array length and position, and
-CPython's float add may keep either NaN depending on how often the line has
-run (``jets._atan2_branch`` adds two NaNs of opposite sign).  Every column
-is bit-equal to the kernel on its stack of one, with the same exception, so
-a block and its halves give the same columns.
+``c`` directly, with plans cached per (dim, order, degrees, forms).  Every
+derivative is one gather from ``jets._diff_table``, summed by
+``jets._sum_into``.  Every product is one ``_Products`` plan of all its
+terms, a ``jets._Plan``, which ``jets._convolve``, the one entry for sums
+of products, sums flat or by rank groups (``_multiply``).  The wedge kernel
+``_wedge_rows`` takes which a-form and which b-form each wedge pairs, and
+the coefficient kernel is that wedge kernel of every beta against every
+complement of the frame, per truncation order, times the frame's cached
+volume reciprocal.  Their results are bit-equal to the per-term ``Jet``
+loops they replaced, which the tests keep as the oracle, and each form of a
+stack to its stack of one: every path adds each target's pairs in the
+loop's order from +0.0, and a factor without a derivative part gets
+``Jet.__mul__``'s scaling path.  This holds for finite, inf and NaN
+coefficients alike, with one exception: which of two NaNs a product or sum
+keeps (its sign and payload bits), since NumPy's own choice depends on
+array length and position, and CPython's float add may keep either NaN
+depending on how often the line has run (``jets._atan2_branch`` adds two
+NaNs of opposite sign).  Every column is bit-equal to the kernel on its
+stack of one, with the same exception, so a block and its halves give the
+same columns.
 """
 
 from __future__ import annotations
@@ -232,18 +226,14 @@ class PForm:
         return f"PForm(degree={self.degree}, values={vals})"
 
 
-class _Products:
+class _Products(jets._Plan):
     """Plan of ``_multiply``: term t multiplies row ``rx[t]`` of x by row
     ``ry[t]`` of y, both of ``n`` coefficients, at truncation ``order`` in
-    ``dim`` variables.  ``gx`` and ``gy`` index the flattened x and y with
-    the pairs of ``jets._mul_table``, term by term, and ``bins`` holds the
-    flat (term, coefficient) target of each pair.  ``ranked()`` gives the
-    same pairs packed by rank group for ``jets._rank_sums``, every term's
-    in each group, built the first time the plan sums by them
-    (``_term_groups``)."""
+    ``dim`` variables, as a ``jets._Plan`` over the flattened rows, with
+    the pairs of ``jets._mul_table`` term by term and one output row per
+    (term, coefficient)."""
 
-    __slots__ = ("dim", "order", "rx", "ry", "gx", "gy", "bins", "n",
-                 "_ranked")
+    __slots__ = ("dim", "order", "rx", "ry", "n")
 
     def __init__(self, dim, order, rx, ry):
         n = jets.ncoeffs(dim, order)
@@ -251,31 +241,24 @@ class _Products:
         self.dim, self.order, self.n = dim, order, n
         self.rx = np.asarray(rx, dtype=np.intp)
         self.ry = np.asarray(ry, dtype=np.intp)
-        self.gx = (self.rx[:, None] * n + I).ravel()
-        self.gy = (self.ry[:, None] * n + J).ravel()
-        self.bins = (np.arange(len(self.rx))[:, None] * n + T).ravel()
-        self._ranked = None
+        terms = np.arange(len(self.rx))[:, None]
+        super().__init__((self.rx[:, None] * n + I).ravel(),
+                         (self.ry[:, None] * n + J).ravel(),
+                         (terms * n + T).ravel(), len(self.rx) * n)
 
-    def ranked(self):
-        """``_term_groups(self)``, built on first call."""
-        if self._ranked is None:
-            self._ranked = _term_groups(self)
-        return self._ranked
-
-
-def _term_groups(plan: _Products):
-    """``jets._rank_groups`` of the plan's pairs for all its terms at once,
-    as ``jets._rank_sums`` takes them, in one broadcast of each index array
-    over the terms: accumulator row r * terms + t holds the target of rank r
-    of term t, so group s, ``terms`` times as long, holds for every term the
-    s-th pair of each target, and its rows are a prefix of the accumulator.
-    ``pos`` takes the rows back to (term, coefficient) order."""
-    pos, I, J, sizes = jets._rank_groups(plan.dim, plan.order)
-    terms = len(plan.rx)
-    return ((pos * terms + np.arange(terms)[:, None]).ravel(),
-            (I[:, None] + plan.rx * plan.n).ravel(),
-            (J[:, None] + plan.ry * plan.n).ravel(),
-            tuple(size * terms for size in sizes))
+    def _build_groups(self):
+        """The rank groups of ``jets._mul_plan`` for all the terms at once,
+        in one broadcast of each index array over the terms: accumulator
+        row r * terms + t holds the target of rank r of term t, so group s,
+        ``terms`` times as long, holds for every term the s-th pair of each
+        target, and its rows are a prefix of the accumulator.  ``pos`` takes
+        the rows back to (term, coefficient) order."""
+        pos, I, J, sizes = jets._mul_plan(self.dim, self.order).groups()
+        terms = len(self.rx)
+        return ((pos * terms + np.arange(terms)[:, None]).ravel(),
+                (I[:, None] + self.rx * self.n).ravel(),
+                (J[:, None] + self.ry * self.n).ravel(),
+                tuple(size * terms for size in sizes))
 
 
 def _flat(a):
@@ -286,25 +269,13 @@ def _flat(a):
 
 def _multiply(x, y, plan: _Products) -> np.ndarray:
     """The products of the rows of x and y that ``plan`` pairs, one row per
-    term, each bit-equal to ``Jet.__mul__`` of the two rows as jets.
-
-    All terms run as one convolution, in which each term sums its pairs in
-    ``_mul_table`` order from +0.0 into its own output row, as one
-    ``Jet.__mul__`` does, at each point.  While its weights (terms x pairs)
-    x points stay at or below ``jets.FLAT_PRODUCT_MAX``, one
-    ``np.bincount`` bins them (``jets._sum_into``); past it, where those
-    bins outgrow the cache, ``jets._rank_sums`` sums them by the rank groups
-    of ``plan.ranked()``.
+    term, each bit-equal to ``Jet.__mul__`` of the two rows as jets: one
+    ``jets._convolve`` of all terms, in which each term sums its pairs in
+    ``_mul_table`` order from +0.0 into its own output row, at each point.
     Where a factor has no derivative part, ``jets._scaling_where_nan``
     takes ``Jet.__mul__``'s scaling path instead."""
-    n, terms = plan.n, len(plan.rx)
-    if len(plan.gx) * x.shape[2] > jets.FLAT_PRODUCT_MAX:
-        out = jets._rank_sums(_flat(x), _flat(y), *plan.ranked())
-        out = out.reshape(terms, n, x.shape[2])
-    else:
-        w = _flat(x)[plan.gx]
-        w *= _flat(y)[plan.gy]
-        out = jets._sum_into(plan.bins, w, (terms, n))
+    out = jets._convolve(_flat(x), _flat(y), plan)
+    out = out.reshape(len(plan.rx), plan.n, x.shape[2])
     return jets._scaling_where_nan(out, lambda: (x[plan.rx], y[plan.ry]), 1)
 
 
@@ -343,12 +314,10 @@ def _wedge_terms(dim, p, q):
             np.array(ro, dtype=np.intp), np.array(sign))
 
 
-def _tiled(index, count, step):
-    """``index`` once for each of ``count`` stacked items, item s's copy
-    shifted by s * step."""
-    if count == 1:
-        return index
-    return (index + step * np.arange(count)[:, None]).ravel()
+def _tiled(index, items, step):
+    """``index`` once for each of the stacked ``items``, in order, the copy
+    for item i shifted by i * step."""
+    return (index + step * np.array(items)[:, None]).ravel()
 
 
 def _scatter(rows, n):
@@ -357,29 +326,31 @@ def _scatter(rows, n):
 
 
 @lru_cache(maxsize=None)
-def _wedge_plan(dim, order, p, q, count):
-    """Plan of ``_wedge_rows`` for ``count`` pairs of a p-form and a q-form at
-    truncation order ``order``: the products of their terms, pair by pair,
-    their signs shaped to scale each term's (coefficient, point) rows, and
-    the flat (output row, coefficient) target of every term coefficient.
-    Pair s takes the rows of its forms, and of its wedge, from s times the
-    keys of their degrees on."""
+def _wedge_plan(dim, order, p, q, a, b):
+    """Plan of ``_wedge_rows`` for the wedges of p-forms with q-forms at
+    truncation order ``order``, wedge s of the p-form ``a[s]`` and the
+    q-form ``b[s]``: the products of their terms, wedge by wedge, their
+    signs shaped to scale each term's (coefficient, point) rows, and the
+    flat (output row, coefficient) target of every term coefficient.  Form
+    f takes its rows from f times the keys of its degree on, and so does
+    wedge s."""
     ra, rb, ro, sign = _wedge_terms(dim, p, q)
-    return (_Products(dim, order, _tiled(ra, count, len(_keys(dim, p))),
-                      _tiled(rb, count, len(_keys(dim, q)))),
-            _tiled(sign, count, 0)[:, None, None],
-            _scatter(_tiled(ro, count, len(_keys(dim, p + q))),
+    wedges = range(len(a))
+    return (_Products(dim, order, _tiled(ra, a, len(_keys(dim, p))),
+                      _tiled(rb, b, len(_keys(dim, q)))),
+            _tiled(sign, wedges, 0)[:, None, None],
+            _scatter(_tiled(ro, wedges, len(_keys(dim, p + q))),
                      jets.ncoeffs(dim, order)))
 
 
-def _wedge_rows(x, y, dim, order, p, q, count):
-    """The rows of ``count`` wedges a_s ^ b_s at truncation order ``order``,
-    wedge by wedge, where x holds the rows of the p-forms a_s and y those of
-    the q-forms b_s, form by form, truncated to that order."""
-    products, sign, out_bins = _wedge_plan(dim, order, p, q, count)
+def _wedge_rows(x, y, dim, order, p, q, a, b):
+    """The rows of the wedges a_s ^ b_s at truncation order ``order``,
+    wedge by wedge, of the p-forms ``a`` and the q-forms ``b`` that x and
+    y hold form by form, truncated to that order (``_wedge_plan``)."""
+    products, sign, out_bins = _wedge_plan(dim, order, p, q, a, b)
     prod = _multiply(x, y, products)
     return jets._sum_into(out_bins, _flat(prod * sign),
-                          (count * len(_keys(dim, p + q)),
+                          (len(a) * len(_keys(dim, p + q)),
                            jets.ncoeffs(dim, order)))
 
 
@@ -401,7 +372,7 @@ def wedge(a: PForm, b: PForm) -> PForm:
     dim = a.chart.dim
     n = jets.ncoeffs(dim, order)
     return PForm._of(a.chart, a.degree + b.degree, order, _wedge_rows(
-        a.c[:, :n], b.c[:, :n], dim, order, a.degree, b.degree, 1))
+        a.c[:, :n], b.c[:, :n], dim, order, a.degree, b.degree, (0,), (0,)))
 
 
 def wedge_stack(pairs) -> list:
@@ -411,9 +382,10 @@ def wedge_stack(pairs) -> list:
         _, p, q, order = key
         chart = members[0][0].chart
         n = jets.ncoeffs(chart.dim, order)
+        each = tuple(range(len(members)))
         rows = _wedge_rows(np.concatenate([a.c[:, :n] for a, _ in members]),
                            np.concatenate([b.c[:, :n] for _, b in members]),
-                           chart.dim, order, p, q, len(members))
+                           chart.dim, order, p, q, each, each)
         return _split_rows(chart, p + q, order, rows, len(members))
 
     return _stacked(pairs, lambda ab: (ab[0].chart.coords, ab[0].degree,
@@ -467,9 +439,10 @@ def _ext_d_plan(dim, order, degree, count):
             src.append(r * n_hi + s)
             fac.append(f * (-1.0 if pos % 2 else 1.0))
             dst.append(slot[tuple(sorted(key + (axis,)))] * n_lo + d)
-    return (_tiled(np.concatenate(src), count, len(_keys(dim, degree)) * n_hi),
-            _tiled(np.concatenate(fac), count, 0)[:, None],
-            _tiled(np.concatenate(dst), count, len(slot) * n_lo))
+    each = range(count)
+    return (_tiled(np.concatenate(src), each, len(_keys(dim, degree)) * n_hi),
+            _tiled(np.concatenate(fac), each, 0)[:, None],
+            _tiled(np.concatenate(dst), each, len(slot) * n_lo))
 
 
 def _ext_d_rows(c, dim, order, degree, count):
@@ -713,10 +686,8 @@ class Coframe:
 # 33.6 (BENCH_31.json)
 STACK_BLOCK = 128
 # what a many-point build or pass may raise where some point fails; the
-# build and the pass then go by halves (``CoframeField.blocks``,
-# ``by_block``)
-_POINT_ERRORS = (BicontactError, ArithmeticError, ValueError,
-                 jets._MixedBranches)
+# build and the pass then go by halves (``_halving``)
+_POINT_ERRORS = (BicontactError, ArithmeticError, ValueError)
 
 
 class CoframeField:
@@ -738,26 +709,18 @@ class CoframeField:
         """An iterator over the frames at ``points`` in sample order, built
         as one stacked frame at the first step and handed out as slices of
         ``STACK_BLOCK`` columns, the last one shorter.  Where that build
-        raises on two points or more, its first half is built, then its
-        second, each the same way, so a part that raises is halved again
-        down to one point, which raises as it is: a caller that runs a stage
-        on each block meets the first failing point's error, after about
-        2 log2(N) builds, before a later frame is built."""
-        return self._blocks([tuple(float(x) for x in p) for p in points],
-                            int(order))
+        raises, the list is built by halves (``_halving``): a caller that
+        runs a stage on each block meets the first failing point's error,
+        after about 2 log2(N) builds, before a later frame is built."""
+        def sliced(part):
+            frame = self._builder(_coordinates(part), order)
+            return (_columns(frame, start, start + STACK_BLOCK)
+                    for start in range(0, len(part), STACK_BLOCK))
 
-    def _blocks(self, points, order):
-        # the generator of ``blocks``, which stays a plain call: a profiler
-        # counts every step of a generator as one more call
-        try:
-            frame = self._builder(_coordinates(points), order)
-        except _POINT_ERRORS if len(points) > 1 else ():
-            half = len(points) // 2
-            yield from self._blocks(points[:half], order)
-            yield from self._blocks(points[half:], order)
-            return
-        for start in range(0, len(points), STACK_BLOCK):
-            yield _columns(frame, start, start + STACK_BLOCK)
+        order = int(order)
+        points = [tuple(float(x) for x in p) for p in points]
+        return _halving(points, len(points), sliced,
+                        lambda part, lo, hi: part[lo:hi])
 
 
 def _coordinates(points) -> tuple:
@@ -782,25 +745,29 @@ def _columns(frame, start, stop) -> Coframe:
 def by_block(blocks, stage):
     """An iterator over (frame, ``stage(frame)``) for the stacked frames
     ``blocks``, in order, each stage run once per block.  Where a block's
-    pass raises, its first half runs, then its second, each the same way,
-    so a part that raises is halved again down to a stack of one, which
-    raises as it is.  The first failing point thus raises its own type and
-    text after about 2 log2(N) passes over a block of N columns, every
-    column before it yielded in order, in parts; a block that raises only
-    as a whole yields every column."""
-    return (out for block in blocks for out in _halving(block, stage))
+    pass raises, it runs by halves (``_halving``), so the first failing
+    point raises its own type and text after about 2 log2(N) passes over a
+    block of N columns, every column before it yielded in order, in parts;
+    a block that raises only as a whole yields every column."""
+    return (out for block in blocks
+            for out in _halving(block, len(block.point[0]),
+                                lambda part: [(part, stage(part))], _columns))
 
 
-def _halving(block, stage):
+def _halving(whole, n, run, part):
+    """The items of ``run(whole)``, for ``whole`` of ``n`` points, or where
+    that raises one of ``_POINT_ERRORS`` on two points or more, those of its
+    first half, ``part(whole, 0, n // 2)``, then of its second, each the
+    same way, down to one point, which raises as it is.  A half runs only
+    once the items before it are taken."""
     try:
-        results = [(block, stage(block))]
-    except _POINT_ERRORS:
-        n = len(block.point[0])
-        if n == 1:
-            raise
-        results = (out for start, stop in ((0, n // 2), (n // 2, n))
-                   for out in _halving(_columns(block, start, stop), stage))
-    yield from results
+        items = run(whole)
+    except _POINT_ERRORS if n > 1 else ():
+        half = n // 2
+        yield from _halving(part(whole, 0, half), half, run, part)
+        yield from _halving(part(whole, half, n), n - half, run, part)
+        return
+    yield from items
 
 
 def block_rows(points, blocks, body):
@@ -872,18 +839,17 @@ def _coeff_rows(c, frame: Coframe, p: int, order: int, count: int) -> list:
     keys, for each of ``count`` p-forms beta of truncation order ``order``
     whose rows c holds form by form.  Each coefficient is bit-equal to
     ``frame.ratio(wedge(beta, rest)) * sign`` over ``frame._complements``:
-    per truncation order of beta ^ rest, the terms of every such wedge of
-    every beta run as one batched product, and their top coefficients as
-    one more against the frame's cached volume reciprocal."""
+    per truncation order of beta ^ rest, one ``_wedge_rows`` call takes the
+    wedges of every beta with every complement, and one more product takes
+    their top coefficients against the frame's cached volume reciprocal."""
     dim = frame.dim
     out = [{} for _ in range(count)]
     for low, keys, rests, signs in frame._complement_rows(p, order):
         n = jets.ncoeffs(dim, low)
         rows = count * len(keys)
-        products, term_sign, bins = _coeffs_plan(dim, p, low, len(keys),
-                                                 count)
-        prod = _multiply(c[:, :n], rests, products)
-        top = jets._sum_into(bins, _flat(prod * term_sign), (rows, n))
+        top = _wedge_rows(c[:, :n], rests, dim, low, p, dim - p,
+                          tuple(f for f in range(count) for _ in keys),
+                          tuple(range(len(keys))) * count)
         recip = frame._volume_reciprocal(low)
         m = jets.ncoeffs(dim, recip.order)
         coeffs = _multiply(top[:, :m], recip.c[None],
@@ -894,24 +860,6 @@ def _coeff_rows(c, frame: Coframe, p: int, order: int, count: int) -> list:
             table.update((key, Jet._of(dim, recip.order, row))
                          for key, row in zip(keys, beta_rows))
     return [{key: table[key] for key in _keys(dim, p)} for table in out]
-
-
-@lru_cache(maxsize=None)
-def _coeffs_plan(dim, p, order, keys, count):
-    """Plan of ``_coeff_rows`` for ``count`` p-forms against ``keys``
-    complements of degree-p keys at truncation order ``order``: the terms of
-    beta ^ rest for each form, then each complement, in turn, with the rests'
-    rows stacked complement by complement, their signs shaped to scale each
-    term's (coefficient, point) rows, and the flat (form and complement,
-    coefficient) target of every term coefficient."""
-    ra, rb, _, sign = _wedge_terms(dim, p, dim - p)
-    rests = _tiled(rb, keys, len(_keys(dim, dim - p)))
-    return (_Products(dim, order,
-                      _tiled(_tiled(ra, keys, 0), count, len(_keys(dim, p))),
-                      _tiled(rests, count, 0)),
-            _tiled(sign, count * keys, 0)[:, None, None],
-            _scatter(np.repeat(np.arange(count * keys), len(ra)),
-                     jets.ncoeffs(dim, order)))
 
 
 def _coeffs_check(beta: PForm, frame: Coframe, p: int):

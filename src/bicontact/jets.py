@@ -20,30 +20,29 @@ The elementary functions run degree recursions (Griewank & Walther,
 *Evaluating Derivatives*, ch. 13): the Euler operator E = sum_i x_i d/dx_i
 turns g = exp f into E g = g E f, whose degree-k part gives g's degree-k
 coefficients from f's and g's lower ones.  Each step ``_series`` takes is
-one gather, multiply and sum over the pairs of ``_step_table(dim, k)``, and
-only the value at the base point comes from ``math``, once per point, with
-the domain and range guards.  sin and cos, and sinh and cosh, run as pairs,
-one sum per step for both.
+one sum over the pairs of ``_step_plan(dim, k)``, and only the value at the
+base point comes from ``math``, once per point, with the domain and range
+guards.  sin and cos, and sinh and cosh, run as pairs, one sum per step for
+both.
 
-Products and series steps run as one kernel over all columns (``_product``,
-``_step_sum``), and each domain check looks at every point's value.  Every
-column is bit-equal to the same jet computed as a stack of one.  ``atan2``
-runs each of its two branches on the columns that take it.  Where the
-points of ``power`` would take different branches, it raises
-``_MixedBranches`` and the caller runs the points by halves.
-
-Every sum goes through ``_sum_into``, one ``np.bincount`` over (target,
-point) bins, shared with ``forms``, except a product or series step past
-``FLAT_PRODUCT_MAX`` weights x points, whose bins outgrow the cache:
-``_rank_sums`` sums it by the rank groups of ``_grouped``, whose
-pairs follow each other group by group.  It gathers and multiplies them in
-chunks of at most ``FLAT_PRODUCT_MAX`` weights x points (``_chunks``), and
-adds each group's rows of a chunk with one in-place slice add.  That is the
-one grouped loop; a jet product and a series step are its one-term cases,
-and ``forms._multiply`` runs it on all the terms of a plan at once.
+Every product in the package is a ``_Plan``: pair indices I and J into the
+rows of two operands, and the output row T of each pair.  A jet product is
+``_mul_plan(dim, order)``, a series step ``_step_plan(dim, k)``, and
+``forms`` builds its wedges, scalings and frame coefficients as plans of
+many terms.  ``_convolve`` is the one entry that sums a plan, over all
+columns at once, and the one place that picks the path: up to
+``FLAT_PRODUCT_MAX`` weights x points, ``_sum_into`` bins the products
+with one ``np.bincount`` over (target, point) bins; past it, where those
+bins outgrow the cache, ``_rank_sums`` sums them by the plan's rank groups,
+built on first use, in chunks of at most ``FLAT_PRODUCT_MAX`` weights x
+points (``_chunks``), each group adding its rows of a chunk with one slice
+add.  Both paths add each target's pairs in order from +0.0, so every
+column is bit-equal to the same jet computed as a stack of one, and each
+domain check looks at every point's value.  ``atan2`` and ``power`` run
+each branch on the columns that take it (``_by_branch``).
 
 The product tables are built once per (dim, order), and a series step's
-table once per (dim, degree) from them, by NumPy array operations, not
+plan once per (dim, degree) from them, by NumPy array operations, not
 loops over index pairs: ``_mul_table`` takes the pairs of monomials from
 ``np.nonzero`` of the degree-sum mask (i outer, j inner) and finds each
 product's rank through a mixed-radix code of its exponents; ``_grouped``
@@ -118,12 +117,6 @@ def _mul_table(dim: int, order: int):
     return I, J, rank[code[I] + code[J]]
 
 
-@lru_cache(maxsize=None)
-def _rank_groups(dim: int, order: int) -> tuple:
-    """The pairs of ``_mul_table`` grouped by ``_grouped``."""
-    return _grouped(*_mul_table(dim, order))
-
-
 def _grouped(I, J, T) -> tuple:
     """Pairs (I, J) of targets T grouped by their rank within their
     target, for sums over many points: ``(pos, I, J, sizes)``, the pairs
@@ -142,6 +135,34 @@ def _grouped(I, J, T) -> tuple:
                        - np.repeat(np.cumsum(counts) - counts, counts))
     grouped = np.lexsort((pos[T], rank))
     return pos, I[grouped], J[grouped], tuple(np.bincount(rank).tolist())
+
+
+class _Plan:
+    """A batch of products, as ``_convolve`` sums it: output row ``T[m]``
+    of ``rows`` gets ``x[I[m]] * y[J[m]]``, each row adding its pairs in
+    order.  ``groups()`` gives the same pairs by rank groups, as
+    ``_rank_sums`` takes them, built the first time a sum needs them, by
+    ``_build_groups``: here ``_grouped`` of the pairs."""
+
+    __slots__ = ("I", "J", "T", "rows", "_groups")
+
+    def __init__(self, I, J, T, rows):
+        self.I, self.J, self.T, self.rows = I, J, T, rows
+        self._groups = None
+
+    def groups(self) -> tuple:
+        if self._groups is None:
+            self._groups = self._build_groups()
+        return self._groups
+
+    def _build_groups(self) -> tuple:
+        return _grouped(self.I, self.J, self.T)
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(dim: int, order: int) -> _Plan:
+    """The product of two jets of one order: the pairs of ``_mul_table``."""
+    return _Plan(*_mul_table(dim, order), ncoeffs(dim, order))
 
 
 def _scaling_where_nan(out, factors, axis):
@@ -166,9 +187,9 @@ def _scaling_where_nan(out, factors, axis):
                     a * b[first] + 0.0)
 
 
-# weights x points up to which a product bins its pairs flat, its
-# weights being its pairs (jets._product, and each series step in
-# jets._step_sum) or its terms times their pairs (forms._multiply); past it
+# weights x points up to which _convolve bins a plan's pairs flat, its
+# weights being its pairs (a jet product or series step) or its terms times
+# their pairs (a plan of forms); past it
 # the bins outgrow the cache and _rank_sums sums by rank groups, in chunks of
 # at most this many weights x points.  On a 2-core Xeon (best of 7, 8 to 200
 # points), before the chunks, jet products summed faster grouped from
@@ -199,27 +220,33 @@ def _sum_into(bins, weights, shape):
     return out.reshape(shape + (count,))
 
 
+def _convolve(x, y, plan: _Plan) -> np.ndarray:
+    """The sums of ``plan`` over rows ``x`` and ``y`` with a point axis, an
+    (rows, N) array, each row adding its pairs in the plan's order from
+    +0.0, so every column is bit-equal to the sums of its stack of one.
+    This is the one place a sum picks its path: up to ``FLAT_PRODUCT_MAX``
+    weights (pairs) x points, ``_sum_into`` bins the products flat; past
+    it, where those bins outgrow the cache, ``_rank_sums`` sums them by the
+    plan's rank groups."""
+    if len(plan.T) * x.shape[1] <= FLAT_PRODUCT_MAX:
+        # the take method gathers rows faster than x[I] and np.take
+        w = x.take(plan.I, 0)
+        w *= y.take(plan.J, 0)
+        return _sum_into(plan.T, w, (plan.rows,))
+    return _rank_sums(x, y, *plan.groups())
+
+
 def _product(a: np.ndarray, b: np.ndarray, dim: int, order: int):
     """The product of two (ncoeffs, N) coefficient arrays of one order, as
-    ``Jet.__mul__`` takes it.
-
-    A factor without a derivative part only scales the other.  Otherwise
-    ``_sum_into`` bins the pairs of ``_mul_table``, or ``_rank_sums`` sums
-    them by ``_rank_groups`` above ``FLAT_PRODUCT_MAX``, each target in
-    ``_mul_table`` order from +0.0, so every column is bit-equal to the
-    product of its stack of one; columns with a constant factor take
-    ``_scaling_where_nan``."""
+    ``Jet.__mul__`` takes it: a factor without a derivative part only
+    scales the other; otherwise ``_convolve`` of ``_mul_plan``, where
+    columns with a constant factor take ``_scaling_where_nan``."""
     # count_nonzero is several times cheaper than .any() on these sizes
     if not np.count_nonzero(b[1:]):
         return a * b[0] + 0.0
     if not np.count_nonzero(a[1:]) and b[1:].any(axis=0).all():
         return b * a[0] + 0.0
-    I, J, T = _mul_table(dim, order)
-    # the take method gathers rows faster than a[I] and np.take
-    if len(T) * a.shape[1] <= FLAT_PRODUCT_MAX:
-        out = _sum_into(T, a.take(I, 0) * b.take(J, 0), (len(a),))
-    else:
-        out = _rank_sums(a, b, *_rank_groups(dim, order))
+    out = _convolve(a, b, _mul_plan(dim, order))
     return _scaling_where_nan(out, lambda: (a, b), 0)
 
 
@@ -287,10 +314,6 @@ def _diff_table(dim: int, order: int, axis: int):
 
 # ---------------------------------------------------------------------------
 # the jet itself
-
-class _MixedBranches(Exception):
-    """The points of a jet would take different branches."""
-
 
 def _num(x):
     """A float operand, or one value per point as an array."""
@@ -485,35 +508,21 @@ def _by_degree(f: Jet, a: float, b: float, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _step_table(dim: int, k: int):
-    """(I, J, T) of the pairs of ``_mul_table(dim, k)`` whose target has
-    degree k and whose first monomial has degree >= 1, T counted from the
-    first monomial of degree k.  Ranks are a prefix at every order, so the
-    table serves every order >= k."""
+def _step_plan(dim: int, k: int) -> _Plan:
+    """The pairs of ``_mul_table(dim, k)`` whose target has degree k and
+    whose first monomial has degree >= 1, one row per monomial of degree k,
+    counted from the first.  Ranks are a prefix at every order, so the plan
+    serves every order >= k."""
     I, J, T = _mul_table(dim, k)
     low = ncoeffs(dim, k - 1)
     keep = (T >= low) & (I > 0)
-    return I[keep], J[keep], T[keep] - low
-
-
-@lru_cache(maxsize=None)
-def _step_groups(dim: int, k: int) -> tuple:
-    """``_step_table(dim, k)`` by rank groups, built the first time a step
-    sums grouped."""
-    return _grouped(*_step_table(dim, k))
+    return _Plan(I[keep], J[keep], T[keep] - low, ncoeffs(dim, k) - low)
 
 
 def _step_sum(x, y, dim: int, k: int):
-    """sum x[i] * y[j] over the pairs of ``_step_table(dim, k)``, one row
-    per monomial of degree k.  Like ``_product``, it bins the pairs by
-    ``_sum_into``, or sums them by rank groups past ``FLAT_PRODUCT_MAX``,
-    each target adding its pairs in order from +0.0, so each column is
-    bit-equal to the sum of its stack of one."""
-    I, J, T = _step_table(dim, k)
-    shape = (ncoeffs(dim, k) - ncoeffs(dim, k - 1),)
-    if len(T) * x.shape[1] <= FLAT_PRODUCT_MAX:
-        return _sum_into(T, x.take(I, 0) * y.take(J, 0), shape)
-    return _rank_sums(x, y, *_step_groups(dim, k))
+    """sum x[i] * y[j] over the pairs of ``_step_plan(dim, k)``, one row
+    per monomial of degree k, by ``_convolve``."""
+    return _convolve(x, y, _step_plan(dim, k))
 
 
 def _series(f: Jet, starts: list, step) -> list:
@@ -636,17 +645,16 @@ def powf(f: Jet, p: float) -> Jet:
 
 
 def power(f: Jet, g) -> Jet:
-    """General power.  Constant exponents take the direct series; a genuinely
-    varying exponent goes through exp(g*ln f)."""
-    if isinstance(g, Jet):
-        live = np.any(g.c[1:] != 0.0, axis=0)
-        if live.all():
-            return exp(g * ln(f))
-        exponents = set(_values(g))
-        if live.any() or len(exponents) > 1:
-            raise _MixedBranches("power")
-        g = exponents.pop()
-    return powf(f, float(g))
+    """General power.  A column whose exponent has a derivative part goes
+    through exp(g*ln f); the columns of each constant exponent e take
+    ``powf(f, e)``, at f's own order."""
+    if not isinstance(g, Jet):
+        return powf(f, float(g))
+    live = np.any(g.c[1:] != 0.0, axis=0).tolist()
+    return _by_branch(
+        [None if x else e for x, e in zip(live, _values(g))],
+        lambda e, cols: powf(_columns(f, cols), e) if e is not None
+        else exp(_columns(g, cols) * ln(_columns(f, cols))))
 
 
 def sqrt(f: Jet) -> Jet:
@@ -742,8 +750,7 @@ def atan2(y, x) -> Jet:
 
     The larger-magnitude coordinate is used as the divisor, so the result is
     smooth across both axes; the branch constant only shifts the value part.
-    Each branch runs on its own columns, which are then put back in order,
-    so every column is bit-equal to its stack of one.
+    Each branch runs on its own columns (``_by_branch``).
     """
     if not isinstance(y, Jet):
         y = _as_jet(y, x)
@@ -751,23 +758,16 @@ def atan2(y, x) -> Jet:
     points = list(zip(_values(y), _values(x)))
     if any(y0 == 0.0 and x0 == 0.0 for y0, x0 in points):
         raise DomainError("atan2", 0.0)
-    wide = [abs(x0) >= abs(y0) for y0, x0 in points]
-    if all(wide) or not any(wide):
-        return _atan2_branch(y, x, points, wide[0])
-    out = np.empty(y.c.shape)
-    for branch in (True, False):
-        cols = [k for k, w in enumerate(wide) if w == branch]
-        part = _atan2_branch(Jet._of(y.dim, y.order, y.c[:, cols]),
-                             Jet._of(x.dim, x.order, x.c[:, cols]),
-                             [points[k] for k in cols], branch)
-        out[:, cols] = part.c
-    return Jet._of(y.dim, y.order, out)
+    return _by_branch([abs(x0) >= abs(y0) for y0, x0 in points],
+                      lambda wide, cols: _atan2_branch(
+                          _columns(y, cols), _columns(x, cols), wide))
 
 
-def _atan2_branch(y, x, points, wide) -> Jet:
+def _atan2_branch(y, x, wide) -> Jet:
     """``atan2`` at points that all take one branch: atan(y/x) plus the
     branch constant where |x| >= |y| (``wide``), else the constant minus
     atan(x/y)."""
+    points = list(zip(_values(y), _values(x)))
     if wide:
         t = atan(y / x)
         return t + np.array([math.atan2(y0, x0) - math.atan(y0 / x0)
@@ -775,3 +775,29 @@ def _atan2_branch(y, x, points, wide) -> Jet:
     t = atan(x / y)
     return np.array([math.atan2(y0, x0) + math.atan(x0 / y0)
                      for y0, x0 in points]) - t
+
+
+def _columns(f: Jet, cols) -> Jet:
+    """The jet of f's columns ``cols``."""
+    return Jet._of(f.dim, f.order, f.c[:, cols])
+
+
+def _by_branch(branches, run) -> Jet:
+    """The jet whose columns take the branches ``branches``, one per
+    column: ``run(branch, cols)`` gives the jet at the columns ``cols`` that
+    take ``branch``, a list, or ``slice(None)`` where every column takes
+    it.  The parts are put back in column order, at the lowest order among
+    them, so every column is bit-equal to its stack of one, up to that
+    truncation."""
+    parts = {}
+    for k, branch in enumerate(branches):
+        parts.setdefault(branch, []).append(k)
+    if len(parts) == 1:
+        return run(branches[0], slice(None))
+    parts = [(cols, run(branch, cols)) for branch, cols in parts.items()]
+    dim = parts[0][1].dim
+    order = min(part.order for _, part in parts)
+    out = np.empty((ncoeffs(dim, order), len(branches)))
+    for cols, part in parts:
+        out[:, cols] = part.c[:len(out)]
+    return Jet._of(dim, order, out)

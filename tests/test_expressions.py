@@ -267,13 +267,12 @@ def _columns(roots, count):
 def test_tape_matches_the_recursive_evaluator(roots, points, order):
     """Each root's coefficients at each point are bit-equal to the recursive
     evaluation there, whether the tape runs at that point alone or at all
-    the points at once, unless the points would branch differently there;
-    where the recursive evaluation raises, the run at that point alone, a
-    stack of one, raises the
-    same type with the same text.  A run over all the points raises where
-    any point fails, and the frames of a field over the same roots, from
-    its stacked blocks, equal the recursive evaluation, or raise what the
-    first failing point raises."""
+    the points at once, where each point takes its own branch; where the
+    recursive evaluation raises, the run at that point alone, a stack of
+    one, raises the same type with the same text.  A run over all the
+    points raises where any point fails, and the frames of a field over the
+    same roots, from its stacked blocks, equal the recursive evaluation, or
+    raise what the first failing point raises."""
     coords, params = ("x", "y"), {"a": -0.25}
     tape = ex.Tape(roots)
     fld = coframe_field_from_expressions(Chart(coords),
@@ -296,7 +295,7 @@ def test_tape_matches_the_recursive_evaluator(roots, points, order):
     assert frames == (failed[0] if failed else want)
     if failed:
         assert isinstance(together, tuple)
-    elif together != (jets._MixedBranches, "power"):
+    else:
         assert together == want
 
 

@@ -730,7 +730,7 @@ def _product_paths(monkeypatch, count):
         before = len(ranked)
         out = multiply(x, y, plan)
         if x.shape[2] == count:
-            paths.append((len(plan.gx) * count, len(ranked) > before))
+            paths.append((len(plan.T) * count, len(ranked) > before))
         return out
 
     monkeypatch.setattr(forms, "_multiply", spy)
@@ -919,10 +919,15 @@ def _structure_fields():
     nf = normal_form_4d(solve_q(QOde("tan(z)", -1), (-1.2, 1.2)),
                         h=(("1", "0"), ("x^2/2", "1")))
     e4, n3 = build_example("fourd_enonzero"), build_example("normal_form_3d")
+    # the exponent x*y of z^(x*y) has no derivative part at x = y = 0, so
+    # the two points take different power branches
+    power = coframe_field_from_expressions(
+        CH3, [{"dx": "1"}, {"dy": "1"}, {"dz": "z^(x*y)"}])
     return [(nf, box_points(BOX4, 7, seed=6), 3),
             (nf, box_points(BOX4, 5, seed=7), 6),
             (e4.coframes(), box_points(e4.box, 7, seed=8), 2),
-            (n3.coframes(), box_points(n3.box, 5, seed=9), 6)]
+            (n3.coframes(), box_points(n3.box, 5, seed=9), 6),
+            (power, [(0.0, 0.0, 0.5), (0.3, 0.5, 0.5)], 1)]
 
 
 def _columns(table) -> list:
@@ -933,9 +938,9 @@ def _columns(table) -> list:
             for k in range(next(iter(table.values())).c.shape[1])]
 
 
-@pytest.mark.parametrize("index", range(4), ids=[
+@pytest.mark.parametrize("index", range(5), ids=[
     "normal_form_4d order 3", "normal_form_4d order 6",
-    "fourd_enonzero order 2", "normal_form_3d order 6"])
+    "fourd_enonzero order 2", "normal_form_3d order 6", "z^(x*y) order 1"])
 def test_structure_tables_of_a_block_equal_each_frames_own(index):
     fld, pts, order = _structure_fields()[index]
     (stacked,) = fld.blocks(pts, order)

@@ -414,9 +414,9 @@ def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
     result; no exact zero is -0.0."""
     fn, oracle = _ELEMENTARY[name], _ORACLE[name]
     rng = np.random.default_rng(sorted(_ELEMENTARY).index(name))
-    grouped, step_groups = [], jets._step_groups
-    monkeypatch.setattr(jets, "_step_groups",
-                        lambda *key: grouped.append(key) or step_groups(*key))
+    grouped, groups = [], jets._Plan.groups
+    monkeypatch.setattr(jets._Plan, "groups",
+                        lambda plan: grouped.append(plan) or groups(plan))
     for dim in (1, 3, 4):
         for order in range(8):
             fs = _random_jets(rng, dim, order, max(_COLUMNS))
@@ -428,12 +428,6 @@ def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
                     1e-13 * np.abs(want).max(), (dim, order)
             assert all(_no_negative_zero(g.c) for g in got), (dim, order)
             for count in _COLUMNS:
-                if name == "power" and order == 0:
-                    # exponents without a derivative part that differ
-                    # between points: the caller runs the points by halves
-                    with pytest.raises(jets._MixedBranches):
-                        fn(_many(fs[:count]))
-                    continue
                 many = fn(_many(fs[:count]))
                 assert [many.c[:, p].tobytes() for p in range(count)] == \
                     [g.c.tobytes() for g in got[:count]], (dim, order, count)
@@ -445,7 +439,8 @@ def test_graded_horner_is_bitwise_full_order_horner(name, monkeypatch):
                         for g in got[:_POINTS]] == \
                     [w.c.tobytes() for w in lower], (dim, order)
     # both step kernels ran: the flat bins and the rank groups
-    assert grouped and (4, 7) in grouped and (3, 7) in grouped
+    assert any(plan is jets._step_plan(4, 7) for plan in grouped)
+    assert any(plan is jets._step_plan(3, 7) for plan in grouped)
 
 
 @pytest.mark.parametrize("name", sorted(_ELEMENTARY))
@@ -547,8 +542,8 @@ _PRODUCT_SIZES = [(3, 3, 5), (3, 6, 2), (3, 6, 12), (3, 6, 60), (4, 2, 18),
 
 
 def _ranked(dim, order, count):
-    """Whether a product over ``count`` points sums through
-    ``jets._rank_groups`` rather than the flat bins."""
+    """Whether a product over ``count`` points sums by rank groups rather
+    than by the flat bins."""
     pairs = len(jets._mul_table(dim, order)[0])
     return pairs * count > jets.FLAT_PRODUCT_MAX
 
@@ -563,7 +558,7 @@ def test_chunks_add_each_group_once_within_the_step(step):
     pairs; each group adds each of its rows once, in order, and a group of
     at most ``step`` pairs in one slice add."""
     for dim, order in ((1, 5), (3, 6), (4, 3)):
-        *_, sizes = jets._rank_groups(dim, order)
+        *_, sizes = jets._mul_plan(dim, order).groups()
         chunks = jets._chunks(sizes, step)
         pairs = [chunk for chunk, _ in chunks]
         assert [p.start for p in pairs] == [0] + [p.stop for p in pairs[:-1]]
@@ -598,7 +593,7 @@ def test_rank_sums_are_the_flat_bins_at_every_chunk_size(monkeypatch, limit):
     with np.errstate(invalid="ignore"):
         want = jets._sum_into(T, x[I] * y[J], (n,))
         monkeypatch.setattr(jets, "FLAT_PRODUCT_MAX", limit)
-        got = jets._rank_sums(x, y, *jets._rank_groups(dim, order))
+        got = jets._rank_sums(x, y, *jets._mul_plan(dim, order).groups())
     got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
     assert np.isinf(want).any()
     assert got.tobytes() == want.tobytes()
@@ -649,13 +644,13 @@ def _same_arrays(got, want):
 @pytest.mark.parametrize("dim,orders", [(1, range(24)), (2, range(9)),
                                         (3, range(9)), (4, range(9))])
 def test_product_tables_equal_the_pair_loops(dim, orders):
-    """``_mul_table`` and ``_rank_groups`` hold the arrays of the loops, in
-    the same order and dtype, up to the order 22 that ``normal-form``'s
-    profile lift builds in one variable."""
+    """``_mul_table`` and the rank groups of ``_mul_plan`` hold the arrays
+    of the loops, in the same order and dtype, up to the order 22 that
+    ``normal-form``'s profile lift builds in one variable."""
     for order in orders:
         assert _same_arrays(jets._mul_table(dim, order),
                             _loop_mul_table(dim, order)), order
-        *arrays, sizes = jets._rank_groups(dim, order)
+        *arrays, sizes = jets._mul_plan(dim, order).groups()
         *want_arrays, want_sizes = _loop_rank_groups(dim, order)
         assert _same_arrays(arrays, want_arrays), order
         assert sizes == want_sizes, order
@@ -681,9 +676,9 @@ def test_many_point_product_is_bitwise_the_one_point_product(monkeypatch, dim,
     else:
         a[0].c[rng.integers(1, n)] = -0.0
         b[-1] = Jet.constant([rng.standard_normal()], dim, order)
-    ranked, rank_groups = [], jets._rank_groups
-    monkeypatch.setattr(jets, "_rank_groups",
-                        lambda *key: ranked.append(key) or rank_groups(*key))
+    ranked, groups = [], jets._Plan.groups
+    monkeypatch.setattr(jets._Plan, "groups",
+                        lambda plan: ranked.append(plan) or groups(plan))
     with np.errstate(invalid="ignore"):
         want = [(x * y).c.tobytes() for x, y in zip(a, b)]
         many = _many(a) * _many(b)

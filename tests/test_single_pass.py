@@ -380,7 +380,9 @@ def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
     # of its own, so the wedge kernel runs 14 + 4 times a block where it ran
     # 52, and forms._multiply 33 times where it ran 100.  The
     # two_form_coeffs and one_form_coeffs calls and the coeffs_stack of a
-    # block run as batched products and take no wedge
+    # block take no wedge: each runs the wedge kernel once per truncation
+    # order of its complements, of every beta with every complement, 7
+    # kernel calls in all
     wedges = _counting(monkeypatch, forms, "wedge", *_aliases(forms, "wedge"))
     stacks = _counting(monkeypatch, forms, "wedge_stack",
                        *_aliases(forms, "wedge_stack"))
@@ -389,7 +391,7 @@ def test_fourdim_wedges_only_outside_two_form_coeffs(monkeypatch):
     products = _counting(monkeypatch, forms, "_multiply")
     _run(["fourdim", "fourd_enonzero", "--points", "2"])
     assert (len(wedges), len(stacks), len(kernels), len(products)) == \
-        (14, 3, 14 + 4, 33)
+        (14, 3, 14 + 4 + 7, 33)
 
     frame = build_example("fourd_enonzero").coframes().at((0.5, 1.0, 0.0, 0.1),
                                                           2)
@@ -422,26 +424,60 @@ def test_each_frame_computes_C_once(monkeypatch, args, calls):
 
 
 @pytest.mark.parametrize("args,grouped", [
-    (["fourdim", "fourd_enonzero", "--points", "18"], 2),
-    (["curvature", "normal_form_3d", "--points", "60"], 6),
+    (["fourdim", "fourd_enonzero", "--points", "18"], 2 + 1),
+    (["curvature", "normal_form_3d", "--points", "60"], 6 + 3 + 4),
 ], ids=["fourdim fourd_enonzero", "curvature normal_form_3d"])
 @pytest.mark.usefixtures("blocks_of_32")
 def test_each_product_plan_builds_its_rank_groups_at_most_once(monkeypatch,
                                                                args, grouped):
-    # a product plan of forms._multiply builds its rank groups the first
-    # time it sums past jets.FLAT_PRODUCT_MAX weights x points and keeps
-    # them: of the 4D benchmark list, only the connection forms' products
-    # (96 terms of 9 pairs x 18 points) and the curvature's stacked wedge
-    # (144 terms) pass it, and the 3D list's two blocks build six plans'
-    # once each; the plan caches start empty, so no earlier build hides one
-    for plans in (forms._scale_plan, forms._wedge_plan, forms._coeffs_plan,
-                  forms._combine_plan):
+    # a plan builds its rank groups the first time jets._convolve sums it
+    # past jets.FLAT_PRODUCT_MAX weights x points and keeps them: of the 4D
+    # benchmark list, only the connection forms' products (96 terms of 9
+    # pairs x 18 points) and the curvature's stacked wedge (144 terms) pass
+    # it, whose groups both broadcast those of the one jet product plan of
+    # their order; the 3D list's two blocks build six form plans' once
+    # each, three series steps' (degrees 4 to 6) and four jet product
+    # plans' (order 6, and orders 3 to 5 under the form plans); the plan
+    # caches start empty, so no earlier build hides one
+    for plans in (forms._scale_plan, forms._wedge_plan, forms._combine_plan,
+                  jets._mul_plan, jets._step_plan):
         plans.cache_clear()
-    built, term_groups = [], forms._term_groups
-    monkeypatch.setattr(forms, "_term_groups",
-                        lambda plan: built.append(plan) or term_groups(plan))
+    built = []
+    for plan_type in (jets._Plan, forms._Products):
+        build = plan_type.__dict__["_build_groups"]
+        monkeypatch.setattr(plan_type, "_build_groups",
+                            lambda plan, build=build:
+                            built.append(plan) or build(plan))
     _run(args)
     assert len({id(plan) for plan in built}) == len(built) == grouped
+
+
+@pytest.mark.parametrize("args", [
+    ["curvature", "normal_form_3d"], ["fourdim", "fourd_enonzero"],
+    ["normal-form", "tan(z)", "--order", "3"],
+], ids=["curvature normal_form_3d", "fourdim fourd_enonzero",
+        "normal-form tan(z)"])
+def test_every_product_sums_through_convolve_on_its_size(monkeypatch, args):
+    # every jet product, series step and form plan of a command goes
+    # through jets._convolve, which sums by rank groups exactly where the
+    # plan's weights x points pass jets.FLAT_PRODUCT_MAX; each benchmark
+    # command takes both paths
+    paths, ranked = [], []
+    convolve, rank_sums = jets._convolve, jets._rank_sums
+
+    def spy(x, y, plan):
+        before = len(ranked)
+        out = convolve(x, y, plan)
+        paths.append((len(plan.T) * x.shape[1], len(ranked) > before))
+        return out
+
+    monkeypatch.setattr(jets, "_convolve", spy)
+    monkeypatch.setattr(jets, "_rank_sums",
+                        lambda *sums: ranked.append(1) or rank_sums(*sums))
+    _run(args)
+    assert all(grouped == (size > jets.FLAT_PRODUCT_MAX)
+               for size, grouped in paths)
+    assert {grouped for _, grouped in paths} == {False, True}
 
 
 def test_fourdim_expands_dE_once_per_point_and_takes_no_top_ratio(

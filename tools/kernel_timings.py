@@ -1,20 +1,20 @@
-"""Time the product and series-step kernels at the shapes the benchmark
-workloads run.
+"""Time the sums of products at the shapes the benchmark workloads run.
 
     python tools/kernel_timings.py              # a table per workload
     python tools/kernel_timings.py --json OUT   # the same rows as JSON
 
 Each workload of ``perfbench/run.py`` runs once, at its seed-42 argv, with
-``forms._multiply``, ``jets._product`` and ``jets._step_sum`` wrapped to
+``jets._convolve``, the one entry every product sums through, wrapped to
 keep the operands of the first call of each shape, one point (the Taylor
-steps of ``fourdim.solve_q``) or many.  Each kept call is then timed on its
-own operands, three ways: with ``jets.FLAT_PRODUCT_MAX`` as it is (the path
-the kernel chooses), with every sum binned flat, and with every sum taken
-by rank groups (``jets._rank_sums``, in its chunks of ``FLAT_PRODUCT_MAX``
-weights x points).  A row gives the kernel, its shape (terms, dim, order,
-points; a series step's order is its degree), its weights (terms x pairs)
-times points, the number of such calls in the command, and the
-microseconds per call of each way, the best of ``REPEAT`` timings of
+steps of ``fourdim.solve_q``) or many.  A shape is the plan's kind (a jet
+product, a series step or a form plan of many terms), its weights (pairs,
+times terms for a form plan) and its points.  Each kept call is then timed
+on its own operands, three ways: with ``jets.FLAT_PRODUCT_MAX`` as it is
+(the path ``_convolve`` chooses), with every sum binned flat, and with
+every sum taken by rank groups (``jets._rank_sums``, in its chunks of
+``FLAT_PRODUCT_MAX`` weights x points).  A row gives the kind, the weights,
+the points, weights x points, the number of such calls in the command, and
+the microseconds per call of each way, the best of ``REPEAT`` timings of
 ``NUMBER`` calls.  The calls run on one core, in this process.
 
 Each row's times are referred to the speed of the machine, as
@@ -48,55 +48,35 @@ NUMBER, REPEAT = 20, 5
 
 
 def record(argv):
-    """{shape: [calls, kernel, args]} of the products and series steps
-    that ``argv`` runs, with the arguments of the first call of each
-    shape."""
+    """{(kind, weights, points): [calls, args]} of the sums that ``argv``
+    runs, with the arguments of the first call of each shape."""
     shapes = {}
-    multiply, product, step_sum = forms._multiply, jets._product, \
-        jets._step_sum
+    convolve = jets._convolve
 
-    def keep(key, kernel, args):
-        entry = shapes.setdefault(key, [0, kernel, args])
+    def wrapped(x, y, plan):
+        entry = shapes.setdefault(
+            (kind(plan), len(plan.T), x.shape[1]),
+            # a series step overwrites its operands afterwards
+            [0, (x.copy(), y.copy(), plan)])
         entry[0] += 1
+        return convolve(x, y, plan)
 
-    def wrapped_multiply(x, y, plan):
-        terms = len(plan.rx)
-        keep(("forms._multiply", terms,
-              *dim_order(plan.n, len(plan.gx) // terms), x.shape[2],
-              len(plan.gx)), multiply, (x, y, plan))
-        return multiply(x, y, plan)
-
-    def wrapped_product(a, b, dim, order):
-        keep(("jets._product", 1, dim, order, a.shape[1],
-              len(jets._mul_table(dim, order)[0])),
-             # a series step overwrites its operands afterwards
-             product, (a.copy(), b.copy(), dim, order))
-        return product(a, b, dim, order)
-
-    def wrapped_step_sum(x, y, dim, k):
-        keep(("jets._step_sum", 1, dim, k, x.shape[1],
-              len(jets._step_table(dim, k)[0])),
-             step_sum, (x.copy(), y.copy(), dim, k))
-        return step_sum(x, y, dim, k)
-
-    forms._multiply, jets._product, jets._step_sum = \
-        wrapped_multiply, wrapped_product, wrapped_step_sum
+    jets._convolve = wrapped
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)
     finally:
-        forms._multiply, jets._product, jets._step_sum = \
-            multiply, product, step_sum
+        jets._convolve = convolve
     return shapes
 
 
-def dim_order(n, pairs):
-    """(dim, order) of a product of jets of ``n`` coefficients with
-    ``pairs`` pairs of monomials, which are the monomials of degree <= order
-    in 2 dim variables."""
-    return next((dim, order) for dim in range(1, 5) for order in range(23)
-                if jets.ncoeffs(dim, order) == n
-                and jets.ncoeffs(2 * dim, order) == pairs)
+def kind(plan) -> str:
+    """Which product ``plan`` sums: a form plan, or of jets a product, whose
+    first pair is that of the two constant monomials, or a series step,
+    which pairs no constant first monomial."""
+    if isinstance(plan, forms._Products):
+        return "form plan"
+    return "jet product" if plan.I[0] == 0 else "series step"
 
 
 def time_call(kernel, args, limit):
@@ -141,18 +121,16 @@ def main(argv=None) -> int:
         shapes = record(cli_args(workload, 42))
         print(f"{workload}  (FLAT_PRODUCT_MAX {jets.FLAT_PRODUCT_MAX:,}; "
               f"us referred to a {REF_NOMINAL_S} s reference loop)")
-        print(f"  {'kernel':<16}{'terms':>6}{'dim':>4}{'ord':>4}{'N':>5}"
-              f"{'weights x N':>13}{'calls':>6}"
-              + "".join(f"{w + ' us':>13}" for w in WAYS))
-        for key in sorted(shapes, key=lambda k: (k[0], k[5] * k[4])):
-            calls, kernel, call = shapes[key]
-            name, terms, dim, order, points, weights = key
-            us = time_row(kernel, call)
-            rows.append(dict(workload=workload, kernel=name, terms=terms,
-                             dim=dim, order=order, points=points,
-                             weights_x_points=weights * points, calls=calls,
-                             us=us))
-            print(f"  {name:<16}{terms:>6}{dim:>4}{order:>4}{points:>5}"
+        print(f"  {'kind':<13}{'weights':>8}{'N':>5}{'weights x N':>13}"
+              f"{'calls':>6}" + "".join(f"{w + ' us':>13}" for w in WAYS))
+        for key in sorted(shapes, key=lambda k: (k[0], k[1] * k[2])):
+            calls, call = shapes[key]
+            name, weights, points = key
+            us = time_row(jets._convolve, call)
+            rows.append(dict(workload=workload, kind=name, weights=weights,
+                             points=points, weights_x_points=weights * points,
+                             calls=calls, us=us))
+            print(f"  {name:<13}{weights:>8}{points:>5}"
                   f"{weights * points:>13,}{calls:>6}"
                   + "".join(f"{us[w]:>13.1f}" for w in WAYS))
         total = {w: sum(r["calls"] * r["us"][w] for r in rows
