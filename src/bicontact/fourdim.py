@@ -414,10 +414,10 @@ def _on_z(coeffs, order: int) -> Jet:
     an (N,) array of one value per point, goes straight onto the monomial
     z^k, and "+ 0.0" turns a -0.0 into +0.0.  For finite coefficients this
     is bit-equal to the series by Horner in the jet of z."""
-    rank = jets._rank(4, order)
-    c = np.zeros((jets.ncoeffs(4, order), len(coeffs[0])))
-    for k in range(order + 1):
-        c[rank[(0, 0, k, 0)]] = coeffs[k] + 0.0
+    exps, deg = jets._index(4, order)[:2]
+    c = np.zeros((len(deg), len(coeffs[0])))
+    # the rows of z^0, ..., z^order: z's exponent is the whole degree
+    c[exps[:, 2] == deg] = np.asarray(coeffs) + 0.0
     return Jet._of(4, order, c)
 
 

@@ -41,15 +41,18 @@ column is bit-equal to the same jet computed as a stack of one, and each
 domain check looks at every point's value.  ``atan2`` and ``power`` run
 each branch on the columns that take it (``_by_branch``).
 
-The product tables are built once per (dim, order), and a series step's
-plan once per (dim, degree) from them, by NumPy array operations, not
-loops over index pairs: ``_mul_table`` takes the pairs of monomials from
-``np.nonzero`` of the degree-sum mask (i outer, j inner) and finds each
-product's rank through a mixed-radix code of its exponents; ``_grouped``
-counts each target's pairs with ``np.bincount`` and deals them out by a
-stable ``np.argsort``.  ``tests/test_jets.py`` keeps the loops as the
-reference the tables must equal, and the Horner series of the ``math``
-laws as the reference of the recursions.
+The monomial order is decided in one place, ``_index(dim, order)``, built
+once per (dim, order) by NumPy array operations: each monomial's exponents,
+degree and mixed-radix code, and the rank of each code (Neidinger, *Math.
+Comp.* 74 (2005) 321-340).  The tables come from it without loops over
+monomials or pairs: ``_mul_table`` and ``_step_plan`` take their pairs
+from ``np.nonzero`` of a degree mask (i outer, j inner), each product's
+rank as ``rank[code_i + code_j]``, and ``_diff_table`` each derivative's
+rank by one gather; ``_grouped`` counts each target's pairs with
+``np.bincount`` and deals them out by a stable ``np.argsort``.
+``tests/test_jets.py`` keeps a recursive enumeration and loops over it as
+the reference the index and tables must equal, and the Horner series of
+the ``math`` laws as the reference of the recursions.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "Jet", "ncoeffs", "multi_indices", "partial",
+    "Jet", "ncoeffs", "partial",
     "exp", "ln", "sqrt", "powf", "power", "reciprocal",
     "sin", "cos", "tan", "csc", "cot",
     "sinh", "cosh", "tanh", "sech", "asinh", "atan", "atan2",
@@ -77,43 +80,38 @@ def ncoeffs(dim: int, order: int) -> int:
     return math.comb(dim + order, dim)
 
 
-def _indices_of_degree(dim, deg):
-    if dim == 1:
-        return [(deg,)]
-    out = []
-    for first in range(deg, -1, -1):
-        for rest in _indices_of_degree(dim - 1, deg - first):
-            out.append((first,) + rest)
-    return out
-
-
 @lru_cache(maxsize=None)
-def multi_indices(dim: int, order: int) -> tuple:
-    """All exponent multi-indices with |alpha| <= order, graded lex order."""
-    out = []
-    for deg in range(order + 1):
-        out.extend(_indices_of_degree(dim, deg))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _rank(dim: int, order: int):
-    return {a: i for i, a in enumerate(multi_indices(dim, order))}
+def _index(dim: int, order: int) -> tuple:
+    """The monomials of total degree <= order in ``dim`` variables, in
+    graded lexicographic order, as ``(exps, deg, code, rank)``: row r of
+    ``exps``, (ncoeffs, dim), holds the exponents of the monomial of rank
+    r, ``deg[r]`` its total degree, ``code[r]`` the mixed-radix code of its
+    exponents in base order + 1, x_0's the most significant digit, and
+    ``rank[code[r]] == r``.  Codes add without carry while every exponent
+    of the sum is at most order, so the rank of a product or a derivative
+    is one gather.  The order is that of every jet table, and it is the
+    same at every order: the index of a lower order is a prefix."""
+    base = order + 1
+    # row c: the exponents whose code is c, for every code below base^dim
+    exps = np.indices((base,) * dim).reshape(dim, -1).T
+    deg = exps.sum(axis=1)
+    # degree first, then codes descending, which is exponents descending
+    # with x_0's first; the degrees <= order come first
+    key = deg * base ** dim - np.arange(len(deg))
+    code = np.argsort(key)[:ncoeffs(dim, order)]
+    rank = np.empty(len(deg), dtype=np.intp)
+    rank[code] = np.arange(len(code))
+    return exps[code], deg[code], code, rank
 
 
 @lru_cache(maxsize=None)
 def _mul_table(dim: int, order: int):
     """Gather/scatter triples (I, J, T): product coefficient T gets
     a[I] * b[J], for every pair of monomials of total degree <= order, i
-    outer and j inner.  T is looked up by the mixed-radix code of the
-    exponents in base order + 1, which adds without carry since every
-    exponent of the product is at most order."""
-    idx = np.array(multi_indices(dim, order), dtype=np.intp)
-    deg = idx.sum(axis=1)
+    outer and j inner, from the degree-sum mask of ``_index`` and the rank
+    of each product's summed code."""
+    _, deg, code, rank = _index(dim, order)
     I, J = np.nonzero(deg[:, None] + deg[None, :] <= order)
-    code = idx @ (order + 1) ** np.arange(dim)
-    rank = np.empty((order + 1) ** dim, dtype=np.intp)
-    rank[code] = np.arange(len(idx))
     return I, J, rank[code[I] + code[J]]
 
 
@@ -295,21 +293,13 @@ def _chunks(sizes: tuple, step: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _diff_table(dim: int, order: int, axis: int):
-    # Taylor coefficient beta of d/dx_axis is c_{beta+e_axis} * (beta_axis+1).
-    idx = multi_indices(dim, order)
-    rank_lo = _rank(dim, order - 1)
-    src, dst, fac = [], [], []
-    for i, a in enumerate(idx):
-        if a[axis] == 0:
-            continue
-        b = list(a)
-        b[axis] -= 1
-        src.append(i)
-        dst.append(rank_lo[tuple(b)])
-        fac.append(a[axis])
-    return (np.asarray(src, dtype=np.intp),
-            np.asarray(dst, dtype=np.intp),
-            np.asarray(fac, dtype=float))
+    """(src, dst, fac) of d/dx_axis, whose coefficient beta is
+    c_{beta+e_axis} * (beta_axis+1): row ``dst`` one order lower gets
+    coefficient ``src`` times ``fac``."""
+    exps, _, code, rank = _index(dim, order)
+    src = np.flatnonzero(exps[:, axis])
+    return (src, rank[code[src] - (order + 1) ** (dim - 1 - axis)],
+            exps[src, axis].astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -493,30 +483,24 @@ def _at_points(fn: str, f: Jet, law) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _degrees(dim: int, order: int) -> np.ndarray:
-    """The total degree of each monomial, as floats, in rank order."""
-    sizes = [ncoeffs(dim, k) for k in range(-1, order + 1)]
-    return np.repeat(np.arange(order + 1.0), np.diff(sizes))
-
-
 def _by_degree(f: Jet, a: float, b: float, k: int) -> np.ndarray:
     """f's coefficients of degree <= k, each times a * degree + b: with
     (1, 0), those of E f = sum_i x_i df/dx_i, the Euler operator."""
-    w = a * _degrees(f.dim, k) + b
+    w = a * _index(f.dim, k)[1] + b
     return f.c[:len(w)] * w[:, None]
 
 
 @lru_cache(maxsize=None)
 def _step_plan(dim: int, k: int) -> _Plan:
     """The pairs of ``_mul_table(dim, k)`` whose target has degree k and
-    whose first monomial has degree >= 1, one row per monomial of degree k,
-    counted from the first.  Ranks are a prefix at every order, so the plan
-    serves every order >= k."""
-    I, J, T = _mul_table(dim, k)
+    whose first monomial has degree >= 1, taken from the degree mask of
+    ``_index(dim, k)``, one row per monomial of degree k, counted from the
+    first.  Ranks are a prefix at every order, so the plan serves every
+    order >= k."""
+    _, deg, code, rank = _index(dim, k)
+    I, J = np.nonzero((deg[:, None] + deg[None, :] == k) & (deg[:, None] > 0))
     low = ncoeffs(dim, k - 1)
-    keep = (T >= low) & (I > 0)
-    return _Plan(I[keep], J[keep], T[keep] - low, ncoeffs(dim, k) - low)
+    return _Plan(I, J, rank[code[I] + code[J]] - low, len(deg) - low)
 
 
 def _step_sum(x, y, dim: int, k: int):
@@ -541,8 +525,10 @@ def _series(f: Jet, starts: list, step) -> list:
     g = np.zeros((len(f.c), f.c.shape[1] * len(starts)))
     g[0] = [v for column in starts for v in column]
     g[0] += 0.0
+    # cuts[k] is the rank of the first monomial of degree k
+    cuts = _index(dim, n)[1].searchsorted(np.arange(n + 2)).tolist()
     for k in range(1, n + 1):
-        g[ncoeffs(dim, k - 1):ncoeffs(dim, k)] = step(k, g) + 0.0
+        g[cuts[k]:cuts[k + 1]] = step(k, g) + 0.0
     if len(starts) == 1:
         return [Jet._of(dim, n, g)]
     return [Jet._of(dim, n, np.ascontiguousarray(part))

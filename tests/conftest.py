@@ -42,7 +42,8 @@ def box_points(box, n, seed=0):
 def coeff(jet, alpha) -> float:
     """The Taylor coefficient of a jet at one point, a stack of one, for an
     exponent multi-index."""
-    return float(jet.c[jets._rank(jet.dim, jet.order)[tuple(alpha)], 0])
+    exps = jets._index(jet.dim, jet.order)[0]
+    return float(jet.c[exps.tolist().index(list(alpha)), 0])
 
 
 def value(jet) -> float:

@@ -601,10 +601,29 @@ def test_rank_sums_are_the_flat_bins_at_every_chunk_size(monkeypatch, limit):
 
 # -- the product tables against loops over index pairs -----------------------
 
+def _indices_of_degree(dim, deg):
+    if dim == 1:
+        return [(deg,)]
+    out = []
+    for first in range(deg, -1, -1):
+        for rest in _indices_of_degree(dim - 1, deg - first):
+            out.append((first,) + rest)
+    return out
+
+
+def _loop_indices(dim, order):
+    """Every exponent multi-index with |alpha| <= order, in graded
+    lexicographic order, by recursion, apart from ``jets._index``."""
+    out = []
+    for deg in range(order + 1):
+        out.extend(_indices_of_degree(dim, deg))
+    return out
+
+
 def _loop_mul_table(dim, order):
     """(I, J, T) of every pair with degree sum <= order, i outer and j
     inner, T the rank of the summed exponents."""
-    idx = jets.multi_indices(dim, order)
+    idx = _loop_indices(dim, order)
     rank = {a: i for i, a in enumerate(idx)}
     I, J, T = [], [], []
     for i, a in enumerate(idx):
@@ -641,8 +660,75 @@ def _same_arrays(got, want):
                     for g, w in zip(got, want)))
 
 
-@pytest.mark.parametrize("dim,orders", [(1, range(24)), (2, range(9)),
-                                        (3, range(9)), (4, range(9))])
+def _loop_diff_table(dim, order, axis):
+    """(src, dst, fac) of d/dx_axis by a loop over the monomials: src the
+    rank of a monomial with a positive exponent e of x_axis, dst the rank
+    of the monomial with e - 1 at one order lower, and fac e."""
+    rank_lo = {a: i for i, a in enumerate(_loop_indices(dim, order - 1))}
+    src, dst, fac = [], [], []
+    for i, a in enumerate(_loop_indices(dim, order)):
+        if a[axis] == 0:
+            continue
+        b = list(a)
+        b[axis] -= 1
+        src.append(i)
+        dst.append(rank_lo[tuple(b)])
+        fac.append(a[axis])
+    return (np.asarray(src, dtype=np.intp),
+            np.asarray(dst, dtype=np.intp),
+            np.asarray(fac, dtype=float))
+
+
+# (dim, orders) of the table checks, up to the order 22 that
+# ``normal-form``'s profile lift builds in one variable
+_TABLE_ORDERS = [(1, range(24)), (2, range(9)), (3, range(9)), (4, range(9))]
+
+
+@pytest.mark.parametrize("dim,orders", _TABLE_ORDERS)
+def test_index_is_the_graded_enumeration_and_a_prefix(dim, orders):
+    """``_index`` lists the monomials of the recursive enumeration, with
+    their degrees, codes and ranks, and its rows at a lower order are the
+    first rows at every higher one."""
+    for order in orders:
+        exps, deg, code, rank = jets._index(dim, order)
+        want = _loop_indices(dim, order)
+        assert exps.tolist() == [list(a) for a in want], order
+        assert deg.tolist() == [sum(a) for a in want], order
+        assert code.tolist() == [sum(e * (order + 1) ** (dim - 1 - i)
+                                     for i, e in enumerate(a))
+                                 for a in want], order
+        assert rank[code].tolist() == list(range(len(want))), order
+        for k in range(order):
+            n = jets.ncoeffs(dim, k)
+            low_exps, low_deg, *_ = jets._index(dim, k)
+            assert np.array_equal(low_exps, exps[:n]), (k, order)
+            assert np.array_equal(low_deg, deg[:n]), (k, order)
+
+
+@pytest.mark.parametrize("dim,orders", _TABLE_ORDERS)
+def test_diff_and_step_tables_equal_the_loops(dim, orders):
+    """``_diff_table`` holds the arrays of the monomial loop for every
+    axis, in the same order and dtype, and ``_step_plan(dim, k)`` the pairs
+    of ``_loop_mul_table(dim, k)`` whose target has degree k and whose
+    first monomial degree >= 1, targets counted from the first monomial of
+    degree k."""
+    for order in orders:
+        for axis in range(dim):
+            assert _same_arrays(jets._diff_table(dim, order, axis),
+                                _loop_diff_table(dim, order, axis)), order
+        if order == 0:
+            continue
+        deg = np.array([sum(a) for a in _loop_indices(dim, order)])
+        I, J, T = _loop_mul_table(dim, order)
+        keep = (deg[T] == order) & (deg[I] >= 1)
+        low = jets.ncoeffs(dim, order - 1)
+        plan = jets._step_plan(dim, order)
+        assert _same_arrays((plan.I, plan.J, plan.T),
+                            (I[keep], J[keep], T[keep] - low)), order
+        assert plan.rows == jets.ncoeffs(dim, order) - low, order
+
+
+@pytest.mark.parametrize("dim,orders", _TABLE_ORDERS)
 def test_product_tables_equal_the_pair_loops(dim, orders):
     """``_mul_table`` and the rank groups of ``_mul_plan`` hold the arrays
     of the loops, in the same order and dtype, up to the order 22 that
